@@ -11,27 +11,24 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import sys
+import typing
 from dataclasses import replace
 from datetime import datetime, timezone
+from operator import attrgetter
 
 from . import __version__
-from .corpus import EXPECTED_HEADER, group_by_query, load_dataset, split_train_dev
+from .codec import to_doc, write_json
+from .corpus import EXPECTED_HEADER, load_dataset, split_train_dev
 from .errors import AlignmentError, LengthMismatch, QueryStanceError
-from .features import (
-    SCHEMA_TASK1,
-    SCHEMA_TASK2,
-    TASK1_FEATURE_NAMES,
-    fit_vocabulary,
-    task1_features,
-    task2_features,
-)
+from .features import SCHEMA_TASK1, SCHEMA_TASK2, TASK1_FEATURE_NAMES, task2_features
 from .pipeline import (
     LexiconSet,
     PipelineConfig,
     RELEVANT,
     TrainedPipeline,
+    _fit_group_vocabularies,
+    _task1_vectors,
     evaluate,
     load_task_model,
     predict_task1,
@@ -40,11 +37,6 @@ from .pipeline import (
     train_task1,
     train_task2,
 )
-from .svm import KernelConfig, SvmConfig
-from .textproc import tokenize
-
-TASK_DEFAULT_KERNEL = {1: ("poly", 0.006), 2: ("rbf", 0.005)}
-
 
 # --- settings resolution ----------------------------------------------------
 
@@ -90,33 +82,42 @@ class Settings:
         return default
 
 
-def _svm_config(settings: Settings, task: int) -> SvmConfig:
-    default_kind, default_gamma = TASK_DEFAULT_KERNEL[task]
-    kernel = KernelConfig(
-        kind=settings.get("kernel", default_kind),
-        gamma=settings.get("gamma", default_gamma, float),
-        degree=settings.get("degree", 3, int),
-        coef0=settings.get("coef0", 0.0, float),
-    )
-    return SvmConfig(
-        c=settings.get("C", 1e7, float),
-        kernel=kernel,
-        tol=settings.get("tol", 1e-3, float),
-        max_passes=settings.get("max_passes", 1000, int),
-        eps=settings.get("eps", 1e-8, float),
-    )
+# flag or config-file key -> dataclass field, for the trained task's SvmConfig,
+# its KernelConfig and the PipelineConfig around them
+SVM_OPTIONS = {"C": "c", "tol": "tol", "max_passes": "max_passes", "eps": "eps"}
+KERNEL_OPTIONS = {"kernel": "kind", "gamma": "gamma", "degree": "degree", "coef0": "coef0"}
+PIPELINE_OPTIONS = {
+    "stance_classes": "stance_classes",
+    "train_fraction": "train_fraction",
+    "seed": "seed",
+    "gloss": "gloss_path",
+    "sentiment": "sentiment_path",
+    "nouns": "noun_path",
+}
+
+
+def _override(settings: Settings, obj, options: dict[str, str]):
+    """``obj`` with the fields a flag or the config file sets; file text is
+    converted by the field's type."""
+    hints = typing.get_type_hints(type(obj))
+    given = {}
+    for option, name in options.items():
+        convert = hints[name] if hints[name] in (int, float) else None
+        value = settings.get(option, None, convert)
+        if value is not None:
+            given[name] = value
+    return replace(obj, **given)
 
 
 def _pipeline_config(settings: Settings, task: int) -> PipelineConfig:
-    config = PipelineConfig(
-        stance_classes=settings.get("stance_classes", "three_class"),
-        train_fraction=settings.get("train_fraction", 0.6, float),
-        seed=settings.get("seed", 0, int),
-        gloss_path=settings.get("gloss", None),
-        sentiment_path=settings.get("sentiment", None),
-        noun_path=settings.get("nouns", None),
+    """PipelineConfig() with the given settings; flags tune task ``task``'s SVM."""
+    config = _override(settings, PipelineConfig(), PIPELINE_OPTIONS)
+    svm = getattr(config, f"task{task}")
+    svm = replace(
+        _override(settings, svm, SVM_OPTIONS),
+        kernel=_override(settings, svm.kernel, KERNEL_OPTIONS),
     )
-    return replace(config, **{f"task{task}": _svm_config(settings, task)})
+    return replace(config, **{f"task{task}": svm})
 
 
 def _load_lexicons(settings: Settings, task: int) -> LexiconSet:
@@ -168,27 +169,7 @@ def _write_manifest(out_path: str, command: str, inputs: dict[str, str], config:
         "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in inputs.items()},
         "output": out_path,
     }
-    with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-
-
-def _config_snapshot(config: PipelineConfig, task: int) -> dict:
-    svm = getattr(config, f"task{task}")
-    return {
-        "task": task,
-        "C": svm.c,
-        "kernel": svm.kernel.kind,
-        "gamma": svm.kernel.gamma,
-        "degree": svm.kernel.degree,
-        "coef0": svm.kernel.coef0,
-        "tol": svm.tol,
-        "max_passes": svm.max_passes,
-        "eps": svm.eps,
-        "stance_classes": config.stance_classes,
-        "train_fraction": config.train_fraction,
-        "seed": config.seed,
-    }
+    write_json(str(out_path) + ".manifest.json", manifest)
 
 
 # --- commands ---------------------------------------------------------------
@@ -214,7 +195,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         value = settings.get(name, None)
         if value:
             inputs[name] = value
-    _write_manifest(out_path, "train", inputs, _config_snapshot(config, task), config.seed)
+    _write_manifest(out_path, "train", inputs, {"task": task, **to_doc(config)}, config.seed)
     print(f"wrote {out_path}")
     return 0
 
@@ -365,19 +346,9 @@ def cmd_features(args: argparse.Namespace) -> int:
 
     if task == 1:
         lexicons = _load_lexicons(settings, 1)
-        vocabularies = {
-            g.query_id: fit_vocabulary([tokenize(r.sentence_text) for r in g.records])
-            for g in group_by_query(records)
-        }
         header_comment = f"# schema_id={SCHEMA_TASK1}"
         names = list(TASK1_FEATURE_NAMES)
-        vectors = [
-            task1_features(
-                r.query_text, r.sentence_text, vocabularies[r.query_id],
-                lexicons.gloss, lexicons.nouns,
-            )
-            for r in records
-        ]
+        vectors = _task1_vectors(records, _fit_group_vocabularies(records), lexicons)
     else:
         lexicons = _load_lexicons(settings, 2)
         model_path = _require(settings, "model")
@@ -409,7 +380,8 @@ def cmd_features(args: argparse.Namespace) -> int:
         value = settings.get(name, None)
         if value:
             inputs[name] = value
-    _write_manifest(out_path, "features", inputs, {"task": task}, settings.get("seed", 0, int))
+    seed = settings.get("seed", PipelineConfig().seed, int)
+    _write_manifest(out_path, "features", inputs, {"task": task}, seed)
     print(f"wrote {out_path} ({len(records)} rows)")
     return 0
 
@@ -424,7 +396,13 @@ def _add_common_paths(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sentiment", help="sentiment lexicon TSV (term<TAB>pos<TAB>neg)")
     parser.add_argument("--out", help="output path")
     parser.add_argument("--config", help="key=value config file, overridden by explicit flags")
-    parser.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, help=f"RNG seed (default {PipelineConfig().seed})")
+
+
+def _default_help(text: str, field: str) -> str:
+    """``text`` plus the task-1 / task-2 default of SvmConfig field ``field``."""
+    get, config = attrgetter(field), PipelineConfig()
+    return f"{text} (default {get(config.task1):g} / {get(config.task2):g} for task 1 / 2)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train a task model from a labeled CSV")
     train.add_argument("--task", type=int, choices=(1, 2), required=True)
     _add_common_paths(train)
-    train.add_argument("--C", type=float, dest="C", help="box constraint (default 1e7)")
-    train.add_argument("--gamma", type=float, help="kernel gamma (default 0.006 poly / 0.005 rbf)")
+    train.add_argument("--C", type=float, dest="C", help=_default_help("box constraint", "c"))
+    train.add_argument("--gamma", type=float, help=_default_help("kernel gamma", "kernel.gamma"))
     train.add_argument("--kernel", choices=("linear", "poly", "rbf"))
-    train.add_argument("--degree", type=int, help="poly degree (default 3)")
-    train.add_argument("--coef0", type=float, help="poly offset (default 0)")
-    train.add_argument("--tol", type=float, help="KKT tolerance (default 1e-3)")
+    train.add_argument("--degree", type=int, help=_default_help("poly degree", "kernel.degree"))
+    train.add_argument("--coef0", type=float, help=_default_help("poly offset", "kernel.coef0"))
+    train.add_argument("--tol", type=float, help=_default_help("KKT tolerance", "tol"))
     train.add_argument("--max-passes", type=int, dest="max_passes")
-    train.add_argument("--eps", type=float, help="alpha change floor (default 1e-8)")
+    train.add_argument("--eps", type=float, help=_default_help("alpha change floor", "eps"))
     train.add_argument("--stance-classes", choices=("three_class", "two_class"), dest="stance_classes")
     train.add_argument("--train-fraction", type=float, dest="train_fraction")
     train.add_argument(

@@ -1,0 +1,144 @@
+"""The JSON document format of every config and model file.
+
+``to_doc`` writes a frozen dataclass field by field, with tuples and
+float64 arrays as lists. ``from_doc`` rebuilds it from the field type
+hints, checks every value on the way and lets the dataclass check its
+own invariants, so a malformed file fails at load time with the file
+and the field path in the message. A dataclass with a ``FORMAT`` class
+variable ``(name, version)`` carries it as ``format``/``format_version``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import math
+import types
+import typing
+from pathlib import Path
+
+import numpy as np
+
+from .errors import CorruptModel, VersionMismatch
+
+_HEADER = ("format", "format_version")
+_SCALARS = {float: "a finite number", int: "an integer", str: "a string"}
+
+
+def to_doc(obj):
+    """Plain JSON value of a dataclass, tuple, dict, array or scalar."""
+    if dataclasses.is_dataclass(obj):
+        doc = dict(zip(_HEADER, getattr(obj, "FORMAT", ())))
+        doc.update((f.name, to_doc(getattr(obj, f.name))) for f in dataclasses.fields(obj))
+        return doc
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [to_doc(value) for value in obj]
+    if isinstance(obj, dict):
+        return {key: to_doc(value) for key, value in obj.items()}
+    return obj
+
+
+def _at(where, field: str) -> str:
+    return f"{where}: {field}" if field else str(where)
+
+
+def check_format(doc: dict, name: str, version: int, where, field: str = "") -> None:
+    """Raise unless ``doc`` declares format ``name`` at ``version``."""
+    if doc.get("format") != name:
+        raise CorruptModel(f"{_at(where, field)}: not a {name} document")
+    if doc.get("format_version") != version:
+        raise VersionMismatch(
+            f"{_at(where, field)}: unsupported format_version "
+            f"{doc.get('format_version')!r}, expected {version}"
+        )
+
+
+def from_doc(cls, doc, where, field: str = ""):
+    """Rebuild a ``cls`` value from ``to_doc`` output.
+
+    ``cls`` is a dataclass, ``tuple[X, ...]``, ``dict[str, X]``, ``X | None``,
+    ``float``, ``int``, ``str`` or ``np.ndarray`` (read as float64). Raises
+    CorruptModel("<where>: <field path>: <problem>") for a missing, unknown
+    or mistyped field, a non-finite number, and a ValueError from a
+    dataclass's own checks.
+    """
+    if cls in _SCALARS:  # first, as most values in a document are scalars
+        if cls is float and type(doc) in (int, float):
+            try:
+                if math.isfinite(doc):
+                    return float(doc)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        elif type(doc) is cls:  # so a JSON true is not an int
+            return doc
+        raise CorruptModel(f"{_at(where, field)}: expected {_SCALARS[cls]}, got {doc!r:.40}")
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if doc is None else from_doc(args[0], doc, where, field)
+    container = list if origin is tuple or cls is np.ndarray else dict
+    if not isinstance(doc, container):
+        kind = "a list" if container is list else "an object"
+        raise CorruptModel(f"{_at(where, field)}: expected {kind}, got {doc!r:.40}")
+    if origin is tuple:
+        if args[0] in (int, str) and all(type(value) is args[0] for value in doc):
+            return tuple(doc)  # vocabulary terms and df: skip a call per item
+        return tuple(from_doc(args[0], value, where, f"{field}[{i}]") for i, value in enumerate(doc))
+    if origin is dict:
+        return {key: from_doc(args[1], value, where, f"{field}[{key!r}]") for key, value in doc.items()}
+    if cls is np.ndarray:
+        try:
+            array = np.array(doc)
+        except ValueError:  # ragged rows
+            array = None
+        if array is None or array.dtype.kind not in "iuf":
+            raise CorruptModel(f"{_at(where, field)}: expected a rectangular array of numbers")
+        return array.astype(np.float64, copy=False)
+    if hasattr(cls, "FORMAT"):
+        check_format(doc, *cls.FORMAT, where, field)
+        doc = {key: value for key, value in doc.items() if key not in _HEADER}
+    hints = _field_types(cls)
+    prefix = f"{field}." if field else ""
+    missing = [name for name in hints if name not in doc]
+    if missing:
+        raise CorruptModel(f"{_at(where, prefix + missing[0])}: missing")
+    unknown = sorted(doc.keys() - hints.keys())
+    if unknown:
+        raise CorruptModel(f"{_at(where, field)}: unknown field {unknown[0]!r}")
+    values = {name: from_doc(hint, doc[name], where, prefix + name) for name, hint in hints.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise CorruptModel(f"{_at(where, field)}: {exc}") from exc
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name -> type of a dataclass, evaluated once (it is slow)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` with sorted keys, one-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, sort_keys=True, indent=1)
+        handle.write("\n")
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in ``path``; CorruptModel if the file holds none.
+
+    NaN and Infinity parse as floats here; ``from_doc`` rejects them with
+    the path of the field that holds them.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise CorruptModel(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CorruptModel(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc

@@ -96,12 +96,12 @@ class NonFinite(QueryStanceError):
     """Training input contains NaN or infinity."""
 
 
-class VersionMismatch(QueryStanceError):
-    """A model file declares an unsupported format version."""
-
-
 class CorruptModel(QueryStanceError):
     """A model file is truncated or structurally invalid."""
+
+
+class VersionMismatch(CorruptModel):
+    """A model file declares an unsupported format version."""
 
 
 # --- pipeline -------------------------------------------------------------

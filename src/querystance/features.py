@@ -69,6 +69,10 @@ class VocabularyModel:
     n_docs: int
 
     def __post_init__(self):
+        if len(self.df) != len(self.terms):
+            raise ValueError(f"{len(self.terms)} terms but {len(self.df)} df values")
+        if self.df and not 1 <= min(self.df) <= max(self.df) <= self.n_docs:
+            raise ValueError(f"every df must lie in [1, n_docs={self.n_docs}]")
         object.__setattr__(
             self, "_index", {term: i for i, term in enumerate(self.terms)}
         )
@@ -79,13 +83,6 @@ class VocabularyModel:
 
     def index_of(self, term: str) -> int | None:
         return self._index.get(term)
-
-    def to_dict(self) -> dict:
-        return {"terms": list(self.terms), "df": list(self.df), "n_docs": self.n_docs}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "VocabularyModel":
-        return cls(terms=tuple(doc["terms"]), df=tuple(doc["df"]), n_docs=int(doc["n_docs"]))
 
 
 def dice_similarity(query_tokens: Sequence[str], sentence_tokens: Sequence[str]) -> float:

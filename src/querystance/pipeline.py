@@ -9,11 +9,11 @@ time, so the two stages chain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .codec import check_format, from_doc, read_json, to_doc, write_json
 from .corpus import SentenceRecord, group_by_query, split_train_dev
 from .errors import (
     AlignmentError,
@@ -22,7 +22,6 @@ from .errors import (
     LengthMismatch,
     MissingStanceLabel,
     UnlabeledRecord,
-    VersionMismatch,
 )
 from .features import (
     VocabularyModel,
@@ -42,8 +41,6 @@ from .svm import (
     KernelConfig,
     MulticlassModel,
     SvmConfig,
-    model_from_doc,
-    model_to_doc,
     predict as svm_predict,
     train_multiclass,
 )
@@ -84,6 +81,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.stance_classes not in (THREE_CLASS, TWO_CLASS):
             raise ValueError(f"stance_classes must be {THREE_CLASS!r} or {TWO_CLASS!r}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 @dataclass(frozen=True)
@@ -179,10 +178,9 @@ def predict_task1(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) 
         raise ValueError("pipeline has no trained task-1 model")
     if not records:
         return []
-    vocabularies = dict(pipeline.task1_vocabularies)
-    for group in group_by_query(records):
-        if group.query_id not in vocabularies:
-            vocabularies[group.query_id] = fit_vocabulary(_sentence_tokens(group.records))
+    seen = pipeline.task1_vocabularies
+    unseen = [r for r in records if r.query_id not in seen]
+    vocabularies = {**seen, **_fit_group_vocabularies(unseen)}
     vectors = _task1_vectors(records, vocabularies, pipeline.lexicons)
     return [svm_predict(pipeline.task1_model, v) for v in vectors]
 
@@ -375,93 +373,29 @@ def grid_search(
 
 # --- persistence ------------------------------------------------------------
 
-
-def _svm_config_to_doc(cfg: SvmConfig) -> dict:
-    return {
-        "c": cfg.c,
-        "kernel": {
-            "kind": cfg.kernel.kind,
-            "gamma": cfg.kernel.gamma,
-            "degree": cfg.kernel.degree,
-            "coef0": cfg.kernel.coef0,
-        },
-        "tol": cfg.tol,
-        "max_passes": cfg.max_passes,
-        "eps": cfg.eps,
-    }
-
-
-def _svm_config_from_doc(doc: dict) -> SvmConfig:
-    return SvmConfig(
-        c=float(doc["c"]),
-        kernel=KernelConfig(
-            kind=doc["kernel"]["kind"],
-            gamma=float(doc["kernel"]["gamma"]),
-            degree=int(doc["kernel"]["degree"]),
-            coef0=float(doc["kernel"]["coef0"]),
-        ),
-        tol=float(doc["tol"]),
-        max_passes=int(doc["max_passes"]),
-        eps=float(doc["eps"]),
-    )
-
-
-def _config_to_doc(config: PipelineConfig) -> dict:
-    return {
-        "task1": _svm_config_to_doc(config.task1),
-        "task2": _svm_config_to_doc(config.task2),
-        "stance_classes": config.stance_classes,
-        "train_fraction": config.train_fraction,
-        "seed": config.seed,
-        "gloss_path": config.gloss_path,
-        "sentiment_path": config.sentiment_path,
-        "noun_path": config.noun_path,
-    }
-
-
-def _config_from_doc(doc: dict) -> PipelineConfig:
-    return PipelineConfig(
-        task1=_svm_config_from_doc(doc["task1"]),
-        task2=_svm_config_from_doc(doc["task2"]),
-        stance_classes=doc["stance_classes"],
-        train_fraction=float(doc["train_fraction"]),
-        seed=int(doc["seed"]),
-        gloss_path=doc.get("gloss_path"),
-        sentiment_path=doc.get("sentiment_path"),
-        noun_path=doc.get("noun_path"),
-    )
+# task -> the model file's vocabulary field and its type
+VOCABULARY_FIELD = {1: ("vocabularies", dict[str, VocabularyModel]), 2: ("vocabulary", VocabularyModel)}
 
 
 def save_task_model(pipeline: TrainedPipeline, task: int, path: str | Path) -> None:
     """Write one task's model, vocabularies and config snapshot as JSON."""
     if task == 1:
-        if pipeline.task1_model is None:
-            raise ValueError("pipeline has no trained task-1 model")
-        payload = {
-            "svm": model_to_doc(pipeline.task1_model),
-            "vocabularies": {
-                qid: vocab.to_dict() for qid, vocab in pipeline.task1_vocabularies.items()
-            },
-        }
+        model, payload = pipeline.task1_model, {"vocabularies": pipeline.task1_vocabularies}
     elif task == 2:
-        if pipeline.task2_model is None:
-            raise ValueError("pipeline has no trained task-2 model")
-        payload = {
-            "svm": model_to_doc(pipeline.task2_model),
-            "vocabulary": pipeline.task2_vocabulary.to_dict(),
-        }
+        model, payload = pipeline.task2_model, {"vocabulary": pipeline.task2_vocabulary}
     else:
         raise ValueError(f"task must be 1 or 2, got {task}")
+    if model is None:
+        raise ValueError(f"pipeline has no trained task-{task} model")
     doc = {
         "format": PIPELINE_FORMAT,
         "format_version": PIPELINE_FORMAT_VERSION,
         "task": task,
-        "config": _config_to_doc(pipeline.config),
+        "config": pipeline.config,
+        "svm": model,
         **payload,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(path, to_doc(doc))
 
 
 def load_task_model(
@@ -474,37 +408,21 @@ def load_task_model(
     Merging a task-2 file also adopts its stance_classes setting so a
     chained pipeline behaves as the task-2 model was trained.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise CorruptModel(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        if doc.get("format") != PIPELINE_FORMAT:
-            raise CorruptModel(f"{path}: not a {PIPELINE_FORMAT} document")
-        if doc["format_version"] != PIPELINE_FORMAT_VERSION:
-            raise VersionMismatch(
-                f"{path}: unsupported format_version {doc['format_version']!r}"
-            )
-        task = doc["task"]
-        config = _config_from_doc(doc["config"])
-        model = model_from_doc(doc["svm"])
-        if into is None:
-            into = TrainedPipeline(config=config, lexicons=lexicons)
-        if task == 1:
-            into.task1_model = model
-            into.task1_vocabularies = {
-                qid: VocabularyModel.from_dict(v) for qid, v in doc["vocabularies"].items()
-            }
-        elif task == 2:
-            into.task2_model = model
-            into.task2_vocabulary = VocabularyModel.from_dict(doc["vocabulary"])
-            if into.config.stance_classes != config.stance_classes:
-                into.config = replace(into.config, stance_classes=config.stance_classes)
-        else:
-            raise CorruptModel(f"{path}: unknown task {task!r}")
-        return into
-    except (VersionMismatch, CorruptModel):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptModel(f"{path}: malformed pipeline document: {exc}") from exc
+    doc = read_json(path)
+    check_format(doc, PIPELINE_FORMAT, PIPELINE_FORMAT_VERSION, path)
+    task = from_doc(int, doc.get("task"), path, "task")
+    if task not in VOCABULARY_FIELD:
+        raise CorruptModel(f"{path}: task: unknown task {task!r}")
+    config = from_doc(PipelineConfig, doc.get("config"), path, "config")
+    model = from_doc(MulticlassModel, doc.get("svm"), path, "svm")
+    key, kind = VOCABULARY_FIELD[task]
+    vocabulary = from_doc(kind, doc.get(key), path, key)
+    if into is None:
+        into = TrainedPipeline(config=config, lexicons=lexicons)
+    if task == 1:
+        into.task1_model, into.task1_vocabularies = model, vocabulary
+    else:
+        into.task2_model, into.task2_vocabulary = model, vocabulary
+        if into.config.stance_classes != config.stance_classes:
+            into.config = replace(into.config, stance_classes=config.stance_classes)
+    return into

@@ -7,21 +7,16 @@ for multiclass. No external solver; numpy only.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import (
-    CorruptModel,
-    DimensionMismatch,
-    NonFinite,
-    SingleClassInput,
-    VersionMismatch,
-)
+from .codec import from_doc, read_json, to_doc, write_json
+from .errors import DimensionMismatch, NonFinite, SingleClassInput
 from .features import FeatureVector
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
@@ -40,10 +35,12 @@ class KernelConfig:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
+        if not math.isfinite(self.coef0):
+            raise ValueError(f"coef0 must be finite, got {self.coef0}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +52,14 @@ class SvmConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_passes < 1:
+            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps must be non-negative and finite, got {self.eps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +72,21 @@ class BinaryModel:
     positive_label: str
     negative_label: str
 
+    def __post_init__(self):
+        sv, coefs = self.support_vectors, self.dual_coefs
+        if sv.ndim != 2 or coefs.ndim != 1 or len(sv) != len(coefs):
+            raise ValueError(
+                f"support_vectors of shape {sv.shape} do not match dual_coefs of shape {coefs.shape}"
+            )
+        if not (np.isfinite(sv).all() and np.isfinite(coefs).all() and math.isfinite(self.bias)):
+            raise ValueError("support_vectors, dual_coefs and bias must be finite")
+
 
 @dataclass(frozen=True, eq=False)
 class MulticlassModel:
     """One-vs-one ensemble over lexicographically ordered labels."""
+
+    FORMAT: ClassVar[tuple[str, int]] = (MODEL_FORMAT, MODEL_FORMAT_VERSION)
 
     labels: tuple[str, ...]
     machines: tuple[BinaryModel, ...]
@@ -85,6 +97,14 @@ class MulticlassModel:
         n = len(self.labels)
         if len(self.machines) != n * (n - 1) // 2:
             raise ValueError("one machine per unordered label pair required")
+        strays = {
+            label for m in self.machines for label in (m.positive_label, m.negative_label)
+        } - set(self.labels)
+        if strays:
+            raise ValueError(f"machine labels {sorted(strays)} are not among labels {list(self.labels)}")
+        dims = {m.support_vectors.shape[1] for m in self.machines}
+        if len(dims) > 1:
+            raise ValueError(f"machines disagree on support-vector dims: {sorted(dims)}")
 
 
 def _as_vector(x) -> np.ndarray:
@@ -396,81 +416,10 @@ def predict(model: MulticlassModel, x) -> str:
     raise AssertionError("unreachable")
 
 
-def model_to_doc(model: MulticlassModel) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "format_version": MODEL_FORMAT_VERSION,
-        "schema_id": model.schema_id,
-        "labels": list(model.labels),
-        "kernel": {
-            "kind": model.kernel.kind,
-            "gamma": model.kernel.gamma,
-            "degree": model.kernel.degree,
-            "coef0": model.kernel.coef0,
-        },
-        "machines": [
-            {
-                "positive_label": m.positive_label,
-                "negative_label": m.negative_label,
-                "bias": m.bias,
-                "dual_coefs": m.dual_coefs.tolist(),
-                "support_vectors": m.support_vectors.tolist(),
-            }
-            for m in model.machines
-        ],
-    }
-
-
-def model_from_doc(doc: dict) -> MulticlassModel:
-    try:
-        if doc.get("format") != MODEL_FORMAT:
-            raise CorruptModel(f"not a {MODEL_FORMAT} document")
-        if doc["format_version"] != MODEL_FORMAT_VERSION:
-            raise VersionMismatch(
-                f"unsupported format_version {doc['format_version']!r}, "
-                f"expected {MODEL_FORMAT_VERSION}"
-            )
-        kernel = KernelConfig(
-            kind=doc["kernel"]["kind"],
-            gamma=float(doc["kernel"]["gamma"]),
-            degree=int(doc["kernel"]["degree"]),
-            coef0=float(doc["kernel"]["coef0"]),
-        )
-        machines = tuple(
-            BinaryModel(
-                support_vectors=np.asarray(m["support_vectors"], dtype=np.float64),
-                dual_coefs=np.asarray(m["dual_coefs"], dtype=np.float64),
-                bias=float(m["bias"]),
-                positive_label=m["positive_label"],
-                negative_label=m["negative_label"],
-            )
-            for m in doc["machines"]
-        )
-        return MulticlassModel(
-            labels=tuple(doc["labels"]),
-            machines=machines,
-            kernel=kernel,
-            schema_id=doc.get("schema_id"),
-        )
-    except (VersionMismatch, CorruptModel):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptModel(f"malformed model document: {exc}") from exc
-
-
 def save_model(model: MulticlassModel, path: str | Path) -> None:
     """Write the model as versioned JSON (stable key order)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_doc(model), handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(path, to_doc(model))
 
 
 def load_model(path: str | Path) -> MulticlassModel:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise CorruptModel(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CorruptModel(f"{path}: expected a JSON object")
-    return model_from_doc(doc)
+    return from_doc(MulticlassModel, read_json(path), path)

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from querystance.cli import main
+from querystance.codec import to_doc
+from querystance.pipeline import PipelineConfig
 
 from synth import make_records, write_dataset_csv, write_lexicon_files
 
@@ -51,8 +53,8 @@ class TestTrain:
         assert out.exists()
         manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
         assert manifest["seed"] == 0
-        assert manifest["config"]["gamma"] == 0.006
-        assert manifest["config"]["C"] == 1e7
+        assert manifest["config"]["task1"]["kernel"]["gamma"] == 0.006
+        assert manifest["config"]["task1"]["c"] == 1e7
         # recomputing a recorded digest must match
         for entry in manifest["inputs"].values():
             digest = hashlib.sha256(open(entry["path"], "rb").read()).hexdigest()
@@ -87,8 +89,95 @@ class TestTrain:
         code = main(train_args(workspace, 1, out, "--config", str(config), "--gamma", "0.006"))
         assert code == 0
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
-        assert manifest["config"]["gamma"] == 0.006  # flag wins
+        assert manifest["config"]["task1"]["kernel"]["gamma"] == 0.006  # flag wins
         assert manifest["config"]["seed"] == 3  # config file wins over default
+
+    @pytest.mark.parametrize(
+        "flags", [["--C", "nan"], ["--max-passes", "0"], ["--gamma", "inf"], ["--coef0", "nan"],
+                  ["--tol", "inf"], ["--eps", "-1"], ["--train-fraction", "nan"]],
+        ids=" ".join,
+    )
+    def test_degenerate_setting_exits_1_without_model(self, workspace, tmp_path, capsys, flags):
+        out = tmp_path / "m.json"
+        assert main(train_args(workspace, 1, out, *flags)) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bare_train_config_is_the_dataclass_default(self, workspace, tmp_path):
+        out = tmp_path / "m.json"
+        assert main([
+            "train", "--task", "1", "--data", str(workspace["train"]), "--out", str(out),
+            "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"]),
+        ]) == 0
+        expected = to_doc(PipelineConfig(gloss_path=str(workspace["gloss"]), noun_path=str(workspace["nouns"])))
+        assert json.loads(out.read_text())["config"] == expected
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["config"] == {"task": 1, **expected}
+
+
+def _set(*path_and_value):
+    """Mutation that sets one field of a task-2 document, by key/index path."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = value
+        return doc
+
+    return mutate
+
+
+def _pop(*path):
+    def mutate(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        node.pop()
+        return doc
+
+    return mutate
+
+
+# each mutation of a saved task-2 file, and the field its error must name
+CORRUPTIONS = {
+    "dual_coefs truncated": (_pop("svm", "machines", 0, "dual_coefs"), "svm.machines[0]: "),
+    "df zero": (_set("vocabulary", "df", 0, 0), "vocabulary: "),
+    "df shorter than terms": (_pop("vocabulary", "df"), "vocabulary: "),
+    "machine label not in labels": (_set("svm", "machines", 0, "positive_label", "maybe"), "svm: "),
+    "bias NaN": (_set("svm", "machines", 0, "bias", float("nan")), "svm.machines[0].bias: "),
+    "ragged support-vector row": (_pop("svm", "machines", 0, "support_vectors", 0),
+                                  "svm.machines[0].support_vectors: "),
+    "config gamma not a number": (_set("config", "task2", "kernel", "gamma", "abc"),
+                                  "config.task2.kernel.gamma: "),
+    "svm gamma negative": (_set("svm", "kernel", "gamma", -1), "svm.kernel: "),
+    "top level is a list": (lambda doc: [], "expected a JSON object"),
+}
+
+
+class TestCorruptModelRejectedAtLoad:
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_chain_exits_1_naming_file_and_field(self, workspace, trained_models, tmp_path, capsys, case):
+        mutate, field = CORRUPTIONS[case]
+        doc = mutate(json.loads(trained_models["m2"].read_text()))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "predict", "--chain",
+            "--model", str(trained_models["m1"]),
+            "--model2", str(bad),
+            "--data", str(workspace["unlabeled"]),
+            "--out", str(tmp_path / "pred.csv"),
+            "--nouns", str(workspace["nouns"]),
+            "--gloss", str(workspace["gloss"]),
+            "--sentiment", str(workspace["sentiment"]),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {bad}: {field}" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "pred.csv").exists()
 
 
 class TestPredict:

@@ -1,0 +1,116 @@
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from querystance.codec import from_doc, to_doc
+from querystance.errors import CorruptModel
+from querystance.pipeline import (
+    THREE_CLASS,
+    TWO_CLASS,
+    PipelineConfig,
+    load_task_model,
+    save_task_model,
+    train_task2,
+)
+from querystance.svm import KERNEL_KINDS, KernelConfig, SvmConfig
+
+from synth import lexicon_objects, make_records
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+kernels = st.builds(
+    KernelConfig,
+    kind=st.sampled_from(KERNEL_KINDS),
+    gamma=positive,
+    degree=st.integers(1, 10),
+    coef0=finite,
+)
+svms = st.builds(
+    SvmConfig,
+    c=positive,
+    kernel=kernels,
+    tol=positive,
+    max_passes=st.integers(1, 10**9),
+    eps=st.floats(min_value=0.0, allow_infinity=False),
+)
+paths = st.none() | st.text(max_size=8)
+pipelines = st.builds(
+    PipelineConfig,
+    task1=svms,
+    task2=svms,
+    stance_classes=st.sampled_from((THREE_CLASS, TWO_CLASS)),
+    train_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**63),
+    gloss_path=paths,
+    sentiment_path=paths,
+    noun_path=paths,
+)
+
+
+@pytest.mark.parametrize("cls, strategy", [
+    (KernelConfig, kernels), (SvmConfig, svms), (PipelineConfig, pipelines),
+])
+def test_config_roundtrip(cls, strategy):
+    @given(strategy)
+    def roundtrip(value):
+        doc = json.loads(json.dumps(to_doc(value)))
+        assert from_doc(cls, doc, "doc") == value
+
+    roundtrip()
+
+
+DELETE = object()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _field_paths(node, path=()):
+    """Every key/index path below ``node``; of a list only the first and last items."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = [(i, node[i]) for i in sorted({0, len(node) - 1}) if node]
+    else:
+        children = []
+    for key, child in children:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def task2_file(tmp_path_factory):
+    """A small saved task-2 document, its field paths and a file to write mutants to."""
+    root = tmp_path_factory.mktemp("codec")
+    records = make_records(seed=0, per_query=4)
+    pipeline = train_task2(records, [r.relevance for r in records], lexicon_objects(), PipelineConfig())
+    save_task_model(pipeline, 2, root / "m2.json")
+    doc = json.loads((root / "m2.json").read_text())
+    return doc, sorted(_field_paths(doc), key=repr), root / "mutant.json"
+
+
+def test_single_value_mutation_loads_or_raises_corrupt_model(task2_file):
+    doc, field_paths, mutant = task2_file
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(field_paths), st.just(DELETE) | json_values)
+    def mutation(path, value):
+        changed = copy.deepcopy(doc)
+        parent = changed
+        for step in path[:-1]:
+            parent = parent[step]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        mutant.write_text(json.dumps(changed), encoding="utf-8")
+        try:
+            load_task_model(mutant, lexicon_objects())
+        except CorruptModel as exc:
+            assert str(exc).startswith(f"{mutant}: ")
+
+    mutation()

@@ -177,9 +177,10 @@ class TestVocabulary:
 
     def test_roundtrip_dict(self):
         vocab = fit_vocabulary([["a", "b"], ["b", "c"]])
+        from querystance.codec import from_doc, to_doc
         from querystance.features import VocabularyModel
 
-        again = VocabularyModel.from_dict(vocab.to_dict())
+        again = from_doc(VocabularyModel, to_doc(vocab), "vocab")
         assert again.terms == vocab.terms and again.df == vocab.df
 
 

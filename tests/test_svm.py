@@ -71,6 +71,19 @@ class TestKernelEval:
             KernelConfig("rbf", gamma=0.0)
         with pytest.raises(ValueError):
             KernelConfig("poly", degree=0)
+        for bad in (
+            lambda: KernelConfig("rbf", gamma=float("inf")),
+            lambda: KernelConfig("rbf", gamma=float("nan")),
+            lambda: KernelConfig("poly", coef0=float("nan")),
+            lambda: SvmConfig(c=float("nan")),
+            lambda: SvmConfig(c=float("inf")),
+            lambda: SvmConfig(tol=float("inf")),
+            lambda: SvmConfig(max_passes=0),
+            lambda: SvmConfig(eps=-1e-9),
+            lambda: SvmConfig(eps=float("nan")),
+        ):
+            with pytest.raises(ValueError):
+                bad()
 
 
 class TestTrainBinary:
