@@ -19,7 +19,7 @@ from querystance import (
 # --- 1. two points on a line: the hard-margin solution is known exactly
 print("two-point toy problem (x=-1 negative, x=+1 positive)")
 cfg = SvmConfig(c=1e7, kernel=KernelConfig("linear"))
-model = train_binary([[-1.0], [1.0]], [-1, 1], cfg, seed=0)
+model = train_binary([[-1.0], [1.0]], [-1, 1], cfg)
 print(f"  alphas*y = {model.dual_coefs}, bias = {model.bias:.6f}")
 print(f"  decision(+1) = {decision_value(model, [1.0], cfg.kernel):+.6f}")
 print(f"  decision(-1) = {decision_value(model, [-1.0], cfg.kernel):+.6f}")
@@ -30,7 +30,7 @@ print("\nXOR with an RBF kernel")
 points = [[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]
 labels = [1, 1, -1, -1]
 cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=1.0))
-model = train_binary(points, labels, cfg, seed=0)
+model = train_binary(points, labels, cfg)
 for p, y in zip(points, labels):
     d = decision_value(model, p, cfg.kernel)
     print(f"  point {p}: label {y:+d}, decision {d:+.4f}")
@@ -44,7 +44,7 @@ for center, label in [((0, 0), "ants"), ((9, 0), "bees"), ((0, 9), "wasps")]:
         x.append(np.asarray(center, dtype=float) + rng.normal(0, 0.4, 2))
         y.append(label)
 cfg = SvmConfig(c=1e7, kernel=KernelConfig("linear"))
-model = train_multiclass(x, y, cfg, seed=0)
+model = train_multiclass(x, y, cfg)
 print(f"  labels: {model.labels}, machines: {len(model.machines)}")
 hits = sum(predict(model, p) == label for p, label in zip(x, y))
 print(f"  training accuracy: {hits}/{len(x)}")

@@ -396,7 +396,9 @@ def _add_common_paths(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sentiment", help="sentiment lexicon TSV (term<TAB>pos<TAB>neg)")
     parser.add_argument("--out", help="output path")
     parser.add_argument("--config", help="key=value config file, overridden by explicit flags")
-    parser.add_argument("--seed", type=int, help=f"RNG seed (default {PipelineConfig().seed})")
+    parser.add_argument(
+        "--seed", type=int, help=f"train/dev tuning split seed (default {PipelineConfig().seed})"
+    )
 
 
 def _default_help(text: str, field: str) -> str:
@@ -421,9 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--kernel", choices=("linear", "poly", "rbf"))
     train.add_argument("--degree", type=int, help=_default_help("poly degree", "kernel.degree"))
     train.add_argument("--coef0", type=float, help=_default_help("poly offset", "kernel.coef0"))
-    train.add_argument("--tol", type=float, help=_default_help("KKT tolerance", "tol"))
-    train.add_argument("--max-passes", type=int, dest="max_passes")
-    train.add_argument("--eps", type=float, help=_default_help("alpha change floor", "eps"))
+    train.add_argument("--tol", type=float, help=_default_help("KKT gap tolerance", "tol"))
+    train.add_argument(
+        "--max-passes", type=int, dest="max_passes",
+        help=_default_help("solver cap, in passes of n pair updates for n training rows", "max_passes"),
+    )
+    train.add_argument("--eps", type=float, help=_default_help("support-vector alpha floor", "eps"))
     train.add_argument("--stance-classes", choices=("three_class", "two_class"), dest="stance_classes")
     train.add_argument("--train-fraction", type=float, dest="train_fraction")
     train.add_argument(

@@ -96,6 +96,10 @@ class NonFinite(QueryStanceError):
     """Training input contains NaN or infinity."""
 
 
+class NoSupportVectors(QueryStanceError):
+    """Training ended with no alpha above the support-vector floor."""
+
+
 class CorruptModel(QueryStanceError):
     """A model file is truncated or structurally invalid."""
 

@@ -21,6 +21,7 @@ from .errors import (
     EmptyInput,
     LengthMismatch,
     MissingStanceLabel,
+    NoSupportVectors,
     UnlabeledRecord,
 )
 from .features import (
@@ -159,7 +160,7 @@ def train_task1(
         labels.append(r.relevance)
     vocabularies = _fit_group_vocabularies(records)
     vectors = _task1_vectors(records, vocabularies, lexicons)
-    model = train_multiclass(vectors, labels, config.task1, seed=config.seed)
+    model = train_multiclass(vectors, labels, config.task1)
     return TrainedPipeline(
         config=config,
         lexicons=lexicons,
@@ -215,7 +216,7 @@ def train_task2(
         kept = [i for i, s in enumerate(stances) if s != NEUTRAL]
         vectors = [vectors[i] for i in kept]
         stances = [stances[i] for i in kept]
-    model = train_multiclass(vectors, stances, config.task2, seed=config.seed)
+    model = train_multiclass(vectors, stances, config.task2)
     if pipeline is None:
         pipeline = TrainedPipeline(config=config, lexicons=lexicons)
     pipeline.task2_model = model
@@ -342,7 +343,8 @@ def grid_search(
     """Score each candidate on a seeded train/dev split; first best wins.
 
     Task 1 scores relevance accuracy; task 2 scores stance accuracy
-    with gold relevance flags on both sides of the split.
+    with gold relevance flags on both sides of the split. A candidate
+    whose training keeps no support vector is skipped.
     """
     if not grid:
         raise ValueError("empty parameter grid")
@@ -351,23 +353,28 @@ def grid_search(
     split = split_train_dev(list(records), config.train_fraction, config.seed)
     best: tuple[SvmConfig, float] | None = None
     for candidate in grid:
-        if task == 1:
-            cfg = replace(config, task1=candidate)
-            trained = train_task1(split.train, lexicons, cfg)
-            predictions = predict_task1(trained, split.dev)
-            gold = [r.relevance for r in split.dev]
-        else:
-            cfg = replace(config, task2=candidate)
-            trained = train_task2(
-                split.train, [r.relevance for r in split.train], lexicons, cfg
-            )
-            predictions = predict_task2(
-                trained, split.dev, [r.relevance for r in split.dev]
-            )
-            gold = [r.stance for r in split.dev]
+        try:
+            if task == 1:
+                cfg = replace(config, task1=candidate)
+                trained = train_task1(split.train, lexicons, cfg)
+                predictions = predict_task1(trained, split.dev)
+                gold = [r.relevance for r in split.dev]
+            else:
+                cfg = replace(config, task2=candidate)
+                trained = train_task2(
+                    split.train, [r.relevance for r in split.train], lexicons, cfg
+                )
+                predictions = predict_task2(
+                    trained, split.dev, [r.relevance for r in split.dev]
+                )
+                gold = [r.stance for r in split.dev]
+        except NoSupportVectors:
+            continue  # such a model could not be saved and reloaded, so it cannot win
         accuracy = sum(g == p for g, p in zip(gold, predictions)) / len(gold)
         if best is None or accuracy > best[1]:
             best = (candidate, accuracy)
+    if best is None:
+        raise NoSupportVectors("no candidate in the grid kept a support vector")
     return best
 
 

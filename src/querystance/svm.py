@@ -1,13 +1,18 @@
 """Kernel SVM trained with sequential minimal optimization.
 
-Binary soft-margin dual solved by pairwise coordinate ascent (Platt's
-working-set heuristics, full Gram matrix cached), combined one-vs-one
-for multiclass. No external solver; numpy only.
+The binary soft-margin dual is solved over the full cached Gram matrix
+by one SMO loop: each iteration updates the pair chosen by
+second-order working-set selection (Fan, Chen & Lin 2005) and the loop
+stops once the KKT gap m - M is within tol (Keerthi et al. 2001) or a
+cap of max_passes * n pair updates is reached. Training has no random
+choices, so equal inputs give equal models. Machines are combined
+one-vs-one for multiclass. No external solver; numpy only.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -16,7 +21,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .codec import from_doc, read_json, to_doc, write_json
-from .errors import DimensionMismatch, NonFinite, SingleClassInput
+from .errors import DimensionMismatch, NonFinite, NoSupportVectors, SingleClassInput
 from .features import FeatureVector
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
@@ -45,6 +50,9 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class SvmConfig:
+    """Box constraint C, kernel, KKT gap tolerance, a cap of max_passes * n
+    pair updates for n training rows, and the support-vector floor eps."""
+
     c: float = 1e7
     kernel: KernelConfig = KernelConfig("linear")
     tol: float = 1e-3
@@ -142,149 +150,47 @@ def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(-cfg.gamma * np.clip(sq, 0.0, None))
 
 
-class _SmoSolver:
-    """Pairwise coordinate ascent on the soft-margin dual.
+def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, float, float]:
+    """Minimise 1/2 a'Qa - e'a, Q = yy'K, over 0 <= a <= C and y'a = 0.
 
-    Maintains an error cache E_i = f(x_i) - y_i with
-    f(x) = sum_j alpha_j y_j K(x_j, x) + b. The second working-set
-    index is picked by largest |E_i - E_j| over unbound points, with
-    randomized fallback scans (seeded, so training is deterministic).
+    Each iteration moves one pair by second-order working-set selection
+    (WSS2; Fan, Chen & Lin 2005): i is the maximal violator in I_up, j
+    the member of I_low whose pair step lowers the objective most. The
+    loop stops when the KKT gap m - M is at most cfg.tol (Keerthi et al.
+    2001) or after cfg.max_passes * n pair updates. Returns the alphas,
+    the bias and the final gap.
     """
-
-    def __init__(self, gram: np.ndarray, y: np.ndarray, cfg: SvmConfig, rng: np.random.Generator):
-        self.K = gram
-        self.y = y
-        self.c = cfg.c
-        self.tol = cfg.tol
-        self.eps = cfg.eps
-        self.max_passes = cfg.max_passes
-        self.rng = rng
-        self.n = len(y)
-        self.alpha = np.zeros(self.n)
-        self.b = 0.0
-        self.errors = -y.astype(np.float64)
-
-    def _objective_gain(self, i1: int, i2: int, a1_new: float, a2_new: float) -> float:
-        """Change in the dual objective if the pair moved to (a1_new, a2_new)."""
-        d1 = a1_new - self.alpha[i1]
-        d2 = a2_new - self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        g1 = self.errors[i1] + y1 - self.b  # sum_j alpha_j y_j K(j, i1)
-        g2 = self.errors[i2] + y2 - self.b
-        return (
-            d1
-            + d2
-            - d1 * y1 * g1
-            - d2 * y2 * g2
-            - 0.5 * (d1 * d1 * self.K[i1, i1] + d2 * d2 * self.K[i2, i2])
-            - d1 * d2 * y1 * y2 * self.K[i1, i2]
-        )
-
-    def _take_step(self, i1: int, i2: int) -> bool:
-        if i1 == i2:
-            return False
-        a1_old = self.alpha[i1]
-        a2_old = self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1, e2 = self.errors[i1], self.errors[i2]
-        s = y1 * y2
-        if s > 0:
-            low = max(0.0, a1_old + a2_old - self.c)
-            high = min(self.c, a1_old + a2_old)
-        else:
-            low = max(0.0, a2_old - a1_old)
-            high = min(self.c, self.c + a2_old - a1_old)
-        if low >= high:
-            return False
-        k11 = self.K[i1, i1]
-        k12 = self.K[i1, i2]
-        k22 = self.K[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2 = a2_old + y2 * (e1 - e2) / eta
-            a2 = min(max(a2, low), high)
-        else:
-            # flat or concave along the pair direction: compare endpoints
-            gain_low = self._objective_gain(i1, i2, a1_old + s * (a2_old - low), low)
-            gain_high = self._objective_gain(i1, i2, a1_old + s * (a2_old - high), high)
-            if gain_low > gain_high + self.eps:
-                a2 = low
-            elif gain_high > gain_low + self.eps:
-                a2 = high
-            else:
-                return False
-        if abs(a2 - a2_old) < self.eps * (a2 + a2_old + self.eps):
-            return False
-        a1 = a1_old + s * (a2_old - a2)
-        # push tiny constraint-rounding back inside the box
-        if a1 < 0.0:
-            a2 += s * a1
-            a1 = 0.0
-        elif a1 > self.c:
-            a2 += s * (a1 - self.c)
-            a1 = self.c
-        d1 = y1 * (a1 - a1_old)
-        d2 = y2 * (a2 - a2_old)
-        b1 = self.b - e1 - d1 * k11 - d2 * k12
-        b2 = self.b - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1 < self.c:
-            b_new = b1
-        elif 0.0 < a2 < self.c:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        self.errors += d1 * self.K[i1] + d2 * self.K[i2] + (b_new - self.b)
-        self.b = b_new
-        self.alpha[i1] = a1
-        self.alpha[i2] = a2
-        return True
-
-    def _unbound(self) -> np.ndarray:
-        return np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.c))
-
-    def _examine(self, i2: int) -> bool:
-        y2 = self.y[i2]
-        a2 = self.alpha[i2]
-        r2 = self.errors[i2] * y2
-        if not ((r2 < -self.tol and a2 < self.c) or (r2 > self.tol and a2 > 0.0)):
-            return False
-        unbound = self._unbound()
-        if unbound.size > 1:
-            i1 = int(unbound[np.argmax(np.abs(self.errors[unbound] - self.errors[i2]))])
-            if self._take_step(i1, i2):
-                return True
-        if unbound.size:
-            start = int(self.rng.integers(unbound.size))
-            for offset in range(unbound.size):
-                if self._take_step(int(unbound[(start + offset) % unbound.size]), i2):
-                    return True
-        start = int(self.rng.integers(self.n))
-        for offset in range(self.n):
-            if self._take_step((start + offset) % self.n, i2):
-                return True
-        return False
-
-    def solve(self) -> None:
-        examine_all = True
-        num_changed = 0
-        sweeps = 0
-        while num_changed > 0 or examine_all:
-            if sweeps >= self.max_passes:
-                break
-            sweeps += 1
-            num_changed = 0
-            targets = range(self.n) if examine_all else self._unbound()
-            for i2 in targets:
-                if self._examine(int(i2)):
-                    num_changed += 1
-            if examine_all:
-                examine_all = False
-            elif num_changed == 0:
-                examine_all = True
-
-    def objective(self) -> float:
-        coef = self.alpha * self.y
-        return float(np.sum(self.alpha) - 0.5 * coef @ self.K @ coef)
+    c, cap = cfg.c, cfg.max_passes * len(y)
+    pos = y > 0
+    alpha = np.zeros(len(y))
+    grad = -np.ones(len(y))  # G = Q alpha - e
+    diag = np.diag(gram)
+    for step in range(cap + 1):
+        score = -y * grad
+        up = np.where(pos, alpha < c, alpha > 0.0)
+        low = np.where(pos, alpha > 0.0, alpha < c)
+        up_score = np.where(up, score, -np.inf)
+        i = int(np.argmax(up_score))
+        m, big_m = up_score[i], np.min(score, where=low, initial=np.inf)
+        if m - big_m <= cfg.tol or step == cap:
+            break
+        b = m - score
+        a = diag[i] + diag - 2.0 * gram[i]
+        a[a <= 0.0] = 1e-12  # flat or concave pair: step to the box edge
+        j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -np.inf)))
+        # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box;
+        # a variable that reaches its edge is set to exactly 0 or C
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        old_i, old_j = alpha[i], alpha[j]
+        alpha[i] = (c if pos[i] else 0.0) if t == room_i else old_i + y[i] * t
+        alpha[j] = (0.0 if pos[j] else c) if t == room_j else old_j - y[j] * t
+        grad += y * (y[i] * (alpha[i] - old_i) * gram[i] + y[j] * (alpha[j] - old_j) * gram[j])
+    free = (alpha > 0.0) & (alpha < c)
+    # bias = -rho as in LIBSVM: -mean(y*G) over free SVs, else the middle of [M, m]
+    bias = -float(np.mean(y[free] * grad[free])) if free.any() else 0.5 * float(m + big_m)
+    return alpha, bias, float(m - big_m)
 
 
 def _validate_training_input(x: np.ndarray, y: np.ndarray) -> None:
@@ -308,14 +214,15 @@ def train_binary(
     x: Sequence,
     y: Sequence[int],
     cfg: SvmConfig,
-    seed: int = 0,
     positive_label: str = "+1",
     negative_label: str = "-1",
 ) -> BinaryModel:
     """Train one machine on +/-1 labels.
 
-    Deterministic for a fixed seed. Examples whose alpha stays at or
-    below cfg.eps are dropped from the support set.
+    Deterministic. Examples whose alpha stays at or below cfg.eps are
+    dropped from the support set. Warns (RuntimeWarning) when the
+    iteration cap stops the solver before the KKT gap reaches cfg.tol,
+    and raises NoSupportVectors when no alpha exceeds cfg.eps.
     """
     matrix = _stack(x)
     labels = np.asarray(y, dtype=np.float64)
@@ -324,14 +231,25 @@ def train_binary(
         raise ValueError("binary labels must be +1 or -1")
     if np.unique(labels).size < 2:
         raise SingleClassInput("training data holds a single class")
-    gram = _gram(cfg.kernel, matrix, matrix)
-    solver = _SmoSolver(gram, labels, cfg, np.random.default_rng(seed))
-    solver.solve()
-    keep = solver.alpha > cfg.eps
+    alpha, bias, gap = _smo(_gram(cfg.kernel, matrix, matrix), labels, cfg)
+    machine = f"machine {positive_label!r} vs {negative_label!r}"
+    if gap > cfg.tol:
+        warnings.warn(
+            f"{machine}: KKT gap {gap:.3g} > tol {cfg.tol:g} at the cap of "
+            f"{cfg.max_passes * len(labels)} pair updates (max_passes {cfg.max_passes})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    keep = alpha > cfg.eps
+    if not keep.any():
+        raise NoSupportVectors(
+            f"{machine}: no alpha exceeds eps {cfg.eps:g} (final KKT gap {gap:.3g}, "
+            f"tol {cfg.tol:g}); lower tol or eps"
+        )
     return BinaryModel(
         support_vectors=matrix[keep],
-        dual_coefs=(solver.alpha * labels)[keep],
-        bias=solver.b,
+        dual_coefs=(alpha * labels)[keep],
+        bias=bias,
         positive_label=positive_label,
         negative_label=negative_label,
     )
@@ -359,7 +277,7 @@ def dual_objective(model: BinaryModel, cfg: KernelConfig) -> float:
     return float(np.sum(np.abs(coef)) - 0.5 * coef @ gram @ coef)
 
 
-def train_multiclass(x: Sequence, y: Sequence[str], cfg: SvmConfig, seed: int = 0) -> MulticlassModel:
+def train_multiclass(x: Sequence, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
     """One-vs-one training over lexicographically sorted labels."""
     labels = sorted(set(y))
     if len(labels) < 2:
@@ -371,16 +289,7 @@ def train_multiclass(x: Sequence, y: Sequence[str], cfg: SvmConfig, seed: int = 
     for neg, pos in combinations(labels, 2):
         idx = [i for i, label in enumerate(y) if label in (neg, pos)]
         pair_y = [1 if y[i] == pos else -1 for i in idx]
-        machines.append(
-            train_binary(
-                matrix[idx],
-                pair_y,
-                cfg,
-                seed=seed,
-                positive_label=pos,
-                negative_label=neg,
-            )
-        )
+        machines.append(train_binary(matrix[idx], pair_y, cfg, positive_label=pos, negative_label=neg))
     return MulticlassModel(
         labels=tuple(labels),
         machines=tuple(machines),

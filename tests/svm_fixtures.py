@@ -1,7 +1,8 @@
-"""Small SVM training instances shared by the unit and acceptance tests.
+"""SVM training instances shared by the unit and acceptance tests.
 
-Every instance has at most 6 points in at most 3 dimensions so the
-exact enumeration oracle stays cheap.
+Every instance of ``fixture_instances`` has at most 6 points in at most
+3 dimensions so the exact enumeration oracle stays cheap;
+``overlapping_rows`` is a larger set for checks without the oracle.
 """
 
 from __future__ import annotations
@@ -9,6 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from querystance.svm import KernelConfig, SvmConfig
+
+
+def overlapping_rows() -> tuple[np.ndarray, np.ndarray]:
+    """300 rows of 5 features in [0, 1] from two overlapping classes.
+
+    The last 60 rows copy earlier ones: 30 under the same label, 30
+    under the other label, so some alphas must end at C.
+    """
+    rng = np.random.default_rng(0)
+    y = np.where(np.arange(240) % 2, 1.0, -1.0)
+    x = np.clip(rng.normal(0.5 + 0.15 * y[:, None], 0.25, (240, 5)), 0.0, 1.0)
+    copies = rng.choice(240, 60, replace=False)
+    return np.vstack([x, x[copies]]), np.concatenate([y, y[copies[:30]], -y[copies[30:]]])
 
 
 def fixture_instances() -> list[tuple[str, np.ndarray, list[int], SvmConfig]]:
@@ -53,13 +67,19 @@ def fixture_instances() -> list[tuple[str, np.ndarray, list[int], SvmConfig]]:
     ]
 
 
-def training_alphas(model, matrix: np.ndarray) -> np.ndarray:
-    """Recover per-training-row alphas by matching rows to support vectors."""
+def training_alphas(model, matrix: np.ndarray, y=None) -> np.ndarray:
+    """Recover per-training-row alphas by matching rows to support vectors.
+
+    Given the labels ``y``, a row only matches a support vector whose
+    dual coefficient has the row's sign, so copies of one point under
+    both labels keep their own alphas.
+    """
     alphas = np.zeros(len(matrix))
     used = [False] * len(model.support_vectors)
     for i, row in enumerate(matrix):
         for j, sv in enumerate(model.support_vectors):
-            if not used[j] and np.array_equal(row, sv):
+            same_label = y is None or np.sign(model.dual_coefs[j]) == np.sign(y[i])
+            if not used[j] and same_label and np.array_equal(row, sv):
                 alphas[i] = abs(model.dual_coefs[j])
                 used[j] = True
                 break
@@ -70,7 +90,7 @@ def kkt_satisfied(model, cfg: SvmConfig, matrix: np.ndarray, y, tol: float) -> b
     """Check the optimality conditions at every training point."""
     from querystance.svm import decision_value
 
-    alphas = training_alphas(model, matrix)
+    alphas = training_alphas(model, matrix, y)
     upper = cfg.c - max(cfg.eps, 1e-9 * cfg.c)
     for i, row in enumerate(matrix):
         margin = y[i] * decision_value(model, row, cfg.kernel)

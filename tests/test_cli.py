@@ -103,6 +103,12 @@ class TestTrain:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_no_support_vector_exits_1_without_model(self, workspace, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(train_args(workspace, 1, out, "--tol", "1e9")) == 1
+        assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
+        assert "error: machine 'relevant' vs 'irrelevant': no alpha exceeds eps" in capsys.readouterr().err
+
     def test_bare_train_config_is_the_dataclass_default(self, workspace, tmp_path):
         out = tmp_path / "m.json"
         assert main([

@@ -6,6 +6,7 @@ from querystance.errors import (
     EmptyInput,
     LengthMismatch,
     MissingStanceLabel,
+    NoSupportVectors,
     SingleClassInput,
     UnlabeledRecord,
 )
@@ -259,6 +260,11 @@ class TestGridSearch:
         )
         assert best is good
         assert accuracy == 1.0
+
+    def test_no_candidate_with_support_vectors_raises(self, synthetic_records, synthetic_lexicons):
+        bad = SvmConfig(c=1e-9, kernel=KernelConfig("rbf", gamma=1e-6))
+        with pytest.raises(NoSupportVectors):
+            grid_search(synthetic_records, [bad], synthetic_lexicons, PipelineConfig())
 
     def test_deterministic(self, synthetic_records, synthetic_lexicons):
         config = PipelineConfig()

@@ -8,6 +8,7 @@ from querystance.errors import (
     CorruptModel,
     DimensionMismatch,
     NonFinite,
+    NoSupportVectors,
     SingleClassInput,
     VersionMismatch,
 )
@@ -29,7 +30,7 @@ from querystance.svm import (
 )
 
 from oracles import solve_dual_bruteforce
-from svm_fixtures import fixture_instances, kkt_satisfied, training_alphas
+from svm_fixtures import fixture_instances, kkt_satisfied, overlapping_rows, training_alphas
 
 
 class TestKernelEval:
@@ -89,7 +90,7 @@ class TestKernelEval:
 class TestTrainBinary:
     def test_analytic_toy(self):
         cfg = SvmConfig(c=1e7, kernel=KernelConfig("linear"))
-        model = train_binary([[-1.0], [1.0]], [-1, 1], cfg, seed=0)
+        model = train_binary([[-1.0], [1.0]], [-1, 1], cfg)
         np.testing.assert_allclose(sorted(model.dual_coefs), [-0.5, 0.5], atol=1e-9)
         assert model.bias == pytest.approx(0.0, abs=1e-9)
         assert decision_value(model, [1.0], cfg.kernel) == pytest.approx(1.0, abs=1e-6)
@@ -100,7 +101,7 @@ class TestTrainBinary:
         cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=1.0))
         points = [[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]
         labels = [1, 1, -1, -1]
-        model = train_binary(points, labels, cfg, seed=0)
+        model = train_binary(points, labels, cfg)
         for point, label in zip(points, labels):
             assert math.copysign(1, decision_value(model, point, cfg.kernel)) == label
 
@@ -126,7 +127,7 @@ class TestTrainBinary:
 
     def test_dual_feasibility(self):
         for name, x, y, cfg in fixture_instances():
-            model = train_binary(x, y, cfg, seed=0)
+            model = train_binary(x, y, cfg)
             alphas = np.abs(model.dual_coefs)
             assert np.all(alphas >= 0.0) and np.all(alphas <= cfg.c), name
             assert abs(model.dual_coefs.sum()) <= 1e-6 * cfg.c, name
@@ -136,7 +137,7 @@ class TestTrainBinary:
         x = np.vstack([rng.normal(-3, 0.5, (20, 2)), rng.normal(3, 0.5, (20, 2))])
         y = [-1] * 20 + [1] * 20
         cfg = SvmConfig(c=1e7, kernel=KernelConfig("linear"))
-        model = train_binary(x, y, cfg, seed=0)
+        model = train_binary(x, y, cfg)
         for row, label in zip(x, y):
             assert decision_value(model, row, cfg.kernel) * label > 0
 
@@ -144,24 +145,57 @@ class TestTrainBinary:
 class TestAgainstDualOracle:
     @pytest.mark.parametrize("name,x,y,cfg", fixture_instances())
     def test_objective_matches_enumeration(self, name, x, y, cfg):
-        model = train_binary(x, y, cfg, seed=0)
+        model = train_binary(x, y, cfg)
         achieved = dual_objective(model, cfg.kernel)
         expected, _ = solve_dual_bruteforce(_gram(cfg.kernel, x, x), y, cfg.c)
         assert achieved == pytest.approx(expected, rel=1e-4, abs=1e-8), name
 
     @pytest.mark.parametrize("name,x,y,cfg", fixture_instances())
     def test_kkt_conditions(self, name, x, y, cfg):
-        model = train_binary(x, y, cfg, seed=0)
+        model = train_binary(x, y, cfg)
         assert kkt_satisfied(model, cfg, np.asarray(x, dtype=float), y, tol=1e-3), name
 
     def test_free_support_vector_on_margin(self):
         cfg = SvmConfig(c=1e7, kernel=KernelConfig("linear"))
         x = np.array([[-1.0], [1.0]])
-        model = train_binary(x, [-1, 1], cfg, seed=0)
+        model = train_binary(x, [-1, 1], cfg)
         alphas = training_alphas(model, x)
         for row, alpha in zip(x, alphas):
             if 0 < alpha < cfg.c:
                 assert abs(decision_value(model, row, cfg.kernel)) == pytest.approx(1.0, abs=1e-3)
+
+
+class TestOverlappingScale:
+    """Hundreds of overlapping rows with duplicates, alphas at the C bound."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [KernelConfig("rbf", gamma=5.0), KernelConfig("poly", gamma=0.006, degree=3)],
+        ids=lambda k: k.kind,
+    )
+    def test_kkt_and_identical_files(self, kernel, tmp_path):
+        x, y = overlapping_rows()
+        cfg = SvmConfig(c=1e7, kernel=kernel)
+        names = np.where(y > 0, "pos", "neg")
+        models = [train_multiclass(x, names, cfg) for _ in range(2)]
+        machine = models[0].machines[0]
+        assert np.abs(machine.dual_coefs).max() == cfg.c
+        assert kkt_satisfied(machine, cfg, x, y, tol=1e-3)
+        for i, model in enumerate(models):
+            save_model(model, tmp_path / f"model{i}.json")
+        assert (tmp_path / "model0.json").read_bytes() == (tmp_path / "model1.json").read_bytes()
+
+    def test_iteration_cap_warns(self):
+        x, y = overlapping_rows()
+        cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=5.0), max_passes=1)
+        with pytest.warns(RuntimeWarning, match=r"'\+1' vs '-1': KKT gap \S+ > tol 0.001 at the cap of 300 "):
+            train_binary(x, y, cfg)
+
+    def test_no_support_vector_raises(self):
+        x, y = overlapping_rows()
+        cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=5.0), tol=1e9)
+        with pytest.raises(NoSupportVectors, match="'up' vs 'down'"):
+            train_binary(x, y, cfg, positive_label="up", negative_label="down")
 
 
 class TestMulticlass:
@@ -251,7 +285,7 @@ class TestPersistence:
         x = np.vstack([rng.normal(-2, 1, (6, 3)), rng.normal(2, 1, (6, 3))])
         y = ["low"] * 6 + ["high"] * 6
         cfg = SvmConfig(c=100.0, kernel=KernelConfig("rbf", gamma=0.3))
-        return train_multiclass(x, y, cfg, seed=5)
+        return train_multiclass(x, y, cfg)
 
     def test_roundtrip_predictions(self, tmp_path):
         model = self._model()
@@ -298,7 +332,7 @@ class TestPersistence:
             x = np.vstack([rng.normal(-2, 1, (6, 3)), rng.normal(2, 1, (6, 3))])
             y = ["low"] * 6 + ["high"] * 6
             cfg = SvmConfig(c=100.0, kernel=KernelConfig("rbf", gamma=0.3))
-            model = train_multiclass(x, y, cfg, seed=5)
+            model = train_multiclass(x, y, cfg)
             path = tmp_path / f"model{i}.json"
             save_model(model, path)
             paths.append(path)
