@@ -60,12 +60,15 @@ from .svm import (
     BinaryModel,
     KernelConfig,
     MulticlassModel,
+    SupportVectorPool,
     SvmConfig,
     decision_value,
+    decision_values,
     dual_objective,
     kernel_eval,
     load_model,
     predict,
+    predict_batch,
     save_model,
     train_binary,
     train_multiclass,

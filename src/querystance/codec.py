@@ -26,6 +26,16 @@ _HEADER = ("format", "format_version")
 _SCALARS = {float: "a finite number", int: "an integer", str: "a string"}
 
 
+class FieldError(ValueError):
+    """A dataclass invariant broken by one field; ``from_doc`` adds ``field``
+    (a path below the dataclass, such as ``machines[0].sv_index``) to the
+    field path of the error it raises."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field}: {problem}")
+        self.field, self.problem = field, problem
+
+
 def to_doc(obj):
     """Plain JSON value of a dataclass, tuple, dict, array or scalar."""
     if dataclasses.is_dataclass(obj):
@@ -60,7 +70,8 @@ def from_doc(cls, doc, where, field: str = ""):
     """Rebuild a ``cls`` value from ``to_doc`` output.
 
     ``cls`` is a dataclass, ``tuple[X, ...]``, ``dict[str, X]``, ``X | None``,
-    ``float``, ``int``, ``str`` or ``np.ndarray`` (read as float64). Raises
+    ``float``, ``int``, ``str``, ``np.ndarray`` (read as float64) or
+    ``npt.NDArray[np.int64]`` (integers only). Raises
     CorruptModel("<where>: <field path>: <problem>") for a missing, unknown
     or mistyped field, a non-finite number, and a ValueError from a
     dataclass's own checks.
@@ -78,7 +89,7 @@ def from_doc(cls, doc, where, field: str = ""):
     origin, args = typing.get_origin(cls), typing.get_args(cls)
     if origin in (typing.Union, types.UnionType):  # X | None
         return None if doc is None else from_doc(args[0], doc, where, field)
-    container = list if origin is tuple or cls is np.ndarray else dict
+    container = list if origin is tuple or np.ndarray in (cls, origin) else dict
     if not isinstance(doc, container):
         kind = "a list" if container is list else "an object"
         raise CorruptModel(f"{_at(where, field)}: expected {kind}, got {doc!r:.40}")
@@ -88,14 +99,16 @@ def from_doc(cls, doc, where, field: str = ""):
         return tuple(from_doc(args[0], value, where, f"{field}[{i}]") for i, value in enumerate(doc))
     if origin is dict:
         return {key: from_doc(args[1], value, where, f"{field}[{key!r}]") for key, value in doc.items()}
-    if cls is np.ndarray:
+    if np.ndarray in (cls, origin):
+        dtype = np.dtype(typing.get_args(args[-1])[0] if args else np.float64)
+        kinds, what = ("iu", "integers") if dtype.kind in "iu" else ("iuf", "numbers")
         try:
             array = np.array(doc)
         except ValueError:  # ragged rows
             array = None
-        if array is None or array.dtype.kind not in "iuf":
-            raise CorruptModel(f"{_at(where, field)}: expected a rectangular array of numbers")
-        return array.astype(np.float64, copy=False)
+        if array is None or (array.dtype.kind not in kinds and array.size):  # [] reads as float
+            raise CorruptModel(f"{_at(where, field)}: expected a rectangular array of {what}")
+        return array.astype(dtype, copy=False)
     if hasattr(cls, "FORMAT"):
         check_format(doc, *cls.FORMAT, where, field)
         doc = {key: value for key, value in doc.items() if key not in _HEADER}
@@ -110,6 +123,8 @@ def from_doc(cls, doc, where, field: str = ""):
     values = {name: from_doc(hint, doc[name], where, prefix + name) for name, hint in hints.items()}
     try:
         return cls(**values)
+    except FieldError as exc:
+        raise CorruptModel(f"{_at(where, prefix + exc.field)}: {exc.problem}") from exc
     except ValueError as exc:
         raise CorruptModel(f"{_at(where, field)}: {exc}") from exc
 

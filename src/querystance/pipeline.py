@@ -42,7 +42,7 @@ from .svm import (
     KernelConfig,
     MulticlassModel,
     SvmConfig,
-    predict as svm_predict,
+    predict_batch,
     train_multiclass,
 )
 from .textproc import tokenize
@@ -182,8 +182,7 @@ def predict_task1(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) 
     seen = pipeline.task1_vocabularies
     unseen = [r for r in records if r.query_id not in seen]
     vocabularies = {**seen, **_fit_group_vocabularies(unseen)}
-    vectors = _task1_vectors(records, vocabularies, pipeline.lexicons)
-    return [svm_predict(pipeline.task1_model, v) for v in vectors]
+    return predict_batch(pipeline.task1_model, _task1_vectors(records, vocabularies, pipeline.lexicons))
 
 
 def train_task2(
@@ -241,18 +240,19 @@ def predict_task2(
             f"{len(records)} records but {len(task1_predictions)} task-1 predictions"
         )
     two_class = pipeline.config.stance_classes == TWO_CLASS
-    out = []
-    for record, relevance in zip(records, task1_predictions):
-        if two_class and relevance != RELEVANT:
-            out.append(NEUTRAL)
-            continue
-        vector = task2_features(
-            record.sentence_text,
-            relevance == RELEVANT,
+    asked = [i for i, relevance in enumerate(task1_predictions) if not two_class or relevance == RELEVANT]
+    vectors = (  # a generator: predict_batch holds a chunk of dense rows at a time
+        task2_features(
+            records[i].sentence_text,
+            task1_predictions[i] == RELEVANT,
             pipeline.task2_vocabulary,
             pipeline.lexicons.sentiment,
         )
-        out.append(svm_predict(pipeline.task2_model, vector))
+        for i in asked
+    )
+    out = [NEUTRAL] * len(records)
+    for i, label in zip(asked, predict_batch(pipeline.task2_model, vectors) if asked else ()):
+        out[i] = label
     return out
 
 

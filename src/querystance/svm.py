@@ -6,28 +6,40 @@ second-order working-set selection (Fan, Chen & Lin 2005) and the loop
 stops once the KKT gap m - M is within tol (Keerthi et al. 2001) or a
 cap of max_passes * n pair updates is reached. Training has no random
 choices, so equal inputs give equal models. Machines are combined
-one-vs-one for multiclass. No external solver; numpy only.
+one-vs-one for multiclass and share one pool of distinct support
+vectors (as in LIBSVM, Chang & Lin 2011): each machine holds the pool
+rows of its support vectors, so prediction computes one kernel matrix
+against the pool for a batch of rows and every machine reads its
+columns. No external solver; numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, replace
+from itertools import combinations, islice
 from pathlib import Path
 from typing import ClassVar, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
-from .codec import from_doc, read_json, to_doc, write_json
+from .codec import FieldError, from_doc, read_json, to_doc, write_json
 from .errors import DimensionMismatch, NonFinite, NoSupportVectors, SingleClassInput
 from .features import FeatureVector
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
 
 MODEL_FORMAT = "querystance-svm"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+IndexArray = npt.NDArray[np.int64]
+
+# rows per kernel product at prediction: bounds the dense rows (and their
+# temporaries) held at once when the rows come from a generator
+PREDICT_CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,7 @@ class SvmConfig:
     c: float = 1e7
     kernel: KernelConfig = KernelConfig("linear")
     tol: float = 1e-3
-    max_passes: int = 1000
+    max_passes: int = 100
     eps: float = 1e-8
 
     def __post_init__(self):
@@ -71,34 +83,127 @@ class SvmConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryModel:
-    """One trained machine: support vectors, alpha*y coefficients, bias."""
+class SupportVectorPool:
+    """Distinct support vectors shared by the machines of a model, as CSR rows.
 
-    support_vectors: np.ndarray  # (n_sv, dims)
+    Row r holds ``values[indptr[r]:indptr[r + 1]]`` at the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, strictly increasing and below
+    ``dims``. The dense rows and their squared norms are built once, on
+    first use: a ``dims`` read from a file allocates nothing until an
+    input of that width arrives.
+    """
+
+    dims: int
+    indptr: IndexArray
+    indices: IndexArray
+    values: np.ndarray
+
+    def __post_init__(self):
+        indptr, indices, values = self.indptr, self.indices, self.values
+        for name in ("indptr", "indices", "values"):
+            if getattr(self, name).ndim != 1:
+                raise FieldError(name, "must be a flat list")
+        if self.dims < 0:
+            raise FieldError("dims", f"must be >= 0, got {self.dims}")
+        if not len(indptr) or indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
+            raise FieldError("indptr", "must start at 0 and never decrease")
+        if indptr[-1] != len(indices):
+            raise FieldError("indptr", f"ends at {indptr[-1]}, not at the {len(indices)} indices")
+        if len(values) != len(indices):
+            raise FieldError("values", f"{len(values)} values for {len(indices)} indices")
+        if not np.isfinite(values).all():
+            raise FieldError("values", "must be finite")
+        if len(indices) and not 0 <= indices.min() <= indices.max() < self.dims:
+            raise FieldError("indices", f"a column lies outside [0, {self.dims})")
+        row_start = np.zeros(len(indices), dtype=bool)
+        row_start[indptr[:-1][indptr[:-1] < len(indices)]] = True
+        if np.any((indices[1:] <= indices[:-1]) & ~row_start[1:]):
+            raise FieldError("indices", "columns must strictly increase within a row")
+
+    @classmethod
+    def of(cls, rows: np.ndarray) -> tuple[SupportVectorPool, np.ndarray]:
+        """The pool of the distinct ``rows``, in order of first appearance,
+        and the pool row of each of them."""
+        row, col = np.divmod(np.flatnonzero(rows != 0.0), rows.shape[1])
+        values = rows[row, col]
+        bounds = np.searchsorted(row, np.arange(len(rows) + 1))
+        # equal rows have equal columns and values, so equal bytes (-0.0 is not stored)
+        first: dict[bytes, int] = {}
+        index = np.array([
+            first.setdefault(col[a:b].tobytes() + values[a:b].tobytes(), len(first))
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ], dtype=np.int64)
+        kept = np.unique(index, return_index=True)[1]  # first copy of each, in row order
+        indptr = np.concatenate(([0], np.cumsum(bounds[kept + 1] - bounds[kept])))
+        stored = np.isin(row, kept)
+        return cls(rows.shape[1], indptr, col[stored], values[stored]), index
+
+    @property
+    def rows(self) -> int:
+        return len(self.indptr) - 1
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """(rows, dims) float64 matrix of the pool."""
+        matrix = np.zeros((self.rows, self.dims))
+        matrix[np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices] = self.values
+        return matrix
+
+    @functools.cached_property
+    def sq_norms(self) -> np.ndarray:
+        return np.sum(self.dense * self.dense, axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class BinaryModel:
+    """One trained machine: the pool rows of its support vectors, their
+    alpha*y coefficients, the bias and the two labels.
+
+    A machine reads its support vectors from the pool of the model (or,
+    from ``train_binary``, of its own) that holds it.
+    """
+
+    sv_index: IndexArray  # (n_sv,) rows of the pool
     dual_coefs: np.ndarray  # (n_sv,)
     bias: float
     positive_label: str
     negative_label: str
 
     def __post_init__(self):
-        sv, coefs = self.support_vectors, self.dual_coefs
-        if sv.ndim != 2 or coefs.ndim != 1 or len(sv) != len(coefs):
+        index, coefs = self.sv_index, self.dual_coefs
+        if index.ndim != 1 or coefs.ndim != 1 or len(index) != len(coefs):
             raise ValueError(
-                f"support_vectors of shape {sv.shape} do not match dual_coefs of shape {coefs.shape}"
+                f"sv_index of shape {index.shape} does not match dual_coefs of shape {coefs.shape}"
             )
-        if not (np.isfinite(sv).all() and np.isfinite(coefs).all() and math.isfinite(self.bias)):
-            raise ValueError("support_vectors, dual_coefs and bias must be finite")
+        if not (np.isfinite(coefs).all() and math.isfinite(self.bias)):
+            raise ValueError("dual_coefs and bias must be finite")
+
+    @property
+    def support_vectors(self) -> np.ndarray:
+        """(n_sv, dims) dense support vectors, one row per dual coefficient."""
+        return self._pool.dense[self.sv_index]
+
+
+def _bind(machine: BinaryModel, pool: SupportVectorPool) -> BinaryModel:
+    """``machine``, reading its support vectors from ``pool`` from now on."""
+    object.__setattr__(machine, "_pool", pool)
+    return machine
 
 
 @dataclass(frozen=True, eq=False)
 class MulticlassModel:
-    """One-vs-one ensemble over lexicographically ordered labels."""
+    """One-vs-one ensemble over lexicographically ordered labels.
+
+    Its machines are copies bound to ``pool``; each ``sv_index`` must
+    address rows of it.
+    """
 
     FORMAT: ClassVar[tuple[str, int]] = (MODEL_FORMAT, MODEL_FORMAT_VERSION)
 
     labels: tuple[str, ...]
     machines: tuple[BinaryModel, ...]
     kernel: KernelConfig
+    pool: SupportVectorPool
     schema_id: str | None = None
 
     def __post_init__(self):
@@ -110,9 +215,13 @@ class MulticlassModel:
         } - set(self.labels)
         if strays:
             raise ValueError(f"machine labels {sorted(strays)} are not among labels {list(self.labels)}")
-        dims = {m.support_vectors.shape[1] for m in self.machines}
-        if len(dims) > 1:
-            raise ValueError(f"machines disagree on support-vector dims: {sorted(dims)}")
+        for k, m in enumerate(self.machines):
+            if len(m.sv_index) and not 0 <= m.sv_index.min() <= m.sv_index.max() < self.pool.rows:
+                raise FieldError(
+                    f"machines[{k}].sv_index", f"a row lies outside the {self.pool.rows} rows of the pool"
+                )
+        machines = tuple(_bind(replace(m), self.pool) for m in self.machines)
+        object.__setattr__(self, "machines", machines)
 
 
 def _as_vector(x) -> np.ndarray:
@@ -135,18 +244,16 @@ def kernel_eval(cfg: KernelConfig, u, v) -> float:
     return float(np.exp(-cfg.gamma * np.dot(diff, diff)))
 
 
-def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(a[i], b[j])."""
+def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
+    """Kernel matrix K[i, j] = k(a[i], b[j]); ``b_sq`` caches the squared norms of b's rows."""
     dots = a @ b.T
     if cfg.kind == "linear":
         return dots
     if cfg.kind == "poly":
         return (cfg.gamma * dots + cfg.coef0) ** cfg.degree
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * dots
-    )
+    if b_sq is None:
+        b_sq = np.sum(b * b, axis=1)
+    sq = np.sum(a * a, axis=1)[:, None] + b_sq[None, :] - 2.0 * dots
     return np.exp(-cfg.gamma * np.clip(sq, 0.0, None))
 
 
@@ -206,7 +313,7 @@ def _stack(x: Sequence) -> np.ndarray:
     rows = [_as_vector(v) for v in x]
     dims = {row.shape for row in rows}
     if len(dims) > 1:
-        raise DimensionMismatch(f"mixed vector shapes in training input: {sorted(dims)}")
+        raise DimensionMismatch(f"mixed vector shapes in input: {sorted(dims)}")
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -246,24 +353,34 @@ def train_binary(
             f"{machine}: no alpha exceeds eps {cfg.eps:g} (final KKT gap {gap:.3g}, "
             f"tol {cfg.tol:g}); lower tol or eps"
         )
-    return BinaryModel(
-        support_vectors=matrix[keep],
-        dual_coefs=(alpha * labels)[keep],
-        bias=bias,
-        positive_label=positive_label,
-        negative_label=negative_label,
-    )
+    pool, index = SupportVectorPool.of(matrix[keep])
+    machine = BinaryModel(index, (alpha * labels)[keep], bias, positive_label, negative_label)
+    return _bind(machine, pool)
+
+
+def _batch(x, dims: int, schema_id: str | None = None) -> np.ndarray:
+    """The rows of ``x`` as a (rows, dims) matrix; DimensionMismatch for
+    a feature vector of another schema or rows of another width."""
+    if schema_id:
+        for v in x:
+            if isinstance(v, FeatureVector) and v.schema_id != schema_id:
+                raise DimensionMismatch(f"model expects schema {schema_id!r}, got {v.schema_id!r}")
+    rows = _stack(x)
+    if rows.ndim != 2 or rows.shape[1] != dims:
+        raise DimensionMismatch(f"model expects {dims} dims, got rows of shape {rows.shape[1:]}")
+    return rows
+
+
+def _machine_values(kernel: np.ndarray, machine: BinaryModel) -> np.ndarray:
+    """sum_i dual_coef_i * K(sv_i, x) + bias for each row of K(x, pool)."""
+    return kernel[:, machine.sv_index] @ machine.dual_coefs + machine.bias
 
 
 def decision_value(model: BinaryModel, x, cfg: KernelConfig) -> float:
-    """sum_i dual_coef_i * K(sv_i, x) + bias."""
-    vec = _as_vector(x)
-    if model.support_vectors.size and vec.shape[0] != model.support_vectors.shape[1]:
-        raise DimensionMismatch(
-            f"model expects {model.support_vectors.shape[1]} dims, got {vec.shape[0]}"
-        )
-    kernel_row = _gram(cfg, model.support_vectors, vec[None, :])[:, 0]
-    return float(model.dual_coefs @ kernel_row + model.bias)
+    """sum_i dual_coef_i * K(sv_i, x) + bias for one row ``x``."""
+    pool = model._pool
+    kernel = _gram(cfg, _batch([x], pool.dims), pool.dense, pool.sq_norms)
+    return float(_machine_values(kernel, model)[0])
 
 
 def dual_objective(model: BinaryModel, cfg: KernelConfig) -> float:
@@ -290,39 +407,61 @@ def train_multiclass(x: Sequence, y: Sequence[str], cfg: SvmConfig) -> Multiclas
         idx = [i for i, label in enumerate(y) if label in (neg, pos)]
         pair_y = [1 if y[i] == pos else -1 for i in idx]
         machines.append(train_binary(matrix[idx], pair_y, cfg, positive_label=pos, negative_label=neg))
+    # one pool for all machines; each machine's sv_index is re-pointed into it
+    pool, index = SupportVectorPool.of(np.vstack([m.support_vectors for m in machines]))
+    ends = np.cumsum([len(m.sv_index) for m in machines])[:-1]
     return MulticlassModel(
         labels=tuple(labels),
-        machines=tuple(machines),
+        machines=tuple(replace(m, sv_index=i) for m, i in zip(machines, np.split(index, ends))),
         kernel=cfg.kernel,
+        pool=pool,
         schema_id=schema_id,
     )
 
 
-def predict(model: MulticlassModel, x) -> str:
-    """Majority vote over pairwise machines.
+def decision_values(model: MulticlassModel, x) -> np.ndarray:
+    """(rows, machines) decision values of every machine on every row of ``x``.
+
+    ``x`` is any iterable of rows, read PREDICT_CHUNK_ROWS at a time. One
+    kernel matrix K(chunk, pool) serves all machines: machine k reads its
+    columns, K[:, sv_index_k] @ dual_coefs_k + bias_k.
+    """
+    pool, pending = model.pool, iter(x)
+    values = [np.zeros((0, len(model.machines)))]
+    while chunk := list(islice(pending, PREDICT_CHUNK_ROWS)):
+        rows = _batch(chunk, pool.dims, model.schema_id)
+        kernel = _gram(model.kernel, rows, pool.dense, pool.sq_norms)  # K(rows, pool)
+        part = np.empty((len(kernel), len(model.machines)))
+        for k, machine in enumerate(model.machines):
+            part[:, k] = _machine_values(kernel, machine)
+        values.append(part)
+    return np.concatenate(values)
+
+
+def predict_batch(model: MulticlassModel, x) -> list[str]:
+    """Majority vote over pairwise machines, for every row of ``x``.
 
     Vote ties break on the larger sum of |decision| over the machines
     each tied label won; remaining ties take the lexicographically
     earliest label.
     """
-    if isinstance(x, FeatureVector) and model.schema_id and x.schema_id != model.schema_id:
-        raise DimensionMismatch(
-            f"model expects schema {model.schema_id!r}, got {x.schema_id!r}"
-        )
-    votes = {label: 0 for label in model.labels}
-    margins = {label: 0.0 for label in model.labels}
-    for machine in model.machines:
-        value = decision_value(machine, x, model.kernel)
-        winner = machine.positive_label if value >= 0.0 else machine.negative_label
-        votes[winner] += 1
-        margins[winner] += abs(value)
-    best_votes = max(votes.values())
-    tied = [label for label in model.labels if votes[label] == best_votes]
-    best_margin = max(margins[label] for label in tied)
-    for label in tied:  # labels are sorted, so first hit is lexicographic
-        if margins[label] == best_margin:
-            return label
-    raise AssertionError("unreachable")
+    values = decision_values(model, x)
+    rows = np.arange(len(values))
+    column = {label: i for i, label in enumerate(model.labels)}
+    votes = np.zeros((len(values), len(model.labels)))
+    margins = np.zeros_like(votes)
+    for k, machine in enumerate(model.machines):
+        won = np.where(values[:, k] >= 0.0, column[machine.positive_label], column[machine.negative_label])
+        votes[rows, won] += 1
+        margins[rows, won] += np.abs(values[:, k])
+    tied = votes == votes.max(axis=1, keepdims=True)
+    # labels are sorted and argmax takes the first maximum, so it is lexicographic
+    return [model.labels[i] for i in np.argmax(np.where(tied, margins, -np.inf), axis=1)]
+
+
+def predict(model: MulticlassModel, x) -> str:
+    """``predict_batch`` of the single row ``x``."""
+    return predict_batch(model, [x])[0]
 
 
 def save_model(model: MulticlassModel, path: str | Path) -> None:

@@ -111,3 +111,37 @@ def cosine_bruteforce(u: dict[int, float], v: dict[int, float]) -> float:
     if norm_u_sq == 0.0 or norm_v_sq == 0.0:
         return 0.0
     return dot / (norm_u_sq**0.5 * norm_v_sq**0.5)
+
+
+def ovo_reference(model, x) -> tuple[str, list[float]]:
+    """One-vs-one label and per-machine decision values of one row, by loops.
+
+    Each support vector is rebuilt from the pool's CSR fields, each
+    machine sums coef * kernel_eval(sv, x) + bias, and the vote counts
+    wins, breaks ties on the summed |decision| of the tied labels and
+    then on the earliest label.
+    """
+    from querystance.svm import kernel_eval
+
+    pool = model.pool
+
+    def support_vector(row):
+        dense = [0.0] * pool.dims
+        for k in range(pool.indptr[row], pool.indptr[row + 1]):
+            dense[pool.indices[k]] = pool.values[k]
+        return dense
+
+    values = []
+    votes = {label: 0 for label in model.labels}
+    margins = {label: 0.0 for label in model.labels}
+    for machine in model.machines:
+        value = machine.bias
+        for row, coef in zip(machine.sv_index, machine.dual_coefs):
+            value += coef * kernel_eval(model.kernel, support_vector(row), x)
+        values.append(value)
+        winner = machine.positive_label if value >= 0.0 else machine.negative_label
+        votes[winner] += 1
+        margins[winner] += abs(value)
+    tied = [label for label in sorted(model.labels) if votes[label] == max(votes.values())]
+    best = max(margins[label] for label in tied)
+    return next(label for label in tied if margins[label] == best), values

@@ -6,7 +6,8 @@ import pytest
 
 from querystance.cli import main
 from querystance.codec import to_doc
-from querystance.pipeline import PipelineConfig
+from querystance.errors import VersionMismatch
+from querystance.pipeline import LexiconSet, PipelineConfig, load_task_model
 
 from synth import make_records, write_dataset_csv, write_lexicon_files
 
@@ -153,8 +154,11 @@ CORRUPTIONS = {
     "df shorter than terms": (_pop("vocabulary", "df"), "vocabulary: "),
     "machine label not in labels": (_set("svm", "machines", 0, "positive_label", "maybe"), "svm: "),
     "bias NaN": (_set("svm", "machines", 0, "bias", float("nan")), "svm.machines[0].bias: "),
-    "ragged support-vector row": (_pop("svm", "machines", 0, "support_vectors", 0),
-                                  "svm.machines[0].support_vectors: "),
+    "sv_index out of range": (_set("svm", "machines", 0, "sv_index", 0, 10**6),
+                              "svm.machines[0].sv_index: "),
+    "column not below dims": (_set("svm", "pool", "indices", 0, 10**6), "svm.pool.indices: "),
+    "indptr decreasing": (_set("svm", "pool", "indptr", 1, -1), "svm.pool.indptr: "),
+    "values shorter than indices": (_pop("svm", "pool", "values"), "svm.pool.values: "),
     "config gamma not a number": (_set("config", "task2", "kernel", "gamma", "abc"),
                                   "config.task2.kernel.gamma: "),
     "svm gamma negative": (_set("svm", "kernel", "gamma", -1), "svm.kernel: "),
@@ -184,6 +188,35 @@ class TestCorruptModelRejectedAtLoad:
         assert f"error: {bad}: {field}" in err
         assert "internal error" not in err
         assert not (tmp_path / "pred.csv").exists()
+
+
+def _as_v1(doc):
+    """The task-2 document with its svm block in the v1 layout: dense
+    support vectors per machine, no pool."""
+    svm = doc["svm"]
+    pool = svm.pop("pool")
+    dense = [[0.0] * pool["dims"] for _ in pool["indptr"][1:]]
+    for row, (start, end) in enumerate(zip(pool["indptr"], pool["indptr"][1:])):
+        for column, value in zip(pool["indices"][start:end], pool["values"][start:end]):
+            dense[row][column] = value
+    for machine in svm["machines"]:
+        machine["support_vectors"] = [dense[row] for row in machine.pop("sv_index")]
+    svm["format_version"] = 1
+    return doc
+
+
+class TestVersion1ModelFile:
+    def test_v1_task2_file_raises_version_mismatch(self, workspace, trained_models, tmp_path, capsys):
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(_as_v1(json.loads(trained_models["m2"].read_text()))), encoding="utf-8")
+        with pytest.raises(VersionMismatch):
+            load_task_model(old, LexiconSet.load())
+        code = main([
+            "predict", "--model", str(old), "--data", str(workspace["unlabeled"]),
+            "--out", str(tmp_path / "pred.csv"), "--sentiment", str(workspace["sentiment"]),
+        ])
+        assert code == 1
+        assert f"error: {old}: svm: unsupported format_version 1, expected 2" in capsys.readouterr().err
 
 
 class TestPredict:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from querystance import pipeline as pipeline_module
 from querystance.corpus import SentenceRecord
 from querystance.errors import (
     AlignmentError,
@@ -23,7 +25,8 @@ from querystance.pipeline import (
     train_task1,
     train_task2,
 )
-from querystance.svm import KernelConfig, SvmConfig
+from querystance.features import task2_features
+from querystance.svm import KernelConfig, SvmConfig, decision_values
 
 from synth import make_records
 
@@ -117,7 +120,7 @@ class TestTask2:
         assert pipeline.task2_model.labels == ("oppose", "support")
 
     def test_two_class_irrelevant_prediction_is_neutral(
-        self, synthetic_records, synthetic_lexicons
+        self, synthetic_records, synthetic_lexicons, monkeypatch
     ):
         config = PipelineConfig(stance_classes=TWO_CLASS)
         pipeline = train_task2(
@@ -127,6 +130,11 @@ class TestTask2:
             config,
         )
         records = synthetic_records[:10]
+
+        def never(*args):
+            raise AssertionError("the model was called for irrelevant rows")
+
+        monkeypatch.setattr(pipeline_module, "predict_batch", never)
         predictions = predict_task2(pipeline, records, ["irrelevant"] * len(records))
         assert predictions == ["neutral"] * len(records)
 
@@ -305,6 +313,34 @@ class TestPersistence:
         assert predict_task2(trained, records, direct_rel) == predict_task2(
             loaded, records, loaded_rel
         )
+
+    def test_reloaded_models_give_bit_equal_decision_values(
+        self, trained, synthetic_records, synthetic_lexicons, tmp_path
+    ):
+        records = synthetic_records
+        for task in (1, 2):
+            save_task_model(trained, task, tmp_path / f"m{task}.json")
+        loaded = load_task_model(tmp_path / "m1.json", trained.lexicons)
+        loaded = load_task_model(tmp_path / "m2.json", trained.lexicons, into=loaded)
+        relevance = predict_task1(trained, records)
+        assert predict_task1(loaded, records) == relevance
+        assert predict_task2(loaded, records, relevance) == predict_task2(trained, records, relevance)
+        task1_rows = pipeline_module._task1_vectors(records, trained.task1_vocabularies, trained.lexicons)
+        task2_rows = [
+            task2_features(r.sentence_text, label == "relevant", trained.task2_vocabulary, trained.lexicons.sentiment)
+            for r, label in zip(records, relevance)
+        ]
+        for model, other, rows in (
+            (trained.task1_model, loaded.task1_model, task1_rows),
+            (trained.task2_model, loaded.task2_model, task2_rows),
+        ):
+            assert np.array_equal(decision_values(model, rows), decision_values(other, rows))
+        # a second training run writes byte-identical files
+        again = train_task1(records, synthetic_lexicons, trained.config)
+        train_task2(records, [r.relevance for r in records], synthetic_lexicons, trained.config, pipeline=again)
+        for task in (1, 2):
+            save_task_model(again, task, tmp_path / f"again{task}.json")
+            assert (tmp_path / f"again{task}.json").read_bytes() == (tmp_path / f"m{task}.json").read_bytes()
 
     def test_stance_mode_travels_with_task2_file(
         self, synthetic_records, synthetic_lexicons, tmp_path

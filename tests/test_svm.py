@@ -1,8 +1,10 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from querystance.errors import (
     CorruptModel,
@@ -14,22 +16,26 @@ from querystance.errors import (
 )
 from querystance.features import FeatureVector
 from querystance.svm import (
+    KERNEL_KINDS,
     BinaryModel,
     KernelConfig,
     MulticlassModel,
+    SupportVectorPool,
     SvmConfig,
     _gram,
     decision_value,
+    decision_values,
     dual_objective,
     kernel_eval,
     load_model,
     predict,
+    predict_batch,
     save_model,
     train_binary,
     train_multiclass,
 )
 
-from oracles import solve_dual_bruteforce
+from oracles import ovo_reference, solve_dual_bruteforce
 from svm_fixtures import fixture_instances, kkt_satisfied, overlapping_rows, training_alphas
 
 
@@ -191,6 +197,20 @@ class TestOverlappingScale:
         with pytest.warns(RuntimeWarning, match=r"'\+1' vs '-1': KKT gap \S+ > tol 0.001 at the cap of 300 "):
             train_binary(x, y, cfg)
 
+    def test_default_cap_stops_a_hard_problem_quickly(self):
+        # heavily overlapping 2-D classes with copies under both labels: at
+        # C = 1e7 the gap does not close, and the default cap must end it fast
+        rng = np.random.default_rng(1)
+        y = np.where(np.arange(120) % 2, 1.0, -1.0)
+        x = rng.normal(0.5 * y[:, None], 1.0, (120, 2))
+        copies = rng.choice(120, 30, replace=False)
+        x, y = np.vstack([x, x[copies]]), np.concatenate([y, -y[copies]])
+        cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=0.5))
+        start = time.perf_counter()  # about 0.6 s here; 7 s at the former default of 1000
+        with pytest.warns(RuntimeWarning, match=r"at the cap of 15000 pair updates \(max_passes 100\)"):
+            train_binary(x, y, cfg)
+        assert time.perf_counter() - start < 1.5
+
     def test_no_support_vector_raises(self):
         x, y = overlapping_rows()
         cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=5.0), tol=1e9)
@@ -244,32 +264,30 @@ class TestMulticlass:
         # a point deep inside the alpha blob wins both its machines
         assert predict(model, [0.0, 0.0]) == "alpha"
 
+    @staticmethod
+    def _bias_only(biases):
+        """Machines b/a, c/a, c/b with no support vectors: each value is its bias."""
+        pool, _ = SupportVectorPool.of(np.zeros((0, 1)))
+        none = np.zeros(0, dtype=np.int64)
+        pairs = (("b", "a"), ("c", "a"), ("c", "b"))
+        machines = tuple(
+            BinaryModel(none, np.zeros(0), bias, positive_label=pos, negative_label=neg)
+            for bias, (pos, neg) in zip(biases, pairs)
+        )
+        return MulticlassModel(labels=("a", "b", "c"), machines=machines, kernel=KernelConfig("linear"), pool=pool)
+
     def test_vote_cycle_breaks_lexicographically(self):
         # engineered 1-1-1 cycle with equal margins: a beats b, b beats
         # c, c beats a; margins all equal so the earliest label wins
-        kernel = KernelConfig("linear")
-        empty = np.zeros((0, 1))
-        none = np.zeros(0)
-        machines = (
-            BinaryModel(empty, none, -1.0, positive_label="b", negative_label="a"),
-            BinaryModel(empty, none, 1.0, positive_label="c", negative_label="a"),
-            BinaryModel(empty, none, -1.0, positive_label="c", negative_label="b"),
-        )
-        model = MulticlassModel(labels=("a", "b", "c"), machines=machines, kernel=kernel)
+        model = self._bias_only((-1.0, 1.0, -1.0))
         results = {predict(model, [0.0]) for _ in range(10)}
         assert results == {"a"}
+        assert predict_batch(model, np.zeros((10, 1))) == ["a"] * 10
 
     def test_margin_breaks_vote_tie(self):
-        kernel = KernelConfig("linear")
-        empty = np.zeros((0, 1))
-        none = np.zeros(0)
-        machines = (
-            BinaryModel(empty, none, -1.0, positive_label="b", negative_label="a"),
-            BinaryModel(empty, none, 5.0, positive_label="c", negative_label="a"),
-            BinaryModel(empty, none, -1.0, positive_label="c", negative_label="b"),
-        )
-        model = MulticlassModel(labels=("a", "b", "c"), machines=machines, kernel=kernel)
+        model = self._bias_only((-1.0, 5.0, -1.0))
         assert predict(model, [0.0]) == "c"
+        assert predict_batch(model, [[0.0], [1.0]]) == ["c", "c"]
 
     def test_schema_mismatch_rejected(self):
         cfg = SvmConfig(c=10.0, kernel=KernelConfig("linear"))
@@ -277,6 +295,57 @@ class TestMulticlass:
         model = train_multiclass(vectors, ["no", "yes"], cfg)
         with pytest.raises(DimensionMismatch):
             predict(model, FeatureVector(np.array([1.0]), "task2-v1"))
+        with pytest.raises(DimensionMismatch, match="schema"):
+            predict_batch(model, [vectors[0], FeatureVector(np.array([1.0]), "task2-v1")])
+        with pytest.raises(DimensionMismatch, match="expects 1 dims"):
+            predict_batch(model, [FeatureVector(np.array([1.0, 2.0]), "task1-v1")])
+        with pytest.raises(DimensionMismatch, match="expects 1 dims"):
+            predict_batch(model, np.zeros((3, 2)))
+
+    def test_generator_read_across_chunks(self):
+        points, labels = self._blobs()
+        model = train_multiclass(points, labels, SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=0.1)))
+        rows = np.random.default_rng(2).normal(4.0, 4.0, (300, 2))  # more than PREDICT_CHUNK_ROWS
+        values = decision_values(model, (row for row in rows))
+        assert values.shape == (300, 3)
+        for row, row_values, label in zip(rows, values, predict_batch(model, iter(rows))):
+            assert label == predict(model, row)
+            single = [decision_value(m, row, model.kernel) for m in model.machines]
+            np.testing.assert_allclose(row_values, single, rtol=0, atol=1e-9)
+
+    def test_zero_row_batch(self):
+        points, labels = self._blobs()
+        model = train_multiclass(points, labels, SvmConfig(c=1e7, kernel=KernelConfig("linear")))
+        assert predict_batch(model, []) == []
+        assert decision_values(model, []).shape == (0, 3)
+
+
+KERNELS = {
+    "linear": KernelConfig("linear"),
+    "poly": KernelConfig("poly", gamma=0.5, degree=3, coef0=1.0),
+    "rbf": KernelConfig("rbf", gamma=2.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_labels=st.integers(2, 4), kind=st.sampled_from(KERNEL_KINDS))
+def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
+    """Labels equal and decision values within 1e-9 of the loop oracle,
+    on models whose training rows repeat, under one label or another."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((16, 3))
+    labels = [f"l{i % n_labels}" for i in rng.permutation(16)]
+    copies = rng.choice(16, 6, replace=False)
+    x = np.vstack([x, x[copies]])
+    labels += [labels[i] for i in copies[:3]] + [f"l{rng.integers(n_labels)}" for _ in copies[3:]]
+    model = train_multiclass(x, labels, SvmConfig(c=10.0, kernel=KERNELS[kind]))
+    assert len(np.unique(model.pool.dense, axis=0)) == model.pool.rows
+    probes = np.vstack([rng.random((8, 3)), x[copies]])
+    values = decision_values(model, probes)
+    for row, label, row_values in zip(probes, predict_batch(model, probes), values):
+        expected_label, expected_values = ovo_reference(model, row)
+        assert label == expected_label
+        np.testing.assert_allclose(row_values, expected_values, rtol=0, atol=1e-9)
 
 
 class TestPersistence:
