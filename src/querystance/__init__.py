@@ -66,10 +66,8 @@ from .svm import (
     decision_values,
     dual_objective,
     kernel_eval,
-    load_model,
     predict,
     predict_batch,
-    save_model,
     train_binary,
     train_multiclass,
 )

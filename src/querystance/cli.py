@@ -229,29 +229,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pipeline, tasks = _load_models(settings, lexicons)
     if chain and tasks != [1, 2]:
         raise QueryStanceError("--chain requires both --model and --model2")
-    # lexicons absent now but used at training time degrade the features
-    for flag, used_path, size in (
-        ("nouns", pipeline.config.noun_path, len(lexicons.nouns)),
-        ("gloss", pipeline.config.gloss_path, len(lexicons.gloss)),
-        ("sentiment", pipeline.config.sentiment_path, len(lexicons.sentiment)),
-    ):
-        if used_path and size == 0:
-            print(
-                f"warning: model was trained with --{flag} but none was given",
-                file=sys.stderr,
-            )
+    # lexicons absent now but used at training time (of either model) degrade the features
+    for flag in ("nouns", "gloss", "sentiment"):
+        if getattr(pipeline.config, PIPELINE_OPTIONS[flag]) and not len(getattr(lexicons, flag)):
+            print(f"warning: model was trained with --{flag} but none was given", file=sys.stderr)
     records = load_dataset(data_path, labeled=False)
 
-    extra_columns: list[str] = []
-    columns: dict[str, list[str]] = {}
+    columns: dict[str, list[str]] = {}  # output column -> labels, in column order
     if 1 in tasks:
-        relevance = predict_task1(pipeline, records)
-        extra_columns.append("predicted_relevance")
-        columns["predicted_relevance"] = relevance
-        if 2 in tasks:
-            stance = predict_task2(pipeline, records, relevance)
-            extra_columns.append("predicted_stance")
-            columns["predicted_stance"] = stance
+        relevance = columns["predicted_relevance"] = predict_task1(pipeline, records)
     else:  # standalone task-2 model: relevance flags come from the dataset
         missing = [i for i, r in enumerate(records) if r.relevance is None]
         if missing:
@@ -259,13 +245,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 "standalone task-2 prediction needs a relevance column; "
                 f"first unlabeled row: {missing[0] + 2}"
             )
-        stance = predict_task2(pipeline, records, [r.relevance for r in records])
-        extra_columns.append("predicted_stance")
-        columns["predicted_stance"] = stance
+        relevance = [r.relevance for r in records]
+    if 2 in tasks:
+        columns["predicted_stance"] = predict_task2(pipeline, records, relevance)
 
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(EXPECTED_HEADER + extra_columns)
+        writer.writerow(EXPECTED_HEADER + list(columns))
         for i, record in enumerate(records):
             row = [
                 record.query_id,
@@ -274,7 +260,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 record.relevance or "",
                 record.stance or "",
             ]
-            row.extend(columns[name][i] for name in extra_columns)
+            row.extend(labels[i] for labels in columns.values())
             writer.writerow(row)
     inputs = {"data": data_path, "model": settings.get("model", None)}
     model2_path = settings.get("model2", None)

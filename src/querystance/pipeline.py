@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
-from .codec import check_format, from_doc, read_json, to_doc, write_json
+from .codec import FieldError, from_doc, read_json, to_doc, write_json
 from .corpus import SentenceRecord, group_by_query, split_train_dev
 from .errors import (
     AlignmentError,
@@ -25,6 +25,9 @@ from .errors import (
     UnlabeledRecord,
 )
 from .features import (
+    SCHEMA_TASK1,
+    SCHEMA_TASK2,
+    TASK1_FEATURE_NAMES,
     VocabularyModel,
     fit_vocabulary,
     task1_features,
@@ -53,9 +56,6 @@ NEUTRAL = "neutral"
 
 THREE_CLASS = "three_class"
 TWO_CLASS = "two_class"
-
-PIPELINE_FORMAT = "querystance-pipeline"
-PIPELINE_FORMAT_VERSION = 1
 
 
 def default_task1_svm() -> SvmConfig:
@@ -380,29 +380,60 @@ def grid_search(
 
 # --- persistence ------------------------------------------------------------
 
-# task -> the model file's vocabulary field and its type
-VOCABULARY_FIELD = {1: ("vocabularies", dict[str, VocabularyModel]), 2: ("vocabulary", VocabularyModel)}
+
+@dataclass(frozen=True)
+class TaskModel:
+    """One task's model file: its SVM, the config it was trained with and (in each
+    subclass) the vocabulary its features read. It is checked as a whole, so a file
+    that loads also predicts."""
+
+    FORMAT: ClassVar[tuple[str, int]] = ("querystance-pipeline", 1)
+    SCHEMA: ClassVar[str]
+    CONFIG_FIELDS: ClassVar[tuple[str, ...]]  # the config fields the task's prediction reads
+
+    task: int
+    config: PipelineConfig
+    svm: MulticlassModel
+
+    def __post_init__(self):
+        svm = self.svm
+        if svm.schema_id != self.SCHEMA:
+            raise FieldError("svm.schema_id", f"expected {self.SCHEMA!r}, got {svm.schema_id!r}")
+        if svm.pool.dims != self.width:
+            raise FieldError("svm.pool.dims", f"expected width {self.width}, got {svm.pool.dims}")
+
+
+@dataclass(frozen=True)
+class Task1Model(TaskModel):
+    SCHEMA = SCHEMA_TASK1
+    CONFIG_FIELDS = ("task1", "gloss_path", "noun_path")
+    width = len(TASK1_FEATURE_NAMES)
+
+    vocabularies: dict[str, VocabularyModel]
+
+
+@dataclass(frozen=True)
+class Task2Model(TaskModel):
+    SCHEMA = SCHEMA_TASK2
+    CONFIG_FIELDS = ("task2", "stance_classes", "sentiment_path")
+
+    vocabulary: VocabularyModel
+
+    @property
+    def width(self) -> int:
+        return self.vocabulary.size + 4  # the TF-IDF block, three sentiment counts and the flag
+
+
+TASK_MODELS = {1: Task1Model, 2: Task2Model}
 
 
 def save_task_model(pipeline: TrainedPipeline, task: int, path: str | Path) -> None:
     """Write one task's model, vocabularies and config snapshot as JSON."""
-    if task == 1:
-        model, payload = pipeline.task1_model, {"vocabularies": pipeline.task1_vocabularies}
-    elif task == 2:
-        model, payload = pipeline.task2_model, {"vocabulary": pipeline.task2_vocabulary}
-    else:
-        raise ValueError(f"task must be 1 or 2, got {task}")
+    model = getattr(pipeline, f"task{task}_model", None)
     if model is None:
         raise ValueError(f"pipeline has no trained task-{task} model")
-    doc = {
-        "format": PIPELINE_FORMAT,
-        "format_version": PIPELINE_FORMAT_VERSION,
-        "task": task,
-        "config": pipeline.config,
-        "svm": model,
-        **payload,
-    }
-    write_json(path, to_doc(doc))
+    vocabulary = pipeline.task1_vocabularies if task == 1 else pipeline.task2_vocabulary
+    write_json(path, to_doc(TASK_MODELS[task](task, pipeline.config, model, vocabulary)))
 
 
 def load_task_model(
@@ -412,24 +443,21 @@ def load_task_model(
 ) -> TrainedPipeline:
     """Load a saved task model, optionally merging into an existing pipeline.
 
-    Merging a task-2 file also adopts its stance_classes setting so a
-    chained pipeline behaves as the task-2 model was trained.
+    The pipeline takes from the file the config fields its task reads, so
+    a chained pipeline behaves as each of its models was trained.
     """
     doc = read_json(path)
-    check_format(doc, PIPELINE_FORMAT, PIPELINE_FORMAT_VERSION, path)
-    task = from_doc(int, doc.get("task"), path, "task")
-    if task not in VOCABULARY_FIELD:
-        raise CorruptModel(f"{path}: task: unknown task {task!r}")
-    config = from_doc(PipelineConfig, doc.get("config"), path, "config")
-    model = from_doc(MulticlassModel, doc.get("svm"), path, "svm")
-    key, kind = VOCABULARY_FIELD[task]
-    vocabulary = from_doc(kind, doc.get(key), path, key)
+    task = doc.get("task")
+    kind = TASK_MODELS.get(task) if type(task) is int else None
+    if kind is None:
+        raise CorruptModel(f"{path}: task: expected 1 or 2, got {task!r:.40}")
+    model = from_doc(kind, doc, path)
     if into is None:
-        into = TrainedPipeline(config=config, lexicons=lexicons)
+        into = TrainedPipeline(config=model.config, lexicons=lexicons)
+    taken = {name: getattr(model.config, name) for name in kind.CONFIG_FIELDS}
+    into.config = replace(into.config, **taken)
     if task == 1:
-        into.task1_model, into.task1_vocabularies = model, vocabulary
+        into.task1_model, into.task1_vocabularies = model.svm, model.vocabularies
     else:
-        into.task2_model, into.task2_vocabulary = model, vocabulary
-        if into.config.stance_classes != config.stance_classes:
-            into.config = replace(into.config, stance_classes=config.stance_classes)
+        into.task2_model, into.task2_vocabulary = model.svm, model.vocabulary
     return into

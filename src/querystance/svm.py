@@ -20,20 +20,16 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations, islice
-from pathlib import Path
 from typing import ClassVar, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from .codec import FieldError, from_doc, read_json, to_doc, write_json
+from .codec import FieldError
 from .errors import DimensionMismatch, NonFinite, NoSupportVectors, SingleClassInput
 from .features import FeatureVector
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
-
-MODEL_FORMAT = "querystance-svm"
-MODEL_FORMAT_VERSION = 2
 
 IndexArray = npt.NDArray[np.int64]
 
@@ -198,7 +194,7 @@ class MulticlassModel:
     address rows of it.
     """
 
-    FORMAT: ClassVar[tuple[str, int]] = (MODEL_FORMAT, MODEL_FORMAT_VERSION)
+    FORMAT: ClassVar[tuple[str, int]] = ("querystance-svm", 2)
 
     labels: tuple[str, ...]
     machines: tuple[BinaryModel, ...]
@@ -207,14 +203,13 @@ class MulticlassModel:
     schema_id: str | None = None
 
     def __post_init__(self):
-        n = len(self.labels)
-        if len(self.machines) != n * (n - 1) // 2:
-            raise ValueError("one machine per unordered label pair required")
-        strays = {
-            label for m in self.machines for label in (m.positive_label, m.negative_label)
-        } - set(self.labels)
-        if strays:
-            raise ValueError(f"machine labels {sorted(strays)} are not among labels {list(self.labels)}")
+        if list(self.labels) != sorted(set(self.labels)):  # the vote tie-break relies on it
+            raise FieldError("labels", f"must be sorted and distinct, got {list(self.labels)}")
+        pairs = [(m.negative_label, m.positive_label) for m in self.machines]
+        if pairs != list(combinations(self.labels, 2)):  # as train_multiclass orders them
+            raise ValueError(
+                f"machines must take each label pair of {list(self.labels)} once, in order; got {pairs}"
+            )
         for k, m in enumerate(self.machines):
             if len(m.sv_index) and not 0 <= m.sv_index.min() <= m.sv_index.max() < self.pool.rows:
                 raise FieldError(
@@ -463,11 +458,3 @@ def predict(model: MulticlassModel, x) -> str:
     """``predict_batch`` of the single row ``x``."""
     return predict_batch(model, [x])[0]
 
-
-def save_model(model: MulticlassModel, path: str | Path) -> None:
-    """Write the model as versioned JSON (stable key order)."""
-    write_json(path, to_doc(model))
-
-
-def load_model(path: str | Path) -> MulticlassModel:
-    return from_doc(MulticlassModel, read_json(path), path)

@@ -153,6 +153,7 @@ CORRUPTIONS = {
     "df zero": (_set("vocabulary", "df", 0, 0), "vocabulary: "),
     "df shorter than terms": (_pop("vocabulary", "df"), "vocabulary: "),
     "machine label not in labels": (_set("svm", "machines", 0, "positive_label", "maybe"), "svm: "),
+    "two machines on one label pair": (_set("svm", "machines", 0, "positive_label", "support"), "svm: "),
     "bias NaN": (_set("svm", "machines", 0, "bias", float("nan")), "svm.machines[0].bias: "),
     "sv_index out of range": (_set("svm", "machines", 0, "sv_index", 0, 10**6),
                               "svm.machines[0].sv_index: "),
@@ -162,6 +163,10 @@ CORRUPTIONS = {
     "config gamma not a number": (_set("config", "task2", "kernel", "gamma", "abc"),
                                   "config.task2.kernel.gamma: "),
     "svm gamma negative": (_set("svm", "kernel", "gamma", -1), "svm.kernel: "),
+    "pool dims raised by 7": (lambda doc: _set("svm", "pool", "dims", doc["svm"]["pool"]["dims"] + 7)(doc),
+                              "svm.pool.dims: "),
+    "schema of task 1": (_set("svm", "schema_id", "task1-v1"), "svm.schema_id: "),
+    "labels reversed": (lambda doc: _set("svm", "labels", doc["svm"]["labels"][::-1])(doc), "svm.labels: "),
     "top level is a list": (lambda doc: [], "expected a JSON object"),
 }
 
@@ -219,6 +224,18 @@ class TestVersion1ModelFile:
         assert f"error: {old}: svm: unsupported format_version 1, expected 2" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def own_lexicon_models(workspace):
+    """A task-1 model trained with --gloss and --nouns only, a task-2 model with --sentiment only."""
+    models = {1: workspace["root"] / "own1.json", 2: workspace["root"] / "own2.json"}
+    for task, names in ((1, ("gloss", "nouns")), (2, ("sentiment",))):
+        args = ["train", "--task", str(task), "--data", str(workspace["train"]), "--out", str(models[task])]
+        for name in names:
+            args += [f"--{name}", str(workspace[name])]
+        assert main(args) == 0
+    return models
+
+
 class TestPredict:
     def test_chained_prediction(self, workspace, trained_models, tmp_path):
         out = tmp_path / "pred.csv"
@@ -251,6 +268,24 @@ class TestPredict:
         ])
         assert code == 1
         assert "relevance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first", [1, 2], ids=["task1-first", "task2-first"])
+    def test_chain_warns_of_each_models_missing_lexicon(
+        self, workspace, own_lexicon_models, tmp_path, capsys, first
+    ):
+        models = [own_lexicon_models[first], own_lexicon_models[3 - first]]
+        for given, missing in ((("gloss", "nouns"), {"sentiment"}), (("sentiment",), {"gloss", "nouns"})):
+            args = [
+                "predict", "--chain", "--model", str(models[0]), "--model2", str(models[1]),
+                "--data", str(workspace["unlabeled"]), "--out", str(tmp_path / "pred.csv"),
+            ]
+            for name in given:
+                args += [f"--{name}", str(workspace[name])]
+            assert main(args) == 0
+            err = capsys.readouterr().err
+            for name in ("gloss", "nouns", "sentiment"):
+                warned = f"warning: model was trained with --{name} but none was given" in err
+                assert warned == (name in missing), (given, name)
 
     def test_empty_input(self, workspace, trained_models, tmp_path):
         empty = tmp_path / "empty.csv"

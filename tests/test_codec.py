@@ -2,7 +2,7 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from querystance.codec import from_doc, to_doc
 from querystance.errors import CorruptModel
@@ -11,6 +11,7 @@ from querystance.pipeline import (
     TWO_CLASS,
     PipelineConfig,
     load_task_model,
+    predict_task2,
     save_task_model,
     train_task2,
 )
@@ -82,6 +83,19 @@ def _field_paths(node, path=()):
         yield from _field_paths(child, path + (key,))
 
 
+def _nudged(value):
+    """``value`` changed within its JSON type, so the type checks pass it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 7
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, list):
+        return value[::-1]
+    return DELETE
+
+
 @pytest.fixture(scope="module")
 def task2_file(tmp_path_factory):
     """A small saved task-2 document, its field paths and a file to write mutants to."""
@@ -94,7 +108,9 @@ def task2_file(tmp_path_factory):
 
 
 def test_single_value_mutation_loads_or_raises_corrupt_model(task2_file):
+    """Every mutant either fails at load naming the file, or loads and predicts."""
     doc, field_paths, mutant = task2_file
+    batch = make_records(seed=1, per_query=4)  # 20 rows
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(field_paths), st.just(DELETE) | json_values)
@@ -109,8 +125,17 @@ def test_single_value_mutation_loads_or_raises_corrupt_model(task2_file):
             parent[path[-1]] = value
         mutant.write_text(json.dumps(changed), encoding="utf-8")
         try:
-            load_task_model(mutant, lexicon_objects())
+            pipeline = load_task_model(mutant, lexicon_objects())
         except CorruptModel as exc:
             assert str(exc).startswith(f"{mutant}: ")
+            return
+        # a file that loads also predicts, with the labels of its model
+        labels = predict_task2(pipeline, batch, [r.relevance for r in batch])
+        assert set(labels) <= set(pipeline.task2_model.labels)
 
+    for path in field_paths:  # besides the random values, each field nudged within its type
+        node = doc
+        for step in path:
+            node = node[step]
+        mutation = example(path, _nudged(node))(mutation)
     mutation()

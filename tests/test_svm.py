@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from querystance.codec import from_doc, read_json, to_doc, write_json
 from querystance.errors import (
     CorruptModel,
     DimensionMismatch,
@@ -27,16 +28,22 @@ from querystance.svm import (
     decision_values,
     dual_objective,
     kernel_eval,
-    load_model,
     predict,
     predict_batch,
-    save_model,
     train_binary,
     train_multiclass,
 )
 
 from oracles import ovo_reference, solve_dual_bruteforce
 from svm_fixtures import fixture_instances, kkt_satisfied, overlapping_rows, training_alphas
+
+
+def _save(model, path):
+    write_json(path, to_doc(model))
+
+
+def _load(path):
+    return from_doc(MulticlassModel, read_json(path), path)
 
 
 class TestKernelEval:
@@ -188,7 +195,7 @@ class TestOverlappingScale:
         assert np.abs(machine.dual_coefs).max() == cfg.c
         assert kkt_satisfied(machine, cfg, x, y, tol=1e-3)
         for i, model in enumerate(models):
-            save_model(model, tmp_path / f"model{i}.json")
+            _save(model, tmp_path / f"model{i}.json")
         assert (tmp_path / "model0.json").read_bytes() == (tmp_path / "model1.json").read_bytes()
 
     def test_iteration_cap_warns(self):
@@ -349,6 +356,8 @@ def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
 
 
 class TestPersistence:
+    """A model's own JSON document, written by ``to_doc`` and read back by ``from_doc``."""
+
     def _model(self):
         rng = np.random.default_rng(4)
         x = np.vstack([rng.normal(-2, 1, (6, 3)), rng.normal(2, 1, (6, 3))])
@@ -359,8 +368,8 @@ class TestPersistence:
     def test_roundtrip_predictions(self, tmp_path):
         model = self._model()
         path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
+        _save(model, path)
+        loaded = _load(path)
         rng = np.random.default_rng(6)
         for _ in range(100):
             point = rng.normal(size=3)
@@ -373,26 +382,26 @@ class TestPersistence:
     def test_tampered_version(self, tmp_path):
         model = self._model()
         path = tmp_path / "model.json"
-        save_model(model, path)
+        _save(model, path)
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch):
-            load_model(path)
+            _load(path)
 
     def test_truncated_file(self, tmp_path):
         model = self._model()
         path = tmp_path / "model.json"
-        save_model(model, path)
+        _save(model, path)
         path.write_text(path.read_text()[: path.stat().st_size // 2])
         with pytest.raises(CorruptModel):
-            load_model(path)
+            _load(path)
 
     def test_wrong_document(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"something": "else"}')
         with pytest.raises(CorruptModel):
-            load_model(path)
+            _load(path)
 
     def test_retrain_same_seed_identical_files(self, tmp_path):
         paths = []
@@ -403,6 +412,6 @@ class TestPersistence:
             cfg = SvmConfig(c=100.0, kernel=KernelConfig("rbf", gamma=0.3))
             model = train_multiclass(x, y, cfg)
             path = tmp_path / f"model{i}.json"
-            save_model(model, path)
+            _save(model, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
