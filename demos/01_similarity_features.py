@@ -2,12 +2,15 @@
 """Walk through the five query-sentence similarity features.
 
 Each feature scores how well one sentence answers a query, on [0, 1].
+The features read analysed text: ``analyse`` tokenizes and stems a text
+once, and every feature reuses that result.
 Run:  python demos/01_similarity_features.py
 """
 
 from querystance import (
     GlossDictionary,
     NounLexicon,
+    analyse,
     feature_cosine,
     feature_exact,
     feature_neighborhood,
@@ -15,7 +18,6 @@ from querystance import (
     feature_stemmed,
     fit_vocabulary,
     task1_features,
-    tokenize,
 )
 
 QUERY = "does sun exposure cause skin cancer"
@@ -28,22 +30,26 @@ SENTENCES = [
 
 print(f"query: {QUERY!r}\n")
 
+query = analyse(QUERY)
+sentences = [analyse(s) for s in SENTENCES]
+print(f"analysed query: tokens {query.tokens}\n                stems  {query.stems}\n")
+
 # 1) exact matching: word-by-word overlap, Dice-style
 print("exact word overlap")
-for s in SENTENCES:
-    print(f"  {feature_exact(QUERY, s):.3f}  {s}")
+for s, a in zip(SENTENCES, sentences):
+    print(f"  {feature_exact(query, a):.3f}  {s}")
 
 # 2) stemmed matching: inflection no longer matters, so "causes" and
 # "cancers" now line up with the query's "cause" and "cancer"
 print("\nstemmed overlap")
-for s in SENTENCES:
-    print(f"  {feature_stemmed(QUERY, s):.3f}  {s}")
+for s, a in zip(SENTENCES, sentences):
+    print(f"  {feature_stemmed(query, a):.3f}  {s}")
 
 # 3) noun matching: what fraction of the query's nouns shows up?
 nouns = NounLexicon(entries=frozenset({"sun", "exposure", "skin", "cancer"}))
 print("\nquery-noun coverage")
-for s in SENTENCES:
-    print(f"  {feature_noun(QUERY, s, nouns):.3f}  {s}")
+for s, a in zip(SENTENCES, sentences):
+    print(f"  {feature_noun(query, a, nouns):.3f}  {s}")
 
 # 4) neighborhood matching: a dictionary gloss can bridge vocabulary.
 # "melanoma" never appears in the query, but its gloss mentions both
@@ -58,17 +64,17 @@ gloss = GlossDictionary(
     }
 )
 print("\ngloss-widened overlap")
-for s in SENTENCES:
-    print(f"  {feature_neighborhood(QUERY, s, gloss):.3f}  {s}")
+for s, a in zip(SENTENCES, sentences):
+    print(f"  {feature_neighborhood(query, a, gloss):.3f}  {s}")
 
 # 5) TF-IDF cosine: vector-space similarity over this sentence collection
-vocab = fit_vocabulary([tokenize(s) for s in SENTENCES])
+vocab = fit_vocabulary([a.tokens for a in sentences])
 print("\ntf-idf cosine")
-for s in SENTENCES:
-    print(f"  {feature_cosine(QUERY, s, vocab):.3f}  {s}")
+for s, a in zip(SENTENCES, sentences):
+    print(f"  {feature_cosine(query, a, vocab):.3f}  {s}")
 
 # all five at once, in the order the relevance classifier consumes them
 print("\nfull feature vectors [exact, stemmed, noun, neighborhood, cosine]")
-for s in SENTENCES:
-    fv = task1_features(QUERY, s, vocab, gloss, nouns)
+for s, a in zip(SENTENCES, sentences):
+    fv = task1_features(query, a, vocab, gloss, nouns)
     print("  [" + ", ".join(f"{v:.3f}" for v in fv.values) + f"]  {s}")

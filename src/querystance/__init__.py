@@ -71,6 +71,6 @@ from .svm import (
     train_binary,
     train_multiclass,
 )
-from .textproc import porter_stem, split_sentences, stem_tokens, tokenize
+from .textproc import Analysis, analyse, porter_stem, split_sentences, stem_tokens, tokenize
 
 __version__ = "0.1.0"

@@ -20,14 +20,13 @@ from operator import attrgetter
 from . import __version__
 from .codec import to_doc, write_json
 from .corpus import EXPECTED_HEADER, load_dataset, split_train_dev
-from .errors import AlignmentError, LengthMismatch, QueryStanceError
+from .errors import AlignmentError, LengthMismatch, QueryStanceError, reading_utf8
 from .features import SCHEMA_TASK1, SCHEMA_TASK2, TASK1_FEATURE_NAMES, task2_features
 from .pipeline import (
     LexiconSet,
     PipelineConfig,
     RELEVANT,
     TrainedPipeline,
-    _fit_group_vocabularies,
     _task1_vectors,
     evaluate,
     load_task_model,
@@ -37,6 +36,7 @@ from .pipeline import (
     train_task1,
     train_task2,
 )
+from .textproc import tokenize
 
 # --- settings resolution ----------------------------------------------------
 
@@ -53,7 +53,7 @@ def _parse_bool(raw: str) -> bool:
 def _read_config_file(path: str) -> dict[str, str]:
     """key=value lines; '#' comments and blank lines ignored."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle, reading_utf8(path):
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -289,7 +289,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise QueryStanceError(f"{gold_path}: row {i + 2} has no {column} label")
 
     predicted_column = f"predicted_{column}"
-    with open(pred_path, encoding="utf-8-sig", newline="") as handle:
+    with open(pred_path, encoding="utf-8-sig", newline="") as handle, reading_utf8(pred_path):
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or predicted_column not in reader.fieldnames:
             raise QueryStanceError(f"{pred_path}: missing column {predicted_column!r}")
@@ -334,7 +334,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         lexicons = _load_lexicons(settings, 1)
         header_comment = f"# schema_id={SCHEMA_TASK1}"
         names = list(TASK1_FEATURE_NAMES)
-        vectors = _task1_vectors(records, _fit_group_vocabularies(records), lexicons)
+        vectors, _ = _task1_vectors(records, {}, lexicons)
     else:
         lexicons = _load_lexicons(settings, 2)
         model_path = _require(settings, "model")
@@ -351,7 +351,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         names = [f"tf:{term}" for term in vocab.terms]
         names += ["positive_count", "negative_count", "neutral_count", "relevance_flag"]
         vectors = [
-            task2_features(r.sentence_text, r.relevance == RELEVANT, vocab, lexicons.sentiment)
+            task2_features(tokenize(r.sentence_text), r.relevance == RELEVANT, vocab, lexicons.sentiment)
             for r in records
         ]
 

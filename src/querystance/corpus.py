@@ -22,6 +22,7 @@ from .errors import (
     MalformedCsv,
     MissingColumn,
     UnlabeledRecord,
+    reading_utf8,
 )
 
 EXPECTED_HEADER = ["query_id", "query_text", "sentence_text", "relevance", "stance"]
@@ -57,12 +58,12 @@ class DatasetSplit:
     train_fraction: float
 
 
-def _parse_label(raw: str, allowed: tuple[str, ...], row: int, column: str) -> str | None:
+def _parse_label(raw: str, allowed: tuple[str, ...], path, row: int, column: str) -> str | None:
     value = raw.strip().lower()
     if not value:
         return None
     if value not in allowed:
-        raise BadLabel(row, raw, f"{column} must be one of {allowed}")
+        raise BadLabel(path, row, raw, f"{column} must be one of {allowed}")
     return value
 
 
@@ -73,7 +74,7 @@ def load_dataset(path: str | Path, labeled: bool = False) -> list[SentenceRecord
     Duplicate sentences are kept as distinct records.
     """
     records: list[SentenceRecord] = []
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle, reading_utf8(path):
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -83,32 +84,35 @@ def load_dataset(path: str | Path, labeled: bool = False) -> list[SentenceRecord
             missing = [c for c in EXPECTED_HEADER if c not in header]
             detail = f"missing columns {missing}" if missing else f"unexpected header {header}"
             raise MissingColumn(f"{path}: {detail}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(EXPECTED_HEADER):
-                raise MalformedCsv(row_no, f"expected {len(EXPECTED_HEADER)} fields, got {len(row)}")
-            query_id, query_text, sentence_text, relevance_raw, stance_raw = row
-            query_id = query_id.strip()
-            query_text = query_text.strip()
-            sentence_text = sentence_text.strip()
-            if not query_text:
-                raise EmptyText(row_no, "query_text")
-            if not sentence_text:
-                raise EmptyText(row_no, "sentence_text")
-            relevance = _parse_label(relevance_raw, RELEVANCE_LABELS, row_no, "relevance")
-            stance = _parse_label(stance_raw, STANCE_LABELS, row_no, "stance")
-            if labeled and relevance is None:
-                raise BadLabel(row_no, relevance_raw, "labeled dataset requires a relevance label")
-            if stance is not None and relevance is None:
-                raise BadLabel(row_no, stance_raw, "stance label present without a relevance label")
-            records.append(
-                SentenceRecord(
-                    query_id=query_id,
-                    query_text=query_text,
-                    sentence_text=sentence_text,
-                    relevance=relevance,
-                    stance=stance,
+        try:
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(EXPECTED_HEADER):
+                    raise MalformedCsv(path, row_no, f"expected {len(EXPECTED_HEADER)} fields, got {len(row)}")
+                query_id, query_text, sentence_text, relevance_raw, stance_raw = row
+                query_id = query_id.strip()
+                query_text = query_text.strip()
+                sentence_text = sentence_text.strip()
+                if not query_text:
+                    raise EmptyText(path, row_no, "query_text")
+                if not sentence_text:
+                    raise EmptyText(path, row_no, "sentence_text")
+                relevance = _parse_label(relevance_raw, RELEVANCE_LABELS, path, row_no, "relevance")
+                stance = _parse_label(stance_raw, STANCE_LABELS, path, row_no, "stance")
+                if labeled and relevance is None:
+                    raise BadLabel(path, row_no, relevance_raw, "labeled dataset requires a relevance label")
+                if stance is not None and relevance is None:
+                    raise BadLabel(path, row_no, stance_raw, "stance label present without a relevance label")
+                records.append(
+                    SentenceRecord(
+                        query_id=query_id,
+                        query_text=query_text,
+                        sentence_text=sentence_text,
+                        relevance=relevance,
+                        stance=stance,
+                    )
                 )
-            )
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise MalformedCsv(path, len(records) + 2, str(exc)) from exc
     return records
 
 

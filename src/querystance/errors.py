@@ -2,14 +2,35 @@
 
 Every data or modelling error raised by this package derives from
 :class:`QueryStanceError`, so callers (and the CLI) can catch one type.
-Errors that point at a specific input row carry the 1-based row number.
+An error in an input file starts its message with the file's path;
+one that points at a specific row or line also carries its 1-based
+number.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 
 class QueryStanceError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class NotUtf8(QueryStanceError):
+    """A dataset, lexicon, prediction or config file is not UTF-8 text."""
+
+    def __init__(self, path, exc: UnicodeDecodeError):
+        super().__init__(f"{path}: not UTF-8 text: {exc}")
+        self.path = path
+
+
+@contextlib.contextmanager
+def reading_utf8(path):
+    """Raise NotUtf8 naming ``path`` for a decoding error inside the block."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(path, exc) from exc
 
 
 # --- corpus ---------------------------------------------------------------
@@ -21,17 +42,19 @@ class MissingColumn(QueryStanceError):
 class MalformedCsv(QueryStanceError):
     """A CSV data row could not be parsed."""
 
-    def __init__(self, row: int, message: str):
-        super().__init__(f"row {row}: {message}")
+    def __init__(self, path, row: int, message: str):
+        super().__init__(f"{path}: row {row}: {message}")
+        self.path = path
         self.row = row
 
 
 class BadLabel(QueryStanceError):
     """A label cell holds a value outside its allowed domain."""
 
-    def __init__(self, row: int, value: str, message: str = ""):
+    def __init__(self, path, row: int, value: str, message: str = ""):
         detail = message or "bad label"
-        super().__init__(f"row {row}: {detail}: {value!r}")
+        super().__init__(f"{path}: row {row}: {detail}: {value!r}")
+        self.path = path
         self.row = row
         self.value = value
 
@@ -39,8 +62,9 @@ class BadLabel(QueryStanceError):
 class EmptyText(QueryStanceError):
     """A query or sentence cell is empty after trimming."""
 
-    def __init__(self, row: int, column: str):
-        super().__init__(f"row {row}: empty {column}")
+    def __init__(self, path, row: int, column: str):
+        super().__init__(f"{path}: row {row}: empty {column}")
+        self.path = path
         self.row = row
         self.column = column
 
@@ -58,16 +82,18 @@ class UnlabeledRecord(QueryStanceError):
 class MalformedLine(QueryStanceError):
     """A lexicon line does not have the expected field count."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(f"{path}: line {line_no}: {message}")
+        self.path = path
         self.line_no = line_no
 
 
 class ScoreOutOfRange(QueryStanceError):
     """A sentiment score falls outside [0, 1]."""
 
-    def __init__(self, line_no: int, value: float):
-        super().__init__(f"line {line_no}: score out of range: {value}")
+    def __init__(self, path, line_no: int, value: float):
+        super().__init__(f"{path}: line {line_no}: score out of range: {value}")
+        self.path = path
         self.line_no = line_no
         self.value = value
 

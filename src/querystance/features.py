@@ -7,6 +7,10 @@ Two feature schemas:
 * ``task2-v1``: a TF-IDF bag-of-words block over a fitted vocabulary
   plus positive/negative/neutral word counts and a relevance flag,
   used for stance classification.
+
+The features read analysed text (``textproc.analyse`` or
+``textproc.tokenize`` output), never raw strings, so a caller analyses
+each text once however many features read it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .lexicons import (
     is_noun,
     polarity,
 )
-from .textproc import stem_tokens, tokenize
+from .textproc import Analysis
 
 SCHEMA_TASK1 = "task1-v1"
 SCHEMA_TASK2 = "task2-v1"
@@ -99,25 +103,23 @@ def dice_similarity(query_tokens: Sequence[str], sentence_tokens: Sequence[str])
     return 2.0 * common / (len(query_tokens) + len(sentence_tokens))
 
 
-def feature_exact(query: str, sentence: str) -> float:
-    return dice_similarity(tokenize(query), tokenize(sentence))
+def feature_exact(query: Analysis, sentence: Analysis) -> float:
+    return dice_similarity(query.tokens, sentence.tokens)
 
 
-def feature_stemmed(query: str, sentence: str) -> float:
-    return dice_similarity(stem_tokens(tokenize(query)), stem_tokens(tokenize(sentence)))
+def feature_stemmed(query: Analysis, sentence: Analysis) -> float:
+    return dice_similarity(query.stems, sentence.stems)
 
 
-def feature_noun(query: str, sentence: str, noun_lex: NounLexicon) -> float:
+def feature_noun(query: Analysis, sentence: Analysis, noun_lex: NounLexicon) -> float:
     """Fraction of distinct query nouns that appear in the sentence."""
-    query_nouns = {t for t in tokenize(query) if is_noun(noun_lex, t)}
+    query_nouns = {t for t in query.token_set if is_noun(noun_lex, t)}
     if not query_nouns:
         return 0.0
-    sentence_words = set(tokenize(sentence))
-    matched = query_nouns & sentence_words
-    return len(matched) / len(query_nouns)
+    return len(query_nouns & sentence.token_set) / len(query_nouns)
 
 
-def feature_neighborhood(query: str, sentence: str, gloss_dict: GlossDictionary) -> float:
+def feature_neighborhood(query: Analysis, sentence: Analysis, gloss_dict: GlossDictionary) -> float:
     """Exact matching widened by dictionary glosses.
 
     A sentence word also matches a query word when the first
@@ -126,21 +128,16 @@ def feature_neighborhood(query: str, sentence: str, gloss_dict: GlossDictionary)
     the query, and the final score is clamped to [0, 1] (one sentence
     word may match several query words through its gloss).
     """
-    query_tokens = tokenize(query)
-    sentence_tokens = tokenize(sentence)
-    if not query_tokens and not sentence_tokens:
+    if not query.tokens and not sentence.tokens:
         return 0.0
-    gloss_words = {
-        word: set(gloss_first_k_sentences(gloss_dict, word, GLOSS_SENTENCES))
-        for word in set(sentence_tokens)
-    }
-    common = 0
-    for word, q_count in Counter(query_tokens).items():
-        matched = sum(
-            1 for s_word in sentence_tokens if s_word == word or word in gloss_words[s_word]
-        )
-        common += min(matched, q_count)
-    score = 2.0 * common / (len(query_tokens) + len(sentence_tokens))
+    q_counts = Counter(query.tokens)
+    matched: Counter[str] = Counter()  # query word -> sentence tokens that match it
+    for s_word, s_count in Counter(sentence.tokens).items():
+        gloss = gloss_first_k_sentences(gloss_dict, s_word, GLOSS_SENTENCES)
+        for word in q_counts.keys() & {s_word, *gloss}:
+            matched[word] += s_count
+    common = sum(min(matched[word], q_count) for word, q_count in q_counts.items())
+    score = 2.0 * common / (len(query.tokens) + len(sentence.tokens))
     return min(max(score, 0.0), 1.0)
 
 
@@ -189,16 +186,13 @@ def _cosine(u: dict[int, float], v: dict[int, float]) -> float:
     return dot / (norm_u * norm_v)
 
 
-def feature_cosine(query: str, sentence: str, vocab: VocabularyModel) -> float:
-    return _cosine(
-        tfidf_vector(vocab, tokenize(query)),
-        tfidf_vector(vocab, tokenize(sentence)),
-    )
+def feature_cosine(query: Analysis, sentence: Analysis, vocab: VocabularyModel) -> float:
+    return _cosine(tfidf_vector(vocab, query.tokens), tfidf_vector(vocab, sentence.tokens))
 
 
 def task1_features(
-    query: str,
-    sentence: str,
+    query: Analysis,
+    sentence: Analysis,
     vocab: VocabularyModel,
     gloss_dict: GlossDictionary,
     noun_lex: NounLexicon,
@@ -218,19 +212,21 @@ def task1_features(
 
 
 def task2_features(
-    sentence: str,
+    tokens: Sequence[str],
     relevance_flag: bool,
     vocab_global: VocabularyModel,
     sent_lex: SentimentLexicon,
 ) -> FeatureVector:
-    """TF-IDF block plus sentiment counts and the relevance flag.
+    """TF-IDF block plus sentiment counts and the relevance flag, from
+    one sentence's tokens.
 
     Dimension is vocabulary size + 4; the three counts partition the
     sentence's tokens.
     """
     if vocab_global is None:
         raise VocabNotFitted("task2_features requires a fitted global vocabulary")
-    tokens = tokenize(sentence)
+    if isinstance(tokens, str):  # a str is a sequence too, of characters
+        raise TypeError("task2_features takes a sentence's tokens, not its text")
     block = np.zeros(vocab_global.size + 4, dtype=np.float64)
     for idx, weight in tfidf_vector(vocab_global, tokens).items():
         block[idx] = weight

@@ -1,16 +1,21 @@
 """Word resources: gloss dictionary, sentiment lexicon, noun list.
 
-All three load from plain UTF-8 text files ('#' lines are comments)
-and are immutable after loading, so lookups are thread-safe.
+All three load from plain UTF-8 text files ('#' lines are comments),
+and their entries do not change after loading. The one thing that
+grows is the gloss dictionary's token memo, filled lazily by
+``gloss_first_k_sentences``: it holds only dictionary hits, so it never
+has more entries per ``k`` than the dictionary has terms. Two threads
+filling it at once store equal values, so lookups stay thread-safe.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import MalformedLine, ScoreOutOfRange
+from .errors import MalformedLine, ScoreOutOfRange, reading_utf8
 from .textproc import split_sentences, tokenize
 
 
@@ -22,7 +27,7 @@ class Polarity(enum.Enum):
 
 def _data_lines(path: str | Path):
     """Yield (line_no, line) skipping blank and comment lines."""
-    with open(path, encoding="utf-8-sig") as handle:
+    with open(path, encoding="utf-8-sig") as handle, reading_utf8(path):
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -32,9 +37,17 @@ def _data_lines(path: str | Path):
 
 @dataclass(frozen=True)
 class GlossDictionary:
-    """term -> gloss text; terms lowercase and unique."""
+    """term -> gloss text; terms lowercase and unique.
+
+    ``_tokens`` memoises ``gloss_first_k_sentences``: (term, k) -> the
+    tokens of the term's first k gloss sentences, for terms in
+    ``entries`` only. Equality and repr ignore it.
+    """
 
     entries: dict[str, str] = field(default_factory=dict)
+    _tokens: dict[tuple[str, int], tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -69,24 +82,33 @@ def load_gloss_dictionary(path: str | Path) -> GlossDictionary:
     for line_no, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
-            raise MalformedLine(line_no, f"expected term<TAB>gloss, got {len(fields)} fields")
+            raise MalformedLine(path, line_no, f"expected term<TAB>gloss, got {len(fields)} fields")
         term, gloss = fields
         term = term.strip().lower()
         if not term:
-            raise MalformedLine(line_no, "empty term")
+            raise MalformedLine(path, line_no, "empty term")
         entries[term] = gloss.strip()
     return GlossDictionary(entries=entries)
 
 
-def gloss_first_k_sentences(gloss_dict: GlossDictionary, term: str, k: int) -> list[str]:
-    """Tokens of the first k sentences of a term's gloss; [] on a miss."""
+def gloss_first_k_sentences(gloss_dict: GlossDictionary, term: str, k: int) -> tuple[str, ...]:
+    """Tokens of the first k sentences of a term's gloss; () on a miss.
+
+    A hit is split and tokenized once per dictionary and k, then served
+    from the dictionary's memo. The memo stores interned tokens, so
+    glosses that share words share their strings.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    gloss = gloss_dict.gloss(term)
-    if gloss is None:
-        return []
-    sentences = split_sentences(gloss)[:k]
-    return tokenize(" ".join(sentences))
+    key = (term.lower(), k)
+    tokens = gloss_dict._tokens.get(key)
+    if tokens is None:
+        gloss = gloss_dict.entries.get(key[0])
+        if gloss is None:
+            return ()
+        sentences = split_sentences(gloss)[:k]
+        tokens = gloss_dict._tokens[key] = tuple(map(sys.intern, tokenize(" ".join(sentences))))
+    return tokens
 
 
 def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
@@ -99,17 +121,17 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
     for line_no, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) != 3:
-            raise MalformedLine(line_no, f"expected term<TAB>pos<TAB>neg, got {len(fields)} fields")
+            raise MalformedLine(path, line_no, f"expected term<TAB>pos<TAB>neg, got {len(fields)} fields")
         term = fields[0].strip().lower()
         if not term:
-            raise MalformedLine(line_no, "empty term")
+            raise MalformedLine(path, line_no, "empty term")
         try:
             pos, neg = float(fields[1]), float(fields[2])
         except ValueError as exc:
-            raise MalformedLine(line_no, f"non-numeric score: {exc}") from exc
+            raise MalformedLine(path, line_no, f"non-numeric score: {exc}") from exc
         for score in (pos, neg):
             if not 0.0 <= score <= 1.0:
-                raise ScoreOutOfRange(line_no, score)
+                raise ScoreOutOfRange(path, line_no, score)
         old_pos, old_neg, n = sums.get(term, (0.0, 0.0, 0))
         sums[term] = (old_pos + pos, old_neg + neg, n + 1)
     entries = {term: (p / n, m / n) for term, (p, m, n) in sums.items()}

@@ -48,7 +48,7 @@ from .svm import (
     predict_batch,
     train_multiclass,
 )
-from .textproc import tokenize
+from .textproc import Analysis, analyse, tokenize
 
 RELEVANT = "relevant"
 IRRELEVANT = "irrelevant"
@@ -119,15 +119,9 @@ class TrainedPipeline:
     task2_vocabulary: VocabularyModel | None = None
 
 
-def _sentence_tokens(records: Iterable[SentenceRecord]) -> list[list[str]]:
-    return [tokenize(r.sentence_text) for r in records]
-
-
-def _fit_group_vocabularies(records: Sequence[SentenceRecord]) -> dict[str, VocabularyModel]:
-    return {
-        group.query_id: fit_vocabulary(_sentence_tokens(group.records))
-        for group in group_by_query(records)
-    }
+def _analyse_each(texts: Iterable[str]) -> dict[str, Analysis]:
+    """Each distinct text analysed once; the map lives for one batch call."""
+    return {text: analyse(text) for text in dict.fromkeys(texts)}
 
 
 def _task1_vectors(
@@ -135,16 +129,33 @@ def _task1_vectors(
     vocabularies: dict[str, VocabularyModel],
     lexicons: LexiconSet,
 ):
-    return [
+    """Task-1 vectors of ``records`` and the vocabularies fitted for them.
+
+    A query without an entry in ``vocabularies`` gets one fitted over its
+    sentences in ``records``. Each text is analysed once: the sentences
+    of such queries before the fit, which shares their analyses with the
+    five features, and every other sentence when its row's features are
+    computed, so that a large batch of known queries holds no analyses.
+    """
+    unseen = [r for r in records if r.query_id not in vocabularies]
+    sentences = _analyse_each(r.sentence_text for r in unseen)
+    queries = _analyse_each(r.query_text for r in records)
+    fitted = {
+        group.query_id: fit_vocabulary([sentences[r.sentence_text].tokens for r in group.records])
+        for group in group_by_query(unseen)
+    }
+    vocabularies = {**vocabularies, **fitted}
+    vectors = [
         task1_features(
-            r.query_text,
-            r.sentence_text,
+            queries[r.query_text],
+            sentences.get(r.sentence_text) or analyse(r.sentence_text),
             vocabularies[r.query_id],
             lexicons.gloss,
             lexicons.nouns,
         )
         for r in records
     ]
+    return vectors, fitted
 
 
 def train_task1(
@@ -158,8 +169,7 @@ def train_task1(
         if r.relevance is None:
             raise UnlabeledRecord(f"record for query {r.query_id!r} has no relevance label")
         labels.append(r.relevance)
-    vocabularies = _fit_group_vocabularies(records)
-    vectors = _task1_vectors(records, vocabularies, lexicons)
+    vectors, vocabularies = _task1_vectors(records, {}, lexicons)
     model = train_multiclass(vectors, labels, config.task1)
     return TrainedPipeline(
         config=config,
@@ -179,10 +189,8 @@ def predict_task1(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) 
         raise ValueError("pipeline has no trained task-1 model")
     if not records:
         return []
-    seen = pipeline.task1_vocabularies
-    unseen = [r for r in records if r.query_id not in seen]
-    vocabularies = {**seen, **_fit_group_vocabularies(unseen)}
-    return predict_batch(pipeline.task1_model, _task1_vectors(records, vocabularies, pipeline.lexicons))
+    vectors, _ = _task1_vectors(records, pipeline.task1_vocabularies, pipeline.lexicons)
+    return predict_batch(pipeline.task1_model, vectors)
 
 
 def train_task2(
@@ -205,10 +213,11 @@ def train_task2(
     for r in records:
         if r.stance is None:
             raise MissingStanceLabel(f"record for query {r.query_id!r} has no stance label")
-    vocabulary = fit_vocabulary(_sentence_tokens(records))
+    tokens = [tokenize(r.sentence_text) for r in records]
+    vocabulary = fit_vocabulary(tokens)
     vectors = [
-        task2_features(r.sentence_text, label == RELEVANT, vocabulary, lexicons.sentiment)
-        for r, label in zip(records, task1_labels)
+        task2_features(sentence, label == RELEVANT, vocabulary, lexicons.sentiment)
+        for sentence, label in zip(tokens, task1_labels)
     ]
     stances = [r.stance for r in records]
     if config.stance_classes == TWO_CLASS:
@@ -243,7 +252,7 @@ def predict_task2(
     asked = [i for i, relevance in enumerate(task1_predictions) if not two_class or relevance == RELEVANT]
     vectors = (  # a generator: predict_batch holds a chunk of dense rows at a time
         task2_features(
-            records[i].sentence_text,
+            tokenize(records[i].sentence_text),
             task1_predictions[i] == RELEVANT,
             pipeline.task2_vocabulary,
             pipeline.lexicons.sentiment,

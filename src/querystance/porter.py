@@ -12,6 +12,12 @@ Only lowercase ASCII-alphabetic words are stemmed; anything else
 
 from __future__ import annotations
 
+import functools
+
+# distinct words the stem memo keeps, least recently used first out; a
+# corpus's working vocabulary is a few thousand words
+STEM_CACHE_WORDS = 1 << 15
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -187,11 +193,13 @@ def _step5(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=STEM_CACHE_WORDS)
 def porter_stem(word: str) -> str:
     """Stem one lowercase word.
 
     Words of length <= 2 and words containing anything other than the
-    letters a-z are fixed points.
+    letters a-z are fixed points. A stem depends on the word alone, so
+    results are memoised, for at most STEM_CACHE_WORDS words.
     """
     if len(word) <= 2 or not all("a" <= ch <= "z" for ch in word):
         return word

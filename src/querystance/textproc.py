@@ -1,45 +1,61 @@
-"""Tokenization and sentence splitting.
+"""Tokenization, stemming, sentence splitting and per-text analysis.
 
 Normalization layer for every similarity feature: lowercase word
 tokens, Porter stems, and a deliberately naive sentence splitter used
-only on short dictionary glosses.
+only on short dictionary glosses. ``analyse`` does all of it for one
+text, so that a batch analyses each text once and every feature reads
+the same result.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from typing import NamedTuple
 
 from .porter import porter_stem
 
-__all__ = ["tokenize", "porter_stem", "stem_tokens", "split_sentences"]
+__all__ = ["Analysis", "analyse", "tokenize", "porter_stem", "stem_tokens", "split_sentences"]
 
+# a run of word characters, apostrophes and hyphens; '_' is replaced by a
+# space first, since \w matches it but it does not belong in a token
+_TOKEN = re.compile(r"[\w'-]+")
 # sentence ends at . ! or ? followed by whitespace or end of text
 _SENTENCE_BREAK = re.compile(r"[.!?](?=\s|$)")
+
+
+class Analysis(NamedTuple):
+    """One text, analysed once: its tokens, their stems and its distinct tokens."""
+
+    tokens: tuple[str, ...]
+    stems: tuple[str, ...]
+    token_set: frozenset[str]
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase word tokens, in order, duplicates kept.
 
     Splits on any character that is not a letter, digit, apostrophe or
-    hyphen, then strips apostrophes and hyphens from token edges.
-    Empty input gives an empty list.
+    hyphen (``str.isalnum()`` is ``\\w`` without ``_``), then strips
+    apostrophes and hyphens from token edges. Empty input gives an
+    empty list.
     """
-    tokens = []
-    buf = []
-    for ch in text.lower():
-        if ch.isalnum() or ch in "'-":
-            buf.append(ch)
-        elif buf:
-            tokens.append("".join(buf))
-            buf.clear()
-    if buf:
-        tokens.append("".join(buf))
-    return [stripped for t in tokens if (stripped := t.strip("'-"))]
+    return [t for raw in _TOKEN.findall(text.lower().replace("_", " ")) if (t := raw.strip("'-"))]
 
 
 def stem_tokens(tokens: list[str]) -> list[str]:
     """Elementwise Porter stem; length and order preserved."""
     return [porter_stem(t) for t in tokens]
+
+
+def analyse(text: str) -> Analysis:
+    """Tokens, stems and token set of ``text``.
+
+    Tokens are interned: a word repeated across a batch is one string,
+    shared with the stem memo's key for it.
+    """
+    tokens = list(map(sys.intern, tokenize(text)))
+    return Analysis(tuple(tokens), tuple(stem_tokens(tokens)), frozenset(tokens))
 
 
 def split_sentences(text: str) -> list[str]:

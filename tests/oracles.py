@@ -2,15 +2,115 @@
 
 Each of these recomputes an expected value through a different route
 than the implementation under test: explicit pairing loops for the
-similarity features, and exact active-set enumeration for the SVM
-dual. Keep them dumb and obviously correct.
+similarity features, exact active-set enumeration for the SVM dual,
+and the string-taking feature functions that re-tokenize their inputs
+for every feature, as the package computed them before it analysed
+each text once. Keep them dumb and obviously correct.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
+
+from querystance.features import GLOSS_SENTENCES, _cosine, dice_similarity, tfidf_vector
+from querystance.lexicons import Polarity, is_noun, polarity
+from querystance.porter import porter_stem
+from querystance.textproc import split_sentences
+
+
+def tokenize_reference(text: str) -> list[str]:
+    """Character loop: letters, digits, apostrophes and hyphens build a token,
+    anything else ends it; apostrophes and hyphens are stripped from the edges."""
+    tokens = []
+    buf = []
+    for ch in text.lower():
+        if ch.isalnum() or ch in "'-":
+            buf.append(ch)
+        elif buf:
+            tokens.append("".join(buf))
+            buf.clear()
+    if buf:
+        tokens.append("".join(buf))
+    return [stripped for t in tokens if (stripped := t.strip("'-"))]
+
+
+def gloss_tokens_reference(gloss_dict, term: str, k: int) -> list[str]:
+    """Tokens of a term's first k gloss sentences, split afresh on every call."""
+    gloss = gloss_dict.entries.get(term.lower())
+    if gloss is None:
+        return []
+    return tokenize_reference(" ".join(split_sentences(gloss)[:k]))
+
+
+def feature_exact_reference(query: str, sentence: str) -> float:
+    return dice_similarity(tokenize_reference(query), tokenize_reference(sentence))
+
+
+def feature_stemmed_reference(query: str, sentence: str) -> float:
+    return dice_similarity(
+        [porter_stem(t) for t in tokenize_reference(query)],
+        [porter_stem(t) for t in tokenize_reference(sentence)],
+    )
+
+
+def feature_noun_reference(query: str, sentence: str, noun_lex) -> float:
+    query_nouns = {t for t in tokenize_reference(query) if is_noun(noun_lex, t)}
+    if not query_nouns:
+        return 0.0
+    return len(query_nouns & set(tokenize_reference(sentence))) / len(query_nouns)
+
+
+def feature_neighborhood_reference(query: str, sentence: str, gloss_dict) -> float:
+    """Per distinct query word, count the sentence tokens equal to it or whose
+    gloss mentions it, capped at the word's query count."""
+    query_tokens = tokenize_reference(query)
+    sentence_tokens = tokenize_reference(sentence)
+    if not query_tokens and not sentence_tokens:
+        return 0.0
+    common = 0
+    for word, q_count in Counter(query_tokens).items():
+        matched = sum(
+            1 for s_word in sentence_tokens
+            if s_word == word or word in gloss_tokens_reference(gloss_dict, s_word, GLOSS_SENTENCES)
+        )
+        common += min(matched, q_count)
+    return min(max(2.0 * common / (len(query_tokens) + len(sentence_tokens)), 0.0), 1.0)
+
+
+def feature_cosine_reference(query: str, sentence: str, vocab) -> float:
+    return _cosine(
+        tfidf_vector(vocab, tokenize_reference(query)),
+        tfidf_vector(vocab, tokenize_reference(sentence)),
+    )
+
+
+def task1_features_reference(query: str, sentence: str, vocab, gloss_dict, noun_lex) -> np.ndarray:
+    return np.array([
+        feature_exact_reference(query, sentence),
+        feature_stemmed_reference(query, sentence),
+        feature_noun_reference(query, sentence, noun_lex),
+        feature_neighborhood_reference(query, sentence, gloss_dict),
+        feature_cosine_reference(query, sentence, vocab),
+    ])
+
+
+def task2_features_reference(sentence: str, relevance_flag: bool, vocab, sent_lex) -> np.ndarray:
+    tokens = tokenize_reference(sentence)
+    block = np.zeros(vocab.size + 4)
+    for term, count in Counter(tokens).items():
+        idx = vocab.index_of(term)
+        if idx is not None:
+            block[idx] = (count / len(tokens)) * math.log(vocab.n_docs / vocab.df[idx])
+    counts = Counter(polarity(sent_lex, t) for t in tokens)
+    block[-4:] = (
+        counts[Polarity.POSITIVE], counts[Polarity.NEGATIVE], counts[Polarity.NEUTRAL],
+        1.0 if relevance_flag else 0.0,
+    )
+    return block
 
 
 def dice_bruteforce(query_tokens, sentence_tokens) -> float:

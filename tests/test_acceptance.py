@@ -32,6 +32,7 @@ from querystance.pipeline import (
 )
 from querystance.porter import porter_stem
 from querystance.svm import _gram, dual_objective, train_binary
+from querystance.textproc import analyse
 
 from oracles import dice_bruteforce, noun_bruteforce, solve_dual_bruteforce
 from svm_fixtures import fixture_instances, kkt_satisfied
@@ -76,7 +77,7 @@ def test_criterion_3_noun_oracle():
         lex = NounLexicon(entries=nouns)
         q_tokens = [rng.choice(WORD_POOL) for _ in range(rng.randrange(0, 10))]
         s_tokens = [rng.choice(WORD_POOL) for _ in range(rng.randrange(0, 10))]
-        got = feature_noun(" ".join(q_tokens), " ".join(s_tokens), lex)
+        got = feature_noun(analyse(" ".join(q_tokens)), analyse(" ".join(s_tokens)), lex)
         assert got == noun_bruteforce(q_tokens, s_tokens, nouns)
     _report(3, "500 random triples match brute-force set arithmetic exactly")
 
@@ -118,10 +119,10 @@ def test_criterion_6_tfidf_cosine():
     # sun appears in 2 of 3 docs; a term in every doc weighs exactly 0
     everywhere = fit_vocabulary([["a", "b"], ["a", "c"]])
     assert tfidf_vector(everywhere, ["a"]).get(everywhere.index_of("a"), 0.0) == 0.0
-    assert feature_cosine("sun cancer", "sun cancer", vocab) == pytest.approx(1.0, abs=1e-12)
+    assert feature_cosine(analyse("sun cancer"), analyse("sun cancer"), vocab) == pytest.approx(1.0, abs=1e-12)
     import math
 
-    got = feature_cosine("sun cancer", "sun causes cancer", vocab)
+    got = feature_cosine(analyse("sun cancer"), analyse("sun causes cancer"), vocab)
     l2, l3 = math.log(3 / 2), math.log(3.0)
     expected = math.sqrt(2) * l2 / math.sqrt(2 * l2 * l2 + l3 * l3)
     assert got == pytest.approx(expected, abs=1e-12)

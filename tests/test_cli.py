@@ -122,6 +122,43 @@ class TestTrain:
         assert manifest["config"] == {"task": 1, **expected}
 
 
+HEADER = b"query_id,query_text,sentence_text,relevance,stance\n"
+
+# a broken input file: (the role it replaces, its bytes); the command that reads it
+# fails with exit 1, naming the file
+BAD_INPUTS = {
+    "gloss line without a tab": ("gloss", b"espresso a strong coffee\n"),
+    "sentiment score out of range": ("sentiment", b"good\t1.5\t0.0\n"),
+    "dataset row with a missing field": ("train", HEADER + b"q,does coffee help,coffee helps,relevant\n"),
+    "dataset label outside its domain": ("train", HEADER + b"q,does coffee help,coffee helps,maybe,\n"),
+    "dataset empty sentence": ("train", HEADER + b"q,does coffee help,  ,relevant,support\n"),
+    "dataset field over the csv size limit": ("train", HEADER + b"q,t," + b"x" * 200_000 + b",relevant,\n"),
+    "lexicon not UTF-8": ("nouns", b"coffee\n\xff\xfe\n"),
+    "dataset not UTF-8": ("train", HEADER + b"q,does coffee help,caf\xe9 helps,relevant,support\n"),
+    "prediction CSV not UTF-8": ("pred", HEADER[:-1] + b",predicted_relevance\nq,t,s,,,\xff\n"),
+    "config file not UTF-8": ("config", b"gamma=0.5\n\xff\n"),
+}
+
+
+class TestInputFileErrorsNameTheFile:
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_exit_1_naming_file(self, workspace, trained_models, tmp_path, capsys, case):
+        role, content = BAD_INPUTS[case]
+        bad = tmp_path / f"bad_{role}.input"
+        bad.write_bytes(content)
+        if role == "pred":
+            args = ["evaluate", "--gold", str(workspace["train"]), "--pred", str(bad)]
+        elif role == "config":
+            args = train_args(workspace, 1, tmp_path / "m.json", "--config", str(bad))
+        else:
+            task = 2 if role == "sentiment" else 1
+            args = train_args(workspace, task, tmp_path / "m.json")
+            args[args.index(f"--{'data' if role == 'train' else role}") + 1] = str(bad)
+        assert main(args) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {bad}: "), last
+
+
 def _set(*path_and_value):
     """Mutation that sets one field of a task-2 document, by key/index path."""
     *path, key, value = path_and_value

@@ -1,10 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from querystance import pipeline
 from querystance.errors import EmptyCorpus, VocabNotFitted
 from querystance.features import (
     SCHEMA_TASK1,
@@ -21,8 +23,16 @@ from querystance.features import (
     tfidf_vector,
 )
 from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon
+from querystance.textproc import analyse as A, tokenize
 
-from oracles import cosine_bruteforce, dice_bruteforce, noun_bruteforce
+from oracles import (
+    cosine_bruteforce,
+    dice_bruteforce,
+    noun_bruteforce,
+    task1_features_reference,
+    task2_features_reference,
+)
+from synth import GLOSSES
 
 WORDS = ["sun", "cancer", "skin", "cause", "is", "a", "the", "cell", "risk", "study"]
 
@@ -72,27 +82,27 @@ class TestDiceSimilarity:
 
 class TestExactAndStemmed:
     def test_exact_worked_example(self):
-        assert feature_exact("Ram is a good boy", "Shyam is a bad boy") == 0.6
+        assert feature_exact(A("Ram is a good boy"), A("Shyam is a bad boy")) == 0.6
 
     def test_exact_self(self):
-        assert feature_exact("any query here", "any query here") == 1.0
+        assert feature_exact(A("any query here"), A("any query here")) == 1.0
 
     def test_exact_empty_sentence(self):
-        assert feature_exact("query", "") == 0.0
+        assert feature_exact(A("query"), A("")) == 0.0
 
     def test_stemmed_collapses_inflection(self):
-        assert feature_stemmed("mango", "mangoes") == 1.0
-        assert feature_exact("mango", "mangoes") == 0.0
+        assert feature_stemmed(A("mango"), A("mangoes")) == 1.0
+        assert feature_exact(A("mango"), A("mangoes")) == 0.0
 
     def test_stemmed_empty(self):
-        assert feature_stemmed("", "") == 0.0
+        assert feature_stemmed(A(""), A("")) == 0.0
 
     def test_stemmed_rarely_below_exact(self, synthetic_records):
         rng = random.Random(5)
         pairs = [(rng.choice(synthetic_records), rng.choice(synthetic_records)) for _ in range(200)]
         below = sum(
-            feature_stemmed(a.query_text, b.sentence_text)
-            < feature_exact(a.query_text, b.sentence_text)
+            feature_stemmed(A(a.query_text), A(b.sentence_text))
+            < feature_exact(A(a.query_text), A(b.sentence_text))
             for a, b in pairs
         )
         assert below / len(pairs) < 0.05
@@ -102,14 +112,14 @@ class TestNounFeature:
     LEX = NounLexicon(entries=frozenset({"sun", "exposure", "cancer", "skin"}))
 
     def test_one_of_three(self):
-        value = feature_noun("sun exposure cancer", "cancer ward stories", self.LEX)
+        value = feature_noun(A("sun exposure cancer"), A("cancer ward stories"), self.LEX)
         assert value == pytest.approx(1 / 3)
 
     def test_no_query_nouns(self):
-        assert feature_noun("is a the", "cancer", self.LEX) == 0.0
+        assert feature_noun(A("is a the"), A("cancer"), self.LEX) == 0.0
 
     def test_all_present(self):
-        assert feature_noun("sun cancer", "cancer under the sun", self.LEX) == 1.0
+        assert feature_noun(A("sun cancer"), A("cancer under the sun"), self.LEX) == 1.0
 
     def test_matches_bruteforce(self):
         rng = random.Random(23)
@@ -119,7 +129,7 @@ class TestNounFeature:
             q = " ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8)))
             s = " ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8)))
             expected = noun_bruteforce(q.split(), s.split(), nouns)
-            assert feature_noun(q, s, lex) == pytest.approx(expected, abs=1e-15)
+            assert feature_noun(A(q), A(s), lex) == pytest.approx(expected, abs=1e-15)
 
 
 class TestNeighborhoodFeature:
@@ -132,8 +142,8 @@ class TestNeighborhoodFeature:
     def test_gloss_widens_match(self):
         # "melanoma" is not in the query, but its gloss mentions "cancer"
         query = "skin cancer risks factor now"
-        with_gloss = feature_neighborhood(query, "melanoma risks", self.GLOSS)
-        without = feature_exact(query, "melanoma risks")
+        with_gloss = feature_neighborhood(A(query), A("melanoma risks"), self.GLOSS)
+        without = feature_exact(A(query), A("melanoma risks"))
         assert with_gloss > without
         # "risks" matches exactly; "melanoma" matches "skin" and "cancer"
         # via its gloss: common = 3 over lengths 5 + 2
@@ -145,18 +155,18 @@ class TestNeighborhoodFeature:
         for _ in range(200):
             q = " ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8)))
             s = " ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8)))
-            assert feature_neighborhood(q, s, empty) == pytest.approx(feature_exact(q, s))
+            assert feature_neighborhood(A(q), A(s), empty) == pytest.approx(feature_exact(A(q), A(s)))
 
     def test_never_below_exact(self):
         rng = random.Random(9)
         for _ in range(200):
             q = " ".join(rng.choice(WORDS + ["melanoma"]) for _ in range(rng.randrange(0, 8)))
             s = " ".join(rng.choice(WORDS + ["melanoma"]) for _ in range(rng.randrange(0, 8)))
-            assert feature_neighborhood(q, s, self.GLOSS) >= feature_exact(q, s) - 1e-15
+            assert feature_neighborhood(A(q), A(s), self.GLOSS) >= feature_exact(A(q), A(s)) - 1e-15
 
     def test_clamped_to_unit_interval(self):
         # one sentence word matching two query words can inflate the count
-        value = feature_neighborhood("skin cancer", "melanoma", self.GLOSS)
+        value = feature_neighborhood(A("skin cancer"), A("melanoma"), self.GLOSS)
         assert value == 1.0
 
 
@@ -220,19 +230,19 @@ class TestCosine:
 
     def test_identical_vectors(self):
         vocab = fit_vocabulary(self.CORPUS)
-        assert feature_cosine("sun cancer", "sun cancer", vocab) == pytest.approx(1.0, abs=1e-12)
+        assert feature_cosine(A("sun cancer"), A("sun cancer"), vocab) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_support(self):
         vocab = fit_vocabulary(self.CORPUS)
-        assert feature_cosine("bright is", "cancer research", vocab) == 0.0
+        assert feature_cosine(A("bright is"), A("cancer research"), vocab) == 0.0
 
     def test_zero_norm_query(self):
         vocab = fit_vocabulary(self.CORPUS)
-        assert feature_cosine("unknownword", "sun cancer", vocab) == 0.0
+        assert feature_cosine(A("unknownword"), A("sun cancer"), vocab) == 0.0
 
     def test_hand_arithmetic(self):
         vocab = fit_vocabulary(self.CORPUS)
-        got = feature_cosine("sun cancer", "sun causes cancer", vocab)
+        got = feature_cosine(A("sun cancer"), A("sun causes cancer"), vocab)
         l2, l3 = math.log(3 / 2), math.log(3.0)
         expected = math.sqrt(2) * l2 / math.sqrt(2 * l2 * l2 + l3 * l3)
         assert got == pytest.approx(expected, abs=1e-12)
@@ -241,7 +251,7 @@ class TestCosine:
         vocab = fit_vocabulary(self.CORPUS)
         u = tfidf_vector(vocab, ["sun", "cancer"])
         v = tfidf_vector(vocab, ["sun", "causes", "cancer"])
-        assert feature_cosine("sun cancer", "sun causes cancer", vocab) == pytest.approx(
+        assert feature_cosine(A("sun cancer"), A("sun causes cancer"), vocab) == pytest.approx(
             cosine_bruteforce(u, v), abs=1e-12
         )
 
@@ -252,19 +262,19 @@ class TestTask1Vector:
 
     def test_self_pair(self):
         vocab = fit_vocabulary([["sun", "cancer", "risk"], ["bright", "day"]])
-        fv = task1_features("sun cancer risk", "sun cancer risk", vocab, self.GLOSS, self.LEX)
+        fv = task1_features(A("sun cancer risk"), A("sun cancer risk"), vocab, self.GLOSS, self.LEX)
         assert fv.schema_id == SCHEMA_TASK1
         assert fv.dims == 5
         np.testing.assert_allclose(fv.values, [1.0, 1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
     def test_self_pair_without_nouns(self):
         vocab = fit_vocabulary([["nothing", "here"], ["sun", "up"]])
-        fv = task1_features("nothing here", "nothing here", vocab, self.GLOSS, self.LEX)
+        fv = task1_features(A("nothing here"), A("nothing here"), vocab, self.GLOSS, self.LEX)
         assert fv.values[2] == 0.0
 
     def test_unrelated_pair_mostly_zero(self):
         vocab = fit_vocabulary([["sun", "cancer"], ["violin", "pottery"]])
-        fv = task1_features("sun cancer", "violin pottery", vocab, self.GLOSS, self.LEX)
+        fv = task1_features(A("sun cancer"), A("violin pottery"), vocab, self.GLOSS, self.LEX)
         np.testing.assert_allclose(fv.values, np.zeros(5), atol=1e-12)
 
     def test_components_in_unit_interval(self, synthetic_records, synthetic_lexicons):
@@ -275,7 +285,7 @@ class TestTask1Vector:
         for _ in range(1000):
             a, b = rng.choice(synthetic_records), rng.choice(synthetic_records)
             fv = task1_features(
-                a.query_text, b.sentence_text, vocab,
+                A(a.query_text), A(b.sentence_text), vocab,
                 synthetic_lexicons.gloss, synthetic_lexicons.nouns,
             )
             assert np.all(fv.values >= 0.0) and np.all(fv.values <= 1.0)
@@ -286,36 +296,82 @@ class TestTask2Vector:
 
     def test_sentiment_counts(self):
         vocab = fit_vocabulary([["good", "day"], ["bad", "day"]])
-        fv = task2_features("good good bad", True, vocab, self.LEX)
+        fv = task2_features(tokenize("good good bad"), True, vocab, self.LEX)
         assert fv.schema_id == SCHEMA_TASK2
         assert fv.dims == vocab.size + 4
         assert tuple(fv.values[-4:]) == (2.0, 1.0, 0.0, 1.0)
 
     def test_empty_sentence(self):
         vocab = fit_vocabulary([["good"]])
-        fv = task2_features("", False, vocab, self.LEX)
+        fv = task2_features([], False, vocab, self.LEX)
         assert not fv.values.any()
 
     def test_relevance_flag(self):
         vocab = fit_vocabulary([["good"]])
-        assert task2_features("x", True, vocab, self.LEX).values[-1] == 1.0
-        assert task2_features("x", False, vocab, self.LEX).values[-1] == 0.0
+        assert task2_features(["x"], True, vocab, self.LEX).values[-1] == 1.0
+        assert task2_features(["x"], False, vocab, self.LEX).values[-1] == 0.0
 
     def test_unfitted_vocab(self):
         with pytest.raises(VocabNotFitted):
-            task2_features("x", True, None, self.LEX)
+            task2_features(["x"], True, None, self.LEX)
+
+    def test_text_instead_of_tokens_rejected(self):
+        with pytest.raises(TypeError):
+            task2_features("good day", True, fit_vocabulary([["good"]]), self.LEX)
 
     @given(st.lists(st.sampled_from(["good", "bad", "day", "sun"]), max_size=15))
     def test_counts_partition_tokens(self, words):
         vocab = fit_vocabulary([["good", "bad", "day"]])
         sentence = " ".join(words)
-        fv = task2_features(sentence, True, vocab, self.LEX)
+        fv = task2_features(tokenize(sentence), True, vocab, self.LEX)
         assert fv.values[-4] + fv.values[-3] + fv.values[-2] == len(words)
 
     def test_dimension_constant_across_sentences(self, synthetic_records, synthetic_lexicons):
         vocab = fit_vocabulary([r.sentence_text.split() for r in synthetic_records])
         dims = {
-            task2_features(r.sentence_text, True, vocab, synthetic_lexicons.sentiment).dims
+            task2_features(tokenize(r.sentence_text), True, vocab, synthetic_lexicons.sentiment).dims
             for r in synthetic_records[:20]
         }
         assert dims == {vocab.size + 4}
+
+
+class TestAnalysedPathEqualsStringOracles:
+    """Analysing each text once gives the values that re-tokenizing each text
+    in every feature gave, bit for bit."""
+
+    # gloss terms stand in for the query nouns their glosses mention
+    SYNONYMS = {"coffee": "espresso", "sleep": "insomnia", "pain": "backache", "soda": "cola"}
+
+    @pytest.fixture(scope="class")
+    def records(self, synthetic_records):
+        assert set(self.SYNONYMS.values()) <= set(GLOSSES)
+        swapped = [
+            replace(r, sentence_text=" ".join(self.SYNONYMS.get(w, w) for w in r.sentence_text.split()))
+            for r in synthetic_records
+        ]
+        odd = [
+            replace(r, sentence_text="Espresso's -- COFFEE_time, 'cola' x² ½ İnsomnia!")
+            for r in synthetic_records[::40]
+        ]
+        return synthetic_records + swapped + odd
+
+    def test_task1(self, records, synthetic_lexicons):
+        lex = synthetic_lexicons
+        vectors, vocabularies = pipeline._task1_vectors(records, {}, lex)
+        got = np.array([v.values for v in vectors])
+        expected = np.array([
+            task1_features_reference(
+                r.query_text, r.sentence_text, vocabularies[r.query_id], lex.gloss, lex.nouns
+            )
+            for r in records
+        ])
+        assert np.array_equal(got, expected)
+        assert np.any(got[:, 3] > got[:, 0])  # some gloss hit widens a match
+
+    def test_task2(self, records, synthetic_lexicons):
+        vocab = fit_vocabulary([tokenize(r.sentence_text) for r in records])
+        sentiment = synthetic_lexicons.sentiment
+        for i, r in enumerate(records):
+            flag = i % 2 == 0
+            got = task2_features(tokenize(r.sentence_text), flag, vocab, sentiment).values
+            assert np.array_equal(got, task2_features_reference(r.sentence_text, flag, vocab, sentiment))

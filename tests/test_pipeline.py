@@ -27,6 +27,7 @@ from querystance.pipeline import (
 )
 from querystance.features import task2_features
 from querystance.svm import KernelConfig, SvmConfig, decision_values
+from querystance.textproc import tokenize
 
 from synth import make_records
 
@@ -325,9 +326,11 @@ class TestPersistence:
         relevance = predict_task1(trained, records)
         assert predict_task1(loaded, records) == relevance
         assert predict_task2(loaded, records, relevance) == predict_task2(trained, records, relevance)
-        task1_rows = pipeline_module._task1_vectors(records, trained.task1_vocabularies, trained.lexicons)
+        task1_rows, _ = pipeline_module._task1_vectors(records, trained.task1_vocabularies, trained.lexicons)
         task2_rows = [
-            task2_features(r.sentence_text, label == "relevant", trained.task2_vocabulary, trained.lexicons.sentiment)
+            task2_features(
+                tokenize(r.sentence_text), label == "relevant", trained.task2_vocabulary, trained.lexicons.sentiment
+            )
             for r, label in zip(records, relevance)
         ]
         for model, other, rows in (

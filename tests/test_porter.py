@@ -88,3 +88,14 @@ class TestProperties:
             assert once == reference_stem(word)
             assert twice == reference_stem(once)
         assert len(exceptions) <= 5, exceptions
+
+
+class TestMemo:
+    def test_bounded(self):
+        info = porter_stem.cache_info()
+        assert info.maxsize is not None and 0 < info.maxsize < 1 << 20
+        assert info.currsize <= info.maxsize
+
+    def test_memoised_equals_unmemoised(self, porter_pairs):
+        for word, _ in porter_pairs[:2000]:
+            assert porter_stem(word) == porter_stem(word) == porter_stem.__wrapped__(word)

@@ -1,8 +1,11 @@
 import string
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from querystance.textproc import split_sentences, stem_tokens, tokenize
+from querystance.porter import porter_stem
+from querystance.textproc import analyse, split_sentences, stem_tokens, tokenize
+
+from oracles import tokenize_reference
 
 
 class TestTokenize:
@@ -23,6 +26,18 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tokenize("vitamin C12 daily") == ["vitamin", "c12", "daily"]
+
+    @given(st.text())
+    @example("İstanbul")  # lowercases to i + combining dot above, which ends a token
+    @example("Straße")
+    @example("cafe\u0301 na\u0308ive")  # combining marks are not alphanumeric
+    @example("½ cup")
+    @example("x² + y²")
+    @example("snake_case __init__")
+    @example("--x--")
+    @example("'a'")
+    def test_equals_character_loop(self, text):
+        assert tokenize(text) == tokenize_reference(text)
 
     @given(st.text(max_size=200))
     def test_idempotent_on_joined_output(self, text):
@@ -47,6 +62,24 @@ class TestStemTokens:
     def test_length_preserved(self):
         tokens = tokenize("studies show running helps dramatically")
         assert len(stem_tokens(tokens)) == len(tokens)
+
+
+class TestAnalyse:
+    def test_fields(self):
+        a = analyse("Mangoes and MANGOES, studies")
+        assert a.tokens == ("mangoes", "and", "mangoes", "studies")
+        assert a.stems == ("mango", "and", "mango", "studi")
+        assert a.token_set == frozenset({"mangoes", "and", "studies"})
+
+    def test_empty(self):
+        assert analyse("") == ((), (), frozenset())
+
+    @given(st.text(max_size=200))
+    def test_matches_tokenize_and_stem(self, text):
+        a = analyse(text)
+        assert list(a.tokens) == tokenize(text)
+        assert list(a.stems) == [porter_stem(t) for t in a.tokens]
+        assert a.token_set == set(a.tokens)
 
 
 class TestSplitSentences:
