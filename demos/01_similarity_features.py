@@ -73,8 +73,9 @@ print("\ntf-idf cosine")
 for s, a in zip(SENTENCES, sentences):
     print(f"  {feature_cosine(query, a, vocab):.3f}  {s}")
 
-# all five at once, in the order the relevance classifier consumes them
-print("\nfull feature vectors [exact, stemmed, noun, neighborhood, cosine]")
-for s, a in zip(SENTENCES, sentences):
-    fv = task1_features(query, a, vocab, gloss, nouns)
-    print("  [" + ", ".join(f"{v:.3f}" for v in fv.values) + f"]  {s}")
+# all five at once, in the order the relevance classifier consumes them:
+# one batch of (query, sentence, vocabulary) triples gives one matrix, a row per sentence
+batch = task1_features([(query, a, vocab) for a in sentences], gloss, nouns)
+print(f"\nfeature batch of shape {batch.values.shape} [exact, stemmed, noun, neighborhood, cosine]")
+for s, row in zip(SENTENCES, batch.values):
+    print("  [" + ", ".join(f"{v:.3f}" for v in row) + f"]  {s}")

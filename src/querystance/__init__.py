@@ -16,7 +16,7 @@ from .corpus import (
     split_train_dev,
 )
 from .features import (
-    FeatureVector,
+    FeatureBatch,
     VocabularyModel,
     dice_similarity,
     feature_cosine,

@@ -50,18 +50,18 @@ def _parse_bool(raw: str) -> bool:
     raise QueryStanceError(f"expected a boolean, got {raw!r}")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """key=value lines; '#' comments and blank lines ignored."""
-    values: dict[str, str] = {}
+def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """key=value lines as key -> (line number, value); '#' comments and blank lines ignored."""
+    values: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8") as handle, reading_utf8(path):
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise QueryStanceError(f"{path}:{line_no}: expected key=value, got {line!r}")
+                raise QueryStanceError(f"{path}: line {line_no}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            values[key.strip().replace("-", "_")] = (line_no, value.strip())
     return values
 
 
@@ -76,10 +76,13 @@ class Settings:
         value = getattr(self.args, name, None)
         if value is not None:
             return value
-        if name in self.file_values:
-            raw = self.file_values[name]
+        if name not in self.file_values:
+            return default
+        line_no, raw = self.file_values[name]
+        try:
             return convert(raw) if convert else raw
-        return default
+        except (QueryStanceError, ValueError) as exc:
+            raise QueryStanceError(f"{self.args.config}: line {line_no}: {name}: {exc}") from exc
 
 
 # flag or config-file key -> dataclass field, for the trained task's SvmConfig,
@@ -145,6 +148,14 @@ def _require(settings: Settings, name: str) -> str:
 
 class UsageError(Exception):
     pass
+
+
+def _labels(records, column: str, path: str, purpose: str) -> list[str]:
+    """Each record's ``column`` label; QueryStanceError names the first row without one."""
+    labels = [getattr(r, column) for r in records]
+    if None in labels:
+        raise QueryStanceError(f"{path}: row {labels.index(None) + 2}: no {column} label, needed for {purpose}")
+    return labels
 
 
 # --- manifest ---------------------------------------------------------------
@@ -239,13 +250,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if 1 in tasks:
         relevance = columns["predicted_relevance"] = predict_task1(pipeline, records)
     else:  # standalone task-2 model: relevance flags come from the dataset
-        missing = [i for i, r in enumerate(records) if r.relevance is None]
-        if missing:
-            raise QueryStanceError(
-                "standalone task-2 prediction needs a relevance column; "
-                f"first unlabeled row: {missing[0] + 2}"
-            )
-        relevance = [r.relevance for r in records]
+        relevance = _labels(records, "relevance", data_path, "standalone task-2 prediction")
     if 2 in tasks:
         columns["predicted_stance"] = predict_task2(pipeline, records, relevance)
 
@@ -283,10 +288,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pred_path = _require(settings, "pred")
     column = args.column
     gold_records = load_dataset(gold_path, labeled=False)
-    gold = [getattr(r, column) for r in gold_records]
-    for i, value in enumerate(gold):
-        if value is None:
-            raise QueryStanceError(f"{gold_path}: row {i + 2} has no {column} label")
+    gold = _labels(gold_records, column, gold_path, "evaluation")
 
     predicted_column = f"predicted_{column}"
     with open(pred_path, encoding="utf-8-sig", newline="") as handle, reading_utf8(pred_path):
@@ -301,8 +303,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for i, (record, row) in enumerate(zip(gold_records, pred_rows)):
         if "query_id" in row and row["query_id"] != record.query_id:
             raise AlignmentError(
-                f"row {i + 2}: gold query_id {record.query_id!r} "
-                f"vs prediction query_id {row['query_id']!r}"
+                f"{pred_path}: row {i + 2}: prediction query_id {row['query_id']!r} "
+                f"vs gold query_id {record.query_id!r}"
             )
     predictions = [row[predicted_column] for row in pred_rows]
     report = evaluate(gold, predictions, [r.query_id for r in gold_records])
@@ -334,7 +336,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         lexicons = _load_lexicons(settings, 1)
         header_comment = f"# schema_id={SCHEMA_TASK1}"
         names = list(TASK1_FEATURE_NAMES)
-        vectors, _ = _task1_vectors(records, {}, lexicons)
+        batch, _ = _task1_vectors(records, {}, lexicons)
     else:
         lexicons = _load_lexicons(settings, 2)
         model_path = _require(settings, "model")
@@ -342,25 +344,19 @@ def cmd_features(args: argparse.Namespace) -> int:
         vocab = pipeline.task2_vocabulary
         if vocab is None:
             raise QueryStanceError(f"{model_path}: not a task-2 model file")
-        for i, r in enumerate(records):
-            if r.relevance is None:
-                raise QueryStanceError(
-                    f"{data_path}: row {i + 2} has no relevance label for the task-2 flag"
-                )
+        relevance = _labels(records, "relevance", data_path, "the task-2 relevance flag")
         header_comment = f"# schema_id={SCHEMA_TASK2} n_vocab={vocab.size}"
         names = [f"tf:{term}" for term in vocab.terms]
         names += ["positive_count", "negative_count", "neutral_count", "relevance_flag"]
-        vectors = [
-            task2_features(tokenize(r.sentence_text), r.relevance == RELEVANT, vocab, lexicons.sentiment)
-            for r in records
-        ]
+        sentences = [tokenize(r.sentence_text) for r in records]
+        batch = task2_features(sentences, [label == RELEVANT for label in relevance], vocab, lexicons.sentiment)
 
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(header_comment + "\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["query_id", "row"] + names)
-        for i, (record, vector) in enumerate(zip(records, vectors)):
-            writer.writerow([record.query_id, i] + [repr(v) for v in vector.values.tolist()])
+        for i, (record, row) in enumerate(zip(records, batch.values.tolist())):
+            writer.writerow([record.query_id, i] + [repr(v) for v in row])
     inputs = {"data": data_path}
     for name in ("gloss", "nouns", "sentiment", "model"):
         value = settings.get(name, None)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,20 +43,20 @@ GLOSS_SENTENCES = 3
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Dense feature values plus the schema they were computed under."""
+class FeatureBatch:
+    """A batch's feature rows as one (rows, dims) float64 matrix, and their schema."""
 
     values: np.ndarray
     schema_id: str
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1:
-            raise ValueError("feature values must be a 1-D vector")
+        if self.values.ndim != 2:
+            raise ValueError("feature values must be a (rows, dims) matrix")
 
     @property
     def dims(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.values.shape[1])
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class VocabularyModel:
 
     A "document" is one sentence; df(t) counts sentences containing t
     at least once. Term order is fixed at fit time and travels with
-    serialized models.
+    serialized models. Each term's IDF, ln(n_docs/df), is computed once.
     """
 
     terms: tuple[str, ...]
@@ -80,6 +80,7 @@ class VocabularyModel:
         object.__setattr__(
             self, "_index", {term: i for i, term in enumerate(self.terms)}
         )
+        object.__setattr__(self, "_idf", tuple(math.log(self.n_docs / df) for df in self.df))
 
     @property
     def size(self) -> int:
@@ -173,7 +174,7 @@ def tfidf_vector(vocab: VocabularyModel, tokens: Sequence[str]) -> dict[int, flo
         idx = vocab.index_of(term)
         if idx is None:
             continue
-        weights[idx] = (count / total) * math.log(vocab.n_docs / vocab.df[idx])
+        weights[idx] = (count / total) * vocab._idf[idx]
     return weights
 
 
@@ -186,53 +187,67 @@ def _cosine(u: dict[int, float], v: dict[int, float]) -> float:
     return dot / (norm_u * norm_v)
 
 
-def feature_cosine(query: Analysis, sentence: Analysis, vocab: VocabularyModel) -> float:
-    return _cosine(tfidf_vector(vocab, query.tokens), tfidf_vector(vocab, sentence.tokens))
-
-
-def task1_features(
+def feature_cosine(
     query: Analysis,
     sentence: Analysis,
     vocab: VocabularyModel,
+    query_weights: dict[int, float] | None = None,
+) -> float:
+    """TF-IDF cosine of query and sentence; ``query_weights`` is the query's
+    ``tfidf_vector``, when the caller already has it."""
+    if query_weights is None:
+        query_weights = tfidf_vector(vocab, query.tokens)
+    return _cosine(query_weights, tfidf_vector(vocab, sentence.tokens))
+
+
+def task1_features(
+    triples: Iterable[tuple[Analysis, Analysis, VocabularyModel]],
     gloss_dict: GlossDictionary,
     noun_lex: NounLexicon,
-) -> FeatureVector:
-    """The five relevance features, ordered as TASK1_FEATURE_NAMES."""
-    values = np.array(
-        [
+) -> FeatureBatch:
+    """The five relevance features, ordered as TASK1_FEATURE_NAMES, of each
+    (query, sentence, vocabulary) triple, read one at a time.
+
+    Each query's TF-IDF weights are computed once per vocabulary.
+    """
+    query_weights: dict[tuple, tuple] = {}  # (query tokens, id(vocabulary)) -> (vocabulary, weights)
+    rows = []
+    for query, sentence, vocab in triples:
+        key = (query.tokens, id(vocab))
+        if key not in query_weights:  # holding the vocabulary keeps its id from being reused
+            query_weights[key] = (vocab, tfidf_vector(vocab, query.tokens))
+        rows.append((
             feature_exact(query, sentence),
             feature_stemmed(query, sentence),
             feature_noun(query, sentence, noun_lex),
             feature_neighborhood(query, sentence, gloss_dict),
-            feature_cosine(query, sentence, vocab),
-        ],
-        dtype=np.float64,
-    )
-    return FeatureVector(values=values, schema_id=SCHEMA_TASK1)
+            feature_cosine(query, sentence, vocab, query_weights[key][1]),
+        ))
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(TASK1_FEATURE_NAMES))
+    return FeatureBatch(values, SCHEMA_TASK1)
 
 
 def task2_features(
-    tokens: Sequence[str],
-    relevance_flag: bool,
+    sentences: Sequence[Sequence[str]],
+    relevance_flags: Sequence[bool],
     vocab_global: VocabularyModel,
     sent_lex: SentimentLexicon,
-) -> FeatureVector:
-    """TF-IDF block plus sentiment counts and the relevance flag, from
-    one sentence's tokens.
+) -> FeatureBatch:
+    """TF-IDF block plus sentiment counts and the relevance flag, one row
+    per sentence's tokens.
 
     Dimension is vocabulary size + 4; the three counts partition the
     sentence's tokens.
     """
     if vocab_global is None:
         raise VocabNotFitted("task2_features requires a fitted global vocabulary")
-    if isinstance(tokens, str):  # a str is a sequence too, of characters
-        raise TypeError("task2_features takes a sentence's tokens, not its text")
-    block = np.zeros(vocab_global.size + 4, dtype=np.float64)
-    for idx, weight in tfidf_vector(vocab_global, tokens).items():
-        block[idx] = weight
-    counts = Counter(polarity(sent_lex, t) for t in tokens)
-    block[-4] = counts[Polarity.POSITIVE]
-    block[-3] = counts[Polarity.NEGATIVE]
-    block[-2] = counts[Polarity.NEUTRAL]
-    block[-1] = 1.0 if relevance_flag else 0.0
-    return FeatureVector(values=block, schema_id=SCHEMA_TASK2)
+    values = np.zeros((len(sentences), vocab_global.size + 4))
+    for row, tokens, flag in zip(values, sentences, relevance_flags, strict=True):
+        if isinstance(tokens, str):  # a str is a sequence too, of characters
+            raise TypeError("task2_features takes each sentence's tokens, not its text")
+        for idx, weight in tfidf_vector(vocab_global, tokens).items():
+            row[idx] = weight
+        counts = Counter(polarity(sent_lex, t) for t in tokens)
+        row[-4:] = (counts[Polarity.POSITIVE], counts[Polarity.NEGATIVE], counts[Polarity.NEUTRAL],
+                    1.0 if flag else 0.0)
+    return FeatureBatch(values, SCHEMA_TASK2)

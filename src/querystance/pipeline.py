@@ -42,6 +42,7 @@ from .lexicons import (
     load_sentiment_lexicon,
 )
 from .svm import (
+    PREDICT_CHUNK_ROWS,
     KernelConfig,
     MulticlassModel,
     SvmConfig,
@@ -129,13 +130,13 @@ def _task1_vectors(
     vocabularies: dict[str, VocabularyModel],
     lexicons: LexiconSet,
 ):
-    """Task-1 vectors of ``records`` and the vocabularies fitted for them.
+    """Task-1 feature batch of ``records`` and the vocabularies fitted for them.
 
     A query without an entry in ``vocabularies`` gets one fitted over its
     sentences in ``records``. Each text is analysed once: the sentences
     of such queries before the fit, which shares their analyses with the
-    five features, and every other sentence when its row's features are
-    computed, so that a large batch of known queries holds no analyses.
+    five features, and every other sentence when task1_features reads its
+    row, so that a large batch of known queries holds no analyses.
     """
     unseen = [r for r in records if r.query_id not in vocabularies]
     sentences = _analyse_each(r.sentence_text for r in unseen)
@@ -145,17 +146,12 @@ def _task1_vectors(
         for group in group_by_query(unseen)
     }
     vocabularies = {**vocabularies, **fitted}
-    vectors = [
-        task1_features(
-            queries[r.query_text],
-            sentences.get(r.sentence_text) or analyse(r.sentence_text),
-            vocabularies[r.query_id],
-            lexicons.gloss,
-            lexicons.nouns,
-        )
+    triples = (
+        (queries[r.query_text], sentences.get(r.sentence_text) or analyse(r.sentence_text),
+         vocabularies[r.query_id])
         for r in records
-    ]
-    return vectors, fitted
+    )
+    return task1_features(triples, lexicons.gloss, lexicons.nouns), fitted
 
 
 def train_task1(
@@ -169,8 +165,8 @@ def train_task1(
         if r.relevance is None:
             raise UnlabeledRecord(f"record for query {r.query_id!r} has no relevance label")
         labels.append(r.relevance)
-    vectors, vocabularies = _task1_vectors(records, {}, lexicons)
-    model = train_multiclass(vectors, labels, config.task1)
+    batch, vocabularies = _task1_vectors(records, {}, lexicons)
+    model = train_multiclass(batch, labels, config.task1)
     return TrainedPipeline(
         config=config,
         lexicons=lexicons,
@@ -187,10 +183,8 @@ def predict_task1(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) 
     """
     if pipeline.task1_model is None:
         raise ValueError("pipeline has no trained task-1 model")
-    if not records:
-        return []
-    vectors, _ = _task1_vectors(records, pipeline.task1_vocabularies, pipeline.lexicons)
-    return predict_batch(pipeline.task1_model, vectors)
+    batch, _ = _task1_vectors(records, pipeline.task1_vocabularies, pipeline.lexicons)
+    return predict_batch(pipeline.task1_model, batch)
 
 
 def train_task2(
@@ -215,16 +209,12 @@ def train_task2(
             raise MissingStanceLabel(f"record for query {r.query_id!r} has no stance label")
     tokens = [tokenize(r.sentence_text) for r in records]
     vocabulary = fit_vocabulary(tokens)
-    vectors = [
-        task2_features(sentence, label == RELEVANT, vocabulary, lexicons.sentiment)
-        for sentence, label in zip(tokens, task1_labels)
-    ]
-    stances = [r.stance for r in records]
-    if config.stance_classes == TWO_CLASS:
-        kept = [i for i, s in enumerate(stances) if s != NEUTRAL]
-        vectors = [vectors[i] for i in kept]
-        stances = [stances[i] for i in kept]
-    model = train_multiclass(vectors, stances, config.task2)
+    two_class = config.stance_classes == TWO_CLASS
+    kept = [i for i, r in enumerate(records) if not two_class or r.stance != NEUTRAL]
+    batch = task2_features(
+        [tokens[i] for i in kept], [task1_labels[i] == RELEVANT for i in kept], vocabulary, lexicons.sentiment
+    )
+    model = train_multiclass(batch, [records[i].stance for i in kept], config.task2)
     if pipeline is None:
         pipeline = TrainedPipeline(config=config, lexicons=lexicons)
     pipeline.task2_model = model
@@ -250,18 +240,17 @@ def predict_task2(
         )
     two_class = pipeline.config.stance_classes == TWO_CLASS
     asked = [i for i, relevance in enumerate(task1_predictions) if not two_class or relevance == RELEVANT]
-    vectors = (  # a generator: predict_batch holds a chunk of dense rows at a time
-        task2_features(
-            tokenize(records[i].sentence_text),
-            task1_predictions[i] == RELEVANT,
+    out = [NEUTRAL] * len(records)
+    for start in range(0, len(asked), PREDICT_CHUNK_ROWS):  # one chunk of dense rows at a time
+        chunk = asked[start:start + PREDICT_CHUNK_ROWS]
+        batch = task2_features(
+            [tokenize(records[i].sentence_text) for i in chunk],
+            [task1_predictions[i] == RELEVANT for i in chunk],
             pipeline.task2_vocabulary,
             pipeline.lexicons.sentiment,
         )
-        for i in asked
-    )
-    out = [NEUTRAL] * len(records)
-    for i, label in zip(asked, predict_batch(pipeline.task2_model, vectors) if asked else ()):
-        out[i] = label
+        for i, label in zip(chunk, predict_batch(pipeline.task2_model, batch)):
+            out[i] = label
     return out
 
 

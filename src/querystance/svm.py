@@ -19,7 +19,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
+from itertools import combinations
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -27,14 +27,14 @@ import numpy.typing as npt
 
 from .codec import FieldError
 from .errors import DimensionMismatch, NonFinite, NoSupportVectors, SingleClassInput
-from .features import FeatureVector
+from .features import FeatureBatch
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
 
 IndexArray = npt.NDArray[np.int64]
 
-# rows per kernel product at prediction: bounds the dense rows (and their
-# temporaries) held at once when the rows come from a generator
+# rows per kernel product at prediction: bounds the kernel matrix (and its
+# temporaries) held at once
 PREDICT_CHUNK_ROWS = 128
 
 
@@ -219,16 +219,10 @@ class MulticlassModel:
         object.__setattr__(self, "machines", machines)
 
 
-def _as_vector(x) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
-
-
 def kernel_eval(cfg: KernelConfig, u, v) -> float:
     """Kernel value for a single pair of vectors."""
-    u = _as_vector(u)
-    v = _as_vector(v)
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise DimensionMismatch(f"kernel inputs have shapes {u.shape} and {v.shape}")
     if cfg.kind == "linear":
@@ -304,16 +298,19 @@ def _validate_training_input(x: np.ndarray, y: np.ndarray) -> None:
         raise NonFinite("training vectors contain NaN or infinity")
 
 
-def _stack(x: Sequence) -> np.ndarray:
-    rows = [_as_vector(v) for v in x]
-    dims = {row.shape for row in rows}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed vector shapes in input: {sorted(dims)}")
-    return np.asarray(rows, dtype=np.float64)
+def _rows(x) -> tuple[np.ndarray, str | None]:
+    """The matrix of ``x``, a FeatureBatch or a 2-D array-like, and the
+    schema of a FeatureBatch."""
+    if isinstance(x, FeatureBatch):
+        return x.values, x.schema_id
+    try:
+        return np.asarray(x, dtype=np.float64), None
+    except ValueError as exc:  # rows of different lengths
+        raise DimensionMismatch(f"rows must share one width: {exc}") from exc
 
 
 def train_binary(
-    x: Sequence,
+    x,
     y: Sequence[int],
     cfg: SvmConfig,
     positive_label: str = "+1",
@@ -326,7 +323,7 @@ def train_binary(
     iteration cap stops the solver before the KKT gap reaches cfg.tol,
     and raises NoSupportVectors when no alpha exceeds cfg.eps.
     """
-    matrix = _stack(x)
+    matrix, _ = _rows(x)
     labels = np.asarray(y, dtype=np.float64)
     _validate_training_input(matrix, labels)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -354,13 +351,13 @@ def train_binary(
 
 
 def _batch(x, dims: int, schema_id: str | None = None) -> np.ndarray:
-    """The rows of ``x`` as a (rows, dims) matrix; DimensionMismatch for
-    a feature vector of another schema or rows of another width."""
-    if schema_id:
-        for v in x:
-            if isinstance(v, FeatureVector) and v.schema_id != schema_id:
-                raise DimensionMismatch(f"model expects schema {schema_id!r}, got {v.schema_id!r}")
-    rows = _stack(x)
+    """The rows of ``x`` as a (rows, dims) matrix (an empty list is no rows);
+    DimensionMismatch for a batch of another schema or rows of another width."""
+    rows, schema = _rows(x)
+    if schema_id and schema and schema != schema_id:
+        raise DimensionMismatch(f"model expects schema {schema_id!r}, got {schema!r}")
+    if rows.shape == (0,):
+        rows = rows.reshape(0, dims)
     if rows.ndim != 2 or rows.shape[1] != dims:
         raise DimensionMismatch(f"model expects {dims} dims, got rows of shape {rows.shape[1:]}")
     return rows
@@ -389,14 +386,14 @@ def dual_objective(model: BinaryModel, cfg: KernelConfig) -> float:
     return float(np.sum(np.abs(coef)) - 0.5 * coef @ gram @ coef)
 
 
-def train_multiclass(x: Sequence, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
-    """One-vs-one training over lexicographically sorted labels."""
+def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
+    """One-vs-one training over lexicographically sorted labels, on the rows
+    of ``x``, a FeatureBatch (whose schema the model keeps) or a 2-D array-like."""
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassInput(f"need at least 2 distinct labels, got {labels}")
-    matrix = _stack(x)
+    matrix, schema_id = _rows(x)
     y = list(y)
-    schema_id = x[0].schema_id if len(x) and isinstance(x[0], FeatureVector) else None
     machines = []
     for neg, pos in combinations(labels, 2):
         idx = [i for i, label in enumerate(y) if label in (neg, pos)]
@@ -415,26 +412,27 @@ def train_multiclass(x: Sequence, y: Sequence[str], cfg: SvmConfig) -> Multiclas
 
 
 def decision_values(model: MulticlassModel, x) -> np.ndarray:
-    """(rows, machines) decision values of every machine on every row of ``x``.
+    """(rows, machines) decision values of every machine on every row of ``x``,
+    a FeatureBatch or a 2-D array-like.
 
-    ``x`` is any iterable of rows, read PREDICT_CHUNK_ROWS at a time. One
-    kernel matrix K(chunk, pool) serves all machines: machine k reads its
-    columns, K[:, sv_index_k] @ dual_coefs_k + bias_k.
+    The rows are read PREDICT_CHUNK_ROWS at a time. One kernel matrix
+    K(chunk, pool) serves all machines: machine k reads its columns,
+    K[:, sv_index_k] @ dual_coefs_k + bias_k.
     """
-    pool, pending = model.pool, iter(x)
-    values = [np.zeros((0, len(model.machines)))]
-    while chunk := list(islice(pending, PREDICT_CHUNK_ROWS)):
-        rows = _batch(chunk, pool.dims, model.schema_id)
-        kernel = _gram(model.kernel, rows, pool.dense, pool.sq_norms)  # K(rows, pool)
-        part = np.empty((len(kernel), len(model.machines)))
+    pool = model.pool
+    rows = _batch(x, pool.dims, model.schema_id)
+    values = np.empty((len(rows), len(model.machines)))
+    for start in range(0, len(rows), PREDICT_CHUNK_ROWS):
+        chunk = slice(start, start + PREDICT_CHUNK_ROWS)
+        kernel = _gram(model.kernel, rows[chunk], pool.dense, pool.sq_norms)  # K(chunk, pool)
         for k, machine in enumerate(model.machines):
-            part[:, k] = _machine_values(kernel, machine)
-        values.append(part)
-    return np.concatenate(values)
+            values[chunk, k] = _machine_values(kernel, machine)
+    return values
 
 
 def predict_batch(model: MulticlassModel, x) -> list[str]:
-    """Majority vote over pairwise machines, for every row of ``x``.
+    """Majority vote over pairwise machines, for every row of ``x``, a
+    FeatureBatch or a 2-D array-like.
 
     Vote ties break on the larger sum of |decision| over the machines
     each tied label won; remaining ties take the lexicographically

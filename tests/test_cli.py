@@ -124,8 +124,17 @@ class TestTrain:
 
 HEADER = b"query_id,query_text,sentence_text,relevance,stance\n"
 
-# a broken input file: (the role it replaces, its bytes); the command that reads it
-# fails with exit 1, naming the file
+def _predictions_misaligned_at_row_3(ws) -> bytes:
+    """The gold dataset as a prediction CSV whose row 3 has another query id."""
+    lines = ws["train"].read_bytes().splitlines()
+    lines = [lines[0] + b",predicted_relevance"] + [line + b",relevant" for line in lines[1:]]
+    lines[2] = b"zzz" + lines[2][lines[2].index(b","):]
+    return b"\n".join(lines) + b"\n"
+
+
+# a broken input file: (the role it replaces, its bytes or a function of the workspace
+# giving them[, what the message says after the file]); the command that reads it fails
+# with exit 1, naming the file
 BAD_INPUTS = {
     "gloss line without a tab": ("gloss", b"espresso a strong coffee\n"),
     "sentiment score out of range": ("sentiment", b"good\t1.5\t0.0\n"),
@@ -137,17 +146,31 @@ BAD_INPUTS = {
     "dataset not UTF-8": ("train", HEADER + b"q,does coffee help,caf\xe9 helps,relevant,support\n"),
     "prediction CSV not UTF-8": ("pred", HEADER[:-1] + b",predicted_relevance\nq,t,s,,,\xff\n"),
     "config file not UTF-8": ("config", b"gamma=0.5\n\xff\n"),
+    "config C not a number": ("config", b"# tuned\nC=abc\n", "line 2: C: "),
+    "config max_passes not an integer": ("config", b"max_passes=1.5\n", "line 1: max_passes: "),
+    "config retrain_full not a boolean": ("config", b"retrain_full=maybe\n", "line 1: retrain_full: "),
+    "config line without =": ("config", b"gamma\n", "line 1: "),
+    "task-2 prediction row without relevance": (
+        "predict_data",
+        HEADER + b"q,does coffee help,coffee helps,relevant,\nq,does coffee help,tea helps,relevant,\n"
+        + b"q,does coffee help,rain falls,,\n",
+        "row 4: ",
+    ),
+    "prediction query id not the gold one": ("pred", _predictions_misaligned_at_row_3, "row 3: "),
 }
 
 
 class TestInputFileErrorsNameTheFile:
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
     def test_exit_1_naming_file(self, workspace, trained_models, tmp_path, capsys, case):
-        role, content = BAD_INPUTS[case]
+        role, content, *after = BAD_INPUTS[case]
         bad = tmp_path / f"bad_{role}.input"
-        bad.write_bytes(content)
+        bad.write_bytes(content(workspace) if callable(content) else content)
         if role == "pred":
             args = ["evaluate", "--gold", str(workspace["train"]), "--pred", str(bad)]
+        elif role == "predict_data":
+            args = ["predict", "--model", str(trained_models["m2"]), "--data", str(bad),
+                    "--out", str(tmp_path / "p.csv"), "--sentiment", str(workspace["sentiment"])]
         elif role == "config":
             args = train_args(workspace, 1, tmp_path / "m.json", "--config", str(bad))
         else:
@@ -156,7 +179,7 @@ class TestInputFileErrorsNameTheFile:
             args[args.index(f"--{'data' if role == 'train' else role}") + 1] = str(bad)
         assert main(args) == 1
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(f"error: {bad}: "), last
+        assert last.startswith(f"error: {bad}: {''.join(after)}"), last
 
 
 def _set(*path_and_value):

@@ -260,35 +260,54 @@ class TestTask1Vector:
     LEX = NounLexicon(entries=frozenset({"sun", "cancer"}))
     GLOSS = GlossDictionary()
 
+    def _row(self, query, sentence, vocab):
+        batch = task1_features([(A(query), A(sentence), vocab)], self.GLOSS, self.LEX)
+        assert batch.values.shape == (1, 5)
+        return batch.values[0]
+
     def test_self_pair(self):
         vocab = fit_vocabulary([["sun", "cancer", "risk"], ["bright", "day"]])
-        fv = task1_features(A("sun cancer risk"), A("sun cancer risk"), vocab, self.GLOSS, self.LEX)
-        assert fv.schema_id == SCHEMA_TASK1
-        assert fv.dims == 5
-        np.testing.assert_allclose(fv.values, [1.0, 1.0, 1.0, 1.0, 1.0], atol=1e-12)
+        batch = task1_features([(A("sun cancer risk"), A("sun cancer risk"), vocab)], self.GLOSS, self.LEX)
+        assert batch.schema_id == SCHEMA_TASK1
+        assert batch.dims == 5
+        np.testing.assert_allclose(batch.values, [[1.0, 1.0, 1.0, 1.0, 1.0]], atol=1e-12)
 
     def test_self_pair_without_nouns(self):
         vocab = fit_vocabulary([["nothing", "here"], ["sun", "up"]])
-        fv = task1_features(A("nothing here"), A("nothing here"), vocab, self.GLOSS, self.LEX)
-        assert fv.values[2] == 0.0
+        assert self._row("nothing here", "nothing here", vocab)[2] == 0.0
 
     def test_unrelated_pair_mostly_zero(self):
         vocab = fit_vocabulary([["sun", "cancer"], ["violin", "pottery"]])
-        fv = task1_features(A("sun cancer"), A("violin pottery"), vocab, self.GLOSS, self.LEX)
-        np.testing.assert_allclose(fv.values, np.zeros(5), atol=1e-12)
+        np.testing.assert_allclose(self._row("sun cancer", "violin pottery", vocab), np.zeros(5), atol=1e-12)
 
     def test_components_in_unit_interval(self, synthetic_records, synthetic_lexicons):
         rng = random.Random(2)
         vocab = fit_vocabulary(
             [rec.sentence_text.split() for rec in synthetic_records[:40]]
         )
-        for _ in range(1000):
-            a, b = rng.choice(synthetic_records), rng.choice(synthetic_records)
-            fv = task1_features(
-                A(a.query_text), A(b.sentence_text), vocab,
-                synthetic_lexicons.gloss, synthetic_lexicons.nouns,
-            )
-            assert np.all(fv.values >= 0.0) and np.all(fv.values <= 1.0)
+        triples = [
+            (A(rng.choice(synthetic_records).query_text), A(rng.choice(synthetic_records).sentence_text), vocab)
+            for _ in range(1000)
+        ]
+        batch = task1_features(iter(triples), synthetic_lexicons.gloss, synthetic_lexicons.nouns)
+        assert batch.values.shape == (1000, 5)
+        assert np.all(batch.values >= 0.0) and np.all(batch.values <= 1.0)
+
+    def test_empty_batch(self):
+        assert task1_features([], self.GLOSS, self.LEX).values.shape == (0, 5)
+
+    def test_query_weights_once_per_query_and_vocabulary(self, monkeypatch):
+        vocabs = [fit_vocabulary([["sun", "cancer"], ["skin", "risk"]]), fit_vocabulary([["sun", "risk"]])]
+        queries = [A("sun cancer"), A("skin risk sun")]
+        sentences = [A(text) for text in ("sun cancer risk", "skin", "the sun", "risk risk cancer")]
+        triples = [(q, s, v) for v in vocabs for q in queries for s in sentences]
+        calls = []
+        monkeypatch.setattr(
+            "querystance.features.tfidf_vector", lambda vocab, tokens: calls.append(tokens) or tfidf_vector(vocab, tokens)
+        )
+        batch = task1_features(triples, self.GLOSS, self.LEX)
+        assert len(calls) == len(triples) + len(vocabs) * len(queries)  # one per row, one per pair
+        assert np.array_equal(batch.values[:, 4], [feature_cosine(q, s, v) for q, s, v in triples])
 
 
 class TestTask2Vector:
@@ -296,43 +315,47 @@ class TestTask2Vector:
 
     def test_sentiment_counts(self):
         vocab = fit_vocabulary([["good", "day"], ["bad", "day"]])
-        fv = task2_features(tokenize("good good bad"), True, vocab, self.LEX)
-        assert fv.schema_id == SCHEMA_TASK2
-        assert fv.dims == vocab.size + 4
-        assert tuple(fv.values[-4:]) == (2.0, 1.0, 0.0, 1.0)
+        batch = task2_features([tokenize("good good bad")], [True], vocab, self.LEX)
+        assert batch.schema_id == SCHEMA_TASK2
+        assert batch.dims == vocab.size + 4
+        assert tuple(batch.values[0, -4:]) == (2.0, 1.0, 0.0, 1.0)
 
     def test_empty_sentence(self):
         vocab = fit_vocabulary([["good"]])
-        fv = task2_features([], False, vocab, self.LEX)
-        assert not fv.values.any()
+        batch = task2_features([[]], [False], vocab, self.LEX)
+        assert batch.values.shape == (1, vocab.size + 4) and not batch.values.any()
+        assert task2_features([], [], vocab, self.LEX).values.shape == (0, vocab.size + 4)
 
     def test_relevance_flag(self):
         vocab = fit_vocabulary([["good"]])
-        assert task2_features(["x"], True, vocab, self.LEX).values[-1] == 1.0
-        assert task2_features(["x"], False, vocab, self.LEX).values[-1] == 0.0
+        assert list(task2_features([["x"], ["x"]], [True, False], vocab, self.LEX).values[:, -1]) == [1.0, 0.0]
 
     def test_unfitted_vocab(self):
         with pytest.raises(VocabNotFitted):
-            task2_features(["x"], True, None, self.LEX)
+            task2_features([["x"]], [True], None, self.LEX)
 
     def test_text_instead_of_tokens_rejected(self):
         with pytest.raises(TypeError):
-            task2_features("good day", True, fit_vocabulary([["good"]]), self.LEX)
+            task2_features(["good day"], [True], fit_vocabulary([["good"]]), self.LEX)
+
+    def test_one_flag_per_sentence(self):
+        with pytest.raises(ValueError):
+            task2_features([["good"], ["day"]], [True], fit_vocabulary([["good"]]), self.LEX)
 
     @given(st.lists(st.sampled_from(["good", "bad", "day", "sun"]), max_size=15))
     def test_counts_partition_tokens(self, words):
         vocab = fit_vocabulary([["good", "bad", "day"]])
         sentence = " ".join(words)
-        fv = task2_features(tokenize(sentence), True, vocab, self.LEX)
-        assert fv.values[-4] + fv.values[-3] + fv.values[-2] == len(words)
+        row = task2_features([tokenize(sentence)], [True], vocab, self.LEX).values[0]
+        assert row[-4] + row[-3] + row[-2] == len(words)
 
     def test_dimension_constant_across_sentences(self, synthetic_records, synthetic_lexicons):
         vocab = fit_vocabulary([r.sentence_text.split() for r in synthetic_records])
-        dims = {
-            task2_features(tokenize(r.sentence_text), True, vocab, synthetic_lexicons.sentiment).dims
-            for r in synthetic_records[:20]
-        }
-        assert dims == {vocab.size + 4}
+        records = synthetic_records[:20]
+        batch = task2_features(
+            [tokenize(r.sentence_text) for r in records], [True] * len(records), vocab, synthetic_lexicons.sentiment
+        )
+        assert batch.values.shape == (20, vocab.size + 4)
 
 
 class TestAnalysedPathEqualsStringOracles:
@@ -357,8 +380,8 @@ class TestAnalysedPathEqualsStringOracles:
 
     def test_task1(self, records, synthetic_lexicons):
         lex = synthetic_lexicons
-        vectors, vocabularies = pipeline._task1_vectors(records, {}, lex)
-        got = np.array([v.values for v in vectors])
+        batch, vocabularies = pipeline._task1_vectors(records, {}, lex)
+        got = batch.values
         expected = np.array([
             task1_features_reference(
                 r.query_text, r.sentence_text, vocabularies[r.query_id], lex.gloss, lex.nouns
@@ -371,7 +394,7 @@ class TestAnalysedPathEqualsStringOracles:
     def test_task2(self, records, synthetic_lexicons):
         vocab = fit_vocabulary([tokenize(r.sentence_text) for r in records])
         sentiment = synthetic_lexicons.sentiment
-        for i, r in enumerate(records):
-            flag = i % 2 == 0
-            got = task2_features(tokenize(r.sentence_text), flag, vocab, sentiment).values
-            assert np.array_equal(got, task2_features_reference(r.sentence_text, flag, vocab, sentiment))
+        flags = [i % 2 == 0 for i in range(len(records))]
+        got = task2_features([tokenize(r.sentence_text) for r in records], flags, vocab, sentiment).values
+        expected = [task2_features_reference(r.sentence_text, flag, vocab, sentiment) for r, flag in zip(records, flags)]
+        assert np.array_equal(got, np.array(expected))

@@ -26,9 +26,10 @@ from querystance.pipeline import (
     train_task2,
 )
 from querystance.features import task2_features
-from querystance.svm import KernelConfig, SvmConfig, decision_values
+from querystance.svm import KernelConfig, SvmConfig, decision_values, predict_batch
 from querystance.textproc import tokenize
 
+from oracles import ovo_reference, task2_features_reference
 from synth import make_records
 
 TABLE1_ROW = [48.86363636, 89.65517241, 93.05555556, 71.875, 63.51351351]
@@ -102,6 +103,26 @@ class TestTask1:
 
 
 class TestTask2:
+    def test_chunked_prediction_matches_loop_oracle(self, trained, monkeypatch):
+        records = make_records(seed=3, per_query=60)  # 300 rows, so three chunks of task-2 rows
+        relevance = [r.relevance for r in records]
+        chunks = []
+
+        def recorded(model, batch):
+            chunks.append(decision_values(model, batch))
+            return predict_batch(model, batch)
+
+        monkeypatch.setattr(pipeline_module, "predict_batch", recorded)
+        labels = predict_task2(trained, records, relevance)
+        assert [len(values) for values in chunks] == [128, 128, 44]
+        model, vocab, sentiment = trained.task2_model, trained.task2_vocabulary, trained.lexicons.sentiment
+        for r, flag, label, values in zip(records, relevance, labels, np.concatenate(chunks)):
+            expected_label, expected_values = ovo_reference(
+                model, task2_features_reference(r.sentence_text, flag == "relevant", vocab, sentiment)
+            )
+            assert label == expected_label
+            np.testing.assert_allclose(values, expected_values, rtol=0, atol=1e-9)
+
     def test_three_class_machine_count(self, trained):
         assert len(trained.task2_model.machines) == 3
         assert trained.task2_model.labels == ("neutral", "oppose", "support")
@@ -327,12 +348,12 @@ class TestPersistence:
         assert predict_task1(loaded, records) == relevance
         assert predict_task2(loaded, records, relevance) == predict_task2(trained, records, relevance)
         task1_rows, _ = pipeline_module._task1_vectors(records, trained.task1_vocabularies, trained.lexicons)
-        task2_rows = [
-            task2_features(
-                tokenize(r.sentence_text), label == "relevant", trained.task2_vocabulary, trained.lexicons.sentiment
-            )
-            for r, label in zip(records, relevance)
-        ]
+        task2_rows = task2_features(
+            [tokenize(r.sentence_text) for r in records],
+            [label == "relevant" for label in relevance],
+            trained.task2_vocabulary,
+            trained.lexicons.sentiment,
+        )
         for model, other, rows in (
             (trained.task1_model, loaded.task1_model, task1_rows),
             (trained.task2_model, loaded.task2_model, task2_rows),

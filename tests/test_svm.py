@@ -15,7 +15,7 @@ from querystance.errors import (
     SingleClassInput,
     VersionMismatch,
 )
-from querystance.features import FeatureVector
+from querystance.features import FeatureBatch
 from querystance.svm import (
     KERNEL_KINDS,
     BinaryModel,
@@ -298,24 +298,25 @@ class TestMulticlass:
 
     def test_schema_mismatch_rejected(self):
         cfg = SvmConfig(c=10.0, kernel=KernelConfig("linear"))
-        vectors = [FeatureVector(np.array([0.0]), "task1-v1"), FeatureVector(np.array([1.0]), "task1-v1")]
-        model = train_multiclass(vectors, ["no", "yes"], cfg)
-        with pytest.raises(DimensionMismatch):
-            predict(model, FeatureVector(np.array([1.0]), "task2-v1"))
+        batch = FeatureBatch(np.array([[0.0], [1.0]]), "task1-v1")
+        model = train_multiclass(batch, ["no", "yes"], cfg)
+        assert model.schema_id == "task1-v1"
         with pytest.raises(DimensionMismatch, match="schema"):
-            predict_batch(model, [vectors[0], FeatureVector(np.array([1.0]), "task2-v1")])
+            predict_batch(model, FeatureBatch(np.array([[1.0]]), "task2-v1"))
         with pytest.raises(DimensionMismatch, match="expects 1 dims"):
-            predict_batch(model, [FeatureVector(np.array([1.0, 2.0]), "task1-v1")])
+            predict_batch(model, FeatureBatch(np.array([[1.0, 2.0]]), "task1-v1"))
         with pytest.raises(DimensionMismatch, match="expects 1 dims"):
             predict_batch(model, np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            predict_batch(model, [[0.0], [1.0, 2.0]])
 
-    def test_generator_read_across_chunks(self):
+    def test_rows_read_across_chunks(self):
         points, labels = self._blobs()
         model = train_multiclass(points, labels, SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=0.1)))
         rows = np.random.default_rng(2).normal(4.0, 4.0, (300, 2))  # more than PREDICT_CHUNK_ROWS
-        values = decision_values(model, (row for row in rows))
+        values = decision_values(model, rows)
         assert values.shape == (300, 3)
-        for row, row_values, label in zip(rows, values, predict_batch(model, iter(rows))):
+        for row, row_values, label in zip(rows, values, predict_batch(model, rows)):
             assert label == predict(model, row)
             single = [decision_value(m, row, model.kernel) for m in model.machines]
             np.testing.assert_allclose(row_values, single, rtol=0, atol=1e-9)
