@@ -1,9 +1,16 @@
 """Command-line interface: train, predict, evaluate, features.
 
+Each option is declared once, in ``build_parser``. A ``--config`` file of
+``key=value`` lines fills the options the command line left unset: a key
+is an option's name with ``-`` written as ``_``, and its value is
+converted and checked by that option's own argparse action, as the
+flag's text would be. A key that no command takes is an error; a key
+that only another command takes is skipped.
+
 Every artifact-producing run writes a ``<out>.manifest.json`` next to
-its output with input digests, the resolved settings and the seed, so
-runs can be reproduced and verified. Exit codes: 0 success, 1 data or
-model error, 2 usage error.
+its output with the digest of every file-reading option given, the
+resolved settings and the seed, so runs can be reproduced and verified.
+Exit codes: 0 success, 1 data or model error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ import argparse
 import csv
 import hashlib
 import sys
-import typing
 from dataclasses import replace
 from datetime import datetime, timezone
 from operator import attrgetter
@@ -26,7 +32,6 @@ from .pipeline import (
     LexiconSet,
     PipelineConfig,
     RELEVANT,
-    TrainedPipeline,
     _task1_vectors,
     evaluate,
     load_task_model,
@@ -65,24 +70,37 @@ def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
     return values
 
 
-class Settings:
-    """Layered option lookup: explicit flag, then config file, then default."""
+def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """A command's options by destination, the name its config key gives."""
+    return {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, name: str, default, convert=None):
-        value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name not in self.file_values:
-            return default
-        line_no, raw = self.file_values[name]
-        try:
-            return convert(raw) if convert else raw
-        except (QueryStanceError, ValueError) as exc:
-            raise QueryStanceError(f"{self.args.config}: line {line_no}: {name}: {exc}") from exc
+def _convert(action: argparse.Action, raw: str):
+    """Config-file text as ``action`` stores its flag's text."""
+    if action.nargs == 0:  # store_true / store_false: the line gives the value itself
+        return _parse_bool(raw)
+    value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {action.choices}, got {value!r}")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict[str, int]:
+    """Fill each option of ``args.command`` left unset from ``args.config``;
+    returns the config line of each option it filled."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    own = _options(commands[args.command])
+    lines = {}
+    for key, (line_no, raw) in _read_config_file(args.config).items():
+        if not any(key in _options(command) for command in commands.values()):
+            raise QueryStanceError(f"{args.config}: line {line_no}: {key}: no command takes this option")
+        if key in own and getattr(args, key) is None:
+            try:
+                setattr(args, key, _convert(own[key], raw))
+            except (QueryStanceError, ValueError) as exc:
+                raise QueryStanceError(f"{args.config}: line {line_no}: {key}: {exc}") from exc
+            lines[key] = line_no
+    return lines
 
 
 # flag or config-file key -> dataclass field, for the trained task's SvmConfig,
@@ -99,48 +117,51 @@ PIPELINE_OPTIONS = {
 }
 
 
-def _override(settings: Settings, obj, options: dict[str, str]):
-    """``obj`` with the fields a flag or the config file sets; file text is
-    converted by the field's type."""
-    hints = typing.get_type_hints(type(obj))
-    given = {}
+def _override(args: argparse.Namespace, obj, options: dict[str, str]):
+    """``obj`` with the fields the options set, one at a time, so that a value
+    outside its field's domain names the config line it came from."""
     for option, name in options.items():
-        convert = hints[name] if hints[name] in (int, float) else None
-        value = settings.get(option, None, convert)
-        if value is not None:
-            given[name] = value
-    return replace(obj, **given)
+        value = getattr(args, option, None)
+        if value is None:
+            continue
+        try:
+            obj = replace(obj, **{name: value})
+        except ValueError as exc:
+            if option not in args.config_lines:
+                raise
+            raise QueryStanceError(f"{args.config}: line {args.config_lines[option]}: {option}: {exc}") from exc
+    return obj
 
 
-def _pipeline_config(settings: Settings, task: int) -> PipelineConfig:
+def _pipeline_config(args: argparse.Namespace, task: int) -> PipelineConfig:
     """PipelineConfig() with the given settings; flags tune task ``task``'s SVM."""
-    config = _override(settings, PipelineConfig(), PIPELINE_OPTIONS)
+    config = _override(args, PipelineConfig(), PIPELINE_OPTIONS)
     svm = getattr(config, f"task{task}")
     svm = replace(
-        _override(settings, svm, SVM_OPTIONS),
-        kernel=_override(settings, svm.kernel, KERNEL_OPTIONS),
+        _override(args, svm, SVM_OPTIONS),
+        kernel=_override(args, svm.kernel, KERNEL_OPTIONS),
     )
     return replace(config, **{f"task{task}": svm})
 
 
-def _load_lexicons(settings: Settings, task: int) -> LexiconSet:
+def _load_lexicons(args: argparse.Namespace, task: int) -> LexiconSet:
     if task == 1:
         lexicons = LexiconSet.load(
-            gloss_path=_require(settings, "gloss"),
-            noun_path=_require(settings, "nouns"),
+            gloss_path=_require(args, "gloss"),
+            noun_path=_require(args, "nouns"),
         )
         print(
             f"loaded {len(lexicons.gloss)} gloss entries, {len(lexicons.nouns)} nouns",
             file=sys.stderr,
         )
         return lexicons
-    lexicons = LexiconSet.load(sentiment_path=_require(settings, "sentiment"))
+    lexicons = LexiconSet.load(sentiment_path=_require(args, "sentiment"))
     print(f"loaded {len(lexicons.sentiment)} sentiment entries", file=sys.stderr)
     return lexicons
 
 
-def _require(settings: Settings, name: str) -> str:
-    value = settings.get(name, None)
+def _require(args: argparse.Namespace, name: str) -> str:
+    value = getattr(args, name)
     if value is None:
         raise UsageError(f"--{name} is required for this command")
     return value
@@ -169,77 +190,57 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path: str, command: str, inputs: dict[str, str], config: dict, seed: int) -> None:
+# the options that name a file a command reads; the manifest digests each one given
+INPUT_OPTIONS = ("data", "gold", "pred", "model", "model2", "gloss", "nouns", "sentiment")
+
+
+def _write_manifest(args: argparse.Namespace, config: dict, seed: int) -> None:
+    inputs = {name: getattr(args, name, None) for name in INPUT_OPTIONS}
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool": "querystance",
         "version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "seed": seed,
         "config": config,
-        "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in inputs.items()},
-        "output": out_path,
+        "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in inputs.items() if p},
+        "output": args.out,
     }
-    write_json(str(out_path) + ".manifest.json", manifest)
+    write_json(str(args.out) + ".manifest.json", manifest)
 
 
 # --- commands ---------------------------------------------------------------
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    settings = Settings(args)
     task = args.task
-    data_path = _require(settings, "data")
-    out_path = _require(settings, "out")
-    config = _pipeline_config(settings, task)
-    lexicons = _load_lexicons(settings, task)
+    data_path = _require(args, "data")
+    out_path = _require(args, "out")
+    config = _pipeline_config(args, task)
+    lexicons = _load_lexicons(args, task)
     records = load_dataset(data_path, labeled=True)
-    if not settings.get("retrain_full", True, _parse_bool):
+    if args.retrain_full is False:
         records = split_train_dev(records, config.train_fraction, config.seed).train
     if task == 1:
         pipeline = train_task1(records, lexicons, config)
     else:
         pipeline = train_task2(records, [r.relevance for r in records], lexicons, config)
     save_task_model(pipeline, task, out_path)
-    inputs = {"data": data_path}
-    for name in ("gloss", "nouns", "sentiment"):
-        value = settings.get(name, None)
-        if value:
-            inputs[name] = value
-    _write_manifest(out_path, "train", inputs, {"task": task, **to_doc(config)}, config.seed)
+    _write_manifest(args, {"task": task, **to_doc(config)}, config.seed)
     print(f"wrote {out_path}")
     return 0
 
 
-def _load_models(settings: Settings, lexicons: LexiconSet) -> tuple[TrainedPipeline, list[int]]:
-    """Load --model (and --model2), returning the pipeline and task list."""
-    model_path = _require(settings, "model")
-    pipeline = load_task_model(model_path, lexicons)
-    tasks = [1] if pipeline.task1_model is not None else [2]
-    model2_path = settings.get("model2", None)
-    if model2_path:
-        pipeline = load_task_model(model2_path, lexicons, into=pipeline)
-        tasks = [1, 2]
-        if pipeline.task1_model is None or pipeline.task2_model is None:
-            raise QueryStanceError(
-                "--chain needs a task-1 model (--model) and a task-2 model (--model2)"
-            )
-    return pipeline, tasks
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    data_path = _require(settings, "data")
-    out_path = _require(settings, "out")
-    chain = bool(settings.get("chain", False, _parse_bool))
-    lexicons = LexiconSet.load(
-        gloss_path=settings.get("gloss", None),
-        sentiment_path=settings.get("sentiment", None),
-        noun_path=settings.get("nouns", None),
-    )
-    pipeline, tasks = _load_models(settings, lexicons)
-    if chain and tasks != [1, 2]:
-        raise QueryStanceError("--chain requires both --model and --model2")
+    data_path = _require(args, "data")
+    out_path = _require(args, "out")
+    lexicons = LexiconSet.load(gloss_path=args.gloss, sentiment_path=args.sentiment, noun_path=args.nouns)
+    pipeline = load_task_model(_require(args, "model"), lexicons)
+    if args.model2:
+        pipeline = load_task_model(args.model2, lexicons, into=pipeline)
+    tasks = [task for task, model in ((1, pipeline.task1_model), (2, pipeline.task2_model)) if model is not None]
+    if (args.chain or args.model2) and tasks != [1, 2]:
+        raise QueryStanceError("--chain needs a task-1 model (--model) and a task-2 model (--model2)")
     # lexicons absent now but used at training time (of either model) degrade the features
     for flag in ("nouns", "gloss", "sentiment"):
         if getattr(pipeline.config, PIPELINE_OPTIONS[flag]) and not len(getattr(lexicons, flag)):
@@ -267,26 +268,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
             ]
             row.extend(labels[i] for labels in columns.values())
             writer.writerow(row)
-    inputs = {"data": data_path, "model": settings.get("model", None)}
-    model2_path = settings.get("model2", None)
-    if model2_path:
-        inputs["model2"] = model2_path
-    _write_manifest(
-        out_path,
-        "predict",
-        inputs,
-        {"chain": chain, "tasks": tasks},
-        pipeline.config.seed,
-    )
+    _write_manifest(args, {"chain": bool(args.chain), "tasks": tasks}, pipeline.config.seed)
     print(f"wrote {out_path} ({len(records)} rows)")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    gold_path = _require(settings, "gold")
-    pred_path = _require(settings, "pred")
-    column = args.column
+    gold_path = _require(args, "gold")
+    pred_path = _require(args, "pred")
+    column = args.column or "relevance"
     gold_records = load_dataset(gold_path, labeled=False)
     gold = _labels(gold_records, column, gold_path, "evaluation")
 
@@ -298,7 +288,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pred_rows = list(reader)
     if len(pred_rows) != len(gold_records):
         raise LengthMismatch(
-            f"{len(gold_records)} gold rows vs {len(pred_rows)} prediction rows"
+            f"{pred_path}: {len(pred_rows)} prediction rows vs {len(gold_records)} gold rows in {gold_path}"
         )
     for i, (record, row) in enumerate(zip(gold_records, pred_rows)):
         if "query_id" in row and row["query_id"] != record.query_id:
@@ -309,37 +299,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     predictions = [row[predicted_column] for row in pred_rows]
     report = evaluate(gold, predictions, [r.query_id for r in gold_records])
     print(report.render_table())
-    out_path = settings.get("out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["query_id", "accuracy"])
             writer.writerows(report.to_csv_rows())
-        _write_manifest(
-            out_path,
-            "evaluate",
-            {"gold": gold_path, "pred": pred_path},
-            {"column": column},
-            0,
-        )
+        _write_manifest(args, {"column": column}, 0)
     return 0
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    settings = Settings(args)
     task = args.task
-    data_path = _require(settings, "data")
-    out_path = _require(settings, "out")
+    data_path = _require(args, "data")
+    out_path = _require(args, "out")
     records = load_dataset(data_path, labeled=False)
 
     if task == 1:
-        lexicons = _load_lexicons(settings, 1)
+        lexicons = _load_lexicons(args, 1)
         header_comment = f"# schema_id={SCHEMA_TASK1}"
         names = list(TASK1_FEATURE_NAMES)
         batch, _ = _task1_vectors(records, {}, lexicons)
     else:
-        lexicons = _load_lexicons(settings, 2)
-        model_path = _require(settings, "model")
+        lexicons = _load_lexicons(args, 2)
+        model_path = _require(args, "model")
         pipeline = load_task_model(model_path, lexicons)
         vocab = pipeline.task2_vocabulary
         if vocab is None:
@@ -357,13 +339,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         writer.writerow(["query_id", "row"] + names)
         for i, (record, row) in enumerate(zip(records, batch.values.tolist())):
             writer.writerow([record.query_id, i] + [repr(v) for v in row])
-    inputs = {"data": data_path}
-    for name in ("gloss", "nouns", "sentiment", "model"):
-        value = settings.get(name, None)
-        if value:
-            inputs[name] = value
-    seed = settings.get("seed", PipelineConfig().seed, int)
-    _write_manifest(out_path, "features", inputs, {"task": task}, seed)
+    _write_manifest(args, {"task": task}, PipelineConfig().seed if args.seed is None else args.seed)
     print(f"wrote {out_path} ({len(records)} rows)")
     return 0
 
@@ -433,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="per-query accuracy of predictions vs gold")
     ev.add_argument("--gold", help="gold dataset CSV")
     ev.add_argument("--pred", help="predictions CSV from the predict command")
-    ev.add_argument("--column", choices=("relevance", "stance"), default="relevance")
+    ev.add_argument("--column", choices=("relevance", "stance"), help="label to score (default relevance)")
     ev.add_argument("--out", help="also write the report as CSV")
     ev.add_argument("--config", help="key=value config file")
     ev.set_defaults(func=cmd_evaluate)
@@ -451,6 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.config_lines = _apply_config(parser, args) if args.config else {}
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -132,6 +132,13 @@ def _predictions_misaligned_at_row_3(ws) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+def _constant_predictions(ws) -> bytes:
+    """The gold dataset as a prediction CSV predicting relevant/support for every row."""
+    lines = [HEADER[:-1] + b",predicted_relevance,predicted_stance"]
+    lines += [line + b",relevant,support" for line in ws["train"].read_bytes().splitlines()[1:]]
+    return b"\n".join(lines) + b"\n"
+
+
 # a broken input file: (the role it replaces, its bytes or a function of the workspace
 # giving them[, what the message says after the file]); the command that reads it fails
 # with exit 1, naming the file
@@ -150,6 +157,10 @@ BAD_INPUTS = {
     "config max_passes not an integer": ("config", b"max_passes=1.5\n", "line 1: max_passes: "),
     "config retrain_full not a boolean": ("config", b"retrain_full=maybe\n", "line 1: retrain_full: "),
     "config line without =": ("config", b"gamma\n", "line 1: "),
+    "config kernel not a choice": ("config", b"kernel=sigmoid\n", "line 1: kernel: "),
+    "config stance_classes not a choice": ("config", b"stance_classes=four\n", "line 1: stance_classes: "),
+    "config gamma outside its domain": ("config", b"gamma=-1\n", "line 1: gamma: "),
+    "config key no command takes": ("config", b"gama=0.5\n", "line 1: gama: "),
     "task-2 prediction row without relevance": (
         "predict_data",
         HEADER + b"q,does coffee help,coffee helps,relevant,\nq,does coffee help,tea helps,relevant,\n"
@@ -157,6 +168,9 @@ BAD_INPUTS = {
         "row 4: ",
     ),
     "prediction query id not the gold one": ("pred", _predictions_misaligned_at_row_3, "row 3: "),
+    "prediction CSV shorter than gold": (
+        "pred", lambda ws: b"\n".join(_constant_predictions(ws).splitlines()[:2]) + b"\n", "1 prediction rows vs "
+    ),
 }
 
 
@@ -317,6 +331,36 @@ class TestPredict:
         assert all(r["predicted_relevance"] in ("relevant", "irrelevant") for r in rows)
         assert all(r["predicted_stance"] in ("support", "oppose", "neutral") for r in rows)
 
+    def test_chain_manifest_digests_every_input(self, workspace, trained_models, tmp_path):
+        out = tmp_path / "pred.csv"
+        assert main([
+            "predict", "--chain",
+            "--model", str(trained_models["m1"]),
+            "--model2", str(trained_models["m2"]),
+            "--data", str(workspace["unlabeled"]),
+            "--out", str(out),
+            "--nouns", str(workspace["nouns"]),
+            "--gloss", str(workspace["gloss"]),
+            "--sentiment", str(workspace["sentiment"]),
+        ]) == 0
+        inputs = json.loads((tmp_path / "pred.csv.manifest.json").read_text())["inputs"]
+        paths = {"data": workspace["unlabeled"], "model": trained_models["m1"], "model2": trained_models["m2"]}
+        paths.update((name, workspace[name]) for name in ("gloss", "nouns", "sentiment"))
+        assert set(inputs) == set(paths)
+        for name, path in paths.items():
+            assert inputs[name] == {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+    def test_config_file_gives_data_and_skips_train_options(self, workspace, trained_models, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"data={workspace['unlabeled']}\ngamma=0.5\n", encoding="utf-8")
+        outs = {"flag": tmp_path / "flag.csv", "config": tmp_path / "config.csv"}
+        base = ["predict", "--model", str(trained_models["m1"]),
+                "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"])]
+        assert main(base + ["--data", str(workspace["unlabeled"]), "--out", str(outs["flag"])]) == 0
+        assert main(base + ["--config", str(config), "--out", str(outs["config"])]) == 0
+        assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+        assert len(outs["config"].read_text(encoding="utf-8").splitlines()) == 101
+
     def test_wrong_task_model_exits_1(self, workspace, trained_models, tmp_path, capsys):
         # task-2 model alone cannot label an unlabeled file (no relevance column)
         code = main([
@@ -453,6 +497,10 @@ class TestEvaluate:
             "evaluate", "--gold", str(workspace["train"]), "--pred", str(short),
         ])
         assert code == 1
+        gold = workspace["train"]
+        n_gold = len(gold.read_text(encoding="utf-8").splitlines()) - 1
+        expected = f"error: {short}: {n_gold - 5} prediction rows vs {n_gold} gold rows in {gold}"
+        assert expected in capsys.readouterr().err
 
     def test_stance_column(self, workspace, trained_models, tmp_path):
         pred = self._predictions(workspace, trained_models, tmp_path)
@@ -463,6 +511,28 @@ class TestEvaluate:
             "--column", "stance",
         ])
         assert code == 0
+
+    def test_config_column_is_the_flag_column(self, workspace, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_bytes(_constant_predictions(workspace))
+        config = tmp_path / "run.cfg"
+        config.write_text("column=stance\n", encoding="utf-8")
+        tables = {}
+        for name, extra in (("relevance", ["--column", "relevance"]), ("stance", ["--column", "stance"]),
+                            ("config", ["--config", str(config)])):
+            assert main(["evaluate", "--gold", str(workspace["train"]), "--pred", str(pred), *extra]) == 0
+            tables[name] = capsys.readouterr().out
+        assert tables["relevance"] != tables["stance"]
+        assert tables["config"] == tables["stance"]
+
+    def test_config_column_not_a_choice_exits_1(self, workspace, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_bytes(_constant_predictions(workspace))
+        config = tmp_path / "run.cfg"
+        config.write_text("# scored\ncolumn=score\n", encoding="utf-8")
+        args = ["evaluate", "--gold", str(workspace["train"]), "--pred", str(pred), "--config", str(config)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: line 2: column: ")
 
     def test_published_macro_average_fixture(self, tmp_path):
         # per-query accuracies 43/88, 52/58, 67/72, 46/64, 47/74 average
