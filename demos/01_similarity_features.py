@@ -2,8 +2,8 @@
 """Walk through the five query-sentence similarity features.
 
 Each feature scores how well one sentence answers a query, on [0, 1].
-The features read analysed text: ``analyse`` tokenizes and stems a text
-once, and every feature reuses that result.
+The features read analysed text: ``analyse`` tokenizes a text once and
+counts its tokens and their stems, and every feature reads those counts.
 Run:  python demos/01_similarity_features.py
 """
 
@@ -17,6 +17,7 @@ from querystance import (
     feature_noun,
     feature_stemmed,
     fit_vocabulary,
+    stem_tokens,
     task1_features,
 )
 
@@ -32,7 +33,7 @@ print(f"query: {QUERY!r}\n")
 
 query = analyse(QUERY)
 sentences = [analyse(s) for s in SENTENCES]
-print(f"analysed query: tokens {query.tokens}\n                stems  {query.stems}\n")
+print(f"analysed query: tokens {query.tokens}\n                stems  {tuple(stem_tokens(query.tokens))}\n")
 
 # 1) exact matching: word-by-word overlap, Dice-style
 print("exact word overlap")

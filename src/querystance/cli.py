@@ -268,7 +268,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
             ]
             row.extend(labels[i] for labels in columns.values())
             writer.writerow(row)
-    _write_manifest(args, {"chain": bool(args.chain), "tasks": tasks}, pipeline.config.seed)
+    # "chain": task 2 read task-1 predictions, with or without --chain
+    _write_manifest(args, {"chain": tasks == [1, 2], "tasks": tasks}, pipeline.config.seed)
     print(f"wrote {out_path} ({len(records)} rows)")
     return 0
 
@@ -401,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     pred = sub.add_parser("predict", help="label a CSV with a trained model")
     _add_common_paths(pred)
     pred.add_argument("--model", help="model file")
-    pred.add_argument("--model2", help="task-2 model file for --chain")
+    pred.add_argument("--model2", help="task-2 model file; with --model, task 2 reads task-1 predictions")
     pred.add_argument("--chain", action="store_true", default=None,
-                      help="run task 1 then task 2")
+                      help="require both --model and --model2, and run task 1 then task 2")
     pred.set_defaults(func=cmd_predict)
 
     ev = sub.add_parser("evaluate", help="per-query accuracy of predictions vs gold")

@@ -10,15 +10,19 @@ Two feature schemas:
 
 The features read analysed text (``textproc.analyse`` or
 ``textproc.tokenize`` output), never raw strings, so a caller analyses
-each text once however many features read it.
+each text once however many features read it. The task-1 features read
+an analysis's token and stem counts, and ``task2_features`` counts each
+sentence's tokens once; ``dice_similarity`` and ``tfidf_vector`` are
+the token-list forms of the count-taking ``dice_counts`` and
+``tfidf_weights``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +44,9 @@ SCHEMA_TASK2 = "task2-v1"
 TASK1_FEATURE_NAMES = ("exact", "stemmed", "noun", "neighborhood", "cosine")
 
 GLOSS_SENTENCES = 3
+
+# the offset, after the TF-IDF block, of each polarity's count in a task-2 row
+_POLARITY_COLUMNS = {Polarity.POSITIVE: 0, Polarity.NEGATIVE: 1, Polarity.NEUTRAL: 2}
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,37 +97,46 @@ class VocabularyModel:
         return self._index.get(term)
 
 
-def dice_similarity(query_tokens: Sequence[str], sentence_tokens: Sequence[str]) -> float:
-    """2 * common / (len(query) + len(sentence)).
+def dice_counts(query_counts: Mapping[str, int], sentence_counts: Mapping[str, int], n_tokens: int) -> float:
+    """2 * common / n_tokens, from the two texts' word counts and their
+    total token count.
 
-    ``common`` counts words word-by-word: a word appearing twice in both
-    lists contributes two matches (multiset intersection).
+    ``common`` is the size of the multiset intersection: a word counted
+    twice in both texts contributes two matches.
     """
-    if not query_tokens and not sentence_tokens:
+    if not n_tokens:
         return 0.0
-    q_counts = Counter(query_tokens)
-    s_counts = Counter(sentence_tokens)
-    common = sum(min(count, s_counts[word]) for word, count in q_counts.items())
-    return 2.0 * common / (len(query_tokens) + len(sentence_tokens))
+    common = sum(min(query_counts[w], sentence_counts[w]) for w in query_counts.keys() & sentence_counts.keys())
+    return 2.0 * common / n_tokens
+
+
+def dice_similarity(query_tokens: Sequence[str], sentence_tokens: Sequence[str]) -> float:
+    """2 * common / (len(query) + len(sentence)), ``common`` as in ``dice_counts``."""
+    return dice_counts(Counter(query_tokens), Counter(sentence_tokens), len(query_tokens) + len(sentence_tokens))
 
 
 def feature_exact(query: Analysis, sentence: Analysis) -> float:
-    return dice_similarity(query.tokens, sentence.tokens)
+    return dice_counts(query.counts, sentence.counts, len(query.tokens) + len(sentence.tokens))
 
 
 def feature_stemmed(query: Analysis, sentence: Analysis) -> float:
-    return dice_similarity(query.stems, sentence.stems)
+    return dice_counts(query.stem_counts, sentence.stem_counts, len(query.tokens) + len(sentence.tokens))
 
 
 def feature_noun(query: Analysis, sentence: Analysis, noun_lex: NounLexicon) -> float:
     """Fraction of distinct query nouns that appear in the sentence."""
-    query_nouns = {t for t in query.token_set if is_noun(noun_lex, t)}
+    query_nouns = {t for t in query.counts if is_noun(noun_lex, t)}
     if not query_nouns:
         return 0.0
-    return len(query_nouns & sentence.token_set) / len(query_nouns)
+    return len(query_nouns.intersection(sentence.counts)) / len(query_nouns)
 
 
-def feature_neighborhood(query: Analysis, sentence: Analysis, gloss_dict: GlossDictionary) -> float:
+def feature_neighborhood(
+    query: Analysis,
+    sentence: Analysis,
+    gloss_dict: GlossDictionary,
+    matches: dict[str, tuple[str, ...]] | None = None,
+) -> float:
     """Exact matching widened by dictionary glosses.
 
     A sentence word also matches a query word when the first
@@ -128,27 +144,41 @@ def feature_neighborhood(query: Analysis, sentence: Analysis, gloss_dict: GlossD
     Matches per distinct query word are capped at that word's count in
     the query, and the final score is clamped to [0, 1] (one sentence
     word may match several query words through its gloss).
+
+    ``matches`` memoises, for this query only, the query words that each
+    sentence word matches; ``task1_features`` keeps one per query for
+    its batch, so that each (query, sentence word) pair looks up its
+    gloss once.
     """
-    if not query.tokens and not sentence.tokens:
+    n_tokens = len(query.tokens) + len(sentence.tokens)
+    if not n_tokens:
         return 0.0
-    q_counts = Counter(query.tokens)
-    matched: Counter[str] = Counter()  # query word -> sentence tokens that match it
-    for s_word, s_count in Counter(sentence.tokens).items():
-        gloss = gloss_first_k_sentences(gloss_dict, s_word, GLOSS_SENTENCES)
-        for word in q_counts.keys() & {s_word, *gloss}:
-            matched[word] += s_count
-    common = sum(min(matched[word], q_count) for word, q_count in q_counts.items())
-    score = 2.0 * common / (len(query.tokens) + len(sentence.tokens))
-    return min(max(score, 0.0), 1.0)
+    if matches is None:
+        matches = {}
+    q_counts = query.counts
+    matched: dict[str, int] = {}  # query word -> sentence tokens that match it
+    for s_word, s_count in sentence.counts.items():
+        words = matches.get(s_word)
+        if words is None:
+            gloss = gloss_first_k_sentences(gloss_dict, s_word, GLOSS_SENTENCES)
+            words = matches[s_word] = tuple(q_counts.keys() & {s_word, *gloss})
+        for word in words:
+            matched[word] = matched.get(word, 0) + s_count
+    common = sum(min(count, q_counts[word]) for word, count in matched.items())
+    return min(max(2.0 * common / n_tokens, 0.0), 1.0)
 
 
-def fit_vocabulary(sentences: Sequence[Sequence[str]]) -> VocabularyModel:
-    """Collect sorted distinct terms and sentence-level frequencies."""
+def fit_vocabulary(sentences: Sequence[Iterable[str]]) -> VocabularyModel:
+    """Collect sorted distinct terms and sentence-level frequencies.
+
+    Each sentence is given by its tokens, or by its distinct terms as a
+    set such as ``Analysis.counts.keys()``.
+    """
     if not sentences:
         raise EmptyCorpus("cannot fit a vocabulary on zero sentences")
     df_counts: Counter[str] = Counter()
-    for tokens in sentences:
-        df_counts.update(set(tokens))
+    for terms in sentences:
+        df_counts.update(terms if isinstance(terms, Set) else set(terms))
     terms = tuple(sorted(df_counts))
     return VocabularyModel(
         terms=terms,
@@ -157,25 +187,29 @@ def fit_vocabulary(sentences: Sequence[Sequence[str]]) -> VocabularyModel:
     )
 
 
-def tfidf_vector(vocab: VocabularyModel, tokens: Sequence[str]) -> dict[int, float]:
-    """Sparse TF-IDF weights keyed by term index.
+def tfidf_weights(vocab: VocabularyModel, counts: Mapping[str, int], n_tokens: int) -> dict[int, float]:
+    """Sparse TF-IDF weights keyed by term index, from a text's term counts
+    and its token count.
 
-    TF is count/len(tokens) with the denominator including
-    out-of-vocabulary tokens; IDF is ln(n_docs/df). Terms absent from
-    the vocabulary get no component. Absent key means weight 0.
+    TF is count/n_tokens, the denominator including out-of-vocabulary
+    tokens; IDF is ln(n_docs/df). Terms absent from the vocabulary get
+    no component. Absent key means weight 0. Weights are inserted in the
+    order of ``counts``.
     """
     if vocab is None:
-        raise VocabNotFitted("tfidf_vector requires a fitted vocabulary")
-    if not tokens:
-        return {}
-    total = len(tokens)
+        raise VocabNotFitted("tfidf_weights requires a fitted vocabulary")
+    index, idf = vocab._index, vocab._idf
     weights: dict[int, float] = {}
-    for term, count in Counter(tokens).items():
-        idx = vocab.index_of(term)
-        if idx is None:
-            continue
-        weights[idx] = (count / total) * vocab._idf[idx]
+    for term, count in counts.items():
+        idx = index.get(term)
+        if idx is not None:
+            weights[idx] = (count / n_tokens) * idf[idx]
     return weights
+
+
+def tfidf_vector(vocab: VocabularyModel, tokens: Sequence[str]) -> dict[int, float]:
+    """``tfidf_weights`` of a token list."""
+    return tfidf_weights(vocab, Counter(tokens), len(tokens))
 
 
 def _cosine(u: dict[int, float], v: dict[int, float]) -> float:
@@ -194,10 +228,10 @@ def feature_cosine(
     query_weights: dict[int, float] | None = None,
 ) -> float:
     """TF-IDF cosine of query and sentence; ``query_weights`` is the query's
-    ``tfidf_vector``, when the caller already has it."""
+    ``tfidf_weights``, when the caller already has it."""
     if query_weights is None:
-        query_weights = tfidf_vector(vocab, query.tokens)
-    return _cosine(query_weights, tfidf_vector(vocab, sentence.tokens))
+        query_weights = tfidf_weights(vocab, query.counts, len(query.tokens))
+    return _cosine(query_weights, tfidf_weights(vocab, sentence.counts, len(sentence.tokens)))
 
 
 def task1_features(
@@ -208,19 +242,22 @@ def task1_features(
     """The five relevance features, ordered as TASK1_FEATURE_NAMES, of each
     (query, sentence, vocabulary) triple, read one at a time.
 
-    Each query's TF-IDF weights are computed once per vocabulary.
+    Each query's TF-IDF weights are computed once per vocabulary, and
+    the gloss matches of each (query, sentence word) pair once per batch:
+    both memos live for this call only.
     """
     query_weights: dict[tuple, tuple] = {}  # (query tokens, id(vocabulary)) -> (vocabulary, weights)
+    gloss_matches: dict[tuple[str, ...], dict[str, tuple[str, ...]]] = {}  # query tokens -> its matches memo
     rows = []
     for query, sentence, vocab in triples:
         key = (query.tokens, id(vocab))
         if key not in query_weights:  # holding the vocabulary keeps its id from being reused
-            query_weights[key] = (vocab, tfidf_vector(vocab, query.tokens))
+            query_weights[key] = (vocab, tfidf_weights(vocab, query.counts, len(query.tokens)))
         rows.append((
             feature_exact(query, sentence),
             feature_stemmed(query, sentence),
             feature_noun(query, sentence, noun_lex),
-            feature_neighborhood(query, sentence, gloss_dict),
+            feature_neighborhood(query, sentence, gloss_dict, gloss_matches.setdefault(query.tokens, {})),
             feature_cosine(query, sentence, vocab, query_weights[key][1]),
         ))
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(TASK1_FEATURE_NAMES))
@@ -237,17 +274,32 @@ def task2_features(
     per sentence's tokens.
 
     Dimension is vocabulary size + 4; the three counts partition the
-    sentence's tokens.
+    sentence's tokens. Each sentence's tokens are counted once, and each
+    distinct word of the batch has its polarity looked up once.
     """
     if vocab_global is None:
         raise VocabNotFitted("task2_features requires a fitted global vocabulary")
-    values = np.zeros((len(sentences), vocab_global.size + 4))
-    for row, tokens, flag in zip(values, sentences, relevance_flags, strict=True):
+    size = vocab_global.size
+    rows: list[int] = []  # the batch's nonzeros, written into the matrix at once
+    cols: list[int] = []
+    data: list[float] = []
+    polarity_column: dict[str, int] = {}  # word -> column of its polarity count; lives for this call
+    for row, (tokens, flag) in enumerate(zip(sentences, relevance_flags, strict=True)):
         if isinstance(tokens, str):  # a str is a sequence too, of characters
             raise TypeError("task2_features takes each sentence's tokens, not its text")
-        for idx, weight in tfidf_vector(vocab_global, tokens).items():
-            row[idx] = weight
-        counts = Counter(polarity(sent_lex, t) for t in tokens)
-        row[-4:] = (counts[Polarity.POSITIVE], counts[Polarity.NEGATIVE], counts[Polarity.NEUTRAL],
-                    1.0 if flag else 0.0)
+        counts = Counter(tokens)
+        weights = tfidf_weights(vocab_global, counts, len(tokens))
+        tail = [0, 0, 0, 1.0 if flag else 0.0]  # positive, negative and neutral counts, relevance flag
+        for word, count in counts.items():
+            column = polarity_column.get(word)
+            if column is None:
+                column = polarity_column[word] = _POLARITY_COLUMNS[polarity(sent_lex, word)]
+            tail[column] += count
+        rows += [row] * (len(weights) + 4)
+        cols += weights
+        cols += range(size, size + 4)
+        data += weights.values()
+        data += tail
+    values = np.zeros((len(sentences), size + 4))
+    values[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = data
     return FeatureBatch(values, SCHEMA_TASK2)

@@ -142,7 +142,7 @@ def _task1_vectors(
     sentences = _analyse_each(r.sentence_text for r in unseen)
     queries = _analyse_each(r.query_text for r in records)
     fitted = {
-        group.query_id: fit_vocabulary([sentences[r.sentence_text].tokens for r in group.records])
+        group.query_id: fit_vocabulary([sentences[r.sentence_text].counts.keys() for r in group.records])
         for group in group_by_query(unseen)
     }
     vocabularies = {**vocabularies, **fitted}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from typing import NamedTuple
 
 from .porter import porter_stem
@@ -25,11 +26,17 @@ _SENTENCE_BREAK = re.compile(r"[.!?](?=\s|$)")
 
 
 class Analysis(NamedTuple):
-    """One text, analysed once: its tokens, their stems and its distinct tokens."""
+    """One text, analysed once: its tokens, and the counts of its tokens and
+    of their stems.
+
+    Both counts are in first-appearance order, the order ``Counter`` of
+    the tokens or of their stems would give, and ``counts.keys()`` is the
+    text's set of distinct tokens.
+    """
 
     tokens: tuple[str, ...]
-    stems: tuple[str, ...]
-    token_set: frozenset[str]
+    counts: Counter[str]
+    stem_counts: Counter[str]
 
 
 def tokenize(text: str) -> list[str]:
@@ -49,13 +56,16 @@ def stem_tokens(tokens: list[str]) -> list[str]:
 
 
 def analyse(text: str) -> Analysis:
-    """Tokens, stems and token set of ``text``.
+    """Tokens, token counts and stem counts of ``text``.
 
     Tokens are interned: a word repeated across a batch is one string,
-    shared with the stem memo's key for it.
+    shared with the stem memo's key for it. Each distinct word is
+    stemmed once, however often it occurs.
     """
-    tokens = list(map(sys.intern, tokenize(text)))
-    return Analysis(tuple(tokens), tuple(stem_tokens(tokens)), frozenset(tokens))
+    tokens = tuple(map(sys.intern, tokenize(text)))
+    counts = Counter(tokens)
+    stem_of = dict(zip(counts, stem_tokens(list(counts))))
+    return Analysis(tokens, counts, Counter(map(stem_of.__getitem__, tokens)))
 
 
 def split_sentences(text: str) -> list[str]:

@@ -350,6 +350,20 @@ class TestPredict:
         for name, path in paths.items():
             assert inputs[name] == {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
+    def test_manifest_chain_says_whether_task2_read_task1_predictions(self, workspace, trained_models, tmp_path):
+        lexicons = ["--sentiment", str(workspace["sentiment"]), "--nouns", str(workspace["nouns"]),
+                    "--gloss", str(workspace["gloss"])]
+        runs = {
+            "both": ["--model", str(trained_models["m1"]), "--model2", str(trained_models["m2"]),
+                     "--data", str(workspace["unlabeled"])],
+            "task2": ["--model", str(trained_models["m2"]), "--data", str(workspace["train"])],
+        }
+        for name, args in runs.items():
+            assert main(["predict", *args, *lexicons, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        manifests = {name: json.loads((tmp_path / f"{name}.csv.manifest.json").read_text()) for name in runs}
+        assert manifests["both"]["config"] == {"chain": True, "tasks": [1, 2]}
+        assert manifests["task2"]["config"] == {"chain": False, "tasks": [2]}
+
     def test_config_file_gives_data_and_skips_train_options(self, workspace, trained_models, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(f"data={workspace['unlabeled']}\ngamma=0.5\n", encoding="utf-8")

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from querystance import pipeline
 from querystance.errors import EmptyCorpus, VocabNotFitted
@@ -21,6 +21,7 @@ from querystance.features import (
     task1_features,
     task2_features,
     tfidf_vector,
+    tfidf_weights,
 )
 from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon
 from querystance.textproc import analyse as A, tokenize
@@ -303,7 +304,8 @@ class TestTask1Vector:
         triples = [(q, s, v) for v in vocabs for q in queries for s in sentences]
         calls = []
         monkeypatch.setattr(
-            "querystance.features.tfidf_vector", lambda vocab, tokens: calls.append(tokens) or tfidf_vector(vocab, tokens)
+            "querystance.features.tfidf_weights",
+            lambda vocab, counts, n_tokens: calls.append(counts) or tfidf_weights(vocab, counts, n_tokens),
         )
         batch = task1_features(triples, self.GLOSS, self.LEX)
         assert len(calls) == len(triples) + len(vocabs) * len(queries)  # one per row, one per pair
@@ -398,3 +400,83 @@ class TestAnalysedPathEqualsStringOracles:
         got = task2_features([tokenize(r.sentence_text) for r in records], flags, vocab, sentiment).values
         expected = [task2_features_reference(r.sentence_text, flag, vocab, sentiment) for r, flag in zip(records, flags)]
         assert np.array_equal(got, np.array(expected))
+
+
+class TestCountPathEqualsStringOracles:
+    """Features read from word counts, with per-batch memos, equal the string
+    oracles that re-tokenize every text for every feature."""
+
+    GLOSS = GlossDictionary(entries={
+        "melanoma": "Melanoma is a type of skin cancer. It spreads. The sun may cause it. Not this sentence: risk.",
+        "tan": "A tan is skin darkened by the sun.",
+        "ray": "Light from the sun. Rays raise the risk of cancer, and cancer again.",
+    })
+    NOUNS = NounLexicon(entries=frozenset({"sun", "cancer", "skin", "risk"}))
+    SENTIMENT = SentimentLexicon(entries={"good": (0.8, 0.1), "bad": (0.0, 0.7), "risk": (0.2, 0.5), "sun": (0.3, 0.3)})
+    # query words, gloss terms naming them, inflections, and words outside every lexicon
+    POOL = ["sun", "cancer", "skin", "risk", "cause", "causes", "melanoma", "tan", "ray", "rays",
+            "good", "bad", "the", "is", "zebra", "studies", "studying", "Sun", "SKIN"]
+
+    texts = st.lists(st.sampled_from(POOL), max_size=10).map(" ".join)
+    corpora = st.lists(texts, min_size=1, max_size=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(texts, min_size=2, max_size=2), st.lists(texts, min_size=1, max_size=6), corpora, corpora)
+    @example(["sun cancer sun skin", "risk risk"], ["", "melanoma tan sun sun", "zebra"], ["sun skin"], ["zebra"])
+    def test_task1_batch(self, queries, sentences, corpus_a, corpus_b):
+        vocabs = [fit_vocabulary([tokenize(t) for t in corpus]) for corpus in (corpus_a, corpus_b)]
+        analysed = {q: A(q) for q in queries}  # one analysis per query, fresh ones per sentence
+        keys = [(q, s, v) for v in vocabs for q in queries for s in sentences]
+        got = task1_features([(analysed[q], A(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
+        expected = [task1_features_reference(q, s, v, self.GLOSS, self.NOUNS) for q, s, v in keys]
+        assert np.array_equal(got, np.array(expected).reshape(len(keys), 5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(texts, max_size=6), corpora, corpora)
+    @example(["", "good good bad zebra", "risk sun Sun"], ["good risk"], ["the"])
+    def test_task2_batch(self, sentences, corpus_a, corpus_b):
+        flags = [i % 3 == 0 for i in range(len(sentences))]
+        for corpus in (corpus_a, corpus_b):
+            vocab = fit_vocabulary([tokenize(t) for t in corpus])
+            got = task2_features([tokenize(s) for s in sentences], flags, vocab, self.SENTIMENT).values
+            expected = [task2_features_reference(s, f, vocab, self.SENTIMENT) for s, f in zip(sentences, flags)]
+            assert np.array_equal(got, np.array(expected).reshape(len(sentences), vocab.size + 4))
+
+
+class TestPerBatchMemos:
+    """Gloss matches are looked up once per (query, sentence word) pair and
+    polarities once per word, within one batch call and not across calls."""
+
+    GLOSS = TestCountPathEqualsStringOracles.GLOSS
+    NOUNS = TestCountPathEqualsStringOracles.NOUNS
+    SENTIMENT = TestCountPathEqualsStringOracles.SENTIMENT
+
+    def _counting(self, monkeypatch, name):
+        import querystance.features as features
+
+        calls = []
+        original = getattr(features, name)
+        monkeypatch.setattr(features, name, lambda lexicon, word, *rest: calls.append(word) or original(lexicon, word, *rest))
+        return calls
+
+    def test_one_gloss_lookup_per_query_and_sentence_word(self, monkeypatch):
+        calls = self._counting(monkeypatch, "gloss_first_k_sentences")
+        vocab = fit_vocabulary([["sun", "skin"], ["risk"]])
+        queries = [A("sun cancer skin"), A("risk of skin")]
+        sentences = ["melanoma tan melanoma sun", "sun sun zebra", "", "tan risk"]
+        triples = [(q, A(s), vocab) for q in queries for s in sentences * 2]
+        pairs = {(q.tokens, w) for q, s, _ in triples for w in s.tokens}
+        task1_features(triples, self.GLOSS, self.NOUNS)
+        assert len(calls) == len(pairs) == 2 * 5  # melanoma, tan, sun, zebra and risk, for each query
+        task1_features(triples, self.GLOSS, self.NOUNS)  # a second call starts with an empty memo
+        assert len(calls) == 2 * len(pairs)
+
+    def test_one_polarity_lookup_per_word(self, monkeypatch):
+        calls = self._counting(monkeypatch, "polarity")
+        vocab = fit_vocabulary([["good", "sun"]])
+        sentences = [tokenize(s) for s in ("good good bad", "bad zebra good", "", "risk sun Sun")]
+        words = {w for tokens in sentences for w in tokens}
+        task2_features(sentences, [True] * 4, vocab, self.SENTIMENT)
+        assert sorted(calls) == sorted(words)
+        task2_features(sentences, [True] * 4, vocab, self.SENTIMENT)  # a second call starts with an empty memo
+        assert len(calls) == 2 * len(words)

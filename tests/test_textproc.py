@@ -1,4 +1,5 @@
 import string
+from collections import Counter
 
 from hypothesis import example, given, strategies as st
 
@@ -68,18 +69,24 @@ class TestAnalyse:
     def test_fields(self):
         a = analyse("Mangoes and MANGOES, studies")
         assert a.tokens == ("mangoes", "and", "mangoes", "studies")
-        assert a.stems == ("mango", "and", "mango", "studi")
-        assert a.token_set == frozenset({"mangoes", "and", "studies"})
+        assert list(a.counts.items()) == [("mangoes", 2), ("and", 1), ("studies", 1)]
+        assert list(a.stem_counts.items()) == [("mango", 2), ("and", 1), ("studi", 1)]
 
     def test_empty(self):
-        assert analyse("") == ((), (), frozenset())
+        assert analyse("") == ((), Counter(), Counter())
 
     @given(st.text(max_size=200))
+    @example("studies study studying studied")  # several words, one stem
+    @example("b a b c a")
     def test_matches_tokenize_and_stem(self, text):
         a = analyse(text)
         assert list(a.tokens) == tokenize(text)
-        assert list(a.stems) == [porter_stem(t) for t in a.tokens]
-        assert a.token_set == set(a.tokens)
+        stems = stem_tokens(list(a.tokens))
+        assert stems == [porter_stem(t) for t in a.tokens]
+        # equal as counts and in first-appearance order
+        assert a.counts == Counter(a.tokens) and list(a.counts) == list(Counter(a.tokens))
+        assert a.stem_counts == Counter(stems) and list(a.stem_counts) == list(Counter(stems))
+        assert a.counts.keys() == set(a.tokens)
 
 
 class TestSplitSentences:
