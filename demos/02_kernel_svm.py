@@ -11,7 +11,7 @@ from querystance import (
     SvmConfig,
     decision_value,
     dual_objective,
-    predict,
+    predict_batch,
     train_binary,
     train_multiclass,
 )
@@ -46,7 +46,8 @@ for center, label in [((0, 0), "ants"), ((9, 0), "bees"), ((0, 9), "wasps")]:
 cfg = SvmConfig(c=1e7, kernel=KernelConfig("linear"))
 model = train_multiclass(x, y, cfg)
 print(f"  labels: {model.labels}, machines: {len(model.machines)}")
-hits = sum(predict(model, p) == label for p, label in zip(x, y))
+hits = sum(predicted == label for predicted, label in zip(predict_batch(model, x), y))
 print(f"  training accuracy: {hits}/{len(x)}")
-for probe in ([0.0, 0.5], [8.5, 0.2], [1.0, 8.0], [5.0, 5.0]):
-    print(f"  predict({probe}) -> {predict(model, probe)}")
+probes = [[0.0, 0.5], [8.5, 0.2], [1.0, 8.0], [5.0, 5.0]]
+for probe, predicted in zip(probes, predict_batch(model, probes)):
+    print(f"  predict({probe}) -> {predicted}")

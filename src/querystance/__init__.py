@@ -18,7 +18,6 @@ from .corpus import (
 from .features import (
     FeatureBatch,
     VocabularyModel,
-    dice_similarity,
     feature_cosine,
     feature_exact,
     feature_neighborhood,
@@ -27,7 +26,6 @@ from .features import (
     fit_vocabulary,
     task1_features,
     task2_features,
-    tfidf_vector,
 )
 from .lexicons import (
     GlossDictionary,
@@ -65,7 +63,6 @@ from .svm import (
     decision_value,
     decision_values,
     dual_objective,
-    kernel_eval,
     predict,
     predict_batch,
     train_binary,

@@ -25,8 +25,16 @@ from operator import attrgetter
 
 from . import __version__
 from .codec import to_doc, write_json
-from .corpus import EXPECTED_HEADER, load_dataset, split_train_dev
-from .errors import AlignmentError, LengthMismatch, QueryStanceError, reading_utf8
+from .corpus import (
+    EXPECTED_HEADER,
+    RELEVANCE_LABELS,
+    STANCE_LABELS,
+    _parse_label,
+    load_dataset,
+    required_labels,
+    split_train_dev,
+)
+from .errors import AlignmentError, BadLabel, LengthMismatch, QueryStanceError, reading_utf8
 from .features import SCHEMA_TASK1, SCHEMA_TASK2, TASK1_FEATURE_NAMES, task2_features
 from .pipeline import (
     LexiconSet,
@@ -171,14 +179,6 @@ class UsageError(Exception):
     pass
 
 
-def _labels(records, column: str, path: str, purpose: str) -> list[str]:
-    """Each record's ``column`` label; QueryStanceError names the first row without one."""
-    labels = [getattr(r, column) for r in records]
-    if None in labels:
-        raise QueryStanceError(f"{path}: row {labels.index(None) + 2}: no {column} label, needed for {purpose}")
-    return labels
-
-
 # --- manifest ---------------------------------------------------------------
 
 
@@ -251,7 +251,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if 1 in tasks:
         relevance = columns["predicted_relevance"] = predict_task1(pipeline, records)
     else:  # standalone task-2 model: relevance flags come from the dataset
-        relevance = _labels(records, "relevance", data_path, "standalone task-2 prediction")
+        relevance = required_labels(records, "relevance", "standalone task-2 prediction", data_path)
     if 2 in tasks:
         columns["predicted_stance"] = predict_task2(pipeline, records, relevance)
 
@@ -279,7 +279,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pred_path = _require(args, "pred")
     column = args.column or "relevance"
     gold_records = load_dataset(gold_path, labeled=False)
-    gold = _labels(gold_records, column, gold_path, "evaluation")
+    gold = required_labels(gold_records, column, "evaluation", gold_path)
 
     predicted_column = f"predicted_{column}"
     with open(pred_path, encoding="utf-8-sig", newline="") as handle, reading_utf8(pred_path):
@@ -291,13 +291,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise LengthMismatch(
             f"{pred_path}: {len(pred_rows)} prediction rows vs {len(gold_records)} gold rows in {gold_path}"
         )
-    for i, (record, row) in enumerate(zip(gold_records, pred_rows)):
+    allowed = RELEVANCE_LABELS if column == "relevance" else STANCE_LABELS
+    predictions = []  # each read by the gold file's label rule
+    for row_no, (record, row) in enumerate(zip(gold_records, pred_rows), start=2):
         if "query_id" in row and row["query_id"] != record.query_id:
             raise AlignmentError(
-                f"{pred_path}: row {i + 2}: prediction query_id {row['query_id']!r} "
+                f"{pred_path}: row {row_no}: prediction query_id {row['query_id']!r} "
                 f"vs gold query_id {record.query_id!r}"
             )
-    predictions = [row[predicted_column] for row in pred_rows]
+        raw = row[predicted_column] or ""  # None: the row ends before the column
+        label = _parse_label(raw, allowed, pred_path, row_no, predicted_column)
+        if label is None:
+            raise BadLabel(pred_path, row_no, raw, f"no {predicted_column} value")
+        predictions.append(label)
     report = evaluate(gold, predictions, [r.query_id for r in gold_records])
     print(report.render_table())
     if args.out:
@@ -327,7 +333,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         vocab = pipeline.task2_vocabulary
         if vocab is None:
             raise QueryStanceError(f"{model_path}: not a task-2 model file")
-        relevance = _labels(records, "relevance", data_path, "the task-2 relevance flag")
+        relevance = required_labels(records, "relevance", "the task-2 relevance flag", data_path)
         header_comment = f"# schema_id={SCHEMA_TASK2} n_vocab={vocab.size}"
         names = [f"tf:{term}" for term in vocab.terms]
         names += ["positive_count", "negative_count", "neutral_count", "relevance_flag"]
@@ -340,7 +346,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         writer.writerow(["query_id", "row"] + names)
         for i, (record, row) in enumerate(zip(records, batch.values.tolist())):
             writer.writerow([record.query_id, i] + [repr(v) for v in row])
-    _write_manifest(args, {"task": task}, PipelineConfig().seed if args.seed is None else args.seed)
+    _write_manifest(args, {"task": task}, 0)
     print(f"wrote {out_path} ({len(records)} rows)")
     return 0
 
@@ -355,9 +361,6 @@ def _add_common_paths(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sentiment", help="sentiment lexicon TSV (term<TAB>pos<TAB>neg)")
     parser.add_argument("--out", help="output path")
     parser.add_argument("--config", help="key=value config file, overridden by explicit flags")
-    parser.add_argument(
-        "--seed", type=int, help=f"train/dev tuning split seed (default {PipelineConfig().seed})"
-    )
 
 
 def _default_help(text: str, field: str) -> str:
@@ -390,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--eps", type=float, help=_default_help("support-vector alpha floor", "eps"))
     train.add_argument("--stance-classes", choices=("three_class", "two_class"), dest="stance_classes")
     train.add_argument("--train-fraction", type=float, dest="train_fraction")
+    train.add_argument("--seed", type=int, help=f"train/dev tuning split seed (default {PipelineConfig().seed})")
     train.add_argument(
         "--no-retrain-full",
         dest="retrain_full",

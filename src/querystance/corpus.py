@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .errors import (
     EmptyText,
     MalformedCsv,
     MissingColumn,
+    MissingStanceLabel,
     UnlabeledRecord,
     reading_utf8,
 )
@@ -116,6 +118,24 @@ def load_dataset(path: str | Path, labeled: bool = False) -> list[SentenceRecord
     return records
 
 
+def required_labels(
+    records: Sequence[SentenceRecord], column: str, purpose: str, path: str | Path | None = None
+) -> list[str]:
+    """Each record's ``column`` label, "relevance" or "stance".
+
+    The first record without one raises UnlabeledRecord (relevance) or
+    MissingStanceLabel (stance), naming its row of ``path`` when the
+    records were read from that file, else its index and query id.
+    """
+    labels = [getattr(r, column) for r in records]
+    if None in labels:
+        i = labels.index(None)
+        where = f"{path}: row {i + 2}" if path else f"record {i} (query {records[i].query_id!r})"
+        error = UnlabeledRecord if column == "relevance" else MissingStanceLabel
+        raise error(f"{where}: no {column} label, needed for {purpose}")
+    return labels
+
+
 def group_by_query(records: list[SentenceRecord]) -> list[QueryGroup]:
     """One group per distinct query_id, in order of first appearance."""
     order: list[str] = []
@@ -148,11 +168,7 @@ def split_train_dev(
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    for record in records:
-        if record.relevance is None:
-            raise UnlabeledRecord(
-                f"record for query {record.query_id!r} has no relevance label"
-            )
+    required_labels(records, "relevance", "the train/dev split")
     rng = random.Random(seed)
     train: list[SentenceRecord] = []
     dev: list[SentenceRecord] = []

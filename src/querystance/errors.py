@@ -77,6 +77,10 @@ class UnlabeledRecord(QueryStanceError):
     """A record without a relevance label reached a labeled-only operation."""
 
 
+class MissingStanceLabel(QueryStanceError):
+    """A stance-training record has no stance label."""
+
+
 # --- lexicons -------------------------------------------------------------
 
 class MalformedLine(QueryStanceError):
@@ -135,10 +139,6 @@ class VersionMismatch(CorruptModel):
 
 
 # --- pipeline -------------------------------------------------------------
-
-class MissingStanceLabel(QueryStanceError):
-    """A stance-training record has no stance label."""
-
 
 class AlignmentError(QueryStanceError):
     """Two row-aligned inputs differ in length or keys."""

@@ -12,9 +12,7 @@ The features read analysed text (``textproc.analyse`` or
 ``textproc.tokenize`` output), never raw strings, so a caller analyses
 each text once however many features read it. The task-1 features read
 an analysis's token and stem counts, and ``task2_features`` counts each
-sentence's tokens once; ``dice_similarity`` and ``tfidf_vector`` are
-the token-list forms of the count-taking ``dice_counts`` and
-``tfidf_weights``.
+sentence's tokens once.
 """
 
 from __future__ import annotations
@@ -110,11 +108,6 @@ def dice_counts(query_counts: Mapping[str, int], sentence_counts: Mapping[str, i
     return 2.0 * common / n_tokens
 
 
-def dice_similarity(query_tokens: Sequence[str], sentence_tokens: Sequence[str]) -> float:
-    """2 * common / (len(query) + len(sentence)), ``common`` as in ``dice_counts``."""
-    return dice_counts(Counter(query_tokens), Counter(sentence_tokens), len(query_tokens) + len(sentence_tokens))
-
-
 def feature_exact(query: Analysis, sentence: Analysis) -> float:
     return dice_counts(query.counts, sentence.counts, len(query.tokens) + len(sentence.tokens))
 
@@ -205,11 +198,6 @@ def tfidf_weights(vocab: VocabularyModel, counts: Mapping[str, int], n_tokens: i
         if idx is not None:
             weights[idx] = (count / n_tokens) * idf[idx]
     return weights
-
-
-def tfidf_vector(vocab: VocabularyModel, tokens: Sequence[str]) -> dict[int, float]:
-    """``tfidf_weights`` of a token list."""
-    return tfidf_weights(vocab, Counter(tokens), len(tokens))
 
 
 def _cosine(u: dict[int, float], v: dict[int, float]) -> float:

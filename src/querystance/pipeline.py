@@ -14,16 +14,8 @@ from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
 
 from .codec import FieldError, from_doc, read_json, to_doc, write_json
-from .corpus import SentenceRecord, group_by_query, split_train_dev
-from .errors import (
-    AlignmentError,
-    CorruptModel,
-    EmptyInput,
-    LengthMismatch,
-    MissingStanceLabel,
-    NoSupportVectors,
-    UnlabeledRecord,
-)
+from .corpus import SentenceRecord, group_by_query, required_labels, split_train_dev
+from .errors import AlignmentError, CorruptModel, EmptyInput, LengthMismatch, NoSupportVectors
 from .features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
@@ -160,11 +152,7 @@ def train_task1(
     config: PipelineConfig,
 ) -> TrainedPipeline:
     """Fit per-query vocabularies and the pooled relevance classifier."""
-    labels = []
-    for r in records:
-        if r.relevance is None:
-            raise UnlabeledRecord(f"record for query {r.query_id!r} has no relevance label")
-        labels.append(r.relevance)
+    labels = required_labels(records, "relevance", "task-1 training")
     batch, vocabularies = _task1_vectors(records, {}, lexicons)
     model = train_multiclass(batch, labels, config.task1)
     return TrainedPipeline(
@@ -204,17 +192,15 @@ def train_task2(
         raise AlignmentError(
             f"{len(records)} records but {len(task1_labels)} relevance labels"
         )
-    for r in records:
-        if r.stance is None:
-            raise MissingStanceLabel(f"record for query {r.query_id!r} has no stance label")
+    stances = required_labels(records, "stance", "task-2 training")
     tokens = [tokenize(r.sentence_text) for r in records]
     vocabulary = fit_vocabulary(tokens)
     two_class = config.stance_classes == TWO_CLASS
-    kept = [i for i, r in enumerate(records) if not two_class or r.stance != NEUTRAL]
+    kept = [i for i, stance in enumerate(stances) if not two_class or stance != NEUTRAL]
     batch = task2_features(
         [tokens[i] for i in kept], [task1_labels[i] == RELEVANT for i in kept], vocabulary, lexicons.sentiment
     )
-    model = train_multiclass(batch, [records[i].stance for i in kept], config.task2)
+    model = train_multiclass(batch, [stances[i] for i in kept], config.task2)
     if pipeline is None:
         pipeline = TrainedPipeline(config=config, lexicons=lexicons)
     pipeline.task2_model = model

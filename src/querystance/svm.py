@@ -219,20 +219,6 @@ class MulticlassModel:
         object.__setattr__(self, "machines", machines)
 
 
-def kernel_eval(cfg: KernelConfig, u, v) -> float:
-    """Kernel value for a single pair of vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"kernel inputs have shapes {u.shape} and {v.shape}")
-    if cfg.kind == "linear":
-        return float(np.dot(u, v))
-    if cfg.kind == "poly":
-        return float((cfg.gamma * np.dot(u, v) + cfg.coef0) ** cfg.degree)
-    diff = u - v
-    return float(np.exp(-cfg.gamma * np.dot(diff, diff)))
-
-
 def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix K[i, j] = k(a[i], b[j]); ``b_sq`` caches the squared norms of b's rows."""
     dots = a @ b.T

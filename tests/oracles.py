@@ -3,9 +3,9 @@
 Each of these recomputes an expected value through a different route
 than the implementation under test: explicit pairing loops for the
 similarity features, exact active-set enumeration for the SVM dual,
-and the string-taking feature functions that re-tokenize their inputs
-for every feature, as the package computed them before it analysed
-each text once. Keep them dumb and obviously correct.
+a one-pair kernel for the SVM's kernel matrices, and the string-taking
+feature functions that re-tokenize their inputs for every feature, as
+the package computed them before it analysed each text once. Keep them dumb and obviously correct.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import Counter
 
 import numpy as np
 
-from querystance.features import GLOSS_SENTENCES, _cosine, dice_similarity, tfidf_vector
+from querystance.features import GLOSS_SENTENCES, _cosine, dice_counts, tfidf_weights
 from querystance.lexicons import Polarity, is_noun, polarity
 from querystance.porter import porter_stem
 from querystance.textproc import split_sentences
@@ -46,12 +46,16 @@ def gloss_tokens_reference(gloss_dict, term: str, k: int) -> list[str]:
     return tokenize_reference(" ".join(split_sentences(gloss)[:k]))
 
 
+def _dice(query_words: list[str], sentence_words: list[str]) -> float:
+    return dice_counts(Counter(query_words), Counter(sentence_words), len(query_words) + len(sentence_words))
+
+
 def feature_exact_reference(query: str, sentence: str) -> float:
-    return dice_similarity(tokenize_reference(query), tokenize_reference(sentence))
+    return _dice(tokenize_reference(query), tokenize_reference(sentence))
 
 
 def feature_stemmed_reference(query: str, sentence: str) -> float:
-    return dice_similarity(
+    return _dice(
         [porter_stem(t) for t in tokenize_reference(query)],
         [porter_stem(t) for t in tokenize_reference(sentence)],
     )
@@ -82,9 +86,10 @@ def feature_neighborhood_reference(query: str, sentence: str, gloss_dict) -> flo
 
 
 def feature_cosine_reference(query: str, sentence: str, vocab) -> float:
+    query_tokens, sentence_tokens = tokenize_reference(query), tokenize_reference(sentence)
     return _cosine(
-        tfidf_vector(vocab, tokenize_reference(query)),
-        tfidf_vector(vocab, tokenize_reference(sentence)),
+        tfidf_weights(vocab, Counter(query_tokens), len(query_tokens)),
+        tfidf_weights(vocab, Counter(sentence_tokens), len(sentence_tokens)),
     )
 
 
@@ -213,6 +218,18 @@ def cosine_bruteforce(u: dict[int, float], v: dict[int, float]) -> float:
     return dot / (norm_u_sq**0.5 * norm_v_sq**0.5)
 
 
+def kernel_eval(cfg, u, v) -> float:
+    """Kernel value of one pair of vectors, by its formula."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if cfg.kind == "linear":
+        return float(np.dot(u, v))
+    if cfg.kind == "poly":
+        return float((cfg.gamma * np.dot(u, v) + cfg.coef0) ** cfg.degree)
+    diff = u - v
+    return float(np.exp(-cfg.gamma * np.dot(diff, diff)))
+
+
 def ovo_reference(model, x) -> tuple[str, list[float]]:
     """One-vs-one label and per-machine decision values of one row, by loops.
 
@@ -221,8 +238,6 @@ def ovo_reference(model, x) -> tuple[str, list[float]]:
     wins, breaks ties on the summed |decision| of the tied labels and
     then on the earliest label.
     """
-    from querystance.svm import kernel_eval
-
     pool = model.pool
 
     def support_vector(row):

@@ -139,6 +139,13 @@ def _constant_predictions(ws) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+def _predictions_changed_at_row(ws, row: int, change) -> bytes:
+    """``_constant_predictions`` with ``change`` applied to the line of CSV row ``row``."""
+    lines = _constant_predictions(ws).splitlines()
+    lines[row - 1] = change(lines[row - 1])
+    return b"\n".join(lines) + b"\n"
+
+
 # a broken input file: (the role it replaces, its bytes or a function of the workspace
 # giving them[, what the message says after the file]); the command that reads it fails
 # with exit 1, naming the file
@@ -170,6 +177,15 @@ BAD_INPUTS = {
     "prediction query id not the gold one": ("pred", _predictions_misaligned_at_row_3, "row 3: "),
     "prediction CSV shorter than gold": (
         "pred", lambda ws: b"\n".join(_constant_predictions(ws).splitlines()[:2]) + b"\n", "1 prediction rows vs "
+    ),
+    "prediction label outside its domain": (
+        "pred",
+        lambda ws: _predictions_changed_at_row(ws, 3, lambda line: line.rsplit(b",", 2)[0] + b",relevent,support"),
+        "row 3: predicted_relevance must be one of ",
+    ),
+    "prediction row ending before its label": (
+        "pred", lambda ws: _predictions_changed_at_row(ws, 4, lambda line: line.rsplit(b",", 2)[0]),
+        "row 4: no predicted_relevance value",
     ),
 }
 
@@ -364,16 +380,18 @@ class TestPredict:
         assert manifests["both"]["config"] == {"chain": True, "tasks": [1, 2]}
         assert manifests["task2"]["config"] == {"chain": False, "tasks": [2]}
 
-    def test_config_file_gives_data_and_skips_train_options(self, workspace, trained_models, tmp_path):
+    def test_config_file_gives_data_and_skips_train_options(self, workspace, tmp_path):
+        model = tmp_path / "m1.json"
+        assert main(train_args(workspace, 1, model, "--seed", "3")) == 0
         config = tmp_path / "run.cfg"
-        config.write_text(f"data={workspace['unlabeled']}\ngamma=0.5\n", encoding="utf-8")
+        config.write_text(f"data={workspace['unlabeled']}\ngamma=0.5\nseed=5\n", encoding="utf-8")
         outs = {"flag": tmp_path / "flag.csv", "config": tmp_path / "config.csv"}
-        base = ["predict", "--model", str(trained_models["m1"]),
-                "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"])]
+        base = ["predict", "--model", str(model), "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"])]
         assert main(base + ["--data", str(workspace["unlabeled"]), "--out", str(outs["flag"])]) == 0
         assert main(base + ["--config", str(config), "--out", str(outs["config"])]) == 0
         assert outs["config"].read_bytes() == outs["flag"].read_bytes()
         assert len(outs["config"].read_text(encoding="utf-8").splitlines()) == 101
+        assert json.loads((tmp_path / "config.csv.manifest.json").read_text())["seed"] == 3  # the model's
 
     def test_wrong_task_model_exits_1(self, workspace, trained_models, tmp_path, capsys):
         # task-2 model alone cannot label an unlabeled file (no relevance column)
@@ -443,6 +461,25 @@ class TestPredict:
             "--gloss", str(workspace["gloss"]),
         ])
         assert code == 1
+
+
+class TestSeedIsATrainOption:
+    @pytest.mark.parametrize("command", [["predict"], ["features", "--task", "1"]], ids=" ".join)
+    def test_seed_flag_exits_2(self, workspace, trained_models, tmp_path, command):
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--model", str(trained_models["m1"]), "--data", str(workspace["unlabeled"]),
+                  "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"]),
+                  "--out", str(tmp_path / "out.csv"), "--seed", "5"])
+        assert err.value.code == 2
+
+    def test_features_manifest_records_seed_0(self, workspace, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=5\n", encoding="utf-8")
+        out = tmp_path / "f1.csv"
+        assert main(["features", "--task", "1", "--data", str(workspace["train"]), "--out", str(out),
+                     "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"]),
+                     "--config", str(config)]) == 0
+        assert json.loads((tmp_path / "f1.csv.manifest.json").read_text())["seed"] == 0
 
 
 class TestTwoClassMode:

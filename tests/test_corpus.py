@@ -159,8 +159,8 @@ class TestSplitTrainDev:
             split_train_dev([_rec("q", "t", 0)], 1.5, seed=0)
 
     def test_unlabeled_record_rejected(self):
-        records = [SentenceRecord("q", "t", "s", relevance=None)]
-        with pytest.raises(UnlabeledRecord):
+        records = [SentenceRecord("q", "t", "s", relevance="relevant"), SentenceRecord("q", "t", "s", relevance=None)]
+        with pytest.raises(UnlabeledRecord, match=r"^record 1 \(query 'q'\): no relevance label"):
             split_train_dev(records, 0.6, seed=0)
 
     def test_different_seeds_differ(self):

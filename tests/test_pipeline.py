@@ -77,7 +77,7 @@ class TestTask1:
 
     def test_unlabeled_rejected(self, synthetic_lexicons):
         records = [SentenceRecord("q", "text", "sentence")]
-        with pytest.raises(UnlabeledRecord):
+        with pytest.raises(UnlabeledRecord, match=r"^record 0 \(query 'q'\): no relevance label, needed for task-1"):
             train_task1(records, synthetic_lexicons, PipelineConfig())
 
     def test_unseen_query_gets_throwaway_vocabulary(self, trained):
@@ -194,7 +194,7 @@ class TestTask2:
 
     def test_missing_stance_rejected(self, synthetic_lexicons):
         records = [SentenceRecord("q", "t", "s", relevance="relevant")] * 4
-        with pytest.raises(MissingStanceLabel):
+        with pytest.raises(MissingStanceLabel, match=r"^record 0 \(query 'q'\): no stance label, needed for task-2"):
             train_task2(records, ["relevant"] * 4, synthetic_lexicons, PipelineConfig())
 
 

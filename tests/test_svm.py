@@ -27,14 +27,13 @@ from querystance.svm import (
     decision_value,
     decision_values,
     dual_objective,
-    kernel_eval,
     predict,
     predict_batch,
     train_binary,
     train_multiclass,
 )
 
-from oracles import ovo_reference, solve_dual_bruteforce
+from oracles import kernel_eval, ovo_reference, solve_dual_bruteforce
 from svm_fixtures import fixture_instances, kkt_satisfied, overlapping_rows, training_alphas
 
 
@@ -46,24 +45,50 @@ def _load(path):
     return from_doc(MulticlassModel, read_json(path), path)
 
 
+def _one_pair(cfg, u, v) -> float:
+    """The kernel value of u and v, through the kernel-matrix code."""
+    gram = _gram(cfg, np.array([u], dtype=np.float64), np.array([v], dtype=np.float64))
+    assert gram.shape == (1, 1)
+    return float(gram[0, 0])
+
+
+# quarter steps in [-4, 4]: every dot product of such rows is exact, whatever
+# order a matrix product sums in, so the comparison tests the kernel formulas
+_QUARTERS = st.integers(-16, 16).map(lambda k: k / 4)
+_KERNELS = st.one_of(
+    st.just(KernelConfig("linear")),
+    st.builds(
+        lambda gamma, degree, coef0: KernelConfig("poly", gamma=gamma, degree=degree, coef0=coef0),
+        st.floats(0.01, 2.0), st.integers(1, 4), st.floats(0.0, 2.0),
+    ),
+    st.builds(lambda gamma: KernelConfig("rbf", gamma=gamma), st.floats(0.01, 2.0)),
+)
+
+
 class TestKernelEval:
     def test_rbf_self_is_one(self):
         cfg = KernelConfig("rbf", gamma=0.7)
         for u in ([0.0, 0.0], [1.5, -2.0], [3.0]):
-            assert kernel_eval(cfg, u, u) == 1.0
+            assert _one_pair(cfg, u, u) == 1.0
 
     def test_linear_orthogonal(self):
-        assert kernel_eval(KernelConfig("linear"), [1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert _one_pair(KernelConfig("linear"), [1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_poly_reference_settings(self):
         cfg = KernelConfig("poly", gamma=0.006, degree=3, coef0=0.0)
         u = [10.0, 0.0]
         v = [1.0, 0.0]
-        assert kernel_eval(cfg, u, v) == pytest.approx(0.06**3, rel=1e-12)
+        assert _one_pair(cfg, u, v) == pytest.approx(0.06**3, rel=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            kernel_eval(KernelConfig("linear"), [1.0], [1.0, 2.0])
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_KERNELS, data=st.data())
+    def test_gram_matches_one_pair_oracle(self, cfg, data):
+        dims = data.draw(st.integers(1, 5))
+        rows = st.lists(st.lists(_QUARTERS, min_size=dims, max_size=dims), min_size=1, max_size=4)
+        a, b = np.array(data.draw(rows)), np.array(data.draw(rows))
+        gram = _gram(cfg, a, b)
+        expected = np.array([[kernel_eval(cfg, u, v) for v in b] for u in a])
+        np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=0.0)
 
     def test_symmetry_and_unit_diagonal(self):
         rng = np.random.default_rng(0)
