@@ -34,7 +34,16 @@ from .corpus import (
     required_labels,
     split_train_dev,
 )
-from .errors import AlignmentError, BadLabel, LengthMismatch, QueryStanceError, reading_utf8
+from .errors import (
+    AlignmentError,
+    BadLabel,
+    EmptyCorpus,
+    EmptyInput,
+    LengthMismatch,
+    QueryStanceError,
+    SingleClassInput,
+    reading_utf8,
+)
 from .features import SCHEMA_TASK1, SCHEMA_TASK2, TASK1_FEATURE_NAMES, task2_features
 from .pipeline import (
     LexiconSet,
@@ -72,7 +81,7 @@ def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise QueryStanceError(f"{path}: line {line_no}: expected key=value, got {line!r}")
+                raise QueryStanceError(f"expected key=value, got {line!r}", path, line=line_no)
             key, value = line.split("=", 1)
             values[key.strip().replace("-", "_")] = (line_no, value.strip())
     return values
@@ -101,12 +110,12 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     lines = {}
     for key, (line_no, raw) in _read_config_file(args.config).items():
         if not any(key in _options(command) for command in commands.values()):
-            raise QueryStanceError(f"{args.config}: line {line_no}: {key}: no command takes this option")
+            raise QueryStanceError("no command takes this option", args.config, line=line_no, field=key)
         if key in own and getattr(args, key) is None:
             try:
                 setattr(args, key, _convert(own[key], raw))
             except (QueryStanceError, ValueError) as exc:
-                raise QueryStanceError(f"{args.config}: line {line_no}: {key}: {exc}") from exc
+                raise QueryStanceError(str(exc), args.config, line=line_no, field=key) from exc
             lines[key] = line_no
     return lines
 
@@ -137,7 +146,7 @@ def _override(args: argparse.Namespace, obj, options: dict[str, str]):
         except ValueError as exc:
             if option not in args.config_lines:
                 raise
-            raise QueryStanceError(f"{args.config}: line {args.config_lines[option]}: {option}: {exc}") from exc
+            raise QueryStanceError(str(exc), args.config, line=args.config_lines[option], field=option) from exc
     return obj
 
 
@@ -219,12 +228,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, task)
     lexicons = _load_lexicons(args, task)
     records = load_dataset(data_path, labeled=True)
+    if task == 2:
+        required_labels(records, "stance", "task-2 training", data_path)
     if args.retrain_full is False:
         records = split_train_dev(records, config.train_fraction, config.seed).train
-    if task == 1:
-        pipeline = train_task1(records, lexicons, config)
-    else:
-        pipeline = train_task2(records, [r.relevance for r in records], lexicons, config)
+    try:
+        if task == 1:
+            pipeline = train_task1(records, lexicons, config)
+        else:
+            pipeline = train_task2(records, [r.relevance for r in records], lexicons, config)
+    except (SingleClassInput, EmptyCorpus) as exc:  # the rows read (or kept) hold one label or none
+        raise type(exc)(str(exc), data_path) from exc
     save_task_model(pipeline, task, out_path)
     _write_manifest(args, {"task": task, **to_doc(config)}, config.seed)
     print(f"wrote {out_path}")
@@ -279,30 +293,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pred_path = _require(args, "pred")
     column = args.column or "relevance"
     gold_records = load_dataset(gold_path, labeled=False)
+    if not gold_records:
+        raise EmptyInput("nothing to evaluate", gold_path)
     gold = required_labels(gold_records, column, "evaluation", gold_path)
 
     predicted_column = f"predicted_{column}"
     with open(pred_path, encoding="utf-8-sig", newline="") as handle, reading_utf8(pred_path):
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or predicted_column not in reader.fieldnames:
-            raise QueryStanceError(f"{pred_path}: missing column {predicted_column!r}")
+            raise QueryStanceError(f"missing column {predicted_column!r}", pred_path)
         pred_rows = list(reader)
     if len(pred_rows) != len(gold_records):
-        raise LengthMismatch(
-            f"{pred_path}: {len(pred_rows)} prediction rows vs {len(gold_records)} gold rows in {gold_path}"
-        )
+        problem = f"{len(pred_rows)} prediction rows vs {len(gold_records)} gold rows in {gold_path}"
+        raise LengthMismatch(problem, pred_path)
     allowed = RELEVANCE_LABELS if column == "relevance" else STANCE_LABELS
     predictions = []  # each read by the gold file's label rule
     for row_no, (record, row) in enumerate(zip(gold_records, pred_rows), start=2):
         if "query_id" in row and row["query_id"] != record.query_id:
-            raise AlignmentError(
-                f"{pred_path}: row {row_no}: prediction query_id {row['query_id']!r} "
-                f"vs gold query_id {record.query_id!r}"
-            )
+            problem = f"prediction query_id {row['query_id']!r} vs gold query_id {record.query_id!r}"
+            raise AlignmentError(problem, pred_path, row=row_no)
         raw = row[predicted_column] or ""  # None: the row ends before the column
         label = _parse_label(raw, allowed, pred_path, row_no, predicted_column)
         if label is None:
-            raise BadLabel(pred_path, row_no, raw, f"no {predicted_column} value")
+            raise BadLabel(f"no {predicted_column} value: {raw!r}", pred_path, row=row_no)
         predictions.append(label)
     report = evaluate(gold, predictions, [r.query_id for r in gold_records])
     print(report.render_table())
@@ -321,18 +334,19 @@ def cmd_features(args: argparse.Namespace) -> int:
     out_path = _require(args, "out")
     records = load_dataset(data_path, labeled=False)
 
+    lexicons = _load_lexicons(args, task)
+    model_path = args.model if task == 1 else _require(args, "model")  # task 1: optional
+    pipeline = load_task_model(model_path, lexicons) if model_path else None
+    if pipeline and getattr(pipeline, f"task{task}_model") is None:
+        raise QueryStanceError(f"not a task-{task} model file", model_path)
+
     if task == 1:
-        lexicons = _load_lexicons(args, 1)
         header_comment = f"# schema_id={SCHEMA_TASK1}"
         names = list(TASK1_FEATURE_NAMES)
-        batch, _ = _task1_vectors(records, {}, lexicons)
+        # the rows predict feeds the SVM: the model's vocabulary for each query it saw
+        batch, _ = _task1_vectors(records, pipeline.task1_vocabularies if pipeline else {}, lexicons)
     else:
-        lexicons = _load_lexicons(args, 2)
-        model_path = _require(args, "model")
-        pipeline = load_task_model(model_path, lexicons)
         vocab = pipeline.task2_vocabulary
-        if vocab is None:
-            raise QueryStanceError(f"{model_path}: not a task-2 model file")
         relevance = required_labels(records, "relevance", "the task-2 relevance flag", data_path)
         header_comment = f"# schema_id={SCHEMA_TASK2} n_vocab={vocab.size}"
         names = [f"tf:{term}" for term in vocab.terms]
@@ -422,7 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     feats = sub.add_parser("features", help="dump feature vectors for inspection")
     feats.add_argument("--task", type=int, choices=(1, 2), required=True)
     _add_common_paths(feats)
-    feats.add_argument("--model", help="task-2 model file supplying the vocabulary")
+    feats.add_argument(
+        "--model",
+        help="model file of --task: required for task 2, whose vocabulary it supplies; optional for "
+        "task 1, where each query it was trained on reads its vocabulary, as in predict",
+    )
     feats.set_defaults(func=cmd_features)
 
     return parser

@@ -51,19 +51,13 @@ def to_doc(obj):
     return obj
 
 
-def _at(where, field: str) -> str:
-    return f"{where}: {field}" if field else str(where)
-
-
 def check_format(doc: dict, name: str, version: int, where, field: str = "") -> None:
     """Raise unless ``doc`` declares format ``name`` at ``version``."""
     if doc.get("format") != name:
-        raise CorruptModel(f"{_at(where, field)}: not a {name} document")
+        raise CorruptModel(f"not a {name} document", where, field=field)
     if doc.get("format_version") != version:
-        raise VersionMismatch(
-            f"{_at(where, field)}: unsupported format_version "
-            f"{doc.get('format_version')!r}, expected {version}"
-        )
+        problem = f"unsupported format_version {doc.get('format_version')!r}, expected {version}"
+        raise VersionMismatch(problem, where, field=field)
 
 
 def from_doc(cls, doc, where, field: str = ""):
@@ -71,10 +65,9 @@ def from_doc(cls, doc, where, field: str = ""):
 
     ``cls`` is a dataclass, ``tuple[X, ...]``, ``dict[str, X]``, ``X | None``,
     ``float``, ``int``, ``str``, ``np.ndarray`` (read as float64) or
-    ``npt.NDArray[np.int64]`` (integers only). Raises
-    CorruptModel("<where>: <field path>: <problem>") for a missing, unknown
-    or mistyped field, a non-finite number, and a ValueError from a
-    dataclass's own checks.
+    ``npt.NDArray[np.int64]`` (integers only). Raises CorruptModel naming
+    ``where`` and the field path for a missing, unknown or mistyped field,
+    a non-finite number, and a ValueError from a dataclass's own checks.
     """
     if cls in _SCALARS:  # first, as most values in a document are scalars
         if cls is float and type(doc) in (int, float):
@@ -85,14 +78,14 @@ def from_doc(cls, doc, where, field: str = ""):
                 pass
         elif type(doc) is cls:  # so a JSON true is not an int
             return doc
-        raise CorruptModel(f"{_at(where, field)}: expected {_SCALARS[cls]}, got {doc!r:.40}")
+        raise CorruptModel(f"expected {_SCALARS[cls]}, got {doc!r:.40}", where, field=field)
     origin, args = typing.get_origin(cls), typing.get_args(cls)
     if origin in (typing.Union, types.UnionType):  # X | None
         return None if doc is None else from_doc(args[0], doc, where, field)
     container = list if origin is tuple or np.ndarray in (cls, origin) else dict
     if not isinstance(doc, container):
         kind = "a list" if container is list else "an object"
-        raise CorruptModel(f"{_at(where, field)}: expected {kind}, got {doc!r:.40}")
+        raise CorruptModel(f"expected {kind}, got {doc!r:.40}", where, field=field)
     if origin is tuple:
         if args[0] in (int, str) and all(type(value) is args[0] for value in doc):
             return tuple(doc)  # vocabulary terms and df: skip a call per item
@@ -107,7 +100,7 @@ def from_doc(cls, doc, where, field: str = ""):
         except ValueError:  # ragged rows
             array = None
         if array is None or (array.dtype.kind not in kinds and array.size):  # [] reads as float
-            raise CorruptModel(f"{_at(where, field)}: expected a rectangular array of {what}")
+            raise CorruptModel(f"expected a rectangular array of {what}", where, field=field)
         return array.astype(dtype, copy=False)
     if hasattr(cls, "FORMAT"):
         check_format(doc, *cls.FORMAT, where, field)
@@ -116,17 +109,17 @@ def from_doc(cls, doc, where, field: str = ""):
     prefix = f"{field}." if field else ""
     missing = [name for name in hints if name not in doc]
     if missing:
-        raise CorruptModel(f"{_at(where, prefix + missing[0])}: missing")
+        raise CorruptModel("missing", where, field=prefix + missing[0])
     unknown = sorted(doc.keys() - hints.keys())
     if unknown:
-        raise CorruptModel(f"{_at(where, field)}: unknown field {unknown[0]!r}")
+        raise CorruptModel(f"unknown field {unknown[0]!r}", where, field=field)
     values = {name: from_doc(hint, doc[name], where, prefix + name) for name, hint in hints.items()}
     try:
         return cls(**values)
     except FieldError as exc:
-        raise CorruptModel(f"{_at(where, prefix + exc.field)}: {exc.problem}") from exc
+        raise CorruptModel(exc.problem, where, field=prefix + exc.field) from exc
     except ValueError as exc:
-        raise CorruptModel(f"{_at(where, field)}: {exc}") from exc
+        raise CorruptModel(str(exc), where, field=field) from exc
 
 
 @functools.cache
@@ -153,7 +146,7 @@ def read_json(path: str | Path) -> dict:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except ValueError as exc:  # invalid JSON or invalid UTF-8
-        raise CorruptModel(f"{path}: invalid JSON: {exc}") from exc
+        raise CorruptModel(f"invalid JSON: {exc}", path) from exc
     if not isinstance(doc, dict):
-        raise CorruptModel(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        raise CorruptModel(f"expected a JSON object, got {type(doc).__name__}", path)
     return doc

@@ -65,7 +65,7 @@ def _parse_label(raw: str, allowed: tuple[str, ...], path, row: int, column: str
     if not value:
         return None
     if value not in allowed:
-        raise BadLabel(path, row, raw, f"{column} must be one of {allowed}")
+        raise BadLabel(f"{column} must be one of {allowed}: {raw!r}", path, row=row)
     return value
 
 
@@ -81,29 +81,32 @@ def load_dataset(path: str | Path, labeled: bool = False) -> list[SentenceRecord
         try:
             header = next(reader)
         except StopIteration:
-            raise MissingColumn(f"{path}: empty file, expected header {','.join(EXPECTED_HEADER)}")
+            raise MissingColumn(f"empty file, expected header {','.join(EXPECTED_HEADER)}", path)
         if header != EXPECTED_HEADER:
             missing = [c for c in EXPECTED_HEADER if c not in header]
             detail = f"missing columns {missing}" if missing else f"unexpected header {header}"
-            raise MissingColumn(f"{path}: {detail}")
+            raise MissingColumn(detail, path)
         try:
             for row_no, row in enumerate(reader, start=2):
                 if len(row) != len(EXPECTED_HEADER):
-                    raise MalformedCsv(path, row_no, f"expected {len(EXPECTED_HEADER)} fields, got {len(row)}")
+                    problem = f"expected {len(EXPECTED_HEADER)} fields, got {len(row)}"
+                    raise MalformedCsv(problem, path, row=row_no)
                 query_id, query_text, sentence_text, relevance_raw, stance_raw = row
                 query_id = query_id.strip()
                 query_text = query_text.strip()
                 sentence_text = sentence_text.strip()
                 if not query_text:
-                    raise EmptyText(path, row_no, "query_text")
+                    raise EmptyText("empty query_text", path, row=row_no)
                 if not sentence_text:
-                    raise EmptyText(path, row_no, "sentence_text")
+                    raise EmptyText("empty sentence_text", path, row=row_no)
                 relevance = _parse_label(relevance_raw, RELEVANCE_LABELS, path, row_no, "relevance")
                 stance = _parse_label(stance_raw, STANCE_LABELS, path, row_no, "stance")
                 if labeled and relevance is None:
-                    raise BadLabel(path, row_no, relevance_raw, "labeled dataset requires a relevance label")
+                    problem = f"labeled dataset requires a relevance label: {relevance_raw!r}"
+                    raise BadLabel(problem, path, row=row_no)
                 if stance is not None and relevance is None:
-                    raise BadLabel(path, row_no, stance_raw, "stance label present without a relevance label")
+                    problem = f"stance label present without a relevance label: {stance_raw!r}"
+                    raise BadLabel(problem, path, row=row_no)
                 records.append(
                     SentenceRecord(
                         query_id=query_id,
@@ -114,7 +117,7 @@ def load_dataset(path: str | Path, labeled: bool = False) -> list[SentenceRecord
                     )
                 )
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise MalformedCsv(path, len(records) + 2, str(exc)) from exc
+            raise MalformedCsv(str(exc), path, row=len(records) + 2) from exc
     return records
 
 
@@ -130,9 +133,11 @@ def required_labels(
     labels = [getattr(r, column) for r in records]
     if None in labels:
         i = labels.index(None)
-        where = f"{path}: row {i + 2}" if path else f"record {i} (query {records[i].query_id!r})"
         error = UnlabeledRecord if column == "relevance" else MissingStanceLabel
-        raise error(f"{where}: no {column} label, needed for {purpose}")
+        problem = f"no {column} label, needed for {purpose}"
+        if path:
+            raise error(problem, path, row=i + 2)
+        raise error(f"record {i} (query {records[i].query_id!r}): {problem}")
     return labels
 
 

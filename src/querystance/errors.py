@@ -2,9 +2,12 @@
 
 Every data or modelling error raised by this package derives from
 :class:`QueryStanceError`, so callers (and the CLI) can catch one type.
-An error in an input file starts its message with the file's path;
-one that points at a specific row or line also carries its 1-based
-number.
+Its constructor, the only one here, builds every message from the
+parts given: ``BadLabel(problem, path, row=3)`` reads
+``<path>: row 3: <problem>``, ``line=`` names a line instead, and
+``field=`` a config key or model field path after either. Without a
+path the message is the problem alone. The subclasses only name the
+kind of error.
 """
 
 from __future__ import annotations
@@ -15,13 +18,15 @@ import contextlib
 class QueryStanceError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __init__(self, problem: str, path=None, *, row: int | None = None,
+                 line: int | None = None, field: str | None = None):
+        where = [] if path is None else [path, row and f"row {row}", line and f"line {line}", field]
+        super().__init__(": ".join(str(part) for part in (*where, problem) if part))
+        self.path, self.row, self.line, self.field = path, row, line, field
+
 
 class NotUtf8(QueryStanceError):
     """A dataset, lexicon, prediction or config file is not UTF-8 text."""
-
-    def __init__(self, path, exc: UnicodeDecodeError):
-        super().__init__(f"{path}: not UTF-8 text: {exc}")
-        self.path = path
 
 
 @contextlib.contextmanager
@@ -30,7 +35,7 @@ def reading_utf8(path):
     try:
         yield
     except UnicodeDecodeError as exc:
-        raise NotUtf8(path, exc) from exc
+        raise NotUtf8(f"not UTF-8 text: {exc}", path) from exc
 
 
 # --- corpus ---------------------------------------------------------------
@@ -42,31 +47,13 @@ class MissingColumn(QueryStanceError):
 class MalformedCsv(QueryStanceError):
     """A CSV data row could not be parsed."""
 
-    def __init__(self, path, row: int, message: str):
-        super().__init__(f"{path}: row {row}: {message}")
-        self.path = path
-        self.row = row
-
 
 class BadLabel(QueryStanceError):
     """A label cell holds a value outside its allowed domain."""
 
-    def __init__(self, path, row: int, value: str, message: str = ""):
-        detail = message or "bad label"
-        super().__init__(f"{path}: row {row}: {detail}: {value!r}")
-        self.path = path
-        self.row = row
-        self.value = value
-
 
 class EmptyText(QueryStanceError):
     """A query or sentence cell is empty after trimming."""
-
-    def __init__(self, path, row: int, column: str):
-        super().__init__(f"{path}: row {row}: empty {column}")
-        self.path = path
-        self.row = row
-        self.column = column
 
 
 class ConflictingQueryText(QueryStanceError):
@@ -86,20 +73,9 @@ class MissingStanceLabel(QueryStanceError):
 class MalformedLine(QueryStanceError):
     """A lexicon line does not have the expected field count."""
 
-    def __init__(self, path, line_no: int, message: str):
-        super().__init__(f"{path}: line {line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
-
 
 class ScoreOutOfRange(QueryStanceError):
     """A sentiment score falls outside [0, 1]."""
-
-    def __init__(self, path, line_no: int, value: float):
-        super().__init__(f"{path}: line {line_no}: score out of range: {value}")
-        self.path = path
-        self.line_no = line_no
-        self.value = value
 
 
 # --- features -------------------------------------------------------------

@@ -82,11 +82,11 @@ def load_gloss_dictionary(path: str | Path) -> GlossDictionary:
     for line_no, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
-            raise MalformedLine(path, line_no, f"expected term<TAB>gloss, got {len(fields)} fields")
+            raise MalformedLine(f"expected term<TAB>gloss, got {len(fields)} fields", path, line=line_no)
         term, gloss = fields
         term = term.strip().lower()
         if not term:
-            raise MalformedLine(path, line_no, "empty term")
+            raise MalformedLine("empty term", path, line=line_no)
         entries[term] = gloss.strip()
     return GlossDictionary(entries=entries)
 
@@ -121,17 +121,17 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
     for line_no, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) != 3:
-            raise MalformedLine(path, line_no, f"expected term<TAB>pos<TAB>neg, got {len(fields)} fields")
+            raise MalformedLine(f"expected term<TAB>pos<TAB>neg, got {len(fields)} fields", path, line=line_no)
         term = fields[0].strip().lower()
         if not term:
-            raise MalformedLine(path, line_no, "empty term")
+            raise MalformedLine("empty term", path, line=line_no)
         try:
             pos, neg = float(fields[1]), float(fields[2])
         except ValueError as exc:
-            raise MalformedLine(path, line_no, f"non-numeric score: {exc}") from exc
+            raise MalformedLine(f"non-numeric score: {exc}", path, line=line_no) from exc
         for score in (pos, neg):
             if not 0.0 <= score <= 1.0:
-                raise ScoreOutOfRange(path, line_no, score)
+                raise ScoreOutOfRange(f"score out of range: {score}", path, line=line_no)
         old_pos, old_neg, n = sums.get(term, (0.0, 0.0, 0))
         sums[term] = (old_pos + pos, old_neg + neg, n + 1)
     entries = {term: (p / n, m / n) for term, (p, m, n) in sums.items()}

@@ -434,7 +434,7 @@ def load_task_model(
     task = doc.get("task")
     kind = TASK_MODELS.get(task) if type(task) is int else None
     if kind is None:
-        raise CorruptModel(f"{path}: task: expected 1 or 2, got {task!r:.40}")
+        raise CorruptModel(f"expected 1 or 2, got {task!r:.40}", path, field="task")
     model = from_doc(kind, doc, path)
     if into is None:
         into = TrainedPipeline(config=model.config, lexicons=lexicons)

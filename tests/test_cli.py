@@ -6,8 +6,10 @@ import pytest
 
 from querystance.cli import main
 from querystance.codec import to_doc
+from querystance.corpus import load_dataset
 from querystance.errors import VersionMismatch
-from querystance.pipeline import LexiconSet, PipelineConfig, load_task_model
+from querystance.features import TASK1_FEATURE_NAMES
+from querystance.pipeline import LexiconSet, PipelineConfig, _task1_vectors, load_task_model
 
 from synth import make_records, write_dataset_csv, write_lexicon_files
 
@@ -148,7 +150,9 @@ def _predictions_changed_at_row(ws, row: int, change) -> bytes:
 
 # a broken input file: (the role it replaces, its bytes or a function of the workspace
 # giving them[, what the message says after the file]); the command that reads it fails
-# with exit 1, naming the file
+# with exit 1, naming the file and writing no model. "train" and "train2" are the data
+# of task-1 and task-2 training, and a "gold" file is scored against a header-only
+# prediction CSV
 BAD_INPUTS = {
     "gloss line without a tab": ("gloss", b"espresso a strong coffee\n"),
     "sentiment score out of range": ("sentiment", b"good\t1.5\t0.0\n"),
@@ -187,6 +191,20 @@ BAD_INPUTS = {
         "pred", lambda ws: _predictions_changed_at_row(ws, 4, lambda line: line.rsplit(b",", 2)[0]),
         "row 4: no predicted_relevance value",
     ),
+    "task-2 training row without a stance": (
+        "train2",
+        HEADER + b"q,does coffee help,coffee helps,relevant,support\n"
+        + b"q,does coffee help,coffee hurts,relevant,\n",
+        "row 3: no stance label, needed for task-2 training",
+    ),
+    "training file with one relevance class": (
+        "train",
+        HEADER + b"q,does coffee help,coffee helps,relevant,\nq,does coffee help,tea helps,relevant,\n",
+        "need at least 2 distinct labels, got ['relevant']",
+    ),
+    "training file with a header only": ("train", HEADER, "need at least 2 distinct labels, got []"),
+    "task-2 training file with a header only": ("train2", HEADER, "cannot fit a vocabulary on zero sentences"),
+    "gold file with a header only": ("gold", HEADER, "nothing to evaluate"),
 }
 
 
@@ -198,16 +216,21 @@ class TestInputFileErrorsNameTheFile:
         bad.write_bytes(content(workspace) if callable(content) else content)
         if role == "pred":
             args = ["evaluate", "--gold", str(workspace["train"]), "--pred", str(bad)]
+        elif role == "gold":
+            pred = tmp_path / "pred.csv"
+            pred.write_bytes(HEADER[:-1] + b",predicted_relevance\n")
+            args = ["evaluate", "--gold", str(bad), "--pred", str(pred)]
         elif role == "predict_data":
             args = ["predict", "--model", str(trained_models["m2"]), "--data", str(bad),
                     "--out", str(tmp_path / "p.csv"), "--sentiment", str(workspace["sentiment"])]
         elif role == "config":
             args = train_args(workspace, 1, tmp_path / "m.json", "--config", str(bad))
         else:
-            task = 2 if role == "sentiment" else 1
+            task = 2 if role in ("sentiment", "train2") else 1
             args = train_args(workspace, task, tmp_path / "m.json")
-            args[args.index(f"--{'data' if role == 'train' else role}") + 1] = str(bad)
+            args[args.index(f"--{'data' if role.startswith('train') else role}") + 1] = str(bad)
         assert main(args) == 1
+        assert not (tmp_path / "m.json").exists()
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"error: {bad}: {''.join(after)}"), last
 
@@ -645,6 +668,35 @@ class TestFeaturesDump:
         n = int(lines[0].rsplit("=", 1)[1])
         header = lines[1].split(",")
         assert len(header) - 2 == n + 4
+
+    def test_task1_model_gives_the_rows_predict_reads(self, workspace, trained_models, tmp_path):
+        # five of a trained query's sentences: a vocabulary fitted on them is not the model's
+        part = tmp_path / "part.csv"
+        part.write_bytes(b"\n".join(workspace["unlabeled"].read_bytes().splitlines()[:6]) + b"\n")
+        dumps = {}
+        for name, extra in (("model", ["--model", str(trained_models["m1"])]), ("none", [])):
+            out = tmp_path / f"{name}.csv"
+            assert main([
+                "features", "--task", "1", "--data", str(part), "--out", str(out),
+                "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"]), *extra,
+            ]) == 0
+            with open(out, newline="", encoding="utf-8") as handle:
+                dumps[name] = [[float(v) for v in row[2:]] for row in list(csv.reader(handle))[2:]]
+        lexicons = LexiconSet.load(gloss_path=workspace["gloss"], noun_path=workspace["nouns"])
+        model = load_task_model(trained_models["m1"], lexicons)
+        batch, _ = _task1_vectors(load_dataset(part), model.task1_vocabularies, lexicons)
+        assert dumps["model"] == batch.values.tolist()
+        cosine = TASK1_FEATURE_NAMES.index("cosine")
+        assert [row[cosine] for row in dumps["model"]] != [row[cosine] for row in dumps["none"]]
+
+    def test_task2_model_for_task1_exits_1(self, workspace, trained_models, tmp_path, capsys):
+        assert main([
+            "features", "--task", "1", "--data", str(workspace["unlabeled"]), "--out", str(tmp_path / "f.csv"),
+            "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"]),
+            "--model", str(trained_models["m2"]),
+        ]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"error: {trained_models['m2']}: not a task-1 model file"
 
     def test_dump_is_deterministic(self, workspace, tmp_path):
         outs = []
