@@ -69,8 +69,8 @@ print(f"corpus: {len(records)} sentences over {len(QUERIES)} queries")
 
 pipeline = train_task1(records, lexicons, config)
 pipeline = train_task2(records, [r.relevance for r in records], lexicons, config, pipeline=pipeline)
-print(f"stage-2 vocabulary: {pipeline.task2_vocabulary.size} terms "
-      f"(feature dimension {pipeline.task2_vocabulary.size + 4})")
+print(f"stage-2 vocabulary: {pipeline.task2.vocabulary.size} terms "
+      f"(feature dimension {pipeline.task2.vocabulary.size + 4})")
 
 relevance = predict_task1(pipeline, records)
 stance = predict_task2(pipeline, records, relevance)

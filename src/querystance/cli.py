@@ -44,7 +44,7 @@ from .errors import (
     SingleClassInput,
     reading_utf8,
 )
-from .features import SCHEMA_TASK1, SCHEMA_TASK2, TASK1_FEATURE_NAMES, task2_features
+from .features import SCHEMA_TASK1, SCHEMA_TASK2, TASK1_FEATURE_NAMES, TASK2_TAIL_NAMES, task2_features
 from .pipeline import (
     LexiconSet,
     PipelineConfig,
@@ -252,13 +252,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pipeline = load_task_model(_require(args, "model"), lexicons)
     if args.model2:
         pipeline = load_task_model(args.model2, lexicons, into=pipeline)
-    tasks = [task for task, model in ((1, pipeline.task1_model), (2, pipeline.task2_model)) if model is not None]
+    models = [model for model in (pipeline.task1, pipeline.task2) if model is not None]
+    tasks = [model.task for model in models]
     if (args.chain or args.model2) and tasks != [1, 2]:
         raise QueryStanceError("--chain needs a task-1 model (--model) and a task-2 model (--model2)")
-    # lexicons absent now but used at training time (of either model) degrade the features
-    for flag in ("nouns", "gloss", "sentiment"):
-        if getattr(pipeline.config, PIPELINE_OPTIONS[flag]) and not len(getattr(lexicons, flag)):
-            print(f"warning: model was trained with --{flag} but none was given", file=sys.stderr)
+    # a lexicon that a held model's task reads and was trained with, absent now, degrades its features
+    for model in models:
+        for flag in ("nouns", "gloss", "sentiment"):
+            name = PIPELINE_OPTIONS[flag]
+            if name in model.CONFIG_FIELDS and getattr(model.config, name) and not len(getattr(lexicons, flag)):
+                print(f"warning: model was trained with --{flag} but none was given", file=sys.stderr)
     records = load_dataset(data_path, labeled=False)
 
     columns: dict[str, list[str]] = {}  # output column -> labels, in column order
@@ -337,20 +340,19 @@ def cmd_features(args: argparse.Namespace) -> int:
     lexicons = _load_lexicons(args, task)
     model_path = args.model if task == 1 else _require(args, "model")  # task 1: optional
     pipeline = load_task_model(model_path, lexicons) if model_path else None
-    if pipeline and getattr(pipeline, f"task{task}_model") is None:
+    if pipeline and getattr(pipeline, f"task{task}") is None:
         raise QueryStanceError(f"not a task-{task} model file", model_path)
 
     if task == 1:
         header_comment = f"# schema_id={SCHEMA_TASK1}"
         names = list(TASK1_FEATURE_NAMES)
         # the rows predict feeds the SVM: the model's vocabulary for each query it saw
-        batch, _ = _task1_vectors(records, pipeline.task1_vocabularies if pipeline else {}, lexicons)
+        batch, _ = _task1_vectors(records, pipeline.task1.vocabularies if pipeline else {}, lexicons)
     else:
-        vocab = pipeline.task2_vocabulary
+        vocab = pipeline.task2.vocabulary
         relevance = required_labels(records, "relevance", "the task-2 relevance flag", data_path)
         header_comment = f"# schema_id={SCHEMA_TASK2} n_vocab={vocab.size}"
-        names = [f"tf:{term}" for term in vocab.terms]
-        names += ["positive_count", "negative_count", "neutral_count", "relevance_flag"]
+        names = [f"tf:{term}" for term in vocab.terms] + list(TASK2_TAIL_NAMES)
         sentences = [tokenize(r.sentence_text) for r in records]
         batch = task2_features(sentences, [label == RELEVANT for label in relevance], vocab, lexicons.sentiment)
 

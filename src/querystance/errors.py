@@ -125,4 +125,4 @@ class LengthMismatch(QueryStanceError):
 
 
 class EmptyInput(QueryStanceError):
-    """An evaluation was requested over zero rows."""
+    """An evaluation, or one side of a tuning split, holds zero rows."""

@@ -43,8 +43,9 @@ TASK1_FEATURE_NAMES = ("exact", "stemmed", "noun", "neighborhood", "cosine")
 
 GLOSS_SENTENCES = 3
 
-# the offset, after the TF-IDF block, of each polarity's count in a task-2 row
-_POLARITY_COLUMNS = {Polarity.POSITIVE: 0, Polarity.NEGATIVE: 1, Polarity.NEUTRAL: 2}
+# the columns of a task-2 row after its TF-IDF block: a count per polarity, then the relevance flag
+TASK2_TAIL_NAMES = ("positive_count", "negative_count", "neutral_count", "relevance_flag")
+_POLARITY_COLUMNS = {p: TASK2_TAIL_NAMES.index(f"{p.value}_count") for p in Polarity}
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +269,7 @@ def task2_features(
     if vocab_global is None:
         raise VocabNotFitted("task2_features requires a fitted global vocabulary")
     size = vocab_global.size
+    tail_columns = range(size, size + len(TASK2_TAIL_NAMES))
     rows: list[int] = []  # the batch's nonzeros, written into the matrix at once
     cols: list[int] = []
     data: list[float] = []
@@ -277,17 +279,18 @@ def task2_features(
             raise TypeError("task2_features takes each sentence's tokens, not its text")
         counts = Counter(tokens)
         weights = tfidf_weights(vocab_global, counts, len(tokens))
-        tail = [0, 0, 0, 1.0 if flag else 0.0]  # positive, negative and neutral counts, relevance flag
+        tail = [0.0] * len(tail_columns)
+        tail[-1] = 1.0 if flag else 0.0  # relevance_flag, the last of TASK2_TAIL_NAMES
         for word, count in counts.items():
             column = polarity_column.get(word)
             if column is None:
                 column = polarity_column[word] = _POLARITY_COLUMNS[polarity(sent_lex, word)]
             tail[column] += count
-        rows += [row] * (len(weights) + 4)
+        rows += [row] * (len(weights) + len(tail))
         cols += weights
-        cols += range(size, size + 4)
+        cols += tail_columns
         data += weights.values()
         data += tail
-    values = np.zeros((len(sentences), size + 4))
+    values = np.zeros((len(sentences), tail_columns.stop))
     values[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = data
     return FeatureBatch(values, SCHEMA_TASK2)

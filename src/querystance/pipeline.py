@@ -20,6 +20,7 @@ from .features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
     TASK1_FEATURE_NAMES,
+    TASK2_TAIL_NAMES,
     VocabularyModel,
     fit_vocabulary,
     task1_features,
@@ -44,7 +45,6 @@ from .svm import (
 from .textproc import Analysis, analyse, tokenize
 
 RELEVANT = "relevant"
-IRRELEVANT = "irrelevant"
 NEUTRAL = "neutral"
 
 THREE_CLASS = "three_class"
@@ -100,16 +100,80 @@ class LexiconSet:
         )
 
 
+@dataclass(frozen=True)
+class TaskModel:
+    """One task's model file: its SVM, the config it was trained with and (in each
+    subclass) the vocabulary its features read. It is checked as a whole, so a file
+    that loads also predicts."""
+
+    FORMAT: ClassVar[tuple[str, int]] = ("querystance-pipeline", 1)
+    SCHEMA: ClassVar[str]
+    CONFIG_FIELDS: ClassVar[tuple[str, ...]]  # the config fields the task's prediction reads
+
+    task: int
+    config: PipelineConfig
+    svm: MulticlassModel
+
+    def __post_init__(self):
+        svm = self.svm
+        if svm.schema_id != self.SCHEMA:
+            raise FieldError("svm.schema_id", f"expected {self.SCHEMA!r}, got {svm.schema_id!r}")
+        if svm.pool.dims != self.width:
+            raise FieldError("svm.pool.dims", f"expected width {self.width}, got {svm.pool.dims}")
+
+
+@dataclass(frozen=True)
+class Task1Model(TaskModel):
+    SCHEMA = SCHEMA_TASK1
+    CONFIG_FIELDS = ("task1", "gloss_path", "noun_path")
+    width = len(TASK1_FEATURE_NAMES)
+
+    vocabularies: dict[str, VocabularyModel]
+
+
+@dataclass(frozen=True)
+class Task2Model(TaskModel):
+    SCHEMA = SCHEMA_TASK2
+    CONFIG_FIELDS = ("task2", "stance_classes", "sentiment_path")
+
+    vocabulary: VocabularyModel
+
+    @property
+    def width(self) -> int:
+        return self.vocabulary.size + len(TASK2_TAIL_NAMES)  # the TF-IDF block, then the tail
+
+
+TASK_MODELS = {1: Task1Model, 2: Task2Model}
+
+
 @dataclass
 class TrainedPipeline:
-    """Trained models plus the vocabularies and lexicons they rely on."""
+    """Task models as saved and the lexicons their features read; ``config``
+    holds the fields that each held model's task reads from its own config."""
 
     config: PipelineConfig
     lexicons: LexiconSet
-    task1_model: MulticlassModel | None = None
-    task1_vocabularies: dict[str, VocabularyModel] = field(default_factory=dict)
-    task2_model: MulticlassModel | None = None
-    task2_vocabulary: VocabularyModel | None = None
+    task1: Task1Model | None = None
+    task2: Task2Model | None = None
+
+    @property
+    def task1_model(self) -> MulticlassModel | None:
+        return None if self.task1 is None else self.task1.svm
+
+    @property
+    def task2_model(self) -> MulticlassModel | None:
+        return None if self.task2 is None else self.task2.svm
+
+
+def _join(pipeline: TrainedPipeline | None, model: TaskModel, lexicons: LexiconSet) -> TrainedPipeline:
+    """``pipeline`` (a new one on ``lexicons`` if None) holding ``model`` and the config
+    fields its task reads, so a chained pipeline predicts as each model was trained."""
+    if pipeline is None:
+        pipeline = TrainedPipeline(config=model.config, lexicons=lexicons)
+    taken = {name: getattr(model.config, name) for name in model.CONFIG_FIELDS}
+    pipeline.config = replace(pipeline.config, **taken)
+    setattr(pipeline, f"task{model.task}", model)
+    return pipeline
 
 
 def _analyse_each(texts: Iterable[str]) -> dict[str, Analysis]:
@@ -154,13 +218,8 @@ def train_task1(
     """Fit per-query vocabularies and the pooled relevance classifier."""
     labels = required_labels(records, "relevance", "task-1 training")
     batch, vocabularies = _task1_vectors(records, {}, lexicons)
-    model = train_multiclass(batch, labels, config.task1)
-    return TrainedPipeline(
-        config=config,
-        lexicons=lexicons,
-        task1_model=model,
-        task1_vocabularies=vocabularies,
-    )
+    svm = train_multiclass(batch, labels, config.task1)
+    return _join(None, Task1Model(1, config, svm, vocabularies), lexicons)
 
 
 def predict_task1(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) -> list[str]:
@@ -169,10 +228,11 @@ def predict_task1(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) 
     Queries unseen at training time get a throwaway vocabulary fitted
     over their own sentences in this batch.
     """
-    if pipeline.task1_model is None:
+    model = pipeline.task1
+    if model is None:
         raise ValueError("pipeline has no trained task-1 model")
-    batch, _ = _task1_vectors(records, pipeline.task1_vocabularies, pipeline.lexicons)
-    return predict_batch(pipeline.task1_model, batch)
+    batch, _ = _task1_vectors(records, model.vocabularies, pipeline.lexicons)
+    return predict_batch(model.svm, batch)
 
 
 def train_task2(
@@ -200,12 +260,8 @@ def train_task2(
     batch = task2_features(
         [tokens[i] for i in kept], [task1_labels[i] == RELEVANT for i in kept], vocabulary, lexicons.sentiment
     )
-    model = train_multiclass(batch, [stances[i] for i in kept], config.task2)
-    if pipeline is None:
-        pipeline = TrainedPipeline(config=config, lexicons=lexicons)
-    pipeline.task2_model = model
-    pipeline.task2_vocabulary = vocabulary
-    return pipeline
+    svm = train_multiclass(batch, [stances[i] for i in kept], config.task2)
+    return _join(pipeline, Task2Model(2, config, svm, vocabulary), lexicons)
 
 
 def predict_task2(
@@ -218,7 +274,8 @@ def predict_task2(
     In two-class mode, records predicted irrelevant come back neutral
     without consulting the model.
     """
-    if pipeline.task2_model is None:
+    model = pipeline.task2
+    if model is None:
         raise ValueError("pipeline has no trained task-2 model")
     if len(task1_predictions) != len(records):
         raise AlignmentError(
@@ -232,10 +289,10 @@ def predict_task2(
         batch = task2_features(
             [tokenize(records[i].sentence_text) for i in chunk],
             [task1_predictions[i] == RELEVANT for i in chunk],
-            pipeline.task2_vocabulary,
+            model.vocabulary,
             pipeline.lexicons.sentiment,
         )
-        for i, label in zip(chunk, predict_batch(pipeline.task2_model, batch)):
+        for i, label in zip(chunk, predict_batch(model.svm, batch)):
             out[i] = label
     return out
 
@@ -335,6 +392,9 @@ def grid_search(
     if task not in (1, 2):
         raise ValueError(f"task must be 1 or 2, got {task}")
     split = split_train_dev(list(records), config.train_fraction, config.seed)
+    for side, rows in (("train", split.train), ("dev", split.dev)):
+        if not rows:
+            raise EmptyInput(f"the {side} side of the split at train_fraction {config.train_fraction} is empty")
     best: tuple[SvmConfig, float] | None = None
     for candidate in grid:
         try:
@@ -365,59 +425,12 @@ def grid_search(
 # --- persistence ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaskModel:
-    """One task's model file: its SVM, the config it was trained with and (in each
-    subclass) the vocabulary its features read. It is checked as a whole, so a file
-    that loads also predicts."""
-
-    FORMAT: ClassVar[tuple[str, int]] = ("querystance-pipeline", 1)
-    SCHEMA: ClassVar[str]
-    CONFIG_FIELDS: ClassVar[tuple[str, ...]]  # the config fields the task's prediction reads
-
-    task: int
-    config: PipelineConfig
-    svm: MulticlassModel
-
-    def __post_init__(self):
-        svm = self.svm
-        if svm.schema_id != self.SCHEMA:
-            raise FieldError("svm.schema_id", f"expected {self.SCHEMA!r}, got {svm.schema_id!r}")
-        if svm.pool.dims != self.width:
-            raise FieldError("svm.pool.dims", f"expected width {self.width}, got {svm.pool.dims}")
-
-
-@dataclass(frozen=True)
-class Task1Model(TaskModel):
-    SCHEMA = SCHEMA_TASK1
-    CONFIG_FIELDS = ("task1", "gloss_path", "noun_path")
-    width = len(TASK1_FEATURE_NAMES)
-
-    vocabularies: dict[str, VocabularyModel]
-
-
-@dataclass(frozen=True)
-class Task2Model(TaskModel):
-    SCHEMA = SCHEMA_TASK2
-    CONFIG_FIELDS = ("task2", "stance_classes", "sentiment_path")
-
-    vocabulary: VocabularyModel
-
-    @property
-    def width(self) -> int:
-        return self.vocabulary.size + 4  # the TF-IDF block, three sentiment counts and the flag
-
-
-TASK_MODELS = {1: Task1Model, 2: Task2Model}
-
-
 def save_task_model(pipeline: TrainedPipeline, task: int, path: str | Path) -> None:
-    """Write one task's model, vocabularies and config snapshot as JSON."""
-    model = getattr(pipeline, f"task{task}_model", None)
+    """Write the pipeline's task-``task`` model as JSON, as it was trained or loaded."""
+    model = getattr(pipeline, f"task{task}", None)
     if model is None:
         raise ValueError(f"pipeline has no trained task-{task} model")
-    vocabulary = pipeline.task1_vocabularies if task == 1 else pipeline.task2_vocabulary
-    write_json(path, to_doc(TASK_MODELS[task](task, pipeline.config, model, vocabulary)))
+    write_json(path, to_doc(model))
 
 
 def load_task_model(
@@ -425,23 +438,10 @@ def load_task_model(
     lexicons: LexiconSet,
     into: TrainedPipeline | None = None,
 ) -> TrainedPipeline:
-    """Load a saved task model, optionally merging into an existing pipeline.
-
-    The pipeline takes from the file the config fields its task reads, so
-    a chained pipeline behaves as each of its models was trained.
-    """
+    """Load a saved task model into ``into``, or into a new pipeline on ``lexicons``."""
     doc = read_json(path)
     task = doc.get("task")
     kind = TASK_MODELS.get(task) if type(task) is int else None
     if kind is None:
         raise CorruptModel(f"expected 1 or 2, got {task!r:.40}", path, field="task")
-    model = from_doc(kind, doc, path)
-    if into is None:
-        into = TrainedPipeline(config=model.config, lexicons=lexicons)
-    taken = {name: getattr(model.config, name) for name in kind.CONFIG_FIELDS}
-    into.config = replace(into.config, **taken)
-    if task == 1:
-        into.task1_model, into.task1_vocabularies = model.svm, model.vocabularies
-    else:
-        into.task2_model, into.task2_vocabulary = model.svm, model.vocabulary
-    return into
+    return _join(into, from_doc(kind, doc, path), lexicons)

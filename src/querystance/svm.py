@@ -380,6 +380,7 @@ def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
         raise SingleClassInput(f"need at least 2 distinct labels, got {labels}")
     matrix, schema_id = _rows(x)
     y = list(y)
+    _validate_training_input(matrix, y)  # once, before the rows are split by pair
     machines = []
     for neg, pos in combinations(labels, 2):
         idx = [i for i, label in enumerate(y) if label in (neg, pos)]

@@ -60,7 +60,8 @@ class TestTrain:
         assert manifest["config"]["task1"]["c"] == 1e7
         # recomputing a recorded digest must match
         for entry in manifest["inputs"].values():
-            digest = hashlib.sha256(open(entry["path"], "rb").read()).hexdigest()
+            with open(entry["path"], "rb") as handle:
+                digest = hashlib.sha256(handle.read()).hexdigest()
             assert digest == entry["sha256"]
 
     def test_missing_lexicon_file_exits_1(self, workspace, tmp_path, capsys):
@@ -446,6 +447,26 @@ class TestPredict:
                 warned = f"warning: model was trained with --{name} but none was given" in err
                 assert warned == (name in missing), (given, name)
 
+    @pytest.mark.parametrize("model, given, warned", [
+        ("m1", ("gloss", "nouns"), set()),
+        ("m2", (), {"sentiment"}),
+    ], ids=["task1", "task2"])
+    def test_warns_only_of_lexicons_the_models_task_reads(
+        self, workspace, trained_models, tmp_path, capsys, model, given, warned
+    ):
+        # each model was trained with all three lexicons; task 1 never reads sentiment, task 2 reads only it
+        args = [
+            "predict", "--model", str(trained_models[model]),
+            "--data", str(workspace["train"]), "--out", str(tmp_path / "pred.csv"),
+        ]
+        for name in given:
+            args += [f"--{name}", str(workspace[name])]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        for name in ("gloss", "nouns", "sentiment"):
+            warning = f"warning: model was trained with --{name} but none was given"
+            assert (warning in err) == (name in warned), name
+
     def test_empty_input(self, workspace, trained_models, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("query_id,query_text,sentence_text,relevance,stance\n", encoding="utf-8")
@@ -557,7 +578,8 @@ class TestEvaluate:
         assert code == 0
         table = capsys.readouterr().out
         assert "MACRO_AVERAGE" in table
-        rows = list(csv.reader(open(report, newline="", encoding="utf-8")))
+        with open(report, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["query_id", "accuracy"]
         assert rows[-1][0] == "MACRO_AVERAGE"
         assert float(rows[-1][1]) == 100.0  # trained on this data, separable
@@ -631,7 +653,8 @@ class TestEvaluate:
             "evaluate", "--gold", str(gold), "--pred", str(pred),
             "--column", "relevance", "--out", str(report),
         ]) == 0
-        rows = list(csv.reader(open(report, newline="", encoding="utf-8")))
+        with open(report, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
         assert rows[-1][0] == "MACRO_AVERAGE"
         assert abs(float(rows[-1][1]) - 73.39257557) < 1e-6
 
@@ -684,7 +707,7 @@ class TestFeaturesDump:
                 dumps[name] = [[float(v) for v in row[2:]] for row in list(csv.reader(handle))[2:]]
         lexicons = LexiconSet.load(gloss_path=workspace["gloss"], noun_path=workspace["nouns"])
         model = load_task_model(trained_models["m1"], lexicons)
-        batch, _ = _task1_vectors(load_dataset(part), model.task1_vocabularies, lexicons)
+        batch, _ = _task1_vectors(load_dataset(part), model.task1.vocabularies, lexicons)
         assert dumps["model"] == batch.values.tolist()
         cosine = TASK1_FEATURE_NAMES.index("cosine")
         assert [row[cosine] for row in dumps["model"]] != [row[cosine] for row in dumps["none"]]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,7 @@ class TestTask2:
         monkeypatch.setattr(pipeline_module, "predict_batch", recorded)
         labels = predict_task2(trained, records, relevance)
         assert [len(values) for values in chunks] == [128, 128, 44]
-        model, vocab, sentiment = trained.task2_model, trained.task2_vocabulary, trained.lexicons.sentiment
+        model, vocab, sentiment = trained.task2_model, trained.task2.vocabulary, trained.lexicons.sentiment
         for r, flag, label, values in zip(records, relevance, labels, np.concatenate(chunks)):
             expected_label, expected_values = ovo_reference(
                 model, task2_features_reference(r.sentence_text, flag == "relevant", vocab, sentiment)
@@ -128,7 +130,7 @@ class TestTask2:
         assert trained.task2_model.labels == ("neutral", "oppose", "support")
 
     def test_dimension_is_vocab_plus_four(self, trained, synthetic_records):
-        vocab = trained.task2_vocabulary
+        vocab = trained.task2.vocabulary
         assert trained.task2_model.machines[0].support_vectors.shape[1] == vocab.size + 4
 
     def test_two_class_drops_neutral(self, synthetic_records, synthetic_lexicons):
@@ -191,6 +193,19 @@ class TestTask2:
                 trained.lexicons,
                 trained.config,
             )
+
+    def test_trained_into_a_pipeline_with_its_own_config(self, synthetic_records, synthetic_lexicons, tmp_path):
+        pipeline = train_task1(synthetic_records, synthetic_lexicons, PipelineConfig())  # three-class
+        task2 = SvmConfig(c=10.0, kernel=KernelConfig("rbf", gamma=0.005))
+        config = PipelineConfig(stance_classes=TWO_CLASS, task2=task2)
+        train_task2(synthetic_records, [r.relevance for r in synthetic_records], synthetic_lexicons, config,
+                    pipeline=pipeline)
+        assert pipeline.config.stance_classes == TWO_CLASS
+        assert pipeline.config.task1 == PipelineConfig().task1
+        save_task_model(pipeline, 2, tmp_path / "m2.json")
+        saved = json.loads((tmp_path / "m2.json").read_text(encoding="utf-8"))["config"]
+        assert (saved["stance_classes"], saved["task2"]["c"]) == (TWO_CLASS, 10.0)
+        assert predict_task2(pipeline, synthetic_records[:6], ["irrelevant"] * 6) == ["neutral"] * 6
 
     def test_missing_stance_rejected(self, synthetic_lexicons):
         records = [SentenceRecord("q", "t", "s", relevance="relevant")] * 4
@@ -317,6 +332,13 @@ class TestGridSearch:
         assert best is config.task2
         assert accuracy >= 0.9
 
+    def test_empty_dev_side_raises(self, synthetic_lexicons):
+        # one row per query: round(0.6 * 1) puts every row on the train side
+        records = [SentenceRecord(f"q{i}", "topic", f"sentence {i}", relevance="relevant") for i in range(6)]
+        config = PipelineConfig()
+        with pytest.raises(EmptyInput, match=r"^the dev side of the split at train_fraction 0\.6 is empty$"):
+            grid_search(records, [config.task1], synthetic_lexicons, config)
+
     def test_empty_grid(self, synthetic_records, synthetic_lexicons):
         with pytest.raises(ValueError):
             grid_search(synthetic_records, [], synthetic_lexicons, PipelineConfig())
@@ -347,11 +369,11 @@ class TestPersistence:
         relevance = predict_task1(trained, records)
         assert predict_task1(loaded, records) == relevance
         assert predict_task2(loaded, records, relevance) == predict_task2(trained, records, relevance)
-        task1_rows, _ = pipeline_module._task1_vectors(records, trained.task1_vocabularies, trained.lexicons)
+        task1_rows, _ = pipeline_module._task1_vectors(records, trained.task1.vocabularies, trained.lexicons)
         task2_rows = task2_features(
             [tokenize(r.sentence_text) for r in records],
             [label == "relevant" for label in relevance],
-            trained.task2_vocabulary,
+            trained.task2.vocabulary,
             trained.lexicons.sentiment,
         )
         for model, other, rows in (
@@ -365,6 +387,21 @@ class TestPersistence:
         for task in (1, 2):
             save_task_model(again, task, tmp_path / f"again{task}.json")
             assert (tmp_path / f"again{task}.json").read_bytes() == (tmp_path / f"m{task}.json").read_bytes()
+
+    def test_chained_load_then_save_gives_each_file_back(self, synthetic_records, synthetic_lexicons, tmp_path):
+        configs = {
+            1: PipelineConfig(gloss_path="gloss.tsv", noun_path="nouns.txt", seed=3),
+            2: PipelineConfig(stance_classes=TWO_CLASS, sentiment_path="sentiment.tsv"),
+        }
+        relevance = [r.relevance for r in synthetic_records]
+        save_task_model(train_task1(synthetic_records, synthetic_lexicons, configs[1]), 1, tmp_path / "m1.json")
+        save_task_model(train_task2(synthetic_records, relevance, synthetic_lexicons, configs[2]), 2, tmp_path / "m2.json")
+        for first in (1, 2):
+            pipeline = load_task_model(tmp_path / f"m{first}.json", synthetic_lexicons)
+            load_task_model(tmp_path / f"m{3 - first}.json", synthetic_lexicons, into=pipeline)
+            for task in (1, 2):
+                save_task_model(pipeline, task, tmp_path / "again.json")
+                assert (tmp_path / "again.json").read_bytes() == (tmp_path / f"m{task}.json").read_bytes()
 
     def test_stance_mode_travels_with_task2_file(
         self, synthetic_records, synthetic_lexicons, tmp_path

@@ -284,6 +284,12 @@ class TestMulticlass:
         assert predict(model, [2.0]) == "pos"
         assert predict(model, [-2.0]) == "neg"
 
+    @pytest.mark.parametrize("n_labels", [3, 5], ids=["fewer-labels", "more-labels"])
+    def test_rows_and_labels_must_line_up(self, n_labels):
+        cfg = SvmConfig(c=10.0, kernel=KernelConfig("linear"))
+        with pytest.raises(DimensionMismatch, match=f"^4 vectors but {n_labels} labels$"):
+            train_multiclass([[0.0], [1.0], [2.0], [3.0]], ["no", "yes", "no", "yes", "no"][:n_labels], cfg)
+
     def test_single_label_rejected(self):
         cfg = SvmConfig(kernel=KernelConfig("linear"))
         with pytest.raises(SingleClassInput):
