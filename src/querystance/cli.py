@@ -29,8 +29,8 @@ from .corpus import (
     EXPECTED_HEADER,
     RELEVANCE_LABELS,
     STANCE_LABELS,
-    _parse_label,
     load_dataset,
+    parse_label,
     required_labels,
     split_train_dev,
 )
@@ -46,15 +46,17 @@ from .errors import (
 )
 from .features import SCHEMA_TASK1, SCHEMA_TASK2, TASK1_FEATURE_NAMES, TASK2_TAIL_NAMES, task2_features
 from .pipeline import (
+    LEXICON_PATHS,
+    RELEVANT,
+    TASK_MODELS,
     LexiconSet,
     PipelineConfig,
-    RELEVANT,
-    _task1_vectors,
     evaluate,
     load_task_model,
     predict_task1,
     predict_task2,
     save_task_model,
+    task1_rows,
     train_task1,
     train_task2,
 )
@@ -128,9 +130,7 @@ PIPELINE_OPTIONS = {
     "stance_classes": "stance_classes",
     "train_fraction": "train_fraction",
     "seed": "seed",
-    "gloss": "gloss_path",
-    "sentiment": "sentiment_path",
-    "nouns": "noun_path",
+    **LEXICON_PATHS,
 }
 
 
@@ -162,18 +162,11 @@ def _pipeline_config(args: argparse.Namespace, task: int) -> PipelineConfig:
 
 
 def _load_lexicons(args: argparse.Namespace, task: int) -> LexiconSet:
-    if task == 1:
-        lexicons = LexiconSet.load(
-            gloss_path=_require(args, "gloss"),
-            noun_path=_require(args, "nouns"),
-        )
-        print(
-            f"loaded {len(lexicons.gloss)} gloss entries, {len(lexicons.nouns)} nouns",
-            file=sys.stderr,
-        )
-        return lexicons
-    lexicons = LexiconSet.load(sentiment_path=_require(args, "sentiment"))
-    print(f"loaded {len(lexicons.sentiment)} sentiment entries", file=sys.stderr)
+    """The lexicons task ``task`` reads, each one required."""
+    names = TASK_MODELS[task].lexicons_read()
+    lexicons = LexiconSet.load(**{LEXICON_PATHS[name]: _require(args, name) for name in names})
+    counts = ", ".join(f"{len(getattr(lexicons, name))} {name} entries" for name in names)
+    print(f"loaded {counts}", file=sys.stderr)
     return lexicons
 
 
@@ -248,7 +241,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     data_path = _require(args, "data")
     out_path = _require(args, "out")
-    lexicons = LexiconSet.load(gloss_path=args.gloss, sentiment_path=args.sentiment, noun_path=args.nouns)
+    lexicons = LexiconSet.load(**{path: getattr(args, name) for name, path in LEXICON_PATHS.items()})
     pipeline = load_task_model(_require(args, "model"), lexicons)
     if args.model2:
         pipeline = load_task_model(args.model2, lexicons, into=pipeline)
@@ -258,10 +251,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise QueryStanceError("--chain needs a task-1 model (--model) and a task-2 model (--model2)")
     # a lexicon that a held model's task reads and was trained with, absent now, degrades its features
     for model in models:
-        for flag in ("nouns", "gloss", "sentiment"):
-            name = PIPELINE_OPTIONS[flag]
-            if name in model.CONFIG_FIELDS and getattr(model.config, name) and not len(getattr(lexicons, flag)):
-                print(f"warning: model was trained with --{flag} but none was given", file=sys.stderr)
+        for name in model.lexicons_read():
+            if getattr(model.config, LEXICON_PATHS[name]) and not len(getattr(lexicons, name)):
+                print(f"warning: model was trained with --{name} but none was given", file=sys.stderr)
     records = load_dataset(data_path, labeled=False)
 
     columns: dict[str, list[str]] = {}  # output column -> labels, in column order
@@ -316,7 +308,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             problem = f"prediction query_id {row['query_id']!r} vs gold query_id {record.query_id!r}"
             raise AlignmentError(problem, pred_path, row=row_no)
         raw = row[predicted_column] or ""  # None: the row ends before the column
-        label = _parse_label(raw, allowed, pred_path, row_no, predicted_column)
+        label = parse_label(raw, allowed, pred_path, row_no, predicted_column)
         if label is None:
             raise BadLabel(f"no {predicted_column} value: {raw!r}", pred_path, row=row_no)
         predictions.append(label)
@@ -347,7 +339,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         header_comment = f"# schema_id={SCHEMA_TASK1}"
         names = list(TASK1_FEATURE_NAMES)
         # the rows predict feeds the SVM: the model's vocabulary for each query it saw
-        batch, _ = _task1_vectors(records, pipeline.task1.vocabularies if pipeline else {}, lexicons)
+        batch, _ = task1_rows(records, pipeline.task1.vocabularies if pipeline else {}, lexicons)
     else:
         vocab = pipeline.task2.vocabulary
         relevance = required_labels(records, "relevance", "the task-2 relevance flag", data_path)

@@ -60,7 +60,8 @@ class DatasetSplit:
     train_fraction: float
 
 
-def _parse_label(raw: str, allowed: tuple[str, ...], path, row: int, column: str) -> str | None:
+def parse_label(raw: str, allowed: tuple[str, ...], path, row: int, column: str) -> str | None:
+    """A label cell read as one of ``allowed`` (case and spaces ignored), None if blank."""
     value = raw.strip().lower()
     if not value:
         return None
@@ -99,8 +100,8 @@ def load_dataset(path: str | Path, labeled: bool = False) -> list[SentenceRecord
                     raise EmptyText("empty query_text", path, row=row_no)
                 if not sentence_text:
                     raise EmptyText("empty sentence_text", path, row=row_no)
-                relevance = _parse_label(relevance_raw, RELEVANCE_LABELS, path, row_no, "relevance")
-                stance = _parse_label(stance_raw, STANCE_LABELS, path, row_no, "stance")
+                relevance = parse_label(relevance_raw, RELEVANCE_LABELS, path, row_no, "relevance")
+                stance = parse_label(stance_raw, STANCE_LABELS, path, row_no, "stance")
                 if labeled and relevance is None:
                     problem = f"labeled dataset requires a relevance label: {relevance_raw!r}"
                     raise BadLabel(problem, path, row=row_no)

@@ -9,6 +9,7 @@ time, so the two stages chain.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
@@ -79,6 +80,12 @@ class PipelineConfig:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
+# each lexicon's LexiconSet field, also its CLI flag and config key -> the
+# PipelineConfig field of its path; a task reads the lexicons whose path
+# field is in its model's CONFIG_FIELDS
+LEXICON_PATHS = {"gloss": "gloss_path", "sentiment": "sentiment_path", "nouns": "noun_path"}
+
+
 @dataclass(frozen=True)
 class LexiconSet:
     gloss: GlossDictionary
@@ -120,6 +127,11 @@ class TaskModel:
             raise FieldError("svm.schema_id", f"expected {self.SCHEMA!r}, got {svm.schema_id!r}")
         if svm.pool.dims != self.width:
             raise FieldError("svm.pool.dims", f"expected width {self.width}, got {svm.pool.dims}")
+
+    @classmethod
+    def lexicons_read(cls) -> list[str]:
+        """The LexiconSet fields the task's features read, in LEXICON_PATHS order."""
+        return [name for name, path in LEXICON_PATHS.items() if path in cls.CONFIG_FIELDS]
 
 
 @dataclass(frozen=True)
@@ -166,12 +178,15 @@ class TrainedPipeline:
 
 
 def _join(pipeline: TrainedPipeline | None, model: TaskModel, lexicons: LexiconSet) -> TrainedPipeline:
-    """``pipeline`` (a new one on ``lexicons`` if None) holding ``model`` and the config
-    fields its task reads, so a chained pipeline predicts as each model was trained."""
+    """``pipeline`` (a new one on ``lexicons`` if None) holding ``model``, the config
+    fields its task reads and the lexicons of ``lexicons`` that it reads, so a chained
+    pipeline predicts as each model was given."""
     if pipeline is None:
         pipeline = TrainedPipeline(config=model.config, lexicons=lexicons)
     taken = {name: getattr(model.config, name) for name in model.CONFIG_FIELDS}
     pipeline.config = replace(pipeline.config, **taken)
+    read = {name: getattr(lexicons, name) for name in model.lexicons_read()}
+    pipeline.lexicons = replace(pipeline.lexicons, **read)
     setattr(pipeline, f"task{model.task}", model)
     return pipeline
 
@@ -181,12 +196,13 @@ def _analyse_each(texts: Iterable[str]) -> dict[str, Analysis]:
     return {text: analyse(text) for text in dict.fromkeys(texts)}
 
 
-def _task1_vectors(
+def task1_rows(
     records: Sequence[SentenceRecord],
     vocabularies: dict[str, VocabularyModel],
     lexicons: LexiconSet,
 ):
-    """Task-1 feature batch of ``records`` and the vocabularies fitted for them.
+    """Task-1 feature batch of ``records``, the rows the task-1 SVM reads, and the
+    vocabularies fitted for them.
 
     A query without an entry in ``vocabularies`` gets one fitted over its
     sentences in ``records``. Each text is analysed once: the sentences
@@ -217,7 +233,7 @@ def train_task1(
 ) -> TrainedPipeline:
     """Fit per-query vocabularies and the pooled relevance classifier."""
     labels = required_labels(records, "relevance", "task-1 training")
-    batch, vocabularies = _task1_vectors(records, {}, lexicons)
+    batch, vocabularies = task1_rows(records, {}, lexicons)
     svm = train_multiclass(batch, labels, config.task1)
     return _join(None, Task1Model(1, config, svm, vocabularies), lexicons)
 
@@ -231,7 +247,7 @@ def predict_task1(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) 
     model = pipeline.task1
     if model is None:
         raise ValueError("pipeline has no trained task-1 model")
-    batch, _ = _task1_vectors(records, model.vocabularies, pipeline.lexicons)
+    batch, _ = task1_rows(records, model.vocabularies, pipeline.lexicons)
     return predict_batch(model.svm, batch)
 
 
@@ -355,20 +371,9 @@ def evaluate(
         raise LengthMismatch(f"{len(gold)} gold labels vs {len(query_ids)} query ids")
     if not gold:
         raise EmptyInput("nothing to evaluate")
-    order: list[str] = []
-    correct: dict[str, int] = {}
-    total: dict[str, int] = {}
-    for qid, g, p in zip(query_ids, gold, predicted):
-        if qid not in total:
-            order.append(qid)
-            total[qid] = 0
-            correct[qid] = 0
-        total[qid] += 1
-        if g == p:
-            correct[qid] += 1
-    return EvaluationReport(
-        rows=tuple(QueryAccuracy(qid, correct[qid], total[qid]) for qid in order)
-    )
+    total = Counter(query_ids)  # keys in first-appearance order
+    correct = Counter(qid for qid, g, p in zip(query_ids, gold, predicted) if g == p)
+    return EvaluationReport(rows=tuple(QueryAccuracy(qid, correct[qid], n) for qid, n in total.items()))
 
 
 # --- tuning -----------------------------------------------------------------

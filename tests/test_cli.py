@@ -2,14 +2,17 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from querystance import pipeline as pipeline_module
 from querystance.cli import main
 from querystance.codec import to_doc
 from querystance.corpus import load_dataset
 from querystance.errors import VersionMismatch
 from querystance.features import TASK1_FEATURE_NAMES
-from querystance.pipeline import LexiconSet, PipelineConfig, _task1_vectors, load_task_model
+from querystance.pipeline import LexiconSet, PipelineConfig, load_task_model, task1_rows
+from querystance.svm import predict_batch
 
 from synth import make_records, write_dataset_csv, write_lexicon_files
 
@@ -707,10 +710,28 @@ class TestFeaturesDump:
                 dumps[name] = [[float(v) for v in row[2:]] for row in list(csv.reader(handle))[2:]]
         lexicons = LexiconSet.load(gloss_path=workspace["gloss"], noun_path=workspace["nouns"])
         model = load_task_model(trained_models["m1"], lexicons)
-        batch, _ = _task1_vectors(load_dataset(part), model.task1.vocabularies, lexicons)
+        batch, _ = task1_rows(load_dataset(part), model.task1.vocabularies, lexicons)
         assert dumps["model"] == batch.values.tolist()
         cosine = TASK1_FEATURE_NAMES.index("cosine")
         assert [row[cosine] for row in dumps["model"]] != [row[cosine] for row in dumps["none"]]
+
+    def test_task2_model_gives_the_rows_predict_reads(self, workspace, trained_models, tmp_path, monkeypatch):
+        paths = ["--data", str(workspace["train"]), "--sentiment", str(workspace["sentiment"]),
+                 "--model", str(trained_models["m2"])]
+        dump = tmp_path / "f2.csv"
+        assert main(["features", "--task", "2", "--out", str(dump), *paths]) == 0
+        with open(dump, newline="", encoding="utf-8") as handle:
+            rows = [[float(v) for v in row[2:]] for row in list(csv.reader(handle))[2:]]
+        chunks = []
+
+        def recorded(model, batch):
+            chunks.append(batch.values)
+            return predict_batch(model, batch)
+
+        monkeypatch.setattr(pipeline_module, "predict_batch", recorded)
+        # a standalone task-2 model reads the dataset's relevance labels, as features --task 2 does
+        assert main(["predict", "--out", str(tmp_path / "pred.csv"), *paths]) == 0
+        assert rows == np.concatenate(chunks).tolist()
 
     def test_task2_model_for_task1_exits_1(self, workspace, trained_models, tmp_path, capsys):
         assert main([

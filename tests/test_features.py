@@ -392,7 +392,7 @@ class TestAnalysedPathEqualsStringOracles:
 
     def test_task1(self, records, synthetic_lexicons):
         lex = synthetic_lexicons
-        batch, vocabularies = pipeline._task1_vectors(records, {}, lex)
+        batch, vocabularies = pipeline.task1_rows(records, {}, lex)
         got = batch.values
         expected = np.array([
             task1_features_reference(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from querystance.errors import (
     SingleClassInput,
     UnlabeledRecord,
 )
+from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon
 from querystance.pipeline import (
+    LexiconSet,
     PipelineConfig,
     TWO_CLASS,
     evaluate,
@@ -344,6 +347,44 @@ class TestGridSearch:
             grid_search(synthetic_records, [], synthetic_lexicons, PipelineConfig())
 
 
+class TestJoin:
+    """A model put into a pipeline brings the lexicons its task reads and leaves the others."""
+
+    def test_train_task2_into_pipeline_takes_its_sentiment(self, synthetic_records, synthetic_lexicons):
+        config = PipelineConfig()
+        task1_lexicons = replace(synthetic_lexicons, sentiment=SentimentLexicon())
+        pipeline = train_task1(synthetic_records, task1_lexicons, config)
+        train_task2(synthetic_records, [r.relevance for r in synthetic_records], synthetic_lexicons, config,
+                    pipeline=pipeline)
+        assert pipeline.lexicons.sentiment is synthetic_lexicons.sentiment
+        assert pipeline.lexicons.gloss is task1_lexicons.gloss
+        assert pipeline.lexicons.nouns is task1_lexicons.nouns
+
+    def test_load_into_pipeline_takes_the_tasks_lexicons(self, trained, synthetic_lexicons, tmp_path):
+        for task in (1, 2):
+            save_task_model(trained, task, tmp_path / f"m{task}.json")
+        pipeline = load_task_model(tmp_path / "m1.json", synthetic_lexicons)
+        other = LexiconSet(GlossDictionary(), SentimentLexicon({"tractor": (0.9, 0.0)}), NounLexicon())
+        load_task_model(tmp_path / "m2.json", other, into=pipeline)
+        assert pipeline.lexicons.sentiment is other.sentiment
+        assert pipeline.lexicons.gloss is synthetic_lexicons.gloss
+        assert pipeline.lexicons.nouns is synthetic_lexicons.nouns
+
+    def test_chained_training_predicts_as_fresh_training(self, trained, synthetic_records, synthetic_lexicons):
+        # task 1 trained with every sentiment polarity flipped, task 2 with the real lexicon
+        entries = synthetic_lexicons.sentiment.entries
+        flipped = replace(synthetic_lexicons, sentiment=SentimentLexicon({w: (n, p) for w, (p, n) in entries.items()}))
+        config = trained.config
+        chained = train_task2(
+            synthetic_records, [r.relevance for r in synthetic_records], synthetic_lexicons, config,
+            pipeline=train_task1(synthetic_records, flipped, config),
+        )
+        records = make_records(seed=3)
+        relevance = predict_task1(trained, records)
+        assert predict_task1(chained, records) == relevance
+        assert predict_task2(chained, records, relevance) == predict_task2(trained, records, relevance)
+
+
 class TestPersistence:
     def test_chained_roundtrip(self, trained, synthetic_records, tmp_path):
         records = synthetic_records[:30]
@@ -369,7 +410,7 @@ class TestPersistence:
         relevance = predict_task1(trained, records)
         assert predict_task1(loaded, records) == relevance
         assert predict_task2(loaded, records, relevance) == predict_task2(trained, records, relevance)
-        task1_rows, _ = pipeline_module._task1_vectors(records, trained.task1.vocabularies, trained.lexicons)
+        task1_rows, _ = pipeline_module.task1_rows(records, trained.task1.vocabularies, trained.lexicons)
         task2_rows = task2_features(
             [tokenize(r.sentence_text) for r in records],
             [label == "relevant" for label in relevance],
