@@ -49,6 +49,8 @@ from .pipeline import (
     LEXICON_PATHS,
     RELEVANT,
     TASK_MODELS,
+    THREE_CLASS,
+    TWO_CLASS,
     LexiconSet,
     PipelineConfig,
     evaluate,
@@ -60,6 +62,7 @@ from .pipeline import (
     train_task1,
     train_task2,
 )
+from .svm import KERNEL_KINDS
 from .textproc import tokenize
 
 # --- settings resolution ----------------------------------------------------
@@ -205,7 +208,7 @@ def _write_manifest(args: argparse.Namespace, config: dict, seed: int) -> None:
         "created_at": datetime.now(timezone.utc).isoformat(),
         "seed": seed,
         "config": config,
-        "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in inputs.items() if p},
+        "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in inputs.items() if p is not None},
         "output": args.out,
     }
     write_json(str(args.out) + ".manifest.json", manifest)
@@ -243,16 +246,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out_path = _require(args, "out")
     lexicons = LexiconSet.load(**{path: getattr(args, name) for name, path in LEXICON_PATHS.items()})
     pipeline = load_task_model(_require(args, "model"), lexicons)
-    if args.model2:
+    if args.model2 is not None:
         pipeline = load_task_model(args.model2, lexicons, into=pipeline)
     models = [model for model in (pipeline.task1, pipeline.task2) if model is not None]
     tasks = [model.task for model in models]
-    if (args.chain or args.model2) and tasks != [1, 2]:
+    if (args.chain or args.model2 is not None) and tasks != [1, 2]:
         raise QueryStanceError("--chain needs a task-1 model (--model) and a task-2 model (--model2)")
     # a lexicon that a held model's task reads and was trained with, absent now, degrades its features
     for model in models:
         for name in model.lexicons_read():
-            if getattr(model.config, LEXICON_PATHS[name]) and not len(getattr(lexicons, name)):
+            if getattr(model.config, LEXICON_PATHS[name]) is not None and not len(getattr(lexicons, name)):
                 print(f"warning: model was trained with --{name} but none was given", file=sys.stderr)
     records = load_dataset(data_path, labeled=False)
 
@@ -314,7 +317,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         predictions.append(label)
     report = evaluate(gold, predictions, [r.query_id for r in gold_records])
     print(report.render_table())
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["query_id", "accuracy"])
@@ -331,7 +334,7 @@ def cmd_features(args: argparse.Namespace) -> int:
 
     lexicons = _load_lexicons(args, task)
     model_path = args.model if task == 1 else _require(args, "model")  # task 1: optional
-    pipeline = load_task_model(model_path, lexicons) if model_path else None
+    pipeline = load_task_model(model_path, lexicons) if model_path is not None else None
     if pipeline and getattr(pipeline, f"task{task}") is None:
         raise QueryStanceError(f"not a task-{task} model file", model_path)
 
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_paths(train)
     train.add_argument("--C", type=float, dest="C", help=_default_help("box constraint", "c"))
     train.add_argument("--gamma", type=float, help=_default_help("kernel gamma", "kernel.gamma"))
-    train.add_argument("--kernel", choices=("linear", "poly", "rbf"))
+    train.add_argument("--kernel", choices=KERNEL_KINDS)
     train.add_argument("--degree", type=int, help=_default_help("poly degree", "kernel.degree"))
     train.add_argument("--coef0", type=float, help=_default_help("poly offset", "kernel.coef0"))
     train.add_argument("--tol", type=float, help=_default_help("KKT gap tolerance", "tol"))
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=_default_help("solver cap, in passes of n pair updates for n training rows", "max_passes"),
     )
     train.add_argument("--eps", type=float, help=_default_help("support-vector alpha floor", "eps"))
-    train.add_argument("--stance-classes", choices=("three_class", "two_class"), dest="stance_classes")
+    train.add_argument("--stance-classes", choices=(THREE_CLASS, TWO_CLASS), dest="stance_classes")
     train.add_argument("--train-fraction", type=float, dest="train_fraction")
     train.add_argument("--seed", type=int, help=f"train/dev tuning split seed (default {PipelineConfig().seed})")
     train.add_argument(
@@ -444,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config_lines = _apply_config(parser, args) if args.config else {}
+        args.config_lines = _apply_config(parser, args) if args.config is not None else {}
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

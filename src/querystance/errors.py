@@ -99,7 +99,7 @@ class SingleClassInput(QueryStanceError):
 
 
 class NonFinite(QueryStanceError):
-    """Training input contains NaN or infinity."""
+    """Rows given to the SVM, to train on or to predict, contain NaN or infinity."""
 
 
 class NoSupportVectors(QueryStanceError):

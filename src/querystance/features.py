@@ -41,8 +41,6 @@ SCHEMA_TASK2 = "task2-v1"
 
 TASK1_FEATURE_NAMES = ("exact", "stemmed", "noun", "neighborhood", "cosine")
 
-GLOSS_SENTENCES = 3
-
 # the columns of a task-2 row after its TF-IDF block: a count per polarity, then the relevance flag
 TASK2_TAIL_NAMES = ("positive_count", "negative_count", "neutral_count", "relevance_flag")
 _POLARITY_COLUMNS = {p: TASK2_TAIL_NAMES.index(f"{p.value}_count") for p in Polarity}
@@ -154,7 +152,7 @@ def feature_neighborhood(
     for s_word, s_count in sentence.counts.items():
         words = matches.get(s_word)
         if words is None:
-            gloss = gloss_first_k_sentences(gloss_dict, s_word, GLOSS_SENTENCES)
+            gloss = gloss_first_k_sentences(gloss_dict, s_word)
             words = matches[s_word] = tuple(q_counts.keys() & {s_word, *gloss})
         for word in words:
             matched[word] = matched.get(word, 0) + s_count

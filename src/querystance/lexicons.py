@@ -3,9 +3,9 @@
 All three load from plain UTF-8 text files ('#' lines are comments),
 and their entries do not change after loading. The one thing that
 grows is the gloss dictionary's token memo, filled lazily by
-``gloss_first_k_sentences``: it holds only dictionary hits, so it never
-has more entries per ``k`` than the dictionary has terms. Two threads
-filling it at once store equal values, so lookups stay thread-safe.
+``gloss_first_k_sentences``: keyed by term, it holds only dictionary
+hits, so it never has more entries than the dictionary has terms. Two
+threads filling it at once store equal values, so lookups stay thread-safe.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from pathlib import Path
 
 from .errors import MalformedLine, ScoreOutOfRange, reading_utf8
 from .textproc import split_sentences, tokenize
+
+# the first gloss sentences that stand for a term in the neighborhood feature
+GLOSS_SENTENCES = 3
 
 
 class Polarity(enum.Enum):
@@ -39,13 +42,13 @@ def _data_lines(path: str | Path):
 class GlossDictionary:
     """term -> gloss text; terms lowercase and unique.
 
-    ``_tokens`` memoises ``gloss_first_k_sentences``: (term, k) -> the
-    tokens of the term's first k gloss sentences, for terms in
-    ``entries`` only. Equality and repr ignore it.
+    ``_tokens`` memoises ``gloss_first_k_sentences``: term -> the tokens
+    of its first GLOSS_SENTENCES gloss sentences, for terms in ``entries``
+    only. Equality and repr ignore it.
     """
 
     entries: dict[str, str] = field(default_factory=dict)
-    _tokens: dict[tuple[str, int], tuple[str, ...]] = field(
+    _tokens: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -91,22 +94,20 @@ def load_gloss_dictionary(path: str | Path) -> GlossDictionary:
     return GlossDictionary(entries=entries)
 
 
-def gloss_first_k_sentences(gloss_dict: GlossDictionary, term: str, k: int) -> tuple[str, ...]:
-    """Tokens of the first k sentences of a term's gloss; () on a miss.
+def gloss_first_k_sentences(gloss_dict: GlossDictionary, term: str) -> tuple[str, ...]:
+    """Tokens of the first GLOSS_SENTENCES sentences of a term's gloss; () on a miss.
 
-    A hit is split and tokenized once per dictionary and k, then served
-    from the dictionary's memo. The memo stores interned tokens, so
-    glosses that share words share their strings.
+    A hit is split and tokenized once per dictionary, then served from
+    the dictionary's memo. The memo stores interned tokens, so glosses
+    that share words share their strings.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    key = (term.lower(), k)
+    key = term.lower()
     tokens = gloss_dict._tokens.get(key)
     if tokens is None:
-        gloss = gloss_dict.entries.get(key[0])
+        gloss = gloss_dict.entries.get(key)
         if gloss is None:
             return ()
-        sentences = split_sentences(gloss)[:k]
+        sentences = split_sentences(gloss)[:GLOSS_SENTENCES]
         tokens = gloss_dict._tokens[key] = tuple(map(sys.intern, tokenize(" ".join(sentences))))
     return tokens
 

@@ -99,11 +99,11 @@ class LexiconSet:
         sentiment_path: str | Path | None = None,
         noun_path: str | Path | None = None,
     ) -> "LexiconSet":
-        """Load whichever resources are given; the rest stay empty."""
+        """Load each resource whose path is not None, even an empty one; the rest stay empty."""
         return cls(
-            gloss=load_gloss_dictionary(gloss_path) if gloss_path else GlossDictionary(),
-            sentiment=load_sentiment_lexicon(sentiment_path) if sentiment_path else SentimentLexicon(),
-            nouns=load_noun_lexicon(noun_path) if noun_path else NounLexicon(),
+            gloss=load_gloss_dictionary(gloss_path) if gloss_path is not None else GlossDictionary(),
+            sentiment=load_sentiment_lexicon(sentiment_path) if sentiment_path is not None else SentimentLexicon(),
+            nouns=load_noun_lexicon(noun_path) if noun_path is not None else NounLexicon(),
         )
 
 

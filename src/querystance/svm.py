@@ -275,24 +275,30 @@ def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, f
     return alpha, bias, float(m - big_m)
 
 
-def _validate_training_input(x: np.ndarray, y: np.ndarray) -> None:
-    if x.ndim != 2:
-        raise DimensionMismatch("training vectors must share one dimensionality")
-    if len(x) != len(y):
-        raise DimensionMismatch(f"{len(x)} vectors but {len(y)} labels")
-    if not np.all(np.isfinite(x)):
-        raise NonFinite("training vectors contain NaN or infinity")
-
-
-def _rows(x) -> tuple[np.ndarray, str | None]:
-    """The matrix of ``x``, a FeatureBatch or a 2-D array-like, and the
-    schema of a FeatureBatch."""
+def _rows(x, dims: int | None = None, schema_id: str | None = None) -> tuple[np.ndarray, str | None]:
+    """The rows of ``x``, a FeatureBatch or a 2-D array-like, as a float64
+    matrix, and the schema of a FeatureBatch: the one intake of every row the
+    SVM trains on or predicts. Given a model's ``dims`` and ``schema_id``, an
+    empty list is no rows and another schema or width is a DimensionMismatch;
+    NaN or infinity is NonFinite, found before any kernel is computed."""
     if isinstance(x, FeatureBatch):
-        return x.values, x.schema_id
-    try:
-        return np.asarray(x, dtype=np.float64), None
-    except ValueError as exc:  # rows of different lengths
-        raise DimensionMismatch(f"rows must share one width: {exc}") from exc
+        matrix, schema = x.values, x.schema_id
+    else:
+        try:
+            matrix, schema = np.asarray(x, dtype=np.float64), None
+        except ValueError as exc:  # rows of different lengths
+            raise DimensionMismatch(f"rows must share one width: {exc}") from exc
+    if schema_id and schema and schema != schema_id:
+        raise DimensionMismatch(f"model expects schema {schema_id!r}, got {schema!r}")
+    if dims is not None and matrix.shape == (0,):
+        matrix = matrix.reshape(0, dims)
+    if matrix.ndim != 2:
+        raise DimensionMismatch(f"rows must form a 2-D matrix, got shape {matrix.shape}")
+    if dims is not None and matrix.shape[1] != dims:
+        raise DimensionMismatch(f"model expects {dims} dims, got rows of shape {matrix.shape[1:]}")
+    if not np.isfinite(matrix).all():
+        raise NonFinite("rows contain NaN or infinity")
+    return matrix, schema
 
 
 def train_binary(
@@ -311,7 +317,8 @@ def train_binary(
     """
     matrix, _ = _rows(x)
     labels = np.asarray(y, dtype=np.float64)
-    _validate_training_input(matrix, labels)
+    if len(matrix) != len(labels):
+        raise DimensionMismatch(f"{len(matrix)} vectors but {len(labels)} labels")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("binary labels must be +1 or -1")
     if np.unique(labels).size < 2:
@@ -336,19 +343,6 @@ def train_binary(
     return _bind(machine, pool)
 
 
-def _batch(x, dims: int, schema_id: str | None = None) -> np.ndarray:
-    """The rows of ``x`` as a (rows, dims) matrix (an empty list is no rows);
-    DimensionMismatch for a batch of another schema or rows of another width."""
-    rows, schema = _rows(x)
-    if schema_id and schema and schema != schema_id:
-        raise DimensionMismatch(f"model expects schema {schema_id!r}, got {schema!r}")
-    if rows.shape == (0,):
-        rows = rows.reshape(0, dims)
-    if rows.ndim != 2 or rows.shape[1] != dims:
-        raise DimensionMismatch(f"model expects {dims} dims, got rows of shape {rows.shape[1:]}")
-    return rows
-
-
 def _machine_values(kernel: np.ndarray, machine: BinaryModel) -> np.ndarray:
     """sum_i dual_coef_i * K(sv_i, x) + bias for each row of K(x, pool)."""
     return kernel[:, machine.sv_index] @ machine.dual_coefs + machine.bias
@@ -357,7 +351,7 @@ def _machine_values(kernel: np.ndarray, machine: BinaryModel) -> np.ndarray:
 def decision_value(model: BinaryModel, x, cfg: KernelConfig) -> float:
     """sum_i dual_coef_i * K(sv_i, x) + bias for one row ``x``."""
     pool = model._pool
-    kernel = _gram(cfg, _batch([x], pool.dims), pool.dense, pool.sq_norms)
+    kernel = _gram(cfg, _rows([x], pool.dims)[0], pool.dense, pool.sq_norms)
     return float(_machine_values(kernel, model)[0])
 
 
@@ -378,9 +372,10 @@ def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassInput(f"need at least 2 distinct labels, got {labels}")
-    matrix, schema_id = _rows(x)
+    matrix, schema_id = _rows(x)  # once, before the rows are split by pair
     y = list(y)
-    _validate_training_input(matrix, y)  # once, before the rows are split by pair
+    if len(matrix) != len(y):
+        raise DimensionMismatch(f"{len(matrix)} vectors but {len(y)} labels")
     machines = []
     for neg, pos in combinations(labels, 2):
         idx = [i for i, label in enumerate(y) if label in (neg, pos)]
@@ -407,7 +402,7 @@ def decision_values(model: MulticlassModel, x) -> np.ndarray:
     K[:, sv_index_k] @ dual_coefs_k + bias_k.
     """
     pool = model.pool
-    rows = _batch(x, pool.dims, model.schema_id)
+    rows, _ = _rows(x, pool.dims, model.schema_id)
     values = np.empty((len(rows), len(model.machines)))
     for start in range(0, len(rows), PREDICT_CHUNK_ROWS):
         chunk = slice(start, start + PREDICT_CHUNK_ROWS)

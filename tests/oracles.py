@@ -16,8 +16,8 @@ from collections import Counter
 
 import numpy as np
 
-from querystance.features import GLOSS_SENTENCES, _cosine, dice_counts, tfidf_weights
-from querystance.lexicons import Polarity, is_noun, polarity
+from querystance.features import _cosine, dice_counts, tfidf_weights
+from querystance.lexicons import GLOSS_SENTENCES, Polarity, is_noun, polarity
 from querystance.porter import porter_stem
 from querystance.textproc import split_sentences
 

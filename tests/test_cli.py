@@ -763,3 +763,63 @@ class TestVersionFlag:
             main(["--version"])
         assert err.value.code == 0
         assert "querystance" in capsys.readouterr().out
+
+
+def _without(args, flag):
+    """``args`` without ``flag`` and its value."""
+    at = args.index(flag)
+    return args[:at] + args[at + 2:]
+
+
+def _replaced(args, flag, value):
+    at = args.index(flag) + 1
+    return args[:at] + [value] + args[at + 1:]
+
+
+def _evaluate_to_empty_out(ws, models, root):
+    pred = root / "pred.csv"
+    assert main([
+        "predict", "--model", str(models["m1"]), "--data", str(ws["train"]), "--out", str(pred),
+        "--nouns", str(ws["nouns"]), "--gloss", str(ws["gloss"]),
+    ]) == 0
+    return ["evaluate", "--gold", str(ws["train"]), "--pred", str(pred), "--out", ""]
+
+
+def _config_with_empty_gloss(ws, models, root):
+    config = root / "run.cfg"
+    config.write_text("gloss=\n", encoding="utf-8")
+    return _without(train_args(ws, 1, "m.json"), "--gloss") + ["--config", str(config)]
+
+
+EMPTY_PATH_RUNS = {
+    "train --gloss ''": lambda ws, models, root: _replaced(train_args(ws, 1, "m.json"), "--gloss", ""),
+    "train --task 2 --sentiment ''": lambda ws, models, root: _replaced(train_args(ws, 2, "m.json"), "--sentiment", ""),
+    "config gloss=": _config_with_empty_gloss,
+    "train --config ''": lambda ws, models, root: train_args(ws, 1, "m.json") + ["--config", ""],
+    "predict --model2 ''": lambda ws, models, root: [
+        "predict", "--model", str(models["m1"]), "--model2", "", "--data", str(ws["unlabeled"]),
+        "--out", "pred.csv", "--nouns", str(ws["nouns"]), "--gloss", str(ws["gloss"]),
+        "--sentiment", str(ws["sentiment"]),
+    ],
+    "features --task 1 --model ''": lambda ws, models, root: [
+        "features", "--task", "1", "--model", "", "--data", str(ws["unlabeled"]), "--out", "f1.csv",
+        "--nouns", str(ws["nouns"]), "--gloss", str(ws["gloss"]),
+    ],
+    "evaluate --out ''": _evaluate_to_empty_out,
+}
+
+
+class TestEmptyPathIsGiven:
+    """An option is absent only when it is not given: an empty path is a path,
+    which fails to open, so the run exits 1 and writes nothing."""
+
+    @pytest.mark.parametrize("case", EMPTY_PATH_RUNS, ids=str)
+    def test_exits_1_and_writes_nothing(self, workspace, trained_models, tmp_path, monkeypatch, capsys, case):
+        args = EMPTY_PATH_RUNS[case](workspace, trained_models, tmp_path)
+        run_dir = tmp_path / "run"  # relative outputs and a stray `.manifest.json` would land here
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        capsys.readouterr()
+        assert main(args) == 1
+        assert list(run_dir.iterdir()) == []
+        assert "error: " in capsys.readouterr().err

@@ -63,48 +63,42 @@ class TestGlossDictionary:
 class TestGlossFirstK:
     def test_first_three_sentences(self, gloss_file):
         d = load_gloss_dictionary(gloss_file)
-        tokens = gloss_first_k_sentences(d, "melanoma", 3)
+        tokens = gloss_first_k_sentences(d, "melanoma")
         assert "skin" in tokens and "cancer" in tokens
         assert "detection" not in tokens  # fourth sentence excluded
 
     def test_unknown_term(self, gloss_file):
         d = load_gloss_dictionary(gloss_file)
-        assert gloss_first_k_sentences(d, "unknown", 3) == ()
+        assert gloss_first_k_sentences(d, "unknown") == ()
 
     def test_short_gloss_clamped(self, gloss_file):
         d = load_gloss_dictionary(gloss_file)
-        assert gloss_first_k_sentences(d, "espresso", 3) == ("a", "strong", "coffee")
+        assert gloss_first_k_sentences(d, "espresso") == ("a", "strong", "coffee")
 
     def test_memo_holds_only_hits(self, gloss_file):
         d = load_gloss_dictionary(gloss_file)
         for i in range(10_000):
-            assert gloss_first_k_sentences(d, f"absent{i}", 3) == ()
+            assert gloss_first_k_sentences(d, f"absent{i}") == ()
         assert d._tokens == {}
         for _ in range(3):
             for term in ("melanoma", "Espresso", "espresso", "unknown"):
-                gloss_first_k_sentences(d, term, 3)
+                gloss_first_k_sentences(d, term)
         assert len(d._tokens) == len(d.entries) == 2
 
     def test_memo_serves_what_a_fresh_split_gives(self, gloss_file):
         d = load_gloss_dictionary(gloss_file)
-        for k in (1, 2, 3, 4, 1):
-            first = gloss_first_k_sentences(d, "melanoma", k)
-            assert gloss_first_k_sentences(d, "melanoma", k) is first
-            assert first == gloss_first_k_sentences(load_gloss_dictionary(gloss_file), "melanoma", k)
-        assert gloss_first_k_sentences(d, "melanoma", 1) == ("melanoma", "is", "a", "type", "of", "skin", "cancer")
+        first = gloss_first_k_sentences(d, "Melanoma")
+        assert gloss_first_k_sentences(d, "melanoma") is first
+        assert first == gloss_first_k_sentences(load_gloss_dictionary(gloss_file), "melanoma")
+        assert d._tokens == {"melanoma": first}  # keyed by the lowercased term alone
 
     def test_equality_and_repr_ignore_memo(self, gloss_file):
         used, fresh = load_gloss_dictionary(gloss_file), load_gloss_dictionary(gloss_file)
-        gloss_first_k_sentences(used, "melanoma", 3)
+        gloss_first_k_sentences(used, "melanoma")
         assert used._tokens and not fresh._tokens
         assert used == fresh
         assert repr(used) == repr(fresh) == f"GlossDictionary(entries={used.entries!r})"
         assert GlossDictionary() == GlossDictionary(entries={})
-
-    def test_k_must_be_positive(self, gloss_file):
-        d = load_gloss_dictionary(gloss_file)
-        with pytest.raises(ValueError):
-            gloss_first_k_sentences(d, "espresso", 0)
 
 
 class TestSentimentLexicon:

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from querystance.errors import (
     SingleClassInput,
     VersionMismatch,
 )
+from querystance import svm as svm_module
 from querystance.features import FeatureBatch
 from querystance.svm import (
     KERNEL_KINDS,
@@ -385,6 +387,62 @@ def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
         expected_label, expected_values = ovo_reference(model, row)
         assert label == expected_label
         np.testing.assert_allclose(row_values, expected_values, rtol=0, atol=1e-9)
+
+
+_INTAKE_CFG = SvmConfig(c=10.0, kernel=KernelConfig("rbf", gamma=0.5))
+
+# each entry point that reads a batch of rows, called on ``rows`` with ``model`` at hand
+_BATCH_ENTRY_POINTS = {
+    "train_binary": lambda model, rows: train_binary(rows, [-1, 1], _INTAKE_CFG),
+    "train_multiclass": lambda model, rows: train_multiclass(rows, ["a", "b"], _INTAKE_CFG),
+    "decision_values": lambda model, rows: decision_values(model, rows),
+    "predict_batch": lambda model, rows: predict_batch(model, rows),
+}
+# each entry point that reads one row
+_ROW_ENTRY_POINTS = {
+    "decision_value": lambda model, row: decision_value(model.machines[0], row, model.kernel),
+    "predict": lambda model, row: predict(model, row),
+}
+_BATCH_FORMS = {
+    "list": lambda rows: rows.tolist(),
+    "array": lambda rows: rows,
+    "FeatureBatch": lambda rows: FeatureBatch(rows, "task1-v1"),
+}
+
+
+class TestIntake:
+    """Every entry point reads its rows through the one intake: a row with NaN
+    or infinity raises NonFinite there, before any kernel is computed and
+    without a numpy warning."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        batch = FeatureBatch(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]), "task1-v1")
+        return train_multiclass(batch, ["a", "b", "c"], _INTAKE_CFG)
+
+    @pytest.fixture
+    def no_kernel(self, model, monkeypatch):  # takes model so that it is trained before the patch
+        monkeypatch.setattr(svm_module, "_gram", lambda *args: pytest.fail("a kernel was computed"))
+
+    @staticmethod
+    def _raises_non_finite(call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="NaN or infinity"):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("form", _BATCH_FORMS)
+    @pytest.mark.parametrize("entry", _BATCH_ENTRY_POINTS)
+    def test_batch_entry_points(self, model, no_kernel, entry, form, bad):
+        rows = _BATCH_FORMS[form](np.array([[0.0, 1.0], [1.0, bad]]))
+        self._raises_non_finite(lambda: _BATCH_ENTRY_POINTS[entry](model, rows))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", _ROW_ENTRY_POINTS)
+    def test_row_entry_points(self, model, no_kernel, entry, bad):
+        for row in ([bad, 0.0], np.array([0.0, bad])):
+            self._raises_non_finite(lambda: _ROW_ENTRY_POINTS[entry](model, row))
 
 
 class TestPersistence:
