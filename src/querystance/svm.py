@@ -4,7 +4,9 @@ The binary soft-margin dual is solved over the full cached Gram matrix
 by one SMO loop: each iteration updates the pair chosen by
 second-order working-set selection (Fan, Chen & Lin 2005) and the loop
 stops once the KKT gap m - M is within tol (Keerthi et al. 2001) or a
-cap of max_passes * n pair updates is reached. Training has no random
+cap of max_passes * n pair updates is reached. The loop keeps its state
+(the scores -y*G and the I_up / I_low masks) from one iteration to the
+next and updates it in place, as LIBSVM does. Training has no random
 choices, so equal inputs give equal models. Machines are combined
 one-vs-one for multiclass and share one pool of distinct support
 vectors (as in LIBSVM, Chang & Lin 2011): each machine holds the pool
@@ -50,6 +52,8 @@ class KernelConfig:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if type(self.degree) is not int:  # a bool or a float is not a count
+            raise ValueError(f"degree must be an integer, got {self.degree!r}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
         if not math.isfinite(self.coef0):
@@ -72,6 +76,8 @@ class SvmConfig:
             raise ValueError(f"c must be positive and finite, got {self.c}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if type(self.max_passes) is not int:  # a bool or a float is not a count
+            raise ValueError(f"max_passes must be an integer, got {self.max_passes!r}")
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
         if not (math.isfinite(self.eps) and self.eps >= 0):
@@ -232,34 +238,50 @@ def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | No
     return np.exp(-cfg.gamma * np.clip(sq, 0.0, None))
 
 
-def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, float, float]:
+def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, float, float, int]:
     """Minimise 1/2 a'Qa - e'a, Q = yy'K, over 0 <= a <= C and y'a = 0.
 
     Each iteration moves one pair by second-order working-set selection
     (WSS2; Fan, Chen & Lin 2005): i is the maximal violator in I_up, j
     the member of I_low whose pair step lowers the objective most. The
     loop stops when the KKT gap m - M is at most cfg.tol (Keerthi et al.
-    2001) or after cfg.max_passes * n pair updates. Returns the alphas,
-    the bias and the final gap.
+    2001) or after cfg.max_passes * n pair updates.
+
+    The state lives across iterations, as in LIBSVM: score = -y*G for the
+    gradient G = Q alpha - e, kept in place, and the I_up / I_low masks with
+    the scores on them, which change at i and j only. A pair update
+    subtracts y_i d_i K_i + y_j d_j K_j from score in one step; y is +/-1,
+    so every negation is exact and score equals a fresh -y*G. Every other
+    per-iteration temporary is a length-n buffer allocated once. Returns the
+    alphas, the bias, the final gap and the number of pair updates made.
     """
-    c, cap = cfg.c, cfg.max_passes * len(y)
+    n, c = len(y), cfg.c
+    cap = cfg.max_passes * n
     pos = y > 0
-    alpha = np.zeros(len(y))
-    grad = -np.ones(len(y))  # G = Q alpha - e
+    alpha = np.zeros(n)
+    score = y.copy()  # -y*G at alpha = 0, where G = -e
+    up, low = pos.copy(), ~pos
+    up_score = np.full(n, -np.inf)  # score on I_up, -inf elsewhere
+    low_score = np.full(n, np.inf)  # score on I_low, +inf elsewhere
     diag = np.diag(gram)
+    b, a, gain, row = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    flat, excluded = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     for step in range(cap + 1):
-        score = -y * grad
-        up = np.where(pos, alpha < c, alpha > 0.0)
-        low = np.where(pos, alpha > 0.0, alpha < c)
-        up_score = np.where(up, score, -np.inf)
-        i = int(np.argmax(up_score))
-        m, big_m = up_score[i], np.min(score, where=low, initial=np.inf)
+        np.copyto(up_score, score, where=up)
+        np.copyto(low_score, score, where=low)
+        i = int(up_score.argmax())
+        m, big_m = up_score[i], low_score.min()
         if m - big_m <= cfg.tol or step == cap:
             break
-        b = m - score
-        a = diag[i] + diag - 2.0 * gram[i]
-        a[a <= 0.0] = 1e-12  # flat or concave pair: step to the box edge
-        j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -np.inf)))
+        gram_i = gram[i]
+        np.subtract(m, low_score, out=b)  # -inf off I_low, so b > 0 only on it
+        np.add(diag, diag[i], out=a)
+        np.subtract(a, np.multiply(gram_i, 2.0, out=row), out=a)
+        # flat or concave pair: step to the box edge
+        np.copyto(a, 1e-12, where=np.less_equal(a, 0.0, out=flat))
+        np.divide(np.multiply(b, b, out=row), a, out=gain)
+        np.copyto(gain, -np.inf, where=np.less_equal(b, 0.0, out=excluded))
+        j = int(gain.argmax())
         # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box;
         # a variable that reaches its edge is set to exactly 0 or C
         room_i = c - alpha[i] if pos[i] else alpha[i]
@@ -268,11 +290,20 @@ def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, f
         old_i, old_j = alpha[i], alpha[j]
         alpha[i] = (c if pos[i] else 0.0) if t == room_i else old_i + y[i] * t
         alpha[j] = (0.0 if pos[j] else c) if t == room_j else old_j - y[j] * t
-        grad += y * (y[i] * (alpha[i] - old_i) * gram[i] + y[j] * (alpha[j] - old_j) * gram[j])
+        np.multiply(gram_i, y[i] * (alpha[i] - old_i), out=row)
+        row += np.multiply(gram[j], y[j] * (alpha[j] - old_j), out=b)
+        score -= row
+        for k in (i, j):
+            up[k] = alpha[k] < c if pos[k] else alpha[k] > 0.0
+            low[k] = alpha[k] > 0.0 if pos[k] else alpha[k] < c
+            if not up[k]:
+                up_score[k] = -np.inf
+            if not low[k]:
+                low_score[k] = np.inf
     free = (alpha > 0.0) & (alpha < c)
-    # bias = -rho as in LIBSVM: -mean(y*G) over free SVs, else the middle of [M, m]
-    bias = -float(np.mean(y[free] * grad[free])) if free.any() else 0.5 * float(m + big_m)
-    return alpha, bias, float(m - big_m)
+    # bias = -rho as in LIBSVM: mean(-y*G) over free SVs, else the middle of [M, m]
+    bias = float(np.mean(score[free])) if free.any() else 0.5 * float(m + big_m)
+    return alpha, bias, float(m - big_m), step
 
 
 def _rows(x, dims: int | None = None, schema_id: str | None = None) -> tuple[np.ndarray, str | None]:
@@ -323,7 +354,7 @@ def train_binary(
         raise ValueError("binary labels must be +1 or -1")
     if np.unique(labels).size < 2:
         raise SingleClassInput("training data holds a single class")
-    alpha, bias, gap = _smo(_gram(cfg.kernel, matrix, matrix), labels, cfg)
+    alpha, bias, gap, _ = _smo(_gram(cfg.kernel, matrix, matrix), labels, cfg)
     machine = f"machine {positive_label!r} vs {negative_label!r}"
     if gap > cfg.tol:
         warnings.warn(

@@ -2,10 +2,12 @@
 
 Each of these recomputes an expected value through a different route
 than the implementation under test: explicit pairing loops for the
-similarity features, exact active-set enumeration for the SVM dual,
-a one-pair kernel for the SVM's kernel matrices, and the string-taking
-feature functions that re-tokenize their inputs for every feature, as
-the package computed them before it analysed each text once. Keep them dumb and obviously correct.
+similarity features, exact active-set enumeration for the SVM dual, an
+SMO loop that recomputes its whole state every iteration, a one-pair
+kernel for the SVM's kernel matrices, and the string-taking feature
+functions that re-tokenize their inputs for every feature, as the
+package computed them before it analysed each text once. Keep them
+dumb and obviously correct.
 """
 
 from __future__ import annotations
@@ -199,6 +201,44 @@ def solve_dual_bruteforce(kernel_matrix, y, c) -> tuple[float, np.ndarray]:
             best_obj = obj
             best_alpha = alpha
     return best_obj, best_alpha
+
+
+def smo_reference(gram: np.ndarray, y: np.ndarray, cfg) -> tuple[np.ndarray, float, float]:
+    """The SMO loop as written before its state was kept in place: every
+    iteration recomputes -y*G, the I_up / I_low masks and every temporary
+    over all n rows. Same WSS2 choice, box step, stop rule and bias rule.
+    Returns the alphas, the bias and the final gap."""
+    c, cap = cfg.c, cfg.max_passes * len(y)
+    pos = y > 0
+    alpha = np.zeros(len(y))
+    grad = -np.ones(len(y))  # G = Q alpha - e
+    diag = np.diag(gram)
+    for step in range(cap + 1):
+        score = -y * grad
+        up = np.where(pos, alpha < c, alpha > 0.0)
+        low = np.where(pos, alpha > 0.0, alpha < c)
+        up_score = np.where(up, score, -np.inf)
+        i = int(np.argmax(up_score))
+        m, big_m = up_score[i], np.min(score, where=low, initial=np.inf)
+        if m - big_m <= cfg.tol or step == cap:
+            break
+        b = m - score
+        a = diag[i] + diag - 2.0 * gram[i]
+        a[a <= 0.0] = 1e-12  # flat or concave pair: step to the box edge
+        j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -np.inf)))
+        # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box;
+        # a variable that reaches its edge is set to exactly 0 or C
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        old_i, old_j = alpha[i], alpha[j]
+        alpha[i] = (c if pos[i] else 0.0) if t == room_i else old_i + y[i] * t
+        alpha[j] = (0.0 if pos[j] else c) if t == room_j else old_j - y[j] * t
+        grad += y * (y[i] * (alpha[i] - old_i) * gram[i] + y[j] * (alpha[j] - old_j) * gram[j])
+    free = (alpha > 0.0) & (alpha < c)
+    # bias = -rho as in LIBSVM: -mean(y*G) over free SVs, else the middle of [M, m]
+    bias = -float(np.mean(y[free] * grad[free])) if free.any() else 0.5 * float(m + big_m)
+    return alpha, bias, float(m - big_m)
 
 
 def cosine_bruteforce(u: dict[int, float], v: dict[int, float]) -> float:

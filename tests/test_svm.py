@@ -1,6 +1,5 @@
 import json
 import math
-import time
 import warnings
 
 import numpy as np
@@ -26,6 +25,7 @@ from querystance.svm import (
     SupportVectorPool,
     SvmConfig,
     _gram,
+    _smo,
     decision_value,
     decision_values,
     dual_objective,
@@ -35,7 +35,7 @@ from querystance.svm import (
     train_multiclass,
 )
 
-from oracles import kernel_eval, ovo_reference, solve_dual_bruteforce
+from oracles import kernel_eval, ovo_reference, smo_reference, solve_dual_bruteforce
 from svm_fixtures import fixture_instances, kkt_satisfied, overlapping_rows, training_alphas
 
 
@@ -106,24 +106,27 @@ class TestKernelEval:
         np.testing.assert_allclose(np.diag(rbf), 1.0, atol=1e-15)
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            KernelConfig("sigmoid")
-        with pytest.raises(ValueError):
-            KernelConfig("rbf", gamma=0.0)
-        with pytest.raises(ValueError):
-            KernelConfig("poly", degree=0)
-        for bad in (
-            lambda: KernelConfig("rbf", gamma=float("inf")),
-            lambda: KernelConfig("rbf", gamma=float("nan")),
-            lambda: KernelConfig("poly", coef0=float("nan")),
-            lambda: SvmConfig(c=float("nan")),
-            lambda: SvmConfig(c=float("inf")),
-            lambda: SvmConfig(tol=float("inf")),
-            lambda: SvmConfig(max_passes=0),
-            lambda: SvmConfig(eps=-1e-9),
-            lambda: SvmConfig(eps=float("nan")),
+        # each error names its field; a count must be an int, not a float or a bool
+        for field, bad in (
+            ("kind", lambda: KernelConfig("sigmoid")),
+            ("gamma", lambda: KernelConfig("rbf", gamma=0.0)),
+            ("degree", lambda: KernelConfig("poly", degree=0)),
+            ("degree", lambda: KernelConfig("poly", degree=2.5)),
+            ("degree", lambda: KernelConfig("poly", degree=3.0)),
+            ("degree", lambda: KernelConfig("poly", degree=True)),
+            ("gamma", lambda: KernelConfig("rbf", gamma=float("inf"))),
+            ("gamma", lambda: KernelConfig("rbf", gamma=float("nan"))),
+            ("coef0", lambda: KernelConfig("poly", coef0=float("nan"))),
+            ("c", lambda: SvmConfig(c=float("nan"))),
+            ("c", lambda: SvmConfig(c=float("inf"))),
+            ("tol", lambda: SvmConfig(tol=float("inf"))),
+            ("max_passes", lambda: SvmConfig(max_passes=0)),
+            ("max_passes", lambda: SvmConfig(max_passes=1.5)),
+            ("max_passes", lambda: SvmConfig(max_passes=True)),
+            ("eps", lambda: SvmConfig(eps=-1e-9)),
+            ("eps", lambda: SvmConfig(eps=float("nan"))),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=rf"\b{field} must "):
                 bad()
 
 
@@ -240,10 +243,14 @@ class TestOverlappingScale:
         copies = rng.choice(120, 30, replace=False)
         x, y = np.vstack([x, x[copies]]), np.concatenate([y, -y[copies]])
         cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=0.5))
-        start = time.perf_counter()  # about 0.6 s here; 7 s at the former default of 1000
-        with pytest.warns(RuntimeWarning, match=r"at the cap of 15000 pair updates \(max_passes 100\)"):
-            train_binary(x, y, cfg)
-        assert time.perf_counter() - start < 1.5
+        gram = _gram(cfg.kernel, x, x)
+        *_, gap, updates = _smo(gram, y, cfg)
+        assert gap > cfg.tol
+        assert updates == cfg.max_passes * len(y) == 15000
+        # at C = 1 the same rows converge, well before the cap
+        *_, gap, updates = _smo(gram, y, SvmConfig(c=1.0, kernel=cfg.kernel))
+        assert gap <= cfg.tol
+        assert 0 < updates < 15000
 
     def test_no_support_vector_raises(self):
         x, y = overlapping_rows()
@@ -387,6 +394,37 @@ def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
         expected_label, expected_values = ovo_reference(model, row)
         assert label == expected_label
         np.testing.assert_allclose(row_values, expected_values, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 80),
+    kind=st.sampled_from(KERNEL_KINDS),
+    c=st.sampled_from([1.0, 1e3, 1e7]),
+    max_passes=st.integers(1, 3),
+)
+def test_smo_matches_the_recomputing_reference(seed, n, kind, c, max_passes):
+    """The in-place SMO gives the alphas, bias and gap of the loop that
+    recomputes its state every iteration, bit for bit, also when it stops
+    at the cap; some rows are copied under the other label."""
+    rng = np.random.default_rng(seed)
+    copies = rng.integers(0, n // 2 + 1)
+    y = np.where(rng.random(n - copies) < 0.5, 1.0, -1.0)
+    y[0] = 1.0
+    y[1:2] = -1.0  # both labels among the rows, when there are two or more
+    x = rng.normal(0.5 * y[:, None], 1.0, (len(y), int(rng.integers(1, 4))))
+    copied = rng.choice(len(y), copies)
+    x, y = np.vstack([x, x[copied]]), np.concatenate([y, -y[copied]])
+    cfg = SvmConfig(c=c, kernel=KERNELS[kind], max_passes=max_passes)
+    gram = _gram(cfg.kernel, x, x)
+    alpha, bias, gap, updates = _smo(gram, y, cfg)
+    expected_alpha, expected_bias, expected_gap = smo_reference(gram, y, cfg)
+    assert np.array_equal(alpha, expected_alpha)
+    assert bias == expected_bias
+    assert gap == expected_gap
+    assert updates <= cfg.max_passes * n
+    assert (updates == cfg.max_passes * n) or gap <= cfg.tol
 
 
 _INTAKE_CFG = SvmConfig(c=10.0, kernel=KernelConfig("rbf", gamma=0.5))
