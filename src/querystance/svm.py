@@ -265,7 +265,7 @@ def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, f
     low_score = np.full(n, np.inf)  # score on I_low, +inf elsewhere
     diag = np.diag(gram)
     b, a, gain, row = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    flat, excluded = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    mask = np.empty(n, dtype=bool)
     for step in range(cap + 1):
         np.copyto(up_score, score, where=up)
         np.copyto(low_score, score, where=low)
@@ -278,9 +278,9 @@ def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, f
         np.add(diag, diag[i], out=a)
         np.subtract(a, np.multiply(gram_i, 2.0, out=row), out=a)
         # flat or concave pair: step to the box edge
-        np.copyto(a, 1e-12, where=np.less_equal(a, 0.0, out=flat))
+        np.copyto(a, 1e-12, where=np.less_equal(a, 0.0, out=mask))
         np.divide(np.multiply(b, b, out=row), a, out=gain)
-        np.copyto(gain, -np.inf, where=np.less_equal(b, 0.0, out=excluded))
+        np.copyto(gain, -np.inf, where=np.less_equal(b, 0.0, out=mask))  # j has b_j > 0
         j = int(gain.argmax())
         # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box;
         # a variable that reaches its edge is set to exactly 0 or C
