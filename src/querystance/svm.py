@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -40,6 +41,11 @@ IndexArray = npt.NDArray[np.int64]
 PREDICT_CHUNK_ROWS = 128
 
 
+def _is_count(value: object) -> bool:
+    """An integer, numpy's included; a bool or a float is not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     kind: str
@@ -52,7 +58,7 @@ class KernelConfig:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if type(self.degree) is not int:  # a bool or a float is not a count
+        if not _is_count(self.degree):
             raise ValueError(f"degree must be an integer, got {self.degree!r}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
@@ -76,7 +82,7 @@ class SvmConfig:
             raise ValueError(f"c must be positive and finite, got {self.c}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if type(self.max_passes) is not int:  # a bool or a float is not a count
+        if not _is_count(self.max_passes):
             raise ValueError(f"max_passes must be an integer, got {self.max_passes!r}")
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")

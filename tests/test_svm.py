@@ -128,6 +128,9 @@ class TestKernelEval:
         ):
             with pytest.raises(ValueError, match=rf"\b{field} must "):
                 bad()
+        # numpy integers are counts too
+        assert KernelConfig("poly", degree=np.int64(3)).degree == 3
+        assert SvmConfig(max_passes=np.int64(2)).max_passes == 2
 
 
 class TestTrainBinary:
@@ -231,7 +234,8 @@ class TestOverlappingScale:
     def test_iteration_cap_warns(self):
         x, y = overlapping_rows()
         cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=5.0), max_passes=1)
-        with pytest.warns(RuntimeWarning, match=r"'\+1' vs '-1': KKT gap \S+ > tol 0.001 at the cap of 300 "):
+        warning = r"'\+1' vs '-1': KKT gap \S+ > tol 0.001 at the cap of 300 pair updates \(max_passes 1\)$"
+        with pytest.warns(RuntimeWarning, match=warning):
             train_binary(x, y, cfg)
 
     def test_default_cap_stops_a_hard_problem_quickly(self):
@@ -247,6 +251,8 @@ class TestOverlappingScale:
         *_, gap, updates = _smo(gram, y, cfg)
         assert gap > cfg.tol
         assert updates == cfg.max_passes * len(y) == 15000
+        with pytest.warns(RuntimeWarning, match=r"at the cap of 15000 pair updates \(max_passes 100\)$"):
+            train_binary(x, y, cfg)
         # at C = 1 the same rows converge, well before the cap
         *_, gap, updates = _smo(gram, y, SvmConfig(c=1.0, kernel=cfg.kernel))
         assert gap <= cfg.tol
