@@ -2,8 +2,9 @@
 """Walk through the five query-sentence similarity features.
 
 Each feature scores how well one sentence answers a query, on [0, 1].
-The features read analysed text: ``analyse`` tokenizes a text once and
-counts its tokens and their stems, and every feature reads those counts.
+Each per-pair feature reads analysed text (``analyse`` tokenizes a text
+once); the batch function reads the texts' tokens, and looks each distinct
+word up once however many rows hold it.
 Run:  python demos/01_similarity_features.py
 """
 
@@ -75,8 +76,8 @@ for s, a in zip(SENTENCES, sentences):
     print(f"  {feature_cosine(query, a, vocab):.3f}  {s}")
 
 # all five at once, in the order the relevance classifier consumes them:
-# one batch of (query, sentence, vocabulary) triples gives one matrix, a row per sentence
-batch = task1_features([(query, a, vocab) for a in sentences], gloss, nouns)
+# one batch of (query tokens, sentence tokens, vocabulary) triples gives one matrix, a row per sentence
+batch = task1_features([(query.tokens, a.tokens, vocab) for a in sentences], gloss, nouns)
 print(f"\nfeature batch of shape {batch.values.shape} [exact, stemmed, noun, neighborhood, cosine]")
 for s, row in zip(SENTENCES, batch.values):
     print("  [" + ", ".join(f"{v:.3f}" for v in row) + f"]  {s}")

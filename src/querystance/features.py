@@ -8,22 +8,36 @@ Two feature schemas:
   plus positive/negative/neutral word counts and a relevance flag,
   used for stance classification.
 
-The features read analysed text (``textproc.analyse`` or
-``textproc.tokenize`` output), never raw strings, so a caller analyses
-each text once however many features read it. The task-1 features read
-an analysis's token and stem counts, and ``task2_features`` counts each
-sentence's tokens once.
+The batch functions read each text as its tokens (``textproc.tokenize``
+output), never as a raw string. Each batch call builds one table of its
+word types (``_WordTable``): every distinct word gets a small int id, and
+each text becomes (id, count) entries. What a feature needs to
+know of a word (its stem, noun flag, polarity, vocabulary column and
+gloss matches) is then looked up once per type and call, and the features
+are sums over id arrays. The per-row ``feature_*`` functions are one-row
+calls into ``task1_features``.
+
+Every float sum that feeds a feature adds left to right in a fixed order,
+through ``np.bincount``, which adds its weights one by one in input order:
+the TF-IDF cosine sums a sentence's squared weights in the order its words
+first appear, and the query's products in the order the query's words
+first appear. Python's ``sum`` would not do: from Python 3.12 on it
+compensates its rounding errors, so the last bit of a sum would depend on
+the interpreter.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence, Set
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, repeat
 
 import numpy as np
 
+from .codec import FieldError
 from .errors import EmptyCorpus, VocabNotFitted
 from .lexicons import (
     GlossDictionary,
@@ -34,7 +48,7 @@ from .lexicons import (
     is_noun,
     polarity,
 )
-from .textproc import Analysis
+from .textproc import Analysis, stem_tokens
 
 SCHEMA_TASK1 = "task1-v1"
 SCHEMA_TASK2 = "task2-v1"
@@ -69,7 +83,10 @@ class VocabularyModel:
 
     A "document" is one sentence; df(t) counts sentences containing t
     at least once. Term order is fixed at fit time and travels with
-    serialized models. Each term's IDF, ln(n_docs/df), is computed once.
+    serialized models; the terms must be strictly increasing, so each
+    term has one column. Each term's IDF, ln(n_docs/df), is computed
+    once, into an array with a trailing 0.0 that column -1 (a word
+    outside the vocabulary) reads.
     """
 
     terms: tuple[str, ...]
@@ -81,10 +98,10 @@ class VocabularyModel:
             raise ValueError(f"{len(self.terms)} terms but {len(self.df)} df values")
         if self.df and not 1 <= min(self.df) <= max(self.df) <= self.n_docs:
             raise ValueError(f"every df must lie in [1, n_docs={self.n_docs}]")
-        object.__setattr__(
-            self, "_index", {term: i for i, term in enumerate(self.terms)}
-        )
-        object.__setattr__(self, "_idf", tuple(math.log(self.n_docs / df) for df in self.df))
+        if not all(map(operator.lt, self.terms, self.terms[1:])):
+            raise FieldError("terms", "must be strictly increasing: sorted, with no term twice")
+        object.__setattr__(self, "_index", {term: i for i, term in enumerate(self.terms)})
+        object.__setattr__(self, "_idf", np.array([math.log(self.n_docs / df) for df in self.df] + [0.0]))
 
     @property
     def size(self) -> int:
@@ -94,41 +111,61 @@ class VocabularyModel:
         return self._index.get(term)
 
 
-def dice_counts(query_counts: Mapping[str, int], sentence_counts: Mapping[str, int], n_tokens: int) -> float:
-    """2 * common / n_tokens, from the two texts' word counts and their
-    total token count.
+def _columns(vocab: VocabularyModel, words: Sequence[str]) -> np.ndarray:
+    """Each word's column in ``vocab``, -1 for a word outside it."""
+    return np.fromiter(map(vocab._index.get, words, repeat(-1)), np.intp, len(words))
 
-    ``common`` is the size of the multiset intersection: a word counted
-    twice in both texts contributes two matches.
+
+class _WordTable:
+    """The word types of a batch's texts, each text given by its words.
+
+    ``counts[i]`` counts the words of text i in the order they first
+    appear in it. ``types`` holds the batch's distinct words in
+    first-appearance order, and a word's id is its place there (``index``
+    maps the word to it). The texts' (id, count) entries lie end to end:
+    entries ``start[i]:start[i + 1]`` are text i's, entry e being word
+    ``type[e]`` ``count[e]`` times in text ``text[e]``. ``length[i]`` is
+    the token count of text i.
     """
-    if not n_tokens:
-        return 0.0
-    common = sum(min(query_counts[w], sentence_counts[w]) for w in query_counts.keys() & sentence_counts.keys())
-    return 2.0 * common / n_tokens
+
+    def __init__(self, texts: Sequence[Iterable[str]]):
+        self.counts = list(map(Counter, texts))
+        words = list(chain.from_iterable(self.counts))
+        self.types = list(dict.fromkeys(words))
+        self.index = dict(zip(self.types, range(len(self.types))))
+        self.type = np.fromiter(map(self.index.__getitem__, words), np.intp, len(words))
+        self.count = np.fromiter(chain.from_iterable(map(Counter.values, self.counts)), np.intp, len(words))
+        self.length = np.fromiter(map(len, texts), np.intp, len(texts))
+        self.start = list(accumulate(map(len, self.counts), initial=0))
+        self.text = np.repeat(np.arange(len(texts)), np.fromiter(map(len, self.counts), np.intp, len(texts)))
+
+
+# what a per-row feature that does not read a resource passes for it
+_NO_VOCABULARY, _NO_GLOSSES, _NO_NOUNS = VocabularyModel((), (), 1), GlossDictionary(), NounLexicon()
+
+
+def _one_row(query: Analysis, sentence: Analysis, vocab=_NO_VOCABULARY, gloss_dict=_NO_GLOSSES, noun_lex=_NO_NOUNS):
+    """The five task-1 features of one pair, from a batch of one row."""
+    return task1_features([(query.tokens, sentence.tokens, vocab)], gloss_dict, noun_lex).values[0]
 
 
 def feature_exact(query: Analysis, sentence: Analysis) -> float:
-    return dice_counts(query.counts, sentence.counts, len(query.tokens) + len(sentence.tokens))
+    """2 * common / (query tokens + sentence tokens), ``common`` the size of
+    the multiset intersection of the two token lists."""
+    return float(_one_row(query, sentence)[0])
 
 
 def feature_stemmed(query: Analysis, sentence: Analysis) -> float:
-    return dice_counts(query.stem_counts, sentence.stem_counts, len(query.tokens) + len(sentence.tokens))
+    """``feature_exact`` over the Porter stems of the tokens."""
+    return float(_one_row(query, sentence)[1])
 
 
 def feature_noun(query: Analysis, sentence: Analysis, noun_lex: NounLexicon) -> float:
     """Fraction of distinct query nouns that appear in the sentence."""
-    query_nouns = {t for t in query.counts if is_noun(noun_lex, t)}
-    if not query_nouns:
-        return 0.0
-    return len(query_nouns.intersection(sentence.counts)) / len(query_nouns)
+    return float(_one_row(query, sentence, noun_lex=noun_lex)[2])
 
 
-def feature_neighborhood(
-    query: Analysis,
-    sentence: Analysis,
-    gloss_dict: GlossDictionary,
-    matches: dict[str, tuple[str, ...]] | None = None,
-) -> float:
+def feature_neighborhood(query: Analysis, sentence: Analysis, gloss_dict: GlossDictionary) -> float:
     """Exact matching widened by dictionary glosses.
 
     A sentence word also matches a query word when the first
@@ -136,47 +173,26 @@ def feature_neighborhood(
     Matches per distinct query word are capped at that word's count in
     the query, and the final score is clamped to [0, 1] (one sentence
     word may match several query words through its gloss).
-
-    ``matches`` memoises, for this query only, the query words that each
-    sentence word matches; ``task1_features`` keeps one per query for
-    its batch, so that each (query, sentence word) pair looks up its
-    gloss once.
     """
-    n_tokens = len(query.tokens) + len(sentence.tokens)
-    if not n_tokens:
-        return 0.0
-    if matches is None:
-        matches = {}
-    q_counts = query.counts
-    matched: dict[str, int] = {}  # query word -> sentence tokens that match it
-    for s_word, s_count in sentence.counts.items():
-        words = matches.get(s_word)
-        if words is None:
-            gloss = gloss_first_k_sentences(gloss_dict, s_word)
-            words = matches[s_word] = tuple(q_counts.keys() & {s_word, *gloss})
-        for word in words:
-            matched[word] = matched.get(word, 0) + s_count
-    common = sum(min(count, q_counts[word]) for word, count in matched.items())
-    return min(max(2.0 * common / n_tokens, 0.0), 1.0)
+    return float(_one_row(query, sentence, gloss_dict=gloss_dict)[3])
+
+
+def feature_cosine(query: Analysis, sentence: Analysis, vocab: VocabularyModel) -> float:
+    """Cosine of the query's and the sentence's ``tfidf_weights``."""
+    return float(_one_row(query, sentence, vocab=vocab)[4])
 
 
 def fit_vocabulary(sentences: Sequence[Iterable[str]]) -> VocabularyModel:
     """Collect sorted distinct terms and sentence-level frequencies.
 
     Each sentence is given by its tokens, or by its distinct terms as a
-    set such as ``Analysis.counts.keys()``.
+    set; one ``Counter`` counts the sentences that hold each term.
     """
     if not sentences:
         raise EmptyCorpus("cannot fit a vocabulary on zero sentences")
-    df_counts: Counter[str] = Counter()
-    for terms in sentences:
-        df_counts.update(terms if isinstance(terms, Set) else set(terms))
-    terms = tuple(sorted(df_counts))
-    return VocabularyModel(
-        terms=terms,
-        df=tuple(df_counts[t] for t in terms),
-        n_docs=len(sentences),
-    )
+    df = Counter(chain.from_iterable(map(set, sentences)))
+    terms = sorted(df)
+    return VocabularyModel(terms=tuple(terms), df=tuple(map(df.__getitem__, terms)), n_docs=len(sentences))
 
 
 def tfidf_weights(vocab: VocabularyModel, counts: Mapping[str, int], n_tokens: int) -> dict[int, float]:
@@ -186,7 +202,8 @@ def tfidf_weights(vocab: VocabularyModel, counts: Mapping[str, int], n_tokens: i
     TF is count/n_tokens, the denominator including out-of-vocabulary
     tokens; IDF is ln(n_docs/df). Terms absent from the vocabulary get
     no component. Absent key means weight 0. Weights are inserted in the
-    order of ``counts``.
+    order of ``counts``. The batch features compute the same weights
+    over their word tables.
     """
     if vocab is None:
         raise VocabNotFitted("tfidf_weights requires a fitted vocabulary")
@@ -195,59 +212,110 @@ def tfidf_weights(vocab: VocabularyModel, counts: Mapping[str, int], n_tokens: i
     for term, count in counts.items():
         idx = index.get(term)
         if idx is not None:
-            weights[idx] = (count / n_tokens) * idf[idx]
+            weights[idx] = (count / n_tokens) * float(idf[idx])
     return weights
 
 
-def _cosine(u: dict[int, float], v: dict[int, float]) -> float:
-    norm_u = math.sqrt(sum(w * w for w in u.values()))
-    norm_v = math.sqrt(sum(w * w for w in v.values()))
-    if norm_u == 0.0 or norm_v == 0.0:
-        return 0.0
-    dot = sum(w * v[i] for i, w in u.items() if i in v)
-    return dot / (norm_u * norm_v)
-
-
-def feature_cosine(
-    query: Analysis,
-    sentence: Analysis,
-    vocab: VocabularyModel,
-    query_weights: dict[int, float] | None = None,
-) -> float:
-    """TF-IDF cosine of query and sentence; ``query_weights`` is the query's
-    ``tfidf_weights``, when the caller already has it."""
-    if query_weights is None:
-        query_weights = tfidf_weights(vocab, query.counts, len(query.tokens))
-    return _cosine(query_weights, tfidf_weights(vocab, sentence.counts, len(sentence.tokens)))
-
-
 def task1_features(
-    triples: Iterable[tuple[Analysis, Analysis, VocabularyModel]],
+    triples: Iterable[tuple[Sequence[str], Sequence[str], VocabularyModel]],
     gloss_dict: GlossDictionary,
     noun_lex: NounLexicon,
 ) -> FeatureBatch:
     """The five relevance features, ordered as TASK1_FEATURE_NAMES, of each
-    (query, sentence, vocabulary) triple, read one at a time.
+    (query tokens, sentence tokens, vocabulary) triple.
 
-    Each query's TF-IDF weights are computed once per vocabulary, and
-    the gloss matches of each (query, sentence word) pair once per batch:
-    both memos live for this call only.
+    Rows sharing a query and a vocabulary (the same objects) form a group.
+    Each group's query and its rows' sentences make one word table. Each
+    word type is stemmed once and, if a sentence holds it and the
+    dictionary glosses it, its gloss is matched once against the batch's
+    query words. A group then marks which of its columns each word type
+    hits: a query word itself (exact, noun), a query stem (stemmed), or a
+    query word itself or through the type's gloss (neighborhood). One
+    ``np.bincount`` over the group's sentence entries counts the matches of
+    each sentence and column, and ``np.minimum`` caps them at the query's
+    counts.
     """
-    query_weights: dict[tuple, tuple] = {}  # (query tokens, id(vocabulary)) -> (vocabulary, weights)
-    gloss_matches: dict[tuple[str, ...], dict[str, tuple[str, ...]]] = {}  # query tokens -> its matches memo
-    rows = []
-    for query, sentence, vocab in triples:
-        key = (query.tokens, id(vocab))
-        if key not in query_weights:  # holding the vocabulary keeps its id from being reused
-            query_weights[key] = (vocab, tfidf_weights(vocab, query.counts, len(query.tokens)))
-        rows.append((
-            feature_exact(query, sentence),
-            feature_stemmed(query, sentence),
-            feature_noun(query, sentence, noun_lex),
-            feature_neighborhood(query, sentence, gloss_dict, gloss_matches.setdefault(query.tokens, {})),
-            feature_cosine(query, sentence, vocab, query_weights[key][1]),
-        ))
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(TASK1_FEATURE_NAMES))
+    triples = list(triples)
+    if any(isinstance(text, (str, Analysis)) for triple in triples for text in triple[:2]):
+        raise TypeError("task1_features takes each text's tokens, not the text or its Analysis")
+    if any(vocab is None for *_, vocab in triples):
+        raise VocabNotFitted("task1_features requires a fitted vocabulary for every row")
+    groups = {}  # (id(query), id(vocabulary)) -> query, vocabulary, rows and their sentences
+    for row, (query, sentence, vocab) in enumerate(triples):
+        group = groups.setdefault((id(query), id(vocab)), (query, vocab, [], []))
+        group[2].append(row)
+        group[3].append(sentence)
+    table = _WordTable([text for query, _, _, sentences in groups.values() for text in (query, *sentences)])
+    types, stems = table.types, stem_tokens(table.types)
+    bases = list(accumulate((1 + len(group[2]) for group in groups.values()), initial=0))  # each group's query
+
+    # once per glossed sentence word type: the query words that its gloss mentions
+    query_words, sentence_words = set(), set()
+    for base, end in zip(bases, bases[1:]):
+        query_words.update(table.counts[base])
+        sentence_words.update(*table.counts[base + 1:end])
+    sentence_words, gloss_matches = list(sentence_words), {}
+    for word in compress(sentence_words, map(gloss_dict.entries.__contains__, map(str.lower, sentence_words))):
+        matched = query_words.intersection(gloss_first_k_sentences(gloss_dict, word))
+        if matched:
+            gloss_matches[table.index[word]] = matched
+
+    values = np.zeros((len(triples), len(TASK1_FEATURE_NAMES)))  # an empty query scores 0.0 throughout
+    idf_of_type = {}  # id(vocabulary) -> each type's IDF, 0.0 outside the vocabulary
+    for (_, vocab, rows, _), base, end in zip(groups.values(), bases, bases[1:]):
+        query, n = table.counts[base], end - base - 1
+        q_counts, q_types, k = list(query.values()), list(map(table.index.__getitem__, query)), len(query)
+        if not k:
+            continue
+        idf = idf_of_type.get(id(vocab))
+        if idf is None:
+            idf = idf_of_type[id(vocab)] = vocab._idf[_columns(vocab, types)]
+        stem_counts = {}  # query stem -> its count in the query
+        for t, count in zip(q_types, q_counts):
+            stem_counts[stems[t]] = stem_counts.get(stems[t], 0) + count
+        m, nouns = len(stem_counts), [int(is_noun(noun_lex, word)) for word in query]
+
+        # the cells (type, column) that word types hit, in four blocks of columns:
+        # exact (k), stemmed (one per query stem), noun (k) and neighborhood (k)
+        width = 3 * k + m
+        stem_column, near_column = dict(zip(stem_counts, range(k, k + m))), dict(zip(query, range(2 * k + m, width)))
+        hits = np.zeros(len(types) * width, dtype=bool)
+        hits[[t * width + j for j, t in chain(enumerate(q_types), enumerate(q_types, k + m),
+                                              enumerate(q_types, 2 * k + m))]
+             + [t * width + stem_column[stems[t]]
+                for t in compress(range(len(types)), map(stem_column.__contains__, stems))]
+             + [t * width + near_column[word] for t, matched in gloss_matches.items()
+                for word in matched if word in near_column]] = True
+
+        # the matches of each sentence and column, capped, then added up block by block
+        lo, hi = table.start[base + 1], table.start[end]
+        e_text, e_type, e_count = table.text[lo:hi] - (base + 1), table.type[lo:hi], table.count[lo:hi]
+        length = table.length[base + 1:end]
+        hit_entry, hit_column = np.nonzero(hits.reshape(len(types), width)[e_type])
+        found = np.bincount(e_text[hit_entry] * width + hit_column, e_count[hit_entry], minlength=n * width)
+        found = found.reshape(n, width)
+        caps = q_counts + list(stem_counts.values()) + nouns + q_counts
+        matches = np.add.reduceat(np.minimum(found, caps), [0, k, k + m, 2 * k + m], axis=1)
+
+        # the cosine: each query word's TF-IDF weight in the sentence times its weight in
+        # the query, added up in query order; the sentence's squared weights added up
+        # in the order its words first appear
+        q_idf = idf[q_types]
+        q_weights = [(count / int(table.length[base])) * w for count, w in zip(q_counts, q_idf.tolist())]
+        products = found[:, :k] / np.maximum(length, 1)[:, None] * q_idf * q_weights  # 0 of 0 words: 0.0
+        dots = np.bincount(np.repeat(np.arange(n), k), products.ravel(), minlength=n)
+        weight = e_count / length[e_text] * idf[e_type]
+        square = 0.0
+        for w in q_weights:
+            square += w * w
+        norms = math.sqrt(square) * np.sqrt(np.bincount(e_text, weight * weight, minlength=n))
+
+        group_values = np.empty((n, len(TASK1_FEATURE_NAMES)))
+        group_values[:, :4] = 2.0 * matches / (length + int(table.length[base]))[:, None]
+        group_values[:, 2] = matches[:, 2] / max(sum(nouns), 1)
+        np.minimum(group_values[:, 3], 1.0, out=group_values[:, 3])  # one word may match several query words
+        group_values[:, 4] = dots / np.where(norms == 0.0, 1.0, norms)  # a zero norm comes with a zero dot
+        values[rows] = group_values
     return FeatureBatch(values, SCHEMA_TASK1)
 
 
@@ -261,34 +329,24 @@ def task2_features(
     per sentence's tokens.
 
     Dimension is vocabulary size + 4; the three counts partition the
-    sentence's tokens. Each sentence's tokens are counted once, and each
-    distinct word of the batch has its polarity looked up once.
+    sentence's tokens. The sentences make one word table, and each word
+    type has its vocabulary column and its polarity looked up once.
     """
     if vocab_global is None:
         raise VocabNotFitted("task2_features requires a fitted global vocabulary")
+    if any(isinstance(tokens, str) for tokens in sentences):  # a str is a sequence too, of characters
+        raise TypeError("task2_features takes each sentence's tokens, not its text")
+    if len(relevance_flags) != len(sentences):
+        raise ValueError(f"{len(sentences)} sentences but {len(relevance_flags)} relevance flags")
+    table = _WordTable(sentences)
     size = vocab_global.size
-    tail_columns = range(size, size + len(TASK2_TAIL_NAMES))
-    rows: list[int] = []  # the batch's nonzeros, written into the matrix at once
-    cols: list[int] = []
-    data: list[float] = []
-    polarity_column: dict[str, int] = {}  # word -> column of its polarity count; lives for this call
-    for row, (tokens, flag) in enumerate(zip(sentences, relevance_flags, strict=True)):
-        if isinstance(tokens, str):  # a str is a sequence too, of characters
-            raise TypeError("task2_features takes each sentence's tokens, not its text")
-        counts = Counter(tokens)
-        weights = tfidf_weights(vocab_global, counts, len(tokens))
-        tail = [0.0] * len(tail_columns)
-        tail[-1] = 1.0 if flag else 0.0  # relevance_flag, the last of TASK2_TAIL_NAMES
-        for word, count in counts.items():
-            column = polarity_column.get(word)
-            if column is None:
-                column = polarity_column[word] = _POLARITY_COLUMNS[polarity(sent_lex, word)]
-            tail[column] += count
-        rows += [row] * (len(weights) + len(tail))
-        cols += weights
-        cols += tail_columns
-        data += weights.values()
-        data += tail
-    values = np.zeros((len(sentences), tail_columns.stop))
-    values[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = data
+    column = _columns(vocab_global, table.types)[table.type]
+    polarity_column = np.array([_POLARITY_COLUMNS[polarity(sent_lex, word)] for word in table.types], dtype=np.intp)
+    values = np.zeros((len(sentences), size + len(TASK2_TAIL_NAMES)))
+    known = column >= 0
+    row = table.text
+    values[row[known], column[known]] = (table.count / table.length[row] * vocab_global._idf[column])[known]
+    tail = np.bincount(row * 3 + polarity_column[table.type], table.count, minlength=3 * len(sentences))
+    values[:, size:size + 3] = tail.reshape(len(sentences), 3)
+    values[:, -1] = relevance_flags
     return FeatureBatch(values, SCHEMA_TASK2)

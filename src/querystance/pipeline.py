@@ -43,7 +43,7 @@ from .svm import (
     predict_batch,
     train_multiclass,
 )
-from .textproc import Analysis, analyse, tokenize
+from .textproc import tokenize
 
 RELEVANT = "relevant"
 NEUTRAL = "neutral"
@@ -191,11 +191,6 @@ def _join(pipeline: TrainedPipeline | None, model: TaskModel, lexicons: LexiconS
     return pipeline
 
 
-def _analyse_each(texts: Iterable[str]) -> dict[str, Analysis]:
-    """Each distinct text analysed once; the map lives for one batch call."""
-    return {text: analyse(text) for text in dict.fromkeys(texts)}
-
-
 def task1_rows(
     records: Sequence[SentenceRecord],
     vocabularies: dict[str, VocabularyModel],
@@ -205,24 +200,17 @@ def task1_rows(
     vocabularies fitted for them.
 
     A query without an entry in ``vocabularies`` gets one fitted over its
-    sentences in ``records``. Each text is analysed once: the sentences
-    of such queries before the fit, which shares their analyses with the
-    five features, and every other sentence when task1_features reads its
-    row, so that a large batch of known queries holds no analyses.
+    sentences in ``records``. Each distinct text is tokenized once, and the
+    vocabulary fit and the five features read the same token lists.
     """
-    unseen = [r for r in records if r.query_id not in vocabularies]
-    sentences = _analyse_each(r.sentence_text for r in unseen)
-    queries = _analyse_each(r.query_text for r in records)
+    tokens = {text: tokenize(text) for text in dict.fromkeys(
+        text for r in records for text in (r.query_text, r.sentence_text))}
     fitted = {
-        group.query_id: fit_vocabulary([sentences[r.sentence_text].counts.keys() for r in group.records])
-        for group in group_by_query(unseen)
+        group.query_id: fit_vocabulary([tokens[r.sentence_text] for r in group.records])
+        for group in group_by_query([r for r in records if r.query_id not in vocabularies])
     }
     vocabularies = {**vocabularies, **fitted}
-    triples = (
-        (queries[r.query_text], sentences.get(r.sentence_text) or analyse(r.sentence_text),
-         vocabularies[r.query_id])
-        for r in records
-    )
+    triples = [(tokens[r.query_text], tokens[r.sentence_text], vocabularies[r.query_id]) for r in records]
     return task1_features(triples, lexicons.gloss, lexicons.nouns), fitted
 
 
@@ -352,11 +340,15 @@ class EvaluationReport:
 
 
 def macro_average(accuracies: Iterable[float]) -> float:
-    """Unweighted mean over queries."""
+    """Unweighted mean over queries, their sum added left to right (Python's
+    ``sum`` compensates its rounding from 3.12 on)."""
     values = list(accuracies)
     if not values:
         raise EmptyInput("macro average of zero queries")
-    return sum(values) / len(values)
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def evaluate(

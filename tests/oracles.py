@@ -8,6 +8,10 @@ kernel for the SVM's kernel matrices, and the string-taking feature
 functions that re-tokenize their inputs for every feature, as the
 package computed them before it analysed each text once. Keep them
 dumb and obviously correct.
+
+Every float sum here adds left to right, one value at a time, as the
+package's ``np.bincount`` sums do: Python's ``sum`` compensates its
+rounding from 3.12 on, and would then disagree in the last bit.
 """
 
 from __future__ import annotations
@@ -18,10 +22,42 @@ from collections import Counter
 
 import numpy as np
 
-from querystance.features import _cosine, dice_counts, tfidf_weights
+from querystance.features import tfidf_weights
 from querystance.lexicons import GLOSS_SENTENCES, Polarity, is_noun, polarity
 from querystance.porter import porter_stem
 from querystance.textproc import split_sentences
+
+
+def left_to_right(values) -> float:
+    """The sum of ``values``, added one at a time from the left."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def dice_counts(query_counts, sentence_counts, n_tokens: int) -> float:
+    """2 * common / n_tokens, from the two texts' word counts and their
+    total token count.
+
+    ``common`` is the size of the multiset intersection: a word counted
+    twice in both texts contributes two matches.
+    """
+    if not n_tokens:
+        return 0.0
+    common = sum(min(query_counts[w], sentence_counts[w]) for w in query_counts.keys() & sentence_counts.keys())
+    return 2.0 * common / n_tokens
+
+
+def cosine(u: dict[int, float], v: dict[int, float]) -> float:
+    """Cosine of two sparse weight vectors: each norm adds its squares in the
+    vector's order, and the dot adds its products in the order of ``u``."""
+    norm_u = math.sqrt(left_to_right(w * w for w in u.values()))
+    norm_v = math.sqrt(left_to_right(w * w for w in v.values()))
+    if norm_u == 0.0 or norm_v == 0.0:
+        return 0.0
+    dot = left_to_right(w * v[i] for i, w in u.items() if i in v)
+    return dot / (norm_u * norm_v)
 
 
 def tokenize_reference(text: str) -> list[str]:
@@ -89,7 +125,7 @@ def feature_neighborhood_reference(query: str, sentence: str, gloss_dict) -> flo
 
 def feature_cosine_reference(query: str, sentence: str, vocab) -> float:
     query_tokens, sentence_tokens = tokenize_reference(query), tokenize_reference(sentence)
-    return _cosine(
+    return cosine(
         tfidf_weights(vocab, Counter(query_tokens), len(query_tokens)),
         tfidf_weights(vocab, Counter(sentence_tokens), len(sentence_tokens)),
     )

@@ -269,6 +269,8 @@ CORRUPTIONS = {
     "dual_coefs truncated": (_pop("svm", "machines", 0, "dual_coefs"), "svm.machines[0]: "),
     "df zero": (_set("vocabulary", "df", 0, 0), "vocabulary: "),
     "df shorter than terms": (_pop("vocabulary", "df"), "vocabulary: "),
+    "term repeated": (lambda doc: _set("vocabulary", "terms", 1, doc["vocabulary"]["terms"][0])(doc),
+                      "vocabulary.terms: must be strictly increasing"),
     "machine label not in labels": (_set("svm", "machines", 0, "positive_label", "maybe"), "svm: "),
     "two machines on one label pair": (_set("svm", "machines", 0, "positive_label", "support"), "svm: "),
     "bias NaN": (_set("svm", "machines", 0, "bias", float("nan")), "svm.machines[0].bias: "),
@@ -309,6 +311,26 @@ class TestCorruptModelRejectedAtLoad:
         assert code == 1
         assert f"error: {bad}: {field}" in err
         assert "internal error" not in err
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_task1_vocabulary_repeating_a_term(self, workspace, trained_models, tmp_path, capsys):
+        doc = json.loads(trained_models["m1"].read_text())
+        query_id, vocabulary = next(iter(doc["vocabularies"].items()))
+        vocabulary["terms"][2] = vocabulary["terms"][1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "predict", "--chain",
+            "--model", str(bad),
+            "--model2", str(trained_models["m2"]),
+            "--data", str(workspace["unlabeled"]),
+            "--out", str(tmp_path / "pred.csv"),
+            "--nouns", str(workspace["nouns"]),
+            "--gloss", str(workspace["gloss"]),
+            "--sentiment", str(workspace["sentiment"]),
+        ])
+        assert code == 1
+        assert f"error: {bad}: vocabularies[{query_id!r}].terms: must be strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "pred.csv").exists()
 
 

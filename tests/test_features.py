@@ -9,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from querystance import pipeline
 from querystance.errors import EmptyCorpus, VocabNotFitted
+from querystance.corpus import SentenceRecord
 from querystance.features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
-    dice_counts,
+    VocabularyModel,
     feature_cosine,
     feature_exact,
     feature_neighborhood,
@@ -24,16 +25,21 @@ from querystance.features import (
     tfidf_weights,
 )
 from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon
+from querystance.svm import predict_batch
 from querystance.textproc import analyse as A, tokenize
 
 from oracles import (
+    cosine,
     cosine_bruteforce,
     dice_bruteforce,
+    dice_counts,
+    left_to_right,
     noun_bruteforce,
     task1_features_reference,
     task2_features_reference,
+    tokenize_reference,
 )
-from synth import GLOSSES
+from synth import GLOSSES, make_records
 
 WORDS = ["sun", "cancer", "skin", "cause", "is", "a", "the", "cell", "risk", "study"]
 
@@ -204,6 +210,11 @@ class TestVocabulary:
         again = from_doc(VocabularyModel, to_doc(vocab), "vocab")
         assert again.terms == vocab.terms and again.df == vocab.df
 
+    @pytest.mark.parametrize("terms", [("a", "a"), ("b", "a"), ("a", "c", "b")])
+    def test_terms_must_strictly_increase(self, terms):
+        with pytest.raises(ValueError, match="terms: must be strictly increasing"):
+            VocabularyModel(terms, (1,) * len(terms), 2)
+
 
 class TestTfidf:
     def test_ubiquitous_term_weight_zero(self):
@@ -258,6 +269,18 @@ class TestCosine:
         expected = math.sqrt(2) * l2 / math.sqrt(2 * l2 * l2 + l3 * l3)
         assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_sums_add_left_to_right(self):
+        # squared weights whose left-to-right sum differs from the exact one
+        vocab = fit_vocabulary([["b"], ["h", "f", "c", "f", "b"], ["g", "g", "e"], ["e", "d", "f"],
+                                ["b", "c", "a", "g"], ["c"]])
+        query, sentence = A("f h"), A("g a g a f h")
+        u, v = tfidf(vocab, query.tokens), tfidf(vocab, sentence.tokens)
+        squares = [w * w for w in v.values()]
+        assert left_to_right(squares) != math.fsum(squares)
+        exact_sums = math.fsum(w * v[i] for i, w in u.items() if i in v) / (
+            math.sqrt(math.fsum(w * w for w in u.values())) * math.sqrt(math.fsum(squares)))
+        assert feature_cosine(query, sentence, vocab) == cosine(u, v) != exact_sums
+
     def test_matches_bruteforce_cosine(self):
         vocab = fit_vocabulary(self.CORPUS)
         u = tfidf(vocab, ["sun", "cancer"])
@@ -272,13 +295,13 @@ class TestTask1Vector:
     GLOSS = GlossDictionary()
 
     def _row(self, query, sentence, vocab):
-        batch = task1_features([(A(query), A(sentence), vocab)], self.GLOSS, self.LEX)
+        batch = task1_features([(tokenize(query), tokenize(sentence), vocab)], self.GLOSS, self.LEX)
         assert batch.values.shape == (1, 5)
         return batch.values[0]
 
     def test_self_pair(self):
         vocab = fit_vocabulary([["sun", "cancer", "risk"], ["bright", "day"]])
-        batch = task1_features([(A("sun cancer risk"), A("sun cancer risk"), vocab)], self.GLOSS, self.LEX)
+        batch = task1_features([(tokenize("sun cancer risk"), tokenize("sun cancer risk"), vocab)], self.GLOSS, self.LEX)
         assert batch.schema_id == SCHEMA_TASK1
         assert batch.dims == 5
         np.testing.assert_allclose(batch.values, [[1.0, 1.0, 1.0, 1.0, 1.0]], atol=1e-12)
@@ -297,7 +320,8 @@ class TestTask1Vector:
             [rec.sentence_text.split() for rec in synthetic_records[:40]]
         )
         triples = [
-            (A(rng.choice(synthetic_records).query_text), A(rng.choice(synthetic_records).sentence_text), vocab)
+            (tokenize(rng.choice(synthetic_records).query_text), tokenize(rng.choice(synthetic_records).sentence_text),
+             vocab)
             for _ in range(1000)
         ]
         batch = task1_features(iter(triples), synthetic_lexicons.gloss, synthetic_lexicons.nouns)
@@ -307,19 +331,21 @@ class TestTask1Vector:
     def test_empty_batch(self):
         assert task1_features([], self.GLOSS, self.LEX).values.shape == (0, 5)
 
-    def test_query_weights_once_per_query_and_vocabulary(self, monkeypatch):
+    def test_cosine_column_is_each_rows_cosine(self):
         vocabs = [fit_vocabulary([["sun", "cancer"], ["skin", "risk"]]), fit_vocabulary([["sun", "risk"]])]
         queries = [A("sun cancer"), A("skin risk sun")]
         sentences = [A(text) for text in ("sun cancer risk", "skin", "the sun", "risk risk cancer")]
         triples = [(q, s, v) for v in vocabs for q in queries for s in sentences]
-        calls = []
-        monkeypatch.setattr(
-            "querystance.features.tfidf_weights",
-            lambda vocab, counts, n_tokens: calls.append(counts) or tfidf_weights(vocab, counts, n_tokens),
-        )
-        batch = task1_features(triples, self.GLOSS, self.LEX)
-        assert len(calls) == len(triples) + len(vocabs) * len(queries)  # one per row, one per pair
+        batch = task1_features([(q.tokens, s.tokens, v) for q, s, v in triples], self.GLOSS, self.LEX)
         assert np.array_equal(batch.values[:, 4], [feature_cosine(q, s, v) for q, s, v in triples])
+
+    def test_text_instead_of_tokens_rejected(self):
+        with pytest.raises(TypeError):
+            task1_features([("sun", ["sun"], fit_vocabulary([["sun"]]))], self.GLOSS, self.LEX)
+
+    def test_unfitted_vocab(self):
+        with pytest.raises(VocabNotFitted):
+            task1_features([(["sun"], ["sun"], None)], self.GLOSS, self.LEX)
 
 
 class TestTask2Vector:
@@ -435,9 +461,9 @@ class TestCountPathEqualsStringOracles:
     @example(["sun cancer sun skin", "risk risk"], ["", "melanoma tan sun sun", "zebra"], ["sun skin"], ["zebra"])
     def test_task1_batch(self, queries, sentences, corpus_a, corpus_b):
         vocabs = [fit_vocabulary([tokenize(t) for t in corpus]) for corpus in (corpus_a, corpus_b)]
-        analysed = {q: A(q) for q in queries}  # one analysis per query, fresh ones per sentence
+        tokens = {q: tokenize(q) for q in queries}  # one token list per query, fresh ones per sentence
         keys = [(q, s, v) for v in vocabs for q in queries for s in sentences]
-        got = task1_features([(analysed[q], A(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
+        got = task1_features([(tokens[q], tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
         expected = [task1_features_reference(q, s, v, self.GLOSS, self.NOUNS) for q, s, v in keys]
         assert np.array_equal(got, np.array(expected).reshape(len(keys), 5))
 
@@ -453,9 +479,56 @@ class TestCountPathEqualsStringOracles:
             assert np.array_equal(got, np.array(expected).reshape(len(sentences), vocab.size + 4))
 
 
+
+class TestBatchPathEqualsStringOracles:
+    """``pipeline.task1_rows`` and chunked task-2 prediction give the rows
+    that the string oracles and one whole-batch call give."""
+
+    POOL = TestCountPathEqualsStringOracles.POOL
+    GLOSS = TestCountPathEqualsStringOracles.GLOSS
+    NOUNS = TestCountPathEqualsStringOracles.NOUNS
+    # q1 has a model vocabulary; q2 and q3 are fitted over their rows of the batch
+    QUERIES = {"q1": "sun cancer Sun skin", "q2": "risk of the tan", "q3": ""}
+    MODEL = {"q1": fit_vocabulary([tokenize(t) for t in ("sun risk", "cancer cancer skin", "melanoma")])}
+
+    sentences = st.lists(st.sampled_from(POOL), max_size=6).map(" ".join)
+    batches = st.lists(st.tuples(st.sampled_from(sorted(QUERIES)), st.sampled_from(["", "sun tan tan"]) | sentences),
+                       max_size=10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(batches)
+    @example([])
+    @example([("q2", "")])
+    @example([("q1", "melanoma ray rays"), ("q2", "sun tan tan"), ("q1", "melanoma ray rays"), ("q3", "sun")])
+    def test_task1_rows(self, rows):
+        records = [SentenceRecord(qid, self.QUERIES[qid], text) for qid, text in rows]
+        lexicons = pipeline.LexiconSet(gloss=self.GLOSS, sentiment=SentimentLexicon(), nouns=self.NOUNS)
+        batch, fitted = pipeline.task1_rows(records, self.MODEL, lexicons)
+        assert sorted(fitted) == sorted({qid for qid, _ in rows} - set(self.MODEL))
+        for qid, vocab in fitted.items():
+            df = Counter(w for r in records if r.query_id == qid for w in set(tokenize_reference(r.sentence_text)))
+            assert (vocab.terms, vocab.df) == (tuple(sorted(df)), tuple(df[t] for t in sorted(df)))
+        vocabularies = {**self.MODEL, **fitted}
+        expected = [task1_features_reference(r.query_text, r.sentence_text, vocabularies[r.query_id],
+                                             self.GLOSS, self.NOUNS) for r in records]
+        assert np.array_equal(batch.values, np.array(expected).reshape(len(records), 5))
+
+    def test_predict_task2_chunks_equal_one_batch(self, synthetic_lexicons, monkeypatch):
+        records = make_records(seed=4, per_query=60)  # 300 rows: chunks of 128, 128 and 44
+        relevance = [r.relevance for r in records]
+        trained = pipeline.train_task2(records[:100], relevance[:100], synthetic_lexicons, pipeline.PipelineConfig())
+        chunks = []
+        monkeypatch.setattr(pipeline, "predict_batch", lambda model, batch: chunks.append(batch.values) or
+                            predict_batch(model, batch))
+        pipeline.predict_task2(trained, records, relevance)
+        whole = task2_features([tokenize(r.sentence_text) for r in records], [flag == "relevant" for flag in relevance],
+                               trained.task2.vocabulary, synthetic_lexicons.sentiment)
+        assert [len(chunk) for chunk in chunks] == [128, 128, 44]
+        assert np.array_equal(np.concatenate(chunks), whole.values)
+
 class TestPerBatchMemos:
-    """Gloss matches are looked up once per (query, sentence word) pair and
-    polarities once per word, within one batch call and not across calls."""
+    """Glosses and polarities are looked up at most once per word type of a
+    batch, within one batch call and not across calls."""
 
     GLOSS = TestCountPathEqualsStringOracles.GLOSS
     NOUNS = TestCountPathEqualsStringOracles.NOUNS
@@ -469,17 +542,17 @@ class TestPerBatchMemos:
         monkeypatch.setattr(features, name, lambda lexicon, word, *rest: calls.append(word) or original(lexicon, word, *rest))
         return calls
 
-    def test_one_gloss_lookup_per_query_and_sentence_word(self, monkeypatch):
+    def test_one_gloss_lookup_per_sentence_word_type(self, monkeypatch):
         calls = self._counting(monkeypatch, "gloss_first_k_sentences")
         vocab = fit_vocabulary([["sun", "skin"], ["risk"]])
-        queries = [A("sun cancer skin"), A("risk of skin")]
+        queries = [tokenize("sun cancer skin"), tokenize("risk of skin")]
         sentences = ["melanoma tan melanoma sun", "sun sun zebra", "", "tan risk"]
-        triples = [(q, A(s), vocab) for q in queries for s in sentences * 2]
-        pairs = {(q.tokens, w) for q, s, _ in triples for w in s.tokens}
+        triples = [(q, tokenize(s), vocab) for q in queries for s in sentences * 2]
         task1_features(triples, self.GLOSS, self.NOUNS)
-        assert len(calls) == len(pairs) == 2 * 5  # melanoma, tan, sun, zebra and risk, for each query
-        task1_features(triples, self.GLOSS, self.NOUNS)  # a second call starts with an empty memo
-        assert len(calls) == 2 * len(pairs)
+        # of the sentence words melanoma, tan, sun, zebra and risk, the two the dictionary glosses
+        assert sorted(calls) == ["melanoma", "tan"]
+        task1_features(triples, self.GLOSS, self.NOUNS)  # a second call starts afresh
+        assert sorted(calls) == ["melanoma", "melanoma", "tan", "tan"]
 
     def test_one_polarity_lookup_per_word(self, monkeypatch):
         calls = self._counting(monkeypatch, "polarity")

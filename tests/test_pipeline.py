@@ -223,6 +223,10 @@ class TestEvaluate:
     def test_published_task2_row(self):
         assert macro_average(TABLE2_ROW) == pytest.approx(TABLE2_MACRO, abs=1e-6)
 
+    def test_macro_average_adds_left_to_right(self):
+        # ten 0.1s add up to 0.9999999999999999 from the left; exactly rounded, to 1.0
+        assert macro_average([0.1] * 10) == 0.9999999999999999 / 10
+
     def test_reconstructed_gold_pred_fixture(self):
         gold, predicted, query_ids = [], [], []
         for q, (size, right) in enumerate(zip(TABLE_GROUP_SIZES, TABLE1_CORRECT)):
