@@ -224,9 +224,9 @@ def task1_features(
     """The five relevance features, ordered as TASK1_FEATURE_NAMES, of each
     (query tokens, sentence tokens, vocabulary) triple.
 
-    Rows sharing a query and a vocabulary (the same objects) form a group.
-    Each group's query and its rows' sentences make one word table. Each
-    word type is stemmed once and, if a sentence holds it and the
+    Rows sharing a query and a vocabulary (the same objects) form a group,
+    and every group's query and its rows' sentences go into one word table.
+    Each word type is stemmed once and, if a sentence holds it and the
     dictionary glosses it, its gloss is matched once against the batch's
     query words. A group then marks which of its columns each word type
     hits: a query word itself (exact, noun), a query stem (stemmed), or a
