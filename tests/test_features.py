@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from querystance import pipeline
-from querystance.errors import EmptyCorpus, VocabNotFitted
 from querystance.corpus import SentenceRecord
+from querystance.errors import EmptyCorpus, VocabNotFitted
 from querystance.features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
@@ -301,7 +301,8 @@ class TestTask1Vector:
 
     def test_self_pair(self):
         vocab = fit_vocabulary([["sun", "cancer", "risk"], ["bright", "day"]])
-        batch = task1_features([(tokenize("sun cancer risk"), tokenize("sun cancer risk"), vocab)], self.GLOSS, self.LEX)
+        tokens = tokenize("sun cancer risk")
+        batch = task1_features([(tokens, tokens, vocab)], self.GLOSS, self.LEX)
         assert batch.schema_id == SCHEMA_TASK1
         assert batch.dims == 5
         np.testing.assert_allclose(batch.values, [[1.0, 1.0, 1.0, 1.0, 1.0]], atol=1e-12)
@@ -479,7 +480,6 @@ class TestCountPathEqualsStringOracles:
             assert np.array_equal(got, np.array(expected).reshape(len(sentences), vocab.size + 4))
 
 
-
 class TestBatchPathEqualsStringOracles:
     """``pipeline.task1_rows`` and chunked task-2 prediction give the rows
     that the string oracles and one whole-batch call give."""
@@ -525,6 +525,7 @@ class TestBatchPathEqualsStringOracles:
                                trained.task2.vocabulary, synthetic_lexicons.sentiment)
         assert [len(chunk) for chunk in chunks] == [128, 128, 44]
         assert np.array_equal(np.concatenate(chunks), whole.values)
+
 
 class TestPerBatchMemos:
     """Glosses and polarities are looked up at most once per word type of a
