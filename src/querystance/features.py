@@ -18,12 +18,12 @@ are sums over id arrays. The per-row ``feature_*`` functions are one-row
 calls into ``task1_features``.
 
 Every float sum that feeds a feature adds left to right in a fixed order,
-through ``np.bincount``, which adds its weights one by one in input order:
-the TF-IDF cosine sums a sentence's squared weights in the order its words
-first appear, and the query's products in the order the query's words
-first appear. Python's ``sum`` would not do: from Python 3.12 on it
-compensates its rounding errors, so the last bit of a sum would depend on
-the interpreter.
+through ``np.bincount``, which adds its weights one by one in input order,
+or a plain loop: the TF-IDF cosine sums a sentence's squared weights in the
+order its words first appear, and the query's squared weights and its
+products with the sentence in the order the query's words first appear.
+Python's ``sum`` would not do: from Python 3.12 on it compensates its
+rounding errors, so the last bit of a sum would depend on the interpreter.
 """
 
 from __future__ import annotations
