@@ -18,8 +18,7 @@ from querystance import (
     SentenceRecord,
     SentimentLexicon,
     evaluate,
-    predict_task1,
-    predict_task2,
+    predict_chain,
     train_task1,
     train_task2,
 )
@@ -72,8 +71,8 @@ pipeline = train_task2(records, [r.relevance for r in records], lexicons, config
 print(f"stage-2 vocabulary: {pipeline.task2.vocabulary.size} terms "
       f"(feature dimension {pipeline.task2.vocabulary.size + 4})")
 
-relevance = predict_task1(pipeline, records)
-stance = predict_task2(pipeline, records, relevance)
+# stage 1 then stage 2 on its predictions, each sentence tokenized once for both
+relevance, stance = predict_chain(pipeline, records)
 
 print("\nper-query relevance accuracy")
 report = evaluate([r.relevance for r in records], relevance, [r.query_id for r in records])

@@ -48,6 +48,7 @@ from .pipeline import (
     grid_search,
     load_task_model,
     macro_average,
+    predict_chain,
     predict_task1,
     predict_task2,
     save_task_model,

@@ -55,6 +55,7 @@ from .pipeline import (
     PipelineConfig,
     evaluate,
     load_task_model,
+    predict_chain,
     predict_task1,
     predict_task2,
     save_task_model,
@@ -260,11 +261,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     records = load_dataset(data_path, labeled=False)
 
     columns: dict[str, list[str]] = {}  # output column -> labels, in column order
-    if 1 in tasks:
-        relevance = columns["predicted_relevance"] = predict_task1(pipeline, records)
+    if tasks == [1, 2]:
+        columns["predicted_relevance"], columns["predicted_stance"] = predict_chain(pipeline, records)
+    elif tasks == [1]:
+        columns["predicted_relevance"] = predict_task1(pipeline, records)
     else:  # standalone task-2 model: relevance flags come from the dataset
         relevance = required_labels(records, "relevance", "standalone task-2 prediction", data_path)
-    if 2 in tasks:
         columns["predicted_stance"] = predict_task2(pipeline, records, relevance)
 
     with open(out_path, "w", encoding="utf-8", newline="") as handle:

@@ -46,7 +46,6 @@ from .lexicons import (
     SentimentLexicon,
     gloss_first_k_sentences,
     is_noun,
-    polarity,
 )
 from .textproc import Analysis, stem_tokens
 
@@ -55,9 +54,10 @@ SCHEMA_TASK2 = "task2-v1"
 
 TASK1_FEATURE_NAMES = ("exact", "stemmed", "noun", "neighborhood", "cosine")
 
-# the columns of a task-2 row after its TF-IDF block: a count per polarity, then the relevance flag
-TASK2_TAIL_NAMES = ("positive_count", "negative_count", "neutral_count", "relevance_flag")
-_POLARITY_COLUMNS = {p: TASK2_TAIL_NAMES.index(f"{p.value}_count") for p in Polarity}
+# the columns of a task-2 row after its TF-IDF block: a count per polarity, in the member
+# order of ``Polarity`` (the place that ``SentimentLexicon`` maps a word to), then the relevance flag
+TASK2_TAIL_NAMES = (*(f"{p.value}_count" for p in Polarity), "relevance_flag")
+_NEUTRAL_COLUMN = TASK2_TAIL_NAMES.index("neutral_count")
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +330,8 @@ def task2_features(
 
     Dimension is vocabulary size + 4; the three counts partition the
     sentence's tokens. The sentences make one word table, and each word
-    type has its vocabulary column and its polarity looked up once.
+    type has its vocabulary column and its polarity's column looked up
+    once, the latter in the lexicon's word -> polarity map.
     """
     if vocab_global is None:
         raise VocabNotFitted("task2_features requires a fitted global vocabulary")
@@ -341,7 +342,8 @@ def task2_features(
     table = _WordTable(sentences)
     size = vocab_global.size
     column = _columns(vocab_global, table.types)[table.type]
-    polarity_column = np.array([_POLARITY_COLUMNS[polarity(sent_lex, word)] for word in table.types], dtype=np.intp)
+    polarity_column = np.fromiter(map(sent_lex._place.get, map(str.lower, table.types), repeat(_NEUTRAL_COLUMN)),
+                                  np.intp, len(table.types))
     values = np.zeros((len(sentences), size + len(TASK2_TAIL_NAMES)))
     known = column >= 0
     row = table.text

@@ -1,7 +1,8 @@
 """Word resources: gloss dictionary, sentiment lexicon, noun list.
 
 All three load from plain UTF-8 text files ('#' lines are comments),
-and their entries do not change after loading. The one thing that
+and their entries do not change after loading; the sentiment lexicon
+builds its word -> polarity map from them when it is made. The one thing that
 grows is the gloss dictionary's token memo, filled lazily by
 ``gloss_first_k_sentences``: keyed by term, it holds only dictionary
 hits, so it never has more entries than the dictionary has terms. Two
@@ -26,6 +27,10 @@ class Polarity(enum.Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
     NEUTRAL = "neutral"
+
+
+# each polarity's place in the member order
+_PLACE = {p: i for i, p in enumerate(Polarity)}
 
 
 def _data_lines(path: str | Path):
@@ -61,9 +66,18 @@ class GlossDictionary:
 
 @dataclass(frozen=True)
 class SentimentLexicon:
-    """term -> (pos_score, neg_score), both in [0, 1]."""
+    """term -> (pos_score, neg_score), both in [0, 1].
+
+    ``_place`` maps each term to the place of its polarity in ``Polarity``'s
+    member order. It is built once, from the entries, so a word's polarity
+    costs one dict lookup; a word outside it is neutral.
+    """
 
     entries: dict[str, tuple[float, float]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_place", {
+            term: _PLACE[_polarity_of(pos, neg)] for term, (pos, neg) in self.entries.items()})
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -149,17 +163,19 @@ def load_noun_lexicon(path: str | Path) -> NounLexicon:
     return NounLexicon(entries=frozenset(words))
 
 
-def polarity(lexicon: SentimentLexicon, word: str) -> Polarity:
-    """Positive/negative by score comparison; ties and misses are neutral."""
-    scores = lexicon.entries.get(word.lower())
-    if scores is None:
-        return Polarity.NEUTRAL
-    pos, neg = scores
+def _polarity_of(pos: float, neg: float) -> Polarity:
+    """Positive/negative by score comparison; a tie is neutral."""
     if pos > neg:
         return Polarity.POSITIVE
     if neg > pos:
         return Polarity.NEGATIVE
     return Polarity.NEUTRAL
+
+
+def polarity(lexicon: SentimentLexicon, word: str) -> Polarity:
+    """Positive/negative by score comparison; ties and misses are neutral."""
+    scores = lexicon.entries.get(word.lower())
+    return Polarity.NEUTRAL if scores is None else _polarity_of(*scores)
 
 
 def is_noun(lexicon: NounLexicon, word: str) -> bool:

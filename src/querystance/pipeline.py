@@ -191,6 +191,22 @@ def _join(pipeline: TrainedPipeline | None, model: TaskModel, lexicons: LexiconS
     return pipeline
 
 
+def _tokenized(texts: Iterable[str]) -> dict[str, list[str]]:
+    """Each distinct text of ``texts`` -> its tokens, each text tokenized once."""
+    return {text: tokenize(text) for text in dict.fromkeys(texts)}
+
+
+def _all_texts(records: Sequence[SentenceRecord]) -> Iterable[str]:
+    return (text for r in records for text in (r.query_text, r.sentence_text))
+
+
+def _model(pipeline: TrainedPipeline, task: int) -> TaskModel:
+    model = getattr(pipeline, f"task{task}", None)
+    if model is None:
+        raise ValueError(f"pipeline has no trained task-{task} model")
+    return model
+
+
 def task1_rows(
     records: Sequence[SentenceRecord],
     vocabularies: dict[str, VocabularyModel],
@@ -203,8 +219,16 @@ def task1_rows(
     sentences in ``records``. Each distinct text is tokenized once, and the
     vocabulary fit and the five features read the same token lists.
     """
-    tokens = {text: tokenize(text) for text in dict.fromkeys(
-        text for r in records for text in (r.query_text, r.sentence_text))}
+    return _task1_rows(records, _tokenized(_all_texts(records)), vocabularies, lexicons)
+
+
+def _task1_rows(
+    records: Sequence[SentenceRecord],
+    tokens: dict[str, list[str]],
+    vocabularies: dict[str, VocabularyModel],
+    lexicons: LexiconSet,
+):
+    """``task1_rows``, reading each query and sentence text's tokens from ``tokens``."""
     fitted = {
         group.query_id: fit_vocabulary([tokens[r.sentence_text] for r in group.records])
         for group in group_by_query([r for r in records if r.query_id not in vocabularies])
@@ -232,10 +256,15 @@ def predict_task1(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) 
     Queries unseen at training time get a throwaway vocabulary fitted
     over their own sentences in this batch.
     """
-    model = pipeline.task1
-    if model is None:
-        raise ValueError("pipeline has no trained task-1 model")
-    batch, _ = task1_rows(records, model.vocabularies, pipeline.lexicons)
+    return _relevance(pipeline, records, _tokenized(_all_texts(records)))
+
+
+def _relevance(
+    pipeline: TrainedPipeline, records: Sequence[SentenceRecord], tokens: dict[str, list[str]]
+) -> list[str]:
+    """``predict_task1``, reading each query and sentence text's tokens from ``tokens``."""
+    model = _model(pipeline, 1)
+    batch, _ = _task1_rows(records, tokens, model.vocabularies, pipeline.lexicons)
     return predict_batch(model.svm, batch)
 
 
@@ -278,20 +307,31 @@ def predict_task2(
     In two-class mode, records predicted irrelevant come back neutral
     without consulting the model.
     """
-    model = pipeline.task2
-    if model is None:
-        raise ValueError("pipeline has no trained task-2 model")
+    return _stance(pipeline, records, task1_predictions, None)
+
+
+def _stance(
+    pipeline: TrainedPipeline,
+    records: Sequence[SentenceRecord],
+    task1_predictions: Sequence[str],
+    tokens: dict[str, list[str]] | None,
+) -> list[str]:
+    """``predict_task2``, reading each sentence text's tokens from ``tokens``, or
+    tokenizing the sentences it asks the model about if None."""
+    model = _model(pipeline, 2)
     if len(task1_predictions) != len(records):
         raise AlignmentError(
             f"{len(records)} records but {len(task1_predictions)} task-1 predictions"
         )
     two_class = pipeline.config.stance_classes == TWO_CLASS
     asked = [i for i, relevance in enumerate(task1_predictions) if not two_class or relevance == RELEVANT]
+    if tokens is None:
+        tokens = _tokenized(records[i].sentence_text for i in asked)
     out = [NEUTRAL] * len(records)
     for start in range(0, len(asked), PREDICT_CHUNK_ROWS):  # one chunk of dense rows at a time
         chunk = asked[start:start + PREDICT_CHUNK_ROWS]
         batch = task2_features(
-            [tokenize(records[i].sentence_text) for i in chunk],
+            [tokens[records[i].sentence_text] for i in chunk],
             [task1_predictions[i] == RELEVANT for i in chunk],
             model.vocabulary,
             pipeline.lexicons.sentiment,
@@ -299,6 +339,15 @@ def predict_task2(
         for i, label in zip(chunk, predict_batch(model.svm, batch)):
             out[i] = label
     return out
+
+
+def predict_chain(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) -> tuple[list[str], list[str]]:
+    """Relevance, then stance chained on it, per record: the labels of
+    ``predict_task1`` and then ``predict_task2``, with each distinct query and
+    sentence text tokenized once for both tasks."""
+    tokens = _tokenized(_all_texts(records))
+    relevance = _relevance(pipeline, records, tokens)
+    return relevance, _stance(pipeline, records, relevance, tokens)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -424,10 +473,7 @@ def grid_search(
 
 def save_task_model(pipeline: TrainedPipeline, task: int, path: str | Path) -> None:
     """Write the pipeline's task-``task`` model as JSON, as it was trained or loaded."""
-    model = getattr(pipeline, f"task{task}", None)
-    if model is None:
-        raise ValueError(f"pipeline has no trained task-{task} model")
-    write_json(path, to_doc(model))
+    write_json(path, to_doc(_model(pipeline, task)))
 
 
 def load_task_model(

@@ -2,16 +2,14 @@
 
 Normalization layer for every similarity feature: lowercase word
 tokens, Porter stems, and a deliberately naive sentence splitter used
-only on short dictionary glosses. ``analyse`` does all of it for one
-text, so that a batch analyses each text once and every feature reads
-the same result.
+only on short dictionary glosses. ``analyse`` gives one text's tokens
+in the form the per-row ``feature_*`` functions take.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from collections import Counter
 from typing import NamedTuple
 
 from .porter import porter_stem
@@ -26,17 +24,9 @@ _SENTENCE_BREAK = re.compile(r"[.!?](?=\s|$)")
 
 
 class Analysis(NamedTuple):
-    """One text, analysed once: its tokens, and the counts of its tokens and
-    of their stems.
-
-    Both counts are in first-appearance order, the order ``Counter`` of
-    the tokens or of their stems would give, and ``counts.keys()`` is the
-    text's set of distinct tokens.
-    """
+    """One text, analysed once: its tokens."""
 
     tokens: tuple[str, ...]
-    counts: Counter[str]
-    stem_counts: Counter[str]
 
 
 def tokenize(text: str) -> list[str]:
@@ -56,16 +46,8 @@ def stem_tokens(tokens: list[str]) -> list[str]:
 
 
 def analyse(text: str) -> Analysis:
-    """Tokens, token counts and stem counts of ``text``.
-
-    Tokens are interned: a word repeated across a batch is one string,
-    shared with the stem memo's key for it. Each distinct word is
-    stemmed once, however often it occurs.
-    """
-    tokens = tuple(map(sys.intern, tokenize(text)))
-    counts = Counter(tokens)
-    stem_of = dict(zip(counts, stem_tokens(list(counts))))
-    return Analysis(tokens, counts, Counter(map(stem_of.__getitem__, tokens)))
+    """The tokens of ``text``, interned: a word repeated across texts is one string."""
+    return Analysis(tuple(map(sys.intern, tokenize(text))))
 
 
 def split_sentences(text: str) -> list[str]:

@@ -396,6 +396,17 @@ class TestPredict:
         assert all(r["predicted_relevance"] in ("relevant", "irrelevant") for r in rows)
         assert all(r["predicted_stance"] in ("support", "oppose", "neutral") for r in rows)
 
+    def test_chained_prediction_tokenizes_each_text_once(self, workspace, trained_models, tmp_path, monkeypatch):
+        calls = []
+        tokenize = pipeline_module.tokenize
+        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        assert main([
+            "predict", "--chain", "--model", str(trained_models["m1"]), "--model2", str(trained_models["m2"]),
+            "--data", str(workspace["unlabeled"]), "--out", str(tmp_path / "pred.csv"),
+        ]) == 0
+        records = load_dataset(workspace["unlabeled"], labeled=False)
+        assert sorted(calls) == sorted({text for r in records for text in (r.query_text, r.sentence_text)})
+
     def test_chain_manifest_digests_every_input(self, workspace, trained_models, tmp_path):
         out = tmp_path / "pred.csv"
         assert main([

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from querystance import pipeline
+from querystance import lexicons as lexicons_module, pipeline
 from querystance.corpus import SentenceRecord
 from querystance.errors import EmptyCorpus, VocabNotFitted
 from querystance.features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
+    TASK2_TAIL_NAMES,
     VocabularyModel,
     feature_cosine,
     feature_exact,
@@ -24,7 +25,7 @@ from querystance.features import (
     task2_features,
     tfidf_weights,
 )
-from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon
+from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon, load_sentiment_lexicon, polarity
 from querystance.svm import predict_batch
 from querystance.textproc import analyse as A, tokenize
 
@@ -528,8 +529,9 @@ class TestBatchPathEqualsStringOracles:
 
 
 class TestPerBatchMemos:
-    """Glosses and polarities are looked up at most once per word type of a
-    batch, within one batch call and not across calls."""
+    """Glosses are looked up at most once per word type of a batch, within one
+    batch call and not across calls; polarities come from a map that each
+    sentiment lexicon builds once."""
 
     GLOSS = TestCountPathEqualsStringOracles.GLOSS
     NOUNS = TestCountPathEqualsStringOracles.NOUNS
@@ -555,12 +557,37 @@ class TestPerBatchMemos:
         task1_features(triples, self.GLOSS, self.NOUNS)  # a second call starts afresh
         assert sorted(calls) == ["melanoma", "melanoma", "tan", "tan"]
 
-    def test_one_polarity_lookup_per_word(self, monkeypatch):
-        calls = self._counting(monkeypatch, "polarity")
+    def test_polarity_map_built_once_per_lexicon(self, monkeypatch):
+        calls = []
+        original = lexicons_module._polarity_of
+        monkeypatch.setattr(lexicons_module, "_polarity_of", lambda pos, neg: calls.append((pos, neg)) or original(pos, neg))
+        sentiment = SentimentLexicon(entries=dict(self.SENTIMENT.entries))
+        assert sorted(calls) == sorted(self.SENTIMENT.entries.values())  # once per entry, at construction
         vocab = fit_vocabulary([["good", "sun"]])
         sentences = [tokenize(s) for s in ("good good bad", "bad zebra good", "", "risk sun Sun")]
-        words = {w for tokens in sentences for w in tokens}
-        task2_features(sentences, [True] * 4, vocab, self.SENTIMENT)
-        assert sorted(calls) == sorted(words)
-        task2_features(sentences, [True] * 4, vocab, self.SENTIMENT)  # a second call starts with an empty memo
-        assert len(calls) == 2 * len(words)
+        first = task2_features(sentences, [True] * 4, vocab, sentiment)
+        second = task2_features(sentences, [True] * 4, vocab, sentiment)
+        assert len(calls) == len(self.SENTIMENT.entries)  # and never per call
+        assert np.array_equal(first.values, second.values)
+        assert first.values[:, -4:-1].tolist() == [[2, 1, 0], [1, 1, 1], [0, 0, 0], [0, 1, 2]]
+
+    # lexicon lines: terms that repeat (one line per sense) and differ in case, scores that tie
+    lines = st.lists(st.tuples(st.sampled_from(["good", "Good", "bad", "meh", "sun", "SUN", "risk"]),
+                               st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                               st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)), max_size=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines)
+    @example([("meh", 0.0, 0.0), ("good", 0.75, 0.25), ("Good", 0.25, 0.5), ("sun", 0.5, 0.5)])
+    def test_polarity_map_agrees_with_polarity(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("sentiment") / "sentiment.tsv"
+        path.write_text("".join(f"{term}\t{pos!r}\t{neg!r}\n" for term, pos, neg in lines), encoding="utf-8")
+        sentiment = load_sentiment_lexicon(path)
+        columns = {term: TASK2_TAIL_NAMES.index(f"{polarity(sentiment, term).value}_count")
+                   for term in sentiment.entries}
+        assert sentiment._place == columns
+        words = [*sentiment.entries, "zebra", *(term.upper() for term in sentiment.entries), "Zebra"]
+        tails = task2_features([[w] for w in words], [False] * len(words), fit_vocabulary([["zebra"]]),
+                               sentiment).values[:, -4:-1]
+        expected = [TASK2_TAIL_NAMES.index(f"{polarity(sentiment, w).value}_count") for w in words]
+        assert tails.tolist() == [[float(j == column) for j in range(3)] for column in expected]

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from querystance import pipeline as pipeline_module
 from querystance.corpus import SentenceRecord
@@ -24,6 +25,7 @@ from querystance.pipeline import (
     grid_search,
     load_task_model,
     macro_average,
+    predict_chain,
     predict_task1,
     predict_task2,
     save_task_model,
@@ -214,6 +216,64 @@ class TestTask2:
         records = [SentenceRecord("q", "t", "s", relevance="relevant")] * 4
         with pytest.raises(MissingStanceLabel, match=r"^record 0 \(query 'q'\): no stance label, needed for task-2"):
             train_task2(records, ["relevant"] * 4, synthetic_lexicons, PipelineConfig())
+
+
+@pytest.fixture(scope="module")
+def trained_two_class(synthetic_records, synthetic_lexicons):
+    config = PipelineConfig(stance_classes=TWO_CLASS)
+    pipeline = train_task1(synthetic_records, synthetic_lexicons, config)
+    relevance = [r.relevance for r in synthetic_records]
+    return train_task2(synthetic_records, relevance, synthetic_lexicons, config, pipeline=pipeline)
+
+
+class TestPredictChain:
+    """``predict_chain`` gives the labels of ``predict_task1`` then ``predict_task2``,
+    each SVM reading the same rows, with each text tokenized once."""
+
+    SEEN = make_records(seed=6, per_query=6)  # 30 rows over the five trained queries
+    UNSEEN = [SentenceRecord("q_tea", "does tea help focus", text)
+              for text in ("tea helps focus greatly", "tractor lantern marble", "tea tea focus")]
+    NO_TOKEN = [replace(SEEN[0], sentence_text=""), replace(SEEN[7], sentence_text="?! --"),
+                SentenceRecord("q_tea", "does tea help focus", "")]
+    POOL = SEEN + UNSEEN + NO_TOKEN
+
+    @staticmethod
+    def _recorded(calls):
+        def recorded(model, batch):
+            calls.append((model, batch.values))
+            return predict_batch(model, batch)
+        return recorded
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.sampled_from(POOL), max_size=12), st.integers(1, 12), st.booleans())
+    @example(POOL, 9, False)  # 324 rows asked of task 2: chunks of 128, 128 and 68
+    @example(POOL, 12, True)  # 180 of 432 rows predicted relevant: chunks of 128 and 52
+    def test_chain_equals_separate_calls(self, trained, trained_two_class, rows, copies, two_class):
+        pipeline = trained_two_class if two_class else trained
+        records = rows * copies  # every sentence text repeats when copies > 1
+        chained_rows, separate_rows = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline_module, "predict_batch", self._recorded(chained_rows))
+            chained = predict_chain(pipeline, records)
+            patch.setattr(pipeline_module, "predict_batch", self._recorded(separate_rows))
+            relevance = predict_task1(pipeline, records)
+            separate = relevance, predict_task2(pipeline, records, relevance)
+        assert chained == separate
+        assert len(chained_rows) == len(separate_rows)
+        for (model_a, rows_a), (model_b, rows_b) in zip(chained_rows, separate_rows):
+            assert model_a is model_b and np.array_equal(rows_a, rows_b)
+
+    def test_chain_tokenizes_each_text_once(self, trained, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        records = self.POOL * 3
+        predict_chain(trained, records)
+        assert sorted(calls) == sorted({text for r in records for text in (r.query_text, r.sentence_text)})
+
+    def test_needs_both_models(self, synthetic_records, synthetic_lexicons):
+        task1_only = train_task1(synthetic_records, synthetic_lexicons, PipelineConfig())
+        with pytest.raises(ValueError, match="no trained task-2 model"):
+            predict_chain(task1_only, synthetic_records[:5])
 
 
 class TestEvaluate:
