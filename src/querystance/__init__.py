@@ -45,7 +45,6 @@ from .pipeline import (
     PipelineConfig,
     TrainedPipeline,
     evaluate,
-    grid_search,
     load_task_model,
     macro_average,
     predict_chain,

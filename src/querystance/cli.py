@@ -44,10 +44,9 @@ from .errors import (
     SingleClassInput,
     reading_utf8,
 )
-from .features import SCHEMA_TASK1, SCHEMA_TASK2, TASK1_FEATURE_NAMES, TASK2_TAIL_NAMES, task2_features
+from .features import SCHEMA_TASK1, SCHEMA_TASK2, TASK1_FEATURE_NAMES, TASK2_TAIL_NAMES
 from .pipeline import (
     LEXICON_PATHS,
-    RELEVANT,
     TASK_MODELS,
     THREE_CLASS,
     TWO_CLASS,
@@ -60,11 +59,11 @@ from .pipeline import (
     predict_task2,
     save_task_model,
     task1_rows,
+    task2_rows,
     train_task1,
     train_task2,
 )
 from .svm import KERNEL_KINDS
-from .textproc import tokenize
 
 # --- settings resolution ----------------------------------------------------
 
@@ -229,6 +228,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         required_labels(records, "stance", "task-2 training", data_path)
     if args.retrain_full is False:
         records = split_train_dev(records, config.train_fraction, config.seed).train
+        if not records:
+            problem = f"the train side of the split at train_fraction {config.train_fraction} is empty"
+            raise EmptyInput(problem, data_path)
     try:
         if task == 1:
             pipeline = train_task1(records, lexicons, config)
@@ -350,8 +352,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         relevance = required_labels(records, "relevance", "the task-2 relevance flag", data_path)
         header_comment = f"# schema_id={SCHEMA_TASK2} n_vocab={vocab.size}"
         names = [f"tf:{term}" for term in vocab.terms] + list(TASK2_TAIL_NAMES)
-        sentences = [tokenize(r.sentence_text) for r in records]
-        batch = task2_features(sentences, [label == RELEVANT for label in relevance], vocab, lexicons.sentiment)
+        batch = task2_rows(records, relevance, vocab, lexicons)
 
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(header_comment + "\n")
@@ -406,13 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--eps", type=float, help=_default_help("support-vector alpha floor", "eps"))
     train.add_argument("--stance-classes", choices=(THREE_CLASS, TWO_CLASS), dest="stance_classes")
     train.add_argument("--train-fraction", type=float, dest="train_fraction")
-    train.add_argument("--seed", type=int, help=f"train/dev tuning split seed (default {PipelineConfig().seed})")
+    seed_help = f"seed of the train/dev split that --no-retrain-full trains on (default {PipelineConfig().seed})"
+    train.add_argument("--seed", type=int, help=seed_help)
     train.add_argument(
         "--no-retrain-full",
         dest="retrain_full",
         action="store_false",
         default=None,
-        help="fit on the train side of the tuning split instead of all rows",
+        help="fit on the train side of the train/dev split instead of all rows",
     )
     train.set_defaults(func=cmd_train)
 

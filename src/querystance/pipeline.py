@@ -15,13 +15,14 @@ from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
 
 from .codec import FieldError, from_doc, read_json, to_doc, write_json
-from .corpus import SentenceRecord, group_by_query, required_labels, split_train_dev
-from .errors import AlignmentError, CorruptModel, EmptyInput, LengthMismatch, NoSupportVectors
+from .corpus import SentenceRecord, group_by_query, required_labels
+from .errors import AlignmentError, CorruptModel, EmptyInput, LengthMismatch
 from .features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
     TASK1_FEATURE_NAMES,
     TASK2_TAIL_NAMES,
+    FeatureBatch,
     VocabularyModel,
     fit_vocabulary,
     task1_features,
@@ -211,24 +212,18 @@ def task1_rows(
     records: Sequence[SentenceRecord],
     vocabularies: dict[str, VocabularyModel],
     lexicons: LexiconSet,
+    *,
+    tokens: dict[str, list[str]] | None = None,
 ):
     """Task-1 feature batch of ``records``, the rows the task-1 SVM reads, and the
     vocabularies fitted for them.
 
     A query without an entry in ``vocabularies`` gets one fitted over its
-    sentences in ``records``. Each distinct text is tokenized once, and the
-    vocabulary fit and the five features read the same token lists.
+    sentences in ``records``. The vocabulary fit and the five features read
+    each text's tokens from ``tokens``, or, if None, tokenize each distinct text once.
     """
-    return _task1_rows(records, _tokenized(_all_texts(records)), vocabularies, lexicons)
-
-
-def _task1_rows(
-    records: Sequence[SentenceRecord],
-    tokens: dict[str, list[str]],
-    vocabularies: dict[str, VocabularyModel],
-    lexicons: LexiconSet,
-):
-    """``task1_rows``, reading each query and sentence text's tokens from ``tokens``."""
+    if tokens is None:
+        tokens = _tokenized(_all_texts(records))
     fitted = {
         group.query_id: fit_vocabulary([tokens[r.sentence_text] for r in group.records])
         for group in group_by_query([r for r in records if r.query_id not in vocabularies])
@@ -236,6 +231,24 @@ def _task1_rows(
     vocabularies = {**vocabularies, **fitted}
     triples = [(tokens[r.query_text], tokens[r.sentence_text], vocabularies[r.query_id]) for r in records]
     return task1_features(triples, lexicons.gloss, lexicons.nouns), fitted
+
+
+def task2_rows(
+    records: Sequence[SentenceRecord],
+    relevance: Sequence[str],
+    vocabulary: VocabularyModel,
+    lexicons: LexiconSet,
+    *,
+    tokens: dict[str, list[str]] | None = None,
+) -> FeatureBatch:
+    """Task-2 feature batch of ``records``, the rows the task-2 SVM reads, each row's
+    relevance flag set where its label in ``relevance`` is relevant. Each sentence's
+    tokens come from ``tokens``, or, if None, each distinct sentence is tokenized once.
+    """
+    if tokens is None:
+        tokens = _tokenized(r.sentence_text for r in records)
+    flags = [label == RELEVANT for label in relevance]
+    return task2_features([tokens[r.sentence_text] for r in records], flags, vocabulary, lexicons.sentiment)
 
 
 def train_task1(
@@ -250,21 +263,19 @@ def train_task1(
     return _join(None, Task1Model(1, config, svm, vocabularies), lexicons)
 
 
-def predict_task1(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) -> list[str]:
-    """Relevance label per record, in input order.
+def predict_task1(
+    pipeline: TrainedPipeline,
+    records: Sequence[SentenceRecord],
+    *,
+    tokens: dict[str, list[str]] | None = None,
+) -> list[str]:
+    """Relevance label per record, in input order, ``tokens`` read as by ``task1_rows``.
 
     Queries unseen at training time get a throwaway vocabulary fitted
     over their own sentences in this batch.
     """
-    return _relevance(pipeline, records, _tokenized(_all_texts(records)))
-
-
-def _relevance(
-    pipeline: TrainedPipeline, records: Sequence[SentenceRecord], tokens: dict[str, list[str]]
-) -> list[str]:
-    """``predict_task1``, reading each query and sentence text's tokens from ``tokens``."""
     model = _model(pipeline, 1)
-    batch, _ = _task1_rows(records, tokens, model.vocabularies, pipeline.lexicons)
+    batch, _ = task1_rows(records, model.vocabularies, pipeline.lexicons, tokens=tokens)
     return predict_batch(model.svm, batch)
 
 
@@ -279,19 +290,20 @@ def train_task2(
 
     ``task1_labels`` supplies each record's relevance flag (gold labels
     at training time). In two-class mode, neutral rows are excluded
-    from SVM training but still contribute to the vocabulary.
+    from SVM training but still contribute to the vocabulary. Each
+    distinct sentence text is tokenized once.
     """
     if len(task1_labels) != len(records):
         raise AlignmentError(
             f"{len(records)} records but {len(task1_labels)} relevance labels"
         )
     stances = required_labels(records, "stance", "task-2 training")
-    tokens = [tokenize(r.sentence_text) for r in records]
-    vocabulary = fit_vocabulary(tokens)
+    tokens = _tokenized(r.sentence_text for r in records)
+    vocabulary = fit_vocabulary([tokens[r.sentence_text] for r in records])
     two_class = config.stance_classes == TWO_CLASS
     kept = [i for i, stance in enumerate(stances) if not two_class or stance != NEUTRAL]
-    batch = task2_features(
-        [tokens[i] for i in kept], [task1_labels[i] == RELEVANT for i in kept], vocabulary, lexicons.sentiment
+    batch = task2_rows(
+        [records[i] for i in kept], [task1_labels[i] for i in kept], vocabulary, lexicons, tokens=tokens
     )
     svm = train_multiclass(batch, [stances[i] for i in kept], config.task2)
     return _join(pipeline, Task2Model(2, config, svm, vocabulary), lexicons)
@@ -301,23 +313,14 @@ def predict_task2(
     pipeline: TrainedPipeline,
     records: Sequence[SentenceRecord],
     task1_predictions: Sequence[str],
+    *,
+    tokens: dict[str, list[str]] | None = None,
 ) -> list[str]:
-    """Stance label per record, chained on task-1 output.
+    """Stance label per record, chained on task-1 output, ``tokens`` read as by ``task2_rows``.
 
     In two-class mode, records predicted irrelevant come back neutral
     without consulting the model.
     """
-    return _stance(pipeline, records, task1_predictions, None)
-
-
-def _stance(
-    pipeline: TrainedPipeline,
-    records: Sequence[SentenceRecord],
-    task1_predictions: Sequence[str],
-    tokens: dict[str, list[str]] | None,
-) -> list[str]:
-    """``predict_task2``, reading each sentence text's tokens from ``tokens``, or
-    tokenizing the sentences it asks the model about if None."""
     model = _model(pipeline, 2)
     if len(task1_predictions) != len(records):
         raise AlignmentError(
@@ -330,24 +333,20 @@ def _stance(
     out = [NEUTRAL] * len(records)
     for start in range(0, len(asked), PREDICT_CHUNK_ROWS):  # one chunk of dense rows at a time
         chunk = asked[start:start + PREDICT_CHUNK_ROWS]
-        batch = task2_features(
-            [tokens[records[i].sentence_text] for i in chunk],
-            [task1_predictions[i] == RELEVANT for i in chunk],
-            model.vocabulary,
-            pipeline.lexicons.sentiment,
-        )
+        batch = task2_rows([records[i] for i in chunk], [task1_predictions[i] for i in chunk],
+                           model.vocabulary, pipeline.lexicons, tokens=tokens)
         for i, label in zip(chunk, predict_batch(model.svm, batch)):
             out[i] = label
     return out
 
 
 def predict_chain(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) -> tuple[list[str], list[str]]:
-    """Relevance, then stance chained on it, per record: the labels of
-    ``predict_task1`` and then ``predict_task2``, with each distinct query and
-    sentence text tokenized once for both tasks."""
+    """Relevance, then stance chained on it, per record: ``predict_task1`` and
+    then ``predict_task2``, with each distinct query and sentence text
+    tokenized once for both tasks."""
     tokens = _tokenized(_all_texts(records))
-    relevance = _relevance(pipeline, records, tokens)
-    return relevance, _stance(pipeline, records, relevance, tokens)
+    relevance = predict_task1(pipeline, records, tokens=tokens)
+    return relevance, predict_task2(pipeline, records, relevance, tokens=tokens)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -415,57 +414,6 @@ def evaluate(
     total = Counter(query_ids)  # keys in first-appearance order
     correct = Counter(qid for qid, g, p in zip(query_ids, gold, predicted) if g == p)
     return EvaluationReport(rows=tuple(QueryAccuracy(qid, correct[qid], n) for qid, n in total.items()))
-
-
-# --- tuning -----------------------------------------------------------------
-
-
-def grid_search(
-    records: Sequence[SentenceRecord],
-    grid: Sequence[SvmConfig],
-    lexicons: LexiconSet,
-    config: PipelineConfig,
-    task: int = 1,
-) -> tuple[SvmConfig, float]:
-    """Score each candidate on a seeded train/dev split; first best wins.
-
-    Task 1 scores relevance accuracy; task 2 scores stance accuracy
-    with gold relevance flags on both sides of the split. A candidate
-    whose training keeps no support vector is skipped.
-    """
-    if not grid:
-        raise ValueError("empty parameter grid")
-    if task not in (1, 2):
-        raise ValueError(f"task must be 1 or 2, got {task}")
-    split = split_train_dev(list(records), config.train_fraction, config.seed)
-    for side, rows in (("train", split.train), ("dev", split.dev)):
-        if not rows:
-            raise EmptyInput(f"the {side} side of the split at train_fraction {config.train_fraction} is empty")
-    best: tuple[SvmConfig, float] | None = None
-    for candidate in grid:
-        try:
-            if task == 1:
-                cfg = replace(config, task1=candidate)
-                trained = train_task1(split.train, lexicons, cfg)
-                predictions = predict_task1(trained, split.dev)
-                gold = [r.relevance for r in split.dev]
-            else:
-                cfg = replace(config, task2=candidate)
-                trained = train_task2(
-                    split.train, [r.relevance for r in split.train], lexicons, cfg
-                )
-                predictions = predict_task2(
-                    trained, split.dev, [r.relevance for r in split.dev]
-                )
-                gold = [r.stance for r in split.dev]
-        except NoSupportVectors:
-            continue  # such a model could not be saved and reloaded, so it cannot win
-        accuracy = sum(g == p for g, p in zip(gold, predictions)) / len(gold)
-        if best is None or accuracy > best[1]:
-            best = (candidate, accuracy)
-    if best is None:
-        raise NoSupportVectors("no candidate in the grid kept a support vector")
-    return best
 
 
 # --- persistence ------------------------------------------------------------

@@ -116,6 +116,18 @@ class TestTrain:
         assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
         assert "error: machine 'relevant' vs 'irrelevant': no alpha exceeds eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", [1, 2])
+    def test_empty_train_side_exits_1_without_model(self, workspace, tmp_path, capsys, task):
+        # three queries of three rows: round(0.1 * 3) puts none of a query's rows on the train side
+        data = write_dataset_csv(make_records(seed=0, per_query=3)[:9], tmp_path / "d.csv")
+        out = tmp_path / "m.json"
+        args = train_args(workspace, task, out, "--no-retrain-full", "--train-fraction", "0.1")
+        args[args.index("--data") + 1] = str(data)
+        assert main(args) == 1
+        assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"error: {data}: the train side of the split at train_fraction 0.1 is empty"
+
     def test_bare_train_config_is_the_dataclass_default(self, workspace, tmp_path):
         out = tmp_path / "m.json"
         assert main([
@@ -765,6 +777,16 @@ class TestFeaturesDump:
         # a standalone task-2 model reads the dataset's relevance labels, as features --task 2 does
         assert main(["predict", "--out", str(tmp_path / "pred.csv"), *paths]) == 0
         assert rows == np.concatenate(chunks).tolist()
+
+    def test_task2_tokenizes_each_sentence_once(self, workspace, trained_models, tmp_path, monkeypatch):
+        records = load_dataset(workspace["train"]) * 2  # every sentence text repeats
+        data = write_dataset_csv(records, tmp_path / "twice.csv")
+        calls = []
+        tokenize = pipeline_module.tokenize
+        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        assert main(["features", "--task", "2", "--data", str(data), "--out", str(tmp_path / "f2.csv"),
+                     "--sentiment", str(workspace["sentiment"]), "--model", str(trained_models["m2"])]) == 0
+        assert sorted(calls) == sorted({r.sentence_text for r in records})
 
     def test_task2_model_for_task1_exits_1(self, workspace, trained_models, tmp_path, capsys):
         assert main([

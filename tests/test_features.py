@@ -497,14 +497,18 @@ class TestBatchPathEqualsStringOracles:
                        max_size=10)
 
     @settings(max_examples=80, deadline=None)
-    @given(batches)
-    @example([])
-    @example([("q2", "")])
-    @example([("q1", "melanoma ray rays"), ("q2", "sun tan tan"), ("q1", "melanoma ray rays"), ("q3", "sun")])
-    def test_task1_rows(self, rows):
+    @given(batches, st.booleans())
+    @example([], False)
+    @example([("q2", "")], False)
+    @example([("q1", "melanoma ray rays"), ("q2", "sun tan tan"), ("q1", "melanoma ray rays"), ("q3", "sun")], False)
+    @example([("q1", "melanoma ray rays"), ("q2", "sun tan tan"), ("q1", "melanoma ray rays"), ("q3", "sun")], True)
+    def test_task1_rows(self, rows, given_tokens):
         records = [SentenceRecord(qid, self.QUERIES[qid], text) for qid, text in rows]
         lexicons = pipeline.LexiconSet(gloss=self.GLOSS, sentiment=SentimentLexicon(), nouns=self.NOUNS)
-        batch, fitted = pipeline.task1_rows(records, self.MODEL, lexicons)
+        # given tokens may hold texts the records lack; only the records' texts are read
+        texts = [text for r in records for text in (r.query_text, r.sentence_text)] + ["zebra"]
+        tokens = {text: tokenize(text) for text in texts} if given_tokens else None
+        batch, fitted = pipeline.task1_rows(records, self.MODEL, lexicons, tokens=tokens)
         assert sorted(fitted) == sorted({qid for qid, _ in rows} - set(self.MODEL))
         for qid, vocab in fitted.items():
             df = Counter(w for r in records if r.query_id == qid for w in set(tokenize_reference(r.sentence_text)))

@@ -12,7 +12,6 @@ from querystance.errors import (
     EmptyInput,
     LengthMismatch,
     MissingStanceLabel,
-    NoSupportVectors,
     SingleClassInput,
     UnlabeledRecord,
 )
@@ -22,7 +21,6 @@ from querystance.pipeline import (
     PipelineConfig,
     TWO_CLASS,
     evaluate,
-    grid_search,
     load_task_model,
     macro_average,
     predict_chain,
@@ -129,6 +127,13 @@ class TestTask2:
             )
             assert label == expected_label
             np.testing.assert_allclose(values, expected_values, rtol=0, atol=1e-9)
+
+    def test_training_tokenizes_each_sentence_once(self, synthetic_lexicons, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        records = make_records(seed=5, per_query=6) * 2  # every sentence text repeats
+        train_task2(records, [r.relevance for r in records], synthetic_lexicons, PipelineConfig())
+        assert sorted(calls) == sorted({r.sentence_text for r in records})
 
     def test_three_class_machine_count(self, trained):
         assert len(trained.task2_model.machines) == 3
@@ -350,65 +355,6 @@ class TestDefaults:
         assert config.stance_classes == "three_class"
         assert config.train_fraction == 0.6
         assert config.seed == 0
-
-
-class TestGridSearch:
-    def test_singleton_grid(self, synthetic_records, synthetic_lexicons):
-        config = PipelineConfig()
-        best, accuracy = grid_search(
-            synthetic_records, [config.task1], synthetic_lexicons, config
-        )
-        assert best is config.task1
-        assert 0.0 <= accuracy <= 1.0
-
-    def test_winning_config_on_separable_data(
-        self, synthetic_records, synthetic_lexicons
-    ):
-        config = PipelineConfig()
-        bad = SvmConfig(c=1e-9, kernel=KernelConfig("rbf", gamma=1e-6))
-        good = PipelineConfig().task1
-        best, accuracy = grid_search(
-            synthetic_records, [bad, good], synthetic_lexicons, config
-        )
-        assert best is good
-        assert accuracy == 1.0
-
-    def test_no_candidate_with_support_vectors_raises(self, synthetic_records, synthetic_lexicons):
-        bad = SvmConfig(c=1e-9, kernel=KernelConfig("rbf", gamma=1e-6))
-        with pytest.raises(NoSupportVectors):
-            grid_search(synthetic_records, [bad], synthetic_lexicons, PipelineConfig())
-
-    def test_deterministic(self, synthetic_records, synthetic_lexicons):
-        config = PipelineConfig()
-        grid = [config.task1, SvmConfig(c=10.0, kernel=KernelConfig("linear"))]
-        runs = {
-            grid_search(synthetic_records, grid, synthetic_lexicons, config)[0].c
-            for _ in range(2)
-        }
-        assert len(runs) == 1
-
-    def test_task2_grid(self, synthetic_records, synthetic_lexicons):
-        config = PipelineConfig()
-        best, accuracy = grid_search(
-            synthetic_records,
-            [config.task2],
-            synthetic_lexicons,
-            config,
-            task=2,
-        )
-        assert best is config.task2
-        assert accuracy >= 0.9
-
-    def test_empty_dev_side_raises(self, synthetic_lexicons):
-        # one row per query: round(0.6 * 1) puts every row on the train side
-        records = [SentenceRecord(f"q{i}", "topic", f"sentence {i}", relevance="relevant") for i in range(6)]
-        config = PipelineConfig()
-        with pytest.raises(EmptyInput, match=r"^the dev side of the split at train_fraction 0\.6 is empty$"):
-            grid_search(records, [config.task1], synthetic_lexicons, config)
-
-    def test_empty_grid(self, synthetic_records, synthetic_lexicons):
-        with pytest.raises(ValueError):
-            grid_search(synthetic_records, [], synthetic_lexicons, PipelineConfig())
 
 
 class TestJoin:
