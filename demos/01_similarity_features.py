@@ -2,16 +2,15 @@
 """Walk through the five query-sentence similarity features.
 
 Each feature scores how well one sentence answers a query, on [0, 1].
-Each per-pair feature reads analysed text (``analyse`` tokenizes a text
-once); the batch function reads the texts' tokens, and looks each distinct
-word up once however many rows hold it.
+Each per-pair feature reads the two texts' token lists (``tokenize``); the
+batch function reads token lists too, and looks each distinct word up once
+however many rows hold it.
 Run:  python demos/01_similarity_features.py
 """
 
 from querystance import (
     GlossDictionary,
     NounLexicon,
-    analyse,
     feature_cosine,
     feature_exact,
     feature_neighborhood,
@@ -20,6 +19,7 @@ from querystance import (
     fit_vocabulary,
     stem_tokens,
     task1_features,
+    tokenize,
 )
 
 QUERY = "does sun exposure cause skin cancer"
@@ -32,26 +32,26 @@ SENTENCES = [
 
 print(f"query: {QUERY!r}\n")
 
-query = analyse(QUERY)
-sentences = [analyse(s) for s in SENTENCES]
-print(f"analysed query: tokens {query.tokens}\n                stems  {tuple(stem_tokens(query.tokens))}\n")
+query = tokenize(QUERY)
+sentences = [tokenize(s) for s in SENTENCES]
+print(f"query tokens {query}\n      stems  {stem_tokens(query)}\n")
 
 # 1) exact matching: word-by-word overlap, Dice-style
 print("exact word overlap")
-for s, a in zip(SENTENCES, sentences):
-    print(f"  {feature_exact(query, a):.3f}  {s}")
+for s, tokens in zip(SENTENCES, sentences):
+    print(f"  {feature_exact(query, tokens):.3f}  {s}")
 
 # 2) stemmed matching: inflection no longer matters, so "causes" and
 # "cancers" now line up with the query's "cause" and "cancer"
 print("\nstemmed overlap")
-for s, a in zip(SENTENCES, sentences):
-    print(f"  {feature_stemmed(query, a):.3f}  {s}")
+for s, tokens in zip(SENTENCES, sentences):
+    print(f"  {feature_stemmed(query, tokens):.3f}  {s}")
 
 # 3) noun matching: what fraction of the query's nouns shows up?
 nouns = NounLexicon(entries=frozenset({"sun", "exposure", "skin", "cancer"}))
 print("\nquery-noun coverage")
-for s, a in zip(SENTENCES, sentences):
-    print(f"  {feature_noun(query, a, nouns):.3f}  {s}")
+for s, tokens in zip(SENTENCES, sentences):
+    print(f"  {feature_noun(query, tokens, nouns):.3f}  {s}")
 
 # 4) neighborhood matching: a dictionary gloss can bridge vocabulary.
 # "melanoma" never appears in the query, but its gloss mentions both
@@ -66,18 +66,18 @@ gloss = GlossDictionary(
     }
 )
 print("\ngloss-widened overlap")
-for s, a in zip(SENTENCES, sentences):
-    print(f"  {feature_neighborhood(query, a, gloss):.3f}  {s}")
+for s, tokens in zip(SENTENCES, sentences):
+    print(f"  {feature_neighborhood(query, tokens, gloss):.3f}  {s}")
 
 # 5) TF-IDF cosine: vector-space similarity over this sentence collection
-vocab = fit_vocabulary([a.tokens for a in sentences])
+vocab = fit_vocabulary(sentences)
 print("\ntf-idf cosine")
-for s, a in zip(SENTENCES, sentences):
-    print(f"  {feature_cosine(query, a, vocab):.3f}  {s}")
+for s, tokens in zip(SENTENCES, sentences):
+    print(f"  {feature_cosine(query, tokens, vocab):.3f}  {s}")
 
 # all five at once, in the order the relevance classifier consumes them:
 # one batch of (query tokens, sentence tokens, vocabulary) triples gives one matrix, a row per sentence
-batch = task1_features([(query.tokens, a.tokens, vocab) for a in sentences], gloss, nouns)
+batch = task1_features([(query, tokens, vocab) for tokens in sentences], gloss, nouns)
 print(f"\nfeature batch of shape {batch.values.shape} [exact, stemmed, noun, neighborhood, cosine]")
 for s, row in zip(SENTENCES, batch.values):
     print("  [" + ", ".join(f"{v:.3f}" for v in row) + f"]  {s}")

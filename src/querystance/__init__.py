@@ -37,7 +37,6 @@ from .lexicons import (
     load_gloss_dictionary,
     load_noun_lexicon,
     load_sentiment_lexicon,
-    polarity,
 )
 from .pipeline import (
     EvaluationReport,
@@ -68,6 +67,6 @@ from .svm import (
     train_binary,
     train_multiclass,
 )
-from .textproc import Analysis, analyse, porter_stem, split_sentences, stem_tokens, tokenize
+from .textproc import porter_stem, split_sentences, stem_tokens, tokenize
 
 __version__ = "0.1.0"

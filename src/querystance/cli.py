@@ -37,7 +37,6 @@ from .corpus import (
 from .errors import (
     AlignmentError,
     BadLabel,
-    EmptyCorpus,
     EmptyInput,
     LengthMismatch,
     QueryStanceError,
@@ -224,6 +223,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _pipeline_config(args, task)
     lexicons = _load_lexicons(args, task)
     records = load_dataset(data_path, labeled=True)
+    if not records:
+        raise EmptyInput("the file holds no data rows", data_path)
     if task == 2:
         required_labels(records, "stance", "task-2 training", data_path)
     if args.retrain_full is False:
@@ -236,7 +237,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             pipeline = train_task1(records, lexicons, config)
         else:
             pipeline = train_task2(records, [r.relevance for r in records], lexicons, config)
-    except (SingleClassInput, EmptyCorpus) as exc:  # the rows read (or kept) hold one label or none
+    except SingleClassInput as exc:  # the rows read (or kept) hold one label
         raise type(exc)(str(exc), data_path) from exc
     save_task_model(pipeline, task, out_path)
     _write_manifest(args, {"task": task, **to_doc(config)}, config.seed)

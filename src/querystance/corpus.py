@@ -57,7 +57,6 @@ class QueryGroup:
 class DatasetSplit:
     train: list[SentenceRecord]
     dev: list[SentenceRecord]
-    train_fraction: float
 
 
 def parse_label(raw: str, allowed: tuple[str, ...], path, row: int, column: str) -> str | None:
@@ -185,4 +184,4 @@ def split_train_dev(
         chosen = set(indices[:n_train])
         for i, record in enumerate(group.records):
             (train if i in chosen else dev).append(record)
-    return DatasetSplit(train=train, dev=dev, train_fraction=train_fraction)
+    return DatasetSplit(train=train, dev=dev)

@@ -125,4 +125,4 @@ class LengthMismatch(QueryStanceError):
 
 
 class EmptyInput(QueryStanceError):
-    """An evaluation, or the train side of a train/dev split, holds zero rows."""
+    """A training file, an evaluation, or the train side of a train/dev split holds zero rows."""

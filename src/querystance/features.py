@@ -8,14 +8,14 @@ Two feature schemas:
   plus positive/negative/neutral word counts and a relevance flag,
   used for stance classification.
 
-The batch functions read each text as its tokens (``textproc.tokenize``
-output), never as a raw string. Each batch call builds one table of its
-word types (``_WordTable``): every distinct word gets a small int id, and
-each text becomes (id, count) entries. What a feature needs to
-know of a word (its stem, noun flag, polarity, vocabulary column and
-gloss matches) is then looked up once per type and call, and the features
-are sums over id arrays. The per-row ``feature_*`` functions are one-row
-calls into ``task1_features``.
+Every function here reads each text as its tokens (``textproc.tokenize``
+output), never as a raw string, and each rule is computed in one batch
+function. A batch call builds one table of its word types (``_WordTable``):
+every distinct word gets a small int id, and each text becomes (id, count)
+entries. What a feature needs to know of a word (its stem, noun flag,
+polarity, vocabulary column and gloss matches) is then looked up once per
+type and call, and the features are sums over id arrays. The per-row
+``feature_*`` functions are one-row calls into ``task1_features``.
 
 Every float sum that feeds a feature adds left to right in a fixed order,
 through ``np.bincount``, which adds its weights one by one in input order,
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 
@@ -47,7 +47,7 @@ from .lexicons import (
     gloss_first_k_sentences,
     is_noun,
 )
-from .textproc import Analysis, stem_tokens
+from .textproc import stem_tokens
 
 SCHEMA_TASK1 = "task1-v1"
 SCHEMA_TASK2 = "task2-v1"
@@ -107,9 +107,6 @@ class VocabularyModel:
     def size(self) -> int:
         return len(self.terms)
 
-    def index_of(self, term: str) -> int | None:
-        return self._index.get(term)
-
 
 def _columns(vocab: VocabularyModel, words: Sequence[str]) -> np.ndarray:
     """Each word's column in ``vocab``, -1 for a word outside it."""
@@ -144,28 +141,28 @@ class _WordTable:
 _NO_VOCABULARY, _NO_GLOSSES, _NO_NOUNS = VocabularyModel((), (), 1), GlossDictionary(), NounLexicon()
 
 
-def _one_row(query: Analysis, sentence: Analysis, vocab=_NO_VOCABULARY, gloss_dict=_NO_GLOSSES, noun_lex=_NO_NOUNS):
-    """The five task-1 features of one pair, from a batch of one row."""
-    return task1_features([(query.tokens, sentence.tokens, vocab)], gloss_dict, noun_lex).values[0]
+def _one_row(query, sentence, vocab=_NO_VOCABULARY, gloss_dict=_NO_GLOSSES, noun_lex=_NO_NOUNS):
+    """The five task-1 features of one pair of token lists, from a batch of one row."""
+    return task1_features([(query, sentence, vocab)], gloss_dict, noun_lex).values[0]
 
 
-def feature_exact(query: Analysis, sentence: Analysis) -> float:
+def feature_exact(query: Sequence[str], sentence: Sequence[str]) -> float:
     """2 * common / (query tokens + sentence tokens), ``common`` the size of
     the multiset intersection of the two token lists."""
     return float(_one_row(query, sentence)[0])
 
 
-def feature_stemmed(query: Analysis, sentence: Analysis) -> float:
+def feature_stemmed(query: Sequence[str], sentence: Sequence[str]) -> float:
     """``feature_exact`` over the Porter stems of the tokens."""
     return float(_one_row(query, sentence)[1])
 
 
-def feature_noun(query: Analysis, sentence: Analysis, noun_lex: NounLexicon) -> float:
+def feature_noun(query: Sequence[str], sentence: Sequence[str], noun_lex: NounLexicon) -> float:
     """Fraction of distinct query nouns that appear in the sentence."""
     return float(_one_row(query, sentence, noun_lex=noun_lex)[2])
 
 
-def feature_neighborhood(query: Analysis, sentence: Analysis, gloss_dict: GlossDictionary) -> float:
+def feature_neighborhood(query: Sequence[str], sentence: Sequence[str], gloss_dict: GlossDictionary) -> float:
     """Exact matching widened by dictionary glosses.
 
     A sentence word also matches a query word when the first
@@ -177,8 +174,10 @@ def feature_neighborhood(query: Analysis, sentence: Analysis, gloss_dict: GlossD
     return float(_one_row(query, sentence, gloss_dict=gloss_dict)[3])
 
 
-def feature_cosine(query: Analysis, sentence: Analysis, vocab: VocabularyModel) -> float:
-    """Cosine of the query's and the sentence's ``tfidf_weights``."""
+def feature_cosine(query: Sequence[str], sentence: Sequence[str], vocab: VocabularyModel) -> float:
+    """Cosine of the query's and the sentence's TF-IDF weights: a word's weight
+    is its count / the text's token count (out-of-vocabulary tokens included)
+    times its IDF, and a word outside ``vocab`` weighs 0."""
     return float(_one_row(query, sentence, vocab=vocab)[4])
 
 
@@ -193,27 +192,6 @@ def fit_vocabulary(sentences: Sequence[Iterable[str]]) -> VocabularyModel:
     df = Counter(chain.from_iterable(map(set, sentences)))
     terms = sorted(df)
     return VocabularyModel(terms=tuple(terms), df=tuple(map(df.__getitem__, terms)), n_docs=len(sentences))
-
-
-def tfidf_weights(vocab: VocabularyModel, counts: Mapping[str, int], n_tokens: int) -> dict[int, float]:
-    """Sparse TF-IDF weights keyed by term index, from a text's term counts
-    and its token count.
-
-    TF is count/n_tokens, the denominator including out-of-vocabulary
-    tokens; IDF is ln(n_docs/df). Terms absent from the vocabulary get
-    no component. Absent key means weight 0. Weights are inserted in the
-    order of ``counts``. The batch features compute the same weights
-    over their word tables.
-    """
-    if vocab is None:
-        raise VocabNotFitted("tfidf_weights requires a fitted vocabulary")
-    index, idf = vocab._index, vocab._idf
-    weights: dict[int, float] = {}
-    for term, count in counts.items():
-        idx = index.get(term)
-        if idx is not None:
-            weights[idx] = (count / n_tokens) * float(idf[idx])
-    return weights
 
 
 def task1_features(
@@ -236,8 +214,8 @@ def task1_features(
     counts.
     """
     triples = list(triples)
-    if any(isinstance(text, (str, Analysis)) for triple in triples for text in triple[:2]):
-        raise TypeError("task1_features takes each text's tokens, not the text or its Analysis")
+    if any(isinstance(text, str) for triple in triples for text in triple[:2]):  # a str is a sequence too
+        raise TypeError("task1_features takes each text's tokens, not the text")
     if any(vocab is None for *_, vocab in triples):
         raise VocabNotFitted("task1_features requires a fitted vocabulary for every row")
     groups = {}  # (id(query), id(vocabulary)) -> query, vocabulary, rows and their sentences

@@ -60,9 +60,6 @@ class GlossDictionary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def gloss(self, term: str) -> str | None:
-        return self.entries.get(term.lower())
-
 
 @dataclass(frozen=True)
 class SentimentLexicon:
@@ -170,12 +167,6 @@ def _polarity_of(pos: float, neg: float) -> Polarity:
     if neg > pos:
         return Polarity.NEGATIVE
     return Polarity.NEUTRAL
-
-
-def polarity(lexicon: SentimentLexicon, word: str) -> Polarity:
-    """Positive/negative by score comparison; ties and misses are neutral."""
-    scores = lexicon.entries.get(word.lower())
-    return Polarity.NEUTRAL if scores is None else _polarity_of(*scores)
 
 
 def is_noun(lexicon: NounLexicon, word: str) -> bool:

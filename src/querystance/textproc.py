@@ -1,32 +1,24 @@
-"""Tokenization, stemming, sentence splitting and per-text analysis.
+"""Tokenization, stemming and sentence splitting.
 
 Normalization layer for every similarity feature: lowercase word
 tokens, Porter stems, and a deliberately naive sentence splitter used
-only on short dictionary glosses. ``analyse`` gives one text's tokens
-in the form the per-row ``feature_*`` functions take.
+only on short dictionary glosses. A text's token list, as ``tokenize``
+returns it, is the one form every feature function takes.
 """
 
 from __future__ import annotations
 
 import re
-import sys
-from typing import NamedTuple
 
 from .porter import porter_stem
 
-__all__ = ["Analysis", "analyse", "tokenize", "porter_stem", "stem_tokens", "split_sentences"]
+__all__ = ["tokenize", "porter_stem", "stem_tokens", "split_sentences"]
 
 # a run of word characters, apostrophes and hyphens; '_' is replaced by a
 # space first, since \w matches it but it does not belong in a token
 _TOKEN = re.compile(r"[\w'-]+")
 # sentence ends at . ! or ? followed by whitespace or end of text
 _SENTENCE_BREAK = re.compile(r"[.!?](?=\s|$)")
-
-
-class Analysis(NamedTuple):
-    """One text, analysed once: its tokens."""
-
-    tokens: tuple[str, ...]
 
 
 def tokenize(text: str) -> list[str]:
@@ -43,11 +35,6 @@ def tokenize(text: str) -> list[str]:
 def stem_tokens(tokens: list[str]) -> list[str]:
     """Elementwise Porter stem; length and order preserved."""
     return [porter_stem(t) for t in tokens]
-
-
-def analyse(text: str) -> Analysis:
-    """The tokens of ``text``, interned: a word repeated across texts is one string."""
-    return Analysis(tuple(map(sys.intern, tokenize(text))))
 
 
 def split_sentences(text: str) -> list[str]:

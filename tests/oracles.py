@@ -4,10 +4,15 @@ Each of these recomputes an expected value through a different route
 than the implementation under test: explicit pairing loops for the
 similarity features, exact active-set enumeration for the SVM dual, an
 SMO loop that recomputes its whole state every iteration, a one-pair
-kernel for the SVM's kernel matrices, and the string-taking feature
-functions that re-tokenize their inputs for every feature, as the
-package computed them before it analysed each text once. Keep them
-dumb and obviously correct.
+kernel for the SVM's kernel matrices, and string-taking feature
+functions that re-tokenize their inputs for every feature. Each feature
+rule is worked out here from its definition and the raw resource fields
+(a vocabulary's ``terms``, ``df`` and ``n_docs``, a sentiment lexicon's
+(pos, neg) scores, a noun lexicon's ``entries``), never through the
+package's own lookups; of the package, only ``GLOSS_SENTENCES``,
+``Polarity``, ``porter_stem`` and ``split_sentences`` are imported, and
+Porter has its own check against a frozen vocabulary. Keep them dumb and
+obviously correct.
 
 Every float sum here adds left to right, one value at a time, as the
 package's ``np.bincount`` sums do: Python's ``sum`` compensates its
@@ -22,8 +27,7 @@ from collections import Counter
 
 import numpy as np
 
-from querystance.features import tfidf_weights
-from querystance.lexicons import GLOSS_SENTENCES, Polarity, is_noun, polarity
+from querystance.lexicons import GLOSS_SENTENCES, Polarity
 from querystance.porter import porter_stem
 from querystance.textproc import split_sentences
 
@@ -84,6 +88,30 @@ def gloss_tokens_reference(gloss_dict, term: str, k: int) -> list[str]:
     return tokenize_reference(" ".join(split_sentences(gloss)[:k]))
 
 
+def tfidf_reference(vocab, tokens: list[str]) -> dict[int, float]:
+    """TF-IDF weights by term column, in the order words first appear:
+    (count / token count) * ln(n_docs / df), the token count including words
+    outside the vocabulary, which get no weight."""
+    column = {term: i for i, term in enumerate(vocab.terms)}
+    weights = {}
+    for term, count in Counter(tokens).items():
+        if term in column:
+            i = column[term]
+            weights[i] = (count / len(tokens)) * math.log(vocab.n_docs / vocab.df[i])
+    return weights
+
+
+def polarity_reference(sent_lex, word: str) -> Polarity:
+    """The word's larger score of (pos, neg) names its polarity; a tie, or a
+    word the lexicon lacks, is neutral."""
+    pos, neg = sent_lex.entries.get(word.lower(), (0.0, 0.0))
+    if pos > neg:
+        return Polarity.POSITIVE
+    if neg > pos:
+        return Polarity.NEGATIVE
+    return Polarity.NEUTRAL
+
+
 def _dice(query_words: list[str], sentence_words: list[str]) -> float:
     return dice_counts(Counter(query_words), Counter(sentence_words), len(query_words) + len(sentence_words))
 
@@ -100,7 +128,7 @@ def feature_stemmed_reference(query: str, sentence: str) -> float:
 
 
 def feature_noun_reference(query: str, sentence: str, noun_lex) -> float:
-    query_nouns = {t for t in tokenize_reference(query) if is_noun(noun_lex, t)}
+    query_nouns = {t for t in tokenize_reference(query) if t in noun_lex.entries}
     if not query_nouns:
         return 0.0
     return len(query_nouns & set(tokenize_reference(sentence))) / len(query_nouns)
@@ -125,10 +153,7 @@ def feature_neighborhood_reference(query: str, sentence: str, gloss_dict) -> flo
 
 def feature_cosine_reference(query: str, sentence: str, vocab) -> float:
     query_tokens, sentence_tokens = tokenize_reference(query), tokenize_reference(sentence)
-    return cosine(
-        tfidf_weights(vocab, Counter(query_tokens), len(query_tokens)),
-        tfidf_weights(vocab, Counter(sentence_tokens), len(sentence_tokens)),
-    )
+    return cosine(tfidf_reference(vocab, query_tokens), tfidf_reference(vocab, sentence_tokens))
 
 
 def task1_features_reference(query: str, sentence: str, vocab, gloss_dict, noun_lex) -> np.ndarray:
@@ -143,12 +168,10 @@ def task1_features_reference(query: str, sentence: str, vocab, gloss_dict, noun_
 
 def task2_features_reference(sentence: str, relevance_flag: bool, vocab, sent_lex) -> np.ndarray:
     tokens = tokenize_reference(sentence)
-    block = np.zeros(vocab.size + 4)
-    for term, count in Counter(tokens).items():
-        idx = vocab.index_of(term)
-        if idx is not None:
-            block[idx] = (count / len(tokens)) * math.log(vocab.n_docs / vocab.df[idx])
-    counts = Counter(polarity(sent_lex, t) for t in tokens)
+    block = np.zeros(len(vocab.terms) + 4)
+    for i, weight in tfidf_reference(vocab, tokens).items():
+        block[i] = weight
+    counts = Counter(polarity_reference(sent_lex, t) for t in tokens)
     block[-4:] = (
         counts[Polarity.POSITIVE], counts[Polarity.NEGATIVE], counts[Polarity.NEUTRAL],
         1.0 if relevance_flag else 0.0,

@@ -8,7 +8,6 @@ runtime budget.
 import csv
 import random
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,9 +19,9 @@ from querystance.features import (
     feature_exact,
     feature_noun,
     fit_vocabulary,
-    tfidf_weights,
+    task2_features,
 )
-from querystance.lexicons import NounLexicon
+from querystance.lexicons import NounLexicon, SentimentLexicon
 from querystance.pipeline import (
     PipelineConfig,
     macro_average,
@@ -33,7 +32,7 @@ from querystance.pipeline import (
 )
 from querystance.porter import porter_stem
 from querystance.svm import _gram, dual_objective, train_binary
-from querystance.textproc import analyse
+from querystance.textproc import tokenize
 
 from oracles import dice_bruteforce, noun_bruteforce, solve_dual_bruteforce
 from svm_fixtures import fixture_instances, kkt_satisfied
@@ -60,13 +59,13 @@ def test_criterion_1_evaluation_arithmetic():
 def test_criterion_2_dice_oracle():
     query = ["ram", "is", "a", "good", "boy"]
     sentence = ["shyam", "is", "a", "bad", "boy"]
-    assert feature_exact(analyse(" ".join(query)), analyse(" ".join(sentence))) == 0.6
+    assert feature_exact(tokenize(" ".join(query)), tokenize(" ".join(sentence))) == 0.6
     rng = random.Random(1234)
     worst = 0.0
     for _ in range(1000):
         q = [rng.choice(WORD_POOL) for _ in range(rng.randrange(0, 12))]
         s = [rng.choice(WORD_POOL) for _ in range(rng.randrange(0, 12))]
-        got = feature_exact(analyse(" ".join(q)), analyse(" ".join(s)))
+        got = feature_exact(tokenize(" ".join(q)), tokenize(" ".join(s)))
         worst = max(worst, abs(got - dice_bruteforce(q, s)))
     assert worst <= 1e-12
     _report(2, f"worked example exact; 1000 random pairs within {worst:.1e} of brute force")
@@ -79,7 +78,7 @@ def test_criterion_3_noun_oracle():
         lex = NounLexicon(entries=nouns)
         q_tokens = [rng.choice(WORD_POOL) for _ in range(rng.randrange(0, 10))]
         s_tokens = [rng.choice(WORD_POOL) for _ in range(rng.randrange(0, 10))]
-        got = feature_noun(analyse(" ".join(q_tokens)), analyse(" ".join(s_tokens)), lex)
+        got = feature_noun(tokenize(" ".join(q_tokens)), tokenize(" ".join(s_tokens)), lex)
         assert got == noun_bruteforce(q_tokens, s_tokens, nouns)
     _report(3, "500 random triples match brute-force set arithmetic exactly")
 
@@ -120,12 +119,12 @@ def test_criterion_6_tfidf_cosine():
     vocab = fit_vocabulary([["sun", "causes", "cancer"], ["sun", "is", "bright"], ["cancer", "research"]])
     # sun appears in 2 of 3 docs; a term in every doc weighs exactly 0
     everywhere = fit_vocabulary([["a", "b"], ["a", "c"]])
-    tokens = ["a"]
-    assert tfidf_weights(everywhere, Counter(tokens), len(tokens)).get(everywhere.index_of("a"), 0.0) == 0.0
-    assert feature_cosine(analyse("sun cancer"), analyse("sun cancer"), vocab) == pytest.approx(1.0, abs=1e-12)
+    row = task2_features([["a"]], [False], everywhere, SentimentLexicon()).values[0]
+    assert row[everywhere.terms.index("a")] == 0.0
+    assert feature_cosine(tokenize("sun cancer"), tokenize("sun cancer"), vocab) == pytest.approx(1.0, abs=1e-12)
     import math
 
-    got = feature_cosine(analyse("sun cancer"), analyse("sun causes cancer"), vocab)
+    got = feature_cosine(tokenize("sun cancer"), tokenize("sun causes cancer"), vocab)
     l2, l3 = math.log(3 / 2), math.log(3.0)
     expected = math.sqrt(2) * l2 / math.sqrt(2 * l2 * l2 + l3 * l3)
     assert got == pytest.approx(expected, abs=1e-12)

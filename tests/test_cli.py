@@ -8,9 +8,9 @@ import pytest
 from querystance import pipeline as pipeline_module
 from querystance.cli import main
 from querystance.codec import to_doc
-from querystance.corpus import load_dataset
+from querystance.corpus import EXPECTED_HEADER, load_dataset
 from querystance.errors import VersionMismatch
-from querystance.features import TASK1_FEATURE_NAMES
+from querystance.features import TASK1_FEATURE_NAMES, TASK2_TAIL_NAMES
 from querystance.pipeline import LexiconSet, PipelineConfig, load_task_model, task1_rows
 from querystance.svm import predict_batch
 
@@ -218,8 +218,8 @@ BAD_INPUTS = {
         HEADER + b"q,does coffee help,coffee helps,relevant,\nq,does coffee help,tea helps,relevant,\n",
         "need at least 2 distinct labels, got ['relevant']",
     ),
-    "training file with a header only": ("train", HEADER, "need at least 2 distinct labels, got []"),
-    "task-2 training file with a header only": ("train2", HEADER, "cannot fit a vocabulary on zero sentences"),
+    "training file with a header only": ("train", HEADER, "the file holds no data rows"),
+    "task-2 training file with a header only": ("train2", HEADER, "the file holds no data rows"),
     "gold file with a header only": ("gold", HEADER, "nothing to evaluate"),
 }
 
@@ -246,7 +246,7 @@ class TestInputFileErrorsNameTheFile:
             args = train_args(workspace, task, tmp_path / "m.json")
             args[args.index(f"--{'data' if role.startswith('train') else role}") + 1] = str(bad)
         assert main(args) == 1
-        assert not (tmp_path / "m.json").exists()
+        assert not list(tmp_path.glob("m.json*"))  # neither the model nor its manifest
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"error: {bad}: {''.join(after)}"), last
 
@@ -553,6 +553,36 @@ class TestPredict:
             "--gloss", str(workspace["gloss"]),
         ])
         assert code == 1
+
+
+class TestHeaderOnlyDataFile:
+    """A data file with a header and no rows gives a header-only output; a task-1
+    model alone is ``TestPredict::test_empty_input``, and training on such a file
+    is an error (``BAD_INPUTS``)."""
+
+    COMMANDS = {
+        "predict --chain": (["predict", "--chain", "--model", "m1", "--model2", "m2"],
+                            EXPECTED_HEADER + ["predicted_relevance", "predicted_stance"]),
+        "predict task 2": (["predict", "--model", "m2"], EXPECTED_HEADER + ["predicted_stance"]),
+        "features --task 1": (["features", "--task", "1"], ["query_id", "row", *TASK1_FEATURE_NAMES]),
+        "features --task 2": (["features", "--task", "2", "--model", "m2"], None),  # None: read from the model
+    }
+
+    @pytest.mark.parametrize("case", list(COMMANDS))
+    def test_exits_0_writing_only_the_header(self, workspace, trained_models, tmp_path, case):
+        argv, header = self.COMMANDS[case]
+        if header is None:
+            vocab = load_task_model(trained_models["m2"], LexiconSet.load()).task2.vocabulary
+            header = ["query_id", "row", *(f"tf:{term}" for term in vocab.terms), *TASK2_TAIL_NAMES]
+        empty, out = tmp_path / "empty.csv", tmp_path / "out.csv"
+        empty.write_bytes(HEADER)
+        args = [str(trained_models[a]) if a in trained_models else a for a in argv] + [
+            "--data", str(empty), "--out", str(out),
+            *(arg for name in ("nouns", "gloss", "sentiment") for arg in (f"--{name}", str(workspace[name]))),
+        ]
+        assert main(args) == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            assert [row for row in csv.reader(handle) if not row[0].startswith("#")] == [header]
 
 
 class TestSeedIsATrainOption:

@@ -23,11 +23,10 @@ from querystance.features import (
     fit_vocabulary,
     task1_features,
     task2_features,
-    tfidf_weights,
 )
-from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon, load_sentiment_lexicon, polarity
+from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon, load_sentiment_lexicon
 from querystance.svm import predict_batch
-from querystance.textproc import analyse as A, tokenize
+from querystance.textproc import tokenize
 
 from oracles import (
     cosine,
@@ -36,8 +35,10 @@ from oracles import (
     dice_counts,
     left_to_right,
     noun_bruteforce,
+    polarity_reference,
     task1_features_reference,
     task2_features_reference,
+    tfidf_reference,
     tokenize_reference,
 )
 from synth import GLOSSES, make_records
@@ -52,9 +53,10 @@ def dice(query, sentence) -> float:
     return dice_counts(Counter(query), Counter(sentence), len(query) + len(sentence))
 
 
-def tfidf(vocab, tokens) -> dict[int, float]:
-    """``tfidf_weights`` of a token list."""
-    return tfidf_weights(vocab, Counter(tokens), len(tokens))
+def tfidf(vocab, tokens) -> dict[str, float]:
+    """The TF-IDF block of a token list's task-2 row, by term."""
+    row = task2_features([tokens], [False], vocab, SentimentLexicon()).values[0]
+    return dict(zip(vocab.terms, row[:vocab.size].tolist()))
 
 
 class TestDiceSimilarity:
@@ -100,27 +102,27 @@ class TestDiceSimilarity:
 
 class TestExactAndStemmed:
     def test_exact_worked_example(self):
-        assert feature_exact(A("Ram is a good boy"), A("Shyam is a bad boy")) == 0.6
+        assert feature_exact(tokenize("Ram is a good boy"), tokenize("Shyam is a bad boy")) == 0.6
 
     def test_exact_self(self):
-        assert feature_exact(A("any query here"), A("any query here")) == 1.0
+        assert feature_exact(tokenize("any query here"), tokenize("any query here")) == 1.0
 
     def test_exact_empty_sentence(self):
-        assert feature_exact(A("query"), A("")) == 0.0
+        assert feature_exact(tokenize("query"), tokenize("")) == 0.0
 
     def test_stemmed_collapses_inflection(self):
-        assert feature_stemmed(A("mango"), A("mangoes")) == 1.0
-        assert feature_exact(A("mango"), A("mangoes")) == 0.0
+        assert feature_stemmed(tokenize("mango"), tokenize("mangoes")) == 1.0
+        assert feature_exact(tokenize("mango"), tokenize("mangoes")) == 0.0
 
     def test_stemmed_empty(self):
-        assert feature_stemmed(A(""), A("")) == 0.0
+        assert feature_stemmed(tokenize(""), tokenize("")) == 0.0
 
     def test_stemmed_rarely_below_exact(self, synthetic_records):
         rng = random.Random(5)
         pairs = [(rng.choice(synthetic_records), rng.choice(synthetic_records)) for _ in range(200)]
         below = sum(
-            feature_stemmed(A(a.query_text), A(b.sentence_text))
-            < feature_exact(A(a.query_text), A(b.sentence_text))
+            feature_stemmed(tokenize(a.query_text), tokenize(b.sentence_text))
+            < feature_exact(tokenize(a.query_text), tokenize(b.sentence_text))
             for a, b in pairs
         )
         assert below / len(pairs) < 0.05
@@ -130,14 +132,14 @@ class TestNounFeature:
     LEX = NounLexicon(entries=frozenset({"sun", "exposure", "cancer", "skin"}))
 
     def test_one_of_three(self):
-        value = feature_noun(A("sun exposure cancer"), A("cancer ward stories"), self.LEX)
+        value = feature_noun(tokenize("sun exposure cancer"), tokenize("cancer ward stories"), self.LEX)
         assert value == pytest.approx(1 / 3)
 
     def test_no_query_nouns(self):
-        assert feature_noun(A("is a the"), A("cancer"), self.LEX) == 0.0
+        assert feature_noun(tokenize("is a the"), tokenize("cancer"), self.LEX) == 0.0
 
     def test_all_present(self):
-        assert feature_noun(A("sun cancer"), A("cancer under the sun"), self.LEX) == 1.0
+        assert feature_noun(tokenize("sun cancer"), tokenize("cancer under the sun"), self.LEX) == 1.0
 
     def test_matches_bruteforce(self):
         rng = random.Random(23)
@@ -147,7 +149,7 @@ class TestNounFeature:
             q = " ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8)))
             s = " ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8)))
             expected = noun_bruteforce(q.split(), s.split(), nouns)
-            assert feature_noun(A(q), A(s), lex) == pytest.approx(expected, abs=1e-15)
+            assert feature_noun(tokenize(q), tokenize(s), lex) == pytest.approx(expected, abs=1e-15)
 
 
 class TestNeighborhoodFeature:
@@ -160,8 +162,8 @@ class TestNeighborhoodFeature:
     def test_gloss_widens_match(self):
         # "melanoma" is not in the query, but its gloss mentions "cancer"
         query = "skin cancer risks factor now"
-        with_gloss = feature_neighborhood(A(query), A("melanoma risks"), self.GLOSS)
-        without = feature_exact(A(query), A("melanoma risks"))
+        with_gloss = feature_neighborhood(tokenize(query), tokenize("melanoma risks"), self.GLOSS)
+        without = feature_exact(tokenize(query), tokenize("melanoma risks"))
         assert with_gloss > without
         # "risks" matches exactly; "melanoma" matches "skin" and "cancer"
         # via its gloss: common = 3 over lengths 5 + 2
@@ -171,20 +173,20 @@ class TestNeighborhoodFeature:
         empty = GlossDictionary()
         rng = random.Random(7)
         for _ in range(200):
-            q = " ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8)))
-            s = " ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8)))
-            assert feature_neighborhood(A(q), A(s), empty) == pytest.approx(feature_exact(A(q), A(s)))
+            q = tokenize(" ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8))))
+            s = tokenize(" ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8))))
+            assert feature_neighborhood(q, s, empty) == pytest.approx(feature_exact(q, s))
 
     def test_never_below_exact(self):
         rng = random.Random(9)
         for _ in range(200):
-            q = " ".join(rng.choice(WORDS + ["melanoma"]) for _ in range(rng.randrange(0, 8)))
-            s = " ".join(rng.choice(WORDS + ["melanoma"]) for _ in range(rng.randrange(0, 8)))
-            assert feature_neighborhood(A(q), A(s), self.GLOSS) >= feature_exact(A(q), A(s)) - 1e-15
+            q = tokenize(" ".join(rng.choice(WORDS + ["melanoma"]) for _ in range(rng.randrange(0, 8))))
+            s = tokenize(" ".join(rng.choice(WORDS + ["melanoma"]) for _ in range(rng.randrange(0, 8))))
+            assert feature_neighborhood(q, s, self.GLOSS) >= feature_exact(q, s) - 1e-15
 
     def test_clamped_to_unit_interval(self):
         # one sentence word matching two query words can inflate the count
-        value = feature_neighborhood(A("skin cancer"), A("melanoma"), self.GLOSS)
+        value = feature_neighborhood(tokenize("skin cancer"), tokenize("melanoma"), self.GLOSS)
         assert value == 1.0
 
 
@@ -220,32 +222,28 @@ class TestVocabulary:
 class TestTfidf:
     def test_ubiquitous_term_weight_zero(self):
         vocab = fit_vocabulary([["a", "b"], ["a", "c"]])
-        weights = tfidf(vocab, ["a"])
-        assert weights.get(vocab.index_of("a"), 0.0) == 0.0
+        assert tfidf(vocab, ["a"])["a"] == 0.0
 
     def test_worked_arithmetic(self):
         vocab = fit_vocabulary([["a", "b"], ["b", "c"]])
-        weights = tfidf(vocab, ["a", "a"])
-        assert weights[vocab.index_of("a")] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert tfidf(vocab, ["a", "a"])["a"] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_out_of_vocab_gets_no_slot(self):
         vocab = fit_vocabulary([["a", "b"], ["b", "c"]])
-        assert tfidf(vocab, ["zzz"]) == {}
+        weights = tfidf(vocab, ["zzz"])
+        assert list(weights) == ["a", "b", "c"] and not any(weights.values())
 
     def test_oov_still_inflates_denominator(self):
         vocab = fit_vocabulary([["a", "b"], ["b", "c"]])
-        with_oov = tfidf(vocab, ["a", "zzz"])
-        without = tfidf(vocab, ["a"])
-        idx = vocab.index_of("a")
-        assert with_oov[idx] == pytest.approx(without[idx] / 2)
+        assert tfidf(vocab, ["a", "zzz"])["a"] == pytest.approx(tfidf(vocab, ["a"])["a"] / 2)
 
     def test_empty_tokens(self):
         vocab = fit_vocabulary([["a"]])
-        assert tfidf(vocab, []) == {}
+        assert not any(tfidf(vocab, []).values())
 
     def test_unfitted_vocab(self):
         with pytest.raises(VocabNotFitted):
-            tfidf(None, ["a"])
+            feature_cosine(["a"], ["a"], None)
 
 
 class TestCosine:
@@ -253,19 +251,19 @@ class TestCosine:
 
     def test_identical_vectors(self):
         vocab = fit_vocabulary(self.CORPUS)
-        assert feature_cosine(A("sun cancer"), A("sun cancer"), vocab) == pytest.approx(1.0, abs=1e-12)
+        assert feature_cosine(tokenize("sun cancer"), tokenize("sun cancer"), vocab) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_support(self):
         vocab = fit_vocabulary(self.CORPUS)
-        assert feature_cosine(A("bright is"), A("cancer research"), vocab) == 0.0
+        assert feature_cosine(tokenize("bright is"), tokenize("cancer research"), vocab) == 0.0
 
     def test_zero_norm_query(self):
         vocab = fit_vocabulary(self.CORPUS)
-        assert feature_cosine(A("unknownword"), A("sun cancer"), vocab) == 0.0
+        assert feature_cosine(tokenize("unknownword"), tokenize("sun cancer"), vocab) == 0.0
 
     def test_hand_arithmetic(self):
         vocab = fit_vocabulary(self.CORPUS)
-        got = feature_cosine(A("sun cancer"), A("sun causes cancer"), vocab)
+        got = feature_cosine(tokenize("sun cancer"), tokenize("sun causes cancer"), vocab)
         l2, l3 = math.log(3 / 2), math.log(3.0)
         expected = math.sqrt(2) * l2 / math.sqrt(2 * l2 * l2 + l3 * l3)
         assert got == pytest.approx(expected, abs=1e-12)
@@ -274,8 +272,8 @@ class TestCosine:
         # squared weights whose left-to-right sum differs from the exact one
         vocab = fit_vocabulary([["b"], ["h", "f", "c", "f", "b"], ["g", "g", "e"], ["e", "d", "f"],
                                 ["b", "c", "a", "g"], ["c"]])
-        query, sentence = A("f h"), A("g a g a f h")
-        u, v = tfidf(vocab, query.tokens), tfidf(vocab, sentence.tokens)
+        query, sentence = tokenize("f h"), tokenize("g a g a f h")
+        u, v = tfidf_reference(vocab, query), tfidf_reference(vocab, sentence)
         squares = [w * w for w in v.values()]
         assert left_to_right(squares) != math.fsum(squares)
         exact_sums = math.fsum(w * v[i] for i, w in u.items() if i in v) / (
@@ -284,9 +282,9 @@ class TestCosine:
 
     def test_matches_bruteforce_cosine(self):
         vocab = fit_vocabulary(self.CORPUS)
-        u = tfidf(vocab, ["sun", "cancer"])
-        v = tfidf(vocab, ["sun", "causes", "cancer"])
-        assert feature_cosine(A("sun cancer"), A("sun causes cancer"), vocab) == pytest.approx(
+        u = tfidf_reference(vocab, ["sun", "cancer"])
+        v = tfidf_reference(vocab, ["sun", "causes", "cancer"])
+        assert feature_cosine(tokenize("sun cancer"), tokenize("sun causes cancer"), vocab) == pytest.approx(
             cosine_bruteforce(u, v), abs=1e-12
         )
 
@@ -335,10 +333,10 @@ class TestTask1Vector:
 
     def test_cosine_column_is_each_rows_cosine(self):
         vocabs = [fit_vocabulary([["sun", "cancer"], ["skin", "risk"]]), fit_vocabulary([["sun", "risk"]])]
-        queries = [A("sun cancer"), A("skin risk sun")]
-        sentences = [A(text) for text in ("sun cancer risk", "skin", "the sun", "risk risk cancer")]
+        queries = [tokenize("sun cancer"), tokenize("skin risk sun")]
+        sentences = [tokenize(text) for text in ("sun cancer risk", "skin", "the sun", "risk risk cancer")]
         triples = [(q, s, v) for v in vocabs for q in queries for s in sentences]
-        batch = task1_features([(q.tokens, s.tokens, v) for q, s, v in triples], self.GLOSS, self.LEX)
+        batch = task1_features(triples, self.GLOSS, self.LEX)
         assert np.array_equal(batch.values[:, 4], [feature_cosine(q, s, v) for q, s, v in triples])
 
     def test_text_instead_of_tokens_rejected(self):
@@ -399,8 +397,8 @@ class TestTask2Vector:
 
 
 class TestAnalysedPathEqualsStringOracles:
-    """Analysing each text once gives the values that re-tokenizing each text
-    in every feature gave, bit for bit."""
+    """Tokenizing each text once gives the values that re-tokenizing each text
+    in every feature gives, bit for bit."""
 
     # gloss terms stand in for the query nouns their glosses mention
     SYNONYMS = {"coffee": "espresso", "sleep": "insomnia", "pain": "backache", "soda": "cola"}
@@ -587,11 +585,11 @@ class TestPerBatchMemos:
         path = tmp_path_factory.mktemp("sentiment") / "sentiment.tsv"
         path.write_text("".join(f"{term}\t{pos!r}\t{neg!r}\n" for term, pos, neg in lines), encoding="utf-8")
         sentiment = load_sentiment_lexicon(path)
-        columns = {term: TASK2_TAIL_NAMES.index(f"{polarity(sentiment, term).value}_count")
+        columns = {term: TASK2_TAIL_NAMES.index(f"{polarity_reference(sentiment, term).value}_count")
                    for term in sentiment.entries}
         assert sentiment._place == columns
         words = [*sentiment.entries, "zebra", *(term.upper() for term in sentiment.entries), "Zebra"]
         tails = task2_features([[w] for w in words], [False] * len(words), fit_vocabulary([["zebra"]]),
                                sentiment).values[:, -4:-1]
-        expected = [TASK2_TAIL_NAMES.index(f"{polarity(sentiment, w).value}_count") for w in words]
+        expected = [TASK2_TAIL_NAMES.index(f"{polarity_reference(sentiment, w).value}_count") for w in words]
         assert tails.tolist() == [[float(j == column) for j in range(3)] for column in expected]

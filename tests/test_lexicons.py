@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from querystance.errors import MalformedLine, ScoreOutOfRange
+from querystance.features import TASK2_TAIL_NAMES, fit_vocabulary, task2_features
 from querystance.lexicons import (
     GlossDictionary,
     NounLexicon,
@@ -12,13 +13,19 @@ from querystance.lexicons import (
     load_gloss_dictionary,
     load_noun_lexicon,
     load_sentiment_lexicon,
-    polarity,
 )
 
 MELANOMA_GLOSS = (
     "Melanoma is a type of skin cancer. It develops from melanocytes. "
     "It is dangerous. Early detection matters."
 )
+
+
+def polarity(lexicon: SentimentLexicon, word: str) -> Polarity:
+    """The polarity whose count a one-word task-2 row raises, read from the row's tail columns."""
+    counts = task2_features([[word]], [False], fit_vocabulary([[word]]), lexicon).values[0, -4:-1]
+    assert sorted(counts.tolist()) == [0.0, 0.0, 1.0]
+    return Polarity(TASK2_TAIL_NAMES[int(counts.argmax())].removesuffix("_count"))
 
 
 @pytest.fixture
@@ -34,14 +41,14 @@ class TestGlossDictionary:
         path.write_text(f"melanoma\t{MELANOMA_GLOSS}\n", encoding="utf-8")
         d = load_gloss_dictionary(path)
         assert len(d) == 1
-        assert "skin cancer" in d.gloss("melanoma")
+        assert "skin cancer" in d.entries.get("melanoma")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("", encoding="utf-8")
         d = load_gloss_dictionary(path)
         assert len(d) == 0
-        assert d.gloss("anything") is None
+        assert d.entries.get("anything") is None
 
     def test_line_without_tab(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -52,7 +59,7 @@ class TestGlossDictionary:
     def test_later_duplicate_wins(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("t\tfirst gloss.\nt\tsecond gloss.\n", encoding="utf-8")
-        assert load_gloss_dictionary(path).gloss("t") == "second gloss."
+        assert load_gloss_dictionary(path).entries.get("t") == "second gloss."
 
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "g.tsv"

@@ -2,7 +2,7 @@ import string
 
 from hypothesis import example, given, strategies as st
 
-from querystance.textproc import analyse, split_sentences, stem_tokens, tokenize
+from querystance.textproc import split_sentences, stem_tokens, tokenize
 
 from oracles import tokenize_reference
 
@@ -61,25 +61,6 @@ class TestStemTokens:
     def test_length_preserved(self):
         tokens = tokenize("studies show running helps dramatically")
         assert len(stem_tokens(tokens)) == len(tokens)
-
-
-class TestAnalyse:
-    def test_fields(self):
-        a = analyse("Mangoes and MANGOES, studies")
-        assert a.tokens == ("mangoes", "and", "mangoes", "studies")
-
-    def test_empty(self):
-        assert analyse("") == ((),)
-
-    def test_tokens_are_interned(self):
-        a, b = analyse("Mangoes and"), analyse("mangoes " + "AND")
-        assert all(x is y for x, y in zip(a.tokens, b.tokens))
-
-    @given(st.text(max_size=200))
-    @example("studies study studying studied")
-    @example("b a b c a")
-    def test_matches_tokenize(self, text):
-        assert list(analyse(text).tokens) == tokenize(text)
 
 
 class TestSplitSentences:
