@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 data or model error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import sys
@@ -37,6 +38,7 @@ from .corpus import (
 from .errors import (
     AlignmentError,
     BadLabel,
+    ConflictingQueryText,
     EmptyInput,
     LengthMismatch,
     QueryStanceError,
@@ -183,6 +185,15 @@ class UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _naming(data_path: str):
+    """Re-raise an error the pipeline finds in the rows of ``data_path`` naming that file."""
+    try:
+        yield
+    except (SingleClassInput, ConflictingQueryText) as exc:
+        raise type(exc)(str(exc), data_path) from exc
+
+
 # --- manifest ---------------------------------------------------------------
 
 
@@ -227,18 +238,17 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise EmptyInput("the file holds no data rows", data_path)
     if task == 2:
         required_labels(records, "stance", "task-2 training", data_path)
-    if args.retrain_full is False:
-        records = split_train_dev(records, config.train_fraction, config.seed).train
-        if not records:
-            problem = f"the train side of the split at train_fraction {config.train_fraction} is empty"
-            raise EmptyInput(problem, data_path)
-    try:
+    # the rows read (or kept) may hold one label, or one query id with two texts
+    with _naming(data_path):
+        if args.retrain_full is False:
+            records = split_train_dev(records, config.train_fraction, config.seed).train
+            if not records:
+                problem = f"the train side of the split at train_fraction {config.train_fraction} is empty"
+                raise EmptyInput(problem, data_path)
         if task == 1:
             pipeline = train_task1(records, lexicons, config)
         else:
             pipeline = train_task2(records, [r.relevance for r in records], lexicons, config)
-    except SingleClassInput as exc:  # the rows read (or kept) hold one label
-        raise type(exc)(str(exc), data_path) from exc
     save_task_model(pipeline, task, out_path)
     _write_manifest(args, {"task": task, **to_doc(config)}, config.seed)
     print(f"wrote {out_path}")
@@ -264,13 +274,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     records = load_dataset(data_path, labeled=False)
 
     columns: dict[str, list[str]] = {}  # output column -> labels, in column order
-    if tasks == [1, 2]:
-        columns["predicted_relevance"], columns["predicted_stance"] = predict_chain(pipeline, records)
-    elif tasks == [1]:
-        columns["predicted_relevance"] = predict_task1(pipeline, records)
-    else:  # standalone task-2 model: relevance flags come from the dataset
-        relevance = required_labels(records, "relevance", "standalone task-2 prediction", data_path)
-        columns["predicted_stance"] = predict_task2(pipeline, records, relevance)
+    with _naming(data_path):  # an unseen query id with two texts
+        if tasks == [1, 2]:
+            columns["predicted_relevance"], columns["predicted_stance"] = predict_chain(pipeline, records)
+        elif tasks == [1]:
+            columns["predicted_relevance"] = predict_task1(pipeline, records)
+        else:  # standalone task-2 model: relevance flags come from the dataset
+            relevance = required_labels(records, "relevance", "standalone task-2 prediction", data_path)
+            columns["predicted_stance"] = predict_task2(pipeline, records, relevance)
 
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -347,7 +358,8 @@ def cmd_features(args: argparse.Namespace) -> int:
         header_comment = f"# schema_id={SCHEMA_TASK1}"
         names = list(TASK1_FEATURE_NAMES)
         # the rows predict feeds the SVM: the model's vocabulary for each query it saw
-        batch, _ = task1_rows(records, pipeline.task1.vocabularies if pipeline else {}, lexicons)
+        with _naming(data_path):
+            batch, _ = task1_rows(records, pipeline.task1.vocabularies if pipeline else {}, lexicons)
     else:
         vocab = pipeline.task2.vocabulary
         relevance = required_labels(records, "relevance", "the task-2 relevance flag", data_path)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -35,13 +35,15 @@ STANCE_LABELS = ("support", "oppose", "neutral")
 
 @dataclass(frozen=True)
 class SentenceRecord:
-    """One corpus row: a sentence paired with its query."""
+    """One corpus row: a sentence paired with its query, and the file row it
+    was read from (the header is row 1; None for a record built in code)."""
 
     query_id: str
     query_text: str
     sentence_text: str
     relevance: str | None = None
     stance: str | None = None
+    row: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,7 @@ def load_dataset(path: str | Path, labeled: bool = False) -> list[SentenceRecord
                         sentence_text=sentence_text,
                         relevance=relevance,
                         stance=stance,
+                        row=row_no,
                     )
                 )
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
@@ -142,24 +145,24 @@ def required_labels(
 
 
 def group_by_query(records: list[SentenceRecord]) -> list[QueryGroup]:
-    """One group per distinct query_id, in order of first appearance."""
-    order: list[str] = []
+    """One group per distinct query_id, in order of first appearance.
+
+    A record whose query text differs from that of its query's first record
+    raises ConflictingQueryText naming both texts and, for records read from
+    a file, both rows.
+    """
     by_id: dict[str, list[SentenceRecord]] = {}
-    texts: dict[str, str] = {}
     for record in records:
-        if record.query_id not in by_id:
-            order.append(record.query_id)
-            by_id[record.query_id] = []
-            texts[record.query_id] = record.query_text
-        elif texts[record.query_id] != record.query_text:
-            raise ConflictingQueryText(
-                f"query_id {record.query_id!r} maps to both "
-                f"{texts[record.query_id]!r} and {record.query_text!r}"
+        group = by_id.setdefault(record.query_id, [])
+        if group and group[0].query_text != record.query_text:
+            both = " and ".join(
+                f"{r.query_text!r}" + (f" at row {r.row}" if r.row else "") for r in (group[0], record)
             )
-        by_id[record.query_id].append(record)
+            raise ConflictingQueryText(f"query_id {record.query_id!r} maps to both {both}")
+        group.append(record)
     return [
-        QueryGroup(query_id=qid, query_text=texts[qid], records=tuple(by_id[qid]))
-        for qid in order
+        QueryGroup(query_id=qid, query_text=group[0].query_text, records=tuple(group))
+        for qid, group in by_id.items()
     ]
 
 

@@ -12,7 +12,12 @@ one-vs-one for multiclass and share one pool of distinct support
 vectors (as in LIBSVM, Chang & Lin 2011): each machine holds the pool
 rows of its support vectors, so prediction computes one kernel matrix
 against the pool for a batch of rows and every machine reads its
-columns. No external solver; numpy only.
+columns. That kernel matrix is computed over only the feature columns
+some row of the batch uses: a column that is zero in every row adds
+nothing to a dot product (LIBSVM likewise reads only the nonzero
+features of its sparse rows). The pool is stored column-major, so the
+columns are gathered from contiguous memory. No external solver; numpy
+only.
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ class SupportVectorPool:
     ``indices[indptr[r]:indptr[r + 1]]``, strictly increasing and below
     ``dims``. The dense rows and their squared norms are built once, on
     first use: a ``dims`` read from a file allocates nothing until an
-    input of that width arrives.
+    input of that width arrives. The dense matrix is column-major, as
+    prediction reads it a set of columns at a time.
     """
 
     dims: int
@@ -152,8 +158,8 @@ class SupportVectorPool:
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
-        """(rows, dims) float64 matrix of the pool."""
-        matrix = np.zeros((self.rows, self.dims))
+        """(rows, dims) float64 matrix of the pool, column-major."""
+        matrix = np.zeros((self.rows, self.dims), order="F")
         matrix[np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices] = self.values
         return matrix
 
@@ -240,7 +246,8 @@ def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | No
         return (cfg.gamma * dots + cfg.coef0) ** cfg.degree
     if b_sq is None:
         b_sq = np.sum(b * b, axis=1)
-    sq = np.sum(a * a, axis=1)[:, None] + b_sq[None, :] - 2.0 * dots
+    a_sq = b_sq if a is b else np.sum(a * a, axis=1)
+    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * dots
     return np.exp(-cfg.gamma * np.clip(sq, 0.0, None))
 
 
@@ -380,6 +387,17 @@ def train_binary(
     return _bind(machine, pool)
 
 
+def _pool_kernel(cfg: KernelConfig, rows: np.ndarray, pool: SupportVectorPool) -> np.ndarray:
+    """K(rows, pool), computed over the columns that some row of ``rows`` uses.
+
+    Exact for every kernel: a column that is zero in every row adds nothing
+    to a dot product or to a row's squared norm, and RBF reads the pool's
+    squared norms over full rows.
+    """
+    used = np.flatnonzero(rows.any(axis=0))
+    return _gram(cfg, rows[:, used], pool.dense[:, used], pool.sq_norms)
+
+
 def _machine_values(kernel: np.ndarray, machine: BinaryModel) -> np.ndarray:
     """sum_i dual_coef_i * K(sv_i, x) + bias for each row of K(x, pool)."""
     return kernel[:, machine.sv_index] @ machine.dual_coefs + machine.bias
@@ -388,7 +406,7 @@ def _machine_values(kernel: np.ndarray, machine: BinaryModel) -> np.ndarray:
 def decision_value(model: BinaryModel, x, cfg: KernelConfig) -> float:
     """sum_i dual_coef_i * K(sv_i, x) + bias for one row ``x``."""
     pool = model._pool
-    kernel = _gram(cfg, _rows([x], pool.dims)[0], pool.dense, pool.sq_norms)
+    kernel = _pool_kernel(cfg, _rows([x], pool.dims)[0], pool)
     return float(_machine_values(kernel, model)[0])
 
 
@@ -436,14 +454,16 @@ def decision_values(model: MulticlassModel, x) -> np.ndarray:
 
     The rows are read PREDICT_CHUNK_ROWS at a time. One kernel matrix
     K(chunk, pool) serves all machines: machine k reads its columns,
-    K[:, sv_index_k] @ dual_coefs_k + bias_k.
+    K[:, sv_index_k] @ dual_coefs_k + bias_k. K is computed over only the
+    feature columns that some row of the chunk uses, a fraction of the
+    pool's width for sparse task-2 rows.
     """
     pool = model.pool
     rows, _ = _rows(x, pool.dims, model.schema_id)
     values = np.empty((len(rows), len(model.machines)))
     for start in range(0, len(rows), PREDICT_CHUNK_ROWS):
         chunk = slice(start, start + PREDICT_CHUNK_ROWS)
-        kernel = _gram(model.kernel, rows[chunk], pool.dense, pool.sq_norms)  # K(chunk, pool)
+        kernel = _pool_kernel(model.kernel, rows[chunk], pool)
         for k, machine in enumerate(model.machines):
             values[chunk, k] = _machine_values(kernel, machine)
     return values

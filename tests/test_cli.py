@@ -218,6 +218,11 @@ BAD_INPUTS = {
         HEADER + b"q,does coffee help,coffee helps,relevant,\nq,does coffee help,tea helps,relevant,\n",
         "need at least 2 distinct labels, got ['relevant']",
     ),
+    "training query id with two texts": (
+        "train",
+        HEADER + b"q,does coffee help,coffee helps,relevant,\nq,does tea help,tea helps,irrelevant,\n",
+        "query_id 'q' maps to both 'does coffee help' at row 2 and 'does tea help' at row 3",
+    ),
     "training file with a header only": ("train", HEADER, "the file holds no data rows"),
     "task-2 training file with a header only": ("train2", HEADER, "the file holds no data rows"),
     "gold file with a header only": ("gold", HEADER, "nothing to evaluate"),
@@ -553,6 +558,45 @@ class TestPredict:
             "--gloss", str(workspace["gloss"]),
         ])
         assert code == 1
+
+
+class TestQueryIdWithTwoTexts:
+    """Rows of one query id with two texts fail where the query's sentences are
+    grouped, naming the data file, both rows and both texts (training is in
+    ``BAD_INPUTS``); the rows of a query the model saw are each read with their own text."""
+
+    COMMANDS = {
+        "features --task 1": ["features", "--task", "1", "--model", "m1"],
+        "predict --chain": ["predict", "--chain", "--model", "m1", "--model2", "m2"],
+    }
+
+    def _run(self, workspace, trained_models, tmp_path, case, query_id):
+        data, out = tmp_path / "two_texts.csv", tmp_path / "out.csv"
+        data.write_text(
+            HEADER.decode() + f"{query_id},does tea help,tea helps,,\n{query_id},does tea harm,tea hurts,,\n",
+            encoding="utf-8",
+        )
+        args = [str(trained_models[a]) if a in trained_models else a for a in self.COMMANDS[case]] + [
+            "--data", str(data), "--out", str(out),
+            *(arg for name in ("nouns", "gloss", "sentiment") for arg in (f"--{name}", str(workspace[name]))),
+        ]
+        return main(args), data, out
+
+    @pytest.mark.parametrize("case", list(COMMANDS))
+    def test_unseen_query_exits_1_naming_file_and_rows(self, workspace, trained_models, tmp_path, capsys, case):
+        code, data, out = self._run(workspace, trained_models, tmp_path, case, "zz")
+        assert code == 1
+        assert not list(tmp_path.glob("out.csv*"))  # neither the output nor its manifest
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {data}: query_id 'zz' maps to both 'does tea help' at row 2 and 'does tea harm' at row 3"
+        )
+
+    @pytest.mark.parametrize("case", list(COMMANDS))
+    def test_seen_query_is_accepted(self, workspace, trained_models, tmp_path, case):
+        code, _, out = self._run(workspace, trained_models, tmp_path, case, "q_coffee")
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            assert len([row for row in csv.reader(handle) if not row[0].startswith("#")]) == 3
 
 
 class TestHeaderOnlyDataFile:

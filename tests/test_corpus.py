@@ -122,7 +122,7 @@ class TestGroupByQuery:
 
     def test_conflicting_query_text(self):
         records = [_rec("A", "text one", 0), _rec("A", "text two", 1)]
-        with pytest.raises(ConflictingQueryText):
+        with pytest.raises(ConflictingQueryText, match="^query_id 'A' maps to both 'text one' and 'text two'$"):
             group_by_query(records)
 
     def test_flatten_is_identity_up_to_grouping(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from querystance import pipeline as pipeline_module
+from querystance import svm as svm_module
 from querystance.corpus import SentenceRecord
 from querystance.errors import (
     AlignmentError,
@@ -27,11 +28,12 @@ from querystance.pipeline import (
     predict_task1,
     predict_task2,
     save_task_model,
+    task2_rows,
     train_task1,
     train_task2,
 )
 from querystance.features import task2_features
-from querystance.svm import KernelConfig, SvmConfig, decision_values, predict_batch
+from querystance.svm import KernelConfig, SvmConfig, _gram, decision_value, decision_values, predict_batch
 from querystance.textproc import tokenize
 
 from oracles import ovo_reference, task2_features_reference
@@ -127,6 +129,26 @@ class TestTask2:
             )
             assert label == expected_label
             np.testing.assert_allclose(values, expected_values, rtol=0, atol=1e-9)
+
+    def test_kernel_over_used_columns_equals_full_width(self, trained, monkeypatch):
+        """On task-2 rows, whose chunks leave many columns zero, decision values are within
+        1e-9 of the kernel matrix over every column read through each machine's columns,
+        the labels are those voted from it, and each machine's one-row decision_value
+        is its column of the batch values."""
+        records = make_records(seed=3, per_query=60)
+        model = trained.task2_model
+        batch = task2_rows(records, [r.relevance for r in records], trained.task2.vocabulary, trained.lexicons)
+        assert not batch.values[:128].any(axis=0).all()  # the first chunk drops columns
+        pool = model.pool
+        full = _gram(model.kernel, batch.values, pool.dense, pool.sq_norms)
+        expected = np.column_stack([full[:, m.sv_index] @ m.dual_coefs + m.bias for m in model.machines])
+        values, labels = decision_values(model, batch), predict_batch(model, batch)
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-9)
+        for row, row_values in zip(batch.values, values):
+            single = [decision_value(m, row, model.kernel) for m in model.machines]
+            np.testing.assert_allclose(single, row_values, rtol=0, atol=1e-9)
+        monkeypatch.setattr(svm_module, "decision_values", lambda model, x: expected)
+        assert predict_batch(model, batch) == labels
 
     def test_training_tokenizes_each_sentence_once(self, synthetic_lexicons, monkeypatch):
         calls = []

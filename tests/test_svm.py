@@ -19,6 +19,7 @@ from querystance import svm as svm_module
 from querystance.features import FeatureBatch
 from querystance.svm import (
     KERNEL_KINDS,
+    PREDICT_CHUNK_ROWS,
     BinaryModel,
     KernelConfig,
     MulticlassModel,
@@ -400,6 +401,38 @@ def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
         expected_label, expected_values = ovo_reference(model, row)
         assert label == expected_label
         np.testing.assert_allclose(row_values, expected_values, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_labels=st.integers(2, 3), kind=st.sampled_from(KERNEL_KINDS))
+def test_sparse_rows_match_per_row_reference(seed, n_labels, kind):
+    """Decision values within 1e-9 of the loop oracle and equal labels on mostly-zero
+    rows, whose kernel matrix skips the columns a chunk leaves zero: all-zero probes,
+    a probe column no support vector uses, a support-vector column no probe uses, and
+    more probes than one chunk holds, the last chunk on a subset of the columns."""
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(8, 17))
+    train_only, probe_only = 0, width - 1
+
+    def sparse(n, density):
+        return np.where(rng.random((n, width)) < density, rng.random((n, width)), 0.0)
+
+    x = sparse(20, 0.25)
+    x[:, train_only] = 1.0 + rng.random(20)  # every support vector uses it
+    x[:, probe_only] = 0.0
+    labels = [f"l{i % n_labels}" for i in rng.permutation(20)]
+    model = train_multiclass(x, labels, SvmConfig(c=10.0, kernel=KERNELS[kind]))
+    probes = sparse(PREDICT_CHUNK_ROWS + 24, 0.15)
+    probes[:, train_only] = 0.0
+    probes[PREDICT_CHUNK_ROWS:, rng.random(width) < 0.5] = 0.0
+    probes[rng.choice(len(probes), 12, replace=False)] = 0.0
+    values = decision_values(model, probes)
+    for row, label, row_values in zip(probes, predict_batch(model, probes), values):
+        expected_label, expected_values = ovo_reference(model, row)
+        assert label == expected_label
+        np.testing.assert_allclose(row_values, expected_values, rtol=0, atol=1e-9)
+        single = [decision_value(m, row, model.kernel) for m in model.machines]
+        np.testing.assert_allclose(single, expected_values, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
