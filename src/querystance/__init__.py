@@ -8,8 +8,6 @@ SMO-trained kernel SVM.
 """
 
 from .corpus import (
-    DatasetSplit,
-    QueryGroup,
     SentenceRecord,
     group_by_query,
     load_dataset,

@@ -32,6 +32,7 @@ from .corpus import (
     STANCE_LABELS,
     load_dataset,
     parse_label,
+    read_csv_rows,
     required_labels,
     split_train_dev,
 )
@@ -43,9 +44,9 @@ from .errors import (
     LengthMismatch,
     QueryStanceError,
     SingleClassInput,
-    reading_utf8,
 )
 from .features import SCHEMA_TASK1, SCHEMA_TASK2, TASK1_FEATURE_NAMES, TASK2_TAIL_NAMES
+from .lexicons import data_lines
 from .pipeline import (
     LEXICON_PATHS,
     TASK_MODELS,
@@ -79,17 +80,13 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
-    """key=value lines as key -> (line number, value); '#' comments and blank lines ignored."""
+    """key=value lines as key -> (line number, value), read as a lexicon's lines are."""
     values: dict[str, tuple[int, str]] = {}
-    with open(path, encoding="utf-8") as handle, reading_utf8(path):
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise QueryStanceError(f"expected key=value, got {line!r}", path, line=line_no)
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = (line_no, value.strip())
+    for line_no, line in data_lines(path):
+        if "=" not in line:
+            raise QueryStanceError(f"expected key=value, got {line.strip()!r}", path, line=line_no)
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = (line_no, value.strip())
     return values
 
 
@@ -241,7 +238,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # the rows read (or kept) may hold one label, or one query id with two texts
     with _naming(data_path):
         if args.retrain_full is False:
-            records = split_train_dev(records, config.train_fraction, config.seed).train
+            records, _ = split_train_dev(records, config.train_fraction, config.seed)
             if not records:
                 problem = f"the train side of the split at train_fraction {config.train_fraction} is empty"
                 raise EmptyInput(problem, data_path)
@@ -312,21 +309,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gold = required_labels(gold_records, column, "evaluation", gold_path)
 
     predicted_column = f"predicted_{column}"
-    with open(pred_path, encoding="utf-8-sig", newline="") as handle, reading_utf8(pred_path):
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or predicted_column not in reader.fieldnames:
-            raise QueryStanceError(f"missing column {predicted_column!r}", pred_path)
-        pred_rows = list(reader)
+    rows = read_csv_rows(pred_path)
+    header = next(rows, None)
+    if header is None or predicted_column not in header:
+        raise QueryStanceError(f"missing column {predicted_column!r}", pred_path)
+    pred_rows = [dict(zip(header, row)) for row in rows if row]  # blank rows skipped
     if len(pred_rows) != len(gold_records):
         problem = f"{len(pred_rows)} prediction rows vs {len(gold_records)} gold rows in {gold_path}"
         raise LengthMismatch(problem, pred_path)
     allowed = RELEVANCE_LABELS if column == "relevance" else STANCE_LABELS
     predictions = []  # each read by the gold file's label rule
     for row_no, (record, row) in enumerate(zip(gold_records, pred_rows), start=2):
-        if "query_id" in row and row["query_id"] != record.query_id:
-            problem = f"prediction query_id {row['query_id']!r} vs gold query_id {record.query_id!r}"
+        if "query_id" in header and row.get("query_id") != record.query_id:
+            problem = f"prediction query_id {row.get('query_id')!r} vs gold query_id {record.query_id!r}"
             raise AlignmentError(problem, pred_path, row=row_no)
-        raw = row[predicted_column] or ""  # None: the row ends before the column
+        raw = row.get(predicted_column, "")  # absent: the row ends before the column
         label = parse_label(raw, allowed, pred_path, row_no, predicted_column)
         if label is None:
             raise BadLabel(f"no {predicted_column} value: {raw!r}", pred_path, row=row_no)

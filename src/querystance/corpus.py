@@ -1,4 +1,4 @@
-"""Dataset loading, grouping and splitting.
+"""Dataset loading, grouping and splitting, and the one CSV row reader.
 
 The on-disk format is a UTF-8 CSV (RFC-4180 quoting) with the header
 
@@ -46,21 +46,6 @@ class SentenceRecord:
     row: int | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class QueryGroup:
-    """A query plus its sentences, in file order."""
-
-    query_id: str
-    query_text: str
-    records: tuple[SentenceRecord, ...]
-
-
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: list[SentenceRecord]
-    dev: list[SentenceRecord]
-
-
 def parse_label(raw: str, allowed: tuple[str, ...], path, row: int, column: str) -> str | None:
     """A label cell read as one of ``allowed`` (case and spaces ignored), None if blank."""
     value = raw.strip().lower()
@@ -71,56 +56,64 @@ def parse_label(raw: str, allowed: tuple[str, ...], path, row: int, column: str)
     return value
 
 
+def read_csv_rows(path: str | Path):
+    """Yield each row of a UTF-8 CSV file, the header (row 1) first and a BOM skipped; NotUtf8,
+    and MalformedCsv for a row the csv module cannot read, name the file."""
+    row_no = 1
+    with open(path, encoding="utf-8-sig", newline="") as handle, reading_utf8(path):
+        try:
+            for row in csv.reader(handle):
+                yield row
+                row_no += 1
+        except csv.Error as exc:
+            raise MalformedCsv(str(exc), path, row=row_no) from exc
+
+
 def load_dataset(path: str | Path, labeled: bool = False) -> list[SentenceRecord]:
     """Read a dataset CSV into records, preserving file order.
 
     With ``labeled=True`` every row must carry a valid relevance label.
     Duplicate sentences are kept as distinct records.
     """
+    rows = read_csv_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise MissingColumn(f"empty file, expected header {','.join(EXPECTED_HEADER)}", path)
+    if header != EXPECTED_HEADER:
+        missing = [c for c in EXPECTED_HEADER if c not in header]
+        detail = f"missing columns {missing}" if missing else f"unexpected header {header}"
+        raise MissingColumn(detail, path)
     records: list[SentenceRecord] = []
-    with open(path, encoding="utf-8-sig", newline="") as handle, reading_utf8(path):
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(f"empty file, expected header {','.join(EXPECTED_HEADER)}", path)
-        if header != EXPECTED_HEADER:
-            missing = [c for c in EXPECTED_HEADER if c not in header]
-            detail = f"missing columns {missing}" if missing else f"unexpected header {header}"
-            raise MissingColumn(detail, path)
-        try:
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) != len(EXPECTED_HEADER):
-                    problem = f"expected {len(EXPECTED_HEADER)} fields, got {len(row)}"
-                    raise MalformedCsv(problem, path, row=row_no)
-                query_id, query_text, sentence_text, relevance_raw, stance_raw = row
-                query_id = query_id.strip()
-                query_text = query_text.strip()
-                sentence_text = sentence_text.strip()
-                if not query_text:
-                    raise EmptyText("empty query_text", path, row=row_no)
-                if not sentence_text:
-                    raise EmptyText("empty sentence_text", path, row=row_no)
-                relevance = parse_label(relevance_raw, RELEVANCE_LABELS, path, row_no, "relevance")
-                stance = parse_label(stance_raw, STANCE_LABELS, path, row_no, "stance")
-                if labeled and relevance is None:
-                    problem = f"labeled dataset requires a relevance label: {relevance_raw!r}"
-                    raise BadLabel(problem, path, row=row_no)
-                if stance is not None and relevance is None:
-                    problem = f"stance label present without a relevance label: {stance_raw!r}"
-                    raise BadLabel(problem, path, row=row_no)
-                records.append(
-                    SentenceRecord(
-                        query_id=query_id,
-                        query_text=query_text,
-                        sentence_text=sentence_text,
-                        relevance=relevance,
-                        stance=stance,
-                        row=row_no,
-                    )
-                )
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise MalformedCsv(str(exc), path, row=len(records) + 2) from exc
+    for row_no, row in enumerate(rows, start=2):
+        if len(row) != len(EXPECTED_HEADER):
+            problem = f"expected {len(EXPECTED_HEADER)} fields, got {len(row)}"
+            raise MalformedCsv(problem, path, row=row_no)
+        query_id, query_text, sentence_text, relevance_raw, stance_raw = row
+        query_id = query_id.strip()
+        query_text = query_text.strip()
+        sentence_text = sentence_text.strip()
+        if not query_text:
+            raise EmptyText("empty query_text", path, row=row_no)
+        if not sentence_text:
+            raise EmptyText("empty sentence_text", path, row=row_no)
+        relevance = parse_label(relevance_raw, RELEVANCE_LABELS, path, row_no, "relevance")
+        stance = parse_label(stance_raw, STANCE_LABELS, path, row_no, "stance")
+        if labeled and relevance is None:
+            problem = f"labeled dataset requires a relevance label: {relevance_raw!r}"
+            raise BadLabel(problem, path, row=row_no)
+        if stance is not None and relevance is None:
+            problem = f"stance label present without a relevance label: {stance_raw!r}"
+            raise BadLabel(problem, path, row=row_no)
+        records.append(
+            SentenceRecord(
+                query_id=query_id,
+                query_text=query_text,
+                sentence_text=sentence_text,
+                relevance=relevance,
+                stance=stance,
+                row=row_no,
+            )
+        )
     return records
 
 
@@ -130,8 +123,8 @@ def required_labels(
     """Each record's ``column`` label, "relevance" or "stance".
 
     The first record without one raises UnlabeledRecord (relevance) or
-    MissingStanceLabel (stance), naming its row of ``path`` when the
-    records were read from that file, else its index and query id.
+    MissingStanceLabel (stance), naming ``path`` and the record's row when
+    the records were read from that file, else its index and query id.
     """
     labels = [getattr(r, column) for r in records]
     if None in labels:
@@ -139,13 +132,13 @@ def required_labels(
         error = UnlabeledRecord if column == "relevance" else MissingStanceLabel
         problem = f"no {column} label, needed for {purpose}"
         if path:
-            raise error(problem, path, row=i + 2)
+            raise error(problem, path, row=records[i].row)
         raise error(f"record {i} (query {records[i].query_id!r}): {problem}")
     return labels
 
 
-def group_by_query(records: list[SentenceRecord]) -> list[QueryGroup]:
-    """One group per distinct query_id, in order of first appearance.
+def group_by_query(records: list[SentenceRecord]) -> dict[str, list[SentenceRecord]]:
+    """Each distinct query_id -> its records, in order of first appearance.
 
     A record whose query text differs from that of its query's first record
     raises ConflictingQueryText naming both texts and, for records read from
@@ -160,16 +153,13 @@ def group_by_query(records: list[SentenceRecord]) -> list[QueryGroup]:
             )
             raise ConflictingQueryText(f"query_id {record.query_id!r} maps to both {both}")
         group.append(record)
-    return [
-        QueryGroup(query_id=qid, query_text=group[0].query_text, records=tuple(group))
-        for qid, group in by_id.items()
-    ]
+    return by_id
 
 
 def split_train_dev(
     records: list[SentenceRecord], train_fraction: float, seed: int
-) -> DatasetSplit:
-    """Seeded, per-query stratified split into train and dev.
+) -> tuple[list[SentenceRecord], list[SentenceRecord]]:
+    """Seeded, per-query stratified split into (train, dev).
 
     Each query group contributes round(train_fraction * group size)
     records to the train side. Deterministic for a fixed seed.
@@ -180,11 +170,11 @@ def split_train_dev(
     rng = random.Random(seed)
     train: list[SentenceRecord] = []
     dev: list[SentenceRecord] = []
-    for group in group_by_query(records):
-        indices = list(range(len(group.records)))
+    for group in group_by_query(records).values():
+        indices = list(range(len(group)))
         rng.shuffle(indices)
-        n_train = round(train_fraction * len(group.records))
+        n_train = round(train_fraction * len(group))
         chosen = set(indices[:n_train])
-        for i, record in enumerate(group.records):
+        for i, record in enumerate(group):
             (train if i in chosen else dev).append(record)
-    return DatasetSplit(train=train, dev=dev)
+    return train, dev

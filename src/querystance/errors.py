@@ -45,7 +45,7 @@ class MissingColumn(QueryStanceError):
 
 
 class MalformedCsv(QueryStanceError):
-    """A CSV data row could not be parsed."""
+    """A dataset or prediction CSV row, the header included, could not be parsed."""
 
 
 class BadLabel(QueryStanceError):

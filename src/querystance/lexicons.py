@@ -33,14 +33,27 @@ class Polarity(enum.Enum):
 _PLACE = {p: i for i, p in enumerate(Polarity)}
 
 
-def _data_lines(path: str | Path):
-    """Yield (line_no, line) skipping blank and comment lines."""
+def data_lines(path: str | Path):
+    """Yield (line_no, line) of a UTF-8 lexicon or config file, skipping a BOM, blank and '#' lines."""
     with open(path, encoding="utf-8-sig") as handle, reading_utf8(path):
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             yield line_no, line
+
+
+def _entries(path: str | Path, layout: str):
+    """Yield (line_no, fields) of each line of a lexicon of ``layout`` (``term<TAB>gloss``, say):
+    its tab-separated fields, the first, the term, trimmed, lowercased and not empty."""
+    for line_no, line in data_lines(path):
+        fields = line.split("\t")
+        if len(fields) != layout.count("<TAB>") + 1:
+            raise MalformedLine(f"expected {layout}, got {len(fields)} fields", path, line=line_no)
+        fields[0] = fields[0].strip().lower()
+        if not fields[0]:
+            raise MalformedLine("empty term", path, line=line_no)
+        yield line_no, fields
 
 
 @dataclass(frozen=True)
@@ -92,16 +105,7 @@ class NounLexicon:
 
 def load_gloss_dictionary(path: str | Path) -> GlossDictionary:
     """Load `term<TAB>gloss` lines; later duplicates win."""
-    entries: dict[str, str] = {}
-    for line_no, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedLine(f"expected term<TAB>gloss, got {len(fields)} fields", path, line=line_no)
-        term, gloss = fields
-        term = term.strip().lower()
-        if not term:
-            raise MalformedLine("empty term", path, line=line_no)
-        entries[term] = gloss.strip()
+    entries = {term: gloss.strip() for _, (term, gloss) in _entries(path, "term<TAB>gloss")}
     return GlossDictionary(entries=entries)
 
 
@@ -130,15 +134,9 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
     the mean of its per-line scores.
     """
     sums: dict[str, tuple[float, float, int]] = {}
-    for line_no, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedLine(f"expected term<TAB>pos<TAB>neg, got {len(fields)} fields", path, line=line_no)
-        term = fields[0].strip().lower()
-        if not term:
-            raise MalformedLine("empty term", path, line=line_no)
+    for line_no, (term, pos, neg) in _entries(path, "term<TAB>pos<TAB>neg"):
         try:
-            pos, neg = float(fields[1]), float(fields[2])
+            pos, neg = float(pos), float(neg)
         except ValueError as exc:
             raise MalformedLine(f"non-numeric score: {exc}", path, line=line_no) from exc
         for score in (pos, neg):
@@ -151,13 +149,8 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
 
 
 def load_noun_lexicon(path: str | Path) -> NounLexicon:
-    """Load one word per line."""
-    words = set()
-    for _line_no, line in _data_lines(path):
-        word = line.strip().lower()
-        if word:
-            words.add(word)
-    return NounLexicon(entries=frozenset(words))
+    """Load one word per line; a line holds no tab."""
+    return NounLexicon(entries=frozenset(word for _, (word,) in _entries(path, "word")))
 
 
 def _polarity_of(pos: float, neg: float) -> Polarity:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
 
 from .codec import FieldError, from_doc, read_json, to_doc, write_json
-from .corpus import SentenceRecord, group_by_query, required_labels
+from .corpus import RELEVANCE_LABELS, STANCE_LABELS, SentenceRecord, group_by_query, required_labels
 from .errors import AlignmentError, CorruptModel, EmptyInput, LengthMismatch
 from .features import (
     SCHEMA_TASK1,
@@ -116,6 +116,7 @@ class TaskModel:
 
     FORMAT: ClassVar[tuple[str, int]] = ("querystance-pipeline", 1)
     SCHEMA: ClassVar[str]
+    LABELS: ClassVar[tuple[str, ...]]  # the task's labels; its SVM holds two or more of them
     CONFIG_FIELDS: ClassVar[tuple[str, ...]]  # the config fields the task's prediction reads
 
     task: int
@@ -128,6 +129,8 @@ class TaskModel:
             raise FieldError("svm.schema_id", f"expected {self.SCHEMA!r}, got {svm.schema_id!r}")
         if svm.pool.dims != self.width:
             raise FieldError("svm.pool.dims", f"expected width {self.width}, got {svm.pool.dims}")
+        if len(svm.labels) < 2 or not set(svm.labels) <= set(self.LABELS):
+            raise FieldError("svm.labels", f"expected two or more of {self.LABELS}, got {list(svm.labels)}")
 
     @classmethod
     def lexicons_read(cls) -> list[str]:
@@ -138,6 +141,7 @@ class TaskModel:
 @dataclass(frozen=True)
 class Task1Model(TaskModel):
     SCHEMA = SCHEMA_TASK1
+    LABELS = RELEVANCE_LABELS
     CONFIG_FIELDS = ("task1", "gloss_path", "noun_path")
     width = len(TASK1_FEATURE_NAMES)
 
@@ -147,6 +151,7 @@ class Task1Model(TaskModel):
 @dataclass(frozen=True)
 class Task2Model(TaskModel):
     SCHEMA = SCHEMA_TASK2
+    LABELS = STANCE_LABELS
     CONFIG_FIELDS = ("task2", "stance_classes", "sentiment_path")
 
     vocabulary: VocabularyModel
@@ -225,8 +230,8 @@ def task1_rows(
     if tokens is None:
         tokens = _tokenized(_all_texts(records))
     fitted = {
-        group.query_id: fit_vocabulary([tokens[r.sentence_text] for r in group.records])
-        for group in group_by_query([r for r in records if r.query_id not in vocabularies])
+        query_id: fit_vocabulary([tokens[r.sentence_text] for r in group])
+        for query_id, group in group_by_query([r for r in records if r.query_id not in vocabularies]).items()
     }
     vocabularies = {**vocabularies, **fitted}
     triples = [(tokens[r.query_text], tokens[r.sentence_text], vocabularies[r.query_id]) for r in records]
@@ -353,36 +358,25 @@ def predict_chain(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) 
 
 
 @dataclass(frozen=True)
-class QueryAccuracy:
-    query_id: str
-    correct: int
-    total: int
-
-    @property
-    def accuracy(self) -> float:
-        return 100.0 * self.correct / self.total
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
-    """Per-query accuracy rows plus their unweighted mean."""
+    """Percentage accuracy per query id, in first-appearance order, plus their unweighted mean."""
 
-    rows: tuple[QueryAccuracy, ...]
+    accuracy: dict[str, float]
 
     @property
     def macro_average(self) -> float:
-        return macro_average(row.accuracy for row in self.rows)
+        return macro_average(self.accuracy.values())
 
     def render_table(self) -> str:
-        width = max(len("query_id"), *(len(r.query_id) for r in self.rows))
+        width = max(len("query_id"), *map(len, self.accuracy))
         lines = [f"{'query_id':<{width}}  accuracy"]
-        for row in self.rows:
-            lines.append(f"{row.query_id:<{width}}  {row.accuracy:.8f}")
+        for query_id, accuracy in self.accuracy.items():
+            lines.append(f"{query_id:<{width}}  {accuracy:.8f}")
         lines.append(f"{'MACRO_AVERAGE':<{width}}  {self.macro_average:.8f}")
         return "\n".join(lines)
 
     def to_csv_rows(self) -> list[tuple[str, str]]:
-        rows = [(r.query_id, repr(r.accuracy)) for r in self.rows]
+        rows = [(query_id, repr(accuracy)) for query_id, accuracy in self.accuracy.items()]
         rows.append(("MACRO_AVERAGE", repr(self.macro_average)))
         return rows
 
@@ -413,7 +407,7 @@ def evaluate(
         raise EmptyInput("nothing to evaluate")
     total = Counter(query_ids)  # keys in first-appearance order
     correct = Counter(qid for qid, g, p in zip(query_ids, gold, predicted) if g == p)
-    return EvaluationReport(rows=tuple(QueryAccuracy(qid, correct[qid], n) for qid, n in total.items()))
+    return EvaluationReport({qid: 100.0 * correct[qid] / n for qid, n in total.items()})
 
 
 # --- persistence ------------------------------------------------------------

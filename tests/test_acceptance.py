@@ -197,8 +197,8 @@ def test_criterion_9_dataset_accounting(tmp_path):
     test_records = load_dataset(test_path, labeled=False)
     assert len(train_records) == 348
     assert len(test_records) == 1542
-    assert [len(g.records) for g in group_by_query(train_records)] == list(train_counts.values())
-    assert [len(g.records) for g in group_by_query(test_records)] == list(test_counts.values())
+    assert [len(g) for g in group_by_query(train_records).values()] == list(train_counts.values())
+    assert [len(g) for g in group_by_query(test_records).values()] == list(test_counts.values())
     _report(9, "348 training and 1542 test records with the stated per-query census")
 
 

@@ -99,6 +99,20 @@ class TestTrain:
         assert manifest["config"]["task1"]["kernel"]["gamma"] == 0.006  # flag wins
         assert manifest["config"]["seed"] == 3  # config file wins over default
 
+    def test_config_retrain_full_false_is_the_flag(self, workspace, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("retrain_full=false\n", encoding="utf-8")
+        flag, line = tmp_path / "flag.json", tmp_path / "line.json"
+        assert main(train_args(workspace, 1, flag, "--no-retrain-full")) == 0
+        assert main(train_args(workspace, 1, line, "--config", str(config))) == 0
+        assert line.read_bytes() == flag.read_bytes()
+
+    def test_config_file_starting_with_a_bom_is_applied(self, workspace, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("\ufeffseed=3\n", encoding="utf-8")
+        assert main(train_args(workspace, 1, tmp_path / "m.json", "--config", str(config))) == 0
+        assert json.loads((tmp_path / "m.json.manifest.json").read_text())["config"]["seed"] == 3
+
     @pytest.mark.parametrize(
         "flags", [["--C", "nan"], ["--max-passes", "0"], ["--gamma", "inf"], ["--coef0", "nan"],
                   ["--tol", "inf"], ["--eps", "-1"], ["--train-fraction", "nan"]],
@@ -226,6 +240,16 @@ BAD_INPUTS = {
     "training file with a header only": ("train", HEADER, "the file holds no data rows"),
     "task-2 training file with a header only": ("train2", HEADER, "the file holds no data rows"),
     "gold file with a header only": ("gold", HEADER, "nothing to evaluate"),
+    "dataset file of 0 bytes": ("train", b"", "empty file, expected header "),
+    "dataset empty query text": ("train", HEADER + b"q,  ,coffee helps,relevant,\n", "row 2: empty query_text"),
+    "dataset header over the csv size limit": ("train", b"x" * 200_000 + b"\n", "row 1: field larger than"),
+    "lexicon line with an empty term": ("gloss", b"espresso\ta strong coffee\n \tno term\n", "line 2: empty term"),
+    "noun line holding a tab": ("nouns", b"coffee\ttea\n", "line 1: expected word, got 2 fields"),
+    "prediction CSV without its predicted column": ("pred", HEADER, "missing column 'predicted_relevance'"),
+    "prediction field over the csv size limit": (
+        "pred", lambda ws: _predictions_changed_at_row(ws, 3, lambda line: line + b"x" * 200_000),
+        "row 3: field larger than",
+    ),
 }
 
 
@@ -270,6 +294,19 @@ def _set(*path_and_value):
     return mutate
 
 
+def _relabel(*labels):
+    """Mutation that renames the labels of a task-2 document, in their sorted order, to ``labels``."""
+    def mutate(doc):
+        new = dict(zip(doc["svm"]["labels"], labels))
+        doc["svm"]["labels"] = list(labels)
+        for machine in doc["svm"]["machines"]:
+            machine["positive_label"], machine["negative_label"] = (
+                new[machine["positive_label"]], new[machine["negative_label"]])
+        return doc
+
+    return mutate
+
+
 def _pop(*path):
     def mutate(doc):
         node = doc
@@ -304,6 +341,14 @@ CORRUPTIONS = {
     "schema of task 1": (_set("svm", "schema_id", "task1-v1"), "svm.schema_id: "),
     "labels reversed": (lambda doc: _set("svm", "labels", doc["svm"]["labels"][::-1])(doc), "svm.labels: "),
     "top level is a list": (lambda doc: [], "expected a JSON object"),
+    "indptr not a flat list": (_set("svm", "pool", "indptr", [[0]]), "svm.pool.indptr: must be a flat list"),
+    "pool dims negative": (_set("svm", "pool", "dims", -1), "svm.pool.dims: must be >= 0"),
+    "pool value NaN": (_set("svm", "pool", "values", 0, float("nan")), "svm.pool.values: must be finite"),
+    "unknown field": (_set("svm", "extra", 1), "svm: unknown field 'extra'"),
+    "bias beyond the float range": (_set("svm", "machines", 0, "bias", 10**400),
+                                    "svm.machines[0].bias: expected a finite number"),
+    "labels empty": (lambda doc: _set("svm", "machines", [])(_set("svm", "labels", [])(doc)), "svm.labels: "),
+    "labels renamed": (_relabel("oppose", "support", "zzz"), "svm.labels: "),
 }
 
 
@@ -546,6 +591,20 @@ class TestPredict:
             "--gloss", str(workspace["gloss"]),
         ])
         assert code == 1
+
+    def test_config_chain_yes_requires_both_models(self, workspace, trained_models, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("chain=yes\n", encoding="utf-8")
+        code = main([
+            "predict", "--config", str(config),
+            "--model", str(trained_models["m1"]),
+            "--data", str(workspace["unlabeled"]),
+            "--out", str(tmp_path / "pred.csv"),
+            "--nouns", str(workspace["nouns"]),
+            "--gloss", str(workspace["gloss"]),
+        ])
+        assert code == 1
+        assert "error: --chain needs a task-1 model (--model) and a task-2 model" in capsys.readouterr().err
 
     def test_chain_with_same_task_twice_exits_1(self, workspace, trained_models, tmp_path):
         code = main([

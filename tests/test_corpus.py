@@ -113,12 +113,12 @@ class TestGroupByQuery:
     def test_first_appearance_order(self):
         records = [_rec("A", "ta", 0), _rec("B", "tb", 1), _rec("A", "ta", 2)]
         groups = group_by_query(records)
-        assert [g.query_id for g in groups] == ["A", "B"]
-        assert len(groups[0].records) == 2
+        assert list(groups) == ["A", "B"]
+        assert len(groups["A"]) == 2
 
     def test_census_group_sizes(self):
         groups = group_by_query(make_census_records(TRAIN_CENSUS))
-        assert [len(g.records) for g in groups] == [68, 83, 61, 71, 65]
+        assert [len(g) for g in groups.values()] == [68, 83, 61, 71, 65]
 
     def test_conflicting_query_text(self):
         records = [_rec("A", "text one", 0), _rec("A", "text two", 1)]
@@ -127,30 +127,27 @@ class TestGroupByQuery:
 
     def test_flatten_is_identity_up_to_grouping(self):
         records = make_census_records(TRAIN_CENSUS)
-        flattened = [r for g in group_by_query(records) for r in g.records]
+        flattened = [r for g in group_by_query(records).values() for r in g]
         assert sorted(map(id, flattened)) == sorted(map(id, records))
 
 
 class TestSplitTrainDev:
     def test_sizes_and_determinism(self):
         records = [_rec("q", "t", i) for i in range(10)]
-        first = split_train_dev(records, 0.6, seed=7)
-        second = split_train_dev(records, 0.6, seed=7)
-        assert len(first.train) == 6 and len(first.dev) == 4
-        assert first.train == second.train and first.dev == second.dev
+        train, dev = split_train_dev(records, 0.6, seed=7)
+        assert len(train) == 6 and len(dev) == 4
+        assert (train, dev) == split_train_dev(records, 0.6, seed=7)
 
     def test_census_per_group_train_sizes(self):
         records = make_census_records(TRAIN_CENSUS)
-        split = split_train_dev(records, 0.6, seed=0)
-        sizes = [
-            len(g.records) for g in group_by_query(split.train)
-        ]
+        train, _ = split_train_dev(records, 0.6, seed=0)
+        sizes = [len(g) for g in group_by_query(train).values()]
         assert sizes == [41, 50, 37, 43, 39]  # round(0.6 * n) per group
 
     def test_partition(self):
         records = [_rec("a", "t", i) for i in range(7)] + [_rec("b", "u", i) for i in range(5)]
-        split = split_train_dev(records, 0.5, seed=3)
-        combined = split.train + split.dev
+        train, dev = split_train_dev(records, 0.5, seed=3)
+        combined = train + dev
         assert len(combined) == len(records)
         assert set(map(id, combined)) == set(map(id, records))
 
@@ -165,6 +162,6 @@ class TestSplitTrainDev:
 
     def test_different_seeds_differ(self):
         records = [_rec("q", "t", i) for i in range(30)]
-        a = split_train_dev(records, 0.5, seed=1)
-        b = split_train_dev(records, 0.5, seed=2)
-        assert a.train != b.train  # overwhelmingly likely by construction
+        a, _ = split_train_dev(records, 0.5, seed=1)
+        b, _ = split_train_dev(records, 0.5, seed=2)
+        assert a != b  # overwhelmingly likely by construction

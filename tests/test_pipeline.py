@@ -322,13 +322,13 @@ class TestEvaluate:
                 gold.append("relevant")
                 predicted.append("relevant" if i < right else "irrelevant")
         report = evaluate(gold, predicted, query_ids)
-        for row, expected in zip(report.rows, TABLE1_ROW):
-            assert row.accuracy == pytest.approx(expected, abs=1e-6)
+        for accuracy, expected in zip(report.accuracy.values(), TABLE1_ROW):
+            assert accuracy == pytest.approx(expected, abs=1e-6)
         assert report.macro_average == pytest.approx(TABLE1_MACRO, abs=1e-6)
 
     def test_all_correct(self):
         report = evaluate(["a", "b"], ["a", "b"], ["q1", "q2"])
-        assert all(row.accuracy == 100.0 for row in report.rows)
+        assert report.accuracy == {"q1": 100.0, "q2": 100.0}
         assert report.macro_average == 100.0
 
     def test_self_evaluation_is_always_100(self, synthetic_records):
@@ -339,13 +339,12 @@ class TestEvaluate:
 
     def test_rows_in_first_appearance_order(self):
         report = evaluate(["x"] * 4, ["x"] * 4, ["b", "a", "b", "c"])
-        assert [row.query_id for row in report.rows] == ["b", "a", "c"]
+        assert list(report.accuracy) == ["b", "a", "c"]
 
     def test_macro_is_unweighted(self):
         # one query with 1 row, one with 3: macro ignores sizes
         report = evaluate(["x", "x", "x", "x"], ["x", "y", "y", "y"], ["a", "b", "b", "b"])
-        assert report.rows[0].accuracy == 100.0
-        assert report.rows[1].accuracy == 0.0
+        assert report.accuracy == {"a": 100.0, "b": 0.0}
         assert report.macro_average == 50.0
 
     def test_length_mismatch(self):
