@@ -313,13 +313,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     header = next(rows, None)
     if header is None or predicted_column not in header:
         raise QueryStanceError(f"missing column {predicted_column!r}", pred_path)
-    pred_rows = [dict(zip(header, row)) for row in rows if row]  # blank rows skipped
+    # each non-blank row with its record number in the file, as read_csv_rows counts them
+    pred_rows = [(row_no, dict(zip(header, row))) for row_no, row in enumerate(rows, start=2) if row]
     if len(pred_rows) != len(gold_records):
         problem = f"{len(pred_rows)} prediction rows vs {len(gold_records)} gold rows in {gold_path}"
         raise LengthMismatch(problem, pred_path)
     allowed = RELEVANCE_LABELS if column == "relevance" else STANCE_LABELS
     predictions = []  # each read by the gold file's label rule
-    for row_no, (record, row) in enumerate(zip(gold_records, pred_rows), start=2):
+    for record, (row_no, row) in zip(gold_records, pred_rows):
         if "query_id" in header and row.get("query_id") != record.query_id:
             problem = f"prediction query_id {row.get('query_id')!r} vs gold query_id {record.query_id!r}"
             raise AlignmentError(problem, pred_path, row=row_no)

@@ -5,9 +5,10 @@ by one SMO loop: each iteration updates the pair chosen by
 second-order working-set selection (Fan, Chen & Lin 2005) and the loop
 stops once the KKT gap m - M is within tol (Keerthi et al. 2001) or a
 cap of max_passes * n pair updates is reached. The loop keeps its state
-(the scores -y*G and the I_up / I_low masks) from one iteration to the
-next and updates it in place, as LIBSVM does. Training has no random
-choices, so equal inputs give equal models. Machines are combined
+from one iteration to the next and updates it in place, as LIBSVM does:
+the scores -y*G, held only on I_up and on I_low, and the alphas and set
+flags as Python scalars. Training has no random choices, so equal
+inputs give equal models. Machines are combined
 one-vs-one for multiclass and share one pool of distinct support
 vectors (as in LIBSVM, Chang & Lin 2011): each machine holds the pool
 rows of its support vectors, so prediction computes one kernel matrix
@@ -260,63 +261,72 @@ def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, f
     loop stops when the KKT gap m - M is at most cfg.tol (Keerthi et al.
     2001) or after cfg.max_passes * n pair updates.
 
-    The state lives across iterations, as in LIBSVM: score = -y*G for the
-    gradient G = Q alpha - e, kept in place, and the I_up / I_low masks with
-    the scores on them, which change at i and j only. A pair update
-    subtracts y_i d_i K_i + y_j d_j K_j from score in one step; y is +/-1,
-    so every negation is exact and score equals a fresh -y*G. Every other
-    per-iteration temporary is a length-n buffer allocated once. Returns the
-    alphas, the bias, the final gap and the number of pair updates made.
+    The state lives across iterations, as in LIBSVM. The scores -y*G, for
+    the gradient G = Q alpha - e, are held on the two sets only: up_score
+    on I_up (-inf elsewhere) and low_score on I_low (+inf elsewhere).
+    Every variable lies in at least one of them, so together they hold
+    every score; the full score is rebuilt once, after the loop, for the
+    bias. A pair update subtracts the one row y_i d_i K_i + y_j d_j K_j
+    from both; y is +/-1, so every negation is exact and the scores equal
+    a fresh -y*G. A variable that enters or leaves a set, which only i and
+    j can do, carries its score across. The alphas, labels and set flags are Python lists inside the
+    loop, so the box step is Python float arithmetic; every per-iteration
+    array is a length-n buffer allocated once. Returns the alphas, the
+    bias, the final gap and the number of pair updates made.
     """
-    n, c = len(y), cfg.c
+    n, c = len(y), float(cfg.c)
     cap = cfg.max_passes * n
-    pos = y > 0
-    alpha = np.zeros(n)
-    score = y.copy()  # -y*G at alpha = 0, where G = -e
-    up, low = pos.copy(), ~pos
-    up_score = np.full(n, -np.inf)  # score on I_up, -inf elsewhere
-    low_score = np.full(n, np.inf)  # score on I_low, +inf elsewhere
+    signs = y.tolist()
+    pos = [s > 0 for s in signs]
+    alpha = [0.0] * n
+    up, low = pos.copy(), [not p for p in pos]
+    # -y*G at alpha = 0, where G = -e, is y
+    up_score = np.where(y > 0, y, -np.inf)
+    low_score = np.where(y > 0, np.inf, y)
     diag = np.diag(gram)
     b, a, gain, row = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     mask = np.empty(n, dtype=bool)
     for step in range(cap + 1):
-        np.copyto(up_score, score, where=up)
-        np.copyto(low_score, score, where=low)
         i = int(up_score.argmax())
-        m, big_m = up_score[i], low_score.min()
+        m, big_m = up_score.item(i), low_score.item(int(low_score.argmin()))
         if m - big_m <= cfg.tol or step == cap:
             break
         gram_i = gram[i]
-        np.subtract(m, low_score, out=b)  # -inf off I_low, so b > 0 only on it
-        np.add(diag, diag[i], out=a)
+        np.subtract(m, low_score, out=b)  # -inf off I_low
+        np.add(diag, diag.item(i), out=a)
         np.subtract(a, np.multiply(gram_i, 2.0, out=row), out=a)
         # flat or concave pair: step to the box edge
         np.copyto(a, 1e-12, where=np.less_equal(a, 0.0, out=mask))
-        np.divide(np.multiply(b, b, out=row), a, out=gain)
-        np.copyto(gain, -np.inf, where=np.less_equal(b, 0.0, out=mask))  # j has b_j > 0
+        # b|b|/a is b^2/a where b > 0, the gain of stepping on the pair, and
+        # not positive elsewhere; the argmin of low_score has b = m - M > tol
+        np.divide(np.multiply(np.absolute(b, out=gain), b, out=gain), a, out=gain)
         j = int(gain.argmax())
         # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box;
         # a variable that reaches its edge is set to exactly 0 or C
-        room_i = c - alpha[i] if pos[i] else alpha[i]
-        room_j = alpha[j] if pos[j] else c - alpha[j]
-        t = min(b[j] / a[j], room_i, room_j)
         old_i, old_j = alpha[i], alpha[j]
-        alpha[i] = (c if pos[i] else 0.0) if t == room_i else old_i + y[i] * t
-        alpha[j] = (0.0 if pos[j] else c) if t == room_j else old_j - y[j] * t
-        np.multiply(gram_i, y[i] * (alpha[i] - old_i), out=row)
-        row += np.multiply(gram[j], y[j] * (alpha[j] - old_j), out=b)
-        score -= row
+        room_i = c - old_i if pos[i] else old_i
+        room_j = old_j if pos[j] else c - old_j
+        t = min(b.item(j) / a.item(j), room_i, room_j)
+        alpha[i] = (c if pos[i] else 0.0) if t == room_i else old_i + signs[i] * t
+        alpha[j] = (0.0 if pos[j] else c) if t == room_j else old_j - signs[j] * t
+        np.multiply(gram_i, signs[i] * (alpha[i] - old_i), out=row)
+        row += np.multiply(gram[j], signs[j] * (alpha[j] - old_j), out=b)
+        up_score -= row
+        low_score -= row
         for k in (i, j):
-            up[k] = alpha[k] < c if pos[k] else alpha[k] > 0.0
-            low[k] = alpha[k] > 0.0 if pos[k] else alpha[k] < c
-            if not up[k]:
-                up_score[k] = -np.inf
-            if not low[k]:
-                low_score[k] = np.inf
+            now_up = alpha[k] < c if pos[k] else alpha[k] > 0.0
+            now_low = alpha[k] > 0.0 if pos[k] else alpha[k] < c
+            if now_up != up[k] or now_low != low[k]:
+                score = up_score.item(k) if up[k] else low_score.item(k)
+                up_score[k] = score if now_up else -np.inf
+                low_score[k] = score if now_low else np.inf
+                up[k], low[k] = now_up, now_low
+    alpha = np.array(alpha)
     free = (alpha > 0.0) & (alpha < c)
     # bias = -rho as in LIBSVM: mean(-y*G) over free SVs, else the middle of [M, m]
-    bias = float(np.mean(score[free])) if free.any() else 0.5 * float(m + big_m)
-    return alpha, bias, float(m - big_m), step
+    score = np.where(up, up_score, low_score)
+    bias = float(np.mean(score[free])) if free.any() else 0.5 * (m + big_m)
+    return alpha, bias, m - big_m, step
 
 
 def _rows(x, dims: int | None = None, schema_id: str | None = None) -> tuple[np.ndarray, str | None]:

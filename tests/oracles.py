@@ -262,11 +262,12 @@ def solve_dual_bruteforce(kernel_matrix, y, c) -> tuple[float, np.ndarray]:
     return best_obj, best_alpha
 
 
-def smo_reference(gram: np.ndarray, y: np.ndarray, cfg) -> tuple[np.ndarray, float, float]:
+def smo_reference(gram: np.ndarray, y: np.ndarray, cfg) -> tuple[np.ndarray, float, float, int]:
     """The SMO loop as written before its state was kept in place: every
     iteration recomputes -y*G, the I_up / I_low masks and every temporary
     over all n rows. Same WSS2 choice, box step, stop rule and bias rule.
-    Returns the alphas, the bias and the final gap."""
+    Returns the alphas, the bias, the final gap and the number of pair
+    updates made."""
     c, cap = cfg.c, cfg.max_passes * len(y)
     pos = y > 0
     alpha = np.zeros(len(y))
@@ -297,7 +298,7 @@ def smo_reference(gram: np.ndarray, y: np.ndarray, cfg) -> tuple[np.ndarray, flo
     free = (alpha > 0.0) & (alpha < c)
     # bias = -rho as in LIBSVM: -mean(y*G) over free SVs, else the middle of [M, m]
     bias = -float(np.mean(y[free] * grad[free])) if free.any() else 0.5 * float(m + big_m)
-    return alpha, bias, float(m - big_m)
+    return alpha, bias, float(m - big_m), step
 
 
 def cosine_bruteforce(u: dict[int, float], v: dict[int, float]) -> float:

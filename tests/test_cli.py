@@ -178,6 +178,12 @@ def _predictions_changed_at_row(ws, row: int, change) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
+def _blank_line_after_row_3(content: bytes) -> bytes:
+    """``content`` with a blank line inserted as CSV row 4, after row 3."""
+    lines = content.splitlines()
+    return b"\n".join(lines[:3] + [b""] + lines[3:]) + b"\n"
+
+
 # a broken input file: (the role it replaces, its bytes or a function of the workspace
 # giving them[, what the message says after the file]); the command that reads it fails
 # with exit 1, naming the file and writing no model. "train" and "train2" are the data
@@ -216,6 +222,13 @@ BAD_INPUTS = {
         "pred",
         lambda ws: _predictions_changed_at_row(ws, 3, lambda line: line.rsplit(b",", 2)[0] + b",relevent,support"),
         "row 3: predicted_relevance must be one of ",
+    ),
+    "prediction label outside its domain after a blank line": (
+        "pred",
+        lambda ws: _blank_line_after_row_3(
+            _predictions_changed_at_row(ws, 5, lambda line: line.rsplit(b",", 2)[0] + b",relevent,support")
+        ),
+        "row 6: predicted_relevance must be one of ",
     ),
     "prediction row ending before its label": (
         "pred", lambda ws: _predictions_changed_at_row(ws, 4, lambda line: line.rsplit(b",", 2)[0]),

@@ -17,6 +17,7 @@ from querystance.errors import (
 )
 from querystance import svm as svm_module
 from querystance.features import FeatureBatch
+from querystance.pipeline import PipelineConfig, train_task2
 from querystance.svm import (
     KERNEL_KINDS,
     PREDICT_CHUNK_ROWS,
@@ -441,12 +442,12 @@ def test_sparse_rows_match_per_row_reference(seed, n_labels, kind):
     n=st.integers(2, 80),
     kind=st.sampled_from(KERNEL_KINDS),
     c=st.sampled_from([1.0, 1e3, 1e7]),
-    max_passes=st.integers(1, 3),
+    max_passes=st.sampled_from([1, 2, 3, 100]),
 )
 def test_smo_matches_the_recomputing_reference(seed, n, kind, c, max_passes):
-    """The in-place SMO gives the alphas, bias and gap of the loop that
-    recomputes its state every iteration, bit for bit, also when it stops
-    at the cap; some rows are copied under the other label."""
+    """The in-place SMO gives the alphas, bias, gap and update count of the
+    loop that recomputes its state every iteration, bit for bit, whether it
+    stops at the cap or converges; some rows are copied under the other label."""
     rng = np.random.default_rng(seed)
     copies = rng.integers(0, n // 2 + 1)
     y = np.where(rng.random(n - copies) < 0.5, 1.0, -1.0)
@@ -458,12 +459,36 @@ def test_smo_matches_the_recomputing_reference(seed, n, kind, c, max_passes):
     cfg = SvmConfig(c=c, kernel=KERNELS[kind], max_passes=max_passes)
     gram = _gram(cfg.kernel, x, x)
     alpha, bias, gap, updates = _smo(gram, y, cfg)
-    expected_alpha, expected_bias, expected_gap = smo_reference(gram, y, cfg)
+    expected_alpha, expected_bias, expected_gap, expected_updates = smo_reference(gram, y, cfg)
     assert np.array_equal(alpha, expected_alpha)
     assert bias == expected_bias
     assert gap == expected_gap
+    assert updates == expected_updates
     assert updates <= cfg.max_passes * n
     assert (updates == cfg.max_passes * n) or gap <= cfg.tol
+
+
+def test_smo_matches_the_reference_on_task2_machines(synthetic_records, synthetic_lexicons, monkeypatch):
+    """Each one-vs-one machine of a task-2 model trained at the default
+    config (RBF gamma 0.005, C = 1e7) takes hundreds of pair updates and
+    solves as the recomputing reference does, bit for bit."""
+    solved = []
+
+    def recording(gram, y, cfg):
+        result = _smo(gram, y, cfg)
+        solved.append((gram, y, cfg, result))
+        return result
+
+    monkeypatch.setattr(svm_module, "_smo", recording)
+    config = PipelineConfig()
+    train_task2(synthetic_records, [r.relevance for r in synthetic_records], synthetic_lexicons, config)
+    assert len(solved) == 3  # support/oppose/neutral, one machine per pair
+    for gram, y, cfg, (alpha, bias, gap, updates) in solved:
+        assert cfg == config.task2
+        expected_alpha, expected_bias, expected_gap, expected_updates = smo_reference(gram, y, cfg)
+        assert np.array_equal(alpha, expected_alpha)
+        assert (bias, gap, updates) == (expected_bias, expected_gap, expected_updates)
+        assert 300 <= updates < cfg.max_passes * len(y) and gap <= cfg.tol
 
 
 _INTAKE_CFG = SvmConfig(c=10.0, kernel=KernelConfig("rbf", gamma=0.5))
