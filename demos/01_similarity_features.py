@@ -10,7 +10,6 @@ Run:  python demos/01_similarity_features.py
 
 from querystance import (
     GlossDictionary,
-    NounLexicon,
     feature_cosine,
     feature_exact,
     feature_neighborhood,
@@ -48,7 +47,7 @@ for s, tokens in zip(SENTENCES, sentences):
     print(f"  {feature_stemmed(query, tokens):.3f}  {s}")
 
 # 3) noun matching: what fraction of the query's nouns shows up?
-nouns = NounLexicon(entries=frozenset({"sun", "exposure", "skin", "cancer"}))
+nouns = frozenset({"sun", "exposure", "skin", "cancer"})
 print("\nquery-noun coverage")
 for s, tokens in zip(SENTENCES, sentences):
     print(f"  {feature_noun(query, tokens, nouns):.3f}  {s}")

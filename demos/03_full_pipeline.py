@@ -13,7 +13,6 @@ import random
 from querystance import (
     GlossDictionary,
     LexiconSet,
-    NounLexicon,
     PipelineConfig,
     SentenceRecord,
     SentimentLexicon,
@@ -58,7 +57,7 @@ lexicons = LexiconSet(
     sentiment=SentimentLexicon(
         entries={w: (0.8, 0.0) for w in POSITIVE} | {w: (0.0, 0.8) for w in NEGATIVE}
     ),
-    nouns=NounLexicon(entries=frozenset(n for _, _, ns in QUERIES for n in ns)),
+    nouns=frozenset(n for _, _, ns in QUERIES for n in ns),
 )
 
 # reference settings: C=1e7 with a poly kernel (gamma 0.006) for stage 1

@@ -27,11 +27,9 @@ from .features import (
 )
 from .lexicons import (
     GlossDictionary,
-    NounLexicon,
     Polarity,
     SentimentLexicon,
     gloss_first_k_sentences,
-    is_noun,
     load_gloss_dictionary,
     load_noun_lexicon,
     load_sentiment_lexicon,

@@ -39,14 +39,7 @@ import numpy as np
 
 from .codec import FieldError
 from .errors import EmptyCorpus, VocabNotFitted
-from .lexicons import (
-    GlossDictionary,
-    NounLexicon,
-    Polarity,
-    SentimentLexicon,
-    gloss_first_k_sentences,
-    is_noun,
-)
+from .lexicons import GlossDictionary, Polarity, SentimentLexicon, gloss_first_k_sentences
 from .textproc import stem_tokens
 
 SCHEMA_TASK1 = "task1-v1"
@@ -138,12 +131,12 @@ class _WordTable:
 
 
 # what a per-row feature that does not read a resource passes for it
-_NO_VOCABULARY, _NO_GLOSSES, _NO_NOUNS = VocabularyModel((), (), 1), GlossDictionary(), NounLexicon()
+_NO_VOCABULARY, _NO_GLOSSES = VocabularyModel((), (), 1), GlossDictionary()
 
 
-def _one_row(query, sentence, vocab=_NO_VOCABULARY, gloss_dict=_NO_GLOSSES, noun_lex=_NO_NOUNS):
+def _one_row(query, sentence, vocab=_NO_VOCABULARY, gloss_dict=_NO_GLOSSES, nouns=frozenset()):
     """The five task-1 features of one pair of token lists, from a batch of one row."""
-    return task1_features([(query, sentence, vocab)], gloss_dict, noun_lex).values[0]
+    return task1_features([(query, sentence, vocab)], gloss_dict, nouns).values[0]
 
 
 def feature_exact(query: Sequence[str], sentence: Sequence[str]) -> float:
@@ -157,9 +150,9 @@ def feature_stemmed(query: Sequence[str], sentence: Sequence[str]) -> float:
     return float(_one_row(query, sentence)[1])
 
 
-def feature_noun(query: Sequence[str], sentence: Sequence[str], noun_lex: NounLexicon) -> float:
-    """Fraction of distinct query nouns that appear in the sentence."""
-    return float(_one_row(query, sentence, noun_lex=noun_lex)[2])
+def feature_noun(query: Sequence[str], sentence: Sequence[str], nouns: frozenset[str]) -> float:
+    """Fraction of distinct query nouns (words whose lowercase form is in ``nouns``) that appear in the sentence."""
+    return float(_one_row(query, sentence, nouns=nouns)[2])
 
 
 def feature_neighborhood(query: Sequence[str], sentence: Sequence[str], gloss_dict: GlossDictionary) -> float:
@@ -197,13 +190,13 @@ def fit_vocabulary(sentences: Sequence[Iterable[str]]) -> VocabularyModel:
 def task1_features(
     triples: Iterable[tuple[Sequence[str], Sequence[str], VocabularyModel]],
     gloss_dict: GlossDictionary,
-    noun_lex: NounLexicon,
+    nouns: frozenset[str],
 ) -> FeatureBatch:
     """The five relevance features, ordered as TASK1_FEATURE_NAMES, of each
     (query tokens, sentence tokens, vocabulary) triple.
 
-    Rows sharing a query and a vocabulary (the same objects) form a group,
-    and every group's query and its rows' sentences go into one word table.
+    Rows with equal query words and one vocabulary object form a group, and
+    every group's query and its rows' sentences go into one word table.
     Each word type is stemmed once and, if a sentence holds it and the
     dictionary glosses it, its gloss is matched once against the batch's
     query words. A group then marks which of its columns each word type
@@ -218,9 +211,10 @@ def task1_features(
         raise TypeError("task1_features takes each text's tokens, not the text")
     if any(vocab is None for *_, vocab in triples):
         raise VocabNotFitted("task1_features requires a fitted vocabulary for every row")
-    groups = {}  # (id(query), id(vocabulary)) -> query, vocabulary, rows and their sentences
+    groups = {}  # (query words, id(vocabulary)) -> query words, vocabulary, rows and their sentences
     for row, (query, sentence, vocab) in enumerate(triples):
-        group = groups.setdefault((id(query), id(vocab)), (query, vocab, [], []))
+        words = tuple(query)
+        group = groups.setdefault((words, id(vocab)), (words, vocab, [], []))
         group[2].append(row)
         group[3].append(sentence)
     table = _WordTable([text for query, _, _, sentences in groups.values() for text in (query, *sentences)])
@@ -239,19 +233,16 @@ def task1_features(
             gloss_matches[table.index[word]] = matched
 
     values = np.zeros((len(triples), len(TASK1_FEATURE_NAMES)))  # an empty query scores 0.0 throughout
-    idf_of_type = {}  # id(vocabulary) -> each type's IDF, 0.0 outside the vocabulary
     for (_, vocab, rows, _), base, end in zip(groups.values(), bases, bases[1:]):
         query, n = table.counts[base], end - base - 1
         q_counts, q_types, k = list(query.values()), list(map(table.index.__getitem__, query)), len(query)
         if not k:
             continue
-        idf = idf_of_type.get(id(vocab))
-        if idf is None:
-            idf = idf_of_type[id(vocab)] = vocab._idf[_columns(vocab, types)]
+        idf = vocab._idf[_columns(vocab, types)]  # each type's IDF, 0.0 outside the vocabulary
         stem_counts = {}  # query stem -> its count in the query
         for t, count in zip(q_types, q_counts):
             stem_counts[stems[t]] = stem_counts.get(stems[t], 0) + count
-        m, nouns = len(stem_counts), [int(is_noun(noun_lex, word)) for word in query]
+        m, noun_flags = len(stem_counts), [int(word.lower() in nouns) for word in query]
 
         # the cells (type, column) that word types hit, in four blocks of columns:
         # exact (k), stemmed (one per query stem), noun (k) and neighborhood (k)
@@ -272,7 +263,7 @@ def task1_features(
         hit_entry, hit_column = np.nonzero(hits.reshape(len(types), width)[e_type])
         found = np.bincount(e_text[hit_entry] * width + hit_column, e_count[hit_entry], minlength=n * width)
         found = found.reshape(n, width)
-        caps = q_counts + list(stem_counts.values()) + nouns + q_counts
+        caps = q_counts + list(stem_counts.values()) + noun_flags + q_counts
         matches = np.add.reduceat(np.minimum(found, caps), [0, k, k + m, 2 * k + m], axis=1)
 
         # the cosine: each query word's TF-IDF weight in the sentence times its weight in
@@ -290,7 +281,7 @@ def task1_features(
 
         group_values = np.empty((n, len(TASK1_FEATURE_NAMES)))
         group_values[:, :4] = 2.0 * matches / (length + int(table.length[base]))[:, None]
-        group_values[:, 2] = matches[:, 2] / max(sum(nouns), 1)
+        group_values[:, 2] = matches[:, 2] / max(sum(noun_flags), 1)
         np.minimum(group_values[:, 3], 1.0, out=group_values[:, 3])  # one word may match several query words
         group_values[:, 4] = dots / np.where(norms == 0.0, 1.0, norms)  # a zero norm comes with a zero dot
         values[rows] = group_values

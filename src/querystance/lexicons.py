@@ -1,8 +1,9 @@
 """Word resources: gloss dictionary, sentiment lexicon, noun list.
 
 All three load from plain UTF-8 text files ('#' lines are comments),
-and their entries do not change after loading; the sentiment lexicon
-builds its word -> polarity map from them when it is made. The one thing that
+and their entries do not change after loading. The noun list is a
+frozenset of lowercase words; the sentiment lexicon builds its
+word -> polarity map from its entries when it is made. The one thing that
 grows is the gloss dictionary's token memo, filled lazily by
 ``gloss_first_k_sentences``: keyed by term, it holds only dictionary
 hits, so it never has more entries than the dictionary has terms. Two
@@ -93,16 +94,6 @@ class SentimentLexicon:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class NounLexicon:
-    """Set of lowercase words treated as nouns."""
-
-    entries: frozenset[str] = frozenset()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def load_gloss_dictionary(path: str | Path) -> GlossDictionary:
     """Load `term<TAB>gloss` lines; later duplicates win."""
     entries = {term: gloss.strip() for _, (term, gloss) in _entries(path, "term<TAB>gloss")}
@@ -148,9 +139,9 @@ def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:
     return SentimentLexicon(entries=entries)
 
 
-def load_noun_lexicon(path: str | Path) -> NounLexicon:
-    """Load one word per line; a line holds no tab."""
-    return NounLexicon(entries=frozenset(word for _, (word,) in _entries(path, "word")))
+def load_noun_lexicon(path: str | Path) -> frozenset[str]:
+    """Load one word per line, lowercased; a line holds no tab."""
+    return frozenset(word for _, (word,) in _entries(path, "word"))
 
 
 def _polarity_of(pos: float, neg: float) -> Polarity:
@@ -160,8 +151,3 @@ def _polarity_of(pos: float, neg: float) -> Polarity:
     if neg > pos:
         return Polarity.NEGATIVE
     return Polarity.NEUTRAL
-
-
-def is_noun(lexicon: NounLexicon, word: str) -> bool:
-    """Surface-form membership test (no stemming fallback)."""
-    return word.lower() in lexicon.entries

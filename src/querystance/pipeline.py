@@ -10,7 +10,7 @@ time, so the two stages chain.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
 
@@ -30,7 +30,6 @@ from .features import (
 )
 from .lexicons import (
     GlossDictionary,
-    NounLexicon,
     SentimentLexicon,
     load_gloss_dictionary,
     load_noun_lexicon,
@@ -53,20 +52,12 @@ THREE_CLASS = "three_class"
 TWO_CLASS = "two_class"
 
 
-def default_task1_svm() -> SvmConfig:
-    return SvmConfig(c=1e7, kernel=KernelConfig("poly", gamma=0.006, degree=3, coef0=0.0))
-
-
-def default_task2_svm() -> SvmConfig:
-    return SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=0.005))
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Run settings; the defaults are the tuned reference settings."""
 
-    task1: SvmConfig = field(default_factory=default_task1_svm)
-    task2: SvmConfig = field(default_factory=default_task2_svm)
+    task1: SvmConfig = SvmConfig(c=1e7, kernel=KernelConfig("poly", gamma=0.006, degree=3, coef0=0.0))
+    task2: SvmConfig = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=0.005))
     stance_classes: str = THREE_CLASS
     train_fraction: float = 0.6
     seed: int = 0
@@ -91,7 +82,7 @@ LEXICON_PATHS = {"gloss": "gloss_path", "sentiment": "sentiment_path", "nouns": 
 class LexiconSet:
     gloss: GlossDictionary
     sentiment: SentimentLexicon
-    nouns: NounLexicon
+    nouns: frozenset[str]
 
     @classmethod
     def load(
@@ -104,7 +95,7 @@ class LexiconSet:
         return cls(
             gloss=load_gloss_dictionary(gloss_path) if gloss_path is not None else GlossDictionary(),
             sentiment=load_sentiment_lexicon(sentiment_path) if sentiment_path is not None else SentimentLexicon(),
-            nouns=load_noun_lexicon(noun_path) if noun_path is not None else NounLexicon(),
+            nouns=load_noun_lexicon(noun_path) if noun_path is not None else frozenset(),
         )
 
 

@@ -8,7 +8,7 @@ kernel for the SVM's kernel matrices, and string-taking feature
 functions that re-tokenize their inputs for every feature. Each feature
 rule is worked out here from its definition and the raw resource fields
 (a vocabulary's ``terms``, ``df`` and ``n_docs``, a sentiment lexicon's
-(pos, neg) scores, a noun lexicon's ``entries``), never through the
+(pos, neg) scores, a noun lexicon's words), never through the
 package's own lookups; of the package, only ``GLOSS_SENTENCES``,
 ``Polarity``, ``porter_stem`` and ``split_sentences`` are imported, and
 Porter has its own check against a frozen vocabulary. Keep them dumb and
@@ -128,7 +128,7 @@ def feature_stemmed_reference(query: str, sentence: str) -> float:
 
 
 def feature_noun_reference(query: str, sentence: str, noun_lex) -> float:
-    query_nouns = {t for t in tokenize_reference(query) if t in noun_lex.entries}
+    query_nouns = {t for t in tokenize_reference(query) if t in noun_lex}
     if not query_nouns:
         return 0.0
     return len(query_nouns & set(tokenize_reference(sentence))) / len(query_nouns)

@@ -13,7 +13,7 @@ import random
 from pathlib import Path
 
 from querystance.corpus import SentenceRecord
-from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon
+from querystance.lexicons import GlossDictionary, SentimentLexicon
 from querystance.pipeline import LexiconSet
 
 QUERIES = [
@@ -51,7 +51,7 @@ def lexicon_objects() -> LexiconSet:
     return LexiconSet(
         gloss=GlossDictionary(entries=dict(GLOSSES)),
         sentiment=SentimentLexicon(entries=sentiment),
-        nouns=NounLexicon(entries=frozenset(nouns)),
+        nouns=frozenset(nouns),
     )
 
 
@@ -115,7 +115,7 @@ def write_lexicon_files(directory: Path) -> dict[str, Path]:
     noun_path = directory / "nouns.txt"
     lexicons = lexicon_objects()
     with open(noun_path, "w", encoding="utf-8") as handle:
-        for word in sorted(lexicons.nouns.entries):
+        for word in sorted(lexicons.nouns):
             handle.write(word + "\n")
     return {"gloss": gloss_path, "sentiment": sentiment_path, "nouns": noun_path}
 

@@ -21,7 +21,7 @@ from querystance.features import (
     fit_vocabulary,
     task2_features,
 )
-from querystance.lexicons import NounLexicon, SentimentLexicon
+from querystance.lexicons import SentimentLexicon
 from querystance.pipeline import (
     PipelineConfig,
     macro_average,
@@ -75,10 +75,9 @@ def test_criterion_3_noun_oracle():
     rng = random.Random(77)
     for _ in range(500):
         nouns = frozenset(rng.sample(WORD_POOL, rng.randrange(0, 7)))
-        lex = NounLexicon(entries=nouns)
         q_tokens = [rng.choice(WORD_POOL) for _ in range(rng.randrange(0, 10))]
         s_tokens = [rng.choice(WORD_POOL) for _ in range(rng.randrange(0, 10))]
-        got = feature_noun(tokenize(" ".join(q_tokens)), tokenize(" ".join(s_tokens)), lex)
+        got = feature_noun(tokenize(" ".join(q_tokens)), tokenize(" ".join(s_tokens)), nouns)
         assert got == noun_bruteforce(q_tokens, s_tokens, nouns)
     _report(3, "500 random triples match brute-force set arithmetic exactly")
 

@@ -24,7 +24,7 @@ from querystance.features import (
     task1_features,
     task2_features,
 )
-from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon, load_sentiment_lexicon
+from querystance.lexicons import GlossDictionary, SentimentLexicon, load_sentiment_lexicon
 from querystance.svm import predict_batch
 from querystance.textproc import tokenize
 
@@ -129,7 +129,7 @@ class TestExactAndStemmed:
 
 
 class TestNounFeature:
-    LEX = NounLexicon(entries=frozenset({"sun", "exposure", "cancer", "skin"}))
+    LEX = frozenset({"sun", "exposure", "cancer", "skin"})
 
     def test_one_of_three(self):
         value = feature_noun(tokenize("sun exposure cancer"), tokenize("cancer ward stories"), self.LEX)
@@ -145,11 +145,10 @@ class TestNounFeature:
         rng = random.Random(23)
         for _ in range(200):
             nouns = frozenset(rng.sample(WORDS, rng.randrange(0, 6)))
-            lex = NounLexicon(entries=nouns)
             q = " ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8)))
             s = " ".join(rng.choice(WORDS) for _ in range(rng.randrange(0, 8)))
             expected = noun_bruteforce(q.split(), s.split(), nouns)
-            assert feature_noun(tokenize(q), tokenize(s), lex) == pytest.approx(expected, abs=1e-15)
+            assert feature_noun(tokenize(q), tokenize(s), nouns) == pytest.approx(expected, abs=1e-15)
 
 
 class TestNeighborhoodFeature:
@@ -290,7 +289,7 @@ class TestCosine:
 
 
 class TestTask1Vector:
-    LEX = NounLexicon(entries=frozenset({"sun", "cancer"}))
+    LEX = frozenset({"sun", "cancer"})
     GLOSS = GlossDictionary()
 
     def _row(self, query, sentence, vocab):
@@ -447,7 +446,7 @@ class TestCountPathEqualsStringOracles:
         "tan": "A tan is skin darkened by the sun.",
         "ray": "Light from the sun. Rays raise the risk of cancer, and cancer again.",
     })
-    NOUNS = NounLexicon(entries=frozenset({"sun", "cancer", "skin", "risk"}))
+    NOUNS = frozenset({"sun", "cancer", "skin", "risk"})
     SENTIMENT = SentimentLexicon(entries={"good": (0.8, 0.1), "bad": (0.0, 0.7), "risk": (0.2, 0.5), "sun": (0.3, 0.3)})
     # query words, gloss terms naming them, inflections, and words outside every lexicon
     POOL = ["sun", "cancer", "skin", "risk", "cause", "causes", "melanoma", "tan", "ray", "rays",
@@ -558,6 +557,30 @@ class TestPerBatchMemos:
         assert sorted(calls) == ["melanoma", "tan"]
         task1_features(triples, self.GLOSS, self.NOUNS)  # a second call starts afresh
         assert sorted(calls) == ["melanoma", "melanoma", "tan", "tan"]
+
+    def test_rows_group_by_query_words(self, monkeypatch):
+        """A query tokenized afresh for each row joins the group of its words and
+        vocabulary, and the values are those of one shared list per query."""
+        import querystance.features as features
+
+        vocabs = [fit_vocabulary([["sun", "cancer"], ["skin", "risk"]]), fit_vocabulary([["sun", "risk", "tan"]])]
+        queries = ["sun cancer Sun skin", "risk of the tan"]
+        sentences = ["melanoma tan sun sun", "", "risk risk cancer", "zebra skin"]
+        # the first query comes back with the first vocabulary after the other groups' rows
+        keys = [(q, s, v) for v in vocabs for q in queries for s in sentences] + [
+            (queries[0], s, vocabs[0]) for s in sentences]
+        shared = {q: tokenize(q) for q in queries}
+        expected = task1_features([(shared[q], tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
+        tables = []
+        original = features._WordTable
+        monkeypatch.setattr(features, "_WordTable", lambda texts: tables.append(texts) or original(texts))
+        got = task1_features([(tokenize(q), tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
+        assert np.array_equal(got, expected)
+        # one table: each (query words, vocabulary) once, then every row's sentence
+        [texts] = tables
+        assert len(texts) == len(queries) * len(vocabs) + len(keys)
+        words = [tuple(text) for text in texts]
+        assert [words.count(tuple(tokens)) for tokens in shared.values()] == [len(vocabs)] * len(queries)
 
     def test_polarity_map_built_once_per_lexicon(self, monkeypatch):
         calls = []

@@ -2,14 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from querystance.errors import MalformedLine, ScoreOutOfRange
-from querystance.features import TASK2_TAIL_NAMES, fit_vocabulary, task2_features
+from querystance.features import TASK2_TAIL_NAMES, feature_noun, fit_vocabulary, task2_features
 from querystance.lexicons import (
     GlossDictionary,
-    NounLexicon,
     Polarity,
     SentimentLexicon,
     gloss_first_k_sentences,
-    is_noun,
     load_gloss_dictionary,
     load_noun_lexicon,
     load_sentiment_lexicon,
@@ -176,22 +174,23 @@ class TestNounLexicon:
     def test_membership(self, tmp_path):
         path = tmp_path / "n.txt"
         path.write_text("cancer\nsun\n# comment\n", encoding="utf-8")
-        lex = load_noun_lexicon(path)
-        assert is_noun(lex, "cancer")
-        assert not is_noun(lex, "is")
+        nouns = load_noun_lexicon(path)
+        assert "cancer" in nouns
+        assert "is" not in nouns
 
     def test_lowercasing(self):
-        lex = NounLexicon(entries=frozenset({"cancer"}))
-        assert is_noun(lex, "Cancer")
+        assert feature_noun(["Cancer"], ["Cancer"], frozenset({"cancer"})) == 1.0
 
-    def test_no_stem_fallback(self):
-        lex = NounLexicon(entries=frozenset({"cancer"}))
-        assert not is_noun(lex, "cancers")
+    def test_no_stem_fallback(self, tmp_path):
+        path = tmp_path / "n.txt"
+        path.write_text("cancer\n", encoding="utf-8")
+        nouns = load_noun_lexicon(path)
+        assert "cancers" not in nouns
 
     def test_roundtrip_every_loaded_term(self, tmp_path):
         path = tmp_path / "n.txt"
         words = ["alpha", "beta", "gamma"]
         path.write_text("\n".join(words) + "\n", encoding="utf-8")
-        lex = load_noun_lexicon(path)
-        assert all(is_noun(lex, w) for w in words)
-        assert not is_noun(lex, "delta")
+        nouns = load_noun_lexicon(path)
+        assert nouns == frozenset(words)
+        assert "delta" not in nouns

@@ -16,7 +16,7 @@ from querystance.errors import (
     SingleClassInput,
     UnlabeledRecord,
 )
-from querystance.lexicons import GlossDictionary, NounLexicon, SentimentLexicon
+from querystance.lexicons import GlossDictionary, SentimentLexicon
 from querystance.pipeline import (
     LexiconSet,
     PipelineConfig,
@@ -395,7 +395,7 @@ class TestJoin:
         for task in (1, 2):
             save_task_model(trained, task, tmp_path / f"m{task}.json")
         pipeline = load_task_model(tmp_path / "m1.json", synthetic_lexicons)
-        other = LexiconSet(GlossDictionary(), SentimentLexicon({"tractor": (0.9, 0.0)}), NounLexicon())
+        other = LexiconSet(GlossDictionary(), SentimentLexicon({"tractor": (0.9, 0.0)}), frozenset())
         load_task_model(tmp_path / "m2.json", other, into=pipeline)
         assert pipeline.lexicons.sentiment is other.sentiment
         assert pipeline.lexicons.gloss is synthetic_lexicons.gloss
