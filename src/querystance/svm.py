@@ -7,12 +7,14 @@ stops once the KKT gap m - M is within tol (Keerthi et al. 2001) or a
 cap of max_passes * n pair updates is reached. The loop keeps its state
 from one iteration to the next and updates it in place, as LIBSVM does:
 the scores -y*G, held only on I_up and on I_low, and the alphas and set
-flags as Python scalars. Training has no random choices, so equal
-inputs give equal models. Machines are combined
-one-vs-one for multiclass and share one pool of distinct support
-vectors (as in LIBSVM, Chang & Lin 2011): each machine holds the pool
-rows of its support vectors, so prediction computes one kernel matrix
-against the pool for a batch of rows and every machine reads its
+flags as Python scalars. The curvature row of WSS2 depends on i alone,
+so each is computed once per solve and kept, within a fixed byte budget
+(_ROW_CACHE_BYTES). Training has no random choices, so equal inputs give
+equal models. Machines are combined one-vs-one for multiclass and share
+one pool of distinct support vectors (as in LIBSVM, Chang & Lin 2011),
+built once from the training rows each machine keeps. Each machine holds
+the pool rows of its support vectors, so prediction computes one kernel
+matrix against the pool for a batch of rows and every machine reads its
 columns. That kernel matrix is computed over only the feature columns
 some row of the batch uses: a column that is zero in every row adds
 nothing to a dot product (LIBSVM likewise reads only the nonzero
@@ -45,6 +47,10 @@ IndexArray = npt.NDArray[np.int64]
 # rows per kernel product at prediction: bounds the kernel matrix (and its
 # temporaries) held at once
 PREDICT_CHUNK_ROWS = 128
+
+# bytes of the rows one SMO solve keeps beside the Gram (the curvature rows of
+# WSS2); once they are used up, a row is computed for its update and dropped
+_ROW_CACHE_BYTES = 16 * 2**20
 
 
 def _is_count(value: object) -> bool:
@@ -269,10 +275,18 @@ def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, f
     bias. A pair update subtracts the one row y_i d_i K_i + y_j d_j K_j
     from both; y is +/-1, so every negation is exact and the scores equal
     a fresh -y*G. A variable that enters or leaves a set, which only i and
-    j can do, carries its score across. The alphas, labels and set flags are Python lists inside the
-    loop, so the box step is Python float arithmetic; every per-iteration
-    array is a length-n buffer allocated once. Returns the alphas, the
-    bias, the final gap and the number of pair updates made.
+    j can do, carries its score across. The alphas, labels and set flags
+    are Python lists inside the loop, so the box step is Python float
+    arithmetic.
+
+    WSS2's curvature row diag + diag_i - 2 K_i, clamped to 1e-12 where it
+    is not positive, depends on i alone. It is computed the first time i
+    is chosen and kept for the rest of the solve, as LIBSVM keeps kernel
+    rows (Chang & Lin 2011, section 5.2), while the rows kept fit in
+    _ROW_CACHE_BYTES; past that, a new i's row is computed into a buffer
+    for its update and not kept. Every other per-iteration array is a
+    length-n buffer allocated once. Returns the alphas, the bias, the
+    final gap and the number of pair updates made.
     """
     n, c = len(y), float(cfg.c)
     cap = cfg.max_passes * n
@@ -284,8 +298,10 @@ def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, f
     up_score = np.where(y > 0, y, -np.inf)
     low_score = np.where(y > 0, np.inf, y)
     diag = np.diag(gram)
-    b, a, gain, row = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    b, gain, row, spill = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     mask = np.empty(n, dtype=bool)
+    curvature: dict[int, np.ndarray] = {}  # the clamped curvature row of each i seen
+    fits = _ROW_CACHE_BYTES // (8 * n)
     for step in range(cap + 1):
         i = int(up_score.argmax())
         m, big_m = up_score.item(i), low_score.item(int(low_score.argmin()))
@@ -293,10 +309,15 @@ def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, f
             break
         gram_i = gram[i]
         np.subtract(m, low_score, out=b)  # -inf off I_low
-        np.add(diag, diag.item(i), out=a)
-        np.subtract(a, np.multiply(gram_i, 2.0, out=row), out=a)
-        # flat or concave pair: step to the box edge
-        np.copyto(a, 1e-12, where=np.less_equal(a, 0.0, out=mask))
+        a = curvature.get(i)
+        if a is None:
+            keep = len(curvature) < fits
+            a = np.add(diag, diag.item(i), out=None if keep else spill)
+            np.subtract(a, np.multiply(gram_i, 2.0, out=row), out=a)
+            # flat or concave pair: step to the box edge
+            np.copyto(a, 1e-12, where=np.less_equal(a, 0.0, out=mask))
+            if keep:
+                curvature[i] = a
         # b|b|/a is b^2/a where b > 0, the gain of stepping on the pair, and
         # not positive elsewhere; the argmin of low_score has b = m - M > tol
         np.divide(np.multiply(np.absolute(b, out=gain), b, out=gain), a, out=gain)
@@ -355,6 +376,36 @@ def _rows(x, dims: int | None = None, schema_id: str | None = None) -> tuple[np.
     return matrix, schema
 
 
+def _fit(
+    matrix: np.ndarray, labels: np.ndarray, cfg: SvmConfig, positive_label: str, negative_label: str
+) -> tuple[IndexArray, np.ndarray, float]:
+    """Solve one machine on the rows of ``matrix`` and their +/-1 ``labels``:
+    the rows kept as support vectors, their alpha*y coefficients and the bias.
+    The checks, the cap warning and the eps cut of ``train_binary``."""
+    if len(matrix) != len(labels):
+        raise DimensionMismatch(f"{len(matrix)} vectors but {len(labels)} labels")
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        raise ValueError("binary labels must be +1 or -1")
+    if np.unique(labels).size < 2:
+        raise SingleClassInput("training data holds a single class")
+    alpha, bias, gap, _ = _smo(_gram(cfg.kernel, matrix, matrix), labels, cfg)
+    machine = f"machine {positive_label!r} vs {negative_label!r}"
+    if gap > cfg.tol:
+        warnings.warn(
+            f"{machine}: KKT gap {gap:.3g} > tol {cfg.tol:g} at the cap of "
+            f"{cfg.max_passes * len(labels)} pair updates (max_passes {cfg.max_passes})",
+            RuntimeWarning,
+            stacklevel=3,  # the caller of train_binary or train_multiclass
+        )
+    keep = np.flatnonzero(alpha > cfg.eps)
+    if not len(keep):
+        raise NoSupportVectors(
+            f"{machine}: no alpha exceeds eps {cfg.eps:g} (final KKT gap {gap:.3g}, "
+            f"tol {cfg.tol:g}); lower tol or eps"
+        )
+    return keep, (alpha * labels)[keep], bias
+
+
 def train_binary(
     x,
     y: Sequence[int],
@@ -370,31 +421,9 @@ def train_binary(
     and raises NoSupportVectors when no alpha exceeds cfg.eps.
     """
     matrix, _ = _rows(x)
-    labels = np.asarray(y, dtype=np.float64)
-    if len(matrix) != len(labels):
-        raise DimensionMismatch(f"{len(matrix)} vectors but {len(labels)} labels")
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
-        raise ValueError("binary labels must be +1 or -1")
-    if np.unique(labels).size < 2:
-        raise SingleClassInput("training data holds a single class")
-    alpha, bias, gap, _ = _smo(_gram(cfg.kernel, matrix, matrix), labels, cfg)
-    machine = f"machine {positive_label!r} vs {negative_label!r}"
-    if gap > cfg.tol:
-        warnings.warn(
-            f"{machine}: KKT gap {gap:.3g} > tol {cfg.tol:g} at the cap of "
-            f"{cfg.max_passes * len(labels)} pair updates (max_passes {cfg.max_passes})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    keep = alpha > cfg.eps
-    if not keep.any():
-        raise NoSupportVectors(
-            f"{machine}: no alpha exceeds eps {cfg.eps:g} (final KKT gap {gap:.3g}, "
-            f"tol {cfg.tol:g}); lower tol or eps"
-        )
+    keep, coefs, bias = _fit(matrix, np.asarray(y, dtype=np.float64), cfg, positive_label, negative_label)
     pool, index = SupportVectorPool.of(matrix[keep])
-    machine = BinaryModel(index, (alpha * labels)[keep], bias, positive_label, negative_label)
-    return _bind(machine, pool)
+    return _bind(BinaryModel(index, coefs, bias, positive_label, negative_label), pool)
 
 
 def _pool_kernel(cfg: KernelConfig, rows: np.ndarray, pool: SupportVectorPool) -> np.ndarray:
@@ -433,25 +462,29 @@ def dual_objective(model: BinaryModel, cfg: KernelConfig) -> float:
 
 def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
     """One-vs-one training over lexicographically sorted labels, on the rows
-    of ``x``, a FeatureBatch (whose schema the model keeps) or a 2-D array-like."""
+    of ``x``, a FeatureBatch (whose schema the model keeps) or a 2-D array-like.
+
+    Each machine is solved as by ``train_binary``; the model keeps one pool,
+    built once from the support-vector rows of all machines."""
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassInput(f"need at least 2 distinct labels, got {labels}")
     matrix, schema_id = _rows(x)  # once, before the rows are split by pair
-    y = list(y)
+    y = np.asarray(y, dtype=object)  # compared as Python values, not as fixed-width strings
     if len(matrix) != len(y):
         raise DimensionMismatch(f"{len(matrix)} vectors but {len(y)} labels")
-    machines = []
+    # each machine's support vectors as indices into matrix; the pool copies them once
+    solved, sv_rows = [], []
     for neg, pos in combinations(labels, 2):
-        idx = [i for i, label in enumerate(y) if label in (neg, pos)]
-        pair_y = [1 if y[i] == pos else -1 for i in idx]
-        machines.append(train_binary(matrix[idx], pair_y, cfg, positive_label=pos, negative_label=neg))
-    # one pool for all machines; each machine's sv_index is re-pointed into it
-    pool, index = SupportVectorPool.of(np.vstack([m.support_vectors for m in machines]))
-    ends = np.cumsum([len(m.sv_index) for m in machines])[:-1]
+        idx = np.flatnonzero((y == neg) | (y == pos))
+        keep, coefs, bias = _fit(matrix[idx], np.where(y[idx] == pos, 1.0, -1.0), cfg, pos, neg)
+        sv_rows.append(idx[keep])
+        solved.append((coefs, bias, pos, neg))
+    pool, index = SupportVectorPool.of(matrix[np.concatenate(sv_rows)])
+    ends = np.cumsum([len(rows) for rows in sv_rows])[:-1]
     return MulticlassModel(
         labels=tuple(labels),
-        machines=tuple(replace(m, sv_index=i) for m, i in zip(machines, np.split(index, ends))),
+        machines=tuple(BinaryModel(i, *fit) for i, fit in zip(np.split(index, ends), solved)),
         kernel=cfg.kernel,
         pool=pool,
         schema_id=schema_id,

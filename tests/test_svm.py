@@ -240,6 +240,24 @@ class TestOverlappingScale:
         with pytest.warns(RuntimeWarning, match=warning):
             train_binary(x, y, cfg)
 
+    def test_cap_warning_names_the_caller(self):
+        """train_binary and train_multiclass warn with the same message, at the
+        line that called them, not inside svm.py."""
+        x, y = overlapping_rows()
+        cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=5.0), max_passes=1)
+        gap = _smo(_gram(cfg.kernel, x, x), y, cfg)[2]
+        tail = f"KKT gap {gap:.3g} > tol 0.001 at the cap of 300 pair updates (max_passes 1)"
+        for train, machine in [
+            (lambda: train_binary(x, y, cfg), "'+1' vs '-1'"),
+            (lambda: train_multiclass(x, np.where(y > 0, "pos", "neg").tolist(), cfg), "'pos' vs 'neg'"),
+        ]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                train()
+            assert [(w.category, str(w.message), w.filename) for w in caught] == [
+                (RuntimeWarning, f"machine {machine}: {tail}", __file__)
+            ]
+
     def test_default_cap_stops_a_hard_problem_quickly(self):
         # heavily overlapping 2-D classes with copies under both labels: at
         # C = 1e7 the gap does not close, and the default cap must end it fast
@@ -468,6 +486,34 @@ def test_smo_matches_the_recomputing_reference(seed, n, kind, c, max_passes):
     assert (updates == cfg.max_passes * n) or gap <= cfg.tol
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    kind=st.sampled_from(KERNEL_KINDS),
+    c=st.sampled_from([1.0, 1e7]),
+    max_passes=st.sampled_from([1, 100]),
+)
+def test_smo_matches_the_reference_when_the_curvature_rows_spill(seed, n, kind, c, max_passes):
+    """With no room for a curvature row, or room for one row only, every row
+    that does not fit is computed for its update and dropped, and the solve
+    still gives the reference's alphas, bias, gap and update count bit for bit."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[0], y[-1] = 1.0, -1.0
+    x = rng.normal(0.5 * y[:, None], 1.0, (n, 2))
+    x[n // 2:] = x[: n - n // 2]  # copies, some under the other label
+    cfg = SvmConfig(c=c, kernel=KERNELS[kind], max_passes=max_passes)
+    gram = _gram(cfg.kernel, x, x)
+    expected = smo_reference(gram, y, cfg)
+    for budget in (0, 8 * n):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svm_module, "_ROW_CACHE_BYTES", budget)
+            alpha, *rest = _smo(gram, y, cfg)
+        assert np.array_equal(alpha, expected[0])
+        assert tuple(rest) == expected[1:]
+
+
 def test_smo_matches_the_reference_on_task2_machines(synthetic_records, synthetic_lexicons, monkeypatch):
     """Each one-vs-one machine of a task-2 model trained at the default
     config (RBF gamma 0.005, C = 1e7) takes hundreds of pair updates and
@@ -489,6 +535,39 @@ def test_smo_matches_the_reference_on_task2_machines(synthetic_records, syntheti
         assert np.array_equal(alpha, expected_alpha)
         assert (bias, gap, updates) == (expected_bias, expected_gap, expected_updates)
         assert 300 <= updates < cfg.max_passes * len(y) and gap <= cfg.tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_labels=st.integers(2, 4), kind=st.sampled_from(KERNEL_KINDS))
+def test_multiclass_machines_match_binary_training(seed, n_labels, kind):
+    """Each one-vs-one machine equals train_binary on its label pair: the same
+    support-vector rows, coefficients and bias. The one pool holds each distinct
+    support vector once, in order of first appearance, -0.0 stored as 0.0, and
+    the rows pass through the intake once."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, (12, 3)) / 2.0  # few distinct values: rows repeat
+    x = np.vstack([x, x[rng.choice(12, 6, replace=False)]])
+    x[rng.integers(len(x)), rng.integers(3)] = -0.0
+    labels = [f"l{i % n_labels}" for i in rng.permutation(len(x))]
+    cfg = SvmConfig(c=1.0, kernel=KERNELS[kind])
+    intake = svm_module._rows
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svm_module, "_rows", lambda *args: calls.append(args) or intake(*args))
+        model = train_multiclass(x, labels, cfg)
+    assert len(calls) == 1
+    names = np.array(labels)
+    pool_rows: dict[bytes, np.ndarray] = {}
+    for machine in model.machines:
+        pos, neg = machine.positive_label, machine.negative_label
+        pair = (names == pos) | (names == neg)
+        alone = train_binary(x[pair], np.where(names[pair] == pos, 1, -1), cfg, pos, neg)
+        assert machine.support_vectors.tobytes() == alone.support_vectors.tobytes()
+        assert machine.dual_coefs.tobytes() == alone.dual_coefs.tobytes()
+        assert machine.bias == alone.bias
+        for row in alone.support_vectors:
+            pool_rows.setdefault(row.tobytes(), row)
+    assert model.pool.dense.tobytes(order="C") == np.array(list(pool_rows.values())).tobytes()
 
 
 _INTAKE_CFG = SvmConfig(c=10.0, kernel=KernelConfig("rbf", gamma=0.5))
