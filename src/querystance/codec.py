@@ -6,6 +6,8 @@ hints, checks every value on the way and lets the dataclass check its
 own invariants, so a malformed file fails at load time with the file
 and the field path in the message. A dataclass with a ``FORMAT`` class
 variable ``(name, version)`` carries it as ``format``/``format_version``.
+A field declared with ``init=False`` is derived: the dataclass computes it
+in ``__post_init__`` from the others, and the document leaves it out.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ def to_doc(obj):
     """Plain JSON value of a dataclass, tuple, dict, array or scalar."""
     if dataclasses.is_dataclass(obj):
         doc = dict(zip(_HEADER, getattr(obj, "FORMAT", ())))
-        doc.update((f.name, to_doc(getattr(obj, f.name))) for f in dataclasses.fields(obj))
+        doc.update((f.name, to_doc(getattr(obj, f.name))) for f in dataclasses.fields(obj) if f.init)
         return doc
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (tuple, list)):
+        if all(type(value) in _SCALARS for value in obj):
+            return list(obj)  # vocabulary terms and df: skip a call per item
         return [to_doc(value) for value in obj]
     if isinstance(obj, dict):
         return {key: to_doc(value) for key, value in obj.items()}
@@ -124,16 +128,19 @@ def from_doc(cls, doc, where, field: str = ""):
 
 @functools.cache
 def _field_types(cls) -> dict:
-    """Field name -> type of a dataclass, evaluated once (it is slow)."""
+    """Field name -> type of each stored (not derived) field of a dataclass,
+    evaluated once (it is slow)."""
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
 
 
 def write_json(path: str | Path, doc) -> None:
-    """Write ``doc`` with sorted keys, one-space indent and a final newline."""
+    """Write ``doc`` as compact JSON: sorted keys, no space between tokens and a
+    final newline. It is encoded by ``json.dumps`` and written at once, as only
+    ``json.dumps`` uses the C encoder (``json.dump`` never does)."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+        handle.write(text)
 
 
 def read_json(path: str | Path) -> dict:

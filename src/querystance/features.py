@@ -6,7 +6,11 @@ Two feature schemas:
   classification (exact, stemmed, noun, gloss-neighborhood, cosine).
 * ``task2-v1``: a TF-IDF bag-of-words block over a fitted vocabulary
   plus positive/negative/neutral word counts and a relevance flag,
-  used for stance classification.
+  used for stance classification. Every value of such a row rebuilds
+  from integer counts (``task2_counts``, ``task2_values``), which is how
+  a task-2 model file stores its support vectors.
+
+Both schemas weigh a word by ``tfidf_weights``, the one TF-IDF rule.
 
 Every function here reads each text as its tokens (``textproc.tokenize``
 output), never as a raw string, and each rule is computed in one batch
@@ -99,6 +103,13 @@ class VocabularyModel:
     @property
     def size(self) -> int:
         return len(self.terms)
+
+
+def tfidf_weights(counts, lengths, idf):
+    """The TF-IDF weight of a word in a text: its count there / the text's token
+    count (out-of-vocabulary tokens included) * its IDF, in that order. Every
+    TF-IDF value here, and every one rebuilt from a model file, is this expression."""
+    return counts / lengths * idf
 
 
 def _columns(vocab: VocabularyModel, words: Sequence[str]) -> np.ndarray:
@@ -270,10 +281,10 @@ def task1_features(
         # the query, added up in query order; the sentence's squared weights added up
         # in the order its words first appear
         q_idf = idf[q_types]
-        q_weights = [(count / int(table.length[base])) * w for count, w in zip(q_counts, q_idf.tolist())]
-        products = found[:, :k] / np.maximum(length, 1)[:, None] * q_idf * q_weights  # 0 of 0 words: 0.0
+        q_weights = [tfidf_weights(count, int(table.length[base]), w) for count, w in zip(q_counts, q_idf.tolist())]
+        products = tfidf_weights(found[:, :k], np.maximum(length, 1)[:, None], q_idf) * q_weights  # 0 of 0 words: 0.0
         dots = np.bincount(np.repeat(np.arange(n), k), products.ravel(), minlength=n)
-        weight = e_count / length[e_text] * idf[e_type]
+        weight = tfidf_weights(e_count, length[e_text], idf[e_type])
         square = 0.0
         for w in q_weights:
             square += w * w
@@ -316,8 +327,53 @@ def task2_features(
     values = np.zeros((len(sentences), size + len(TASK2_TAIL_NAMES)))
     known = column >= 0
     row = table.text
-    values[row[known], column[known]] = (table.count / table.length[row] * vocab_global._idf[column])[known]
+    values[row[known], column[known]] = tfidf_weights(table.count, table.length[row], vocab_global._idf[column])[known]
     tail = np.bincount(row * 3 + polarity_column[table.type], table.count, minlength=3 * len(sentences))
     values[:, size:size + 3] = tail.reshape(len(sentences), 3)
     values[:, -1] = relevance_flags
     return FeatureBatch(values, SCHEMA_TASK2)
+
+
+# a count in a task-2 model file lies in [1, _COUNT_LIMIT): sums of three stay exact in float64
+_COUNT_LIMIT = 2**31
+
+
+def _token_counts(counts, indptr, indices, vocab: VocabularyModel):
+    """Each entry's row, which entries lie in the TF-IDF block, and each row's token
+    count, the sum of its three sentiment counts, of task-2 rows held as counts."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    term = indices < vocab.size
+    sentiment = ~term & (indices < vocab.size + 3)
+    return rows, term, np.bincount(rows[sentiment], counts[sentiment], minlength=len(indptr) - 1)
+
+
+def task2_values(counts: np.ndarray, indptr: np.ndarray, indices: np.ndarray, vocab: VocabularyModel) -> np.ndarray:
+    """The values of sparse task-2 rows stored as counts, in CSR form: row r holds
+    ``counts[indptr[r]:indptr[r + 1]]`` at the columns ``indices[indptr[r]:indptr[r + 1]]``.
+
+    A count in the TF-IDF block is a term count and becomes its ``tfidf_weights``
+    with the row's token count; a count in the tail is the value itself. Raises
+    ValueError, before any division, for a count that is not a whole number in
+    [1, 2**31), a relevance flag other than 1 and a row whose term counts add up
+    to more than its token count.
+    """
+    if not np.all((counts >= 1) & (counts < _COUNT_LIMIT) & (counts == np.floor(counts))):
+        raise ValueError("must be counts: whole numbers in [1, 2**31)")
+    if np.any(counts[indices == vocab.size + 3] != 1):
+        raise ValueError("a relevance flag, when stored, must be 1")
+    rows, term, length = _token_counts(counts, indptr, indices, vocab)
+    if np.any(np.bincount(rows[term], counts[term], minlength=len(length)) > length):
+        raise ValueError("a row's term counts add up to more than its token count, the sum of its sentiment counts")
+    values = counts.astype(np.float64)
+    values[term] = tfidf_weights(counts[term], length[rows[term]], vocab._idf[indices[term]])
+    return values
+
+
+def task2_counts(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray, vocab: VocabularyModel) -> np.ndarray:
+    """The integer counts, in the CSR form ``task2_values`` reads, of the task-2 rows
+    that ``task2_features`` built as ``values``: each tail value, and each term's
+    weight times its row's token count over its IDF, rounded."""
+    counts = np.rint(values).astype(np.int64)  # the tail values are counts already
+    rows, term, length = _token_counts(counts, indptr, indices, vocab)
+    counts[term] = np.rint(values[term] * length[rows[term]] / vocab._idf[indices[term]])
+    return counts

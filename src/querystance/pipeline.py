@@ -10,9 +10,11 @@ time, so the two stages chain.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
+
+import numpy as np
 
 from .codec import FieldError, from_doc, read_json, to_doc, write_json
 from .corpus import RELEVANCE_LABELS, STANCE_LABELS, SentenceRecord, group_by_query, required_labels
@@ -26,7 +28,9 @@ from .features import (
     VocabularyModel,
     fit_vocabulary,
     task1_features,
+    task2_counts,
     task2_features,
+    task2_values,
 )
 from .lexicons import (
     GlossDictionary,
@@ -103,9 +107,11 @@ class LexiconSet:
 class TaskModel:
     """One task's model file: its SVM, the config it was trained with and (in each
     subclass) the vocabulary its features read. It is checked as a whole, so a file
-    that loads also predicts."""
+    that loads also predicts. ``svm`` is the SVM as the file stores it, and the
+    derived ``classifier`` the SVM that predicts: ``svm`` itself, unless the
+    subclass stores it in another form."""
 
-    FORMAT: ClassVar[tuple[str, int]] = ("querystance-pipeline", 1)
+    FORMAT: ClassVar[tuple[str, int]] = ("querystance-pipeline", 2)
     SCHEMA: ClassVar[str]
     LABELS: ClassVar[tuple[str, ...]]  # the task's labels; its SVM holds two or more of them
     CONFIG_FIELDS: ClassVar[tuple[str, ...]]  # the config fields the task's prediction reads
@@ -113,6 +119,7 @@ class TaskModel:
     task: int
     config: PipelineConfig
     svm: MulticlassModel
+    classifier: MulticlassModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         svm = self.svm
@@ -122,6 +129,7 @@ class TaskModel:
             raise FieldError("svm.pool.dims", f"expected width {self.width}, got {svm.pool.dims}")
         if len(svm.labels) < 2 or not set(svm.labels) <= set(self.LABELS):
             raise FieldError("svm.labels", f"expected two or more of {self.LABELS}, got {list(svm.labels)}")
+        object.__setattr__(self, "classifier", svm)
 
     @classmethod
     def lexicons_read(cls) -> list[str]:
@@ -141,11 +149,39 @@ class Task1Model(TaskModel):
 
 @dataclass(frozen=True)
 class Task2Model(TaskModel):
+    """The stance model. Its ``svm`` holds each pool entry as an integer count:
+    the term count in a TF-IDF column, then the three sentiment counts and the
+    relevance flag. Its ``classifier`` reads the feature values that
+    ``task2_values`` rebuilds from them, bit for bit those ``task2_features`` gives."""
+
     SCHEMA = SCHEMA_TASK2
     LABELS = STANCE_LABELS
     CONFIG_FIELDS = ("task2", "stance_classes", "sentiment_path")
 
     vocabulary: VocabularyModel
+
+    def __post_init__(self):
+        super().__post_init__()
+        pool = self.svm.pool
+        try:
+            values = task2_values(pool.values, pool.indptr, pool.indices, self.vocabulary)
+        except ValueError as exc:
+            raise FieldError("svm.pool.values", str(exc)) from exc
+        stored = replace(pool, values=pool.values.astype(np.int64))  # read from a file as floats
+        object.__setattr__(self, "svm", replace(self.svm, pool=stored))
+        object.__setattr__(self, "classifier", replace(self.svm, pool=replace(pool, values=values)))
+
+    @classmethod
+    def of(cls, config: PipelineConfig, svm: MulticlassModel, vocabulary: VocabularyModel) -> "Task2Model":
+        """The model of ``svm`` as trained on ``task2_features`` rows over ``vocabulary``,
+        its pool stored as counts. Raises ValueError unless the counts rebuild the
+        pool bit for bit, so no file is written that loads another model."""
+        pool = svm.pool
+        counts = task2_counts(pool.values, pool.indptr, pool.indices, vocabulary)
+        model = cls(2, config, replace(svm, pool=replace(pool, values=counts)), vocabulary)
+        if model.classifier.pool.values.tobytes() != pool.values.tobytes():
+            raise ValueError("the support vectors are not task-2 rows: no counts rebuild them bit for bit")
+        return model
 
     @property
     def width(self) -> int:
@@ -167,11 +203,11 @@ class TrainedPipeline:
 
     @property
     def task1_model(self) -> MulticlassModel | None:
-        return None if self.task1 is None else self.task1.svm
+        return None if self.task1 is None else self.task1.classifier
 
     @property
     def task2_model(self) -> MulticlassModel | None:
-        return None if self.task2 is None else self.task2.svm
+        return None if self.task2 is None else self.task2.classifier
 
 
 def _join(pipeline: TrainedPipeline | None, model: TaskModel, lexicons: LexiconSet) -> TrainedPipeline:
@@ -272,7 +308,7 @@ def predict_task1(
     """
     model = _model(pipeline, 1)
     batch, _ = task1_rows(records, model.vocabularies, pipeline.lexicons, tokens=tokens)
-    return predict_batch(model.svm, batch)
+    return predict_batch(model.classifier, batch)
 
 
 def train_task2(
@@ -302,7 +338,7 @@ def train_task2(
         [records[i] for i in kept], [task1_labels[i] for i in kept], vocabulary, lexicons, tokens=tokens
     )
     svm = train_multiclass(batch, [stances[i] for i in kept], config.task2)
-    return _join(pipeline, Task2Model(2, config, svm, vocabulary), lexicons)
+    return _join(pipeline, Task2Model.of(config, svm, vocabulary), lexicons)
 
 
 def predict_task2(
@@ -331,7 +367,7 @@ def predict_task2(
         chunk = asked[start:start + PREDICT_CHUNK_ROWS]
         batch = task2_rows([records[i] for i in chunk], [task1_predictions[i] for i in chunk],
                            model.vocabulary, pipeline.lexicons, tokens=tokens)
-        for i, label in zip(chunk, predict_batch(model.svm, batch)):
+        for i, label in zip(chunk, predict_batch(model.classifier, batch)):
             out[i] = label
     return out
 

@@ -465,7 +465,9 @@ def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
     of ``x``, a FeatureBatch (whose schema the model keeps) or a 2-D array-like.
 
     Each machine is solved as by ``train_binary``; the model keeps one pool,
-    built once from the support-vector rows of all machines."""
+    built once from the support-vector rows of all machines. The labels are
+    taken as plain ``str``, so a numpy string prints as its text."""
+    y = list(map(str, y))
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassInput(f"need at least 2 distinct labels, got {labels}")

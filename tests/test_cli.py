@@ -437,6 +437,20 @@ class TestVersion1ModelFile:
         assert code == 1
         assert f"error: {old}: svm: unsupported format_version 1, expected 2" in capsys.readouterr().err
 
+    def test_v1_pipeline_file_fails_predict(self, workspace, trained_models, tmp_path, capsys):
+        """A pipeline file of format_version 1 (task-2 pool values as floats) is refused."""
+        doc = json.loads(trained_models["m2"].read_text())
+        doc["format_version"] = 1
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "predict", "--model", str(old), "--data", str(workspace["unlabeled"]),
+            "--out", str(tmp_path / "pred.csv"), "--sentiment", str(workspace["sentiment"]),
+        ])
+        assert code == 1
+        assert f"error: {old}: unsupported format_version 1, expected 2" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def own_lexicon_models(workspace):

@@ -1,6 +1,9 @@
 import copy
 import json
+import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from querystance.pipeline import (
     THREE_CLASS,
     TWO_CLASS,
     PipelineConfig,
+    Task2Model,
     load_task_model,
     predict_task2,
     save_task_model,
@@ -139,3 +143,71 @@ def test_single_value_mutation_loads_or_raises_corrupt_model(task2_file):
             node = node[step]
         mutation = example(path, _nudged(node))(mutation)
     mutation()
+
+
+def _count_mutation(change):
+    """Mutation of a task-2 document that ``change``s the first pool row holding both
+    term and sentiment counts: ``change(pool, term, sentiment)`` gets the pool and
+    the row's term and sentiment entries."""
+    def mutate(doc):
+        pool, size = doc["svm"]["pool"], len(doc["vocabulary"]["terms"])
+        for start, end in zip(pool["indptr"], pool["indptr"][1:]):
+            term = [e for e in range(start, end) if pool["indices"][e] < size]
+            sentiment = [e for e in range(start, end) if size <= pool["indices"][e] < size + 3]
+            if term and sentiment:
+                change(pool, term, sentiment)
+                return doc
+        raise AssertionError("no pool row holds both term and sentiment counts")
+
+    return mutate
+
+
+def _set_count(entry, value):
+    def change(pool, term, sentiment):
+        pool["values"][(term + sentiment)[entry]] = value(pool, sentiment)
+
+    return change
+
+
+def _drop_sentiment(pool, term, sentiment):
+    for e in reversed(sentiment):
+        del pool["indices"][e], pool["values"][e]
+    pool["indptr"] = [i - len(sentiment) if i > sentiment[0] else i for i in pool["indptr"]]
+
+
+def _flag_of_two(pool, term, sentiment):
+    pool["values"][pool["indices"].index(pool["dims"] - 1)] = 2  # the first stored relevance flag
+
+
+# each corruption of a task-2 file's counts; all must fail at load naming svm.pool.values
+COUNT_CORRUPTIONS = {
+    "negative count": _count_mutation(_set_count(0, lambda pool, sentiment: -1)),
+    "fractional count": _count_mutation(_set_count(0, lambda pool, sentiment: 1.5)),
+    "non-finite count": _count_mutation(_set_count(-1, lambda pool, sentiment: float("inf"))),
+    "term count in a row of no tokens": _count_mutation(_drop_sentiment),
+    "relevance flag of 2": _count_mutation(_flag_of_two),
+    "term counts above the token count": _count_mutation(_set_count(
+        0, lambda pool, sentiment: sum(pool["values"][e] for e in sentiment) + 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CORRUPTIONS))
+def test_bad_count_fails_at_load_naming_the_field(task2_file, case):
+    doc, _, mutant = task2_file
+    mutant.write_text(json.dumps(COUNT_CORRUPTIONS[case](copy.deepcopy(doc))), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # not a numpy RuntimeWarning or a ZeroDivisionError
+        with pytest.raises(CorruptModel) as caught:
+            load_task_model(mutant, lexicon_objects())
+    assert str(caught.value).startswith(f"{mutant}: svm.pool.values: ")
+
+
+def test_counts_that_do_not_rebuild_the_pool_are_refused():
+    """A pool that no integer counts rebuild bit for bit is never turned into a file."""
+    records = make_records(seed=0, per_query=4)
+    model = train_task2(records, [r.relevance for r in records], lexicon_objects(), PipelineConfig()).task2
+    svm, pool = model.classifier, model.classifier.pool
+    values = pool.values.copy()
+    values[0] = np.nextafter(values[0], np.inf)
+    with pytest.raises(ValueError, match="bit for bit"):
+        Task2Model.of(model.config, replace(svm, pool=replace(pool, values=values)), model.vocabulary)

@@ -42,7 +42,15 @@ import pytest
 
 from querystance.cli import main
 from querystance.corpus import load_dataset
-from querystance.pipeline import LexiconSet, load_task_model, task1_rows, task2_rows
+from querystance.pipeline import (
+    LexiconSet,
+    PipelineConfig,
+    load_task_model,
+    save_task_model,
+    task1_rows,
+    task2_rows,
+    train_task2,
+)
 from querystance.svm import decision_values
 
 REPO = Path(__file__).resolve().parents[1]
@@ -167,6 +175,25 @@ def test_decision_values(outputs, golden, task):
     worst = max(abs(a - e) for a_row, e_row in zip(actual, expected) for a, e in zip(a_row, e_row))
     assert worst <= 1e-9, f"{key}: a decision value moved by {worst:.3g}"
 
+
+def test_task2_file_round_trip(tmp_path, monkeypatch):
+    """A task-2 file saved again after loading has the same bytes, and the loaded
+    model's decision values on the paper_cli seed-1 test rows are the in-memory
+    model's, bit for bit."""
+    monkeypatch.chdir(tmp_path)
+    corpus_gen.write_files(corpus_gen.generate("paper_cli", 1), Path("."))
+    lexicons = LexiconSet.load(sentiment_path="sentiment.tsv")
+    records = load_dataset("train.csv", labeled=True)
+    trained = train_task2(records, [r.relevance for r in records], lexicons,
+                          PipelineConfig(sentiment_path="sentiment.tsv"))
+    save_task_model(trained, 2, "saved.json")
+    loaded = load_task_model("saved.json", lexicons)
+    save_task_model(loaded, 2, "saved_again.json")
+    assert Path("saved_again.json").read_bytes() == Path("saved.json").read_bytes()
+    test = load_dataset("test.csv", labeled=True)
+    batch = task2_rows(test, [r.relevance for r in test], trained.task2.vocabulary, lexicons)
+    expected = decision_values(trained.task2_model, batch)
+    assert decision_values(loaded.task2_model, batch).tobytes() == expected.tobytes()
 
 def write_golden() -> None:
     """Record every corpus's outputs, one entry per line."""

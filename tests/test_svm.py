@@ -258,6 +258,18 @@ class TestOverlappingScale:
                 (RuntimeWarning, f"machine {machine}: {tail}", __file__)
             ]
 
+    def test_numpy_string_labels_become_str(self):
+        """Labels given as a numpy string array print as their text in the cap
+        warning, and the model keeps them as plain str."""
+        x, y = overlapping_rows()
+        cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=5.0), max_passes=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = train_multiclass(x, np.where(y > 0, "pos", "neg"), cfg)
+        assert [str(w.message).split(":")[0] for w in caught] == ["machine 'pos' vs 'neg'"]
+        machine = model.machines[0]
+        assert [type(label) for label in (*model.labels, machine.positive_label, machine.negative_label)] == [str] * 4
+
     def test_default_cap_stops_a_hard_problem_quickly(self):
         # heavily overlapping 2-D classes with copies under both labels: at
         # C = 1e7 the gap does not close, and the default cap must end it fast
