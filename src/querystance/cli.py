@@ -322,7 +322,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     predictions = []  # each read by the gold file's label rule
     for record, (row_no, row) in zip(gold_records, pred_rows):
         if "query_id" in header and row.get("query_id") != record.query_id:
-            problem = f"prediction query_id {row.get('query_id')!r} vs gold query_id {record.query_id!r}"
+            # either file may be the one at fault, so the message names both
+            problem = (f"prediction query_id {row.get('query_id')!r} vs gold query_id {record.query_id!r}"
+                       f" at row {record.row} of {gold_path}")
             raise AlignmentError(problem, pred_path, row=row_no)
         raw = row.get(predicted_column, "")  # absent: the row ends before the column
         label = parse_label(raw, allowed, pred_path, row_no, predicted_column)

@@ -82,8 +82,8 @@ class VocabularyModel:
     at least once. Term order is fixed at fit time and travels with
     serialized models; the terms must be strictly increasing, so each
     term has one column. Each term's IDF, ln(n_docs/df), is computed
-    once, into an array with a trailing 0.0 that column -1 (a word
-    outside the vocabulary) reads.
+    once per distinct df, into an array with a trailing 0.0 that column
+    -1 (a word outside the vocabulary) reads.
     """
 
     terms: tuple[str, ...]
@@ -93,12 +93,14 @@ class VocabularyModel:
     def __post_init__(self):
         if len(self.df) != len(self.terms):
             raise ValueError(f"{len(self.terms)} terms but {len(self.df)} df values")
-        if self.df and not 1 <= min(self.df) <= max(self.df) <= self.n_docs:
+        distinct = set(self.df)
+        if distinct and not 1 <= min(distinct) <= max(distinct) <= self.n_docs:
             raise ValueError(f"every df must lie in [1, n_docs={self.n_docs}]")
         if not all(map(operator.lt, self.terms, self.terms[1:])):
             raise FieldError("terms", "must be strictly increasing: sorted, with no term twice")
         object.__setattr__(self, "_index", {term: i for i, term in enumerate(self.terms)})
-        object.__setattr__(self, "_idf", np.array([math.log(self.n_docs / df) for df in self.df] + [0.0]))
+        logs = {df: math.log(self.n_docs / df) for df in distinct}  # one log per distinct df
+        object.__setattr__(self, "_idf", np.array([*map(logs.__getitem__, self.df), 0.0]))
 
     @property
     def size(self) -> int:
@@ -131,14 +133,15 @@ class _WordTable:
 
     def __init__(self, texts: Sequence[Iterable[str]]):
         self.counts = list(map(Counter, texts))
-        words = list(chain.from_iterable(self.counts))
-        self.types = list(dict.fromkeys(words))
-        self.index = dict(zip(self.types, range(len(self.types))))
-        self.type = np.fromiter(map(self.index.__getitem__, words), np.intp, len(words))
-        self.count = np.fromiter(chain.from_iterable(map(Counter.values, self.counts)), np.intp, len(words))
+        self.index = {}  # each id is the number of words met before it
+        ids = [self.index.setdefault(word, len(self.index)) for word in chain.from_iterable(self.counts)]
+        self.types = list(self.index)
+        self.type = np.fromiter(ids, np.intp, len(ids))
+        self.count = np.fromiter(chain.from_iterable(map(Counter.values, self.counts)), np.intp, len(ids))
         self.length = np.fromiter(map(len, texts), np.intp, len(texts))
-        self.start = list(accumulate(map(len, self.counts), initial=0))
-        self.text = np.repeat(np.arange(len(texts)), np.fromiter(map(len, self.counts), np.intp, len(texts)))
+        sizes = list(map(len, self.counts))
+        self.start = list(accumulate(sizes, initial=0))
+        self.text = np.repeat(np.arange(len(texts)), sizes)
 
 
 # what a per-row feature that does not read a resource passes for it
@@ -237,14 +240,13 @@ def task1_features(
     for base, end in zip(bases, bases[1:]):
         query_words.update(table.counts[base])
         sentence_words.update(*table.counts[base + 1:end])
-    sentence_words, gloss_matches = list(sentence_words), {}
-    for word in compress(sentence_words, map(gloss_dict.entries.__contains__, map(str.lower, sentence_words))):
-        matched = query_words.intersection(gloss_first_k_sentences(gloss_dict, word))
-        if matched:
-            gloss_matches[table.index[word]] = matched
+    glossed = list(compress(sentence_words, map(gloss_dict.entries.__contains__, map(str.lower, sentence_words))))
+    glosses = list(map(gloss_first_k_sentences, repeat(gloss_dict, len(glossed)), glossed))
+    gloss_matches = {table.index[word]: query_words.intersection(tokens)
+                     for word, tokens in zip(glossed, glosses) if not query_words.isdisjoint(tokens)}
 
     values = np.zeros((len(triples), len(TASK1_FEATURE_NAMES)))  # an empty query scores 0.0 throughout
-    for (_, vocab, rows, _), base, end in zip(groups.values(), bases, bases[1:]):
+    for (words, vocab, rows, _), base, end in zip(groups.values(), bases, bases[1:]):
         query, n = table.counts[base], end - base - 1
         q_counts, q_types, k = list(query.values()), list(map(table.index.__getitem__, query)), len(query)
         if not k:
@@ -260,8 +262,7 @@ def task1_features(
         width = 3 * k + m
         stem_column, near_column = dict(zip(stem_counts, range(k, k + m))), dict(zip(query, range(2 * k + m, width)))
         hits = np.zeros(len(types) * width, dtype=bool)
-        hits[[t * width + j for j, t in chain(enumerate(q_types), enumerate(q_types, k + m),
-                                              enumerate(q_types, 2 * k + m))]
+        hits[[t * width + j for j, t in zip(chain(range(k), range(k + m, width)), q_types * 3)]
              + [t * width + stem_column[stems[t]]
                 for t in compress(range(len(types)), map(stem_column.__contains__, stems))]
              + [t * width + near_column[word] for t, matched in gloss_matches.items()
@@ -271,7 +272,7 @@ def task1_features(
         lo, hi = table.start[base + 1], table.start[end]
         e_text, e_type, e_count = table.text[lo:hi] - (base + 1), table.type[lo:hi], table.count[lo:hi]
         length = table.length[base + 1:end]
-        hit_entry, hit_column = np.nonzero(hits.reshape(len(types), width)[e_type])
+        hit_entry, hit_column = np.divmod(np.flatnonzero(hits.reshape(len(types), width).take(e_type, axis=0)), width)
         found = np.bincount(e_text[hit_entry] * width + hit_column, e_count[hit_entry], minlength=n * width)
         found = found.reshape(n, width)
         caps = q_counts + list(stem_counts.values()) + noun_flags + q_counts
@@ -281,7 +282,7 @@ def task1_features(
         # the query, added up in query order; the sentence's squared weights added up
         # in the order its words first appear
         q_idf = idf[q_types]
-        q_weights = [tfidf_weights(count, int(table.length[base]), w) for count, w in zip(q_counts, q_idf.tolist())]
+        q_weights = [tfidf_weights(count, len(words), w) for count, w in zip(q_counts, q_idf.tolist())]
         products = tfidf_weights(found[:, :k], np.maximum(length, 1)[:, None], q_idf) * q_weights  # 0 of 0 words: 0.0
         dots = np.bincount(np.repeat(np.arange(n), k), products.ravel(), minlength=n)
         weight = tfidf_weights(e_count, length[e_text], idf[e_type])
@@ -291,7 +292,7 @@ def task1_features(
         norms = math.sqrt(square) * np.sqrt(np.bincount(e_text, weight * weight, minlength=n))
 
         group_values = np.empty((n, len(TASK1_FEATURE_NAMES)))
-        group_values[:, :4] = 2.0 * matches / (length + int(table.length[base]))[:, None]
+        group_values[:, :4] = 2.0 * matches / (length + len(words))[:, None]
         group_values[:, 2] = matches[:, 2] / max(sum(noun_flags), 1)
         np.minimum(group_values[:, 3], 1.0, out=group_values[:, 3])  # one word may match several query words
         group_values[:, 4] = dots / np.where(norms == 0.0, 1.0, norms)  # a zero norm comes with a zero dot

@@ -255,7 +255,7 @@ def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | No
         b_sq = np.sum(b * b, axis=1)
     a_sq = b_sq if a is b else np.sum(a * a, axis=1)
     sq = a_sq[:, None] + b_sq[None, :] - 2.0 * dots
-    return np.exp(-cfg.gamma * np.clip(sq, 0.0, None))
+    return np.exp(-cfg.gamma * np.maximum(sq, 0.0))
 
 
 def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, float, float, int]:
@@ -520,17 +520,19 @@ def predict_batch(model: MulticlassModel, x) -> list[str]:
 
     Vote ties break on the larger sum of |decision| over the machines
     each tied label won; remaining ties take the lexicographically
-    earliest label.
+    earliest label. Each machine's winners index the cells (row, label),
+    machine after machine, and two ``np.bincount``s over those cells
+    count the votes and add the margins, each cell's in machine order.
     """
     values = decision_values(model, x)
-    rows = np.arange(len(values))
-    column = {label: i for i, label in enumerate(model.labels)}
-    votes = np.zeros((len(values), len(model.labels)))
-    margins = np.zeros_like(votes)
-    for k, machine in enumerate(model.machines):
-        won = np.where(values[:, k] >= 0.0, column[machine.positive_label], column[machine.negative_label])
-        votes[rows, won] += 1
-        margins[rows, won] += np.abs(values[:, k])
+    n_rows, n_labels = len(values), len(model.labels)
+    # the machines take the label pairs (negative, positive) in the order of combinations
+    negative, positive = np.array(list(combinations(range(n_labels), 2))).T
+    # machine k's winner on row r, as the cell row * n_labels + label, is entry k * n_rows + r
+    won = np.where(values.T >= 0.0, positive[:, None], negative[:, None])
+    cells = (won + np.arange(n_rows) * n_labels).ravel()
+    votes = np.bincount(cells, minlength=n_rows * n_labels).reshape(n_rows, n_labels)
+    margins = np.bincount(cells, np.abs(values.T).ravel(), minlength=n_rows * n_labels).reshape(n_rows, n_labels)
     tied = votes == votes.max(axis=1, keepdims=True)
     # labels are sorted and argmax takes the first maximum, so it is lexicographic
     return [model.labels[i] for i in np.argmax(np.where(tied, margins, -np.inf), axis=1)]

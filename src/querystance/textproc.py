@@ -4,6 +4,14 @@ Normalization layer for every similarity feature: lowercase word
 tokens, Porter stems, and a deliberately naive sentence splitter used
 only on short dictionary glosses. A text's token list, as ``tokenize``
 returns it, is the one form every feature function takes.
+
+``tokenize`` splits through one translation table, which maps each
+character that cannot be in a token to a space. The table fills itself
+as characters are met and holds at most TABLE_CHARS of them (one more
+per thread that adds a character at the same moment): once full, it is
+emptied and fills again. Each entry depends on its character alone, so
+two threads filling it at once, or one emptying it while another reads
+it, store or recompute equal values, and tokenizing stays thread-safe.
 """
 
 from __future__ import annotations
@@ -14,27 +22,47 @@ from .porter import porter_stem
 
 __all__ = ["tokenize", "porter_stem", "stem_tokens", "split_sentences"]
 
-# a run of word characters, apostrophes and hyphens; '_' is replaced by a
-# space first, since \w matches it but it does not belong in a token
-_TOKEN = re.compile(r"[\w'-]+")
+# distinct characters the translation table keeps; ASCII, Latin-1 and the
+# scripts of a few languages fit many times over
+TABLE_CHARS = 1 << 12
+
 # sentence ends at . ! or ? followed by whitespace or end of text
 _SENTENCE_BREAK = re.compile(r"[.!?](?=\s|$)")
+
+
+class _SpaceTable(dict):
+    """``str.translate`` table: a code point -> 32 (a space) for a character that
+    cannot be in a token, -> itself for a letter, digit, apostrophe or hyphen."""
+
+    def __missing__(self, code: int) -> int:
+        char = chr(code)
+        mapped = code if char.isalnum() or char in "'-" else 32
+        if len(self) >= TABLE_CHARS:
+            self.clear()
+        self[code] = mapped
+        return mapped
+
+
+_SPACES = _SpaceTable()
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase word tokens, in order, duplicates kept.
 
     Splits on any character that is not a letter, digit, apostrophe or
-    hyphen (``str.isalnum()`` is ``\\w`` without ``_``), then strips
+    hyphen (``str.isalnum()``, so ``_`` splits too), then strips
     apostrophes and hyphens from token edges. Empty input gives an
     empty list.
     """
-    return [t for raw in _TOKEN.findall(text.lower().replace("_", " ")) if (t := raw.strip("'-"))]
+    words = text.lower().translate(_SPACES)
+    if "'" not in words and "-" not in words:  # no token has an edge to strip
+        return words.split()
+    return [t for raw in words.split() if (t := raw.strip("'-"))]
 
 
 def stem_tokens(tokens: list[str]) -> list[str]:
     """Elementwise Porter stem; length and order preserved."""
-    return [porter_stem(t) for t in tokens]
+    return list(map(porter_stem, tokens))
 
 
 def split_sentences(text: str) -> list[str]:

@@ -806,6 +806,19 @@ class TestEvaluate:
         expected = f"error: {short}: {n_gold - 5} prediction rows vs {n_gold} gold rows in {gold}"
         assert expected in capsys.readouterr().err
 
+    def test_query_id_disagreement_names_both_files(self, workspace, tmp_path, capsys):
+        # the gold file is the edited one here, so naming only the predictions file would blame the wrong one
+        pred = tmp_path / "pred.csv"
+        pred.write_bytes(_constant_predictions(workspace))
+        gold = tmp_path / "gold.csv"
+        lines = workspace["train"].read_bytes().splitlines()
+        query_id = lines[2][:lines[2].index(b",")].decode()
+        lines[2] = b"zzz" + lines[2][lines[2].index(b","):]
+        gold.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["evaluate", "--gold", str(gold), "--pred", str(pred)]) == 1
+        expected = f"error: {pred}: row 3: prediction query_id {query_id!r} vs gold query_id 'zzz' at row 3 of {gold}\n"
+        assert capsys.readouterr().err == expected
+
     def test_stance_column(self, workspace, trained_models, tmp_path):
         pred = self._predictions(workspace, trained_models, tmp_path)
         code = main([

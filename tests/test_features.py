@@ -217,6 +217,17 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="terms: must be strictly increasing"):
             VocabularyModel(terms, (1,) * len(terms), 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**6).flatmap(
+        lambda n_docs: st.tuples(st.just(n_docs), st.lists(st.integers(1, n_docs), max_size=60))))
+    def test_idf_is_the_per_term_log(self, n_docs_and_df):
+        """One log per distinct df gives each term's ln(n_docs / df), bit for bit, and 0.0 after the last."""
+        n_docs, df = n_docs_and_df
+        vocab = VocabularyModel(tuple(f"t{i:03d}" for i in range(len(df))), tuple(df), n_docs)
+        expected = [math.log(n_docs / d) for d in df] + [0.0]
+        assert vocab._idf.dtype == np.float64
+        assert vocab._idf.tobytes() == np.array(expected).tobytes()
+
 
 class TestTfidf:
     def test_ubiquitous_term_weight_zero(self):

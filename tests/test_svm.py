@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -432,6 +433,35 @@ def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
         expected_label, expected_values = ovo_reference(model, row)
         assert label == expected_label
         np.testing.assert_allclose(row_values, expected_values, rtol=0, atol=1e-9)
+
+
+@st.composite
+def tied_vote_models(draw):
+    """A 2- to 5-label model whose machines read one support vector [1.0] under the
+    linear kernel, each with a coefficient and a bias in {-1, 0, 1}, and rows in
+    {-2, ..., 2}: every decision value is a small integer, so votes tie and tied
+    labels win by equal margins, 0 included, often."""
+    n_labels = draw(st.integers(2, 5))
+    pool, _ = SupportVectorPool.of(np.ones((1, 1)))
+    unit = st.sampled_from([-1.0, 0.0, 1.0])
+    machines = tuple(
+        BinaryModel(np.zeros(1, dtype=np.int64), np.array([draw(unit)]), draw(unit), positive_label=pos,
+                    negative_label=neg)
+        for neg, pos in combinations([f"l{i}" for i in range(n_labels)], 2)
+    )
+    labels = tuple(f"l{i}" for i in range(n_labels))
+    model = MulticlassModel(labels=labels, machines=machines, kernel=KernelConfig("linear"), pool=pool)
+    return model, draw(st.lists(st.integers(-2, 2), min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_vote_models())
+def test_vote_ties_match_per_row_reference(model_and_rows):
+    """The labels of ``predict_batch`` are the loop oracle's, where votes tie and
+    the summed margins of the tied labels are equal too."""
+    model, xs = model_and_rows
+    rows = np.array(xs, dtype=np.float64)[:, None]
+    assert predict_batch(model, rows) == [ovo_reference(model, row)[0] for row in rows]
 
 
 @settings(max_examples=20, deadline=None)

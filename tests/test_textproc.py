@@ -1,8 +1,10 @@
 import string
+import sys
 
 from hypothesis import example, given, strategies as st
 
-from querystance.textproc import split_sentences, stem_tokens, tokenize
+from querystance import textproc
+from querystance.textproc import TABLE_CHARS, split_sentences, stem_tokens, tokenize
 
 from oracles import tokenize_reference
 
@@ -37,6 +39,22 @@ class TestTokenize:
     @example("'a'")
     def test_equals_character_loop(self, text):
         assert tokenize(text) == tokenize_reference(text)
+
+    def test_every_code_point_equals_character_loop(self):
+        # each code point but the surrogates, between two letters: one that cannot be in a
+        # token splits them, and one that lowercases to several characters is read as those
+        points = [chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF]
+        for start in range(0, len(points), 1 << 12):
+            text = "a".join(points[start:start + (1 << 12)])
+            assert tokenize(text) == tokenize_reference(text), f"code points from U+{ord(points[start]):04X}"
+
+    def test_table_stays_within_its_bound(self):
+        # more distinct characters than the table keeps: CJK ideographs, each a token
+        text = " ".join(map(chr, range(0x4E00, 0x4E00 + TABLE_CHARS + 100)))
+        assert len(set(text)) > TABLE_CHARS
+        assert tokenize(text) == tokenize_reference(text)
+        assert len(textproc._SPACES) <= TABLE_CHARS
+        assert tokenize("Ram is a good boy") == ["ram", "is", "a", "good", "boy"]
 
     @given(st.text(max_size=200))
     def test_idempotent_on_joined_output(self, text):
