@@ -240,10 +240,11 @@ def task1_features(
     for base, end in zip(bases, bases[1:]):
         query_words.update(table.counts[base])
         sentence_words.update(*table.counts[base + 1:end])
-    glossed = list(compress(sentence_words, map(gloss_dict.entries.__contains__, map(str.lower, sentence_words))))
-    glosses = list(map(gloss_first_k_sentences, repeat(gloss_dict, len(glossed)), glossed))
-    gloss_matches = {table.index[word]: query_words.intersection(tokens)
-                     for word, tokens in zip(glossed, glosses) if not query_words.isdisjoint(tokens)}
+    gloss_matches = {}
+    for word in compress(sentence_words, map(gloss_dict.entries.__contains__, map(str.lower, sentence_words))):
+        tokens = gloss_first_k_sentences(gloss_dict, word)
+        if not query_words.isdisjoint(tokens):  # most glosses mention no query word
+            gloss_matches[table.index[word]] = query_words.intersection(tokens)
 
     values = np.zeros((len(triples), len(TASK1_FEATURE_NAMES)))  # an empty query scores 0.0 throughout
     for (words, vocab, rows, _), base, end in zip(groups.values(), bases, bases[1:]):
@@ -262,7 +263,8 @@ def task1_features(
         width = 3 * k + m
         stem_column, near_column = dict(zip(stem_counts, range(k, k + m))), dict(zip(query, range(2 * k + m, width)))
         hits = np.zeros(len(types) * width, dtype=bool)
-        hits[[t * width + j for j, t in zip(chain(range(k), range(k + m, width)), q_types * 3)]
+        hits[[t * width + j for j, t in chain(enumerate(q_types), enumerate(q_types, k + m),
+                                              enumerate(q_types, 2 * k + m))]
              + [t * width + stem_column[stems[t]]
                 for t in compress(range(len(types)), map(stem_column.__contains__, stems))]
              + [t * width + near_column[word] for t, matched in gloss_matches.items()
