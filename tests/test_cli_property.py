@@ -8,9 +8,9 @@ Each run exits 0, or exits 1 with its first error line
 ``error: <the edited file>: ``; none prints ``internal error``, and a
 ``train`` that fails leaves neither its model nor its manifest. ``evaluate``
 reads two files that must agree row by row, the dataset as gold and the
-predictions: when their query ids disagree, either may be at fault, so its
-first error line may start with the predictions file if it names the edited
-file after it.
+predictions: when their query ids or row counts disagree, either may be at
+fault, so its first error line may instead start with the predictions file
+and end with the edited one.
 """
 
 import contextlib
