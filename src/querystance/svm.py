@@ -526,8 +526,10 @@ def predict_batch(model: MulticlassModel, x) -> list[str]:
     """
     values = decision_values(model, x)
     n_rows, n_labels = len(values), len(model.labels)
-    # the machines take the label pairs (negative, positive) in the order of combinations
-    negative, positive = np.array(list(combinations(range(n_labels), 2))).T
+    # the machines take the label pairs (negative, positive) in the order of combinations;
+    # one label has no pairs, so its shape comes from the reshape
+    pairs = np.array(list(combinations(range(n_labels), 2)), dtype=np.intp).reshape(-1, 2)
+    negative, positive = pairs.T
     # machine k's winner on row r, as the cell row * n_labels + label, is entry k * n_rows + r
     won = np.where(values.T >= 0.0, positive[:, None], negative[:, None])
     cells = (won + np.arange(n_rows) * n_labels).ravel()

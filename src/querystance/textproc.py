@@ -54,10 +54,8 @@ def tokenize(text: str) -> list[str]:
     apostrophes and hyphens from token edges. Empty input gives an
     empty list.
     """
-    words = text.lower().translate(_SPACES)
-    if "'" not in words and "-" not in words:  # no token has an edge to strip
-        return words.split()
-    return [t for raw in words.split() if (t := raw.strip("'-"))]
+    words = text.lower().translate(_SPACES).split()
+    return [t for raw in words if (t := raw.strip("'-"))]
 
 
 def stem_tokens(tokens: list[str]) -> list[str]:

@@ -375,6 +375,12 @@ class TestMulticlass:
         assert predict(model, [0.0]) == "c"
         assert predict_batch(model, [[0.0], [1.0]]) == ["c", "c"]
 
+    def test_one_label_model_votes_its_label(self):
+        pool, _ = SupportVectorPool.of(np.zeros((0, 1)))
+        model = MulticlassModel(labels=("a",), machines=(), kernel=KernelConfig("linear"), pool=pool)
+        assert predict_batch(model, np.zeros((3, 1))) == ["a"] * 3
+        assert predict_batch(model, []) == []
+
     def test_schema_mismatch_rejected(self):
         cfg = SvmConfig(c=10.0, kernel=KernelConfig("linear"))
         batch = FeatureBatch(np.array([[0.0], [1.0]]), "task1-v1")
@@ -437,11 +443,11 @@ def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
 
 @st.composite
 def tied_vote_models(draw):
-    """A 2- to 5-label model whose machines read one support vector [1.0] under the
+    """A 1- to 5-label model whose machines read one support vector [1.0] under the
     linear kernel, each with a coefficient and a bias in {-1, 0, 1}, and rows in
     {-2, ..., 2}: every decision value is a small integer, so votes tie and tied
     labels win by equal margins, 0 included, often."""
-    n_labels = draw(st.integers(2, 5))
+    n_labels = draw(st.integers(1, 5))
     pool, _ = SupportVectorPool.of(np.ones((1, 1)))
     unit = st.sampled_from([-1.0, 0.0, 1.0])
     machines = tuple(
