@@ -4,10 +4,11 @@
 float64 arrays as lists. ``from_doc`` rebuilds it from the field type
 hints, checks every value on the way and lets the dataclass check its
 own invariants, so a malformed file fails at load time with the file
-and the field path in the message. A dataclass with a ``FORMAT`` class
-variable ``(name, version)`` carries it as ``format``/``format_version``.
-A field declared with ``init=False`` is derived: the dataclass computes it
-in ``__post_init__`` from the others, and the document leaves it out.
+and the field path in the message. A document holds the dataclass's
+fields and nothing else; a model file's header is written and checked
+by ``pipeline.save_task_model`` and ``load_task_model``. A field declared
+with ``init=False`` is derived: the dataclass computes it in
+``__post_init__`` from the others, and the document leaves it out.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptModel, VersionMismatch
+from .errors import CorruptModel
 
-_HEADER = ("format", "format_version")
 _SCALARS = {float: "a finite number", int: "an integer", str: "a string"}
 
 
@@ -41,9 +41,7 @@ class FieldError(ValueError):
 def to_doc(obj):
     """Plain JSON value of a dataclass, tuple, dict, array or scalar."""
     if dataclasses.is_dataclass(obj):
-        doc = dict(zip(_HEADER, getattr(obj, "FORMAT", ())))
-        doc.update((f.name, to_doc(getattr(obj, f.name))) for f in dataclasses.fields(obj) if f.init)
-        return doc
+        return {f.name: to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.init}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (tuple, list)):
@@ -53,15 +51,6 @@ def to_doc(obj):
     if isinstance(obj, dict):
         return {key: to_doc(value) for key, value in obj.items()}
     return obj
-
-
-def check_format(doc: dict, name: str, version: int, where, field: str = "") -> None:
-    """Raise unless ``doc`` declares format ``name`` at ``version``."""
-    if doc.get("format") != name:
-        raise CorruptModel(f"not a {name} document", where, field=field)
-    if doc.get("format_version") != version:
-        problem = f"unsupported format_version {doc.get('format_version')!r}, expected {version}"
-        raise VersionMismatch(problem, where, field=field)
 
 
 def from_doc(cls, doc, where, field: str = ""):
@@ -106,9 +95,6 @@ def from_doc(cls, doc, where, field: str = ""):
         if array is None or (array.dtype.kind not in kinds and array.size):  # [] reads as float
             raise CorruptModel(f"expected a rectangular array of {what}", where, field=field)
         return array.astype(dtype, copy=False)
-    if hasattr(cls, "FORMAT"):
-        check_format(doc, *cls.FORMAT, where, field)
-        doc = {key: value for key, value in doc.items() if key not in _HEADER}
     hints = _field_types(cls)
     prefix = f"{field}." if field else ""
     missing = [name for name in hints if name not in doc]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .codec import FieldError, from_doc, read_json, to_doc, write_json
 from .corpus import RELEVANCE_LABELS, STANCE_LABELS, SentenceRecord, group_by_query, required_labels
-from .errors import AlignmentError, CorruptModel, EmptyInput, LengthMismatch
+from .errors import AlignmentError, CorruptModel, EmptyInput, LengthMismatch, VersionMismatch
 from .features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
@@ -111,12 +111,11 @@ class TaskModel:
     derived ``classifier`` the SVM that predicts: ``svm`` itself, unless the
     subclass stores it in another form."""
 
-    FORMAT: ClassVar[tuple[str, int]] = ("querystance-pipeline", 2)
+    task: ClassVar[int]  # the task number, also the ``task`` key of the file header
     SCHEMA: ClassVar[str]
     LABELS: ClassVar[tuple[str, ...]]  # the task's labels; its SVM holds two or more of them
     CONFIG_FIELDS: ClassVar[tuple[str, ...]]  # the config fields the task's prediction reads
 
-    task: int
     config: PipelineConfig
     svm: MulticlassModel
     classifier: MulticlassModel = field(init=False, repr=False, compare=False)
@@ -129,6 +128,8 @@ class TaskModel:
             raise FieldError("svm.pool.dims", f"expected width {self.width}, got {svm.pool.dims}")
         if len(svm.labels) < 2 or not set(svm.labels) <= set(self.LABELS):
             raise FieldError("svm.labels", f"expected two or more of {self.LABELS}, got {list(svm.labels)}")
+        if svm.kernel != getattr(self.config, f"task{self.task}").kernel:
+            raise FieldError("svm.kernel", f"differs from config.task{self.task}.kernel")
         object.__setattr__(self, "classifier", svm)
 
     @classmethod
@@ -139,6 +140,7 @@ class TaskModel:
 
 @dataclass(frozen=True)
 class Task1Model(TaskModel):
+    task = 1
     SCHEMA = SCHEMA_TASK1
     LABELS = RELEVANCE_LABELS
     CONFIG_FIELDS = ("task1", "gloss_path", "noun_path")
@@ -154,6 +156,7 @@ class Task2Model(TaskModel):
     relevance flag. Its ``classifier`` reads the feature values that
     ``task2_values`` rebuilds from them, bit for bit those ``task2_features`` gives."""
 
+    task = 2
     SCHEMA = SCHEMA_TASK2
     LABELS = STANCE_LABELS
     CONFIG_FIELDS = ("task2", "stance_classes", "sentiment_path")
@@ -178,7 +181,7 @@ class Task2Model(TaskModel):
         pool bit for bit, so no file is written that loads another model."""
         pool = svm.pool
         counts = task2_counts(pool.values, pool.indptr, pool.indices, vocabulary)
-        model = cls(2, config, replace(svm, pool=replace(pool, values=counts)), vocabulary)
+        model = cls(config, replace(svm, pool=replace(pool, values=counts)), vocabulary)
         if model.classifier.pool.values.tobytes() != pool.values.tobytes():
             raise ValueError("the support vectors are not task-2 rows: no counts rebuild them bit for bit")
         return model
@@ -292,7 +295,7 @@ def train_task1(
     labels = required_labels(records, "relevance", "task-1 training")
     batch, vocabularies = task1_rows(records, {}, lexicons)
     svm = train_multiclass(batch, labels, config.task1)
-    return _join(None, Task1Model(1, config, svm, vocabularies), lexicons)
+    return _join(None, Task1Model(config, svm, vocabularies), lexicons)
 
 
 def predict_task1(
@@ -439,10 +442,13 @@ def evaluate(
 
 # --- persistence ------------------------------------------------------------
 
+FORMAT, FORMAT_VERSION = "querystance-pipeline", 3  # with ``task``, the header of every model file
+
 
 def save_task_model(pipeline: TrainedPipeline, task: int, path: str | Path) -> None:
-    """Write the pipeline's task-``task`` model as JSON, as it was trained or loaded."""
-    write_json(path, to_doc(_model(pipeline, task)))
+    """Write the pipeline's task-``task`` model as JSON below its header, as it was trained or loaded."""
+    header = {"format": FORMAT, "format_version": FORMAT_VERSION, "task": task}
+    write_json(path, {**header, **to_doc(_model(pipeline, task))})
 
 
 def load_task_model(
@@ -450,10 +456,15 @@ def load_task_model(
     lexicons: LexiconSet,
     into: TrainedPipeline | None = None,
 ) -> TrainedPipeline:
-    """Load a saved task model into ``into``, or into a new pipeline on ``lexicons``."""
+    """Load a saved task model into ``into``, or into a new pipeline on ``lexicons``. Its header
+    is checked ``task`` first, so a JSON file that is no model file fails on its ``task``."""
     doc = read_json(path)
-    task = doc.get("task")
+    task = doc.pop("task", None)
     kind = TASK_MODELS.get(task) if type(task) is int else None
     if kind is None:
         raise CorruptModel(f"expected 1 or 2, got {task!r:.40}", path, field="task")
+    if doc.pop("format", None) != FORMAT:
+        raise CorruptModel(f"not a {FORMAT} document", path)
+    if (version := doc.pop("format_version", None)) != FORMAT_VERSION:
+        raise VersionMismatch(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}", path)
     return _join(into, from_doc(kind, doc, path), lexicons)

@@ -31,7 +31,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -218,8 +218,6 @@ class MulticlassModel:
     Its machines are copies bound to ``pool``; each ``sv_index`` must
     address rows of it.
     """
-
-    FORMAT: ClassVar[tuple[str, int]] = ("querystance-svm", 2)
 
     labels: tuple[str, ...]
     machines: tuple[BinaryModel, ...]

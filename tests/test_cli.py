@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from querystance import pipeline as pipeline_module
+from querystance import cli as cli_module, pipeline as pipeline_module
 from querystance.cli import main
 from querystance.codec import to_doc
 from querystance.corpus import EXPECTED_HEADER, load_dataset
@@ -349,6 +349,8 @@ CORRUPTIONS = {
     "config gamma not a number": (_set("config", "task2", "kernel", "gamma", "abc"),
                                   "config.task2.kernel.gamma: "),
     "svm gamma negative": (_set("svm", "kernel", "gamma", -1), "svm.kernel: "),
+    "config kernel not the svm's": (_set("config", "task2", "kernel", "kind", "linear"),
+                                    "svm.kernel: differs from config.task2.kernel"),
     "pool dims raised by 7": (lambda doc: _set("svm", "pool", "dims", doc["svm"]["pool"]["dims"] + 7)(doc),
                               "svm.pool.dims: "),
     "schema of task 1": (_set("svm", "schema_id", "task1-v1"), "svm.schema_id: "),
@@ -388,6 +390,22 @@ class TestCorruptModelRejectedAtLoad:
         assert "internal error" not in err
         assert not (tmp_path / "pred.csv").exists()
 
+    def test_task1_config_kernel_differs_from_svm(self, workspace, trained_models, tmp_path, capsys):
+        """The kernel is stored twice, in ``svm.kernel`` and ``config.task1.kernel``;
+        a file whose two copies differ is refused, not predicted with one of them."""
+        doc = json.loads(trained_models["m1"].read_text())
+        doc["config"]["task1"]["kernel"].update(kind="rbf", gamma=0.5)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "predict", "--model", str(bad), "--data", str(workspace["unlabeled"]),
+            "--out", str(tmp_path / "pred.csv"),
+            "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"]),
+        ])
+        assert code == 1
+        assert f"error: {bad}: svm.kernel: differs from config.task1.kernel" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_task1_vocabulary_repeating_a_term(self, workspace, trained_models, tmp_path, capsys):
         doc = json.loads(trained_models["m1"].read_text())
         query_id, vocabulary = next(iter(doc["vocabularies"].items()))
@@ -409,9 +427,17 @@ class TestCorruptModelRejectedAtLoad:
         assert not (tmp_path / "pred.csv").exists()
 
 
+def _as_old(doc, version):
+    """``doc`` with the headers of a ``version`` model file: the file's own
+    and, up to version 2, one more on its svm block."""
+    doc["format_version"] = version
+    doc["svm"].update(format="querystance-svm", format_version=version)
+    return doc
+
+
 def _as_v1(doc):
-    """The task-2 document with its svm block in the v1 layout: dense
-    support vectors per machine, no pool."""
+    """The task-2 document as version 1 wrote it: dense support vectors per
+    machine, no pool."""
     svm = doc["svm"]
     pool = svm.pop("pool")
     dense = [[0.0] * pool["dims"] for _ in pool["indptr"][1:]]
@@ -420,36 +446,44 @@ def _as_v1(doc):
             dense[row][column] = value
     for machine in svm["machines"]:
         machine["support_vectors"] = [dense[row] for row in machine.pop("sv_index")]
-    svm["format_version"] = 1
-    return doc
+    return _as_old(doc, 1)
+
+
+def _predict_refuses(workspace, old, tmp_path, capsys, version):
+    """``predict`` on the model file ``old`` exits 1 naming it and its version, and writes nothing."""
+    with pytest.raises(VersionMismatch):
+        load_task_model(old, LexiconSet.load())
+    code = main([
+        "predict", "--model", str(old), "--data", str(workspace["unlabeled"]),
+        "--out", str(tmp_path / "pred.csv"), "--sentiment", str(workspace["sentiment"]),
+    ])
+    assert code == 1
+    assert f"error: {old}: unsupported format_version {version}, expected 3" in capsys.readouterr().err
+    assert not (tmp_path / "pred.csv").exists()
 
 
 class TestVersion1ModelFile:
     def test_v1_task2_file_raises_version_mismatch(self, workspace, trained_models, tmp_path, capsys):
         old = tmp_path / "v1.json"
         old.write_text(json.dumps(_as_v1(json.loads(trained_models["m2"].read_text()))), encoding="utf-8")
-        with pytest.raises(VersionMismatch):
-            load_task_model(old, LexiconSet.load())
-        code = main([
-            "predict", "--model", str(old), "--data", str(workspace["unlabeled"]),
-            "--out", str(tmp_path / "pred.csv"), "--sentiment", str(workspace["sentiment"]),
-        ])
-        assert code == 1
-        assert f"error: {old}: svm: unsupported format_version 1, expected 2" in capsys.readouterr().err
+        _predict_refuses(workspace, old, tmp_path, capsys, 1)
 
     def test_v1_pipeline_file_fails_predict(self, workspace, trained_models, tmp_path, capsys):
         """A pipeline file of format_version 1 (task-2 pool values as floats) is refused."""
-        doc = json.loads(trained_models["m2"].read_text())
-        doc["format_version"] = 1
+        doc = _as_old(json.loads(trained_models["m2"].read_text()), 1)
+        doc["svm"]["pool"]["values"] = [float(value) for value in doc["svm"]["pool"]["values"]]
         old = tmp_path / "v1.json"
         old.write_text(json.dumps(doc), encoding="utf-8")
-        code = main([
-            "predict", "--model", str(old), "--data", str(workspace["unlabeled"]),
-            "--out", str(tmp_path / "pred.csv"), "--sentiment", str(workspace["sentiment"]),
-        ])
-        assert code == 1
-        assert f"error: {old}: unsupported format_version 1, expected 2" in capsys.readouterr().err
-        assert not (tmp_path / "pred.csv").exists()
+        _predict_refuses(workspace, old, tmp_path, capsys, 1)
+
+
+class TestVersion2ModelFile:
+    @pytest.mark.parametrize("name", ["m1", "m2"])
+    def test_v2_file_fails_predict(self, workspace, trained_models, tmp_path, capsys, name):
+        """A file as version 2 wrote it, with a header on its svm block too, is refused."""
+        old = tmp_path / "v2.json"
+        old.write_text(json.dumps(_as_old(json.loads(trained_models[name].read_text()), 2)), encoding="utf-8")
+        _predict_refuses(workspace, old, tmp_path, capsys, 2)
 
 
 @pytest.fixture(scope="module")
@@ -991,6 +1025,22 @@ class TestVersionFlag:
             main(["--version"])
         assert err.value.code == 0
         assert "querystance" in capsys.readouterr().out
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_1_without_traceback(self, workspace, trained_models, tmp_path,
+                                                            monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_module, "load_task_model", fail)
+        code = main([
+            "predict", "--model", str(trained_models["m2"]), "--data", str(workspace["unlabeled"]),
+            "--out", str(tmp_path / "pred.csv"), "--sentiment", str(workspace["sentiment"]),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "internal error: RuntimeError('boom')\n"
 
 
 def _without(args, flag):

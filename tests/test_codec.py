@@ -15,8 +15,10 @@ from querystance.pipeline import (
     PipelineConfig,
     Task2Model,
     load_task_model,
+    predict_task1,
     predict_task2,
     save_task_model,
+    train_task1,
     train_task2,
 )
 from querystance.svm import KERNEL_KINDS, KernelConfig, SvmConfig
@@ -100,20 +102,33 @@ def _nudged(value):
     return DELETE
 
 
-@pytest.fixture(scope="module")
-def task2_file(tmp_path_factory):
-    """A small saved task-2 document, its field paths and a file to write mutants to."""
+def _saved(tmp_path_factory, task):
+    """A small saved task-``task`` document, its field paths and a file to write mutants to."""
     root = tmp_path_factory.mktemp("codec")
     records = make_records(seed=0, per_query=4)
-    pipeline = train_task2(records, [r.relevance for r in records], lexicon_objects(), PipelineConfig())
-    save_task_model(pipeline, 2, root / "m2.json")
-    doc = json.loads((root / "m2.json").read_text())
+    if task == 1:
+        pipeline = train_task1(records, lexicon_objects(), PipelineConfig())
+    else:
+        pipeline = train_task2(records, [r.relevance for r in records], lexicon_objects(), PipelineConfig())
+    save_task_model(pipeline, task, root / f"m{task}.json")
+    doc = json.loads((root / f"m{task}.json").read_text())
     return doc, sorted(_field_paths(doc), key=repr), root / "mutant.json"
 
 
-def test_single_value_mutation_loads_or_raises_corrupt_model(task2_file):
-    """Every mutant either fails at load naming the file, or loads and predicts."""
-    doc, field_paths, mutant = task2_file
+@pytest.fixture(scope="module")
+def task1_file(tmp_path_factory):
+    return _saved(tmp_path_factory, 1)
+
+
+@pytest.fixture(scope="module")
+def task2_file(tmp_path_factory):
+    return _saved(tmp_path_factory, 2)
+
+
+def _mutants_load_or_raise_corrupt_model(saved, task):
+    """Every mutant of the saved task-``task`` file either fails at load naming
+    the file, or loads and predicts."""
+    doc, field_paths, mutant = saved
     batch = make_records(seed=1, per_query=4)  # 20 rows
 
     @settings(max_examples=300, deadline=None)
@@ -134,8 +149,11 @@ def test_single_value_mutation_loads_or_raises_corrupt_model(task2_file):
             assert str(exc).startswith(f"{mutant}: ")
             return
         # a file that loads also predicts, with the labels of its model
-        labels = predict_task2(pipeline, batch, [r.relevance for r in batch])
-        assert set(labels) <= set(pipeline.task2_model.labels)
+        if task == 1:
+            labels, model = predict_task1(pipeline, batch), pipeline.task1_model
+        else:
+            labels, model = predict_task2(pipeline, batch, [r.relevance for r in batch]), pipeline.task2_model
+        assert set(labels) <= set(model.labels)
 
     for path in field_paths:  # besides the random values, each field nudged within its type
         node = doc
@@ -143,6 +161,14 @@ def test_single_value_mutation_loads_or_raises_corrupt_model(task2_file):
             node = node[step]
         mutation = example(path, _nudged(node))(mutation)
     mutation()
+
+
+def test_single_value_mutation_loads_or_raises_corrupt_model(task2_file):
+    _mutants_load_or_raise_corrupt_model(task2_file, 2)
+
+
+def test_single_value_mutation_of_a_task1_file_loads_or_raises_corrupt_model(task1_file):
+    _mutants_load_or_raise_corrupt_model(task1_file, 1)
 
 
 def _count_mutation(change):

@@ -14,6 +14,7 @@ from querystance.features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
     TASK2_TAIL_NAMES,
+    FeatureBatch,
     VocabularyModel,
     feature_cosine,
     feature_exact,
@@ -385,6 +386,10 @@ class TestTask2Vector:
     def test_text_instead_of_tokens_rejected(self):
         with pytest.raises(TypeError):
             task2_features(["good day"], [True], fit_vocabulary([["good"]]), self.LEX)
+
+    def test_batch_not_a_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"feature values must be a \(rows, dims\) matrix"):
+            FeatureBatch(np.zeros(3), SCHEMA_TASK2)
 
     def test_one_flag_per_sentence(self):
         with pytest.raises(ValueError):

@@ -351,6 +351,14 @@ class TestEvaluate:
         with pytest.raises(LengthMismatch):
             evaluate(["a"], ["a", "b"], ["q", "q"])
 
+    def test_query_ids_length_mismatch(self):
+        with pytest.raises(LengthMismatch, match="2 gold labels vs 1 query ids"):
+            evaluate(["a", "b"], ["a", "b"], ["q"])
+
+    def test_macro_average_of_no_queries(self):
+        with pytest.raises(EmptyInput, match="macro average of zero queries"):
+            macro_average([])
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             evaluate([], [], [])

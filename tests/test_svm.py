@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 from itertools import combinations
@@ -14,7 +13,6 @@ from querystance.errors import (
     NonFinite,
     NoSupportVectors,
     SingleClassInput,
-    VersionMismatch,
 )
 from querystance import svm as svm_module
 from querystance.features import FeatureBatch
@@ -173,6 +171,15 @@ class TestTrainBinary:
         cfg = SvmConfig(kernel=KernelConfig("linear"))
         with pytest.raises(DimensionMismatch):
             train_binary([[0.0], [1.0, 2.0]], [-1, 1], cfg)
+
+    def test_fewer_labels_than_rows_rejected(self):
+        cfg = SvmConfig(kernel=KernelConfig("linear"))
+        with pytest.raises(DimensionMismatch, match="2 vectors but 1 labels"):
+            train_binary([[0.0], [1.0]], [1], cfg)
+
+    def test_nan_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="dual_coefs and bias must be finite"):
+            BinaryModel(np.array([0]), np.array([math.nan]), 0.0, "+1", "-1")
 
     def test_dual_feasibility(self):
         for name, x, y, cfg in fixture_instances():
@@ -667,6 +674,10 @@ class TestIntake:
         rows = _BATCH_FORMS[form](np.array([[0.0, 1.0], [1.0, bad]]))
         self._raises_non_finite(lambda: _BATCH_ENTRY_POINTS[entry](model, rows))
 
+    def test_rows_of_three_dimensions_rejected(self, model):
+        with pytest.raises(DimensionMismatch, match=r"rows must form a 2-D matrix, got shape \(1, 1, 2\)"):
+            predict_batch(model, np.zeros((1, 1, 2)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("entry", _ROW_ENTRY_POINTS)
     def test_row_entry_points(self, model, no_kernel, entry, bad):
@@ -697,16 +708,6 @@ class TestPersistence:
                 assert decision_value(machine, point, model.kernel) == decision_value(
                     other, point, loaded.kernel
                 )
-
-    def test_tampered_version(self, tmp_path):
-        model = self._model()
-        path = tmp_path / "model.json"
-        _save(model, path)
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(VersionMismatch):
-            _load(path)
 
     def test_truncated_file(self, tmp_path):
         model = self._model()
