@@ -359,7 +359,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         names = list(TASK1_FEATURE_NAMES)
         # the rows predict feeds the SVM: the model's vocabulary for each query it saw
         with _naming(data_path):
-            batch, _ = task1_rows(records, pipeline.task1.vocabularies if pipeline else {}, lexicons)
+            batch = task1_rows(records, pipeline.task1.vocabularies if pipeline else {}, lexicons)
     else:
         vocab = pipeline.task2.vocabulary
         relevance = required_labels(records, "relevance", "the task-2 relevance flag", data_path)

@@ -104,16 +104,7 @@ def load_dataset(path: str | Path, labeled: bool = False) -> list[SentenceRecord
         if stance is not None and relevance is None:
             problem = f"stance label present without a relevance label: {stance_raw!r}"
             raise BadLabel(problem, path, row=row_no)
-        records.append(
-            SentenceRecord(
-                query_id=query_id,
-                query_text=query_text,
-                sentence_text=sentence_text,
-                relevance=relevance,
-                stance=stance,
-                row=row_no,
-            )
-        )
+        records.append(SentenceRecord(query_id, query_text, sentence_text, relevance, stance, row_no))
     return records
 
 

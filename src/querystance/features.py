@@ -14,12 +14,21 @@ Both schemas weigh a word by ``tfidf_weights``, the one TF-IDF rule.
 
 Every function here reads each text as its tokens (``textproc.tokenize``
 output), never as a raw string, and each rule is computed in one batch
-function. A batch call builds one table of its word types (``_WordTable``):
-every distinct word gets a small int id, and each text becomes (id, count)
-entries. What a feature needs to know of a word (its stem, noun flag,
-polarity, vocabulary column and gloss matches) is then looked up once per
-type and call, and the features are sums over id arrays. The per-row
-``feature_*`` functions are one-row calls into ``task1_features``.
+function. A batch's sentences are counted once, into one table of their
+word types (``WordTable``): every distinct word gets a small int id, and
+each text becomes (id, count) entries. A caller may build the table and
+hand it to both tasks. What a feature needs to know of a word (its stem,
+noun flag, polarity, vocabulary column, gloss matches and, for a query
+seen only in this batch, its document frequency there) is then looked up
+or counted once per type and call, and the features are sums over id
+arrays. The per-row ``feature_*`` functions are one-row calls into
+``task1_features``.
+
+A batch's rows are ``SparseRows``, CSR rows that store only nonzero
+values: the rows the SVM reads and the form of its support-vector pool.
+A task-2 row is built sparse from the table's entries and holds a few
+dozen values of a few thousand columns; ``FeatureBatch.values`` builds the
+dense matrix only when it is read.
 
 Every float sum that feeds a feature adds left to right in a fixed order,
 through ``np.bincount``, which adds its weights one by one in input order,
@@ -32,14 +41,16 @@ rounding errors, so the last bit of a sum would depend on the interpreter.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
+import numpy.typing as npt
 
 from .codec import FieldError
 from .errors import EmptyCorpus, VocabNotFitted
@@ -51,6 +62,8 @@ SCHEMA_TASK2 = "task2-v1"
 
 TASK1_FEATURE_NAMES = ("exact", "stemmed", "noun", "neighborhood", "cosine")
 
+IndexArray = npt.NDArray[np.int64]
+
 # the columns of a task-2 row after its TF-IDF block: a count per polarity, in the member
 # order of ``Polarity`` (the place that ``SentimentLexicon`` maps a word to), then the relevance flag
 TASK2_TAIL_NAMES = (*(f"{p.value}_count" for p in Polarity), "relevance_flag")
@@ -58,20 +71,73 @@ _NEUTRAL_COLUMN = TASK2_TAIL_NAMES.index("neutral_count")
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureBatch:
-    """A batch's feature rows as one (rows, dims) float64 matrix, and their schema."""
+class SparseRows:
+    """Rows in CSR form: row r holds ``values[indptr[r]:indptr[r + 1]]`` at the
+    columns ``indices[indptr[r]:indptr[r + 1]]``, each below ``dims`` and none
+    twice in a row. The rows built here store no zero, so a row's stored columns
+    are those where it is nonzero."""
 
+    dims: int
+    indptr: IndexArray
+    indices: IndexArray
     values: np.ndarray
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray) -> SparseRows:
+        """The entries of a (rows, dims) matrix that are not zero (NaN is not
+        zero, -0.0 is), row by row and in column order."""
+        row, col = np.nonzero(matrix)
+        return cls(matrix.shape[1], np.searchsorted(row, np.arange(len(matrix) + 1)), col, matrix[row, col])
+
+    @property
+    def rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def to_dense(self, order: str = "C") -> np.ndarray:
+        """The (rows, dims) float64 matrix of the rows, in ``order`` ("C" or "F")."""
+        matrix = np.zeros((self.rows, self.dims), order=order)
+        matrix[np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices] = self.values
+        return matrix
+
+    def compact(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``start:stop`` over the columns that some of them stores: those
+        columns, ascending, and the rows over them as a column-major matrix."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        columns = self.indices[lo:hi]
+        stored = np.zeros(self.dims, dtype=bool)
+        stored[columns] = True
+        used = np.flatnonzero(stored)
+        place = np.empty(self.dims, dtype=np.intp)  # each used column's place in ``used``
+        place[used] = np.arange(len(used))
+        matrix = np.zeros((stop - start, len(used)), order="F")
+        matrix[np.repeat(np.arange(stop - start), np.diff(self.indptr[start:stop + 1])), place[columns]] = (
+            self.values[lo:hi])
+        return used, matrix
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureBatch:
+    """A batch's feature rows and their schema. ``rows`` is a SparseRows, or a
+    dense (rows, dims) matrix, which is stored as its nonzero entries; ``values``
+    is the dense float64 matrix of the rows, built on first access."""
+
+    rows: SparseRows
     schema_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 2:
-            raise ValueError("feature values must be a (rows, dims) matrix")
+        if not isinstance(self.rows, SparseRows):
+            values = np.asarray(self.rows, dtype=np.float64)
+            if values.ndim != 2:
+                raise ValueError("feature values must be a (rows, dims) matrix")
+            object.__setattr__(self, "rows", SparseRows.from_dense(values))
 
     @property
     def dims(self) -> int:
-        return int(self.values.shape[1])
+        return self.rows.dims
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self.rows.to_dense()
 
 
 @dataclass(frozen=True)
@@ -107,6 +173,26 @@ class VocabularyModel:
         return len(self.terms)
 
 
+def _idf(df: np.ndarray, n_docs: int) -> np.ndarray:
+    """Each word type's IDF from its document frequency in ``n_docs`` texts
+    of a batch (df <= n_docs): ln(n_docs / df) as ``VocabularyModel``
+    computes it, one log per distinct df, and 0.0 where df is 0. The
+    distinct dfs come from one ``np.bincount`` over the dfs, which is safe
+    here as no df exceeds the batch's row count; a vocabulary read from a
+    file may hold any df, so ``VocabularyModel`` maps its dfs through a dict."""
+    texts_of_df = np.bincount(df, minlength=1)
+    distinct = np.flatnonzero(texts_of_df)
+    logs = np.zeros(len(texts_of_df))
+    logs[distinct] = [math.log(n_docs / d) if d else 0.0 for d in distinct.tolist()]
+    return logs[df]
+
+
+def _vocabulary(types: Sequence[str], df: np.ndarray, n_docs: int) -> VocabularyModel:
+    """The vocabulary of the word types whose ``df`` (a count per type over ``n_docs`` texts) is not 0."""
+    terms = sorted(compress(range(len(types)), df.tolist()), key=types.__getitem__)
+    return VocabularyModel(tuple(map(types.__getitem__, terms)), tuple(df[terms].tolist()), n_docs)
+
+
 def tfidf_weights(counts, lengths, idf):
     """The TF-IDF weight of a word in a text: its count there / the text's token
     count (out-of-vocabulary tokens included) * its IDF, in that order. Every
@@ -119,29 +205,74 @@ def _columns(vocab: VocabularyModel, words: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(vocab._index.get, words, repeat(-1)), np.intp, len(words))
 
 
-class _WordTable:
-    """The word types of a batch's texts, each text given by its words.
+class WordTable:
+    """The word types of a batch's texts, each text counted once.
 
-    ``counts[i]`` counts the words of text i in the order they first
-    appear in it. ``types`` holds the batch's distinct words in
-    first-appearance order, and a word's id is its place there (``index``
-    maps the word to it). The texts' (id, count) entries lie end to end:
-    entries ``start[i]:start[i + 1]`` are text i's, entry e being word
-    ``type[e]`` ``count[e]`` times in text ``text[e]``. ``length[i]`` is
-    the token count of text i.
+    ``types`` holds the batch's distinct words, and a word's id is its
+    place there (``index`` maps the word to it). The texts' (id, count)
+    entries lie end to end: entries ``start[i]:start[i + 1]`` are text i's,
+    entry e being word ``type[e]`` ``count[e]`` times in text ``text[e]``.
+    ``length[i]`` is the token count of text i and ``sizes[i]`` the number
+    of its entries. The first ``text_types`` types are the words of the
+    texts; ``ids`` may add others after them.
     """
 
-    def __init__(self, texts: Sequence[Iterable[str]]):
-        self.counts = list(map(Counter, texts))
-        self.index = {}  # each id is the number of words met before it
-        ids = [self.index.setdefault(word, len(self.index)) for word in chain.from_iterable(self.counts)]
-        self.types = list(self.index)
-        self.type = np.fromiter(ids, np.intp, len(ids))
-        self.count = np.fromiter(chain.from_iterable(map(Counter.values, self.counts)), np.intp, len(ids))
-        self.length = np.fromiter(map(len, texts), np.intp, len(texts))
-        sizes = list(map(len, self.counts))
-        self.start = list(accumulate(sizes, initial=0))
-        self.text = np.repeat(np.arange(len(texts)), sizes)
+    def __init__(self, types: list[str], type: np.ndarray, count: np.ndarray, length: np.ndarray,
+                 sizes: np.ndarray, index: dict[str, int] | None = None):
+        self.types, self.type, self.count, self.length, self.sizes = types, type, count, length, sizes
+        self.index = dict(zip(types, range(len(types)))) if index is None else index
+        self.text_types = len(types)
+
+    @functools.cached_property
+    def start(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.sizes)))
+
+    @functools.cached_property
+    def text(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.length)), self.sizes)
+
+    @classmethod
+    def of(cls, texts: Sequence[Iterable[str]]) -> WordTable:
+        """The table of ``texts``, each given by its words: a text's entries in the
+        order its words first appear in it, the ids in the order the words first
+        appear in the batch."""
+        counts = list(map(Counter, texts))
+        index = {}  # each id is the number of words met before it
+        ids = [index.setdefault(word, len(index)) for word in chain.from_iterable(counts)]
+        return cls(list(index), np.fromiter(ids, np.intp, len(ids)),
+                   np.fromiter(chain.from_iterable(map(Counter.values, counts)), np.intp, len(ids)),
+                   np.fromiter(map(len, texts), np.intp, len(texts)),
+                   np.fromiter(map(len, counts), np.intp, len(counts)), index)
+
+    @property
+    def texts(self) -> int:
+        return len(self.length)
+
+    def entries(self, texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of ``texts`` (text ids), text after text: their places in
+        the entry arrays, and the place in ``texts`` of each one's text."""
+        sizes = self.sizes[texts]
+        ends = np.cumsum(sizes)
+        at = np.repeat(self.start[texts] - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
+        return at, np.repeat(np.arange(len(texts)), sizes)
+
+    def take(self, texts: np.ndarray) -> WordTable:
+        """The table of ``texts`` (text ids) alone, its text i being ``texts[i]``,
+        with the types of their entries, in id order."""
+        at, _ = self.entries(texts)
+        present = np.zeros(len(self.types), dtype=bool)
+        present[self.type[at]] = True
+        renumber = np.cumsum(present) - 1
+        return WordTable(list(compress(self.types, present.tolist())), renumber[self.type[at]], self.count[at],
+                         self.length[texts], self.sizes[texts])
+
+    def ids(self, words: Sequence[str]) -> list[int]:
+        """The id of each word, a word new to the table taking the next free id."""
+        for word in words:
+            if word not in self.index:
+                self.index[word] = len(self.types)
+                self.types.append(word)
+        return list(map(self.index.__getitem__, words))
 
 
 # what a per-row feature that does not read a resource passes for it
@@ -192,25 +323,36 @@ def fit_vocabulary(sentences: Sequence[Iterable[str]]) -> VocabularyModel:
     """Collect sorted distinct terms and sentence-level frequencies.
 
     Each sentence is given by its tokens, or by its distinct terms as a
-    set; one ``Counter`` counts the sentences that hold each term.
+    set; the sentences make one word table, whose entries count each
+    term once per sentence that holds it.
     """
     if not sentences:
         raise EmptyCorpus("cannot fit a vocabulary on zero sentences")
-    df = Counter(chain.from_iterable(map(set, sentences)))
-    terms = sorted(df)
-    return VocabularyModel(terms=tuple(terms), df=tuple(map(df.__getitem__, terms)), n_docs=len(sentences))
+    table = WordTable.of(sentences)
+    return _vocabulary(table.types, np.bincount(table.type, minlength=len(table.types)), len(sentences))
 
 
 def task1_features(
-    triples: Iterable[tuple[Sequence[str], Sequence[str], VocabularyModel]],
+    triples: Iterable[tuple[Sequence[str], Sequence[str], VocabularyModel | str]],
     gloss_dict: GlossDictionary,
     nouns: frozenset[str],
+    fitted: dict[str, VocabularyModel] | None = None,
+    table: WordTable | None = None,
 ) -> FeatureBatch:
     """The five relevance features, ordered as TASK1_FEATURE_NAMES, of each
     (query tokens, sentence tokens, vocabulary) triple.
 
-    Rows with equal query words and one vocabulary object form a group, and
-    every group's query and its rows' sentences go into one word table.
+    In place of a vocabulary, a triple may hold its query's id (a str): its
+    rows then read the vocabulary of their own sentences, each term's IDF
+    ln(n / df) taken from ``np.bincount`` over their entries in the word
+    table, where n counts the rows and df those whose sentence holds the
+    term. If ``fitted`` is a dict, it receives that vocabulary under the
+    query id. The rows of one query id must share their query words.
+
+    Rows with equal query words and one vocabulary (or query id) form a
+    group. The rows' sentences make one word table, text i being row i's
+    sentence; given ``table``, that is the table, and the triples'
+    sentences are not read. Each group's query words get their ids in it.
     Each word type is stemmed once and, if a sentence holds it and the
     dictionary glosses it, its gloss is matched once against the batch's
     query words. A group then marks which of its columns each word type
@@ -225,21 +367,24 @@ def task1_features(
         raise TypeError("task1_features takes each text's tokens, not the text")
     if any(vocab is None for *_, vocab in triples):
         raise VocabNotFitted("task1_features requires a fitted vocabulary for every row")
-    groups = {}  # (query words, id(vocabulary)) -> query words, vocabulary, rows and their sentences
-    for row, (query, sentence, vocab) in enumerate(triples):
+    groups = {}  # (query words, vocabulary id or query id) -> query words, vocabulary or query id, rows
+    words_of = {}  # query id -> its query words
+    for row, (query, _, vocab) in enumerate(triples):
         words = tuple(query)
-        group = groups.setdefault((words, id(vocab)), (words, vocab, [], []))
-        group[2].append(row)
-        group[3].append(sentence)
-    table = _WordTable([text for query, _, _, sentences in groups.values() for text in (query, *sentences)])
+        if isinstance(vocab, str) and words_of.setdefault(vocab, words) != words:
+            raise ValueError(f"the rows of query {vocab!r} hold different query words")
+        groups.setdefault((words, vocab if isinstance(vocab, str) else id(vocab)), (words, vocab, []))[2].append(row)
+    if table is None:
+        table = WordTable.of([sentence for _, sentence, _ in triples])
+    elif table.texts != len(triples):
+        raise ValueError(f"{len(triples)} rows but a word table of {table.texts} sentences")
+    sentence_words = table.types[:table.text_types]
+    queries = [Counter(words) for words, _, _ in groups.values()]  # each query word and its count
+    query_types = [table.ids(list(query)) for query in queries]
     types, stems = table.types, stem_tokens(table.types)
-    bases = list(accumulate((1 + len(group[2]) for group in groups.values()), initial=0))  # each group's query
 
     # once per glossed sentence word type: the query words that its gloss mentions
-    query_words, sentence_words = set(), set()
-    for base, end in zip(bases, bases[1:]):
-        query_words.update(table.counts[base])
-        sentence_words.update(*table.counts[base + 1:end])
+    query_words = set().union(*queries)
     gloss_matches = {}
     for word in compress(sentence_words, map(gloss_dict.entries.__contains__, map(str.lower, sentence_words))):
         tokens = gloss_first_k_sentences(gloss_dict, word)
@@ -247,12 +392,20 @@ def task1_features(
             gloss_matches[table.index[word]] = query_words.intersection(tokens)
 
     values = np.zeros((len(triples), len(TASK1_FEATURE_NAMES)))  # an empty query scores 0.0 throughout
-    for (words, vocab, rows, _), base, end in zip(groups.values(), bases, bases[1:]):
-        query, n = table.counts[base], end - base - 1
-        q_counts, q_types, k = list(query.values()), list(map(table.index.__getitem__, query)), len(query)
+    for (words, vocab, rows), query, q_types in zip(groups.values(), queries, query_types):
+        n = len(rows)
+        at, e_text = table.entries(np.array(rows))
+        e_type, e_count, length = table.type[at], table.count[at], table.length[rows]
+        if isinstance(vocab, str):
+            df = np.bincount(e_type, minlength=len(types))
+            idf = _idf(df, n)
+            if fitted is not None:
+                fitted[vocab] = _vocabulary(types, df, n)
+        else:
+            idf = vocab._idf[_columns(vocab, types)]  # each type's IDF, 0.0 outside the vocabulary
+        q_counts, k = list(query.values()), len(query)
         if not k:
             continue
-        idf = vocab._idf[_columns(vocab, types)]  # each type's IDF, 0.0 outside the vocabulary
         stem_counts = {}  # query stem -> its count in the query
         for t, count in zip(q_types, q_counts):
             stem_counts[stems[t]] = stem_counts.get(stems[t], 0) + count
@@ -271,9 +424,6 @@ def task1_features(
                 for word in matched if word in near_column]] = True
 
         # the matches of each sentence and column, capped, then added up block by block
-        lo, hi = table.start[base + 1], table.start[end]
-        e_text, e_type, e_count = table.text[lo:hi] - (base + 1), table.type[lo:hi], table.count[lo:hi]
-        length = table.length[base + 1:end]
         hit_entry, hit_column = np.divmod(np.flatnonzero(hits.reshape(len(types), width).take(e_type, axis=0)), width)
         found = np.bincount(e_text[hit_entry] * width + hit_column, e_count[hit_entry], minlength=n * width)
         found = found.reshape(n, width)
@@ -303,38 +453,49 @@ def task1_features(
 
 
 def task2_features(
-    sentences: Sequence[Sequence[str]],
+    sentences: Sequence[Sequence[str]] | WordTable,
     relevance_flags: Sequence[bool],
     vocab_global: VocabularyModel,
     sent_lex: SentimentLexicon,
 ) -> FeatureBatch:
     """TF-IDF block plus sentiment counts and the relevance flag, one row
-    per sentence's tokens.
+    per sentence's tokens, or per text of a word table of the sentences.
 
     Dimension is vocabulary size + 4; the three counts partition the
-    sentence's tokens. The sentences make one word table, and each word
-    type has its vocabulary column and its polarity's column looked up
-    once, the latter in the lexicon's word -> polarity map.
+    sentence's tokens. The rows are built sparse, straight from the word
+    table's entries: each word type has its vocabulary column and its
+    polarity's column looked up once, the latter in the lexicon's word ->
+    polarity map. A value of 0.0 is not stored: a word outside the
+    vocabulary or in every sentence it was fitted on, a polarity no token
+    has and a flag that is not set.
     """
     if vocab_global is None:
         raise VocabNotFitted("task2_features requires a fitted global vocabulary")
-    if any(isinstance(tokens, str) for tokens in sentences):  # a str is a sequence too, of characters
+    if isinstance(sentences, WordTable):
+        table = sentences
+    elif any(isinstance(tokens, str) for tokens in sentences):  # a str is a sequence too, of characters
         raise TypeError("task2_features takes each sentence's tokens, not its text")
-    if len(relevance_flags) != len(sentences):
-        raise ValueError(f"{len(sentences)} sentences but {len(relevance_flags)} relevance flags")
-    table = _WordTable(sentences)
+    else:
+        table = WordTable.of(sentences)
+    n = table.texts
+    if len(relevance_flags) != n:
+        raise ValueError(f"{n} sentences but {len(relevance_flags)} relevance flags")
     size = vocab_global.size
     column = _columns(vocab_global, table.types)[table.type]
     polarity_column = np.fromiter(map(sent_lex._place.get, map(str.lower, table.types), repeat(_NEUTRAL_COLUMN)),
                                   np.intp, len(table.types))
-    values = np.zeros((len(sentences), size + len(TASK2_TAIL_NAMES)))
-    known = column >= 0
-    row = table.text
-    values[row[known], column[known]] = tfidf_weights(table.count, table.length[row], vocab_global._idf[column])[known]
-    tail = np.bincount(row * 3 + polarity_column[table.type], table.count, minlength=3 * len(sentences))
-    values[:, size:size + 3] = tail.reshape(len(sentences), 3)
-    values[:, -1] = relevance_flags
-    return FeatureBatch(values, SCHEMA_TASK2)
+    weight = tfidf_weights(table.count, table.length[table.text], vocab_global._idf[column])  # 0.0 at column -1
+    # each row's tail, a count per polarity and then the flag, as that many slots of one array
+    slots = len(TASK2_TAIL_NAMES)
+    tail = np.bincount(table.text * slots + polarity_column[table.type], table.count, minlength=slots * n)
+    tail[slots - 1::slots] = relevance_flags
+    known, at = np.flatnonzero(weight), np.flatnonzero(tail)
+    row = np.concatenate((table.text[known], at // slots))
+    order = np.argsort(row, kind="stable")  # each row's entries together: its TF-IDF block, then its tail
+    indices = np.concatenate((column[known], size + at % slots))[order]
+    values = np.concatenate((weight[known], tail[at]))[order]
+    indptr = np.searchsorted(row[order], np.arange(n + 1))
+    return FeatureBatch(SparseRows(size + slots, indptr, indices, values), SCHEMA_TASK2)
 
 
 # a count in a task-2 model file lies in [1, _COUNT_LIMIT): sums of three stay exact in float64

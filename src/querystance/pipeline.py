@@ -26,6 +26,7 @@ from .features import (
     TASK2_TAIL_NAMES,
     FeatureBatch,
     VocabularyModel,
+    WordTable,
     fit_vocabulary,
     task1_features,
     task2_counts,
@@ -249,23 +250,25 @@ def task1_rows(
     lexicons: LexiconSet,
     *,
     tokens: dict[str, list[str]] | None = None,
-):
-    """Task-1 feature batch of ``records``, the rows the task-1 SVM reads, and the
-    vocabularies fitted for them.
+    table: WordTable | None = None,
+    fitted: dict[str, VocabularyModel] | None = None,
+) -> FeatureBatch:
+    """Task-1 feature batch of ``records``, the rows the task-1 SVM reads.
 
-    A query without an entry in ``vocabularies`` gets one fitted over its
-    sentences in ``records``. The vocabulary fit and the five features read
-    each text's tokens from ``tokens``, or, if None, tokenize each distinct text once.
+    A query without an entry in ``vocabularies`` reads the vocabulary of its
+    sentences in ``records``, its IDF counted in the features' word table;
+    if ``fitted`` is a dict, that vocabulary is put in it under the query id.
+    The features read each text's tokens from ``tokens``, or, if None,
+    tokenize each distinct text once; ``table``, if given, is the word table
+    of the records' sentences, text i being record i's (``predict_chain``
+    builds it once for both tasks).
     """
     if tokens is None:
         tokens = _tokenized(_all_texts(records))
-    fitted = {
-        query_id: fit_vocabulary([tokens[r.sentence_text] for r in group])
-        for query_id, group in group_by_query([r for r in records if r.query_id not in vocabularies]).items()
-    }
-    vocabularies = {**vocabularies, **fitted}
-    triples = [(tokens[r.query_text], tokens[r.sentence_text], vocabularies[r.query_id]) for r in records]
-    return task1_features(triples, lexicons.gloss, lexicons.nouns), fitted
+    group_by_query([r for r in records if r.query_id not in vocabularies])  # one query text per unseen query
+    triples = [(tokens[r.query_text], tokens[r.sentence_text], vocabularies.get(r.query_id, r.query_id))
+               for r in records]
+    return task1_features(triples, lexicons.gloss, lexicons.nouns, fitted, table)
 
 
 def task2_rows(
@@ -293,8 +296,8 @@ def train_task1(
 ) -> TrainedPipeline:
     """Fit per-query vocabularies and the pooled relevance classifier."""
     labels = required_labels(records, "relevance", "task-1 training")
-    batch, vocabularies = task1_rows(records, {}, lexicons)
-    svm = train_multiclass(batch, labels, config.task1)
+    vocabularies = {}
+    svm = train_multiclass(task1_rows(records, {}, lexicons, fitted=vocabularies), labels, config.task1)
     return _join(None, Task1Model(config, svm, vocabularies), lexicons)
 
 
@@ -303,15 +306,16 @@ def predict_task1(
     records: Sequence[SentenceRecord],
     *,
     tokens: dict[str, list[str]] | None = None,
+    table: WordTable | None = None,
 ) -> list[str]:
-    """Relevance label per record, in input order, ``tokens`` read as by ``task1_rows``.
+    """Relevance label per record, in input order, ``tokens`` and ``table`` read as by ``task1_rows``.
 
-    Queries unseen at training time get a throwaway vocabulary fitted
-    over their own sentences in this batch.
+    Queries unseen at training time read the IDF of their own sentences in
+    this batch.
     """
     model = _model(pipeline, 1)
-    batch, _ = task1_rows(records, model.vocabularies, pipeline.lexicons, tokens=tokens)
-    return predict_batch(model.classifier, batch)
+    return predict_batch(model.classifier, task1_rows(records, model.vocabularies, pipeline.lexicons,
+                                                      tokens=tokens, table=table))
 
 
 def train_task2(
@@ -350,11 +354,15 @@ def predict_task2(
     task1_predictions: Sequence[str],
     *,
     tokens: dict[str, list[str]] | None = None,
+    table: WordTable | None = None,
 ) -> list[str]:
     """Stance label per record, chained on task-1 output, ``tokens`` read as by ``task2_rows``.
 
     In two-class mode, records predicted irrelevant come back neutral
-    without consulting the model.
+    without consulting the model. The rows are built PREDICT_CHUNK_ROWS at a
+    time, each chunk's sentences counted in a word table of their own or,
+    given ``table`` (the word table of the records' sentences, text i being
+    record i's), read from its entries.
     """
     model = _model(pipeline, 2)
     if len(task1_predictions) != len(records):
@@ -363,13 +371,15 @@ def predict_task2(
         )
     two_class = pipeline.config.stance_classes == TWO_CLASS
     asked = [i for i, relevance in enumerate(task1_predictions) if not two_class or relevance == RELEVANT]
-    if tokens is None:
+    if tokens is None and table is None:
         tokens = _tokenized(records[i].sentence_text for i in asked)
     out = [NEUTRAL] * len(records)
-    for start in range(0, len(asked), PREDICT_CHUNK_ROWS):  # one chunk of dense rows at a time
+    for start in range(0, len(asked), PREDICT_CHUNK_ROWS):
         chunk = asked[start:start + PREDICT_CHUNK_ROWS]
-        batch = task2_rows([records[i] for i in chunk], [task1_predictions[i] for i in chunk],
-                           model.vocabulary, pipeline.lexicons, tokens=tokens)
+        sentences = (table.take(np.array(chunk)) if table is not None
+                     else [tokens[records[i].sentence_text] for i in chunk])
+        batch = task2_features(sentences, [task1_predictions[i] == RELEVANT for i in chunk],
+                               model.vocabulary, pipeline.lexicons.sentiment)
         for i, label in zip(chunk, predict_batch(model.classifier, batch)):
             out[i] = label
     return out
@@ -378,10 +388,12 @@ def predict_task2(
 def predict_chain(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) -> tuple[list[str], list[str]]:
     """Relevance, then stance chained on it, per record: ``predict_task1`` and
     then ``predict_task2``, with each distinct query and sentence text
-    tokenized once for both tasks."""
+    tokenized once, and the records' sentences counted once in one word
+    table, for both tasks."""
     tokens = _tokenized(_all_texts(records))
-    relevance = predict_task1(pipeline, records, tokens=tokens)
-    return relevance, predict_task2(pipeline, records, relevance, tokens=tokens)
+    table = WordTable.of([tokens[r.sentence_text] for r in records])
+    relevance = predict_task1(pipeline, records, tokens=tokens, table=table)
+    return relevance, predict_task2(pipeline, records, relevance, table=table)
 
 
 # --- evaluation -------------------------------------------------------------

@@ -15,12 +15,15 @@ one pool of distinct support vectors (as in LIBSVM, Chang & Lin 2011),
 built once from the training rows each machine keeps. Each machine holds
 the pool rows of its support vectors, so prediction computes one kernel
 matrix against the pool for a batch of rows and every machine reads its
-columns. That kernel matrix is computed over only the feature columns
-some row of the batch uses: a column that is zero in every row adds
-nothing to a dot product (LIBSVM likewise reads only the nonzero
-features of its sparse rows). The pool is stored column-major, so the
-columns are gathered from contiguous memory. No external solver; numpy
-only.
+columns. Every row enters through one intake as ``SparseRows`` (CSR rows
+of nonzero values, LIBSVM's sparse rows): a FeatureBatch as it is built,
+an array-like as its nonzero entries. Training turns them into a dense
+matrix once. Prediction reads them 128 at a time and computes the kernel
+matrix over only the columns some row of the chunk stores, from a compact
+column-major matrix of the chunk over those columns: a column that is
+zero in every row adds nothing to a dot product. The pool's dense matrix
+is column-major too, so its columns are gathered from contiguous memory.
+No external solver; numpy only.
 """
 
 from __future__ import annotations
@@ -34,15 +37,12 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-import numpy.typing as npt
 
 from .codec import FieldError
 from .errors import DimensionMismatch, NonFinite, NoSupportVectors, SingleClassInput
-from .features import FeatureBatch
+from .features import FeatureBatch, IndexArray, SparseRows
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
-
-IndexArray = npt.NDArray[np.int64]
 
 # rows per kernel product at prediction: bounds the kernel matrix (and its
 # temporaries) held at once
@@ -103,21 +103,15 @@ class SvmConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SupportVectorPool:
-    """Distinct support vectors shared by the machines of a model, as CSR rows.
+class SupportVectorPool(SparseRows):
+    """Distinct support vectors shared by the machines of a model, as CSR rows
+    (``SparseRows``) whose columns strictly increase within a row.
 
-    Row r holds ``values[indptr[r]:indptr[r + 1]]`` at the columns
-    ``indices[indptr[r]:indptr[r + 1]]``, strictly increasing and below
-    ``dims``. The dense rows and their squared norms are built once, on
-    first use: a ``dims`` read from a file allocates nothing until an
-    input of that width arrives. The dense matrix is column-major, as
-    prediction reads it a set of columns at a time.
+    The dense rows and their squared norms are built once, on first use: a
+    ``dims`` read from a file allocates nothing until an input of that width
+    arrives. The dense matrix is column-major, as prediction reads it a set
+    of columns at a time.
     """
-
-    dims: int
-    indptr: IndexArray
-    indices: IndexArray
-    values: np.ndarray
 
     def __post_init__(self):
         indptr, indices, values = self.indptr, self.indices, self.values
@@ -145,9 +139,8 @@ class SupportVectorPool:
     def of(cls, rows: np.ndarray) -> tuple[SupportVectorPool, np.ndarray]:
         """The pool of the distinct ``rows``, in order of first appearance,
         and the pool row of each of them."""
-        row, col = np.divmod(np.flatnonzero(rows != 0.0), rows.shape[1])
-        values = rows[row, col]
-        bounds = np.searchsorted(row, np.arange(len(rows) + 1))
+        sparse = SparseRows.from_dense(rows)
+        bounds, col, values = sparse.indptr, sparse.indices, sparse.values
         # equal rows have equal columns and values, so equal bytes (-0.0 is not stored)
         first: dict[bytes, int] = {}
         index = np.array([
@@ -156,19 +149,13 @@ class SupportVectorPool:
         ], dtype=np.int64)
         kept = np.unique(index, return_index=True)[1]  # first copy of each, in row order
         indptr = np.concatenate(([0], np.cumsum(bounds[kept + 1] - bounds[kept])))
-        stored = np.isin(row, kept)
+        stored = np.isin(np.repeat(np.arange(len(rows)), np.diff(bounds)), kept)
         return cls(rows.shape[1], indptr, col[stored], values[stored]), index
-
-    @property
-    def rows(self) -> int:
-        return len(self.indptr) - 1
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
         """(rows, dims) float64 matrix of the pool, column-major."""
-        matrix = np.zeros((self.rows, self.dims), order="F")
-        matrix[np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices] = self.values
-        return matrix
+        return self.to_dense("F")
 
     @functools.cached_property
     def sq_norms(self) -> np.ndarray:
@@ -348,30 +335,32 @@ def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, f
     return alpha, bias, m - big_m, step
 
 
-def _rows(x, dims: int | None = None, schema_id: str | None = None) -> tuple[np.ndarray, str | None]:
-    """The rows of ``x``, a FeatureBatch or a 2-D array-like, as a float64
-    matrix, and the schema of a FeatureBatch: the one intake of every row the
-    SVM trains on or predicts. Given a model's ``dims`` and ``schema_id``, an
-    empty list is no rows and another schema or width is a DimensionMismatch;
-    NaN or infinity is NonFinite, found before any kernel is computed."""
+def _rows(x, dims: int | None = None, schema_id: str | None = None) -> tuple[SparseRows, str | None]:
+    """The rows of ``x``, a FeatureBatch or a 2-D array-like, as SparseRows,
+    and the schema of a FeatureBatch: the one intake of every row the SVM
+    trains on or predicts. An array-like is stored as its nonzero entries.
+    Given a model's ``dims`` and ``schema_id``, an empty list is no rows and
+    another schema or width is a DimensionMismatch; NaN or infinity is
+    NonFinite, found among the stored values before any kernel is computed."""
     if isinstance(x, FeatureBatch):
-        matrix, schema = x.values, x.schema_id
+        rows, schema = x.rows, x.schema_id
     else:
         try:
             matrix, schema = np.asarray(x, dtype=np.float64), None
         except ValueError as exc:  # rows of different lengths
             raise DimensionMismatch(f"rows must share one width: {exc}") from exc
+        if dims is not None and matrix.shape == (0,):
+            matrix = matrix.reshape(0, dims)
+        if matrix.ndim != 2:
+            raise DimensionMismatch(f"rows must form a 2-D matrix, got shape {matrix.shape}")
+        rows = SparseRows.from_dense(matrix)
     if schema_id and schema and schema != schema_id:
         raise DimensionMismatch(f"model expects schema {schema_id!r}, got {schema!r}")
-    if dims is not None and matrix.shape == (0,):
-        matrix = matrix.reshape(0, dims)
-    if matrix.ndim != 2:
-        raise DimensionMismatch(f"rows must form a 2-D matrix, got shape {matrix.shape}")
-    if dims is not None and matrix.shape[1] != dims:
-        raise DimensionMismatch(f"model expects {dims} dims, got rows of shape {matrix.shape[1:]}")
-    if not np.isfinite(matrix).all():
+    if dims is not None and rows.dims != dims:
+        raise DimensionMismatch(f"model expects {dims} dims, got rows of shape {(rows.dims,)}")
+    if not np.isfinite(rows.values).all():
         raise NonFinite("rows contain NaN or infinity")
-    return matrix, schema
+    return rows, schema
 
 
 def _fit(
@@ -418,21 +407,21 @@ def train_binary(
     iteration cap stops the solver before the KKT gap reaches cfg.tol,
     and raises NoSupportVectors when no alpha exceeds cfg.eps.
     """
-    matrix, _ = _rows(x)
+    matrix = _rows(x)[0].to_dense()
     keep, coefs, bias = _fit(matrix, np.asarray(y, dtype=np.float64), cfg, positive_label, negative_label)
     pool, index = SupportVectorPool.of(matrix[keep])
     return _bind(BinaryModel(index, coefs, bias, positive_label, negative_label), pool)
 
 
-def _pool_kernel(cfg: KernelConfig, rows: np.ndarray, pool: SupportVectorPool) -> np.ndarray:
-    """K(rows, pool), computed over the columns that some row of ``rows`` uses.
+def _pool_kernel(cfg: KernelConfig, rows: SparseRows, start: int, stop: int, pool: SupportVectorPool) -> np.ndarray:
+    """K(rows[start:stop], pool), computed over the columns that some of those rows stores.
 
     Exact for every kernel: a column that is zero in every row adds nothing
     to a dot product or to a row's squared norm, and RBF reads the pool's
     squared norms over full rows.
     """
-    used = np.flatnonzero(rows.any(axis=0))
-    return _gram(cfg, rows[:, used], pool.dense[:, used], pool.sq_norms)
+    used, compact = rows.compact(start, stop)
+    return _gram(cfg, compact, pool.dense[:, used], pool.sq_norms)
 
 
 def _machine_values(kernel: np.ndarray, machine: BinaryModel) -> np.ndarray:
@@ -443,7 +432,7 @@ def _machine_values(kernel: np.ndarray, machine: BinaryModel) -> np.ndarray:
 def decision_value(model: BinaryModel, x, cfg: KernelConfig) -> float:
     """sum_i dual_coef_i * K(sv_i, x) + bias for one row ``x``."""
     pool = model._pool
-    kernel = _pool_kernel(cfg, _rows([x], pool.dims)[0], pool)
+    kernel = _pool_kernel(cfg, _rows([x], pool.dims)[0], 0, 1, pool)
     return float(_machine_values(kernel, model)[0])
 
 
@@ -469,7 +458,8 @@ def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassInput(f"need at least 2 distinct labels, got {labels}")
-    matrix, schema_id = _rows(x)  # once, before the rows are split by pair
+    rows, schema_id = _rows(x)  # once, before the rows are split by pair
+    matrix = rows.to_dense()
     y = np.asarray(y, dtype=object)  # compared as Python values, not as fixed-width strings
     if len(matrix) != len(y):
         raise DimensionMismatch(f"{len(matrix)} vectors but {len(y)} labels")
@@ -498,17 +488,18 @@ def decision_values(model: MulticlassModel, x) -> np.ndarray:
     The rows are read PREDICT_CHUNK_ROWS at a time. One kernel matrix
     K(chunk, pool) serves all machines: machine k reads its columns,
     K[:, sv_index_k] @ dual_coefs_k + bias_k. K is computed over only the
-    feature columns that some row of the chunk uses, a fraction of the
-    pool's width for sparse task-2 rows.
+    feature columns that some row of the chunk stores, a fraction of the
+    pool's width for sparse task-2 rows, and no matrix of the chunk over
+    the full width is made.
     """
     pool = model.pool
     rows, _ = _rows(x, pool.dims, model.schema_id)
-    values = np.empty((len(rows), len(model.machines)))
-    for start in range(0, len(rows), PREDICT_CHUNK_ROWS):
-        chunk = slice(start, start + PREDICT_CHUNK_ROWS)
-        kernel = _pool_kernel(model.kernel, rows[chunk], pool)
+    values = np.empty((rows.rows, len(model.machines)))
+    for start in range(0, rows.rows, PREDICT_CHUNK_ROWS):
+        stop = min(start + PREDICT_CHUNK_ROWS, rows.rows)
+        kernel = _pool_kernel(model.kernel, rows, start, stop, pool)
         for k, machine in enumerate(model.machines):
-            values[chunk, k] = _machine_values(kernel, machine)
+            values[start:stop, k] = _machine_values(kernel, machine)
     return values
 
 

@@ -4,7 +4,8 @@ Each of these recomputes an expected value through a different route
 than the implementation under test: explicit pairing loops for the
 similarity features, exact active-set enumeration for the SVM dual, an
 SMO loop that recomputes its whole state every iteration, a one-pair
-kernel for the SVM's kernel matrices, and string-taking feature
+kernel for the SVM's kernel matrices, the decision values of dense rows
+computed chunk by chunk over a dense gather, and string-taking feature
 functions that re-tokenize their inputs for every feature. Each feature
 rule is worked out here from its definition and the raw resource fields
 (a vocabulary's ``terms``, ``df`` and ``n_docs``, a sentiment lexicon's
@@ -167,7 +168,12 @@ def task1_features_reference(query: str, sentence: str, vocab, gloss_dict, noun_
 
 
 def task2_features_reference(sentence: str, relevance_flag: bool, vocab, sent_lex) -> np.ndarray:
-    tokens = tokenize_reference(sentence)
+    return task2_tokens_reference(tokenize_reference(sentence), relevance_flag, vocab, sent_lex)
+
+
+def task2_tokens_reference(tokens: list[str], relevance_flag: bool, vocab, sent_lex) -> np.ndarray:
+    """The dense task-2 row of one token list: each term's TF-IDF weight at its
+    column, then the counts of the three polarities and the flag."""
     block = np.zeros(len(vocab.terms) + 4)
     for i, weight in tfidf_reference(vocab, tokens).items():
         block[i] = weight
@@ -177,6 +183,45 @@ def task2_features_reference(sentence: str, relevance_flag: bool, vocab, sent_le
         1.0 if relevance_flag else 0.0,
     )
     return block
+
+
+def idf_reference(sentences: list[list[str]], words: list[str]) -> list[float]:
+    """Each word's IDF over ``sentences``, token lists in which a repeated sentence
+    counts again: ln(n / df), df the number of sentences that hold the word, and
+    0.0 for a word that no sentence holds."""
+    n = len(sentences)
+    idf = []
+    for word in words:
+        df = 0
+        for tokens in sentences:
+            df += word in tokens
+        idf.append(math.log(n / df) if df else 0.0)
+    return idf
+
+
+def decision_values_reference(model, rows: np.ndarray, chunk_rows: int) -> np.ndarray:
+    """(rows, machines) decision values of dense ``rows`` as dense prediction computes
+    them: ``chunk_rows`` rows at a time, each chunk's kernel against the pool over
+    the columns in which some row of the chunk is not zero, the chunk's columns
+    gathered by ``chunk[:, used]`` and the pool's from its column-major dense
+    matrix; each machine reads its columns of the kernel."""
+    pool, cfg = model.pool, model.kernel
+    values = np.empty((len(rows), len(model.machines)))
+    for start in range(0, len(rows), chunk_rows):
+        chunk = rows[start:start + chunk_rows]
+        used = np.flatnonzero(chunk.any(axis=0))
+        a, b = chunk[:, used], pool.dense[:, used]
+        dots = a @ b.T
+        if cfg.kind == "linear":
+            kernel = dots
+        elif cfg.kind == "poly":
+            kernel = (cfg.gamma * dots + cfg.coef0) ** cfg.degree
+        else:
+            sq = np.sum(a * a, axis=1)[:, None] + pool.sq_norms[None, :] - 2.0 * dots
+            kernel = np.exp(-cfg.gamma * np.maximum(sq, 0.0))
+        for k, machine in enumerate(model.machines):
+            values[start:start + chunk_rows, k] = kernel[:, machine.sv_index] @ machine.dual_coefs + machine.bias
+    return values
 
 
 def dice_bruteforce(query_tokens, sentence_tokens) -> float:

@@ -962,7 +962,7 @@ class TestFeaturesDump:
                 dumps[name] = [[float(v) for v in row[2:]] for row in list(csv.reader(handle))[2:]]
         lexicons = LexiconSet.load(gloss_path=workspace["gloss"], noun_path=workspace["nouns"])
         model = load_task_model(trained_models["m1"], lexicons)
-        batch, _ = task1_rows(load_dataset(part), model.task1.vocabularies, lexicons)
+        batch = task1_rows(load_dataset(part), model.task1.vocabularies, lexicons)
         assert dumps["model"] == batch.values.tolist()
         cosine = TASK1_FEATURE_NAMES.index("cosine")
         assert [row[cosine] for row in dumps["model"]] != [row[cosine] for row in dumps["none"]]

@@ -10,12 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from querystance import lexicons as lexicons_module, pipeline
 from querystance.corpus import SentenceRecord
 from querystance.errors import EmptyCorpus, VocabNotFitted
+from querystance import features as features_module
 from querystance.features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
     TASK2_TAIL_NAMES,
     FeatureBatch,
     VocabularyModel,
+    WordTable,
     feature_cosine,
     feature_exact,
     feature_neighborhood,
@@ -34,11 +36,13 @@ from oracles import (
     cosine_bruteforce,
     dice_bruteforce,
     dice_counts,
+    idf_reference,
     left_to_right,
     noun_bruteforce,
     polarity_reference,
     task1_features_reference,
     task2_features_reference,
+    task2_tokens_reference,
     tfidf_reference,
     tokenize_reference,
 )
@@ -229,6 +233,30 @@ class TestVocabulary:
         assert vocab._idf.dtype == np.float64
         assert vocab._idf.tobytes() == np.array(expected).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["sun", "skin", "risk", "cancer", "tan"]), max_size=6), min_size=1,
+                    max_size=8),
+           st.lists(st.sampled_from(["sun", "cancer", "zebra", "of"]), max_size=4))
+    @example([["sun", "sun"], [], ["risk", "sun"]], ["zebra", "sun", "sun"])
+    def test_unseen_query_idf_is_the_fitted_idf(self, sentences, query):
+        """The IDF of a query read from its rows' word table is ``fit_vocabulary``'s over
+        their sentences, gathered per word type, bit for bit: a repeated sentence counts
+        again, an empty one holds no word and a query word in no sentence reads 0.0.
+        Rows that name their query id get the features and the vocabulary of rows
+        that hold that fitted vocabulary."""
+        sentences = sentences + sentences[:2]
+        table = WordTable.of(sentences)
+        table.ids(query)
+        idf = features_module._idf(np.bincount(table.type, minlength=len(table.types)), len(sentences))
+        vocab = fit_vocabulary(sentences)
+        assert idf.tobytes() == vocab._idf[[vocab._index.get(word, -1) for word in table.types]].tobytes()
+        assert idf.tobytes() == np.array(idf_reference(sentences, table.types)).tobytes()
+        fitted = {}
+        named = task1_features([(query, s, "q") for s in sentences], GlossDictionary(), frozenset(), fitted).values
+        given_vocabulary = task1_features([(query, s, vocab) for s in sentences], GlossDictionary(), frozenset()).values
+        assert named.tobytes() == given_vocabulary.tobytes()
+        assert (fitted["q"].terms, fitted["q"].df, fitted["q"].n_docs) == (vocab.terms, vocab.df, vocab.n_docs)
+
 
 class TestTfidf:
     def test_ubiquitous_term_weight_zero(self):
@@ -358,6 +386,14 @@ class TestTask1Vector:
         with pytest.raises(VocabNotFitted):
             task1_features([(["sun"], ["sun"], None)], self.GLOSS, self.LEX)
 
+    def test_query_id_rows_must_share_query_words(self):
+        with pytest.raises(ValueError, match="the rows of query 'q' hold different query words"):
+            task1_features([(["sun"], ["sun"], "q"), (["skin"], ["sun"], "q")], self.GLOSS, self.LEX)
+
+    def test_given_table_holds_one_sentence_per_row(self):
+        with pytest.raises(ValueError, match="2 rows but a word table of 1 sentences"):
+            task1_features([(["sun"], ["sun"], "q")] * 2, self.GLOSS, self.LEX, table=WordTable.of([["sun"]]))
+
 
 class TestTask2Vector:
     LEX = SentimentLexicon(entries={"good": (0.9, 0.0), "bad": (0.0, 0.9)})
@@ -374,6 +410,37 @@ class TestTask2Vector:
         batch = task2_features([[]], [False], vocab, self.LEX)
         assert batch.values.shape == (1, vocab.size + 4) and not batch.values.any()
         assert task2_features([], [], vocab, self.LEX).values.shape == (0, vocab.size + 4)
+
+    def test_sparse_rows_count_their_nonzeros(self):
+        vocab = fit_vocabulary([["good", "day"], ["bad", "day"]])  # "day" is in both: its IDF is 0
+        batch = task2_features([tokenize("good day zebra"), [], tokenize("bad bad")], [True, False, False], vocab,
+                               self.LEX)
+        assert batch.dims == vocab.size + 4
+        # good's weight, positive 1, neutral 2 and the flag; nothing; bad's weight and negative 2
+        assert np.count_nonzero(batch.values) == len(batch.rows.values) == 6
+        assert batch.rows.indptr.tolist() == [0, 4, 4, 6]
+
+    # words of the vocabulary, one of them ("day") in every sentence it is fitted on,
+    # and words outside it
+    WORDS = ["good", "bad", "day", "sun", "zebra", "Good", "meh"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(WORDS), max_size=8), st.booleans()), max_size=10))
+    @example([])
+    @example([(["zebra", "meh"], True), ([], False), (["day", "day"], False), (["good", "Good", "sun"], True)])
+    def test_sparse_rows_equal_dense_reference(self, rows):
+        """The rows built sparse, from token lists or from a word table holding other
+        texts too, store no zero and are the dense reference rows, bit for bit."""
+        sentences, flags = [tokens for tokens, _ in rows], [flag for _, flag in rows]
+        vocab = fit_vocabulary([["good", "day", "sun"], ["bad", "day"], ["day"]])
+        expected = np.array([task2_tokens_reference(t, f, vocab, self.LEX) for t, f in rows])
+        expected = expected.reshape(len(rows), vocab.size + 4)
+        table = WordTable.of([["zebra", "sun"], *sentences, ["bad"]])
+        for given in (sentences, table.take(np.arange(1, len(rows) + 1))):
+            batch = task2_features(given, flags, vocab, self.LEX)
+            assert batch.values.shape == (len(rows), vocab.size + 4)
+            assert batch.values.tobytes() == expected.tobytes()
+            assert np.all(batch.rows.values != 0.0) and len(batch.rows.values) == np.count_nonzero(expected)
 
     def test_relevance_flag(self):
         vocab = fit_vocabulary([["good"]])
@@ -433,7 +500,8 @@ class TestAnalysedPathEqualsStringOracles:
 
     def test_task1(self, records, synthetic_lexicons):
         lex = synthetic_lexicons
-        batch, vocabularies = pipeline.task1_rows(records, {}, lex)
+        vocabularies = {}
+        batch = pipeline.task1_rows(records, {}, lex, fitted=vocabularies)
         got = batch.values
         expected = np.array([
             task1_features_reference(
@@ -521,7 +589,8 @@ class TestBatchPathEqualsStringOracles:
         # given tokens may hold texts the records lack; only the records' texts are read
         texts = [text for r in records for text in (r.query_text, r.sentence_text)] + ["zebra"]
         tokens = {text: tokenize(text) for text in texts} if given_tokens else None
-        batch, fitted = pipeline.task1_rows(records, self.MODEL, lexicons, tokens=tokens)
+        fitted = {}
+        batch = pipeline.task1_rows(records, self.MODEL, lexicons, tokens=tokens, fitted=fitted)
         assert sorted(fitted) == sorted({qid for qid, _ in rows} - set(self.MODEL))
         for qid, vocab in fitted.items():
             df = Counter(w for r in records if r.query_id == qid for w in set(tokenize_reference(r.sentence_text)))
@@ -587,16 +656,16 @@ class TestPerBatchMemos:
             (queries[0], s, vocabs[0]) for s in sentences]
         shared = {q: tokenize(q) for q in queries}
         expected = task1_features([(shared[q], tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
-        tables = []
-        original = features._WordTable
-        monkeypatch.setattr(features, "_WordTable", lambda texts: tables.append(texts) or original(texts))
+        tables, queried = [], []
+        of, ids = features.WordTable.of, features.WordTable.ids
+        monkeypatch.setattr(features.WordTable, "of", lambda texts: tables.append(texts) or of(texts))
+        monkeypatch.setattr(features.WordTable, "ids", lambda table, words: queried.append(tuple(words)) or ids(table, words))
         got = task1_features([(tokenize(q), tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
         assert np.array_equal(got, expected)
-        # one table: each (query words, vocabulary) once, then every row's sentence
+        # one table of every row's sentence, and the words of each (query words, vocabulary) once
         [texts] = tables
-        assert len(texts) == len(queries) * len(vocabs) + len(keys)
-        words = [tuple(text) for text in texts]
-        assert [words.count(tuple(tokens)) for tokens in shared.values()] == [len(vocabs)] * len(queries)
+        assert len(texts) == len(keys)
+        assert sorted(queried) == sorted(tuple(Counter(tokens)) for tokens in shared.values() for _ in vocabs)
 
     def test_polarity_map_built_once_per_lexicon(self, monkeypatch):
         calls = []

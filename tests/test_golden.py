@@ -90,7 +90,7 @@ def _decision_values() -> dict[str, list[list[float]]]:
     records = load_dataset("test.csv", labeled=False)[::SAMPLE_STRIDE]
     with open("pred.csv", encoding="utf-8", newline="") as handle:
         relevance = [row["predicted_relevance"] for row in csv.DictReader(handle)][::SAMPLE_STRIDE]
-    batch1, _ = task1_rows(records, pipeline.task1.vocabularies, pipeline.lexicons)
+    batch1 = task1_rows(records, pipeline.task1.vocabularies, pipeline.lexicons)
     batch2 = task2_rows(records, relevance, pipeline.task2.vocabulary, pipeline.lexicons)
     return {
         "task1": decision_values(pipeline.task1_model, batch1).tolist(),

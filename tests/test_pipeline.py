@@ -449,7 +449,7 @@ class TestPersistence:
         relevance = predict_task1(trained, records)
         assert predict_task1(loaded, records) == relevance
         assert predict_task2(loaded, records, relevance) == predict_task2(trained, records, relevance)
-        task1_rows, _ = pipeline_module.task1_rows(records, trained.task1.vocabularies, trained.lexicons)
+        task1_rows = pipeline_module.task1_rows(records, trained.task1.vocabularies, trained.lexicons)
         task2_rows = task2_features(
             [tokenize(r.sentence_text) for r in records],
             [label == "relevant" for label in relevance],

@@ -36,7 +36,7 @@ from querystance.svm import (
     train_multiclass,
 )
 
-from oracles import kernel_eval, ovo_reference, smo_reference, solve_dual_bruteforce
+from oracles import decision_values_reference, kernel_eval, ovo_reference, smo_reference, solve_dual_bruteforce
 from svm_fixtures import fixture_instances, kkt_satisfied, overlapping_rows, training_alphas
 
 
@@ -446,6 +446,35 @@ def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
         expected_label, expected_values = ovo_reference(model, row)
         assert label == expected_label
         np.testing.assert_allclose(row_values, expected_values, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KERNEL_KINDS), n_rows=st.integers(0, 300),
+       n_pool=st.integers(1, 100))
+def test_sparse_rows_give_the_dense_decision_values(seed, kind, n_rows, n_pool):
+    """The decision values of rows held sparse equal, bit for bit, those of their dense
+    matrix and those of the dense reference, which computes each chunk's kernel over
+    the columns its rows use, gathered column-major from the dense rows."""
+    rng = np.random.default_rng(seed)
+    dims = 300
+    unused = rng.random(dims) < 0.5  # columns that no row of the batch uses
+
+    def sparse(n, density):
+        return rng.random((n, dims)) * (rng.random((n, dims)) < density)
+
+    pool, _ = SupportVectorPool.of(sparse(n_pool, 0.3))
+    n_sv = min(12, pool.rows)
+    machines = tuple(
+        BinaryModel(rng.choice(pool.rows, n_sv, replace=False), rng.normal(size=n_sv), float(rng.normal()), pos, neg)
+        for neg, pos in combinations(("a", "b", "c"), 2)
+    )
+    model = MulticlassModel(("a", "b", "c"), machines, KERNELS[kind], pool)
+    rows = sparse(n_rows, 0.3) * ~unused
+    batch = FeatureBatch(rows, "task2-v1")
+    assert batch.values.tobytes() == rows.tobytes()
+    got = decision_values(model, batch)
+    assert got.tobytes() == decision_values(model, batch.values).tobytes()
+    assert got.tobytes() == decision_values_reference(model, rows, PREDICT_CHUNK_ROWS).tobytes()
 
 
 @st.composite
