@@ -86,8 +86,8 @@ class SparseRows:
     def from_dense(cls, matrix: np.ndarray) -> SparseRows:
         """The entries of a (rows, dims) matrix that are not zero (NaN is not
         zero, -0.0 is), row by row and in column order."""
-        row, col = np.nonzero(matrix)
-        return cls(matrix.shape[1], np.searchsorted(row, np.arange(len(matrix) + 1)), col, matrix[row, col])
+        row, col = matrix.nonzero()
+        return cls(matrix.shape[1], row.searchsorted(np.arange(len(matrix) + 1)), col, matrix[row, col])
 
     @property
     def rows(self) -> int:
@@ -96,7 +96,7 @@ class SparseRows:
     def to_dense(self, order: str = "C") -> np.ndarray:
         """The (rows, dims) float64 matrix of the rows, in ``order`` ("C" or "F")."""
         matrix = np.zeros((self.rows, self.dims), order=order)
-        matrix[np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices] = self.values
+        matrix[np.arange(self.rows).repeat(self.indptr[1:] - self.indptr[:-1]), self.indices] = self.values
         return matrix
 
     def compact(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,12 +106,12 @@ class SparseRows:
         columns = self.indices[lo:hi]
         stored = np.zeros(self.dims, dtype=bool)
         stored[columns] = True
-        used = np.flatnonzero(stored)
+        used = stored.nonzero()[0]
         place = np.empty(self.dims, dtype=np.intp)  # each used column's place in ``used``
         place[used] = np.arange(len(used))
         matrix = np.zeros((stop - start, len(used)), order="F")
-        matrix[np.repeat(np.arange(stop - start), np.diff(self.indptr[start:stop + 1])), place[columns]] = (
-            self.values[lo:hi])
+        sizes = self.indptr[start + 1:stop + 1] - self.indptr[start:stop]
+        matrix[np.arange(stop - start).repeat(sizes), place[columns]] = self.values[lo:hi]
         return used, matrix
 
 
@@ -181,7 +181,7 @@ def _idf(df: np.ndarray, n_docs: int) -> np.ndarray:
     here as no df exceeds the batch's row count; a vocabulary read from a
     file may hold any df, so ``VocabularyModel`` maps its dfs through a dict."""
     texts_of_df = np.bincount(df, minlength=1)
-    distinct = np.flatnonzero(texts_of_df)
+    distinct = texts_of_df.nonzero()[0]
     logs = np.zeros(len(texts_of_df))
     logs[distinct] = [math.log(n_docs / d) if d else 0.0 for d in distinct.tolist()]
     return logs[df]
@@ -225,11 +225,11 @@ class WordTable:
 
     @functools.cached_property
     def start(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.sizes)))
+        return np.concatenate(([0], self.sizes.cumsum()))
 
     @functools.cached_property
     def text(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.length)), self.sizes)
+        return np.arange(len(self.length)).repeat(self.sizes)
 
     @classmethod
     def of(cls, texts: Sequence[Iterable[str]]) -> WordTable:
@@ -252,9 +252,9 @@ class WordTable:
         """The entries of ``texts`` (text ids), text after text: their places in
         the entry arrays, and the place in ``texts`` of each one's text."""
         sizes = self.sizes[texts]
-        ends = np.cumsum(sizes)
-        at = np.repeat(self.start[texts] - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
-        return at, np.repeat(np.arange(len(texts)), sizes)
+        ends = sizes.cumsum()
+        at = (self.start[texts] - ends + sizes).repeat(sizes) + np.arange(sizes.sum())
+        return at, np.arange(len(texts)).repeat(sizes)
 
     def take(self, texts: np.ndarray) -> WordTable:
         """The table of ``texts`` (text ids) alone, its text i being ``texts[i]``,
@@ -489,12 +489,12 @@ def task2_features(
     slots = len(TASK2_TAIL_NAMES)
     tail = np.bincount(table.text * slots + polarity_column[table.type], table.count, minlength=slots * n)
     tail[slots - 1::slots] = relevance_flags
-    known, at = np.flatnonzero(weight), np.flatnonzero(tail)
+    known, at = weight.nonzero()[0], tail.nonzero()[0]
     row = np.concatenate((table.text[known], at // slots))
-    order = np.argsort(row, kind="stable")  # each row's entries together: its TF-IDF block, then its tail
+    order = row.argsort(kind="stable")  # each row's entries together: its TF-IDF block, then its tail
     indices = np.concatenate((column[known], size + at % slots))[order]
     values = np.concatenate((weight[known], tail[at]))[order]
-    indptr = np.searchsorted(row[order], np.arange(n + 1))
+    indptr = row[order].searchsorted(np.arange(n + 1))
     return FeatureBatch(SparseRows(size + slots, indptr, indices, values), SCHEMA_TASK2)
 
 
