@@ -278,15 +278,19 @@ def task2_rows(
     lexicons: LexiconSet,
     *,
     tokens: dict[str, list[str]] | None = None,
+    table: WordTable | None = None,
 ) -> FeatureBatch:
     """Task-2 feature batch of ``records``, the rows the task-2 SVM reads, each row's
-    relevance flag set where its label in ``relevance`` is relevant. Each sentence's
-    tokens come from ``tokens``, or, if None, each distinct sentence is tokenized once.
+    relevance flag set where its label in ``relevance`` is relevant. The sentences
+    are read from ``table``, the word table of the records' sentences (text i being
+    record i's), if given; else each sentence's tokens come from ``tokens``, or, if
+    None, each distinct sentence is tokenized once.
     """
-    if tokens is None:
+    if table is None and tokens is None:
         tokens = _tokenized(r.sentence_text for r in records)
+    sentences = table if table is not None else [tokens[r.sentence_text] for r in records]
     flags = [label == RELEVANT for label in relevance]
-    return task2_features([tokens[r.sentence_text] for r in records], flags, vocabulary, lexicons.sentiment)
+    return task2_features(sentences, flags, vocabulary, lexicons.sentiment)
 
 
 def train_task1(
@@ -360,9 +364,9 @@ def predict_task2(
 
     In two-class mode, records predicted irrelevant come back neutral
     without consulting the model. The rows are built PREDICT_CHUNK_ROWS at a
-    time, each chunk's sentences counted in a word table of their own or,
-    given ``table`` (the word table of the records' sentences, text i being
-    record i's), read from its entries.
+    time by ``task2_rows``, each chunk's sentences counted in a word table of
+    their own or, given ``table`` (the word table of the records' sentences,
+    text i being record i's), read from its entries.
     """
     model = _model(pipeline, 2)
     if len(task1_predictions) != len(records):
@@ -376,10 +380,9 @@ def predict_task2(
     out = [NEUTRAL] * len(records)
     for start in range(0, len(asked), PREDICT_CHUNK_ROWS):
         chunk = asked[start:start + PREDICT_CHUNK_ROWS]
-        sentences = (table.take(np.array(chunk)) if table is not None
-                     else [tokens[records[i].sentence_text] for i in chunk])
-        batch = task2_features(sentences, [task1_predictions[i] == RELEVANT for i in chunk],
-                               model.vocabulary, pipeline.lexicons.sentiment)
+        sentences = None if table is None else table.take(np.array(chunk))
+        batch = task2_rows([records[i] for i in chunk], [task1_predictions[i] for i in chunk], model.vocabulary,
+                           pipeline.lexicons, tokens=tokens, table=sentences)
         for i, label in zip(chunk, predict_batch(model.classifier, batch)):
             out[i] = label
     return out
