@@ -16,13 +16,14 @@ Every function here reads each text as its tokens (``textproc.tokenize``
 output), never as a raw string, and each rule is computed in one batch
 function. A batch's sentences are counted once, into one table of their
 word types (``WordTable``): every distinct word gets a small int id, and
-each text becomes (id, count) entries. A caller may build the table and
-hand it to both tasks. What a feature needs to know of a word (its stem,
-noun flag, polarity, vocabulary column, gloss matches and, for a query
-seen only in this batch, its document frequency there) is then looked up
-or counted once per type and call, and the features are sums over id
-arrays. The per-row ``feature_*`` functions are one-row calls into
-``task1_features``.
+each text becomes (id, count) entries. The batch functions take such a
+table and only read it, so one table may serve both tasks and several
+threads (``pipeline`` keeps the last batch's). What a feature needs to
+know of a word (its stem, noun flag, polarity, vocabulary column, gloss
+matches and, for a query seen only in this batch, its document frequency
+there) is then looked up or counted once per type and call, and the
+features are sums over id arrays. The per-row ``feature_*`` functions are
+one-row calls into ``task1_features``.
 
 A batch's rows are ``SparseRows``, CSR rows that store only nonzero
 values: the rows the SVM reads and the form of its support-vector pool.
@@ -213,15 +214,14 @@ class WordTable:
     entries lie end to end: entries ``start[i]:start[i + 1]`` are text i's,
     entry e being word ``type[e]`` ``count[e]`` times in text ``text[e]``.
     ``length[i]`` is the token count of text i and ``sizes[i]`` the number
-    of its entries. The first ``text_types`` types are the words of the
-    texts; ``ids`` may add others after them.
+    of its entries. No code changes a table once it is built, so one table
+    may be read by several calls and threads at once.
     """
 
     def __init__(self, types: list[str], type: np.ndarray, count: np.ndarray, length: np.ndarray,
                  sizes: np.ndarray, index: dict[str, int] | None = None):
         self.types, self.type, self.count, self.length, self.sizes = types, type, count, length, sizes
         self.index = dict(zip(types, range(len(types)))) if index is None else index
-        self.text_types = len(types)
 
     @functools.cached_property
     def start(self) -> np.ndarray:
@@ -265,14 +265,6 @@ class WordTable:
         renumber = np.cumsum(present) - 1
         return WordTable(list(compress(self.types, present.tolist())), renumber[self.type[at]], self.count[at],
                          self.length[texts], self.sizes[texts])
-
-    def ids(self, words: Sequence[str]) -> list[int]:
-        """The id of each word, a word new to the table taking the next free id."""
-        for word in words:
-            if word not in self.index:
-                self.index[word] = len(self.types)
-                self.types.append(word)
-        return list(map(self.index.__getitem__, words))
 
 
 # what a per-row feature that does not read a resource passes for it
@@ -319,17 +311,17 @@ def feature_cosine(query: Sequence[str], sentence: Sequence[str], vocab: Vocabul
     return float(_one_row(query, sentence, vocab=vocab)[4])
 
 
-def fit_vocabulary(sentences: Sequence[Iterable[str]]) -> VocabularyModel:
+def fit_vocabulary(sentences: Sequence[Iterable[str]] | WordTable) -> VocabularyModel:
     """Collect sorted distinct terms and sentence-level frequencies.
 
     Each sentence is given by its tokens, or by its distinct terms as a
-    set; the sentences make one word table, whose entries count each
-    term once per sentence that holds it.
+    set, or the sentences by their word table; the table's entries count
+    each term once per sentence that holds it.
     """
-    if not sentences:
+    table = sentences if isinstance(sentences, WordTable) else WordTable.of(sentences)
+    if not table.texts:
         raise EmptyCorpus("cannot fit a vocabulary on zero sentences")
-    table = WordTable.of(sentences)
-    return _vocabulary(table.types, np.bincount(table.type, minlength=len(table.types)), len(sentences))
+    return _vocabulary(table.types, np.bincount(table.type, minlength=len(table.types)), table.texts)
 
 
 def task1_features(
@@ -352,10 +344,11 @@ def task1_features(
     Rows with equal query words and one vocabulary (or query id) form a
     group. The rows' sentences make one word table, text i being row i's
     sentence; given ``table``, that is the table, and the triples'
-    sentences are not read. Each group's query words get their ids in it.
-    Each word type is stemmed once and, if a sentence holds it and the
-    dictionary glosses it, its gloss is matched once against the batch's
-    query words. A group then marks which of its columns each word type
+    sentences are not read. The table is not changed: a query word that it
+    lacks gets an id of this call's own, after the table's. Each word type
+    is stemmed once and, if a sentence holds it and the dictionary glosses
+    it, its gloss is matched once against the batch's query words. A group
+    then marks which of its columns each word type
     hits: a query word itself (exact, noun), a query stem (stemmed), or a
     query word itself or through the type's gloss (neighborhood). One
     ``np.bincount`` over the group's sentence entries counts the matches of
@@ -378,15 +371,17 @@ def task1_features(
         table = WordTable.of([sentence for _, sentence, _ in triples])
     elif table.texts != len(triples):
         raise ValueError(f"{len(triples)} rows but a word table of {table.texts} sentences")
-    sentence_words = table.types[:table.text_types]
     queries = [Counter(words) for words, _, _ in groups.values()]  # each query word and its count
-    query_types = [table.ids(list(query)) for query in queries]
-    types, stems = table.types, stem_tokens(table.types)
+    index, extra = table.index, {}  # the query words outside the table -> their ids, after the table's
+    query_types = [[index[word] if word in index else extra.setdefault(word, len(table.types) + len(extra))
+                    for word in query] for query in queries]
+    types = table.types + list(extra)
+    stems = stem_tokens(types)
 
     # once per glossed sentence word type: the query words that its gloss mentions
     query_words = set().union(*queries)
     gloss_matches = {}
-    for word in compress(sentence_words, map(gloss_dict.entries.__contains__, map(str.lower, sentence_words))):
+    for word in compress(table.types, map(gloss_dict.entries.__contains__, map(str.lower, table.types))):
         tokens = gloss_first_k_sentences(gloss_dict, word)
         if not query_words.isdisjoint(tokens):  # most glosses mention no query word
             gloss_matches[table.index[word]] = query_words.intersection(tokens)

@@ -228,13 +228,34 @@ def _join(pipeline: TrainedPipeline | None, model: TaskModel, lexicons: LexiconS
     return pipeline
 
 
-def _tokenized(texts: Iterable[str]) -> dict[str, list[str]]:
-    """Each distinct text of ``texts`` -> its tokens, each text tokenized once."""
-    return {text: tokenize(text) for text in dict.fromkeys(texts)}
-
-
 def _all_texts(records: Sequence[SentenceRecord]) -> Iterable[str]:
     return (text for r in records for text in (r.query_text, r.sentence_text))
+
+
+# the last batch analysed: its texts in order, each distinct text's tokens and its sentences' word table
+_last_analysis: tuple[tuple[str, ...], dict[str, list[str]], WordTable] = ((), {}, WordTable.of([]))
+
+
+def _analysis(records: Sequence[SentenceRecord]) -> tuple[dict[str, list[str]], WordTable]:
+    """Each distinct text of ``records`` -> its tokens, and the word table of the
+    records' sentences, text i being record i's sentence.
+
+    Only the last batch's analysis is kept, keyed by its query and sentence
+    texts in order, so tasks called one after the other on a batch tokenize
+    each distinct text once and count its sentences once. It holds tokens
+    and the table only, never features or labels, so it gives what a fresh
+    analysis gives whatever pipeline or lexicons read it. The entry is one
+    tuple, read whole and replaced by one assignment, and nothing changes
+    its tokens or table, so threads that share it each read a whole entry
+    of their own batch's texts or analyse afresh.
+    """
+    global _last_analysis
+    key = tuple(_all_texts(records))
+    last = _last_analysis
+    if last[0] != key:
+        tokens = {text: tokenize(text) for text in dict.fromkeys(key)}
+        last = _last_analysis = key, tokens, WordTable.of([tokens[r.sentence_text] for r in records])
+    return last[1], last[2]
 
 
 def _model(pipeline: TrainedPipeline, task: int) -> TaskModel:
@@ -249,26 +270,26 @@ def task1_rows(
     vocabularies: dict[str, VocabularyModel],
     lexicons: LexiconSet,
     *,
-    tokens: dict[str, list[str]] | None = None,
-    table: WordTable | None = None,
     fitted: dict[str, VocabularyModel] | None = None,
 ) -> FeatureBatch:
     """Task-1 feature batch of ``records``, the rows the task-1 SVM reads.
 
     A query without an entry in ``vocabularies`` reads the vocabulary of its
-    sentences in ``records``, its IDF counted in the features' word table;
+    sentences in ``records``, its IDF counted in the batch's word table;
     if ``fitted`` is a dict, that vocabulary is put in it under the query id.
-    The features read each text's tokens from ``tokens``, or, if None,
-    tokenize each distinct text once; ``table``, if given, is the word table
-    of the records' sentences, text i being record i's (``predict_chain``
-    builds it once for both tasks).
+    The texts are read from the batch's analysis (``_analysis``), which a
+    task-2 call on the same records reads again.
     """
-    if tokens is None:
-        tokens = _tokenized(_all_texts(records))
+    tokens, table = _analysis(records)
     group_by_query([r for r in records if r.query_id not in vocabularies])  # one query text per unseen query
     triples = [(tokens[r.query_text], tokens[r.sentence_text], vocabularies.get(r.query_id, r.query_id))
                for r in records]
     return task1_features(triples, lexicons.gloss, lexicons.nouns, fitted, table)
+
+
+def _task2_batch(table: WordTable, relevance: Sequence[str], vocabulary: VocabularyModel,
+                 lexicons: LexiconSet) -> FeatureBatch:
+    return task2_features(table, [label == RELEVANT for label in relevance], vocabulary, lexicons.sentiment)
 
 
 def task2_rows(
@@ -276,21 +297,12 @@ def task2_rows(
     relevance: Sequence[str],
     vocabulary: VocabularyModel,
     lexicons: LexiconSet,
-    *,
-    tokens: dict[str, list[str]] | None = None,
-    table: WordTable | None = None,
 ) -> FeatureBatch:
     """Task-2 feature batch of ``records``, the rows the task-2 SVM reads, each row's
     relevance flag set where its label in ``relevance`` is relevant. The sentences
-    are read from ``table``, the word table of the records' sentences (text i being
-    record i's), if given; else each sentence's tokens come from ``tokens``, or, if
-    None, each distinct sentence is tokenized once.
+    are read from the word table of the batch's analysis (``_analysis``).
     """
-    if table is None and tokens is None:
-        tokens = _tokenized(r.sentence_text for r in records)
-    sentences = table if table is not None else [tokens[r.sentence_text] for r in records]
-    flags = [label == RELEVANT for label in relevance]
-    return task2_features(sentences, flags, vocabulary, lexicons.sentiment)
+    return _task2_batch(_analysis(records)[1], relevance, vocabulary, lexicons)
 
 
 def train_task1(
@@ -305,21 +317,14 @@ def train_task1(
     return _join(None, Task1Model(config, svm, vocabularies), lexicons)
 
 
-def predict_task1(
-    pipeline: TrainedPipeline,
-    records: Sequence[SentenceRecord],
-    *,
-    tokens: dict[str, list[str]] | None = None,
-    table: WordTable | None = None,
-) -> list[str]:
-    """Relevance label per record, in input order, ``tokens`` and ``table`` read as by ``task1_rows``.
+def predict_task1(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) -> list[str]:
+    """Relevance label per record, in input order, from the rows of ``task1_rows``.
 
     Queries unseen at training time read the IDF of their own sentences in
     this batch.
     """
     model = _model(pipeline, 1)
-    return predict_batch(model.classifier, task1_rows(records, model.vocabularies, pipeline.lexicons,
-                                                      tokens=tokens, table=table))
+    return predict_batch(model.classifier, task1_rows(records, model.vocabularies, pipeline.lexicons))
 
 
 def train_task2(
@@ -333,21 +338,21 @@ def train_task2(
 
     ``task1_labels`` supplies each record's relevance flag (gold labels
     at training time). In two-class mode, neutral rows are excluded
-    from SVM training but still contribute to the vocabulary. Each
-    distinct sentence text is tokenized once.
+    from SVM training but still contribute to the vocabulary. The
+    vocabulary and the rows both read the word table of the batch's
+    analysis (``_analysis``), which counts each sentence once.
     """
     if len(task1_labels) != len(records):
         raise AlignmentError(
             f"{len(records)} records but {len(task1_labels)} relevance labels"
         )
     stances = required_labels(records, "stance", "task-2 training")
-    tokens = _tokenized(r.sentence_text for r in records)
-    vocabulary = fit_vocabulary([tokens[r.sentence_text] for r in records])
+    _, table = _analysis(records)
+    vocabulary = fit_vocabulary(table)
     two_class = config.stance_classes == TWO_CLASS
     kept = [i for i, stance in enumerate(stances) if not two_class or stance != NEUTRAL]
-    batch = task2_rows(
-        [records[i] for i in kept], [task1_labels[i] for i in kept], vocabulary, lexicons, tokens=tokens
-    )
+    batch = _task2_batch(table.take(np.array(kept, dtype=np.intp)), [task1_labels[i] for i in kept], vocabulary,
+                         lexicons)
     svm = train_multiclass(batch, [stances[i] for i in kept], config.task2)
     return _join(pipeline, Task2Model.of(config, svm, vocabulary), lexicons)
 
@@ -356,17 +361,15 @@ def predict_task2(
     pipeline: TrainedPipeline,
     records: Sequence[SentenceRecord],
     task1_predictions: Sequence[str],
-    *,
-    tokens: dict[str, list[str]] | None = None,
-    table: WordTable | None = None,
 ) -> list[str]:
-    """Stance label per record, chained on task-1 output, ``tokens`` read as by ``task2_rows``.
+    """Stance label per record, chained on task-1 output.
 
     In two-class mode, records predicted irrelevant come back neutral
-    without consulting the model. The rows are built PREDICT_CHUNK_ROWS at a
-    time by ``task2_rows``, each chunk's sentences counted in a word table of
-    their own or, given ``table`` (the word table of the records' sentences,
-    text i being record i's), read from its entries.
+    without consulting the model; a call that asks the model nothing
+    analyses nothing. The rows are built PREDICT_CHUNK_ROWS at a time, each
+    chunk's sentences read from the word table of the batch's analysis
+    (``_analysis``), which a ``predict_task1`` call on the same records
+    has made already.
     """
     model = _model(pipeline, 2)
     if len(task1_predictions) != len(records):
@@ -375,14 +378,14 @@ def predict_task2(
         )
     two_class = pipeline.config.stance_classes == TWO_CLASS
     asked = [i for i, relevance in enumerate(task1_predictions) if not two_class or relevance == RELEVANT]
-    if tokens is None and table is None:
-        tokens = _tokenized(records[i].sentence_text for i in asked)
     out = [NEUTRAL] * len(records)
+    if not asked:
+        return out
+    _, table = _analysis(records)
     for start in range(0, len(asked), PREDICT_CHUNK_ROWS):
         chunk = asked[start:start + PREDICT_CHUNK_ROWS]
-        sentences = None if table is None else table.take(np.array(chunk))
-        batch = task2_rows([records[i] for i in chunk], [task1_predictions[i] for i in chunk], model.vocabulary,
-                           pipeline.lexicons, tokens=tokens, table=sentences)
+        batch = _task2_batch(table.take(np.array(chunk)), [task1_predictions[i] for i in chunk], model.vocabulary,
+                             pipeline.lexicons)
         for i, label in zip(chunk, predict_batch(model.classifier, batch)):
             out[i] = label
     return out
@@ -390,13 +393,9 @@ def predict_task2(
 
 def predict_chain(pipeline: TrainedPipeline, records: Sequence[SentenceRecord]) -> tuple[list[str], list[str]]:
     """Relevance, then stance chained on it, per record: ``predict_task1`` and
-    then ``predict_task2``, with each distinct query and sentence text
-    tokenized once, and the records' sentences counted once in one word
-    table, for both tasks."""
-    tokens = _tokenized(_all_texts(records))
-    table = WordTable.of([tokens[r.sentence_text] for r in records])
-    relevance = predict_task1(pipeline, records, tokens=tokens, table=table)
-    return relevance, predict_task2(pipeline, records, relevance, table=table)
+    then ``predict_task2``, which reads the batch's analysis that the first made."""
+    relevance = predict_task1(pipeline, records)
+    return relevance, predict_task2(pipeline, records, relevance)
 
 
 # --- evaluation -------------------------------------------------------------

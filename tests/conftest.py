@@ -19,6 +19,14 @@ def synthetic_lexicons():
     return lexicon_objects()
 
 
+@pytest.fixture
+def fresh_analysis(monkeypatch):
+    """An empty batch-analysis memo, for a test that counts the text analysis its calls do."""
+    from querystance import pipeline
+
+    monkeypatch.setattr(pipeline, "_last_analysis", ((), {}, pipeline.WordTable.of([])))
+
+
 @pytest.fixture(scope="session")
 def porter_pairs():
     path = TESTS_DIR / "data" / "porter_vocabulary.tsv"

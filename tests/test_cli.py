@@ -519,7 +519,8 @@ class TestPredict:
         assert all(r["predicted_relevance"] in ("relevant", "irrelevant") for r in rows)
         assert all(r["predicted_stance"] in ("support", "oppose", "neutral") for r in rows)
 
-    def test_chained_prediction_tokenizes_each_text_once(self, workspace, trained_models, tmp_path, monkeypatch):
+    def test_chained_prediction_tokenizes_each_text_once(self, workspace, trained_models, tmp_path, monkeypatch,
+                                                         fresh_analysis):
         calls = []
         tokenize = pipeline_module.tokenize
         monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
@@ -985,7 +986,8 @@ class TestFeaturesDump:
         assert main(["predict", "--out", str(tmp_path / "pred.csv"), *paths]) == 0
         assert rows == np.concatenate(chunks).tolist()
 
-    def test_task2_tokenizes_each_sentence_once(self, workspace, trained_models, tmp_path, monkeypatch):
+    def test_task2_tokenizes_each_sentence_once(self, workspace, trained_models, tmp_path, monkeypatch,
+                                                fresh_analysis):
         records = load_dataset(workspace["train"]) * 2  # every sentence text repeats
         data = write_dataset_csv(records, tmp_path / "twice.csv")
         calls = []
@@ -993,7 +995,8 @@ class TestFeaturesDump:
         monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
         assert main(["features", "--task", "2", "--data", str(data), "--out", str(tmp_path / "f2.csv"),
                      "--sentiment", str(workspace["sentiment"]), "--model", str(trained_models["m2"])]) == 0
-        assert sorted(calls) == sorted({r.sentence_text for r in records})
+        # the batch's analysis tokenizes its query texts too, each once
+        assert sorted(calls) == sorted({text for r in records for text in (r.query_text, r.sentence_text)})
 
     def test_task2_model_for_task1_exits_1(self, workspace, trained_models, tmp_path, capsys):
         assert main([

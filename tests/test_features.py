@@ -246,11 +246,11 @@ class TestVocabulary:
         that hold that fitted vocabulary."""
         sentences = sentences + sentences[:2]
         table = WordTable.of(sentences)
-        table.ids(query)
-        idf = features_module._idf(np.bincount(table.type, minlength=len(table.types)), len(sentences))
+        types = table.types + [word for word in dict.fromkeys(query) if word not in table.index]  # df 0 after the table's
+        idf = features_module._idf(np.bincount(table.type, minlength=len(types)), len(sentences))
         vocab = fit_vocabulary(sentences)
-        assert idf.tobytes() == vocab._idf[[vocab._index.get(word, -1) for word in table.types]].tobytes()
-        assert idf.tobytes() == np.array(idf_reference(sentences, table.types)).tobytes()
+        assert idf.tobytes() == vocab._idf[[vocab._index.get(word, -1) for word in types]].tobytes()
+        assert idf.tobytes() == np.array(idf_reference(sentences, types)).tobytes()
         fitted = {}
         named = task1_features([(query, s, "q") for s in sentences], GlossDictionary(), frozenset(), fitted).values
         given_vocabulary = task1_features([(query, s, vocab) for s in sentences], GlossDictionary(), frozenset()).values
@@ -578,19 +578,15 @@ class TestBatchPathEqualsStringOracles:
                        max_size=10)
 
     @settings(max_examples=80, deadline=None)
-    @given(batches, st.booleans())
-    @example([], False)
-    @example([("q2", "")], False)
-    @example([("q1", "melanoma ray rays"), ("q2", "sun tan tan"), ("q1", "melanoma ray rays"), ("q3", "sun")], False)
-    @example([("q1", "melanoma ray rays"), ("q2", "sun tan tan"), ("q1", "melanoma ray rays"), ("q3", "sun")], True)
-    def test_task1_rows(self, rows, given_tokens):
+    @given(batches)
+    @example([])
+    @example([("q2", "")])
+    @example([("q1", "melanoma ray rays"), ("q2", "sun tan tan"), ("q1", "melanoma ray rays"), ("q3", "sun")])
+    def test_task1_rows(self, rows):
         records = [SentenceRecord(qid, self.QUERIES[qid], text) for qid, text in rows]
         lexicons = pipeline.LexiconSet(gloss=self.GLOSS, sentiment=SentimentLexicon(), nouns=self.NOUNS)
-        # given tokens may hold texts the records lack; only the records' texts are read
-        texts = [text for r in records for text in (r.query_text, r.sentence_text)] + ["zebra"]
-        tokens = {text: tokenize(text) for text in texts} if given_tokens else None
         fitted = {}
-        batch = pipeline.task1_rows(records, self.MODEL, lexicons, tokens=tokens, fitted=fitted)
+        batch = pipeline.task1_rows(records, self.MODEL, lexicons, fitted=fitted)
         assert sorted(fitted) == sorted({qid for qid, _ in rows} - set(self.MODEL))
         for qid, vocab in fitted.items():
             df = Counter(w for r in records if r.query_id == qid for w in set(tokenize_reference(r.sentence_text)))
@@ -645,7 +641,8 @@ class TestPerBatchMemos:
 
     def test_rows_group_by_query_words(self, monkeypatch):
         """A query tokenized afresh for each row joins the group of its words and
-        vocabulary, and the values are those of one shared list per query."""
+        vocabulary, and the values are those of one shared list per query. A given
+        word table is read, not changed, though it lacks query words."""
         import querystance.features as features
 
         vocabs = [fit_vocabulary([["sun", "cancer"], ["skin", "risk"]]), fit_vocabulary([["sun", "risk", "tan"]])]
@@ -656,16 +653,20 @@ class TestPerBatchMemos:
             (queries[0], s, vocabs[0]) for s in sentences]
         shared = {q: tokenize(q) for q in queries}
         expected = task1_features([(shared[q], tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
-        tables, queried = [], []
-        of, ids = features.WordTable.of, features.WordTable.ids
+        tables = []
+        of = features.WordTable.of
         monkeypatch.setattr(features.WordTable, "of", lambda texts: tables.append(texts) or of(texts))
-        monkeypatch.setattr(features.WordTable, "ids", lambda table, words: queried.append(tuple(words)) or ids(table, words))
         got = task1_features([(tokenize(q), tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
         assert np.array_equal(got, expected)
-        # one table of every row's sentence, and the words of each (query words, vocabulary) once
-        [texts] = tables
+        [texts] = tables  # one table of every row's sentence
         assert len(texts) == len(keys)
-        assert sorted(queried) == sorted(tuple(Counter(tokens)) for tokens in shared.values() for _ in vocabs)
+        given = of([tokenize(s) for _, s, _ in keys])
+        types, index = list(given.types), dict(given.index)
+        assert not {"of", "the"} & set(types)  # query words that no sentence holds
+        again = task1_features([(tokenize(q), [], v) for q, _, v in keys], self.GLOSS, self.NOUNS, table=given).values
+        assert np.array_equal(again, expected)
+        assert len(tables) == 1
+        assert (given.types, given.index) == (types, index)
 
     def test_polarity_map_built_once_per_lexicon(self, monkeypatch):
         calls = []

@@ -1,10 +1,13 @@
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from querystance import features as features_module
 from querystance import pipeline as pipeline_module
 from querystance import svm as svm_module
 from querystance.corpus import SentenceRecord
@@ -150,12 +153,17 @@ class TestTask2:
         monkeypatch.setattr(svm_module, "decision_values", lambda model, x: expected)
         assert predict_batch(model, batch) == labels
 
-    def test_training_tokenizes_each_sentence_once(self, synthetic_lexicons, monkeypatch):
-        calls = []
+    def test_training_tokenizes_each_sentence_once(self, synthetic_lexicons, monkeypatch, fresh_analysis):
+        """Each distinct text is tokenized once, and the sentences are counted once,
+        into one word table that the vocabulary and the rows both read."""
+        calls, tables = [], []
         monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        of = features_module.WordTable.of
+        monkeypatch.setattr(features_module.WordTable, "of", lambda texts: tables.append(texts) or of(texts))
         records = make_records(seed=5, per_query=6) * 2  # every sentence text repeats
-        train_task2(records, [r.relevance for r in records], synthetic_lexicons, PipelineConfig())
-        assert sorted(calls) == sorted({r.sentence_text for r in records})
+        train_task2(records, [r.relevance for r in records], synthetic_lexicons, PipelineConfig(stance_classes=TWO_CLASS))
+        assert sorted(calls) == sorted({text for r in records for text in (r.query_text, r.sentence_text)})
+        assert [len(texts) for texts in tables] == [len(records)]
 
     def test_three_class_machine_count(self, trained):
         assert len(trained.task2_model.machines) == 3
@@ -290,7 +298,7 @@ class TestPredictChain:
         for (model_a, rows_a), (model_b, rows_b) in zip(chained_rows, separate_rows):
             assert model_a is model_b and np.array_equal(rows_a, rows_b)
 
-    def test_chain_tokenizes_each_text_once(self, trained, monkeypatch):
+    def test_chain_tokenizes_each_text_once(self, trained, monkeypatch, fresh_analysis):
         calls = []
         monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
         records = self.POOL * 3
@@ -301,6 +309,96 @@ class TestPredictChain:
         task1_only = train_task1(synthetic_records, synthetic_lexicons, PipelineConfig())
         with pytest.raises(ValueError, match="no trained task-2 model"):
             predict_chain(task1_only, synthetic_records[:5])
+
+
+class TestBatchAnalysis:
+    """``predict_task1`` and then ``predict_task2`` on one batch share its analysis:
+    each distinct text is tokenized once and the sentences are counted once, and
+    the labels are those of a fresh analysis, whatever batch came before and
+    whichever threads call."""
+
+    POOL = TestPredictChain.POOL
+    SENTENCES = sorted({r.sentence_text for r in POOL})
+    NONE = ((), {}, features_module.WordTable.of([]))  # the entry of a memo that holds no batch
+
+    @staticmethod
+    def _two_calls(pipeline, records):
+        relevance = predict_task1(pipeline, records)
+        return relevance, predict_task2(pipeline, records, relevance)
+
+    @classmethod
+    def _fresh(cls, pipeline, records):
+        """The labels of the two calls, each analysing the batch afresh; the memo is left as it was."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline_module, "_last_analysis", cls.NONE)
+            relevance = predict_task1(pipeline, records)
+            patch.setattr(pipeline_module, "_last_analysis", cls.NONE)
+            return relevance, predict_task2(pipeline, records, relevance)
+
+    def test_two_calls_analyse_the_batch_once(self, trained, monkeypatch, fresh_analysis):
+        calls, tables = [], []
+        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        of = features_module.WordTable.of
+        monkeypatch.setattr(features_module.WordTable, "of", lambda texts: tables.append(texts) or of(texts))
+        records = self.POOL * 2  # every text repeats
+        self._two_calls(trained, records)
+        assert sorted(calls) == sorted({text for r in records for text in (r.query_text, r.sentence_text)})
+        assert [len(texts) for texts in tables] == [len(records)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(POOL), min_size=1, max_size=8), st.integers(0, 7),
+                              st.sampled_from(SENTENCES)), min_size=1, max_size=3), st.booleans())
+    @example([(POOL[:4], 1, "tractor lantern marble")], False)
+    def test_two_calls_equal_the_chain_and_a_fresh_analysis(self, trained, trained_two_class, steps, two_class):
+        """Each batch is served, served again (the memo holds it) and served with one
+        sentence changed (the memo holds a batch of the same length that differs)."""
+        pipeline = trained_two_class if two_class else trained
+        for records, at, text in steps:
+            changed = list(records)
+            changed[at % len(records)] = replace(records[at % len(records)], sentence_text=text)
+            for batch in (records, records, changed):
+                expected = self._fresh(pipeline, batch)
+                assert self._two_calls(pipeline, batch) == expected
+                assert predict_chain(pipeline, batch) == expected
+
+    def test_threads_serving_two_batches_get_the_serial_labels(self, trained):
+        batches = [self.POOL[:10], self.POOL[10:20]]
+        serial = [self._two_calls(trained, records) for records in batches]
+        served = [[] for _ in range(4)]  # more threads than most machines have cores
+
+        def serve(thread):
+            for k in range(100):  # the two batches in turn, each thread starting on its own
+                which = (thread + k) % 2
+                served[thread].append(self._two_calls(trained, batches[which]) == serial[which])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=serve, args=(thread,)) for thread in range(len(served))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert served == [[True] * 100] * len(served)
+
+    def test_zero_rows(self, trained, trained_two_class):
+        for pipeline in (trained, trained_two_class):
+            assert predict_task1(pipeline, []) == []
+            assert predict_task2(pipeline, [], []) == []
+            assert predict_chain(pipeline, []) == ([], [])
+        assert pipeline_module.task1_rows([], trained.task1.vocabularies, trained.lexicons).values.shape == (0, 5)
+        vocabulary = trained.task2.vocabulary
+        assert task2_rows([], [], vocabulary, trained.lexicons).values.shape == (0, vocabulary.size + 4)
+
+    def test_asking_the_model_nothing_analyses_nothing(self, trained_two_class, monkeypatch):
+        before, calls = pipeline_module._last_analysis, []
+        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        records = self.POOL[:10]
+        assert predict_task2(trained_two_class, records, ["irrelevant"] * len(records)) == ["neutral"] * len(records)
+        assert not calls and pipeline_module._last_analysis is before
 
 
 class TestEvaluate:
