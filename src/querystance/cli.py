@@ -42,6 +42,7 @@ from .errors import (
     ConflictingQueryText,
     EmptyInput,
     LengthMismatch,
+    NoSupportVectors,
     QueryStanceError,
     SingleClassInput,
 )
@@ -242,10 +243,17 @@ def cmd_train(args: argparse.Namespace) -> int:
             if not records:
                 problem = f"the train side of the split at train_fraction {config.train_fraction} is empty"
                 raise EmptyInput(problem, data_path)
-        if task == 1:
-            pipeline = train_task1(records, lexicons, config)
-        else:
-            pipeline = train_task2(records, [r.relevance for r in records], lexicons, config)
+        try:
+            if task == 1:
+                pipeline = train_task1(records, lexicons, config)
+            else:
+                pipeline = train_task2(records, [r.relevance for r in records], lexicons, config)
+        except NoSupportVectors as exc:
+            # a config file's tol or eps may be one that can never train: name its line
+            option = next((key for key in ("tol", "eps") if key in args.config_lines), None)
+            if option is None:
+                raise
+            raise NoSupportVectors(str(exc), args.config, line=args.config_lines[option], field=option) from exc
     save_task_model(pipeline, task, out_path)
     _write_manifest(args, {"task": task, **to_doc(config)}, config.seed)
     print(f"wrote {out_path}")

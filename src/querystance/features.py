@@ -235,14 +235,22 @@ class WordTable:
     def of(cls, texts: Sequence[Iterable[str]]) -> WordTable:
         """The table of ``texts``, each given by its words: a text's entries in the
         order its words first appear in it, the ids in the order the words first
-        appear in the batch."""
-        counts = list(map(Counter, texts))
+        appear in the batch.
+
+        The batch is counted in one pass: each (text, id) pair of its words is a
+        key ``text * types + id``, and ``np.unique`` gives each key's count and
+        the place of its first word. The keys sorted by that place come out text
+        after text, since a text's words lie together, and within a text in the
+        order its words first appear: the order in which every ``np.bincount``
+        sum over a text's entries adds them."""
         index = {}  # each id is the number of words met before it
-        ids = [index.setdefault(word, len(index)) for word in chain.from_iterable(counts)]
-        return cls(list(index), np.fromiter(ids, np.intp, len(ids)),
-                   np.fromiter(chain.from_iterable(map(Counter.values, counts)), np.intp, len(ids)),
-                   np.fromiter(map(len, texts), np.intp, len(texts)),
-                   np.fromiter(map(len, counts), np.intp, len(counts)), index)
+        ids = np.fromiter([index.setdefault(word, len(index)) for word in chain.from_iterable(texts)], np.intp)
+        length = np.fromiter(map(len, texts), np.intp, len(texts))
+        text = np.arange(len(texts)).repeat(length)
+        _, first, count = np.unique(text * len(index) + ids, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return cls(list(index), ids[first[order]], count[order], length,
+                   np.bincount(text[first], minlength=len(texts)), index)
 
     @property
     def texts(self) -> int:

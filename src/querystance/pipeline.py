@@ -41,7 +41,6 @@ from .lexicons import (
     load_sentiment_lexicon,
 )
 from .svm import (
-    PREDICT_CHUNK_ROWS,
     KernelConfig,
     MulticlassModel,
     SvmConfig,
@@ -366,10 +365,11 @@ def predict_task2(
 
     In two-class mode, records predicted irrelevant come back neutral
     without consulting the model; a call that asks the model nothing
-    analyses nothing. The rows are built PREDICT_CHUNK_ROWS at a time, each
-    chunk's sentences read from the word table of the batch's analysis
-    (``_analysis``), which a ``predict_task1`` call on the same records
-    has made already.
+    analyses nothing. The rows of every record asked are built as one batch,
+    their sentences read from the word table of the batch's analysis
+    (``_analysis``), which a ``predict_task1`` call on the same records has
+    made already, and predicted in one ``predict_batch`` call; only
+    ``svm.decision_values`` reads them ``PREDICT_CHUNK_ROWS`` at a time.
     """
     model = _model(pipeline, 2)
     if len(task1_predictions) != len(records):
@@ -382,12 +382,10 @@ def predict_task2(
     if not asked:
         return out
     _, table = _analysis(records)
-    for start in range(0, len(asked), PREDICT_CHUNK_ROWS):
-        chunk = asked[start:start + PREDICT_CHUNK_ROWS]
-        batch = _task2_batch(table.take(np.array(chunk)), [task1_predictions[i] for i in chunk], model.vocabulary,
-                             pipeline.lexicons)
-        for i, label in zip(chunk, predict_batch(model.classifier, batch)):
-            out[i] = label
+    batch = _task2_batch(table.take(np.array(asked)), [task1_predictions[i] for i in asked], model.vocabulary,
+                         pipeline.lexicons)
+    for i, label in zip(asked, predict_batch(model.classifier, batch)):
+        out[i] = label
     return out
 
 

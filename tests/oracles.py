@@ -5,8 +5,9 @@ than the implementation under test: explicit pairing loops for the
 similarity features, exact active-set enumeration for the SVM dual, an
 SMO loop that recomputes its whole state every iteration, a one-pair
 kernel for the SVM's kernel matrices, the decision values of dense rows
-computed chunk by chunk over a dense gather, and string-taking feature
-functions that re-tokenize their inputs for every feature. Each feature
+computed chunk by chunk over a dense gather, a ``Counter`` per text for a
+batch's word table, and string-taking feature functions that re-tokenize
+their inputs for every feature. Each feature
 rule is worked out here from its definition and the raw resource fields
 (a vocabulary's ``terms``, ``df`` and ``n_docs``, a sentiment lexicon's
 (pos, neg) scores, a noun lexicon's words), never through the
@@ -197,6 +198,19 @@ def idf_reference(sentences: list[list[str]], words: list[str]) -> list[float]:
             df += word in tokens
         idf.append(math.log(n / df) if df else 0.0)
     return idf
+
+
+def word_table_reference(texts) -> tuple[list[str], dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``WordTable.of``'s fields ``types``, ``index``, ``type``, ``count``, ``length``
+    and ``sizes`` of ``texts``, counted a text at a time: a ``Counter`` per text
+    gives its entries in the order its words first appear, and each word's id is
+    the number of words met before it in those entries, text after text."""
+    counts = list(map(Counter, texts))
+    index = {}
+    ids = [index.setdefault(word, len(index)) for word in itertools.chain.from_iterable(counts)]
+    return (list(index), index, np.fromiter(ids, np.intp, len(ids)),
+            np.fromiter(itertools.chain.from_iterable(map(Counter.values, counts)), np.intp, len(ids)),
+            np.fromiter(map(len, texts), np.intp, len(texts)), np.fromiter(map(len, counts), np.intp, len(counts)))
 
 
 def decision_values_reference(model, rows: np.ndarray, chunk_rows: int) -> np.ndarray:

@@ -130,6 +130,17 @@ class TestTrain:
         assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
         assert "error: machine 'relevant' vs 'irrelevant': no alpha exceeds eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, key, value", [(1, "tol", "1e9"), (2, "eps", "1e12")])
+    def test_no_support_vector_from_config_names_its_line(self, workspace, tmp_path, capsys, task, key, value):
+        """A tol of 2 or more stops SMO before its first update, and an eps of C or more
+        keeps no alpha: from a config file, the error names the file, line and key."""
+        config, out = tmp_path / "run.cfg", tmp_path / "m.json"
+        config.write_text(f"# solver\n{key}={value}\n", encoding="utf-8")
+        assert main(train_args(workspace, task, out, "--config", str(config))) == 1
+        assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {config}: line 2: {key}: machine ") and "no alpha exceeds eps" in last
+
     @pytest.mark.parametrize("task", [1, 2])
     def test_empty_train_side_exits_1_without_model(self, workspace, tmp_path, capsys, task):
         # three queries of three rows: round(0.1 * 3) puts none of a query's rows on the train side

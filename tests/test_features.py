@@ -45,6 +45,7 @@ from oracles import (
     task2_tokens_reference,
     tfidf_reference,
     tokenize_reference,
+    word_table_reference,
 )
 from synth import GLOSSES, make_records
 
@@ -256,6 +257,29 @@ class TestVocabulary:
         given_vocabulary = task1_features([(query, s, vocab) for s in sentences], GlossDictionary(), frozenset()).values
         assert named.tobytes() == given_vocabulary.tobytes()
         assert (fitted["q"].terms, fitted["q"].df, fitted["q"].n_docs) == (vocab.terms, vocab.df, vocab.n_docs)
+
+
+class TestWordTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["sun", "Sun", "skin", "risk", "a", "tan"]), max_size=8), max_size=10),
+           st.booleans())
+    @example([], False)  # an empty batch
+    @example([[], ["sun", "sun", "skin"], [], ["skin", "risk", "sun", "skin"]], False)
+    @example([["sun", "skin"], [], ["skin", "risk", "sun"]], True)
+    def test_of_equals_the_counter_reference(self, texts, as_sets):
+        """The table counted in one ``np.unique`` pass is the one a ``Counter`` per text
+        gives: ``types`` and ``index`` equal, and ``type``, ``count``, ``length`` and
+        ``sizes`` equal in bytes and dtype, for token lists and for sets (which
+        ``fit_vocabulary`` takes), empty texts and empty batches included, and words
+        repeated within and across texts."""
+        if as_sets:
+            texts = [set(text) for text in texts]
+        table = WordTable.of(texts)
+        types, index, *arrays = word_table_reference(texts)
+        assert table.types == types and table.index == index
+        for name, expected in zip(("type", "count", "length", "sizes"), arrays):
+            got = getattr(table, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes()), name
 
 
 class TestTfidf:
@@ -597,17 +621,19 @@ class TestBatchPathEqualsStringOracles:
         assert np.array_equal(batch.values, np.array(expected).reshape(len(records), 5))
 
     def test_predict_task2_chunks_equal_one_batch(self, synthetic_lexicons, monkeypatch):
-        records = make_records(seed=4, per_query=60)  # 300 rows: chunks of 128, 128 and 44
+        """``predict_task2`` asks the model once, with the rows of all 300 records (the
+        SVM reads them 128 at a time), and those rows are ``task2_features``'s."""
+        records = make_records(seed=4, per_query=60)
         relevance = [r.relevance for r in records]
         trained = pipeline.train_task2(records[:100], relevance[:100], synthetic_lexicons, pipeline.PipelineConfig())
-        chunks = []
-        monkeypatch.setattr(pipeline, "predict_batch", lambda model, batch: chunks.append(batch.values) or
+        calls = []
+        monkeypatch.setattr(pipeline, "predict_batch", lambda model, batch: calls.append(batch.values) or
                             predict_batch(model, batch))
         pipeline.predict_task2(trained, records, relevance)
         whole = task2_features([tokenize(r.sentence_text) for r in records], [flag == "relevant" for flag in relevance],
                                trained.task2.vocabulary, synthetic_lexicons.sentiment)
-        assert [len(chunk) for chunk in chunks] == [128, 128, 44]
-        assert np.array_equal(np.concatenate(chunks), whole.values)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], whole.values)
 
 
 class TestPerBatchMemos:

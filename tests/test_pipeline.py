@@ -114,19 +114,22 @@ class TestTask1:
 
 class TestTask2:
     def test_chunked_prediction_matches_loop_oracle(self, trained, monkeypatch):
-        records = make_records(seed=3, per_query=60)  # 300 rows, so three chunks of task-2 rows
+        """300 rows are predicted in one ``predict_batch`` call, which reads them in
+        chunks of 128, 128 and 44, and each row's label and decision values are the
+        per-row reference's."""
+        records = make_records(seed=3, per_query=60)
         relevance = [r.relevance for r in records]
-        chunks = []
+        calls = []
 
         def recorded(model, batch):
-            chunks.append(decision_values(model, batch))
+            calls.append(decision_values(model, batch))
             return predict_batch(model, batch)
 
         monkeypatch.setattr(pipeline_module, "predict_batch", recorded)
         labels = predict_task2(trained, records, relevance)
-        assert [len(values) for values in chunks] == [128, 128, 44]
+        assert [len(values) for values in calls] == [300]
         model, vocab, sentiment = trained.task2_model, trained.task2.vocabulary, trained.lexicons.sentiment
-        for r, flag, label, values in zip(records, relevance, labels, np.concatenate(chunks)):
+        for r, flag, label, values in zip(records, relevance, labels, calls[0]):
             expected_label, expected_values = ovo_reference(
                 model, task2_features_reference(r.sentence_text, flag == "relevant", vocab, sentiment)
             )
@@ -281,7 +284,7 @@ class TestPredictChain:
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.sampled_from(POOL), max_size=12), st.integers(1, 12), st.booleans())
-    @example(POOL, 9, False)  # 324 rows asked of task 2: chunks of 128, 128 and 68
+    @example(POOL, 9, False)  # 324 rows asked of task 2, read by the SVM in chunks of 128, 128 and 68
     @example(POOL, 12, True)  # 180 of 432 rows predicted relevant: chunks of 128 and 52
     def test_chain_equals_separate_calls(self, trained, trained_two_class, rows, copies, two_class):
         pipeline = trained_two_class if two_class else trained
