@@ -3,13 +3,15 @@
 
 Each feature scores how well one sentence answers a query, on [0, 1].
 Each per-pair feature reads the two texts' token lists (``tokenize``); the
-batch function reads token lists too, and looks each distinct word up once
-however many rows hold it.
+batch function reads the sentences' word table (``WordTable``), which counts
+each sentence once, and looks each distinct word up once however many rows
+hold it.
 Run:  python demos/01_similarity_features.py
 """
 
 from querystance import (
     GlossDictionary,
+    WordTable,
     feature_cosine,
     feature_exact,
     feature_neighborhood,
@@ -74,9 +76,10 @@ print("\ntf-idf cosine")
 for s, tokens in zip(SENTENCES, sentences):
     print(f"  {feature_cosine(query, tokens, vocab):.3f}  {s}")
 
-# all five at once, in the order the relevance classifier consumes them:
-# one batch of (query tokens, sentence tokens, vocabulary) triples gives one matrix, a row per sentence
-batch = task1_features([(query, tokens, vocab) for tokens in sentences], gloss, nouns)
+# all five at once, in the order the relevance classifier consumes them: the
+# sentences' word table and a (query tokens, vocabulary) pair per sentence give
+# one matrix, a row per sentence
+batch = task1_features([(query, vocab)] * len(sentences), WordTable.of(sentences), gloss, nouns)
 print(f"\nfeature batch of shape {batch.values.shape} [exact, stemmed, noun, neighborhood, cosine]")
 for s, row in zip(SENTENCES, batch.values):
     print("  [" + ", ".join(f"{v:.3f}" for v in row) + f"]  {s}")

@@ -16,6 +16,7 @@ from .corpus import (
 from .features import (
     FeatureBatch,
     VocabularyModel,
+    WordTable,
     feature_cosine,
     feature_exact,
     feature_neighborhood,

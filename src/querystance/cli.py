@@ -137,19 +137,21 @@ PIPELINE_OPTIONS = {
 
 
 def _override(args: argparse.Namespace, obj, options: dict[str, str]):
-    """``obj`` with the fields the options set, one at a time, so that a value
-    outside its field's domain names the config line it came from."""
-    for option, name in options.items():
-        value = getattr(args, option, None)
-        if value is None:
-            continue
-        try:
-            obj = replace(obj, **{name: value})
-        except ValueError as exc:
-            if option not in args.config_lines:
-                raise
-            raise QueryStanceError(str(exc), args.config, line=args.config_lines[option], field=option) from exc
-    return obj
+    """``obj`` with the fields the options set. If together they leave a field's
+    domain (which for eps depends on c), they are set again one at a time, so
+    that the first value that breaks the settings names the config line it came from."""
+    given = {option: getattr(args, option) for option in options if getattr(args, option, None) is not None}
+    try:
+        return replace(obj, **{options[option]: value for option, value in given.items()})
+    except ValueError:
+        for option, value in given.items():
+            try:
+                obj = replace(obj, **{options[option]: value})
+            except ValueError as exc:
+                if option not in args.config_lines:
+                    raise
+                raise QueryStanceError(str(exc), args.config, line=args.config_lines[option], field=option) from exc
+        raise
 
 
 def _pipeline_config(args: argparse.Namespace, task: int) -> PipelineConfig:

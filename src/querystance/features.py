@@ -16,14 +16,16 @@ Every function here reads each text as its tokens (``textproc.tokenize``
 output), never as a raw string, and each rule is computed in one batch
 function. A batch's sentences are counted once, into one table of their
 word types (``WordTable``): every distinct word gets a small int id, and
-each text becomes (id, count) entries. The batch functions take such a
-table and only read it, so one table may serve both tasks and several
-threads (``pipeline`` keeps the last batch's). What a feature needs to
-know of a word (its stem, noun flag, polarity, vocabulary column, gloss
-matches and, for a query seen only in this batch, its document frequency
-there) is then looked up or counted once per type and call, and the
-features are sums over id arrays. The per-row ``feature_*`` functions are
-one-row calls into ``task1_features``.
+each text becomes (id, count) entries. Such a table is the one form in
+which the two batch feature functions take their sentences: they read the
+entries of the texts they are asked about in place and never change the
+table, so one table may serve both tasks and several threads (``pipeline``
+keeps the last batch's). What a feature needs to know of a word (its
+stem, noun flag, polarity, vocabulary column, gloss matches and, for a
+query seen only in this batch, its document frequency there) is then
+looked up or counted once per type and call, and the features are sums
+over id arrays. The per-row ``feature_*`` functions are one-row calls
+into ``task1_features``.
 
 A batch's rows are ``SparseRows``, CSR rows that store only nonzero
 values: the rows the SVM reads and the form of its support-vector pool.
@@ -118,19 +120,11 @@ class SparseRows:
 
 @dataclass(frozen=True, eq=False)
 class FeatureBatch:
-    """A batch's feature rows and their schema. ``rows`` is a SparseRows, or a
-    dense (rows, dims) matrix, which is stored as its nonzero entries; ``values``
-    is the dense float64 matrix of the rows, built on first access."""
+    """A batch's feature rows and their schema; ``values`` is the dense float64
+    matrix of the rows, built on first access."""
 
     rows: SparseRows
     schema_id: str
-
-    def __post_init__(self):
-        if not isinstance(self.rows, SparseRows):
-            values = np.asarray(self.rows, dtype=np.float64)
-            if values.ndim != 2:
-                raise ValueError("feature values must be a (rows, dims) matrix")
-            object.__setattr__(self, "rows", SparseRows.from_dense(values))
 
     @property
     def dims(self) -> int:
@@ -227,10 +221,6 @@ class WordTable:
     def start(self) -> np.ndarray:
         return np.concatenate(([0], self.sizes.cumsum()))
 
-    @functools.cached_property
-    def text(self) -> np.ndarray:
-        return np.arange(len(self.length)).repeat(self.sizes)
-
     @classmethod
     def of(cls, texts: Sequence[Iterable[str]]) -> WordTable:
         """The table of ``texts``, each given by its words: a text's entries in the
@@ -264,16 +254,6 @@ class WordTable:
         at = (self.start[texts] - ends + sizes).repeat(sizes) + np.arange(sizes.sum())
         return at, np.arange(len(texts)).repeat(sizes)
 
-    def take(self, texts: np.ndarray) -> WordTable:
-        """The table of ``texts`` (text ids) alone, its text i being ``texts[i]``,
-        with the types of their entries, in id order."""
-        at, _ = self.entries(texts)
-        present = np.zeros(len(self.types), dtype=bool)
-        present[self.type[at]] = True
-        renumber = np.cumsum(present) - 1
-        return WordTable(list(compress(self.types, present.tolist())), renumber[self.type[at]], self.count[at],
-                         self.length[texts], self.sizes[texts])
-
 
 # what a per-row feature that does not read a resource passes for it
 _NO_VOCABULARY, _NO_GLOSSES = VocabularyModel((), (), 1), GlossDictionary()
@@ -281,7 +261,7 @@ _NO_VOCABULARY, _NO_GLOSSES = VocabularyModel((), (), 1), GlossDictionary()
 
 def _one_row(query, sentence, vocab=_NO_VOCABULARY, gloss_dict=_NO_GLOSSES, nouns=frozenset()):
     """The five task-1 features of one pair of token lists, from a batch of one row."""
-    return task1_features([(query, sentence, vocab)], gloss_dict, nouns).values[0]
+    return task1_features([(query, vocab)], WordTable.of([sentence]), gloss_dict, nouns).values[0]
 
 
 def feature_exact(query: Sequence[str], sentence: Sequence[str]) -> float:
@@ -333,16 +313,17 @@ def fit_vocabulary(sentences: Sequence[Iterable[str]] | WordTable) -> Vocabulary
 
 
 def task1_features(
-    triples: Iterable[tuple[Sequence[str], Sequence[str], VocabularyModel | str]],
+    queries: Sequence[tuple[Sequence[str], VocabularyModel | str]],
+    table: WordTable,
     gloss_dict: GlossDictionary,
     nouns: frozenset[str],
     fitted: dict[str, VocabularyModel] | None = None,
-    table: WordTable | None = None,
 ) -> FeatureBatch:
     """The five relevance features, ordered as TASK1_FEATURE_NAMES, of each
-    (query tokens, sentence tokens, vocabulary) triple.
+    sentence of ``table`` and its query: row i pairs text i of the table with
+    ``queries[i]``, its (query tokens, vocabulary) pair.
 
-    In place of a vocabulary, a triple may hold its query's id (a str): its
+    In place of a vocabulary, a pair may hold its query's id (a str): its
     rows then read the vocabulary of their own sentences, each term's IDF
     ln(n / df) taken from ``np.bincount`` over their entries in the word
     table, where n counts the rows and df those whose sentence holds the
@@ -350,52 +331,46 @@ def task1_features(
     query id. The rows of one query id must share their query words.
 
     Rows with equal query words and one vocabulary (or query id) form a
-    group. The rows' sentences make one word table, text i being row i's
-    sentence; given ``table``, that is the table, and the triples'
-    sentences are not read. The table is not changed: a query word that it
-    lacks gets an id of this call's own, after the table's. Each word type
-    is stemmed once and, if a sentence holds it and the dictionary glosses
-    it, its gloss is matched once against the batch's query words. A group
-    then marks which of its columns each word type
-    hits: a query word itself (exact, noun), a query stem (stemmed), or a
-    query word itself or through the type's gloss (neighborhood). One
-    ``np.bincount`` over the group's sentence entries counts the matches of
-    each sentence and column, and ``np.minimum`` caps them at the query's
-    counts.
+    group. The table is only read: a query word that it lacks gets an id
+    of this call's own, after the table's. Each word type is stemmed once
+    and, if a sentence holds it and the dictionary glosses it, its gloss is
+    matched once against the batch's query words. A group then marks which
+    of its columns each word type hits: a query word itself (exact, noun),
+    a query stem (stemmed), or a query word itself or through the type's
+    gloss (neighborhood). One ``np.bincount`` over the group's sentence
+    entries counts the matches of each sentence and column, and
+    ``np.minimum`` caps them at the query's counts.
     """
-    triples = list(triples)
-    if any(isinstance(text, str) for triple in triples for text in triple[:2]):  # a str is a sequence too
-        raise TypeError("task1_features takes each text's tokens, not the text")
-    if any(vocab is None for *_, vocab in triples):
+    if any(isinstance(query, str) for query, _ in queries):  # a str is a sequence too
+        raise TypeError("task1_features takes each query's tokens, not its text")
+    if any(vocab is None for _, vocab in queries):
         raise VocabNotFitted("task1_features requires a fitted vocabulary for every row")
     groups = {}  # (query words, vocabulary id or query id) -> query words, vocabulary or query id, rows
     words_of = {}  # query id -> its query words
-    for row, (query, _, vocab) in enumerate(triples):
+    for row, (query, vocab) in enumerate(queries):
         words = tuple(query)
         if isinstance(vocab, str) and words_of.setdefault(vocab, words) != words:
             raise ValueError(f"the rows of query {vocab!r} hold different query words")
         groups.setdefault((words, vocab if isinstance(vocab, str) else id(vocab)), (words, vocab, []))[2].append(row)
-    if table is None:
-        table = WordTable.of([sentence for _, sentence, _ in triples])
-    elif table.texts != len(triples):
-        raise ValueError(f"{len(triples)} rows but a word table of {table.texts} sentences")
-    queries = [Counter(words) for words, _, _ in groups.values()]  # each query word and its count
+    if table.texts != len(queries):
+        raise ValueError(f"{len(queries)} rows but a word table of {table.texts} sentences")
+    counted = [Counter(words) for words, _, _ in groups.values()]  # each group's query words and their counts
     index, extra = table.index, {}  # the query words outside the table -> their ids, after the table's
     query_types = [[index[word] if word in index else extra.setdefault(word, len(table.types) + len(extra))
-                    for word in query] for query in queries]
+                    for word in query] for query in counted]
     types = table.types + list(extra)
     stems = stem_tokens(types)
 
     # once per glossed sentence word type: the query words that its gloss mentions
-    query_words = set().union(*queries)
+    query_words = set().union(*counted)
     gloss_matches = {}
     for word in compress(table.types, map(gloss_dict.entries.__contains__, map(str.lower, table.types))):
         tokens = gloss_first_k_sentences(gloss_dict, word)
         if not query_words.isdisjoint(tokens):  # most glosses mention no query word
             gloss_matches[table.index[word]] = query_words.intersection(tokens)
 
-    values = np.zeros((len(triples), len(TASK1_FEATURE_NAMES)))  # an empty query scores 0.0 throughout
-    for (words, vocab, rows), query, q_types in zip(groups.values(), queries, query_types):
+    values = np.zeros((len(queries), len(TASK1_FEATURE_NAMES)))  # an empty query scores 0.0 throughout
+    for (words, vocab, rows), query, q_types in zip(groups.values(), counted, query_types):
         n = len(rows)
         at, e_text = table.entries(np.array(rows))
         e_type, e_count, length = table.type[at], table.count[at], table.length[rows]
@@ -452,51 +427,48 @@ def task1_features(
         np.minimum(group_values[:, 3], 1.0, out=group_values[:, 3])  # one word may match several query words
         group_values[:, 4] = dots / np.where(norms == 0.0, 1.0, norms)  # a zero norm comes with a zero dot
         values[rows] = group_values
-    return FeatureBatch(values, SCHEMA_TASK1)
+    return FeatureBatch(SparseRows.from_dense(values), SCHEMA_TASK1)
 
 
 def task2_features(
-    sentences: Sequence[Sequence[str]] | WordTable,
+    table: WordTable,
+    texts: Sequence[int],
     relevance_flags: Sequence[bool],
     vocab_global: VocabularyModel,
     sent_lex: SentimentLexicon,
 ) -> FeatureBatch:
     """TF-IDF block plus sentiment counts and the relevance flag, one row
-    per sentence's tokens, or per text of a word table of the sentences.
+    per text id in ``texts``: row i is text ``texts[i]`` of ``table``.
 
     Dimension is vocabulary size + 4; the three counts partition the
-    sentence's tokens. The rows are built sparse, straight from the word
-    table's entries: each word type has its vocabulary column and its
-    polarity's column looked up once, the latter in the lexicon's word ->
-    polarity map. A value of 0.0 is not stored: a word outside the
-    vocabulary or in every sentence it was fitted on, a polarity no token
-    has and a flag that is not set.
+    sentence's tokens. The rows are built sparse, straight from the texts'
+    entries, which are read in place: each word type of the table has its
+    vocabulary column and its polarity's column looked up once, the latter
+    in the lexicon's word -> polarity map. A value of 0.0 is not stored: a
+    word outside the vocabulary or in every sentence it was fitted on, a
+    polarity no token has and a flag that is not set.
     """
     if vocab_global is None:
         raise VocabNotFitted("task2_features requires a fitted global vocabulary")
-    if isinstance(sentences, WordTable):
-        table = sentences
-    elif any(isinstance(tokens, str) for tokens in sentences):  # a str is a sequence too, of characters
-        raise TypeError("task2_features takes each sentence's tokens, not its text")
-    else:
-        table = WordTable.of(sentences)
-    n = table.texts
+    n = len(texts)
     if len(relevance_flags) != n:
         raise ValueError(f"{n} sentences but {len(relevance_flags)} relevance flags")
+    at, e_text = table.entries(texts)
+    e_type, e_count = table.type[at], table.count[at]
     size = vocab_global.size
-    column = _columns(vocab_global, table.types)[table.type]
+    column = _columns(vocab_global, table.types)[e_type]
     polarity_column = np.fromiter(map(sent_lex._place.get, map(str.lower, table.types), repeat(_NEUTRAL_COLUMN)),
                                   np.intp, len(table.types))
-    weight = tfidf_weights(table.count, table.length[table.text], vocab_global._idf[column])  # 0.0 at column -1
+    weight = tfidf_weights(e_count, table.length[texts][e_text], vocab_global._idf[column])  # 0.0 at column -1
     # each row's tail, a count per polarity and then the flag, as that many slots of one array
     slots = len(TASK2_TAIL_NAMES)
-    tail = np.bincount(table.text * slots + polarity_column[table.type], table.count, minlength=slots * n)
+    tail = np.bincount(e_text * slots + polarity_column[e_type], e_count, minlength=slots * n)
     tail[slots - 1::slots] = relevance_flags
-    known, at = weight.nonzero()[0], tail.nonzero()[0]
-    row = np.concatenate((table.text[known], at // slots))
+    known, filled = weight.nonzero()[0], tail.nonzero()[0]
+    row = np.concatenate((e_text[known], filled // slots))
     order = row.argsort(kind="stable")  # each row's entries together: its TF-IDF block, then its tail
-    indices = np.concatenate((column[known], size + at % slots))[order]
-    values = np.concatenate((weight[known], tail[at]))[order]
+    indices = np.concatenate((column[known], size + filled % slots))[order]
+    values = np.concatenate((weight[known], tail[filled]))[order]
     indptr = row[order].searchsorted(np.arange(n + 1))
     return FeatureBatch(SparseRows(size + slots, indptr, indices, values), SCHEMA_TASK2)
 

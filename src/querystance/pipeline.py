@@ -281,14 +281,13 @@ def task1_rows(
     """
     tokens, table = _analysis(records)
     group_by_query([r for r in records if r.query_id not in vocabularies])  # one query text per unseen query
-    triples = [(tokens[r.query_text], tokens[r.sentence_text], vocabularies.get(r.query_id, r.query_id))
-               for r in records]
-    return task1_features(triples, lexicons.gloss, lexicons.nouns, fitted, table)
+    queries = [(tokens[r.query_text], vocabularies.get(r.query_id, r.query_id)) for r in records]
+    return task1_features(queries, table, lexicons.gloss, lexicons.nouns, fitted)
 
 
-def _task2_batch(table: WordTable, relevance: Sequence[str], vocabulary: VocabularyModel,
+def _task2_batch(table: WordTable, texts: Sequence[int], relevance: Sequence[str], vocabulary: VocabularyModel,
                  lexicons: LexiconSet) -> FeatureBatch:
-    return task2_features(table, [label == RELEVANT for label in relevance], vocabulary, lexicons.sentiment)
+    return task2_features(table, texts, [label == RELEVANT for label in relevance], vocabulary, lexicons.sentiment)
 
 
 def task2_rows(
@@ -301,7 +300,7 @@ def task2_rows(
     relevance flag set where its label in ``relevance`` is relevant. The sentences
     are read from the word table of the batch's analysis (``_analysis``).
     """
-    return _task2_batch(_analysis(records)[1], relevance, vocabulary, lexicons)
+    return _task2_batch(_analysis(records)[1], range(len(records)), relevance, vocabulary, lexicons)
 
 
 def train_task1(
@@ -350,8 +349,7 @@ def train_task2(
     vocabulary = fit_vocabulary(table)
     two_class = config.stance_classes == TWO_CLASS
     kept = [i for i, stance in enumerate(stances) if not two_class or stance != NEUTRAL]
-    batch = _task2_batch(table.take(np.array(kept, dtype=np.intp)), [task1_labels[i] for i in kept], vocabulary,
-                         lexicons)
+    batch = _task2_batch(table, kept, [task1_labels[i] for i in kept], vocabulary, lexicons)
     svm = train_multiclass(batch, [stances[i] for i in kept], config.task2)
     return _join(pipeline, Task2Model.of(config, svm, vocabulary), lexicons)
 
@@ -382,8 +380,7 @@ def predict_task2(
     if not asked:
         return out
     _, table = _analysis(records)
-    batch = _task2_batch(table.take(np.array(asked)), [task1_predictions[i] for i in asked], model.vocabulary,
-                         pipeline.lexicons)
+    batch = _task2_batch(table, asked, [task1_predictions[i] for i in asked], model.vocabulary, pipeline.lexicons)
     for i, label in zip(asked, predict_batch(model.classifier, batch)):
         out[i] = label
     return out

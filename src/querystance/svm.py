@@ -92,14 +92,14 @@ class SvmConfig:
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"c must be positive and finite, got {self.c}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not 0 < self.tol < 2:  # the KKT gap starts at 2, so a tol of 2 or more stops SMO before it moves
+            raise ValueError(f"tol must be in (0, 2), got {self.tol}")
         if not _is_count(self.max_passes):
             raise ValueError(f"max_passes must be an integer, got {self.max_passes!r}")
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError(f"eps must be non-negative and finite, got {self.eps}")
+        if not 0 <= self.eps < self.c:  # no alpha exceeds C, so an eps of C or more keeps no support vector
+            raise ValueError(f"eps must be in [0, c), got {self.eps}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,8 @@
 Normalization layer for every similarity feature: lowercase word
 tokens, Porter stems, and a deliberately naive sentence splitter used
 only on short dictionary glosses. A text's token list, as ``tokenize``
-returns it, is the one form every feature function takes.
+returns it, is how the feature functions read a query, and what a
+batch's word table of its sentences (``features.WordTable``) counts.
 
 ``tokenize`` splits through one translation table, which maps each
 character that cannot be in a token to a space. The table fills itself

@@ -115,7 +115,8 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "flags", [["--C", "nan"], ["--max-passes", "0"], ["--gamma", "inf"], ["--coef0", "nan"],
-                  ["--tol", "inf"], ["--eps", "-1"], ["--train-fraction", "nan"]],
+                  ["--tol", "inf"], ["--tol", "2"], ["--tol", "1e9"], ["--eps", "-1"], ["--eps", "1e7"],
+                  ["--train-fraction", "nan"]],
         ids=" ".join,
     )
     def test_degenerate_setting_exits_1_without_model(self, workspace, tmp_path, capsys, flags):
@@ -124,22 +125,48 @@ class TestTrain:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    # an RBF kernel this narrow sets every row apart, so every alpha ends near 1
+    APART = ("--kernel", "rbf", "--gamma", "1e9")
+
     def test_no_support_vector_exits_1_without_model(self, workspace, tmp_path, capsys):
         out = tmp_path / "m.json"
-        assert main(train_args(workspace, 1, out, "--tol", "1e9")) == 1
+        assert main(train_args(workspace, 1, out, *self.APART, "--eps", "10")) == 1
         assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
         assert "error: machine 'relevant' vs 'irrelevant': no alpha exceeds eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", [1, 2])
+    def test_no_support_vector_from_config_names_its_line(self, workspace, tmp_path, capsys, task):
+        """An eps below C but above every alpha keeps no support vector: from a config
+        file, the error names the file, line and key."""
+        config, out = tmp_path / "run.cfg", tmp_path / "m.json"
+        config.write_text("# solver\neps=10\n", encoding="utf-8")
+        assert main(train_args(workspace, task, out, *self.APART, "--config", str(config))) == 1
+        assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {config}: line 2: eps: machine ") and "no alpha exceeds eps" in last
+
     @pytest.mark.parametrize("task, key, value", [(1, "tol", "1e9"), (2, "eps", "1e12")])
-    def test_no_support_vector_from_config_names_its_line(self, workspace, tmp_path, capsys, task, key, value):
-        """A tol of 2 or more stops SMO before its first update, and an eps of C or more
-        keeps no alpha: from a config file, the error names the file, line and key."""
+    def test_setting_that_can_never_train_from_config_names_its_line(self, workspace, tmp_path, capsys, task, key,
+                                                                     value):
+        """A tol of 2 or more would stop SMO before its first update, and an eps of C or
+        more would keep no alpha: each is refused before the data is read, naming the
+        file, line and key."""
         config, out = tmp_path / "run.cfg", tmp_path / "m.json"
         config.write_text(f"# solver\n{key}={value}\n", encoding="utf-8")
         assert main(train_args(workspace, task, out, "--config", str(config))) == 1
         assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(f"error: {config}: line 2: {key}: machine ") and "no alpha exceeds eps" in last
+        domain = {"tol": "(0, 2)", "eps": "[0, c)"}[key]
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: line 2: {key}: {key} must be in {domain}, got {float(value)}\n"
+
+    def test_c_and_eps_are_checked_together(self, workspace, tmp_path, capsys):
+        """A C below the default eps trains when eps is lowered with it; an eps from a
+        config file that is not below the flag's C names its line."""
+        assert main(train_args(workspace, 1, tmp_path / "m.json", "--C", "1e-9", "--eps", "0")) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text("eps=5\n", encoding="utf-8")
+        assert main(train_args(workspace, 1, tmp_path / "n.json", "--C", "1", "--config", str(config))) == 1
+        assert capsys.readouterr().err.endswith(f"error: {config}: line 1: eps: eps must be in [0, c), got 5.0\n")
 
     @pytest.mark.parametrize("task", [1, 2])
     def test_empty_train_side_exits_1_without_model(self, workspace, tmp_path, capsys, task):

@@ -100,7 +100,7 @@ edits = st.lists(st.tuples(st.sampled_from(("delete", "insert", "replace")), st.
 @example("data", [("insert", FIRST_QUERY_TEXT, 1, b"nan")])
 @example("data", [("insert", FIRST_QUERY_ID, 1, b"neutral")])
 @example("pred", [("insert", FIRST_QUERY_ID, 1, b"neutral")])
-@example("config", [("delete", 1, 8, b"\t"), ("insert", 736, 1, b"1e309")])  # tol=0.0011e309 never trains
+@example("config", [("delete", 1, 8, b"\t"), ("insert", 736, 1, b"1e309")])  # tol=0.0011e309 lies outside (0, 2)
 def test_edited_input_exits_0_or_names_the_file(originals, edited, edits):
     with tempfile.TemporaryDirectory() as root:
         paths = {name: Path(root, file) for name, file in FILES.items()}

@@ -34,14 +34,15 @@ kernels = st.builds(
     degree=st.integers(1, 10),
     coef0=finite,
 )
-svms = st.builds(
+# tol lies in (0, 2) and eps below c: outside them no setting can train
+svms = positive.flatmap(lambda c: st.builds(
     SvmConfig,
-    c=positive,
+    c=st.just(c),
     kernel=kernels,
-    tol=positive,
+    tol=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
     max_passes=st.integers(1, 10**9),
-    eps=st.floats(min_value=0.0, allow_infinity=False),
-)
+    eps=st.floats(0.0, c, exclude_max=True),
+))
 paths = st.none() | st.text(max_size=8)
 pipelines = st.builds(
     PipelineConfig,

@@ -15,7 +15,6 @@ from querystance.features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
     TASK2_TAIL_NAMES,
-    FeatureBatch,
     VocabularyModel,
     WordTable,
     feature_cosine,
@@ -59,9 +58,21 @@ def dice(query, sentence) -> float:
     return dice_counts(Counter(query), Counter(sentence), len(query) + len(sentence))
 
 
+def task1_of(triples, gloss_dict, nouns, fitted=None):
+    """The task-1 batch of (query tokens, sentence tokens, vocabulary) triples: row i
+    pairs text i of a word table of the sentences with its query and vocabulary."""
+    queries = [(query, vocab) for query, _, vocab in triples]
+    return task1_features(queries, WordTable.of([sentence for _, sentence, _ in triples]), gloss_dict, nouns, fitted)
+
+
+def task2_of(sentences, flags, vocab, sent_lex):
+    """The task-2 batch of token lists: every text of a word table of them, in order."""
+    return task2_features(WordTable.of(sentences), range(len(sentences)), flags, vocab, sent_lex)
+
+
 def tfidf(vocab, tokens) -> dict[str, float]:
     """The TF-IDF block of a token list's task-2 row, by term."""
-    row = task2_features([tokens], [False], vocab, SentimentLexicon()).values[0]
+    row = task2_of([tokens], [False], vocab, SentimentLexicon()).values[0]
     return dict(zip(vocab.terms, row[:vocab.size].tolist()))
 
 
@@ -253,8 +264,9 @@ class TestVocabulary:
         assert idf.tobytes() == vocab._idf[[vocab._index.get(word, -1) for word in types]].tobytes()
         assert idf.tobytes() == np.array(idf_reference(sentences, types)).tobytes()
         fitted = {}
-        named = task1_features([(query, s, "q") for s in sentences], GlossDictionary(), frozenset(), fitted).values
-        given_vocabulary = task1_features([(query, s, vocab) for s in sentences], GlossDictionary(), frozenset()).values
+        n = len(sentences)
+        named = task1_features([(query, "q")] * n, table, GlossDictionary(), frozenset(), fitted).values
+        given_vocabulary = task1_features([(query, vocab)] * n, table, GlossDictionary(), frozenset()).values
         assert named.tobytes() == given_vocabulary.tobytes()
         assert (fitted["q"].terms, fitted["q"].df, fitted["q"].n_docs) == (vocab.terms, vocab.df, vocab.n_docs)
 
@@ -357,14 +369,14 @@ class TestTask1Vector:
     GLOSS = GlossDictionary()
 
     def _row(self, query, sentence, vocab):
-        batch = task1_features([(tokenize(query), tokenize(sentence), vocab)], self.GLOSS, self.LEX)
+        batch = task1_features([(tokenize(query), vocab)], WordTable.of([tokenize(sentence)]), self.GLOSS, self.LEX)
         assert batch.values.shape == (1, 5)
         return batch.values[0]
 
     def test_self_pair(self):
         vocab = fit_vocabulary([["sun", "cancer", "risk"], ["bright", "day"]])
         tokens = tokenize("sun cancer risk")
-        batch = task1_features([(tokens, tokens, vocab)], self.GLOSS, self.LEX)
+        batch = task1_features([(tokens, vocab)], WordTable.of([tokens]), self.GLOSS, self.LEX)
         assert batch.schema_id == SCHEMA_TASK1
         assert batch.dims == 5
         np.testing.assert_allclose(batch.values, [[1.0, 1.0, 1.0, 1.0, 1.0]], atol=1e-12)
@@ -387,36 +399,36 @@ class TestTask1Vector:
              vocab)
             for _ in range(1000)
         ]
-        batch = task1_features(iter(triples), synthetic_lexicons.gloss, synthetic_lexicons.nouns)
+        batch = task1_of(triples, synthetic_lexicons.gloss, synthetic_lexicons.nouns)
         assert batch.values.shape == (1000, 5)
         assert np.all(batch.values >= 0.0) and np.all(batch.values <= 1.0)
 
     def test_empty_batch(self):
-        assert task1_features([], self.GLOSS, self.LEX).values.shape == (0, 5)
+        assert task1_features([], WordTable.of([]), self.GLOSS, self.LEX).values.shape == (0, 5)
 
     def test_cosine_column_is_each_rows_cosine(self):
         vocabs = [fit_vocabulary([["sun", "cancer"], ["skin", "risk"]]), fit_vocabulary([["sun", "risk"]])]
         queries = [tokenize("sun cancer"), tokenize("skin risk sun")]
         sentences = [tokenize(text) for text in ("sun cancer risk", "skin", "the sun", "risk risk cancer")]
         triples = [(q, s, v) for v in vocabs for q in queries for s in sentences]
-        batch = task1_features(triples, self.GLOSS, self.LEX)
+        batch = task1_of(triples, self.GLOSS, self.LEX)
         assert np.array_equal(batch.values[:, 4], [feature_cosine(q, s, v) for q, s, v in triples])
 
     def test_text_instead_of_tokens_rejected(self):
         with pytest.raises(TypeError):
-            task1_features([("sun", ["sun"], fit_vocabulary([["sun"]]))], self.GLOSS, self.LEX)
+            task1_features([("sun", fit_vocabulary([["sun"]]))], WordTable.of([["sun"]]), self.GLOSS, self.LEX)
 
     def test_unfitted_vocab(self):
         with pytest.raises(VocabNotFitted):
-            task1_features([(["sun"], ["sun"], None)], self.GLOSS, self.LEX)
+            task1_features([(["sun"], None)], WordTable.of([["sun"]]), self.GLOSS, self.LEX)
 
     def test_query_id_rows_must_share_query_words(self):
         with pytest.raises(ValueError, match="the rows of query 'q' hold different query words"):
-            task1_features([(["sun"], ["sun"], "q"), (["skin"], ["sun"], "q")], self.GLOSS, self.LEX)
+            task1_features([(["sun"], "q"), (["skin"], "q")], WordTable.of([["sun"], ["sun"]]), self.GLOSS, self.LEX)
 
     def test_given_table_holds_one_sentence_per_row(self):
         with pytest.raises(ValueError, match="2 rows but a word table of 1 sentences"):
-            task1_features([(["sun"], ["sun"], "q")] * 2, self.GLOSS, self.LEX, table=WordTable.of([["sun"]]))
+            task1_features([(["sun"], "q")] * 2, WordTable.of([["sun"]]), self.GLOSS, self.LEX)
 
 
 class TestTask2Vector:
@@ -424,21 +436,20 @@ class TestTask2Vector:
 
     def test_sentiment_counts(self):
         vocab = fit_vocabulary([["good", "day"], ["bad", "day"]])
-        batch = task2_features([tokenize("good good bad")], [True], vocab, self.LEX)
+        batch = task2_of([tokenize("good good bad")], [True], vocab, self.LEX)
         assert batch.schema_id == SCHEMA_TASK2
         assert batch.dims == vocab.size + 4
         assert tuple(batch.values[0, -4:]) == (2.0, 1.0, 0.0, 1.0)
 
     def test_empty_sentence(self):
         vocab = fit_vocabulary([["good"]])
-        batch = task2_features([[]], [False], vocab, self.LEX)
+        batch = task2_of([[]], [False], vocab, self.LEX)
         assert batch.values.shape == (1, vocab.size + 4) and not batch.values.any()
-        assert task2_features([], [], vocab, self.LEX).values.shape == (0, vocab.size + 4)
+        assert task2_of([], [], vocab, self.LEX).values.shape == (0, vocab.size + 4)
 
     def test_sparse_rows_count_their_nonzeros(self):
         vocab = fit_vocabulary([["good", "day"], ["bad", "day"]])  # "day" is in both: its IDF is 0
-        batch = task2_features([tokenize("good day zebra"), [], tokenize("bad bad")], [True, False, False], vocab,
-                               self.LEX)
+        batch = task2_of([tokenize("good day zebra"), [], tokenize("bad bad")], [True, False, False], vocab, self.LEX)
         assert batch.dims == vocab.size + 4
         # good's weight, positive 1, neutral 2 and the flag; nothing; bad's weight and negative 2
         assert np.count_nonzero(batch.values) == len(batch.rows.values) == 6
@@ -453,50 +464,68 @@ class TestTask2Vector:
     @example([])
     @example([(["zebra", "meh"], True), ([], False), (["day", "day"], False), (["good", "Good", "sun"], True)])
     def test_sparse_rows_equal_dense_reference(self, rows):
-        """The rows built sparse, from token lists or from a word table holding other
-        texts too, store no zero and are the dense reference rows, bit for bit."""
+        """The rows built sparse, from a word table of their sentences alone or from
+        some texts of one that holds other texts too, store no zero and are the
+        dense reference rows, bit for bit."""
         sentences, flags = [tokens for tokens, _ in rows], [flag for _, flag in rows]
         vocab = fit_vocabulary([["good", "day", "sun"], ["bad", "day"], ["day"]])
         expected = np.array([task2_tokens_reference(t, f, vocab, self.LEX) for t, f in rows])
         expected = expected.reshape(len(rows), vocab.size + 4)
         table = WordTable.of([["zebra", "sun"], *sentences, ["bad"]])
-        for given in (sentences, table.take(np.arange(1, len(rows) + 1))):
-            batch = task2_features(given, flags, vocab, self.LEX)
+        for given, texts in ((WordTable.of(sentences), range(len(rows))), (table, range(1, len(rows) + 1))):
+            batch = task2_features(given, texts, flags, vocab, self.LEX)
             assert batch.values.shape == (len(rows), vocab.size + 4)
             assert batch.values.tobytes() == expected.tobytes()
             assert np.all(batch.rows.values != 0.0) and len(batch.rows.values) == np.count_nonzero(expected)
 
+    # a batch of sentences, and text ids of it (a subset, reordered, repeated or none), each with a flag
+    asked_batches = st.lists(st.lists(st.sampled_from(WORDS), max_size=8), max_size=8).flatmap(
+        lambda sentences: st.tuples(st.just(sentences), st.lists(
+            st.tuples(st.integers(0, len(sentences) - 1), st.booleans()), max_size=12) if sentences else st.just([])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(asked_batches)
+    @example(([], []))
+    @example(([["sun"], ["bad"]], []))
+    @example(([["good", "day"], [], ["bad", "Good", "bad"], ["zebra"]], [(2, True), (0, False), (2, False), (1, True)]))
+    def test_rows_read_in_place_equal_a_table_of_their_texts(self, batch):
+        """The rows of some text ids of a word table, read in place, are those of a
+        table of these texts alone, in the bytes and dtypes of ``indptr``, ``indices``
+        and ``values``, and their dense matrix is the dense reference rows."""
+        sentences, asked = batch
+        texts, flags = [t for t, _ in asked], [flag for _, flag in asked]
+        vocab = fit_vocabulary([["good", "day", "sun"], ["bad", "day"], ["day"]])
+        got = task2_features(WordTable.of(sentences), texts, flags, vocab, self.LEX)
+        alone = task2_of([sentences[t] for t in texts], flags, vocab, self.LEX)
+        for name in ("indptr", "indices", "values"):
+            a, b = getattr(got.rows, name), getattr(alone.rows, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        expected = [task2_tokens_reference(sentences[t], flag, vocab, self.LEX) for t, flag in asked]
+        assert got.values.tobytes() == np.array(expected).reshape(len(asked), vocab.size + 4).tobytes()
+
     def test_relevance_flag(self):
         vocab = fit_vocabulary([["good"]])
-        assert list(task2_features([["x"], ["x"]], [True, False], vocab, self.LEX).values[:, -1]) == [1.0, 0.0]
+        assert list(task2_of([["x"], ["x"]], [True, False], vocab, self.LEX).values[:, -1]) == [1.0, 0.0]
 
     def test_unfitted_vocab(self):
         with pytest.raises(VocabNotFitted):
-            task2_features([["x"]], [True], None, self.LEX)
-
-    def test_text_instead_of_tokens_rejected(self):
-        with pytest.raises(TypeError):
-            task2_features(["good day"], [True], fit_vocabulary([["good"]]), self.LEX)
-
-    def test_batch_not_a_matrix_rejected(self):
-        with pytest.raises(ValueError, match=r"feature values must be a \(rows, dims\) matrix"):
-            FeatureBatch(np.zeros(3), SCHEMA_TASK2)
+            task2_features(WordTable.of([["x"]]), [0], [True], None, self.LEX)
 
     def test_one_flag_per_sentence(self):
         with pytest.raises(ValueError):
-            task2_features([["good"], ["day"]], [True], fit_vocabulary([["good"]]), self.LEX)
+            task2_features(WordTable.of([["good"], ["day"]]), [0, 1], [True], fit_vocabulary([["good"]]), self.LEX)
 
     @given(st.lists(st.sampled_from(["good", "bad", "day", "sun"]), max_size=15))
     def test_counts_partition_tokens(self, words):
         vocab = fit_vocabulary([["good", "bad", "day"]])
         sentence = " ".join(words)
-        row = task2_features([tokenize(sentence)], [True], vocab, self.LEX).values[0]
+        row = task2_of([tokenize(sentence)], [True], vocab, self.LEX).values[0]
         assert row[-4] + row[-3] + row[-2] == len(words)
 
     def test_dimension_constant_across_sentences(self, synthetic_records, synthetic_lexicons):
         vocab = fit_vocabulary([r.sentence_text.split() for r in synthetic_records])
         records = synthetic_records[:20]
-        batch = task2_features(
+        batch = task2_of(
             [tokenize(r.sentence_text) for r in records], [True] * len(records), vocab, synthetic_lexicons.sentiment
         )
         assert batch.values.shape == (20, vocab.size + 4)
@@ -540,7 +569,7 @@ class TestAnalysedPathEqualsStringOracles:
         vocab = fit_vocabulary([tokenize(r.sentence_text) for r in records])
         sentiment = synthetic_lexicons.sentiment
         flags = [i % 2 == 0 for i in range(len(records))]
-        got = task2_features([tokenize(r.sentence_text) for r in records], flags, vocab, sentiment).values
+        got = task2_of([tokenize(r.sentence_text) for r in records], flags, vocab, sentiment).values
         expected = [task2_features_reference(r.sentence_text, flag, vocab, sentiment) for r, flag in zip(records, flags)]
         assert np.array_equal(got, np.array(expected))
 
@@ -570,7 +599,7 @@ class TestCountPathEqualsStringOracles:
         vocabs = [fit_vocabulary([tokenize(t) for t in corpus]) for corpus in (corpus_a, corpus_b)]
         tokens = {q: tokenize(q) for q in queries}  # one token list per query, fresh ones per sentence
         keys = [(q, s, v) for v in vocabs for q in queries for s in sentences]
-        got = task1_features([(tokens[q], tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
+        got = task1_of([(tokens[q], tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
         expected = [task1_features_reference(q, s, v, self.GLOSS, self.NOUNS) for q, s, v in keys]
         assert np.array_equal(got, np.array(expected).reshape(len(keys), 5))
 
@@ -581,7 +610,7 @@ class TestCountPathEqualsStringOracles:
         flags = [i % 3 == 0 for i in range(len(sentences))]
         for corpus in (corpus_a, corpus_b):
             vocab = fit_vocabulary([tokenize(t) for t in corpus])
-            got = task2_features([tokenize(s) for s in sentences], flags, vocab, self.SENTIMENT).values
+            got = task2_of([tokenize(s) for s in sentences], flags, vocab, self.SENTIMENT).values
             expected = [task2_features_reference(s, f, vocab, self.SENTIMENT) for s, f in zip(sentences, flags)]
             assert np.array_equal(got, np.array(expected).reshape(len(sentences), vocab.size + 4))
 
@@ -630,8 +659,8 @@ class TestBatchPathEqualsStringOracles:
         monkeypatch.setattr(pipeline, "predict_batch", lambda model, batch: calls.append(batch.values) or
                             predict_batch(model, batch))
         pipeline.predict_task2(trained, records, relevance)
-        whole = task2_features([tokenize(r.sentence_text) for r in records], [flag == "relevant" for flag in relevance],
-                               trained.task2.vocabulary, synthetic_lexicons.sentiment)
+        whole = task2_of([tokenize(r.sentence_text) for r in records], [flag == "relevant" for flag in relevance],
+                         trained.task2.vocabulary, synthetic_lexicons.sentiment)
         assert len(calls) == 1
         assert np.array_equal(calls[0], whole.values)
 
@@ -659,16 +688,17 @@ class TestPerBatchMemos:
         queries = [tokenize("sun cancer skin"), tokenize("risk of skin")]
         sentences = ["melanoma tan melanoma sun", "sun sun zebra", "", "tan risk"]
         triples = [(q, tokenize(s), vocab) for q in queries for s in sentences * 2]
-        task1_features(triples, self.GLOSS, self.NOUNS)
+        task1_of(triples, self.GLOSS, self.NOUNS)
         # of the sentence words melanoma, tan, sun, zebra and risk, the two the dictionary glosses
         assert sorted(calls) == ["melanoma", "tan"]
-        task1_features(triples, self.GLOSS, self.NOUNS)  # a second call starts afresh
+        task1_of(triples, self.GLOSS, self.NOUNS)  # a second call starts afresh
         assert sorted(calls) == ["melanoma", "melanoma", "tan", "tan"]
 
     def test_rows_group_by_query_words(self, monkeypatch):
         """A query tokenized afresh for each row joins the group of its words and
-        vocabulary, and the values are those of one shared list per query. A given
-        word table is read, not changed, though it lacks query words."""
+        vocabulary, and the values are those of one shared list per query. The word
+        table is read, not changed, though it lacks query words, and no other table
+        is built."""
         import querystance.features as features
 
         vocabs = [fit_vocabulary([["sun", "cancer"], ["skin", "risk"]]), fit_vocabulary([["sun", "risk", "tan"]])]
@@ -678,21 +708,19 @@ class TestPerBatchMemos:
         keys = [(q, s, v) for v in vocabs for q in queries for s in sentences] + [
             (queries[0], s, vocabs[0]) for s in sentences]
         shared = {q: tokenize(q) for q in queries}
-        expected = task1_features([(shared[q], tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
+        table = WordTable.of([tokenize(s) for _, s, _ in keys])
+        types, index = list(table.types), dict(table.index)
+        assert not {"of", "the"} & set(types)  # query words that no sentence holds
+        expected = task1_features([(shared[q], v) for q, _, v in keys], table, self.GLOSS, self.NOUNS).values
         tables = []
         of = features.WordTable.of
         monkeypatch.setattr(features.WordTable, "of", lambda texts: tables.append(texts) or of(texts))
-        got = task1_features([(tokenize(q), tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
+        got = task1_features([(tokenize(q), v) for q, _, v in keys], table, self.GLOSS, self.NOUNS).values
         assert np.array_equal(got, expected)
-        [texts] = tables  # one table of every row's sentence
-        assert len(texts) == len(keys)
-        given = of([tokenize(s) for _, s, _ in keys])
-        types, index = list(given.types), dict(given.index)
-        assert not {"of", "the"} & set(types)  # query words that no sentence holds
-        again = task1_features([(tokenize(q), [], v) for q, _, v in keys], self.GLOSS, self.NOUNS, table=given).values
-        assert np.array_equal(again, expected)
-        assert len(tables) == 1
-        assert (given.types, given.index) == (types, index)
+        assert np.array_equal(got, task1_of([(shared[q], tokenize(s), v) for q, s, v in keys], self.GLOSS,
+                                            self.NOUNS).values)
+        assert len(tables) == 1  # task1_of's own table
+        assert (table.types, table.index) == (types, index)
 
     def test_polarity_map_built_once_per_lexicon(self, monkeypatch):
         calls = []
@@ -702,8 +730,8 @@ class TestPerBatchMemos:
         assert sorted(calls) == sorted(self.SENTIMENT.entries.values())  # once per entry, at construction
         vocab = fit_vocabulary([["good", "sun"]])
         sentences = [tokenize(s) for s in ("good good bad", "bad zebra good", "", "risk sun Sun")]
-        first = task2_features(sentences, [True] * 4, vocab, sentiment)
-        second = task2_features(sentences, [True] * 4, vocab, sentiment)
+        first = task2_of(sentences, [True] * 4, vocab, sentiment)
+        second = task2_of(sentences, [True] * 4, vocab, sentiment)
         assert len(calls) == len(self.SENTIMENT.entries)  # and never per call
         assert np.array_equal(first.values, second.values)
         assert first.values[:, -4:-1].tolist() == [[2, 1, 0], [1, 1, 1], [0, 0, 0], [0, 1, 2]]
@@ -724,7 +752,7 @@ class TestPerBatchMemos:
                    for term in sentiment.entries}
         assert sentiment._place == columns
         words = [*sentiment.entries, "zebra", *(term.upper() for term in sentiment.entries), "Zebra"]
-        tails = task2_features([[w] for w in words], [False] * len(words), fit_vocabulary([["zebra"]]),
-                               sentiment).values[:, -4:-1]
+        tails = task2_of([[w] for w in words], [False] * len(words), fit_vocabulary([["zebra"]]),
+                         sentiment).values[:, -4:-1]
         expected = [TASK2_TAIL_NAMES.index(f"{polarity_reference(sentiment, w).value}_count") for w in words]
         assert tails.tolist() == [[float(j == column) for j in range(3)] for column in expected]

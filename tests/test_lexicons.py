@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from querystance.errors import MalformedLine, ScoreOutOfRange
-from querystance.features import TASK2_TAIL_NAMES, feature_noun, fit_vocabulary, task2_features
+from querystance.features import TASK2_TAIL_NAMES, WordTable, feature_noun, fit_vocabulary, task2_features
 from querystance.lexicons import (
     GlossDictionary,
     Polarity,
@@ -21,7 +21,7 @@ MELANOMA_GLOSS = (
 
 def polarity(lexicon: SentimentLexicon, word: str) -> Polarity:
     """The polarity whose count a one-word task-2 row raises, read from the row's tail columns."""
-    counts = task2_features([[word]], [False], fit_vocabulary([[word]]), lexicon).values[0, -4:-1]
+    counts = task2_features(WordTable.of([[word]]), [0], [False], fit_vocabulary([[word]]), lexicon).values[0, -4:-1]
     assert sorted(counts.tolist()) == [0.0, 0.0, 1.0]
     return Polarity(TASK2_TAIL_NAMES[int(counts.argmax())].removesuffix("_count"))
 

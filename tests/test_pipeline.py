@@ -35,7 +35,7 @@ from querystance.pipeline import (
     train_task1,
     train_task2,
 )
-from querystance.features import task2_features
+from querystance.features import WordTable, task2_features
 from querystance.svm import KernelConfig, SvmConfig, _gram, decision_value, decision_values, predict_batch
 from querystance.textproc import tokenize
 
@@ -552,7 +552,8 @@ class TestPersistence:
         assert predict_task2(loaded, records, relevance) == predict_task2(trained, records, relevance)
         task1_rows = pipeline_module.task1_rows(records, trained.task1.vocabularies, trained.lexicons)
         task2_rows = task2_features(
-            [tokenize(r.sentence_text) for r in records],
+            WordTable.of([tokenize(r.sentence_text) for r in records]),
+            range(len(records)),
             [label == "relevant" for label in relevance],
             trained.task2.vocabulary,
             trained.lexicons.sentiment,

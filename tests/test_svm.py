@@ -15,7 +15,7 @@ from querystance.errors import (
     SingleClassInput,
 )
 from querystance import svm as svm_module
-from querystance.features import FeatureBatch
+from querystance.features import FeatureBatch, SparseRows
 from querystance.pipeline import PipelineConfig, train_task2
 from querystance.svm import (
     KERNEL_KINDS,
@@ -121,11 +121,14 @@ class TestKernelEval:
             ("c", lambda: SvmConfig(c=float("nan"))),
             ("c", lambda: SvmConfig(c=float("inf"))),
             ("tol", lambda: SvmConfig(tol=float("inf"))),
+            ("tol", lambda: SvmConfig(tol=2.0)),
+            ("tol", lambda: SvmConfig(tol=1e9)),
             ("max_passes", lambda: SvmConfig(max_passes=0)),
             ("max_passes", lambda: SvmConfig(max_passes=1.5)),
             ("max_passes", lambda: SvmConfig(max_passes=True)),
             ("eps", lambda: SvmConfig(eps=-1e-9)),
             ("eps", lambda: SvmConfig(eps=float("nan"))),
+            ("eps", lambda: SvmConfig(c=10.0, eps=10.0)),
         ):
             with pytest.raises(ValueError, match=rf"\b{field} must "):
                 bad()
@@ -299,8 +302,9 @@ class TestOverlappingScale:
         assert 0 < updates < 15000
 
     def test_no_support_vector_raises(self):
-        x, y = overlapping_rows()
-        cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=5.0), tol=1e9)
+        # four rows far apart under the kernel: every alpha ends near 1, below the floor eps
+        x, y = np.array([[0.0], [1.0], [3.0], [4.0]]), [-1.0, -1.0, 1.0, 1.0]
+        cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=5.0), eps=1e6)
         with pytest.raises(NoSupportVectors, match="'up' vs 'down'"):
             train_binary(x, y, cfg, positive_label="up", negative_label="down")
 
@@ -390,13 +394,13 @@ class TestMulticlass:
 
     def test_schema_mismatch_rejected(self):
         cfg = SvmConfig(c=10.0, kernel=KernelConfig("linear"))
-        batch = FeatureBatch(np.array([[0.0], [1.0]]), "task1-v1")
+        batch = FeatureBatch(SparseRows.from_dense(np.array([[0.0], [1.0]])), "task1-v1")
         model = train_multiclass(batch, ["no", "yes"], cfg)
         assert model.schema_id == "task1-v1"
         with pytest.raises(DimensionMismatch, match="schema"):
-            predict_batch(model, FeatureBatch(np.array([[1.0]]), "task2-v1"))
+            predict_batch(model, FeatureBatch(SparseRows.from_dense(np.array([[1.0]])), "task2-v1"))
         with pytest.raises(DimensionMismatch, match="expects 1 dims"):
-            predict_batch(model, FeatureBatch(np.array([[1.0, 2.0]]), "task1-v1"))
+            predict_batch(model, FeatureBatch(SparseRows.from_dense(np.array([[1.0, 2.0]])), "task1-v1"))
         with pytest.raises(DimensionMismatch, match="expects 1 dims"):
             predict_batch(model, np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
@@ -470,7 +474,7 @@ def test_sparse_rows_give_the_dense_decision_values(seed, kind, n_rows, n_pool):
     )
     model = MulticlassModel(("a", "b", "c"), machines, KERNELS[kind], pool)
     rows = sparse(n_rows, 0.3) * ~unused
-    batch = FeatureBatch(rows, "task2-v1")
+    batch = FeatureBatch(SparseRows.from_dense(rows), "task2-v1")
     assert batch.values.tobytes() == rows.tobytes()
     got = decision_values(model, batch)
     assert got.tobytes() == decision_values(model, batch.values).tobytes()
@@ -671,7 +675,7 @@ _ROW_ENTRY_POINTS = {
 _BATCH_FORMS = {
     "list": lambda rows: rows.tolist(),
     "array": lambda rows: rows,
-    "FeatureBatch": lambda rows: FeatureBatch(rows, "task1-v1"),
+    "FeatureBatch": lambda rows: FeatureBatch(SparseRows.from_dense(rows), "task1-v1"),
 }
 
 
@@ -682,7 +686,7 @@ class TestIntake:
 
     @pytest.fixture(scope="class")
     def model(self):
-        batch = FeatureBatch(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]), "task1-v1")
+        batch = FeatureBatch(SparseRows.from_dense(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])), "task1-v1")
         return train_multiclass(batch, ["a", "b", "c"], _INTAKE_CFG)
 
     @pytest.fixture
