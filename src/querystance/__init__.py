@@ -64,6 +64,6 @@ from .svm import (
     train_binary,
     train_multiclass,
 )
-from .textproc import porter_stem, split_sentences, stem_tokens, tokenize
+from .textproc import porter_stem, split_sentences, stem_tokens, tokenize, tokenize_batch
 
 __version__ = "0.1.0"

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import chain
 from operator import attrgetter
 
 from . import __version__
@@ -35,6 +35,7 @@ from .corpus import (
     read_csv_rows,
     required_labels,
     split_train_dev,
+    write_csv_rows,
 )
 from .errors import (
     AlignmentError,
@@ -251,8 +252,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             else:
                 pipeline = train_task2(records, [r.relevance for r in records], lexicons, config)
         except NoSupportVectors as exc:
-            # a config file's tol or eps may be one that can never train: name its line
-            option = next((key for key in ("tol", "eps") if key in args.config_lines), None)
+            # a config file's eps may keep no alpha, or its tol (in (0, 2)) stop SMO early: name
+            # the line, eps's first, as the message is about eps
+            option = next((key for key in ("eps", "tol") if key in args.config_lines), None)
             if option is None:
                 raise
             raise NoSupportVectors(str(exc), args.config, line=args.config_lines[option], field=option) from exc
@@ -290,19 +292,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
             relevance = required_labels(records, "relevance", "standalone task-2 prediction", data_path)
             columns["predicted_stance"] = predict_task2(pipeline, records, relevance)
 
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(EXPECTED_HEADER + list(columns))
-        for i, record in enumerate(records):
-            row = [
-                record.query_id,
-                record.query_text,
-                record.sentence_text,
-                record.relevance or "",
-                record.stance or "",
-            ]
-            row.extend(labels[i] for labels in columns.values())
-            writer.writerow(row)
+    rows = ([r.query_id, r.query_text, r.sentence_text, r.relevance or "", r.stance or "", *labels]
+            for r, labels in zip(records, zip(*columns.values())))
+    write_csv_rows(out_path, chain([EXPECTED_HEADER + list(columns)], rows))
     # "chain": task 2 read task-1 predictions, with or without --chain
     _write_manifest(args, {"chain": tasks == [1, 2], "tasks": tasks}, pipeline.config.seed)
     print(f"wrote {out_path} ({len(records)} rows)")
@@ -344,10 +336,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate(gold, predictions, [r.query_id for r in gold_records])
     print(report.render_table())
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["query_id", "accuracy"])
-            writer.writerows(report.to_csv_rows())
+        write_csv_rows(args.out, [("query_id", "accuracy"), *report.to_csv_rows()])
         _write_manifest(args, {"column": column}, 0)
     return 0
 
@@ -377,12 +366,9 @@ def cmd_features(args: argparse.Namespace) -> int:
         names = [f"tf:{term}" for term in vocab.terms] + list(TASK2_TAIL_NAMES)
         batch = task2_rows(records, relevance, vocab, lexicons)
 
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header_comment + "\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["query_id", "row"] + names)
-        for i, (record, row) in enumerate(zip(records, batch.values.tolist())):
-            writer.writerow([record.query_id, i] + [repr(v) for v in row])
+    # the comment line is a row of one field that holds nothing to quote
+    rows = ([r.query_id, str(i), *map(repr, row)] for i, (r, row) in enumerate(zip(records, batch.values.tolist())))
+    write_csv_rows(out_path, chain([[header_comment], ["query_id", "row"] + names], rows))
     _write_manifest(args, {"task": task}, 0)
     print(f"wrote {out_path} ({len(records)} rows)")
     return 0

@@ -1,8 +1,11 @@
-"""Dataset loading, grouping and splitting, and the one CSV row reader.
+"""Dataset loading, grouping and splitting, and the one CSV row reader and writer.
 
 The on-disk format is a UTF-8 CSV (RFC-4180 quoting) with the header
 
     query_id,query_text,sentence_text,relevance,stance
+
+Every CSV file the package writes goes through ``write_csv_rows``, whose
+quoting rule is its own, so a file's bytes are the same on every Python.
 
 An empty string in a label column means the label is absent. Label
 strings are matched case-insensitively after trimming.
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,6 +70,22 @@ def read_csv_rows(path: str | Path):
                 row_no += 1
         except csv.Error as exc:
             raise MalformedCsv(str(exc), path, row=row_no) from exc
+
+
+def _csv_record(fields: Sequence[str]) -> str:
+    """One CSV record, without its line end, by the QUOTE_MINIMAL rule of Python
+    3.13's csv module: a field holding a comma, a double quote, CR or LF is quoted
+    and its double quotes doubled, and a record of one empty field is ``""``."""
+    line = ",".join(fields)
+    if line.count(",") == len(fields) - 1 and not ('"' in line or "\r" in line or "\n" in line):
+        return line if line or len(fields) != 1 else '""'
+    return ",".join('"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f for f in fields)
+
+
+def write_csv_rows(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
+    """Write each row as one CSV record ended by "\n" to a new UTF-8 file at ``path``."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(_csv_record(row) + "\n" for row in rows)
 
 
 def load_dataset(path: str | Path, labeled: bool = False) -> list[SentenceRecord]:

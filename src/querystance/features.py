@@ -57,7 +57,7 @@ import numpy.typing as npt
 
 from .codec import FieldError
 from .errors import EmptyCorpus, VocabNotFitted
-from .lexicons import GlossDictionary, Polarity, SentimentLexicon, gloss_first_k_sentences
+from .lexicons import GlossDictionary, Polarity, SentimentLexicon, gloss_first_k_sentences, memoise_glosses
 from .textproc import stem_tokens
 
 SCHEMA_TASK1 = "task1-v1"
@@ -334,12 +334,13 @@ def task1_features(
     group. The table is only read: a query word that it lacks gets an id
     of this call's own, after the table's. Each word type is stemmed once
     and, if a sentence holds it and the dictionary glosses it, its gloss is
-    matched once against the batch's query words. A group then marks which
-    of its columns each word type hits: a query word itself (exact, noun),
-    a query stem (stemmed), or a query word itself or through the type's
-    gloss (neighborhood). One ``np.bincount`` over the group's sentence
-    entries counts the matches of each sentence and column, and
-    ``np.minimum`` caps them at the query's counts.
+    matched once against the batch's query words, the glosses that the
+    dictionary's memo lacks all tokenized in one ``memoise_glosses`` call.
+    A group then marks which of its columns each word type hits: a query
+    word itself (exact, noun), a query stem (stemmed), or a query word
+    itself or through the type's gloss (neighborhood). One ``np.bincount``
+    over the group's sentence entries counts the matches of each sentence
+    and column, and ``np.minimum`` caps them at the query's counts.
     """
     if any(isinstance(query, str) for query, _ in queries):  # a str is a sequence too
         raise TypeError("task1_features takes each query's tokens, not its text")
@@ -364,7 +365,9 @@ def task1_features(
     # once per glossed sentence word type: the query words that its gloss mentions
     query_words = set().union(*counted)
     gloss_matches = {}
-    for word in compress(table.types, map(gloss_dict.entries.__contains__, map(str.lower, table.types))):
+    glossed = list(compress(table.types, map(gloss_dict.entries.__contains__, map(str.lower, table.types))))
+    memoise_glosses(gloss_dict, glossed)
+    for word in glossed:
         tokens = gloss_first_k_sentences(gloss_dict, word)
         if not query_words.isdisjoint(tokens):  # most glosses mention no query word
             gloss_matches[table.index[word]] = query_words.intersection(tokens)

@@ -5,20 +5,23 @@ and their entries do not change after loading. The noun list is a
 frozenset of lowercase words; the sentiment lexicon builds its
 word -> polarity map from its entries when it is made. The one thing that
 grows is the gloss dictionary's token memo, filled lazily by
-``gloss_first_k_sentences``: keyed by term, it holds only dictionary
-hits, so it never has more entries than the dictionary has terms. Two
-threads filling it at once store equal values, so lookups stay thread-safe.
+``memoise_glosses``, which tokenizes all the glosses a batch meets in
+one ``tokenize_batch`` call, and read by ``gloss_first_k_sentences``:
+keyed by term, it holds only dictionary hits, so it never has more
+entries than the dictionary has terms. Two threads filling it at once
+store equal values, so lookups stay thread-safe.
 """
 
 from __future__ import annotations
 
 import enum
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import MalformedLine, ScoreOutOfRange, reading_utf8
-from .textproc import split_sentences, tokenize
+from .textproc import split_sentences, tokenize_batch
 
 # the first gloss sentences that stand for a term in the neighborhood feature
 GLOSS_SENTENCES = 3
@@ -100,22 +103,28 @@ def load_gloss_dictionary(path: str | Path) -> GlossDictionary:
     return GlossDictionary(entries=entries)
 
 
+def memoise_glosses(gloss_dict: GlossDictionary, terms: Iterable[str]) -> None:
+    """Put the tokens of the first GLOSS_SENTENCES sentences of the gloss of each
+    of ``terms`` that the dictionary holds and its memo lacks into the memo, all
+    tokenized in one ``tokenize_batch`` call. The memo stores interned tokens,
+    so glosses that share words share their strings."""
+    memo, entries = gloss_dict._tokens, gloss_dict.entries
+    cold = [key for key in dict.fromkeys(map(str.lower, terms)) if key in entries and key not in memo]
+    texts = [" ".join(split_sentences(entries[key])[:GLOSS_SENTENCES]) for key in cold]
+    for key, tokens in zip(cold, tokenize_batch(texts)):
+        memo[key] = tuple(map(sys.intern, tokens))
+
+
 def gloss_first_k_sentences(gloss_dict: GlossDictionary, term: str) -> tuple[str, ...]:
     """Tokens of the first GLOSS_SENTENCES sentences of a term's gloss; () on a miss.
 
-    A hit is split and tokenized once per dictionary, then served from
-    the dictionary's memo. The memo stores interned tokens, so glosses
-    that share words share their strings.
+    A hit is split and tokenized once per dictionary (``memoise_glosses``),
+    then served from the dictionary's memo.
     """
     key = term.lower()
-    tokens = gloss_dict._tokens.get(key)
-    if tokens is None:
-        gloss = gloss_dict.entries.get(key)
-        if gloss is None:
-            return ()
-        sentences = split_sentences(gloss)[:GLOSS_SENTENCES]
-        tokens = gloss_dict._tokens[key] = tuple(map(sys.intern, tokenize(" ".join(sentences))))
-    return tokens
+    if key not in gloss_dict._tokens:
+        memoise_glosses(gloss_dict, [key])
+    return gloss_dict._tokens.get(key, ())
 
 
 def load_sentiment_lexicon(path: str | Path) -> SentimentLexicon:

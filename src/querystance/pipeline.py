@@ -47,7 +47,7 @@ from .svm import (
     predict_batch,
     train_multiclass,
 )
-from .textproc import tokenize
+from .textproc import tokenize_batch
 
 RELEVANT = "relevant"
 NEUTRAL = "neutral"
@@ -241,9 +241,10 @@ def _analysis(records: Sequence[SentenceRecord]) -> tuple[dict[str, list[str]], 
 
     Only the last batch's analysis is kept, keyed by its query and sentence
     texts in order, so tasks called one after the other on a batch tokenize
-    each distinct text once and count its sentences once. It holds tokens
-    and the table only, never features or labels, so it gives what a fresh
-    analysis gives whatever pipeline or lexicons read it. The entry is one
+    each distinct text once, all in one ``tokenize_batch`` call, and count
+    its sentences once. It holds tokens and the table only, never features
+    or labels, so it gives what a fresh analysis gives whatever pipeline or
+    lexicons read it. The entry is one
     tuple, read whole and replaced by one assignment, and nothing changes
     its tokens or table, so threads that share it each read a whole entry
     of their own batch's texts or analyse afresh.
@@ -252,7 +253,8 @@ def _analysis(records: Sequence[SentenceRecord]) -> tuple[dict[str, list[str]], 
     key = tuple(_all_texts(records))
     last = _last_analysis
     if last[0] != key:
-        tokens = {text: tokenize(text) for text in dict.fromkeys(key)}
+        distinct = list(dict.fromkeys(key))
+        tokens = dict(zip(distinct, tokenize_batch(distinct)))
         last = _last_analysis = key, tokens, WordTable.of([tokens[r.sentence_text] for r in records])
     return last[1], last[2]
 

@@ -8,7 +8,7 @@ import pytest
 from querystance import cli as cli_module, pipeline as pipeline_module
 from querystance.cli import main
 from querystance.codec import to_doc
-from querystance.corpus import EXPECTED_HEADER, load_dataset
+from querystance.corpus import EXPECTED_HEADER, load_dataset, read_csv_rows
 from querystance.errors import VersionMismatch
 from querystance.features import TASK1_FEATURE_NAMES, TASK2_TAIL_NAMES
 from querystance.pipeline import LexiconSet, PipelineConfig, load_task_model, task1_rows
@@ -144,6 +144,16 @@ class TestTrain:
         assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"error: {config}: line 2: eps: machine ") and "no alpha exceeds eps" in last
+
+    def test_no_support_vector_with_tol_and_eps_from_config_names_eps(self, workspace, tmp_path, capsys):
+        """The error says no alpha exceeds eps, so with tol and eps both from the
+        config file it names eps's line, not tol's."""
+        config, out = tmp_path / "run.cfg", tmp_path / "m.json"
+        config.write_text("tol=0.001\neps=10\n", encoding="utf-8")
+        assert main(train_args(workspace, 1, out, *self.APART, "--config", str(config))) == 1
+        assert not out.exists()
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {config}: line 2: eps: machine ") and "no alpha exceeds eps 10" in last
 
     @pytest.mark.parametrize("task, key, value", [(1, "tol", "1e9"), (2, "eps", "1e12")])
     def test_setting_that_can_never_train_from_config_names_its_line(self, workspace, tmp_path, capsys, task, key,
@@ -560,8 +570,8 @@ class TestPredict:
     def test_chained_prediction_tokenizes_each_text_once(self, workspace, trained_models, tmp_path, monkeypatch,
                                                          fresh_analysis):
         calls = []
-        tokenize = pipeline_module.tokenize
-        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        tokenize_batch = pipeline_module.tokenize_batch
+        monkeypatch.setattr(pipeline_module, "tokenize_batch", lambda texts: calls.extend(texts) or tokenize_batch(texts))
         assert main([
             "predict", "--chain", "--model", str(trained_models["m1"]), "--model2", str(trained_models["m2"]),
             "--data", str(workspace["unlabeled"]), "--out", str(tmp_path / "pred.csv"),
@@ -953,6 +963,46 @@ class TestEvaluate:
         assert abs(float(rows[-1][1]) - 73.39257557) < 1e-6
 
 
+class TestCsvRoundTrip:
+    """Texts and query ids that hold a bare CR, a comma, a double quote or a newline
+    come back from predict's and evaluate's files as they went in, and the files
+    hold the same bytes on every Python."""
+
+    ROWS = [
+        ["q,1", "does coffee improve memory", "coffee helps\rmemory", "", ""],
+        ["q,1", "does coffee improve memory", 'coffee, "strong" coffee, harms\nmemory', "", ""],
+        ['q"2', "can yoga reduce back pain", "yoga\rtractor lantern", "", ""],
+    ]
+
+    @staticmethod
+    def _write(rows, path):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows([EXPECTED_HEADER, *rows])
+        return path
+
+    def test_predict_and_evaluate(self, workspace, trained_models, tmp_path):
+        data, pred, report = self._write(self.ROWS, tmp_path / "data.csv"), tmp_path / "pred.csv", tmp_path / "r.csv"
+        assert main(["predict", "--chain", "--model", str(trained_models["m1"]), "--model2", str(trained_models["m2"]),
+                     "--data", str(data), "--out", str(pred)]) == 0
+        header, *rows = read_csv_rows(pred)
+        assert header == EXPECTED_HEADER + ["predicted_relevance", "predicted_stance"]
+        assert [row[:5] for row in rows] == self.ROWS
+        (r0, s0), (r1, s1), (r2, s2) = [row[5:] for row in rows]
+        assert pred.read_bytes().decode("utf-8") == (
+            "query_id,query_text,sentence_text,relevance,stance,predicted_relevance,predicted_stance\n"
+            f'"q,1",does coffee improve memory,"coffee helps\rmemory",,,{r0},{s0}\n'
+            f'"q,1",does coffee improve memory,"coffee, ""strong"" coffee, harms\nmemory",,,{r1},{s1}\n'
+            f'"q""2",can yoga reduce back pain,"yoga\rtractor lantern",,,{r2},{s2}\n'
+        )
+
+        # gold labels equal to the predictions: every query scores 100
+        gold = self._write([row[:3] + row[5:] for row in rows], tmp_path / "gold.csv")
+        assert main(["evaluate", "--gold", str(gold), "--pred", str(pred), "--out", str(report)]) == 0
+        assert list(read_csv_rows(report)) == [["query_id", "accuracy"], ["q,1", "100.0"], ['q"2', "100.0"],
+                                               ["MACRO_AVERAGE", "100.0"]]
+        assert report.read_bytes() == b'query_id,accuracy\n"q,1",100.0\n"q""2",100.0\nMACRO_AVERAGE,100.0\n'
+
+
 class TestFeaturesDump:
     def test_task1_has_five_feature_columns(self, workspace, tmp_path):
         out = tmp_path / "f1.csv"
@@ -1029,8 +1079,8 @@ class TestFeaturesDump:
         records = load_dataset(workspace["train"]) * 2  # every sentence text repeats
         data = write_dataset_csv(records, tmp_path / "twice.csv")
         calls = []
-        tokenize = pipeline_module.tokenize
-        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        tokenize_batch = pipeline_module.tokenize_batch
+        monkeypatch.setattr(pipeline_module, "tokenize_batch", lambda texts: calls.extend(texts) or tokenize_batch(texts))
         assert main(["features", "--task", "2", "--data", str(data), "--out", str(tmp_path / "f2.csv"),
                      "--sentiment", str(workspace["sentiment"]), "--model", str(trained_models["m2"])]) == 0
         # the batch's analysis tokenizes its query texts too, each once

@@ -37,7 +37,7 @@ from querystance.pipeline import (
 )
 from querystance.features import WordTable, task2_features
 from querystance.svm import KernelConfig, SvmConfig, _gram, decision_value, decision_values, predict_batch
-from querystance.textproc import tokenize
+from querystance.textproc import tokenize, tokenize_batch
 
 from oracles import ovo_reference, task2_features_reference
 from synth import make_records
@@ -160,7 +160,7 @@ class TestTask2:
         """Each distinct text is tokenized once, and the sentences are counted once,
         into one word table that the vocabulary and the rows both read."""
         calls, tables = [], []
-        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        monkeypatch.setattr(pipeline_module, "tokenize_batch", lambda texts: calls.extend(texts) or tokenize_batch(texts))
         of = features_module.WordTable.of
         monkeypatch.setattr(features_module.WordTable, "of", lambda texts: tables.append(texts) or of(texts))
         records = make_records(seed=5, per_query=6) * 2  # every sentence text repeats
@@ -303,7 +303,7 @@ class TestPredictChain:
 
     def test_chain_tokenizes_each_text_once(self, trained, monkeypatch, fresh_analysis):
         calls = []
-        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        monkeypatch.setattr(pipeline_module, "tokenize_batch", lambda texts: calls.extend(texts) or tokenize_batch(texts))
         records = self.POOL * 3
         predict_chain(trained, records)
         assert sorted(calls) == sorted({text for r in records for text in (r.query_text, r.sentence_text)})
@@ -340,7 +340,7 @@ class TestBatchAnalysis:
 
     def test_two_calls_analyse_the_batch_once(self, trained, monkeypatch, fresh_analysis):
         calls, tables = [], []
-        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        monkeypatch.setattr(pipeline_module, "tokenize_batch", lambda texts: calls.extend(texts) or tokenize_batch(texts))
         of = features_module.WordTable.of
         monkeypatch.setattr(features_module.WordTable, "of", lambda texts: tables.append(texts) or of(texts))
         records = self.POOL * 2  # every text repeats
@@ -398,7 +398,7 @@ class TestBatchAnalysis:
 
     def test_asking_the_model_nothing_analyses_nothing(self, trained_two_class, monkeypatch):
         before, calls = pipeline_module._last_analysis, []
-        monkeypatch.setattr(pipeline_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        monkeypatch.setattr(pipeline_module, "tokenize_batch", lambda texts: calls.extend(texts) or tokenize_batch(texts))
         records = self.POOL[:10]
         assert predict_task2(trained_two_class, records, ["irrelevant"] * len(records)) == ["neutral"] * len(records)
         assert not calls and pipeline_module._last_analysis is before

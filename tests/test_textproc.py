@@ -4,7 +4,7 @@ import sys
 from hypothesis import example, given, strategies as st
 
 from querystance import textproc
-from querystance.textproc import TABLE_CHARS, split_sentences, stem_tokens, tokenize
+from querystance.textproc import TABLE_CHARS, split_sentences, stem_tokens, tokenize, tokenize_batch
 
 from oracles import tokenize_reference
 
@@ -55,6 +55,15 @@ class TestTokenize:
         assert tokenize(text) == tokenize_reference(text)
         assert len(textproc._SPACES) <= TABLE_CHARS
         assert tokenize("Ram is a good boy") == ["ram", "is", "a", "good", "boy"]
+
+    @given(st.lists(st.text()))
+    @example([])
+    @example(["", ""])
+    @example(["a'", "'b", "-", "c-"])  # edge apostrophes and hyphens on both sides of a text boundary
+    @example(["\u0130", "x\u0130y", "Stra\u00dfe"])  # lowercasing changes the length of the first two
+    @example(["a\x00b", "tab\tand\rcr", "\n"])
+    def test_batch_equals_character_loop_per_text(self, texts):
+        assert tokenize_batch(texts) == [tokenize_reference(text) for text in texts]
 
     @given(st.text(max_size=200))
     def test_idempotent_on_joined_output(self, text):
