@@ -96,26 +96,15 @@ class SparseRows:
     def rows(self) -> int:
         return len(self.indptr) - 1
 
-    def to_dense(self, order: str = "C") -> np.ndarray:
-        """The (rows, dims) float64 matrix of the rows, in ``order`` ("C" or "F")."""
-        matrix = np.zeros((self.rows, self.dims), order=order)
-        matrix[np.arange(self.rows).repeat(self.indptr[1:] - self.indptr[:-1]), self.indices] = self.values
-        return matrix
+    def row_of_entries(self) -> IndexArray:
+        """The row of each stored entry."""
+        return np.arange(self.rows).repeat(self.indptr[1:] - self.indptr[:-1])
 
-    def compact(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ``start:stop`` over the columns that some of them stores: those
-        columns, ascending, and the rows over them as a column-major matrix."""
-        lo, hi = self.indptr[start], self.indptr[stop]
-        columns = self.indices[lo:hi]
-        stored = np.zeros(self.dims, dtype=bool)
-        stored[columns] = True
-        used = stored.nonzero()[0]
-        place = np.empty(self.dims, dtype=np.intp)  # each used column's place in ``used``
-        place[used] = np.arange(len(used))
-        matrix = np.zeros((stop - start, len(used)), order="F")
-        sizes = self.indptr[start + 1:stop + 1] - self.indptr[start:stop]
-        matrix[np.arange(stop - start).repeat(sizes), place[columns]] = self.values[lo:hi]
-        return used, matrix
+    def to_dense(self) -> np.ndarray:
+        """The (rows, dims) float64 matrix of the rows."""
+        matrix = np.zeros((self.rows, self.dims))
+        matrix[self.row_of_entries(), self.indices] = self.values
+        return matrix
 
 
 @dataclass(frozen=True, eq=False)

@@ -369,7 +369,7 @@ def predict_task2(
     their sentences read from the word table of the batch's analysis
     (``_analysis``), which a ``predict_task1`` call on the same records has
     made already, and predicted in one ``predict_batch`` call; only
-    ``svm.decision_values`` reads them ``PREDICT_CHUNK_ROWS`` at a time.
+    ``svm.decision_values`` cuts them into chunks.
     """
     model = _model(pipeline, 2)
     if len(task1_predictions) != len(records):

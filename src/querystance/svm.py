@@ -18,11 +18,17 @@ matrix against the pool for a batch of rows and every machine reads its
 columns. Every row enters through one intake as ``SparseRows`` (CSR rows
 of nonzero values, LIBSVM's sparse rows): a FeatureBatch as it is built,
 an array-like as its nonzero entries. Training turns them into a dense
-matrix once. Prediction reads them 128 at a time and computes the kernel
-matrix over only the columns some row of the chunk stores, from a compact
-column-major matrix of the chunk over those columns: a column that is
-zero in every row adds nothing to a dot product. The pool's dense matrix
-is column-major too, so its columns are gathered from contiguous memory.
+matrix once. Prediction reads them in chunks and splits the dot products
+of K(chunk, pool) by the pool's columns, a split made once per pool. A
+column that at least PREDICT_DENSE_SHARE of the pool's rows store is
+read through one BLAS product with a small dense block of the pool over
+those columns; every other column through its list of pool rows and
+values (CSC, the inverted file of Zobel & Moffat 2006), whose products
+with a chunk's entries are added by one ``np.bincount`` over the (chunk
+row, pool row) cells, each cell's in column order, whatever order a row
+stores its entries in. A chunk holds at most PREDICT_CHUNK_ROWS rows and
+expands to at most PREDICT_CHUNK_ROWS * pool rows list products, the
+size of its kernel matrix, unless one row alone exceeds that.
 No external solver; numpy only.
 """
 
@@ -34,7 +40,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +53,12 @@ KERNEL_KINDS = ("linear", "poly", "rbf")
 # rows per kernel product at prediction: bounds the kernel matrix (and its
 # temporaries) held at once
 PREDICT_CHUNK_ROWS = 128
+
+# share of a pool's rows that must store a column for prediction to read it
+# through the pool's dense block and BLAS rather than through the column's list;
+# on task-2 batches of 260 to 1,542 rows, 1/8 to 1/32 ran within 8 % of each
+# other, 1/4 slower, lists alone or a block of every column far slower (README)
+PREDICT_DENSE_SHARE = 1 / 8
 
 # bytes of the rows one SMO solve keeps beside the Gram (the curvature rows of
 # WSS2); once they are used up, a row is computed for its update and dropped
@@ -107,10 +119,9 @@ class SupportVectorPool(SparseRows):
     """Distinct support vectors shared by the machines of a model, as CSR rows
     (``SparseRows``) whose columns strictly increase within a row.
 
-    The dense rows and their squared norms are built once, on first use: a
-    ``dims`` read from a file allocates nothing until an input of that width
-    arrives. The dense matrix is column-major, as prediction reads it a set
-    of columns at a time.
+    What prediction reads of the pool (``columns``, ``sq_norms``) and the dense
+    rows of ``support_vectors`` are built once, on first use, from the CSR
+    fields: a ``dims`` read from a file allocates nothing until it is used.
     """
 
     def __post_init__(self):
@@ -154,12 +165,45 @@ class SupportVectorPool(SparseRows):
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
-        """(rows, dims) float64 matrix of the pool, column-major."""
-        return self.to_dense("F")
+        """(rows, dims) float64 matrix of the pool, for ``support_vectors``;
+        prediction never builds it."""
+        return self.to_dense()
 
     @functools.cached_property
     def sq_norms(self) -> np.ndarray:
-        return np.sum(self.dense * self.dense, axis=1)
+        """Each row's squared norm, the squares of its stored values added in column order."""
+        return np.bincount(self.row_of_entries(), self.values * self.values, minlength=self.rows)
+
+    @functools.cached_property
+    def columns(self) -> PoolColumns:
+        """The pool split by its columns for prediction (see ``PoolColumns``)."""
+        row, col, values = self.row_of_entries(), self.indices, self.values
+        counts = np.bincount(col, minlength=self.dims)
+        # a column that no row stores adds nothing: it gets an empty list, also in a pool of no rows
+        frequent = counts >= max(PREDICT_DENSE_SHARE * self.rows, 1)
+        n_block = np.count_nonzero(frequent)
+        place = np.full(self.dims, n_block, dtype=np.intp)
+        place[frequent] = np.arange(n_block)
+        listed = ~frequent[col]
+        block = np.zeros((self.rows, n_block), order="F")  # a chunk reads it as block.T, row-major
+        block[row[~listed], place[col[~listed]]] = values[~listed]
+        by_column = np.argsort(col[listed], kind="stable")  # each list in row order
+        sizes = np.where(frequent, 0, counts)
+        return PoolColumns(place, block, np.cumsum(sizes), sizes, row[listed][by_column], values[listed][by_column])
+
+
+class PoolColumns(NamedTuple):
+    """A pool's columns, split for prediction. The columns that at least
+    PREDICT_DENSE_SHARE of its rows store form a dense block; every other
+    column is a list of the pool rows that store it and their values (CSC),
+    the lists held one after the other in column order, each in row order."""
+
+    place: IndexArray  # (dims,) a block column's place in the block; the block's width for a list column
+    block: np.ndarray  # (pool rows, block columns)
+    stops: IndexArray  # (dims,) where a list column's entries end in list_rows and list_values
+    sizes: IndexArray  # (dims,) a list column's entry count, 0 for a block column
+    list_rows: IndexArray
+    list_values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,18 +273,24 @@ class MulticlassModel:
         object.__setattr__(self, "machines", machines)
 
 
-def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(a[i], b[j]); ``b_sq`` caches the squared norms of b's rows."""
-    dots = a @ b.T
+def _kernel(cfg: KernelConfig, dots: np.ndarray, a_sq: np.ndarray | None = None,
+            b_sq: np.ndarray | None = None) -> np.ndarray:
+    """Kernel matrix from the dot products of a's rows with b's and, for RBF, the
+    squared norms of those rows."""
     if cfg.kind == "linear":
         return dots
     if cfg.kind == "poly":
         return (cfg.gamma * dots + cfg.coef0) ** cfg.degree
-    if b_sq is None:
-        b_sq = np.sum(b * b, axis=1)
-    a_sq = b_sq if a is b else np.sum(a * a, axis=1)
     sq = a_sq[:, None] + b_sq[None, :] - 2.0 * dots
     return np.exp(-cfg.gamma * np.maximum(sq, 0.0))
+
+
+def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel matrix K[i, j] = k(a[i], b[j]) of dense rows."""
+    if cfg.kind != "rbf":
+        return _kernel(cfg, a @ b.T)
+    b_sq = np.sum(b * b, axis=1)
+    return _kernel(cfg, a @ b.T, b_sq if a is b else np.sum(a * a, axis=1), b_sq)
 
 
 def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, float, float, int]:
@@ -414,14 +464,59 @@ def train_binary(
 
 
 def _pool_kernel(cfg: KernelConfig, rows: SparseRows, start: int, stop: int, pool: SupportVectorPool) -> np.ndarray:
-    """K(rows[start:stop], pool), computed over the columns that some of those rows stores.
+    """K(rows[start:stop], pool) from the stored entries of those rows and of the pool.
 
-    Exact for every kernel: a column that is zero in every row adds nothing
-    to a dot product or to a row's squared norm, and RBF reads the pool's
-    squared norms over full rows.
+    Each row's entries are put in column order first. The dot products are the
+    chunk's entries in the pool's block columns times the block, one BLAS
+    product, plus the products of its other entries with their columns' lists,
+    added by one ``np.bincount`` over the (row, pool row) cells, each cell's in
+    column order; RBF adds each row's squared norm from its stored values in
+    column order too, as the pool's ``sq_norms`` are added. So a row gives the
+    same bits whatever order it stores its entries in.
     """
-    used, compact = rows.compact(start, stop)
-    return _gram(cfg, compact, pool.dense[:, used], pool.sq_norms)
+    split, n = pool.columns, stop - start
+    lo, hi = rows.indptr[start], rows.indptr[stop]
+    row = np.arange(n).repeat(rows.indptr[start + 1:stop + 1] - rows.indptr[start:stop])
+    col, values = rows.indices[lo:hi], rows.values[lo:hi]
+    sizes = split.sizes[col]
+    listed = np.count_nonzero(sizes)
+    if listed or cfg.kind == "rbf":  # the bincounts below add in entry order
+        order = (row * rows.dims + col).argsort(kind="stable")  # rows stay grouped, so ``row`` still holds
+        col, values, sizes = col[order], values[order], sizes[order]
+    chunk = np.zeros((n, split.block.shape[1] + 1))  # the last column takes the list entries, unread
+    chunk[row, split.place[col]] = values
+    dots = chunk[:, :-1] @ split.block.T
+    if listed:
+        ends = sizes.cumsum()
+        # the list entries of each chunk entry's column, one after the other
+        take = np.arange(ends[-1]) + (split.stops[col] - ends).repeat(sizes)
+        cells = (row * pool.rows).repeat(sizes) + split.list_rows[take]
+        products = values.repeat(sizes) * split.list_values[take]
+        dots += np.bincount(cells, products, minlength=n * pool.rows).reshape(n, pool.rows)
+    if cfg.kind != "rbf":
+        return _kernel(cfg, dots)
+    return _kernel(cfg, dots, np.bincount(row, values * values, minlength=n), pool.sq_norms)
+
+
+def _chunks(rows: SparseRows, pool: SupportVectorPool) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of ``rows`` that ``_pool_kernel`` reads: at most
+    PREDICT_CHUNK_ROWS rows whose entries expand to at most PREDICT_CHUNK_ROWS *
+    pool rows list products, the size of their kernel matrix; a row that alone
+    expands to more is a chunk of its own."""
+    budget = PREDICT_CHUNK_ROWS * pool.rows
+    # a list holds fewer than PREDICT_DENSE_SHARE * pool rows entries, so rows that store
+    # at most PREDICT_CHUNK_ROWS / PREDICT_DENSE_SHARE entries in all fit the budget
+    if len(rows.indices) * PREDICT_DENSE_SHARE <= PREDICT_CHUNK_ROWS:
+        return [(start, min(start + PREDICT_CHUNK_ROWS, rows.rows)) for start in range(0, rows.rows, PREDICT_CHUNK_ROWS)]
+    sizes = pool.columns.sizes[rows.indices]
+    products = np.concatenate(([0], sizes.cumsum()))[rows.indptr]  # before each row
+    chunks, start = [], 0
+    while start < rows.rows:
+        fits = int(products.searchsorted(products[start] + budget, side="right")) - 1
+        stop = max(start + 1, min(start + PREDICT_CHUNK_ROWS, fits))
+        chunks.append((start, stop))
+        start = stop
+    return chunks
 
 
 def _machine_values(kernel: np.ndarray, machine: BinaryModel) -> np.ndarray:
@@ -485,18 +580,16 @@ def decision_values(model: MulticlassModel, x) -> np.ndarray:
     """(rows, machines) decision values of every machine on every row of ``x``,
     a FeatureBatch or a 2-D array-like.
 
-    The rows are read PREDICT_CHUNK_ROWS at a time. One kernel matrix
+    The rows are read in the chunks of ``_chunks``. One kernel matrix
     K(chunk, pool) serves all machines: machine k reads its columns,
-    K[:, sv_index_k] @ dual_coefs_k + bias_k. K is computed over only the
-    feature columns that some row of the chunk stores, a fraction of the
-    pool's width for sparse task-2 rows, and no matrix of the chunk over
-    the full width is made.
+    K[:, sv_index_k] @ dual_coefs_k + bias_k. K is computed from the stored
+    entries of the chunk and of the pool (``_pool_kernel``), and no matrix of
+    the chunk over the full width is made.
     """
     pool = model.pool
     rows, _ = _rows(x, pool.dims, model.schema_id)
     values = np.empty((rows.rows, len(model.machines)))
-    for start in range(0, rows.rows, PREDICT_CHUNK_ROWS):
-        stop = min(start + PREDICT_CHUNK_ROWS, rows.rows)
+    for start, stop in _chunks(rows, pool):
         kernel = _pool_kernel(model.kernel, rows, start, stop, pool)
         for k, machine in enumerate(model.machines):
             values[start:stop, k] = _machine_values(kernel, machine)

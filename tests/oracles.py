@@ -213,29 +213,51 @@ def word_table_reference(texts) -> tuple[list[str], dict[str, int], np.ndarray, 
             np.fromiter(map(len, texts), np.intp, len(texts)), np.fromiter(map(len, counts), np.intp, len(counts)))
 
 
-def decision_values_reference(model, rows: np.ndarray, chunk_rows: int) -> np.ndarray:
-    """(rows, machines) decision values of dense ``rows`` as dense prediction computes
-    them: ``chunk_rows`` rows at a time, each chunk's kernel against the pool over
-    the columns in which some row of the chunk is not zero, the chunk's columns
-    gathered by ``chunk[:, used]`` and the pool's from its column-major dense
-    matrix; each machine reads its columns of the kernel."""
+def _chunk_kernels(model, rows: np.ndarray, chunk_rows: int):
+    """Each chunk of ``chunk_rows`` dense ``rows``, its start and its kernel matrix
+    against the pool, computed over the columns in which some row of the chunk is
+    not zero: the chunk's columns gathered by ``chunk[:, used]`` and the pool's from
+    its dense matrix, RBF reading the pool's squared norms summed over its dense rows."""
     pool, cfg = model.pool, model.kernel
-    values = np.empty((len(rows), len(model.machines)))
+    dense = pool.dense
+    pool_sq = np.sum(dense * dense, axis=1)
     for start in range(0, len(rows), chunk_rows):
         chunk = rows[start:start + chunk_rows]
         used = np.flatnonzero(chunk.any(axis=0))
-        a, b = chunk[:, used], pool.dense[:, used]
+        a, b = chunk[:, used], dense[:, used]
         dots = a @ b.T
         if cfg.kind == "linear":
             kernel = dots
         elif cfg.kind == "poly":
             kernel = (cfg.gamma * dots + cfg.coef0) ** cfg.degree
         else:
-            sq = np.sum(a * a, axis=1)[:, None] + pool.sq_norms[None, :] - 2.0 * dots
+            sq = np.sum(a * a, axis=1)[:, None] + pool_sq[None, :] - 2.0 * dots
             kernel = np.exp(-cfg.gamma * np.maximum(sq, 0.0))
+        yield start, kernel
+
+
+def decision_values_reference(model, rows: np.ndarray, chunk_rows: int) -> np.ndarray:
+    """(rows, machines) decision values of dense ``rows`` by dense kernel matrices:
+    ``chunk_rows`` rows at a time, each chunk's kernel against the pool over the
+    columns some row of the chunk uses (``_chunk_kernels``), each machine reading
+    its columns of it. This is how prediction computed them before it split the
+    pool's columns; its sums run in another order, so the two agree within
+    ``decision_tolerance``, not bit for bit."""
+    values = np.empty((len(rows), len(model.machines)))
+    for start, kernel in _chunk_kernels(model, rows, chunk_rows):
         for k, machine in enumerate(model.machines):
-            values[start:start + chunk_rows, k] = kernel[:, machine.sv_index] @ machine.dual_coefs + machine.bias
+            values[start:start + len(kernel), k] = kernel[:, machine.sv_index] @ machine.dual_coefs + machine.bias
     return values
+
+
+def decision_tolerance(model, rows: np.ndarray) -> np.ndarray:
+    """(rows, machines) bound on a decision value's rounding: 1e-12 times
+    sum_i |coef_i * K(sv_i, x)| + |bias|, the size of the terms it adds."""
+    bound = np.empty((len(rows), len(model.machines)))
+    for start, kernel in _chunk_kernels(model, rows, max(len(rows), 1)):
+        for k, machine in enumerate(model.machines):
+            bound[:, k] = np.abs(kernel[:, machine.sv_index] * machine.dual_coefs).sum(axis=1) + abs(machine.bias)
+    return 1e-12 * bound
 
 
 def dice_bruteforce(query_tokens, sentence_tokens) -> float:

@@ -136,17 +136,18 @@ class TestTask2:
             assert label == expected_label
             np.testing.assert_allclose(values, expected_values, rtol=0, atol=1e-9)
 
-    def test_kernel_over_used_columns_equals_full_width(self, trained, monkeypatch):
-        """On task-2 rows, whose chunks leave many columns zero, decision values are within
-        1e-9 of the kernel matrix over every column read through each machine's columns,
-        the labels are those voted from it, and each machine's one-row decision_value
-        is its column of the batch values."""
+    def test_split_kernel_equals_full_width(self, trained, monkeypatch):
+        """On task-2 rows, which store a few columns each, some read through the pool's
+        dense block and the rest through its column lists, decision values are within
+        1e-9 of the kernel matrix of the dense rows over every column, read through each
+        machine's columns; the labels are those voted from it, and each machine's
+        one-row decision_value is its column of the batch values."""
         records = make_records(seed=3, per_query=60)
         model = trained.task2_model
         batch = task2_rows(records, [r.relevance for r in records], trained.task2.vocabulary, trained.lexicons)
-        assert not batch.values[:128].any(axis=0).all()  # the first chunk drops columns
+        assert not batch.values[:128].any(axis=0).all()  # the first rows leave columns unstored
         pool = model.pool
-        full = _gram(model.kernel, batch.values, pool.dense, pool.sq_norms)
+        full = _gram(model.kernel, batch.values, pool.dense)
         expected = np.column_stack([full[:, m.sv_index] @ m.dual_coefs + m.bias for m in model.machines])
         values, labels = decision_values(model, batch), predict_batch(model, batch)
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-9)

@@ -20,6 +20,7 @@ from querystance.pipeline import PipelineConfig, train_task2
 from querystance.svm import (
     KERNEL_KINDS,
     PREDICT_CHUNK_ROWS,
+    PREDICT_DENSE_SHARE,
     BinaryModel,
     KernelConfig,
     MulticlassModel,
@@ -36,7 +37,14 @@ from querystance.svm import (
     train_multiclass,
 )
 
-from oracles import decision_values_reference, kernel_eval, ovo_reference, smo_reference, solve_dual_bruteforce
+from oracles import (
+    decision_tolerance,
+    decision_values_reference,
+    kernel_eval,
+    ovo_reference,
+    smo_reference,
+    solve_dual_bruteforce,
+)
 from svm_fixtures import fixture_instances, kkt_satisfied, overlapping_rows, training_alphas
 
 
@@ -457,8 +465,8 @@ def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
        n_pool=st.integers(1, 100))
 def test_sparse_rows_give_the_dense_decision_values(seed, kind, n_rows, n_pool):
     """The decision values of rows held sparse equal, bit for bit, those of their dense
-    matrix and those of the dense reference, which computes each chunk's kernel over
-    the columns its rows use, gathered column-major from the dense rows."""
+    matrix, and lie within ``decision_tolerance`` of the dense reference, which computes
+    each chunk's kernel by a matrix product over the columns its rows use."""
     rng = np.random.default_rng(seed)
     dims = 300
     unused = rng.random(dims) < 0.5  # columns that no row of the batch uses
@@ -467,18 +475,107 @@ def test_sparse_rows_give_the_dense_decision_values(seed, kind, n_rows, n_pool):
         return rng.random((n, dims)) * (rng.random((n, dims)) < density)
 
     pool, _ = SupportVectorPool.of(sparse(n_pool, 0.3))
-    n_sv = min(12, pool.rows)
-    machines = tuple(
-        BinaryModel(rng.choice(pool.rows, n_sv, replace=False), rng.normal(size=n_sv), float(rng.normal()), pos, neg)
-        for neg, pos in combinations(("a", "b", "c"), 2)
-    )
-    model = MulticlassModel(("a", "b", "c"), machines, KERNELS[kind], pool)
+    model = _three_label_model(rng, pool, KERNELS[kind])
     rows = sparse(n_rows, 0.3) * ~unused
     batch = FeatureBatch(SparseRows.from_dense(rows), "task2-v1")
     assert batch.values.tobytes() == rows.tobytes()
     got = decision_values(model, batch)
     assert got.tobytes() == decision_values(model, batch.values).tobytes()
-    assert got.tobytes() == decision_values_reference(model, rows, PREDICT_CHUNK_ROWS).tobytes()
+    reference = decision_values_reference(model, rows, PREDICT_CHUNK_ROWS)
+    assert np.all(np.abs(got - reference) <= decision_tolerance(model, rows))
+
+
+def _three_label_model(rng, pool, kernel):
+    n_sv = min(12, pool.rows)
+    machines = tuple(
+        BinaryModel(rng.choice(pool.rows, n_sv, replace=False), rng.normal(size=n_sv), float(rng.normal()), pos, neg)
+        for neg, pos in combinations(("a", "b", "c"), 2)
+    )
+    return MulticlassModel(("a", "b", "c"), machines, kernel, pool)
+
+
+def _pool_of(matrix):
+    """The pool of ``matrix``'s rows as they are, equal rows kept, so each column's count is the one drawn."""
+    rows = SparseRows.from_dense(matrix)
+    return SupportVectorPool(rows.dims, rows.indptr, rows.indices, rows.values)
+
+
+def _shuffled(rows, rng):
+    """``rows`` with the entries of each row in a random order."""
+    order = np.concatenate([np.arange(0)] + [a + rng.permutation(b - a) for a, b in zip(rows.indptr[:-1], rows.indptr[1:])])
+    return SparseRows(rows.dims, rows.indptr, rows.indices[order], rows.values[order])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kernel=_KERNELS, n_pool=st.sampled_from([1, 7, 8, 16, 17, 24, 40]),
+       n_rows=st.sampled_from([0, 1, 2, 9, 140]))
+def test_split_kernel_matches_the_dense_reference(seed, kernel, n_pool, n_rows):
+    """Over a pool whose columns are stored by none, one, just under, exactly and just
+    over PREDICT_DENSE_SHARE of its rows, or all of them, and rows that store only
+    block columns, only list columns, both or nothing: the columns at the share are
+    the block's; a FeatureBatch, its dense matrix and its rows with their entries
+    shuffled give the same bits; the values lie within ``decision_tolerance`` of the
+    dense reference; and the labels are the loop oracle's wherever no value lies
+    within that bound of 0."""
+    rng = np.random.default_rng(seed)
+    dims = 48
+    cut = max(PREDICT_DENSE_SHARE * n_pool, 1)
+    counts = np.minimum(rng.choice([0, 1, math.ceil(cut) - 1, math.ceil(cut), math.ceil(cut) + 1, n_pool], dims),
+                        n_pool)
+    stored = np.zeros((n_pool, dims), dtype=bool)
+    for column, count in enumerate(counts):
+        stored[rng.choice(n_pool, count, replace=False), column] = True
+    pool = _pool_of(np.where(stored, rng.normal(size=stored.shape), 0.0))
+    block = counts >= cut
+    assert np.array_equal(pool.columns.sizes, np.where(block, 0, counts))
+    model = _three_label_model(rng, pool, kernel)
+
+    kinds = rng.integers(0, 4, n_rows)  # block columns, list columns, both, nothing
+    may_store = np.array([block, ~block, np.ones(dims, bool), np.zeros(dims, bool)])[kinds]
+    rows = np.where(may_store & (rng.random((n_rows, dims)) < 0.5), rng.normal(size=(n_rows, dims)), 0.0)
+    batch = FeatureBatch(SparseRows.from_dense(rows), "task2-v1")
+    got = decision_values(model, batch)
+    assert got.shape == (n_rows, 3)
+    assert got.tobytes() == decision_values(model, rows).tobytes()
+    assert got.tobytes() == decision_values(model, FeatureBatch(_shuffled(batch.rows, rng), "task2-v1")).tobytes()
+    tolerance = decision_tolerance(model, rows)
+    assert np.all(np.abs(got - decision_values_reference(model, rows, PREDICT_CHUNK_ROWS)) <= tolerance)
+    labels = predict_batch(model, batch)
+    for row, label, clear in zip(rows, labels, np.all(np.abs(got) > tolerance, axis=1)):
+        if clear:
+            assert label == ovo_reference(model, row)[0]
+
+
+@pytest.mark.parametrize("n_pool, n_listed, most", [(40, 600, 4), (16, 2500, 1)])
+def test_chunks_expand_to_at_most_one_kernel_matrix_of_products(monkeypatch, n_pool, n_listed, most):
+    """Rows that each store every list column of a wide pool are cut greedily into
+    chunks whose list entries expand to at most PREDICT_CHUNK_ROWS * pool rows
+    products, a row that alone expands to more being a chunk of its own, and their
+    values lie within ``decision_tolerance`` of the dense reference."""
+    rng = np.random.default_rng(n_listed)
+    dims = n_listed + 3  # three block columns, stored by every pool row
+    stored = np.zeros((n_pool, dims), dtype=bool)
+    stored[:, n_listed:] = True
+    for column in range(n_listed):
+        stored[rng.choice(n_pool, rng.integers(1, most + 1), replace=False), column] = True
+    pool = _pool_of(np.where(stored, rng.normal(size=stored.shape), 0.0))
+    counts = stored.sum(axis=0)
+    assert np.all((counts < PREDICT_DENSE_SHARE * n_pool) == (np.arange(dims) < n_listed))
+    model = _three_label_model(rng, pool, KernelConfig("rbf", gamma=0.01))
+    rows = rng.normal(size=(20, dims))
+    chunks = []
+    pool_kernel = svm_module._pool_kernel
+    monkeypatch.setattr(svm_module, "_pool_kernel",
+                        lambda cfg, r, start, stop, p: chunks.append((start, stop)) or pool_kernel(cfg, r, start, stop, p))
+    got = decision_values(model, rows)
+    products = np.full(len(rows), counts[:n_listed].sum())  # each row's list products
+    budget = PREDICT_CHUNK_ROWS * n_pool
+    assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]] and chunks[-1][1] == len(rows)
+    for start, stop in chunks:
+        assert products[start:stop].sum() <= budget or stop - start == 1
+        assert stop == len(rows) or products[start:stop + 1].sum() > budget  # the next row does not fit
+    assert (products[0] > budget) == (n_listed == 2500)
+    assert np.all(np.abs(got - decision_values_reference(model, rows, PREDICT_CHUNK_ROWS)) <= decision_tolerance(model, rows))
 
 
 @st.composite
