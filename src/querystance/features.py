@@ -76,9 +76,10 @@ _NEUTRAL_COLUMN = TASK2_TAIL_NAMES.index("neutral_count")
 @dataclass(frozen=True, eq=False)
 class SparseRows:
     """Rows in CSR form: row r holds ``values[indptr[r]:indptr[r + 1]]`` at the
-    columns ``indices[indptr[r]:indptr[r + 1]]``, each below ``dims`` and none
-    twice in a row. The rows built here store no zero, so a row's stored columns
-    are those where it is nonzero."""
+    columns ``indices[indptr[r]:indptr[r + 1]]``, each below ``dims``. Within a
+    row the columns strictly increase, as in LIBSVM's sparse rows: every sum over
+    a row's entries adds them in column order. The rows built here store no zero,
+    so a row's stored columns are those where it is nonzero."""
 
     dims: int
     indptr: IndexArray
@@ -438,7 +439,8 @@ def task2_features(
     vocabulary column and its polarity's column looked up once, the latter
     in the lexicon's word -> polarity map. A value of 0.0 is not stored: a
     word outside the vocabulary or in every sentence it was fitted on, a
-    polarity no token has and a flag that is not set.
+    polarity no token has and a flag that is not set. One argsort on the
+    key (row, column) puts the entries in the order ``SparseRows`` keeps.
     """
     if vocab_global is None:
         raise VocabNotFitted("task2_features requires a fitted global vocabulary")
@@ -458,9 +460,9 @@ def task2_features(
     tail[slots - 1::slots] = relevance_flags
     known, filled = weight.nonzero()[0], tail.nonzero()[0]
     row = np.concatenate((e_text[known], filled // slots))
-    order = row.argsort(kind="stable")  # each row's entries together: its TF-IDF block, then its tail
-    indices = np.concatenate((column[known], size + filled % slots))[order]
-    values = np.concatenate((weight[known], tail[filled]))[order]
+    col = np.concatenate((column[known], size + filled % slots))
+    order = (row * (size + slots) + col).argsort()  # the keys are distinct: row after row, each in column order
+    indices, values = col[order], np.concatenate((weight[known], tail[filled]))[order]
     indptr = row[order].searchsorted(np.arange(n + 1))
     return FeatureBatch(SparseRows(size + slots, indptr, indices, values), SCHEMA_TASK2)
 

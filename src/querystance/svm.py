@@ -25,10 +25,11 @@ read through one BLAS product with a small dense block of the pool over
 those columns; every other column through its list of pool rows and
 values (CSC, the inverted file of Zobel & Moffat 2006), whose products
 with a chunk's entries are added by one ``np.bincount`` over the (chunk
-row, pool row) cells, each cell's in column order, whatever order a row
-stores its entries in. A chunk holds at most PREDICT_CHUNK_ROWS rows and
-expands to at most PREDICT_CHUNK_ROWS * pool rows list products, the
-size of its kernel matrix, unless one row alone exceeds that.
+row, pool row) cells, each cell's in column order, the order in which
+every row of ``SparseRows`` stores its entries. A chunk holds at most
+PREDICT_CHUNK_ROWS rows and expands to at most PREDICT_CHUNK_ROWS * pool
+rows list products, the size of its kernel matrix, unless one row alone
+exceeds that.
 No external solver; numpy only.
 """
 
@@ -117,7 +118,8 @@ class SvmConfig:
 @dataclass(frozen=True, eq=False)
 class SupportVectorPool(SparseRows):
     """Distinct support vectors shared by the machines of a model, as CSR rows
-    (``SparseRows``) whose columns strictly increase within a row.
+    (``SparseRows``), checked whenever it is made: the one place that enforces
+    their column order, on a pool read from a file too.
 
     What prediction reads of the pool (``columns``, ``sq_norms``) and the dense
     rows of ``support_vectors`` are built once, on first use, from the CSR
@@ -141,9 +143,8 @@ class SupportVectorPool(SparseRows):
             raise FieldError("values", "must be finite")
         if len(indices) and not 0 <= indices.min() <= indices.max() < self.dims:
             raise FieldError("indices", f"a column lies outside [0, {self.dims})")
-        row_start = np.zeros(len(indices), dtype=bool)
-        row_start[indptr[:-1][indptr[:-1] < len(indices)]] = True
-        if np.any((indices[1:] <= indices[:-1]) & ~row_start[1:]):
+        row = self.row_of_entries()
+        if np.any((indices[1:] <= indices[:-1]) & (row[1:] == row[:-1])):
             raise FieldError("indices", "columns must strictly increase within a row")
 
     @classmethod
@@ -160,7 +161,7 @@ class SupportVectorPool(SparseRows):
         ], dtype=np.int64)
         kept = np.unique(index, return_index=True)[1]  # first copy of each, in row order
         indptr = np.concatenate(([0], np.cumsum(bounds[kept + 1] - bounds[kept])))
-        stored = np.isin(np.repeat(np.arange(len(rows)), np.diff(bounds)), kept)
+        stored = np.isin(sparse.row_of_entries(), kept)
         return cls(rows.shape[1], indptr, col[stored], values[stored]), index
 
     @functools.cached_property
@@ -466,27 +467,22 @@ def train_binary(
 def _pool_kernel(cfg: KernelConfig, rows: SparseRows, start: int, stop: int, pool: SupportVectorPool) -> np.ndarray:
     """K(rows[start:stop], pool) from the stored entries of those rows and of the pool.
 
-    Each row's entries are put in column order first. The dot products are the
-    chunk's entries in the pool's block columns times the block, one BLAS
-    product, plus the products of its other entries with their columns' lists,
-    added by one ``np.bincount`` over the (row, pool row) cells, each cell's in
-    column order; RBF adds each row's squared norm from its stored values in
-    column order too, as the pool's ``sq_norms`` are added. So a row gives the
-    same bits whatever order it stores its entries in.
+    The dot products are the chunk's entries in the pool's block columns times
+    the block, one BLAS product, plus the products of its other entries with
+    their columns' lists, added by one ``np.bincount`` over the (row, pool row)
+    cells, each cell's in column order, the order its row stores them in; RBF
+    adds each row's squared norm from its stored values in that order too, as
+    the pool's ``sq_norms`` are added.
     """
     split, n = pool.columns, stop - start
     lo, hi = rows.indptr[start], rows.indptr[stop]
     row = np.arange(n).repeat(rows.indptr[start + 1:stop + 1] - rows.indptr[start:stop])
     col, values = rows.indices[lo:hi], rows.values[lo:hi]
     sizes = split.sizes[col]
-    listed = np.count_nonzero(sizes)
-    if listed or cfg.kind == "rbf":  # the bincounts below add in entry order
-        order = (row * rows.dims + col).argsort(kind="stable")  # rows stay grouped, so ``row`` still holds
-        col, values, sizes = col[order], values[order], sizes[order]
     chunk = np.zeros((n, split.block.shape[1] + 1))  # the last column takes the list entries, unread
     chunk[row, split.place[col]] = values
     dots = chunk[:, :-1] @ split.block.T
-    if listed:
+    if sizes.any():
         ends = sizes.cumsum()
         # the list entries of each chunk entry's column, one after the other
         take = np.arange(ends[-1]) + (split.stops[col] - ends).repeat(sizes)

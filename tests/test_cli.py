@@ -379,6 +379,17 @@ def _pop(*path):
     return mutate
 
 
+def _swap_first_columns(doc):
+    """Mutation that swaps the first two entries of the pool's first row, which stores more than one."""
+    pool = doc["svm"]["pool"]
+    assert pool["indptr"][1] >= 2
+    for name in ("indices", "values"):
+        pool[name][0], pool[name][1] = pool[name][1], pool[name][0]
+    return doc
+
+
+ORDER_ERROR = "svm.pool.indices: columns must strictly increase within a row"
+
 # each mutation of a saved task-2 file, and the field its error must name
 CORRUPTIONS = {
     "dual_coefs truncated": (_pop("svm", "machines", 0, "dual_coefs"), "svm.machines[0]: "),
@@ -392,6 +403,9 @@ CORRUPTIONS = {
     "sv_index out of range": (_set("svm", "machines", 0, "sv_index", 0, 10**6),
                               "svm.machines[0].sv_index: "),
     "column not below dims": (_set("svm", "pool", "indices", 0, 10**6), "svm.pool.indices: "),
+    "pool columns out of order in a row": (_swap_first_columns, ORDER_ERROR),
+    "a pool column twice in a row": (lambda doc: _set("svm", "pool", "indices", 1,
+                                                      doc["svm"]["pool"]["indices"][0])(doc), ORDER_ERROR),
     "indptr decreasing": (_set("svm", "pool", "indptr", 1, -1), "svm.pool.indptr: "),
     "values shorter than indices": (_pop("svm", "pool", "values"), "svm.pool.values: "),
     "config gamma not a number": (_set("config", "task2", "kernel", "gamma", "abc"),

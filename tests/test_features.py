@@ -14,6 +14,7 @@ from querystance import features as features_module
 from querystance.features import (
     SCHEMA_TASK1,
     SCHEMA_TASK2,
+    SparseRows,
     TASK2_TAIL_NAMES,
     VocabularyModel,
     WordTable,
@@ -465,8 +466,9 @@ class TestTask2Vector:
     @example([(["zebra", "meh"], True), ([], False), (["day", "day"], False), (["good", "Good", "sun"], True)])
     def test_sparse_rows_equal_dense_reference(self, rows):
         """The rows built sparse, from a word table of their sentences alone or from
-        some texts of one that holds other texts too, store no zero and are the
-        dense reference rows, bit for bit."""
+        some texts of one that holds other texts too, store no zero, are the
+        dense reference rows, bit for bit, and are stored as ``SparseRows.from_dense``
+        stores their dense matrix: each row in column order."""
         sentences, flags = [tokens for tokens, _ in rows], [flag for _, flag in rows]
         vocab = fit_vocabulary([["good", "day", "sun"], ["bad", "day"], ["day"]])
         expected = np.array([task2_tokens_reference(t, f, vocab, self.LEX) for t, f in rows])
@@ -477,6 +479,11 @@ class TestTask2Vector:
             assert batch.values.shape == (len(rows), vocab.size + 4)
             assert batch.values.tobytes() == expected.tobytes()
             assert np.all(batch.rows.values != 0.0) and len(batch.rows.values) == np.count_nonzero(expected)
+            # each row's columns strictly increase, as those of the dense matrix's nonzero entries
+            reference = SparseRows.from_dense(batch.values)
+            for name in ("indptr", "indices", "values"):
+                a, b = getattr(batch.rows, name), getattr(reference, name)
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
     # a batch of sentences, and text ids of it (a subset, reordered, repeated or none), each with a flag
     asked_batches = st.lists(st.lists(st.sampled_from(WORDS), max_size=8), max_size=8).flatmap(
