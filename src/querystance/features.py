@@ -76,15 +76,35 @@ _NEUTRAL_COLUMN = TASK2_TAIL_NAMES.index("neutral_count")
 @dataclass(frozen=True, eq=False)
 class SparseRows:
     """Rows in CSR form: row r holds ``values[indptr[r]:indptr[r + 1]]`` at the
-    columns ``indices[indptr[r]:indptr[r + 1]]``, each below ``dims``. Within a
-    row the columns strictly increase, as in LIBSVM's sparse rows: every sum over
-    a row's entries adds them in column order. The rows built here store no zero,
-    so a row's stored columns are those where it is nonzero."""
+    columns ``indices[indptr[r]:indptr[r + 1]]``, each in [0, ``dims``). Within a
+    row the columns strictly increase, as in LIBSVM's sparse rows, so every sum
+    over a row's entries adds them in column order; rows made otherwise raise
+    FieldError naming the field. The rows built here store no zero."""
 
     dims: int
     indptr: IndexArray
     indices: IndexArray
     values: np.ndarray
+
+    def __post_init__(self):
+        indptr, indices = self.indptr, self.indices
+        for name in ("indptr", "indices", "values"):
+            if getattr(self, name).ndim != 1:
+                raise FieldError(name, "must be a flat list")
+        if self.dims < 0:
+            raise FieldError("dims", f"must be >= 0, got {self.dims}")
+        if not len(indptr) or indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
+            raise FieldError("indptr", "must start at 0 and never decrease")
+        if indptr[-1] != len(indices):
+            raise FieldError("indptr", f"ends at {indptr[-1]}, not at the {len(indices)} indices")
+        if len(self.values) != len(indices):
+            raise FieldError("values", f"{len(self.values)} values for {len(indices)} indices")
+        if len(indices) and not 0 <= indices.min() <= indices.max() < self.dims:
+            raise FieldError("indices", f"a column lies outside [0, {self.dims})")
+        starts = np.zeros(len(indices) + 1, dtype=bool)  # a key row * dims may overflow for a dims read from a file
+        starts[indptr] = True  # each entry that starts a row, which need not follow a lower column
+        if not ((indices[1:] > indices[:-1]) | starts[1:-1]).all():
+            raise FieldError("indices", "columns must strictly increase within a row")
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> SparseRows:
@@ -471,18 +491,18 @@ def task2_features(
 _COUNT_LIMIT = 2**31
 
 
-def _token_counts(counts, indptr, indices, vocab: VocabularyModel):
+def _token_counts(rows: SparseRows, vocab: VocabularyModel):
     """Each entry's row, which entries lie in the TF-IDF block, and each row's token
-    count, the sum of its three sentiment counts, of task-2 rows held as counts."""
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    count, the sum of its three sentiment counts, of task-2 ``rows``."""
+    row, indices = rows.row_of_entries(), rows.indices
     term = indices < vocab.size
     sentiment = ~term & (indices < vocab.size + 3)
-    return rows, term, np.bincount(rows[sentiment], counts[sentiment], minlength=len(indptr) - 1)
+    return row, term, np.bincount(row[sentiment], rows.values[sentiment], minlength=rows.rows)
 
 
-def task2_values(counts: np.ndarray, indptr: np.ndarray, indices: np.ndarray, vocab: VocabularyModel) -> np.ndarray:
-    """The values of sparse task-2 rows stored as counts, in CSR form: row r holds
-    ``counts[indptr[r]:indptr[r + 1]]`` at the columns ``indices[indptr[r]:indptr[r + 1]]``.
+def task2_values(rows: SparseRows, vocab: VocabularyModel) -> np.ndarray:
+    """The values of sparse task-2 ``rows`` whose stored values are counts, in the
+    order ``rows`` stores them.
 
     A count in the TF-IDF block is a term count and becomes its ``tfidf_weights``
     with the row's token count; a count in the tail is the value itself. Raises
@@ -490,23 +510,24 @@ def task2_values(counts: np.ndarray, indptr: np.ndarray, indices: np.ndarray, vo
     [1, 2**31), a relevance flag other than 1 and a row whose term counts add up
     to more than its token count.
     """
+    counts, indices = rows.values, rows.indices
     if not np.all((counts >= 1) & (counts < _COUNT_LIMIT) & (counts == np.floor(counts))):
         raise ValueError("must be counts: whole numbers in [1, 2**31)")
     if np.any(counts[indices == vocab.size + 3] != 1):
         raise ValueError("a relevance flag, when stored, must be 1")
-    rows, term, length = _token_counts(counts, indptr, indices, vocab)
-    if np.any(np.bincount(rows[term], counts[term], minlength=len(length)) > length):
+    row, term, length = _token_counts(rows, vocab)
+    if np.any(np.bincount(row[term], counts[term], minlength=len(length)) > length):
         raise ValueError("a row's term counts add up to more than its token count, the sum of its sentiment counts")
     values = counts.astype(np.float64)
-    values[term] = tfidf_weights(counts[term], length[rows[term]], vocab._idf[indices[term]])
+    values[term] = tfidf_weights(counts[term], length[row[term]], vocab._idf[indices[term]])
     return values
 
 
-def task2_counts(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray, vocab: VocabularyModel) -> np.ndarray:
-    """The integer counts, in the CSR form ``task2_values`` reads, of the task-2 rows
-    that ``task2_features`` built as ``values``: each tail value, and each term's
-    weight times its row's token count over its IDF, rounded."""
-    counts = np.rint(values).astype(np.int64)  # the tail values are counts already
-    rows, term, length = _token_counts(counts, indptr, indices, vocab)
-    counts[term] = np.rint(values[term] * length[rows[term]] / vocab._idf[indices[term]])
+def task2_counts(rows: SparseRows, vocab: VocabularyModel) -> np.ndarray:
+    """The integer counts, in the order ``rows`` stores them, that ``task2_values``
+    reads of the task-2 ``rows`` that ``task2_features`` built: each tail value,
+    and each term's weight times its row's token count over its IDF, rounded."""
+    counts = np.rint(rows.values).astype(np.int64)  # the tail values are counts already
+    row, term, length = _token_counts(rows, vocab)
+    counts[term] = np.rint(rows.values[term] * length[row[term]] / vocab._idf[rows.indices[term]])
     return counts

@@ -148,6 +148,11 @@ class Task1Model(TaskModel):
 
     vocabularies: dict[str, VocabularyModel]
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not ((self.svm.pool.values >= 0.0) & (self.svm.pool.values <= 1.0 + 1e-12)).all():  # cosine: 1 + ulps
+            raise FieldError("svm.pool.values", "must lie in [0, 1], as every task-1 feature does")
+
 
 @dataclass(frozen=True)
 class Task2Model(TaskModel):
@@ -167,7 +172,7 @@ class Task2Model(TaskModel):
         super().__post_init__()
         pool = self.svm.pool
         try:
-            values = task2_values(pool.values, pool.indptr, pool.indices, self.vocabulary)
+            values = task2_values(pool, self.vocabulary)
         except ValueError as exc:
             raise FieldError("svm.pool.values", str(exc)) from exc
         stored = replace(pool, values=pool.values.astype(np.int64))  # read from a file as floats
@@ -180,8 +185,7 @@ class Task2Model(TaskModel):
         its pool stored as counts. Raises ValueError unless the counts rebuild the
         pool bit for bit, so no file is written that loads another model."""
         pool = svm.pool
-        counts = task2_counts(pool.values, pool.indptr, pool.indices, vocabulary)
-        model = cls(config, replace(svm, pool=replace(pool, values=counts)), vocabulary)
+        model = cls(config, replace(svm, pool=replace(pool, values=task2_counts(pool, vocabulary))), vocabulary)
         if model.classifier.pool.values.tobytes() != pool.values.tobytes():
             raise ValueError("the support vectors are not task-2 rows: no counts rebuild them bit for bit")
         return model

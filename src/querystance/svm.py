@@ -26,10 +26,10 @@ those columns; every other column through its list of pool rows and
 values (CSC, the inverted file of Zobel & Moffat 2006), whose products
 with a chunk's entries are added by one ``np.bincount`` over the (chunk
 row, pool row) cells, each cell's in column order, the order in which
-every row of ``SparseRows`` stores its entries. A chunk holds at most
-PREDICT_CHUNK_ROWS rows and expands to at most PREDICT_CHUNK_ROWS * pool
-rows list products, the size of its kernel matrix, unless one row alone
-exceeds that.
+``SparseRows`` requires every row to store its entries, a caller's rows
+as a pool's. A chunk holds at most PREDICT_CHUNK_ROWS rows and expands
+to at most PREDICT_CHUNK_ROWS * pool rows list products, the size of its
+kernel matrix, unless one row alone exceeds that.
 No external solver; numpy only.
 """
 
@@ -118,51 +118,29 @@ class SvmConfig:
 @dataclass(frozen=True, eq=False)
 class SupportVectorPool(SparseRows):
     """Distinct support vectors shared by the machines of a model, as CSR rows
-    (``SparseRows``), checked whenever it is made: the one place that enforces
-    their column order, on a pool read from a file too.
-
-    What prediction reads of the pool (``columns``, ``sq_norms``) and the dense
-    rows of ``support_vectors`` are built once, on first use, from the CSR
-    fields: a ``dims`` read from a file allocates nothing until it is used.
-    """
+    (``SparseRows``) of finite values. What prediction reads of the pool
+    (``columns``, ``sq_norms``) and the dense rows of ``support_vectors`` are
+    built once, on first use, from the CSR fields: a ``dims`` read from a file
+    allocates nothing until it is used."""
 
     def __post_init__(self):
-        indptr, indices, values = self.indptr, self.indices, self.values
-        for name in ("indptr", "indices", "values"):
-            if getattr(self, name).ndim != 1:
-                raise FieldError(name, "must be a flat list")
-        if self.dims < 0:
-            raise FieldError("dims", f"must be >= 0, got {self.dims}")
-        if not len(indptr) or indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
-            raise FieldError("indptr", "must start at 0 and never decrease")
-        if indptr[-1] != len(indices):
-            raise FieldError("indptr", f"ends at {indptr[-1]}, not at the {len(indices)} indices")
-        if len(values) != len(indices):
-            raise FieldError("values", f"{len(values)} values for {len(indices)} indices")
-        if not np.isfinite(values).all():
+        super().__post_init__()
+        if not np.isfinite(self.values).all():
             raise FieldError("values", "must be finite")
-        if len(indices) and not 0 <= indices.min() <= indices.max() < self.dims:
-            raise FieldError("indices", f"a column lies outside [0, {self.dims})")
-        row = self.row_of_entries()
-        if np.any((indices[1:] <= indices[:-1]) & (row[1:] == row[:-1])):
-            raise FieldError("indices", "columns must strictly increase within a row")
 
     @classmethod
     def of(cls, rows: np.ndarray) -> tuple[SupportVectorPool, np.ndarray]:
         """The pool of the distinct ``rows``, in order of first appearance,
         and the pool row of each of them."""
         sparse = SparseRows.from_dense(rows)
-        bounds, col, values = sparse.indptr, sparse.indices, sparse.values
         # equal rows have equal columns and values, so equal bytes (-0.0 is not stored)
         first: dict[bytes, int] = {}
         index = np.array([
-            first.setdefault(col[a:b].tobytes() + values[a:b].tobytes(), len(first))
-            for a, b in zip(bounds[:-1], bounds[1:])
+            first.setdefault(sparse.indices[a:b].tobytes() + sparse.values[a:b].tobytes(), len(first))
+            for a, b in zip(sparse.indptr[:-1], sparse.indptr[1:])
         ], dtype=np.int64)
         kept = np.unique(index, return_index=True)[1]  # first copy of each, in row order
-        indptr = np.concatenate(([0], np.cumsum(bounds[kept + 1] - bounds[kept])))
-        stored = np.isin(sparse.row_of_entries(), kept)
-        return cls(rows.shape[1], indptr, col[stored], values[stored]), index
+        return cls.from_dense(rows[kept]), index
 
     @functools.cached_property
     def dense(self) -> np.ndarray:

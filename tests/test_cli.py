@@ -468,6 +468,23 @@ class TestCorruptModelRejectedAtLoad:
         assert f"error: {bad}: svm.kernel: differs from config.task1.kernel" in capsys.readouterr().err
         assert not (tmp_path / "pred.csv").exists()
 
+    @pytest.mark.parametrize("value", [1.1663984695979098e+103, 1.5, -0.25])
+    def test_task1_pool_value_outside_the_feature_range(self, workspace, trained_models, tmp_path, capsys, value):
+        """Every task-1 feature lies in [0, 1], so a pool value outside it is refused at
+        load, not met at predict time as an overflow."""
+        doc = json.loads(trained_models["m1"].read_text())
+        doc["svm"]["pool"]["values"][0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([
+            "predict", "--model", str(bad), "--data", str(workspace["unlabeled"]),
+            "--out", str(tmp_path / "pred.csv"),
+            "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"]),
+        ])
+        assert code == 1
+        assert f"error: {bad}: svm.pool.values: must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_task1_vocabulary_repeating_a_term(self, workspace, trained_models, tmp_path, capsys):
         doc = json.loads(trained_models["m1"].read_text())
         query_id, vocabulary = next(iter(doc["vocabularies"].items()))

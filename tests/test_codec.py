@@ -126,9 +126,9 @@ def task2_file(tmp_path_factory):
     return _saved(tmp_path_factory, 2)
 
 
-def _mutants_load_or_raise_corrupt_model(saved, task):
-    """Every mutant of the saved task-``task`` file either fails at load naming
-    the file, or loads and predicts."""
+def _mutants_load_or_raise_corrupt_model(saved, task, examples=()):
+    """Every mutant of the saved task-``task`` file, ``examples`` (path, value) among
+    them, either fails at load naming the file, or loads and predicts."""
     doc, field_paths, mutant = saved
     batch = make_records(seed=1, per_query=4)  # 20 rows
 
@@ -161,6 +161,8 @@ def _mutants_load_or_raise_corrupt_model(saved, task):
         for step in path:
             node = node[step]
         mutation = example(path, _nudged(node))(mutation)
+    for path, value in examples:
+        mutation = example(path, value)(mutation)
     mutation()
 
 
@@ -169,7 +171,8 @@ def test_single_value_mutation_loads_or_raises_corrupt_model(task2_file):
 
 
 def test_single_value_mutation_of_a_task1_file_loads_or_raises_corrupt_model(task1_file):
-    _mutants_load_or_raise_corrupt_model(task1_file, 1)
+    # a pool value that no task-1 feature takes, on which predict would overflow
+    _mutants_load_or_raise_corrupt_model(task1_file, 1, [(("svm", "pool", "values", 0), 1.1663984695979098e+103)])
 
 
 def _count_mutation(change):

@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as npst
 
 from querystance import lexicons as lexicons_module, pipeline
+from querystance.codec import FieldError
 from querystance.corpus import SentenceRecord
 from querystance.errors import EmptyCorpus, VocabNotFitted
 from querystance import features as features_module
@@ -536,6 +538,73 @@ class TestTask2Vector:
             [tokenize(r.sentence_text) for r in records], [True] * len(records), vocab, synthetic_lexicons.sentiment
         )
         assert batch.values.shape == (20, vocab.size + 4)
+
+
+def _task2_rows(rows):
+    """The ``SparseRows`` that ``task2_features`` builds of (tokens, flag) rows."""
+    vocab = fit_vocabulary([["good", "day", "sun"], ["bad", "day"], ["day"]])
+    return task2_of([tokens for tokens, _ in rows], [flag for _, flag in rows], vocab, TestTask2Vector.LEX).rows
+
+
+class TestSparseRows:
+    """``SparseRows`` checks its own form wherever rows are made, a caller's too."""
+
+    ORDER = "columns must strictly increase within a row"
+
+    @pytest.mark.parametrize("indices, problem", [
+        ([0, 0], ORDER),  # a column twice in a row, which the kernel read in two ways
+        ([2, 1], ORDER),
+        ([-1], "a column lies outside [0, 3)"),  # which numpy would read as column 2
+        ([3], "a column lies outside [0, 3)"),
+    ])
+    def test_a_row_breaking_the_column_rule_is_refused(self, indices, problem):
+        with pytest.raises(FieldError) as info:
+            SparseRows(3, np.array([0, len(indices)]), np.array(indices), np.ones(len(indices)))
+        assert (info.value.field, info.value.problem) == ("indices", problem)
+
+    @pytest.mark.parametrize("dims, indptr, indices, values, field, problem", [
+        (3, [[0, 1]], [0], [1.0], "indptr", "must be a flat list"),
+        (3, [0, 1], [0], [[1.0]], "values", "must be a flat list"),
+        (-1, [0], [], [], "dims", "must be >= 0, got -1"),
+        (3, [], [], [], "indptr", "must start at 0 and never decrease"),
+        (3, [1, 1], [0], [1.0], "indptr", "must start at 0 and never decrease"),
+        (3, [0, 2, 1], [0, 1], [1.0, 1.0], "indptr", "must start at 0 and never decrease"),
+        (3, [0, 1], [0, 1], [1.0, 1.0], "indptr", "ends at 1, not at the 2 indices"),
+        (3, [0, 1], [0], [1.0, 2.0], "values", "2 values for 1 indices"),
+    ])
+    def test_malformed_fields_are_refused_naming_the_field(self, dims, indptr, indices, values, field, problem):
+        with pytest.raises(FieldError) as info:
+            SparseRows(dims, np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64), np.array(values))
+        assert (info.value.field, info.value.problem) == (field, problem)
+
+    built = st.one_of(
+        npst.arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 8)),
+                    elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.5])).map(SparseRows.from_dense),
+        st.lists(st.tuples(st.lists(st.sampled_from(TestTask2Vector.WORDS), max_size=8), st.booleans()),
+                 max_size=6).map(_task2_rows),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(built, st.data())
+    def test_built_rows_pass_and_a_row_out_of_order_is_refused(self, rows, data):
+        """Every row set that ``from_dense`` and ``task2_features`` build passes the
+        check when made again, and the same rows with two entries of one row swapped,
+        or with an entry's column repeating the one before it, are refused."""
+        replace(rows)
+        stored = np.diff(rows.indptr)
+        if not (stored >= 2).any():
+            return
+        row = data.draw(st.sampled_from(np.flatnonzero(stored >= 2).tolist()))
+        i = data.draw(st.integers(rows.indptr[row], rows.indptr[row + 1] - 2))
+        j = data.draw(st.integers(i + 1, rows.indptr[row + 1] - 1))
+        order = np.arange(len(rows.indices))
+        order[[i, j]] = j, i
+        repeated = rows.indices.copy()
+        repeated[i + 1] = repeated[i]
+        for changed in ({"indices": rows.indices[order], "values": rows.values[order]}, {"indices": repeated}):
+            with pytest.raises(FieldError) as info:
+                replace(rows, **changed)
+            assert (info.value.field, info.value.problem) == ("indices", self.ORDER)
 
 
 class TestAnalysedPathEqualsStringOracles:

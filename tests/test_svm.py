@@ -1,12 +1,13 @@
 import math
 import warnings
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from querystance.codec import from_doc, read_json, to_doc, write_json
+from querystance.codec import FieldError, from_doc, read_json, to_doc, write_json
 from querystance.errors import (
     CorruptModel,
     DimensionMismatch,
@@ -500,12 +501,6 @@ def _pool_of(matrix):
     return SupportVectorPool(rows.dims, rows.indptr, rows.indices, rows.values)
 
 
-def _shuffled(rows, rng):
-    """``rows`` with the entries of each row in a random order."""
-    order = np.concatenate([np.arange(0)] + [a + rng.permutation(b - a) for a, b in zip(rows.indptr[:-1], rows.indptr[1:])])
-    return SparseRows(rows.dims, rows.indptr, rows.indices[order], rows.values[order])
-
-
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kernel=_KERNELS, n_pool=st.sampled_from([1, 7, 8, 16, 17, 24, 40]),
        n_rows=st.sampled_from([0, 1, 2, 9, 140]))
@@ -513,11 +508,11 @@ def test_split_kernel_matches_the_dense_reference(seed, kernel, n_pool, n_rows):
     """Over a pool whose columns are stored by none, one, just under, exactly and just
     over PREDICT_DENSE_SHARE of its rows, or all of them, and rows that store only
     block columns, only list columns, both or nothing: the columns at the share are
-    the block's; a FeatureBatch and its dense matrix give the same bits; the values,
-    and those of the rows with their entries shuffled out of the column order that
-    ``SparseRows`` keeps, lie within ``decision_tolerance`` of the dense reference;
-    and the labels are the loop oracle's wherever no value lies within that bound
-    of 0."""
+    the block's; a FeatureBatch and its dense matrix give the same bits; the values
+    lie within ``decision_tolerance`` of the dense reference; the labels are the
+    loop oracle's wherever no value lies within that bound of 0; and the same rows
+    with two entries of a row swapped out of column order are refused when they
+    are made, so they never reach the kernel."""
     rng = np.random.default_rng(seed)
     dims = 48
     cut = max(PREDICT_DENSE_SHARE * n_pool, 1)
@@ -538,14 +533,20 @@ def test_split_kernel_matches_the_dense_reference(seed, kernel, n_pool, n_rows):
     got = decision_values(model, batch)
     assert got.shape == (n_rows, 3)
     assert got.tobytes() == decision_values(model, rows).tobytes()
-    shuffled = decision_values(model, FeatureBatch(_shuffled(batch.rows, rng), "task2-v1"))
     tolerance = decision_tolerance(model, rows)
     reference = decision_values_reference(model, rows, PREDICT_CHUNK_ROWS)
-    assert np.all(np.abs(got - reference) <= tolerance) and np.all(np.abs(shuffled - reference) <= tolerance)
+    assert np.all(np.abs(got - reference) <= tolerance)
     labels = predict_batch(model, batch)
     for row, label, clear in zip(rows, labels, np.all(np.abs(got) > tolerance, axis=1)):
         if clear:
             assert label == ovo_reference(model, row)[0]
+    stored = np.diff(batch.rows.indptr)
+    if (stored >= 2).any():
+        first = batch.rows.indptr[np.argmax(stored >= 2)]  # the first entry of the first row of two or more
+        order = np.arange(len(batch.rows.indices))
+        order[[first, first + 1]] = first + 1, first
+        with pytest.raises(FieldError, match="^indices: columns must strictly increase within a row$"):
+            replace(batch.rows, indices=batch.rows.indices[order], values=batch.rows.values[order])
 
 
 @pytest.mark.parametrize("n_pool, n_listed, most", [(40, 600, 4), (16, 2500, 1)])
@@ -611,11 +612,15 @@ def test_vote_ties_match_per_row_reference(model_and_rows):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_labels=st.integers(2, 3), kind=st.sampled_from(KERNEL_KINDS))
+@example(seed=327, n_labels=3, kind="linear")  # machine 'l1' vs 'l0' needs 1,666 pair updates; 100 passes cap it at 1,400
 def test_sparse_rows_match_per_row_reference(seed, n_labels, kind):
     """Decision values within 1e-9 of the loop oracle and equal labels on mostly-zero
     rows, whose kernel matrix skips the columns a chunk leaves zero: all-zero probes,
     a probe column no support vector uses, a support-vector column no probe uses, and
-    more probes than one chunk holds, the last chunk on a subset of the columns."""
+    more probes than one chunk holds, the last chunk on a subset of the columns. The
+    model trains with a cap of 1,000 passes: the test asks about prediction, not
+    about the solver's cap, and some draws, such as the example, need more than the
+    default 100 passes to converge."""
     rng = np.random.default_rng(seed)
     width = int(rng.integers(8, 17))
     train_only, probe_only = 0, width - 1
@@ -627,7 +632,7 @@ def test_sparse_rows_match_per_row_reference(seed, n_labels, kind):
     x[:, train_only] = 1.0 + rng.random(20)  # every support vector uses it
     x[:, probe_only] = 0.0
     labels = [f"l{i % n_labels}" for i in rng.permutation(20)]
-    model = train_multiclass(x, labels, SvmConfig(c=10.0, kernel=KERNELS[kind]))
+    model = train_multiclass(x, labels, SvmConfig(c=10.0, kernel=KERNELS[kind], max_passes=1000))
     probes = sparse(PREDICT_CHUNK_ROWS + 24, 0.15)
     probes[:, train_only] = 0.0
     probes[PREDICT_CHUNK_ROWS:, rng.random(width) < 0.5] = 0.0
