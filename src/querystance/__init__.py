@@ -56,6 +56,7 @@ from .svm import (
     MulticlassModel,
     SupportVectorPool,
     SvmConfig,
+    WeightsModel,
     decision_value,
     decision_values,
     dual_objective,
@@ -63,6 +64,7 @@ from .svm import (
     predict_batch,
     train_binary,
     train_multiclass,
+    weights_form,
 )
 from .textproc import porter_stem, split_sentences, stem_tokens, tokenize, tokenize_batch
 

@@ -57,8 +57,9 @@ def from_doc(cls, doc, where, field: str = ""):
     """Rebuild a ``cls`` value from ``to_doc`` output.
 
     ``cls`` is a dataclass, ``tuple[X, ...]``, ``dict[str, X]``, ``X | None``,
-    ``float``, ``int``, ``str``, ``np.ndarray`` (read as float64) or
-    ``npt.NDArray[np.int64]`` (integers only). Raises CorruptModel naming
+    a union of dataclasses (read as the one whose fields name the most of the
+    document's keys), ``float``, ``int``, ``str``, ``np.ndarray`` (read as
+    float64) or ``npt.NDArray[np.int64]`` (integers only). Raises CorruptModel naming
     ``where`` and the field path for a missing, unknown or mistyped field,
     a non-finite number, and a ValueError from a dataclass's own checks.
     """
@@ -73,8 +74,14 @@ def from_doc(cls, doc, where, field: str = ""):
             return doc
         raise CorruptModel(f"expected {_SCALARS[cls]}, got {doc!r:.40}", where, field=field)
     origin, args = typing.get_origin(cls), typing.get_args(cls)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        return None if doc is None else from_doc(args[0], doc, where, field)
+    if origin in (typing.Union, types.UnionType):  # X | None, or dataclasses X | Y
+        if doc is None and type(None) in args:
+            return None
+        kinds = [kind for kind in args if kind is not type(None)]
+        if len(kinds) > 1:  # the dataclass that names the most of the document's keys, the first on a tie
+            keys = doc.keys() if isinstance(doc, dict) else set()
+            kinds.sort(key=lambda kind: -len(keys & _field_types(kind).keys()))
+        return from_doc(kinds[0], doc, where, field)
     container = list if origin is tuple or np.ndarray in (cls, origin) else dict
     if not isinstance(doc, container):
         kind = "a list" if container is list else "an object"

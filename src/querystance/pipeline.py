@@ -44,8 +44,10 @@ from .svm import (
     KernelConfig,
     MulticlassModel,
     SvmConfig,
+    WeightsModel,
     predict_batch,
     train_multiclass,
+    weights_form,
 )
 from .textproc import tokenize_batch
 
@@ -118,14 +120,15 @@ class TaskModel:
 
     config: PipelineConfig
     svm: MulticlassModel
-    classifier: MulticlassModel = field(init=False, repr=False, compare=False)
+    classifier: MulticlassModel | WeightsModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         svm = self.svm
         if svm.schema_id != self.SCHEMA:
             raise FieldError("svm.schema_id", f"expected {self.SCHEMA!r}, got {svm.schema_id!r}")
-        if svm.pool.dims != self.width:
-            raise FieldError("svm.pool.dims", f"expected width {self.width}, got {svm.pool.dims}")
+        dims, where = (svm.dims, "svm.dims") if isinstance(svm, WeightsModel) else (svm.pool.dims, "svm.pool.dims")
+        if dims != self.width:
+            raise FieldError(where, f"expected width {self.width}, got {dims}")
         if len(svm.labels) < 2 or not set(svm.labels) <= set(self.LABELS):
             raise FieldError("svm.labels", f"expected two or more of {self.LABELS}, got {list(svm.labels)}")
         if svm.kernel != getattr(self.config, f"task{self.task}").kernel:
@@ -140,18 +143,43 @@ class TaskModel:
 
 @dataclass(frozen=True)
 class Task1Model(TaskModel):
+    """The relevance model. Its ``svm`` is stored in the form that
+    ``svm.weights_form`` picks: the weights of the kernel's map (task 1's
+    default cubic kernel has 35 terms), or the support-vector pool (an RBF
+    kernel, or a map of more terms than the pool stores entries). Given a pool
+    that takes weights, it stores and predicts with the weights and keeps the
+    pool as ``pooled``, so a trained model and its reloaded file predict alike."""
+
     task = 1
     SCHEMA = SCHEMA_TASK1
     LABELS = RELEVANCE_LABELS
     CONFIG_FIELDS = ("task1", "gloss_path", "noun_path")
     width = len(TASK1_FEATURE_NAMES)
 
+    svm: MulticlassModel | WeightsModel
     vocabularies: dict[str, VocabularyModel]
+    # the support-vector model given, None when given weights
+    pooled: MulticlassModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        if not ((self.svm.pool.values >= 0.0) & (self.svm.pool.values <= 1.0 + 1e-12)).all():  # cosine: 1 + ulps
-            raise FieldError("svm.pool.values", "must lie in [0, 1], as every task-1 feature does")
+        svm = self.svm
+        if isinstance(svm, MulticlassModel):
+            if not ((svm.pool.values >= 0.0) & (svm.pool.values <= 1.0 + 1e-12)).all():  # cosine: 1 + ulps
+                raise FieldError("svm.pool.values", "must lie in [0, 1], as every task-1 feature does")
+            object.__setattr__(self, "pooled", svm)
+            svm = weights_form(svm) or svm
+            object.__setattr__(self, "svm", svm)
+            object.__setattr__(self, "classifier", svm)
+        if isinstance(svm, WeightsModel):
+            # every term of the map is at most 1 on rows in [0, 1] (the cosine's ulps aside), so
+            # |decision| <= sum |weight| + |bias| <= max / 4 + max / 2, and no partial sum overflows
+            limits = {"weights": np.finfo(np.float64).max / 4 / max(svm.weights.shape[1], 1),
+                      "biases": np.finfo(np.float64).max / 2}
+            for name, limit in limits.items():
+                if np.abs(getattr(svm, name)).max(initial=0.0) > limit:
+                    raise FieldError(f"svm.{name}", f"a value beyond ±{limit:.4g} could overflow "
+                                                    "a decision value on rows in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -209,8 +237,12 @@ class TrainedPipeline:
     task2: Task2Model | None = None
 
     @property
-    def task1_model(self) -> MulticlassModel | None:
-        return None if self.task1 is None else self.task1.classifier
+    def task1_model(self) -> MulticlassModel | WeightsModel | None:
+        """The task-1 SVM with its support vectors where the pipeline has them
+        (trained here, or read from a pool-form file), else its weights."""
+        if self.task1 is None:
+            return None
+        return self.task1.classifier if self.task1.pooled is None else self.task1.pooled
 
     @property
     def task2_model(self) -> MulticlassModel | None:
@@ -457,7 +489,7 @@ def evaluate(
 
 # --- persistence ------------------------------------------------------------
 
-FORMAT, FORMAT_VERSION = "querystance-pipeline", 3  # with ``task``, the header of every model file
+FORMAT, FORMAT_VERSION = "querystance-pipeline", 4  # with ``task``, the header of every model file
 
 
 def save_task_model(pipeline: TrainedPipeline, task: int, path: str | Path) -> None:

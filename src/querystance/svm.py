@@ -30,6 +30,16 @@ row, pool row) cells, each cell's in column order, the order in which
 as a pool's. A chunk holds at most PREDICT_CHUNK_ROWS rows and expands
 to at most PREDICT_CHUNK_ROWS * pool rows list products, the size of its
 kernel matrix, unless one row alone exceeds that.
+
+A linear or polynomial kernel is a finite sum over monomials, K(x, z) =
+sum_t c_t phi_t(x) phi_t(z), so such a model has a second form,
+``WeightsModel``: each machine is phi(x) . w + b with w = sum_i dual_coef_i
+* c∘phi(sv_i) (the explicit low-degree map of Chang, Hsieh, Chang, Ringgaard
+& Lin 2010). ``weights_form`` states the one rule that picks it: the kernel
+is linear or poly and its map has no more terms than the pool stores
+entries; RBF and a wider map keep the pool. Prediction reads the weights
+through the same intake and vote, PREDICT_CHUNK_ROWS rows at a time, as
+phi(chunk) @ weights.T + biases. Training always gives the pool form.
 No external solver; numpy only.
 """
 
@@ -39,8 +49,9 @@ import functools
 import math
 import numbers
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -221,6 +232,11 @@ def _bind(machine: BinaryModel, pool: SupportVectorPool) -> BinaryModel:
     return machine
 
 
+def _check_labels(labels: tuple[str, ...]) -> None:
+    if list(labels) != sorted(set(labels)):  # the vote tie-break relies on it
+        raise FieldError("labels", f"must be sorted and distinct, got {list(labels)}")
+
+
 @dataclass(frozen=True, eq=False)
 class MulticlassModel:
     """One-vs-one ensemble over lexicographically ordered labels.
@@ -236,8 +252,7 @@ class MulticlassModel:
     schema_id: str | None = None
 
     def __post_init__(self):
-        if list(self.labels) != sorted(set(self.labels)):  # the vote tie-break relies on it
-            raise FieldError("labels", f"must be sorted and distinct, got {list(self.labels)}")
+        _check_labels(self.labels)
         pairs = [(m.negative_label, m.positive_label) for m in self.machines]
         if pairs != list(combinations(self.labels, 2)):  # as train_multiclass orders them
             raise ValueError(
@@ -250,6 +265,112 @@ class MulticlassModel:
                 )
         machines = tuple(_bind(replace(m), self.pool) for m in self.machines)
         object.__setattr__(self, "machines", machines)
+
+
+def _map_terms(kernel: KernelConfig, dims: int) -> int | None:
+    """The number of terms of the kernel's explicit map over ``dims`` columns,
+    the monomials whose coefficient is not zero; None for RBF, whose map has no
+    end. (gamma x.z + coef0)^degree holds every monomial of degree at most
+    ``degree``, or only those of degree ``degree`` when coef0 is 0; linear holds x."""
+    if kernel.kind == "rbf":
+        return None
+    if kernel.kind == "linear":
+        return dims
+    degree = kernel.degree
+    return math.comb(dims + degree, degree) if kernel.coef0 else math.comb(dims + degree - 1, degree)
+
+
+@functools.cache
+def _monomials(kernel: KernelConfig, dims: int) -> tuple[IndexArray, np.ndarray]:
+    """The terms of the kernel's map over ``dims`` columns, by degree and then in
+    lexicographic order: each term's factor columns, a (terms, degree) array in
+    which column ``dims`` stands for a factor 1, and its coefficient c, so that
+    K(x, z) = sum_t c_t phi_t(x) phi_t(z). The coefficient of a monomial of degree
+    k is C(degree, k) coef0^(degree - k) gamma^k times the multinomial
+    coefficient of its factors."""
+    if kernel.kind == "linear":
+        return np.arange(dims).reshape(dims, 1), np.ones(dims)
+    degree, gamma, coef0 = kernel.degree, np.float64(kernel.gamma), np.float64(kernel.coef0)
+    factors, coefs = [], []
+    for k in range(0 if kernel.coef0 else degree, degree + 1):
+        scale = math.comb(degree, k) * coef0 ** (degree - k) * gamma ** k
+        for term in combinations_with_replacement(range(dims), k):
+            factors.append(term + (dims,) * (degree - k))
+            coefs.append(scale * (math.factorial(k) // math.prod(map(math.factorial, Counter(term).values()))))
+    return np.array(factors, dtype=np.int64).reshape(-1, degree), np.array(coefs)
+
+
+def _mapped(rows: SparseRows, start: int, stop: int, factors: IndexArray) -> np.ndarray:
+    """phi(rows[start:stop]), the map's terms of each row: the product of the
+    term's factor columns, taken factor after factor."""
+    lo, hi = rows.indptr[start], rows.indptr[stop]
+    dense = np.zeros((stop - start, rows.dims + 1))
+    dense[:, -1] = 1.0  # the factor 1 of a term of lower degree
+    row = np.arange(stop - start).repeat(rows.indptr[start + 1:stop + 1] - rows.indptr[start:stop])
+    dense[row, rows.indices[lo:hi]] = rows.values[lo:hi]
+    mapped = dense[:, factors[:, 0]]
+    for column in factors.T[1:]:
+        mapped *= dense[:, column]
+    return mapped
+
+
+@dataclass(frozen=True, eq=False)
+class WeightsModel:
+    """A linear or polynomial one-vs-one model in its explicit map (the
+    low-degree map of Chang, Hsieh, Chang, Ringgaard & Lin 2010): machine k,
+    on the k-th label pair of ``MulticlassModel``'s order, gives
+    phi(x) . weights[k] + biases[k] for the map's terms phi(x) (``_monomials``)."""
+
+    labels: tuple[str, ...]
+    kernel: KernelConfig
+    dims: int
+    weights: np.ndarray  # (machines, terms)
+    biases: np.ndarray  # (machines,)
+    schema_id: str | None = None
+
+    def __post_init__(self):
+        _check_labels(self.labels)
+        if self.kernel.kind == "rbf":
+            raise FieldError("kernel", "an RBF kernel has no finite map to weigh")
+        if self.dims < 0:
+            raise FieldError("dims", f"must be >= 0, got {self.dims}")
+        degree = 1 if self.kernel.kind == "linear" else self.kernel.degree
+        stored = self.weights.shape[-1] if self.weights.ndim == 2 else 0
+        # the map has at least min(dims, degree) terms: a larger dims and degree are refused
+        # before C(dims + degree, degree), whose cost grows with both, is counted
+        if min(self.dims, degree) > stored:
+            raise FieldError("weights", f"{stored} terms are too few for a map of degree {degree} over "
+                                        f"{self.dims} columns")
+        shape = (math.comb(len(self.labels), 2), _map_terms(self.kernel, self.dims))
+        if self.weights.shape != shape:
+            raise FieldError("weights", f"must have shape {shape} (label pairs, terms of the kernel's map "
+                                        f"over {self.dims} columns), got {self.weights.shape}")
+        if self.biases.shape != shape[:1]:
+            raise FieldError("biases", f"must have shape {shape[:1]} (label pairs), got {self.biases.shape}")
+        for name in ("weights", "biases"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise FieldError(name, "must be finite")
+
+
+def weights_form(model: MulticlassModel) -> WeightsModel | None:
+    """``model`` in its explicit map when that is its form, else None. This is
+    the one rule that picks the form: the kernel is linear or poly and its map
+    has no more terms than the pool stores entries. Each machine's weights are
+    sum_i dual_coef_i * c∘phi(sv_i), added term by term in support-vector order
+    by one ``np.bincount``."""
+    pool, kernel = model.pool, model.kernel
+    terms = _map_terms(kernel, pool.dims)
+    if terms is None or terms > len(pool.values):
+        return None
+    factors, coefs = _monomials(kernel, pool.dims)
+    scaled = _mapped(pool, 0, pool.rows, factors) * coefs
+    weights = np.array([
+        np.bincount(np.tile(np.arange(terms), len(m.sv_index)), (m.dual_coefs[:, None] * scaled[m.sv_index]).ravel(),
+                    minlength=terms)
+        for m in model.machines
+    ]).reshape(-1, terms)
+    biases = np.array([m.bias for m in model.machines])
+    return WeightsModel(model.labels, kernel, pool.dims, weights, biases, model.schema_id)
 
 
 def _kernel(cfg: KernelConfig, dots: np.ndarray, a_sq: np.ndarray | None = None,
@@ -550,16 +671,25 @@ def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
     )
 
 
-def decision_values(model: MulticlassModel, x) -> np.ndarray:
+def decision_values(model: MulticlassModel | WeightsModel, x) -> np.ndarray:
     """(rows, machines) decision values of every machine on every row of ``x``,
     a FeatureBatch or a 2-D array-like.
 
-    The rows are read in the chunks of ``_chunks``. One kernel matrix
-    K(chunk, pool) serves all machines: machine k reads its columns,
-    K[:, sv_index_k] @ dual_coefs_k + bias_k. K is computed from the stored
-    entries of the chunk and of the pool (``_pool_kernel``), and no matrix of
-    the chunk over the full width is made.
+    A ``WeightsModel`` reads chunks of PREDICT_CHUNK_ROWS rows as
+    phi(chunk) @ weights.T + biases. A ``MulticlassModel`` reads the rows in
+    the chunks of ``_chunks``. One kernel matrix K(chunk, pool) serves all
+    machines: machine k reads its columns, K[:, sv_index_k] @ dual_coefs_k +
+    bias_k. K is computed from the stored entries of the chunk and of the pool
+    (``_pool_kernel``), and no matrix of the chunk over the full width is made.
     """
+    if isinstance(model, WeightsModel):
+        rows, _ = _rows(x, model.dims, model.schema_id)
+        factors = _monomials(model.kernel, model.dims)[0]
+        values = np.empty((rows.rows, len(model.biases)))
+        for start in range(0, rows.rows, PREDICT_CHUNK_ROWS):
+            stop = min(start + PREDICT_CHUNK_ROWS, rows.rows)
+            values[start:stop] = _mapped(rows, start, stop, factors) @ model.weights.T + model.biases
+        return values
     pool = model.pool
     rows, _ = _rows(x, pool.dims, model.schema_id)
     values = np.empty((rows.rows, len(model.machines)))
@@ -570,7 +700,7 @@ def decision_values(model: MulticlassModel, x) -> np.ndarray:
     return values
 
 
-def predict_batch(model: MulticlassModel, x) -> list[str]:
+def predict_batch(model: MulticlassModel | WeightsModel, x) -> list[str]:
     """Majority vote over pairwise machines, for every row of ``x``, a
     FeatureBatch or a 2-D array-like.
 
@@ -596,7 +726,7 @@ def predict_batch(model: MulticlassModel, x) -> list[str]:
     return [model.labels[i] for i in np.argmax(np.where(tied, margins, -np.inf), axis=1)]
 
 
-def predict(model: MulticlassModel, x) -> str:
+def predict(model: MulticlassModel | WeightsModel, x) -> str:
     """``predict_batch`` of the single row ``x``."""
     return predict_batch(model, [x])[0]
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,25 @@ def trained_models(workspace):
     assert main(train_args(workspace, 1, m1)) == 0
     assert main(train_args(workspace, 2, m2)) == 0
     return {"m1": m1, "m2": m2}
+
+
+@pytest.fixture(scope="module")
+def weights_task1_model(paper_corpus, tmp_path_factory):
+    """A task-1 file that stores weights: the default cubic kernel trained on the paper_cli corpus."""
+    out = tmp_path_factory.mktemp("weights") / "m1.json"
+    assert main(["train", "--task", "1", "--data", str(paper_corpus["train"]), "--out", str(out),
+                 "--gloss", str(paper_corpus["gloss"]), "--nouns", str(paper_corpus["nouns"])]) == 0
+    assert "weights" in json.loads(out.read_text())["svm"]
+    return out
+
+
+@pytest.fixture(scope="module")
+def rbf_task1_model(workspace):
+    """A task-1 file that stores its support-vector pool: an RBF kernel has no finite map."""
+    out = workspace["root"] / "m1_rbf.json"
+    assert main(train_args(workspace, 1, out, "--kernel", "rbf", "--gamma", "0.5")) == 0
+    assert "pool" in json.loads(out.read_text())["svm"]
+    return out
 
 
 class TestTrain:
@@ -429,7 +449,39 @@ CORRUPTIONS = {
 }
 
 
+# each mutation of a task-1 file that stores weights, and the field its error must name
+WEIGHTS_CORRUPTIONS = {
+    "a weight dropped": (_pop("svm", "weights", 0), "svm.weights: must have shape (1, 35)"),
+    "a weight of 1e308": (_set("svm", "weights", 0, 0, 1e308),
+                          "svm.weights: a value beyond ±1.284e+306 could overflow"),
+    "bias beyond the float range": (_set("svm", "biases", 0, 10**400), "svm.biases: "),
+    "a bias of 1e308": (_set("svm", "biases", 0, 1e308), "svm.biases: a value beyond ±8.988e+307 could overflow"),
+    "dims of 6": (_set("svm", "dims", 6), "svm.weights: must have shape (1, 56)"),
+}
+
+
 class TestCorruptModelRejectedAtLoad:
+    @pytest.mark.parametrize("case", sorted(WEIGHTS_CORRUPTIONS))
+    def test_task1_weights_exit_1_naming_the_field(self, workspace, weights_task1_model, tmp_path, capsys, case):
+        """A task-1 file's weights and biases are checked at load, before any of
+        them meets a row: a wrong shape, or a value on which a decision value
+        could overflow, is refused naming its field, and no numpy warning is met."""
+        mutate, field = WEIGHTS_CORRUPTIONS[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(json.loads(weights_task1_model.read_text()))), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([
+                "predict", "--model", str(bad), "--data", str(workspace["unlabeled"]),
+                "--out", str(tmp_path / "pred.csv"),
+                "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"]),
+            ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {bad}: {field}" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "pred.csv").exists()
+
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_chain_exits_1_naming_file_and_field(self, workspace, trained_models, tmp_path, capsys, case):
         mutate, field = CORRUPTIONS[case]
@@ -469,10 +521,10 @@ class TestCorruptModelRejectedAtLoad:
         assert not (tmp_path / "pred.csv").exists()
 
     @pytest.mark.parametrize("value", [1.1663984695979098e+103, 1.5, -0.25])
-    def test_task1_pool_value_outside_the_feature_range(self, workspace, trained_models, tmp_path, capsys, value):
+    def test_task1_pool_value_outside_the_feature_range(self, workspace, rbf_task1_model, tmp_path, capsys, value):
         """Every task-1 feature lies in [0, 1], so a pool value outside it is refused at
         load, not met at predict time as an overflow."""
-        doc = json.loads(trained_models["m1"].read_text())
+        doc = json.loads(rbf_task1_model.read_text())
         doc["svm"]["pool"]["values"][0] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -537,7 +589,7 @@ def _predict_refuses(workspace, old, tmp_path, capsys, version):
         "--out", str(tmp_path / "pred.csv"), "--sentiment", str(workspace["sentiment"]),
     ])
     assert code == 1
-    assert f"error: {old}: unsupported format_version {version}, expected 3" in capsys.readouterr().err
+    assert f"error: {old}: unsupported format_version {version}, expected 4" in capsys.readouterr().err
     assert not (tmp_path / "pred.csv").exists()
 
 
@@ -563,6 +615,17 @@ class TestVersion2ModelFile:
         old = tmp_path / "v2.json"
         old.write_text(json.dumps(_as_old(json.loads(trained_models[name].read_text()), 2)), encoding="utf-8")
         _predict_refuses(workspace, old, tmp_path, capsys, 2)
+
+
+class TestVersion3ModelFile:
+    @pytest.mark.parametrize("name", ["m1", "m2"])
+    def test_v3_file_fails_predict(self, workspace, trained_models, tmp_path, capsys, name):
+        """A file under the header of version 3, which stored every task-1 model as its pool, is refused."""
+        doc = json.loads(trained_models[name].read_text())
+        doc["format_version"] = 3
+        old = tmp_path / "v3.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        _predict_refuses(workspace, old, tmp_path, capsys, 3)
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from querystance.codec import from_doc, to_doc
+from querystance.corpus import load_dataset
 from querystance.errors import CorruptModel
 from querystance.pipeline import (
     THREE_CLASS,
     TWO_CLASS,
+    LexiconSet,
     PipelineConfig,
     Task2Model,
     load_task_model,
@@ -21,7 +23,7 @@ from querystance.pipeline import (
     train_task1,
     train_task2,
 )
-from querystance.svm import KERNEL_KINDS, KernelConfig, SvmConfig
+from querystance.svm import KERNEL_KINDS, KernelConfig, MulticlassModel, SvmConfig, WeightsModel
 
 from synth import lexicon_objects, make_records
 
@@ -103,27 +105,38 @@ def _nudged(value):
     return DELETE
 
 
-def _saved(tmp_path_factory, task):
-    """A small saved task-``task`` document, its field paths and a file to write mutants to."""
+def _saved(tmp_path_factory, pipeline, task):
+    """The saved task-``task`` document of ``pipeline``, its field paths and a file to write mutants to."""
     root = tmp_path_factory.mktemp("codec")
-    records = make_records(seed=0, per_query=4)
-    if task == 1:
-        pipeline = train_task1(records, lexicon_objects(), PipelineConfig())
-    else:
-        pipeline = train_task2(records, [r.relevance for r in records], lexicon_objects(), PipelineConfig())
     save_task_model(pipeline, task, root / f"m{task}.json")
     doc = json.loads((root / f"m{task}.json").read_text())
     return doc, sorted(_field_paths(doc), key=repr), root / "mutant.json"
 
 
 @pytest.fixture(scope="module")
-def task1_file(tmp_path_factory):
-    return _saved(tmp_path_factory, 1)
+def task1_file(tmp_path_factory, paper_corpus):
+    """A task-1 file that stores weights: the default cubic kernel trained on the paper_cli corpus."""
+    lexicons = LexiconSet.load(paper_corpus["gloss"], noun_path=paper_corpus["nouns"])
+    pipeline = train_task1(load_dataset(paper_corpus["train"], labeled=True), lexicons, PipelineConfig())
+    assert isinstance(pipeline.task1.svm, WeightsModel)
+    return _saved(tmp_path_factory, pipeline, 1)
+
+
+@pytest.fixture(scope="module")
+def pool_task1_file(tmp_path_factory):
+    """A small task-1 file that stores its support-vector pool: an RBF kernel has no finite map."""
+    records = make_records(seed=0, per_query=4)
+    config = PipelineConfig(task1=SvmConfig(kernel=KernelConfig("rbf", gamma=0.5)))
+    pipeline = train_task1(records, lexicon_objects(), config)
+    assert isinstance(pipeline.task1.svm, MulticlassModel)
+    return _saved(tmp_path_factory, pipeline, 1)
 
 
 @pytest.fixture(scope="module")
 def task2_file(tmp_path_factory):
-    return _saved(tmp_path_factory, 2)
+    records = make_records(seed=0, per_query=4)
+    pipeline = train_task2(records, [r.relevance for r in records], lexicon_objects(), PipelineConfig())
+    return _saved(tmp_path_factory, pipeline, 2)
 
 
 def _mutants_load_or_raise_corrupt_model(saved, task, examples=()):
@@ -171,8 +184,17 @@ def test_single_value_mutation_loads_or_raises_corrupt_model(task2_file):
 
 
 def test_single_value_mutation_of_a_task1_file_loads_or_raises_corrupt_model(task1_file):
+    # weights and biases on which predict would overflow, and the largest weight it may read
+    terms = len(task1_file[0]["svm"]["weights"][0])
+    _mutants_load_or_raise_corrupt_model(task1_file, 1, [
+        (("svm", "weights", 0, 0), 1e308), (("svm", "weights", 0, 1), -1.2e307),
+        (("svm", "biases", 0), 1e308), (("svm", "weights", 0, 0), np.finfo(np.float64).max / 4 / terms),
+    ])
+
+
+def test_single_value_mutation_of_a_pool_form_task1_file_loads_or_raises_corrupt_model(pool_task1_file):
     # a pool value that no task-1 feature takes, on which predict would overflow
-    _mutants_load_or_raise_corrupt_model(task1_file, 1, [(("svm", "pool", "values", 0), 1.1663984695979098e+103)])
+    _mutants_load_or_raise_corrupt_model(pool_task1_file, 1, [(("svm", "pool", "values", 0), 1.1663984695979098e+103)])
 
 
 def _count_mutation(change):

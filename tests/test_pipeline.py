@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from querystance import features as features_module
 from querystance import pipeline as pipeline_module
 from querystance import svm as svm_module
-from querystance.corpus import SentenceRecord
+from querystance.corpus import SentenceRecord, load_dataset
 from querystance.errors import (
     AlignmentError,
     EmptyInput,
@@ -36,7 +36,16 @@ from querystance.pipeline import (
     train_task2,
 )
 from querystance.features import WordTable, task2_features
-from querystance.svm import KernelConfig, SvmConfig, _gram, decision_value, decision_values, predict_batch
+from querystance.svm import (
+    KernelConfig,
+    MulticlassModel,
+    SvmConfig,
+    WeightsModel,
+    _gram,
+    decision_value,
+    decision_values,
+    predict_batch,
+)
 from querystance.textproc import tokenize, tokenize_batch
 
 from oracles import ovo_reference, task2_features_reference
@@ -559,17 +568,53 @@ class TestPersistence:
             trained.task2.vocabulary,
             trained.lexicons.sentiment,
         )
+        # the forms that predict: a task-1 model's weights (or its pool when the map is wider), task 2's pool
         for model, other, rows in (
-            (trained.task1_model, loaded.task1_model, task1_rows),
-            (trained.task2_model, loaded.task2_model, task2_rows),
+            (trained.task1.classifier, loaded.task1.classifier, task1_rows),
+            (trained.task2.classifier, loaded.task2.classifier, task2_rows),
         ):
-            assert np.array_equal(decision_values(model, rows), decision_values(other, rows))
+            assert decision_values(model, rows).tobytes() == decision_values(other, rows).tobytes()
         # a second training run writes byte-identical files
         again = train_task1(records, synthetic_lexicons, trained.config)
         train_task2(records, [r.relevance for r in records], synthetic_lexicons, trained.config, pipeline=again)
         for task in (1, 2):
             save_task_model(again, task, tmp_path / f"again{task}.json")
             assert (tmp_path / f"again{task}.json").read_bytes() == (tmp_path / f"m{task}.json").read_bytes()
+
+    def test_task1_weights_predict_alike_trained_and_reloaded(self, paper_corpus, tmp_path):
+        """On the paper_cli corpus the default cubic kernel's map has 35 terms, fewer than
+        the entries its pool stores, so the task-1 file stores weights. The trained
+        pipeline predicts through those weights, bit for bit as its reloaded file does,
+        and within 1e-12 (1 + max |f|) of its support vectors, with the same labels;
+        its ``task1_model`` still holds the support vectors and their coefficients."""
+        lexicons = LexiconSet.load(paper_corpus["gloss"], noun_path=paper_corpus["nouns"])
+        trained = train_task1(load_dataset(paper_corpus["train"], labeled=True), lexicons, PipelineConfig())
+        save_task_model(trained, 1, tmp_path / "m1.json")
+        loaded = load_task_model(tmp_path / "m1.json", lexicons)
+        doc = json.loads((tmp_path / "m1.json").read_text())["svm"]
+        assert sorted(doc) == ["biases", "dims", "kernel", "labels", "schema_id", "weights"]
+        assert np.shape(doc["weights"]) == (1, 35)
+        for pipeline in (trained, loaded):
+            assert isinstance(pipeline.task1.svm, WeightsModel)
+            assert pipeline.task1.classifier is pipeline.task1.svm
+        pooled = trained.task1_model
+        assert isinstance(pooled, MulticlassModel) and pooled is trained.task1.pooled
+        assert loaded.task1_model is loaded.task1.svm
+        machine = pooled.machines[0]
+        assert machine.support_vectors.shape == (len(machine.dual_coefs), 5)
+        assert len(pooled.pool.values) >= 35
+
+        records = load_dataset(paper_corpus["test"], labeled=True)
+        rows = pipeline_module.task1_rows(records, trained.task1.vocabularies, lexicons)
+        weighed = decision_values(trained.task1.classifier, rows)
+        assert weighed.tobytes() == decision_values(loaded.task1.classifier, rows).tobytes()
+        pool_values = decision_values(pooled, rows)
+        tolerance = 1e-12 * (1 + np.abs(pool_values).max())
+        assert np.abs(weighed - pool_values).max() <= tolerance
+        clear = np.abs(pool_values[:, 0]) > tolerance
+        labels = np.array(predict_task1(trained, records))
+        assert np.array_equal(labels[clear], np.array(predict_batch(pooled, rows))[clear])
+        assert predict_task1(loaded, records) == labels.tolist()
 
     def test_chained_load_then_save_gives_each_file_back(self, synthetic_records, synthetic_lexicons, tmp_path):
         configs = {

@@ -1,7 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -27,7 +27,10 @@ from querystance.svm import (
     MulticlassModel,
     SupportVectorPool,
     SvmConfig,
+    WeightsModel,
     _gram,
+    _mapped,
+    _monomials,
     _smo,
     decision_value,
     decision_values,
@@ -36,6 +39,7 @@ from querystance.svm import (
     predict_batch,
     train_binary,
     train_multiclass,
+    weights_form,
 )
 
 from oracles import (
@@ -493,6 +497,101 @@ def _three_label_model(rng, pool, kernel):
         for neg, pos in combinations(("a", "b", "c"), 2)
     )
     return MulticlassModel(("a", "b", "c"), machines, kernel, pool)
+
+
+def _terms_by_exponents(kernel, dims) -> int:
+    """The monomials of a linear or poly kernel's map over ``dims`` columns,
+    counted over exponent vectors: degree 1 for linear; for poly every degree up
+    to ``degree``, or ``degree`` alone when coef0 is 0."""
+    degree = 1 if kernel.kind == "linear" else kernel.degree
+    full = kernel.kind == "poly" and kernel.coef0 != 0.0
+    return sum(sum(e) == degree or (full and sum(e) < degree) for e in product(range(degree + 1), repeat=dims))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind_degree=st.sampled_from([("linear", 1), ("poly", 1), ("poly", 2), ("poly", 3)]),
+       gamma=st.floats(0.01, 2.0), coef0=st.just(0.0) | st.floats(-2.0, 2.0), width=st.sampled_from(range(1, 7)),
+       n_labels=st.sampled_from([2, 3, 4]), n_rows=st.sampled_from([0, 1, 9, 140]))
+def test_weights_form_matches_the_pool_path(seed, kind_degree, gamma, coef0, width, n_labels, n_rows):
+    """A linear or poly model over rows in [0, 1] takes the weights form exactly when
+    its map has no more terms, counted over exponent vectors, than its pool stores
+    entries; with an RBF kernel it keeps the pool. Then phi(x) . c∘phi(z) is the
+    kernel, and the weights' decision values lie within 1e-12 (1 + S) of the pool
+    path's, S the size of the numbers either form adds,
+    sum_i |coef_i| (gamma x.sv_i + |coef0|)^degree + |bias|; the labels are the pool
+    path's wherever every value of a row exceeds that bound."""
+    rng = np.random.default_rng(seed)
+    kind, degree = kind_degree
+    kernel = KernelConfig("linear") if kind == "linear" else KernelConfig("poly", gamma, degree, coef0)
+    # up to 168 entries: the 84 terms of degree 3 over 6 columns fit about half the time
+    n_pool = int(rng.integers(1, 41))
+    pool = _pool_of(rng.random((n_pool, width)) * (rng.random((n_pool, width)) < 0.7))
+    labels = tuple(f"l{i}" for i in range(n_labels))
+    machines = []
+    for neg, pos in combinations(labels, 2):
+        n_sv = int(rng.integers(1, n_pool + 1))
+        sv = rng.choice(n_pool, n_sv, replace=False)
+        machines.append(BinaryModel(sv, rng.uniform(-1.0, 1.0, n_sv), float(rng.uniform(-1.0, 1.0)), pos, neg))
+    model = MulticlassModel(labels, tuple(machines), kernel, pool)
+    assert weights_form(replace(model, kernel=KernelConfig("rbf", gamma))) is None
+    weights = weights_form(model)
+    terms = _terms_by_exponents(kernel, width)
+    if terms > len(pool.values):
+        assert weights is None
+        return
+    assert isinstance(weights, WeightsModel) and weights.weights.shape == (len(machines), terms)
+
+    rows = rng.random((n_rows, width)) * (rng.random((n_rows, width)) < 0.7)
+    dots = rows @ pool.dense.T
+    factors, coefs = _monomials(kernel, width)
+    assert len(coefs) == terms
+    mapped = _mapped(SparseRows.from_dense(rows), 0, n_rows, factors) @ (_mapped(pool, 0, n_pool, factors) * coefs).T
+    offset, power = (0.0, 1) if kind == "linear" else (abs(coef0), degree)
+    sizes = ((1.0 if kind == "linear" else gamma) * dots + offset) ** power
+    assert np.all(np.abs(mapped - _gram(kernel, rows, pool.dense)) <= 1e-12 * (1 + sizes))
+
+    scale = np.column_stack([sizes[:, m.sv_index] @ np.abs(m.dual_coefs) + abs(m.bias) for m in model.machines])
+    tolerance = 1e-12 * (1 + scale)
+    got, expected = decision_values(weights, rows), decision_values(model, rows)
+    assert got.shape == expected.shape == (n_rows, len(machines))
+    assert np.all(np.abs(got - expected) <= tolerance)
+    clear = np.all(np.abs(expected) > tolerance, axis=1)
+    assert np.array_equal(np.array(predict_batch(weights, rows), dtype=object)[clear],
+                          np.array(predict_batch(model, rows), dtype=object)[clear])
+
+
+@pytest.mark.parametrize("kernel, n_pool, weighed", [
+    (KernelConfig("linear"), 1, True),  # 6 terms, 6 entries
+    (KernelConfig("poly", 0.5, 2, 0.0), 3, False),  # 21 terms, 18 entries
+    (KernelConfig("poly", 0.5, 2, 0.0), 4, True),  # 21 terms, 24 entries
+    (KernelConfig("poly", 0.5, 2, 1.0), 4, False),  # 28 terms, 24 entries
+    (KernelConfig("rbf", 0.5), 40, False),  # no finite map
+])
+def test_weights_form_is_picked_by_the_map_and_the_pool(kernel, n_pool, weighed):
+    pool = _pool_of(np.full((n_pool, 6), 0.5))
+    machine = BinaryModel(np.arange(n_pool), np.ones(n_pool), 0.0, "b", "a")
+    assert isinstance(weights_form(MulticlassModel(("a", "b"), (machine,), kernel, pool)), WeightsModel) == weighed
+
+
+@pytest.mark.parametrize("change, field", [
+    (dict(weights=np.zeros((1, 34))), "weights"),
+    (dict(weights=np.zeros((2, 35))), "weights"),
+    (dict(biases=np.zeros(2)), "biases"),
+    (dict(weights=np.full((1, 35), np.nan)), "weights"),
+    (dict(biases=np.array([np.inf])), "biases"),
+    (dict(kernel=KernelConfig("rbf")), "kernel"),
+    (dict(dims=-1), "dims"),
+    (dict(dims=10**18, kernel=KernelConfig("poly", 0.006, 10**18, 1.0)), "weights"),  # refused uncounted
+    (dict(labels=("b", "a")), "labels"),
+])
+def test_weights_model_refuses_a_malformed_form(change, field):
+    fields = dict(labels=("a", "b"), kernel=KernelConfig("poly", 0.006, 3, 0.0), dims=5,
+                  weights=np.zeros((1, 35)), biases=np.zeros(1))
+    WeightsModel(**fields)
+    with pytest.raises(FieldError) as caught:
+        WeightsModel(**{**fields, **change})
+    assert caught.value.field == field
 
 
 def _pool_of(matrix):
