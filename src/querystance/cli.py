@@ -43,7 +43,6 @@ from .errors import (
     ConflictingQueryText,
     EmptyInput,
     LengthMismatch,
-    NoSupportVectors,
     QueryStanceError,
     SingleClassInput,
 )
@@ -127,7 +126,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 # flag or config-file key -> dataclass field, for the trained task's SvmConfig,
 # its KernelConfig and the PipelineConfig around them
-SVM_OPTIONS = {"C": "c", "tol": "tol", "max_passes": "max_passes", "eps": "eps"}
+SVM_OPTIONS = {"C": "c", "tol": "tol", "max_passes": "max_passes"}
 KERNEL_OPTIONS = {"kernel": "kind", "gamma": "gamma", "degree": "degree", "coef0": "coef0"}
 PIPELINE_OPTIONS = {
     "stance_classes": "stance_classes",
@@ -138,21 +137,19 @@ PIPELINE_OPTIONS = {
 
 
 def _override(args: argparse.Namespace, obj, options: dict[str, str]):
-    """``obj`` with the fields the options set. If together they leave a field's
-    domain (which for eps depends on c), they are set again one at a time, so
-    that the first value that breaks the settings names the config line it came from."""
-    given = {option: getattr(args, option) for option in options if getattr(args, option, None) is not None}
-    try:
-        return replace(obj, **{options[option]: value for option, value in given.items()})
-    except ValueError:
-        for option, value in given.items():
-            try:
-                obj = replace(obj, **{options[option]: value})
-            except ValueError as exc:
-                if option not in args.config_lines:
-                    raise
-                raise QueryStanceError(str(exc), args.config, line=args.config_lines[option], field=option) from exc
-        raise
+    """``obj`` with the fields the options set, one at a time, so that a value
+    outside its field's domain names the config line it came from."""
+    for option, field in options.items():
+        value = getattr(args, option, None)
+        if value is None:
+            continue
+        try:
+            obj = replace(obj, **{field: value})
+        except ValueError as exc:
+            if option not in args.config_lines:
+                raise
+            raise QueryStanceError(str(exc), args.config, line=args.config_lines[option], field=option) from exc
+    return obj
 
 
 def _pipeline_config(args: argparse.Namespace, task: int) -> PipelineConfig:
@@ -246,18 +243,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             if not records:
                 problem = f"the train side of the split at train_fraction {config.train_fraction} is empty"
                 raise EmptyInput(problem, data_path)
-        try:
-            if task == 1:
-                pipeline = train_task1(records, lexicons, config)
-            else:
-                pipeline = train_task2(records, [r.relevance for r in records], lexicons, config)
-        except NoSupportVectors as exc:
-            # a config file's eps may keep no alpha, or its tol (in (0, 2)) stop SMO early: name
-            # the line, eps's first, as the message is about eps
-            option = next((key for key in ("eps", "tol") if key in args.config_lines), None)
-            if option is None:
-                raise
-            raise NoSupportVectors(str(exc), args.config, line=args.config_lines[option], field=option) from exc
+        if task == 1:
+            pipeline = train_task1(records, lexicons, config)
+        else:
+            pipeline = train_task2(records, [r.relevance for r in records], lexicons, config)
     save_task_model(pipeline, task, out_path)
     _write_manifest(args, {"task": task, **to_doc(config)}, config.seed)
     print(f"wrote {out_path}")
@@ -413,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-passes", type=int, dest="max_passes",
         help=_default_help("solver cap, in passes of n pair updates for n training rows", "max_passes"),
     )
-    train.add_argument("--eps", type=float, help=_default_help("support-vector alpha floor", "eps"))
     train.add_argument("--stance-classes", choices=(THREE_CLASS, TWO_CLASS), dest="stance_classes")
     train.add_argument("--train-fraction", type=float, dest="train_fraction")
     seed_help = f"seed of the train/dev split that --no-retrain-full trains on (default {PipelineConfig().seed})"

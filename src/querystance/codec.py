@@ -99,6 +99,9 @@ def from_doc(cls, doc, where, field: str = ""):
             array = np.array(doc)
         except ValueError:  # ragged rows
             array = None
+        if array is not None and array.dtype.kind == "O" and dtype.kind == "f":
+            # an integer beyond the int64 range makes an object array: read each value as a float field
+            array = np.array([from_doc(float, value, where, field) for value in array.flat]).reshape(array.shape)
         if array is None or (array.dtype.kind not in kinds and array.size):  # [] reads as float
             raise CorruptModel(f"expected a rectangular array of {what}", where, field=field)
         return array.astype(dtype, copy=False)

@@ -102,10 +102,6 @@ class NonFinite(QueryStanceError):
     """Rows given to the SVM, to train on or to predict, contain NaN or infinity."""
 
 
-class NoSupportVectors(QueryStanceError):
-    """Training ended with no alpha above the support-vector floor."""
-
-
 class CorruptModel(QueryStanceError):
     """A model file is truncated or structurally invalid."""
 

@@ -489,7 +489,7 @@ def evaluate(
 
 # --- persistence ------------------------------------------------------------
 
-FORMAT, FORMAT_VERSION = "querystance-pipeline", 4  # with ``task``, the header of every model file
+FORMAT, FORMAT_VERSION = "querystance-pipeline", 5  # with ``task``, the header of every model file
 
 
 def save_task_model(pipeline: TrainedPipeline, task: int, path: str | Path) -> None:

@@ -57,7 +57,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .codec import FieldError
-from .errors import DimensionMismatch, NonFinite, NoSupportVectors, SingleClassInput
+from .errors import DimensionMismatch, NonFinite, SingleClassInput
 from .features import FeatureBatch, IndexArray, SparseRows
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
@@ -104,14 +104,13 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class SvmConfig:
-    """Box constraint C, kernel, KKT gap tolerance, a cap of max_passes * n
-    pair updates for n training rows, and the support-vector floor eps."""
+    """Box constraint C, kernel, KKT gap tolerance and a cap of max_passes * n
+    pair updates for n training rows."""
 
     c: float = 1e7
     kernel: KernelConfig = KernelConfig("linear")
     tol: float = 1e-3
     max_passes: int = 100
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):
@@ -122,8 +121,6 @@ class SvmConfig:
             raise ValueError(f"max_passes must be an integer, got {self.max_passes!r}")
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
-        if not 0 <= self.eps < self.c:  # no alpha exceeds C, so an eps of C or more keeps no support vector
-            raise ValueError(f"eps must be in [0, c), got {self.eps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,8 +514,8 @@ def _fit(
     matrix: np.ndarray, labels: np.ndarray, cfg: SvmConfig, positive_label: str, negative_label: str
 ) -> tuple[IndexArray, np.ndarray, float]:
     """Solve one machine on the rows of ``matrix`` and their +/-1 ``labels``:
-    the rows kept as support vectors, their alpha*y coefficients and the bias.
-    The checks, the cap warning and the eps cut of ``train_binary``."""
+    the rows of nonzero alpha, kept as support vectors, their alpha*y
+    coefficients and the bias. The checks and the cap warning of ``train_binary``."""
     if len(matrix) != len(labels):
         raise DimensionMismatch(f"{len(matrix)} vectors but {len(labels)} labels")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -526,20 +523,15 @@ def _fit(
     if np.unique(labels).size < 2:
         raise SingleClassInput("training data holds a single class")
     alpha, bias, gap, _ = _smo(_gram(cfg.kernel, matrix, matrix), labels, cfg)
-    machine = f"machine {positive_label!r} vs {negative_label!r}"
     if gap > cfg.tol:
         warnings.warn(
-            f"{machine}: KKT gap {gap:.3g} > tol {cfg.tol:g} at the cap of "
+            f"machine {positive_label!r} vs {negative_label!r}: KKT gap {gap:.3g} > tol {cfg.tol:g} at the cap of "
             f"{cfg.max_passes * len(labels)} pair updates (max_passes {cfg.max_passes})",
             RuntimeWarning,
             stacklevel=3,  # the caller of train_binary or train_multiclass
         )
-    keep = np.flatnonzero(alpha > cfg.eps)
-    if not len(keep):
-        raise NoSupportVectors(
-            f"{machine}: no alpha exceeds eps {cfg.eps:g} (final KKT gap {gap:.3g}, "
-            f"tol {cfg.tol:g}); lower tol or eps"
-        )
+    # SMO sets an alpha that reaches the lower edge of the box to exactly 0, as LIBSVM does
+    keep = np.flatnonzero(alpha > 0.0)
     return keep, (alpha * labels)[keep], bias
 
 
@@ -552,10 +544,9 @@ def train_binary(
 ) -> BinaryModel:
     """Train one machine on +/-1 labels.
 
-    Deterministic. Examples whose alpha stays at or below cfg.eps are
-    dropped from the support set. Warns (RuntimeWarning) when the
-    iteration cap stops the solver before the KKT gap reaches cfg.tol,
-    and raises NoSupportVectors when no alpha exceeds cfg.eps.
+    Deterministic. The support vectors are the examples of nonzero alpha,
+    as in LIBSVM. Warns (RuntimeWarning) when the iteration cap stops the
+    solver before the KKT gap reaches cfg.tol.
     """
     matrix = _rows(x)[0].to_dense()
     keep, coefs, bias = _fit(matrix, np.asarray(y, dtype=np.float64), cfg, positive_label, negative_label)
@@ -629,8 +620,7 @@ def decision_value(model: BinaryModel, x, cfg: KernelConfig) -> float:
 def dual_objective(model: BinaryModel, cfg: KernelConfig) -> float:
     """Value of the trained dual: sum(alpha) - 1/2 * coef' K coef.
 
-    Computed over retained support vectors; dropped alphas are below
-    the eps floor and contribute nothing at this precision.
+    Computed over the support vectors; every other alpha is 0.
     """
     coef = model.dual_coefs
     gram = _gram(cfg, model.support_vectors, model.support_vectors)

@@ -91,10 +91,10 @@ def kkt_satisfied(model, cfg: SvmConfig, matrix: np.ndarray, y, tol: float) -> b
     from querystance.svm import decision_value
 
     alphas = training_alphas(model, matrix, y)
-    upper = cfg.c - max(cfg.eps, 1e-9 * cfg.c)
+    upper = cfg.c - max(1e-8, 1e-9 * cfg.c)  # at C within 1e-8 or a billionth of C
     for i, row in enumerate(matrix):
         margin = y[i] * decision_value(model, row, cfg.kernel)
-        if alphas[i] <= cfg.eps:
+        if alphas[i] == 0.0:
             if margin < 1.0 - tol:
                 return False
         elif alphas[i] >= upper:

@@ -135,8 +135,7 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "flags", [["--C", "nan"], ["--max-passes", "0"], ["--gamma", "inf"], ["--coef0", "nan"],
-                  ["--tol", "inf"], ["--tol", "2"], ["--tol", "1e9"], ["--eps", "-1"], ["--eps", "1e7"],
-                  ["--train-fraction", "nan"]],
+                  ["--tol", "inf"], ["--tol", "2"], ["--tol", "1e9"], ["--train-fraction", "nan"]],
         ids=" ".join,
     )
     def test_degenerate_setting_exits_1_without_model(self, workspace, tmp_path, capsys, flags):
@@ -145,58 +144,37 @@ class TestTrain:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    # an RBF kernel this narrow sets every row apart, so every alpha ends near 1
-    APART = ("--kernel", "rbf", "--gamma", "1e9")
-
-    def test_no_support_vector_exits_1_without_model(self, workspace, tmp_path, capsys):
-        out = tmp_path / "m.json"
-        assert main(train_args(workspace, 1, out, *self.APART, "--eps", "10")) == 1
-        assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
-        assert "error: machine 'relevant' vs 'irrelevant': no alpha exceeds eps" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("task", [1, 2])
-    def test_no_support_vector_from_config_names_its_line(self, workspace, tmp_path, capsys, task):
-        """An eps below C but above every alpha keeps no support vector: from a config
-        file, the error names the file, line and key."""
-        config, out = tmp_path / "run.cfg", tmp_path / "m.json"
-        config.write_text("# solver\neps=10\n", encoding="utf-8")
-        assert main(train_args(workspace, task, out, *self.APART, "--config", str(config))) == 1
-        assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(f"error: {config}: line 2: eps: machine ") and "no alpha exceeds eps" in last
-
-    def test_no_support_vector_with_tol_and_eps_from_config_names_eps(self, workspace, tmp_path, capsys):
-        """The error says no alpha exceeds eps, so with tol and eps both from the
-        config file it names eps's line, not tol's."""
-        config, out = tmp_path / "run.cfg", tmp_path / "m.json"
-        config.write_text("tol=0.001\neps=10\n", encoding="utf-8")
-        assert main(train_args(workspace, 1, out, *self.APART, "--config", str(config))) == 1
-        assert not out.exists()
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(f"error: {config}: line 2: eps: machine ") and "no alpha exceeds eps 10" in last
-
-    @pytest.mark.parametrize("task, key, value", [(1, "tol", "1e9"), (2, "eps", "1e12")])
+    @pytest.mark.parametrize("task, key, value", [(1, "tol", "1e9"), (2, "C", "0")])
     def test_setting_that_can_never_train_from_config_names_its_line(self, workspace, tmp_path, capsys, task, key,
                                                                      value):
-        """A tol of 2 or more would stop SMO before its first update, and an eps of C or
-        more would keep no alpha: each is refused before the data is read, naming the
-        file, line and key."""
+        """A tol of 2 or more would stop SMO before its first update, and a C of 0
+        leaves no room in the box: each is refused before the data is read, naming
+        the file, line and key."""
         config, out = tmp_path / "run.cfg", tmp_path / "m.json"
         config.write_text(f"# solver\n{key}={value}\n", encoding="utf-8")
         assert main(train_args(workspace, task, out, "--config", str(config))) == 1
         assert not out.exists() and not (tmp_path / "m.json.manifest.json").exists()
-        domain = {"tol": "(0, 2)", "eps": "[0, c)"}[key]
-        err = capsys.readouterr().err
-        assert err == f"error: {config}: line 2: {key}: {key} must be in {domain}, got {float(value)}\n"
+        problem = {"tol": "tol must be in (0, 2)", "C": "c must be positive and finite"}[key]
+        assert capsys.readouterr().err == f"error: {config}: line 2: {key}: {problem}, got {float(value)}\n"
 
-    def test_c_and_eps_are_checked_together(self, workspace, tmp_path, capsys):
-        """A C below the default eps trains when eps is lowered with it; an eps from a
-        config file that is not below the flag's C names its line."""
-        assert main(train_args(workspace, 1, tmp_path / "m.json", "--C", "1e-9", "--eps", "0")) == 0
-        config = tmp_path / "run.cfg"
-        config.write_text("eps=5\n", encoding="utf-8")
-        assert main(train_args(workspace, 1, tmp_path / "n.json", "--C", "1", "--config", str(config))) == 1
-        assert capsys.readouterr().err.endswith(f"error: {config}: line 1: eps: eps must be in [0, c), got 5.0\n")
+    def test_tiny_c_trains(self, workspace, tmp_path):
+        """Any positive C trains: the support vectors are the nonzero alphas, however small."""
+        out = tmp_path / "m.json"
+        assert main(train_args(workspace, 1, out, "--C", "1e-9")) == 0
+        assert json.loads(out.read_text())["config"]["task1"]["c"] == 1e-9
+
+    def test_eps_flag_exits_2(self, workspace, tmp_path):
+        """There is no support-vector floor to set."""
+        with pytest.raises(SystemExit) as err:
+            main(train_args(workspace, 1, tmp_path / "m.json", "--eps", "0"))
+        assert err.value.code == 2
+
+    def test_eps_config_line_names_its_line(self, workspace, tmp_path, capsys):
+        config, out = tmp_path / "run.cfg", tmp_path / "m.json"
+        config.write_text("# solver\neps=1e-8\n", encoding="utf-8")
+        assert main(train_args(workspace, 1, out, "--config", str(config))) == 1
+        assert capsys.readouterr().err == f"error: {config}: line 2: eps: no command takes this option\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("task", [1, 2])
     def test_empty_train_side_exits_1_without_model(self, workspace, tmp_path, capsys, task):
@@ -454,7 +432,7 @@ WEIGHTS_CORRUPTIONS = {
     "a weight dropped": (_pop("svm", "weights", 0), "svm.weights: must have shape (1, 35)"),
     "a weight of 1e308": (_set("svm", "weights", 0, 0, 1e308),
                           "svm.weights: a value beyond ±1.284e+306 could overflow"),
-    "bias beyond the float range": (_set("svm", "biases", 0, 10**400), "svm.biases: "),
+    "bias beyond the float range": (_set("svm", "biases", 0, 10**400), "svm.biases: expected a finite number"),
     "a bias of 1e308": (_set("svm", "biases", 0, 1e308), "svm.biases: a value beyond ±8.988e+307 could overflow"),
     "dims of 6": (_set("svm", "dims", 6), "svm.weights: must have shape (1, 56)"),
 }
@@ -589,7 +567,7 @@ def _predict_refuses(workspace, old, tmp_path, capsys, version):
         "--out", str(tmp_path / "pred.csv"), "--sentiment", str(workspace["sentiment"]),
     ])
     assert code == 1
-    assert f"error: {old}: unsupported format_version {version}, expected 4" in capsys.readouterr().err
+    assert f"error: {old}: unsupported format_version {version}, expected 5" in capsys.readouterr().err
     assert not (tmp_path / "pred.csv").exists()
 
 
@@ -626,6 +604,19 @@ class TestVersion3ModelFile:
         old = tmp_path / "v3.json"
         old.write_text(json.dumps(doc), encoding="utf-8")
         _predict_refuses(workspace, old, tmp_path, capsys, 3)
+
+
+class TestVersion4ModelFile:
+    @pytest.mark.parametrize("name", ["m1", "m2"])
+    def test_v4_file_fails_predict(self, workspace, trained_models, tmp_path, capsys, name):
+        """A file as version 4 wrote it, with the support-vector floor eps in each task's settings, is refused."""
+        doc = json.loads(trained_models[name].read_text())
+        doc["format_version"] = 4
+        for task in ("task1", "task2"):
+            doc["config"][task]["eps"] = 1e-8
+        old = tmp_path / "v4.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        _predict_refuses(workspace, old, tmp_path, capsys, 4)
 
 
 @pytest.fixture(scope="module")
