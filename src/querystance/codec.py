@@ -94,7 +94,7 @@ def from_doc(cls, doc, where, field: str = ""):
         return {key: from_doc(args[1], value, where, f"{field}[{key!r}]") for key, value in doc.items()}
     if np.ndarray in (cls, origin):
         dtype = np.dtype(typing.get_args(args[-1])[0] if args else np.float64)
-        kinds, what = ("iu", "integers") if dtype.kind in "iu" else ("iuf", "numbers")
+        kinds, what = ("i", "integers") if dtype.kind in "iu" else ("iuf", "numbers")
         try:
             array = np.array(doc)
         except ValueError:  # ragged rows
@@ -102,6 +102,9 @@ def from_doc(cls, doc, where, field: str = ""):
         if array is not None and array.dtype.kind == "O" and dtype.kind == "f":
             # an integer beyond the int64 range makes an object array: read each value as a float field
             array = np.array([from_doc(float, value, where, field) for value in array.flat]).reshape(array.shape)
+        if array is not None and dtype.kind in "iu" and array.dtype.kind in "Ouf" and array.size and all(
+                type(value) is int for value in np.array(doc, dtype=object).flat):  # read as uint64, float64 or objects
+            raise CorruptModel(f"expected integers within the {dtype} range", where, field=field)
         if array is None or (array.dtype.kind not in kinds and array.size):  # [] reads as float
             raise CorruptModel(f"expected a rectangular array of {what}", where, field=field)
         return array.astype(dtype, copy=False)

@@ -12,7 +12,9 @@ so each is computed once per solve and kept, within a fixed byte budget
 (_ROW_CACHE_BYTES). Training has no random choices, so equal inputs give
 equal models. Machines are combined one-vs-one for multiclass and share
 one pool of distinct support vectors (as in LIBSVM, Chang & Lin 2011),
-built once from the training rows each machine keeps. Each machine holds
+built once from the training rows each machine keeps. Machine k decides
+the k-th pair of the sorted labels (``_pairs``), so, as in LIBSVM, a
+machine stores no labels. Each machine holds
 the pool rows of its support vectors, so prediction computes one kernel
 matrix against the pool for a batch of rows and every machine reads its
 columns. Every row enters through one intake as ``SparseRows`` (CSR rows
@@ -196,7 +198,7 @@ class PoolColumns(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class BinaryModel:
     """One trained machine: the pool rows of its support vectors, their
-    alpha*y coefficients, the bias and the two labels.
+    alpha*y coefficients and the bias; its place in a model names its labels (``_pairs``).
 
     A machine reads its support vectors from the pool of the model (or,
     from ``train_binary``, of its own) that holds it.
@@ -205,8 +207,6 @@ class BinaryModel:
     sv_index: IndexArray  # (n_sv,) rows of the pool
     dual_coefs: np.ndarray  # (n_sv,)
     bias: float
-    positive_label: str
-    negative_label: str
 
     def __post_init__(self):
         index, coefs = self.sv_index, self.dual_coefs
@@ -234,9 +234,16 @@ def _check_labels(labels: tuple[str, ...]) -> None:
         raise FieldError("labels", f"must be sorted and distinct, got {list(labels)}")
 
 
+def _pairs(labels: Sequence) -> list[tuple]:
+    """The one-vs-one order: machine k on the sorted ``labels`` decides the k-th pair
+    (negative, positive), a positive value voting for the later label. A load check
+    counts the C(n, 2) pairs of n labels without listing them."""
+    return list(combinations(labels, 2))
+
+
 @dataclass(frozen=True, eq=False)
 class MulticlassModel:
-    """One-vs-one ensemble over lexicographically ordered labels.
+    """One-vs-one ensemble over lexicographically ordered labels, machine k on the k-th pair of ``_pairs``.
 
     Its machines are copies bound to ``pool``; each ``sv_index`` must
     address rows of it.
@@ -250,11 +257,9 @@ class MulticlassModel:
 
     def __post_init__(self):
         _check_labels(self.labels)
-        pairs = [(m.negative_label, m.positive_label) for m in self.machines]
-        if pairs != list(combinations(self.labels, 2)):  # as train_multiclass orders them
-            raise ValueError(
-                f"machines must take each label pair of {list(self.labels)} once, in order; got {pairs}"
-            )
+        if len(self.machines) != (pairs := math.comb(len(self.labels), 2)):
+            raise FieldError("machines", f"must hold one machine per label pair of {list(self.labels)}, "
+                                         f"{pairs} in all, got {len(self.machines)}")
         for k, m in enumerate(self.machines):
             if len(m.sv_index) and not 0 <= m.sv_index.min() <= m.sv_index.max() < self.pool.rows:
                 raise FieldError(
@@ -315,7 +320,7 @@ def _mapped(rows: SparseRows, start: int, stop: int, factors: IndexArray) -> np.
 class WeightsModel:
     """A linear or polynomial one-vs-one model in its explicit map (the
     low-degree map of Chang, Hsieh, Chang, Ringgaard & Lin 2010): machine k,
-    on the k-th label pair of ``MulticlassModel``'s order, gives
+    on the k-th label pair of ``_pairs``, gives
     phi(x) . weights[k] + biases[k] for the map's terms phi(x) (``_monomials``)."""
 
     labels: tuple[str, ...]
@@ -511,11 +516,11 @@ def _rows(x, dims: int | None = None, schema_id: str | None = None) -> tuple[Spa
 
 
 def _fit(
-    matrix: np.ndarray, labels: np.ndarray, cfg: SvmConfig, positive_label: str, negative_label: str
+    matrix: np.ndarray, labels: np.ndarray, cfg: SvmConfig, pair: tuple[str, str]
 ) -> tuple[IndexArray, np.ndarray, float]:
     """Solve one machine on the rows of ``matrix`` and their +/-1 ``labels``:
     the rows of nonzero alpha, kept as support vectors, their alpha*y
-    coefficients and the bias. The checks and the cap warning of ``train_binary``."""
+    coefficients and the bias. The checks and the cap warning of ``train_binary``, naming ``pair`` (positive first)."""
     if len(matrix) != len(labels):
         raise DimensionMismatch(f"{len(matrix)} vectors but {len(labels)} labels")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -525,7 +530,7 @@ def _fit(
     alpha, bias, gap, _ = _smo(_gram(cfg.kernel, matrix, matrix), labels, cfg)
     if gap > cfg.tol:
         warnings.warn(
-            f"machine {positive_label!r} vs {negative_label!r}: KKT gap {gap:.3g} > tol {cfg.tol:g} at the cap of "
+            f"machine {pair[0]!r} vs {pair[1]!r}: KKT gap {gap:.3g} > tol {cfg.tol:g} at the cap of "
             f"{cfg.max_passes * len(labels)} pair updates (max_passes {cfg.max_passes})",
             RuntimeWarning,
             stacklevel=3,  # the caller of train_binary or train_multiclass
@@ -535,13 +540,7 @@ def _fit(
     return keep, (alpha * labels)[keep], bias
 
 
-def train_binary(
-    x,
-    y: Sequence[int],
-    cfg: SvmConfig,
-    positive_label: str = "+1",
-    negative_label: str = "-1",
-) -> BinaryModel:
+def train_binary(x, y: Sequence[int], cfg: SvmConfig) -> BinaryModel:
     """Train one machine on +/-1 labels.
 
     Deterministic. The support vectors are the examples of nonzero alpha,
@@ -549,9 +548,9 @@ def train_binary(
     solver before the KKT gap reaches cfg.tol.
     """
     matrix = _rows(x)[0].to_dense()
-    keep, coefs, bias = _fit(matrix, np.asarray(y, dtype=np.float64), cfg, positive_label, negative_label)
+    keep, coefs, bias = _fit(matrix, np.asarray(y, dtype=np.float64), cfg, ("+1", "-1"))
     pool, index = SupportVectorPool.of(matrix[keep])
-    return _bind(BinaryModel(index, coefs, bias, positive_label, negative_label), pool)
+    return _bind(BinaryModel(index, coefs, bias), pool)
 
 
 def _pool_kernel(cfg: KernelConfig, rows: SparseRows, start: int, stop: int, pool: SupportVectorPool) -> np.ndarray:
@@ -590,10 +589,6 @@ def _chunks(rows: SparseRows, pool: SupportVectorPool) -> list[tuple[int, int]]:
     pool rows list products, the size of their kernel matrix; a row that alone
     expands to more is a chunk of its own."""
     budget = PREDICT_CHUNK_ROWS * pool.rows
-    # a list holds fewer than PREDICT_DENSE_SHARE * pool rows entries, so rows that store
-    # at most PREDICT_CHUNK_ROWS / PREDICT_DENSE_SHARE entries in all fit the budget
-    if len(rows.indices) * PREDICT_DENSE_SHARE <= PREDICT_CHUNK_ROWS:
-        return [(start, min(start + PREDICT_CHUNK_ROWS, rows.rows)) for start in range(0, rows.rows, PREDICT_CHUNK_ROWS)]
     sizes = pool.columns.sizes[rows.indices]
     products = np.concatenate(([0], sizes.cumsum()))[rows.indptr]  # before each row
     chunks, start = [], 0
@@ -645,11 +640,11 @@ def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
         raise DimensionMismatch(f"{len(matrix)} vectors but {len(y)} labels")
     # each machine's support vectors as indices into matrix; the pool copies them once
     solved, sv_rows = [], []
-    for neg, pos in combinations(labels, 2):
+    for neg, pos in _pairs(labels):
         idx = np.flatnonzero((y == neg) | (y == pos))
-        keep, coefs, bias = _fit(matrix[idx], np.where(y[idx] == pos, 1.0, -1.0), cfg, pos, neg)
+        keep, coefs, bias = _fit(matrix[idx], np.where(y[idx] == pos, 1.0, -1.0), cfg, (pos, neg))
         sv_rows.append(idx[keep])
-        solved.append((coefs, bias, pos, neg))
+        solved.append((coefs, bias))
     pool, index = SupportVectorPool.of(matrix[np.concatenate(sv_rows)])
     ends = np.cumsum([len(rows) for rows in sv_rows])[:-1]
     return MulticlassModel(
@@ -702,9 +697,9 @@ def predict_batch(model: MulticlassModel | WeightsModel, x) -> list[str]:
     """
     values = decision_values(model, x)
     n_rows, n_labels = len(values), len(model.labels)
-    # the machines take the label pairs (negative, positive) in the order of combinations;
-    # one label has no pairs, so its shape comes from the reshape
-    pairs = np.array(list(combinations(range(n_labels), 2)), dtype=np.intp).reshape(-1, 2)
+    # machine k takes the k-th label pair (negative, positive); one label has no pairs,
+    # so its shape comes from the reshape
+    pairs = np.array(_pairs(range(n_labels)), dtype=np.intp).reshape(-1, 2)
     negative, positive = pairs.T
     # machine k's winner on row r, as the cell row * n_labels + label, is entry k * n_rows + r
     won = np.where(values.T >= 0.0, positive[:, None], negative[:, None])

@@ -415,7 +415,8 @@ def ovo_reference(model, x) -> tuple[str, list[float]]:
     """One-vs-one label and per-machine decision values of one row, by loops.
 
     Each support vector is rebuilt from the pool's CSR fields, each
-    machine sums coef * kernel_eval(sv, x) + bias, and the vote counts
+    machine sums coef * kernel_eval(sv, x) + bias, machine k decides the
+    k-th pair (negative, positive) of the sorted labels, and the vote counts
     wins, breaks ties on the summed |decision| of the tied labels and
     then on the earliest label.
     """
@@ -430,12 +431,13 @@ def ovo_reference(model, x) -> tuple[str, list[float]]:
     values = []
     votes = {label: 0 for label in model.labels}
     margins = {label: 0.0 for label in model.labels}
-    for machine in model.machines:
+    pairs = itertools.combinations(sorted(model.labels), 2)
+    for machine, (negative, positive) in zip(model.machines, pairs, strict=True):
         value = machine.bias
         for row, coef in zip(machine.sv_index, machine.dual_coefs):
             value += coef * kernel_eval(model.kernel, support_vector(row), x)
         values.append(value)
-        winner = machine.positive_label if value >= 0.0 else machine.negative_label
+        winner = positive if value >= 0.0 else negative
         votes[winner] += 1
         margins[winner] += abs(value)
     tied = [label for label in sorted(model.labels) if votes[label] == max(votes.values())]

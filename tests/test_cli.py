@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import warnings
 
@@ -354,16 +355,9 @@ def _set(*path_and_value):
 
 
 def _relabel(*labels):
-    """Mutation that renames the labels of a task-2 document, in their sorted order, to ``labels``."""
-    def mutate(doc):
-        new = dict(zip(doc["svm"]["labels"], labels))
-        doc["svm"]["labels"] = list(labels)
-        for machine in doc["svm"]["machines"]:
-            machine["positive_label"], machine["negative_label"] = (
-                new[machine["positive_label"]], new[machine["negative_label"]])
-        return doc
-
-    return mutate
+    """Mutation that renames the labels of a task-2 document, in their sorted order, to ``labels``
+    (its machines follow by their places)."""
+    return _set("svm", "labels", list(labels))
 
 
 def _pop(*path):
@@ -395,11 +389,14 @@ CORRUPTIONS = {
     "df shorter than terms": (_pop("vocabulary", "df"), "vocabulary: "),
     "term repeated": (lambda doc: _set("vocabulary", "terms", 1, doc["vocabulary"]["terms"][0])(doc),
                       "vocabulary.terms: must be strictly increasing"),
-    "machine label not in labels": (_set("svm", "machines", 0, "positive_label", "maybe"), "svm: "),
-    "two machines on one label pair": (_set("svm", "machines", 0, "positive_label", "support"), "svm: "),
+    "a machine missing": (_pop("svm", "machines"), "svm.machines: "),
+    "a machine too many": (lambda doc: _set("svm", "machines", [*doc["svm"]["machines"], doc["svm"]["machines"][0]])(doc),
+                           "svm.machines: "),
     "bias NaN": (_set("svm", "machines", 0, "bias", float("nan")), "svm.machines[0].bias: "),
     "sv_index out of range": (_set("svm", "machines", 0, "sv_index", 0, 10**6),
                               "svm.machines[0].sv_index: "),
+    "sv_index beyond int64": (_set("svm", "machines", 0, "sv_index", 0, 2**70),
+                              "svm.machines[0].sv_index: expected integers within the int64 range"),
     "column not below dims": (_set("svm", "pool", "indices", 0, 10**6), "svm.pool.indices: "),
     "pool columns out of order in a row": (_swap_first_columns, ORDER_ERROR),
     "a pool column twice in a row": (lambda doc: _set("svm", "pool", "indices", 1,
@@ -567,7 +564,7 @@ def _predict_refuses(workspace, old, tmp_path, capsys, version):
         "--out", str(tmp_path / "pred.csv"), "--sentiment", str(workspace["sentiment"]),
     ])
     assert code == 1
-    assert f"error: {old}: unsupported format_version {version}, expected 5" in capsys.readouterr().err
+    assert f"error: {old}: unsupported format_version {version}, expected 6" in capsys.readouterr().err
     assert not (tmp_path / "pred.csv").exists()
 
 
@@ -617,6 +614,20 @@ class TestVersion4ModelFile:
         old = tmp_path / "v4.json"
         old.write_text(json.dumps(doc), encoding="utf-8")
         _predict_refuses(workspace, old, tmp_path, capsys, 4)
+
+
+class TestVersion5ModelFile:
+    @pytest.mark.parametrize("name", ["m1", "m2"])
+    def test_v5_file_fails_predict(self, workspace, trained_models, tmp_path, capsys, name):
+        """A file as version 5 wrote it, whose pool-form machines each stored their two labels, is refused."""
+        doc = json.loads(trained_models[name].read_text())
+        doc["format_version"] = 5
+        svm = doc["svm"]
+        for machine, (neg, pos) in zip(svm.get("machines", ()), itertools.combinations(svm["labels"], 2)):
+            machine.update(positive_label=pos, negative_label=neg)
+        old = tmp_path / "v5.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        _predict_refuses(workspace, old, tmp_path, capsys, 5)
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import numpy.typing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -68,6 +69,14 @@ def test_config_roundtrip(cls, strategy):
         assert from_doc(cls, doc, "doc") == value
 
     roundtrip()
+
+
+@pytest.mark.parametrize("doc", [[1, 2**70], [1, -2**70], [[1], [2**64]], [2**63], [1, 2**63]])
+def test_integers_beyond_int64_are_named_as_such(doc):
+    """An integer array whose integers numpy cannot hold as int64 (it reads them as
+    objects, uint64 or float64) is refused for its range, naming the field."""
+    with pytest.raises(CorruptModel, match=r"^doc: sv_index: expected integers within the int64 range$"):
+        from_doc(npt.NDArray[np.int64], doc, "doc", "sv_index")
 
 
 DELETE = object()

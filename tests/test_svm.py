@@ -191,7 +191,7 @@ class TestTrainBinary:
 
     def test_nan_coefficient_rejected(self):
         with pytest.raises(ValueError, match="dual_coefs and bias must be finite"):
-            BinaryModel(np.array([0]), np.array([math.nan]), 0.0, "+1", "-1")
+            BinaryModel(np.array([0]), np.array([math.nan]), 0.0)
 
     def test_dual_feasibility(self):
         for name, x, y, cfg in fixture_instances():
@@ -287,8 +287,7 @@ class TestOverlappingScale:
             warnings.simplefilter("always")
             model = train_multiclass(x, np.where(y > 0, "pos", "neg"), cfg)
         assert [str(w.message).split(":")[0] for w in caught] == ["machine 'pos' vs 'neg'"]
-        machine = model.machines[0]
-        assert [type(label) for label in (*model.labels, machine.positive_label, machine.negative_label)] == [str] * 4
+        assert [type(label) for label in model.labels] == [str] * 2
 
     def test_default_cap_stops_a_hard_problem_quickly(self):
         # heavily overlapping 2-D classes with copies under both labels: at
@@ -368,11 +367,7 @@ class TestMulticlass:
         """Machines b/a, c/a, c/b with no support vectors: each value is its bias."""
         pool, _ = SupportVectorPool.of(np.zeros((0, 1)))
         none = np.zeros(0, dtype=np.int64)
-        pairs = (("b", "a"), ("c", "a"), ("c", "b"))
-        machines = tuple(
-            BinaryModel(none, np.zeros(0), bias, positive_label=pos, negative_label=neg)
-            for bias, (pos, neg) in zip(biases, pairs)
-        )
+        machines = tuple(BinaryModel(none, np.zeros(0), bias) for bias in biases)
         return MulticlassModel(labels=("a", "b", "c"), machines=machines, kernel=KernelConfig("linear"), pool=pool)
 
     def test_vote_cycle_breaks_lexicographically(self):
@@ -482,8 +477,8 @@ def test_sparse_rows_give_the_dense_decision_values(seed, kind, n_rows, n_pool):
 def _three_label_model(rng, pool, kernel):
     n_sv = min(12, pool.rows)
     machines = tuple(
-        BinaryModel(rng.choice(pool.rows, n_sv, replace=False), rng.normal(size=n_sv), float(rng.normal()), pos, neg)
-        for neg, pos in combinations(("a", "b", "c"), 2)
+        BinaryModel(rng.choice(pool.rows, n_sv, replace=False), rng.normal(size=n_sv), float(rng.normal()))
+        for _ in range(3)  # the label pairs of a, b, c
     )
     return MulticlassModel(("a", "b", "c"), machines, kernel, pool)
 
@@ -518,10 +513,10 @@ def test_weights_form_matches_the_pool_path(seed, kind_degree, gamma, coef0, wid
     pool = _pool_of(rng.random((n_pool, width)) * (rng.random((n_pool, width)) < 0.7))
     labels = tuple(f"l{i}" for i in range(n_labels))
     machines = []
-    for neg, pos in combinations(labels, 2):
+    for _ in combinations(labels, 2):
         n_sv = int(rng.integers(1, n_pool + 1))
         sv = rng.choice(n_pool, n_sv, replace=False)
-        machines.append(BinaryModel(sv, rng.uniform(-1.0, 1.0, n_sv), float(rng.uniform(-1.0, 1.0)), pos, neg))
+        machines.append(BinaryModel(sv, rng.uniform(-1.0, 1.0, n_sv), float(rng.uniform(-1.0, 1.0))))
     model = MulticlassModel(labels, tuple(machines), kernel, pool)
     assert weights_form(replace(model, kernel=KernelConfig("rbf", gamma))) is None
     weights = weights_form(model)
@@ -559,7 +554,7 @@ def test_weights_form_matches_the_pool_path(seed, kind_degree, gamma, coef0, wid
 ])
 def test_weights_form_is_picked_by_the_map_and_the_pool(kernel, n_pool, weighed):
     pool = _pool_of(np.full((n_pool, 6), 0.5))
-    machine = BinaryModel(np.arange(n_pool), np.ones(n_pool), 0.0, "b", "a")
+    machine = BinaryModel(np.arange(n_pool), np.ones(n_pool), 0.0)
     assert isinstance(weights_form(MulticlassModel(("a", "b"), (machine,), kernel, pool)), WeightsModel) == weighed
 
 
@@ -667,6 +662,13 @@ def test_chunks_expand_to_at_most_one_kernel_matrix_of_products(monkeypatch, n_p
         assert stop == len(rows) or products[start:stop + 1].sum() > budget  # the next row does not fit
     assert (products[0] > budget) == (n_listed == 2500)
     assert np.all(np.abs(got - decision_values_reference(model, rows, PREDICT_CHUNK_ROWS)) <= decision_tolerance(model, rows))
+    # rows that store only block columns expand to no list products, so the budget cannot bind
+    chunks.clear()
+    block_only = np.zeros((2 * PREDICT_CHUNK_ROWS + 5, dims))
+    block_only[:, n_listed:] = rng.normal(size=(len(block_only), 3))
+    decision_values(model, block_only)
+    assert chunks == [(start, min(start + PREDICT_CHUNK_ROWS, len(block_only)))
+                      for start in range(0, len(block_only), PREDICT_CHUNK_ROWS)]
 
 
 @st.composite
@@ -679,9 +681,8 @@ def tied_vote_models(draw):
     pool, _ = SupportVectorPool.of(np.ones((1, 1)))
     unit = st.sampled_from([-1.0, 0.0, 1.0])
     machines = tuple(
-        BinaryModel(np.zeros(1, dtype=np.int64), np.array([draw(unit)]), draw(unit), positive_label=pos,
-                    negative_label=neg)
-        for neg, pos in combinations([f"l{i}" for i in range(n_labels)], 2)
+        BinaryModel(np.zeros(1, dtype=np.int64), np.array([draw(unit)]), draw(unit))
+        for _ in combinations(range(n_labels), 2)
     )
     labels = tuple(f"l{i}" for i in range(n_labels))
     model = MulticlassModel(labels=labels, machines=machines, kernel=KernelConfig("linear"), pool=pool)
@@ -871,10 +872,9 @@ def test_multiclass_machines_match_binary_training(seed, n_labels, kind):
     assert len(calls) == 1
     names = np.array(labels)
     pool_rows: dict[bytes, np.ndarray] = {}
-    for machine in model.machines:
-        pos, neg = machine.positive_label, machine.negative_label
+    for machine, (neg, pos) in zip(model.machines, combinations(sorted(set(labels)), 2), strict=True):
         pair = (names == pos) | (names == neg)
-        alone = train_binary(x[pair], np.where(names[pair] == pos, 1, -1), cfg, pos, neg)
+        alone = train_binary(x[pair], np.where(names[pair] == pos, 1, -1), cfg)
         assert machine.support_vectors.tobytes() == alone.support_vectors.tobytes()
         assert machine.dual_coefs.tobytes() == alone.dual_coefs.tobytes()
         assert machine.bias == alone.bias
