@@ -9,6 +9,9 @@ fields and nothing else; a model file's header is written and checked
 by ``pipeline.save_task_model`` and ``load_task_model``. A field declared
 with ``init=False`` is derived: the dataclass computes it in
 ``__post_init__`` from the others, and the document leaves it out.
+A number takes its type from the declared field: a float field takes a
+JSON integer or float, an integer field an integer, and ``true`` or
+``false`` is never a number, also as a leaf of an array field.
 """
 
 from __future__ import annotations
@@ -58,10 +61,12 @@ def from_doc(cls, doc, where, field: str = ""):
 
     ``cls`` is a dataclass, ``tuple[X, ...]``, ``dict[str, X]``, ``X | None``,
     a union of dataclasses (read as the one whose fields name the most of the
-    document's keys), ``float``, ``int``, ``str``, ``np.ndarray`` (read as
-    float64) or ``npt.NDArray[np.int64]`` (integers only). Raises CorruptModel naming
-    ``where`` and the field path for a missing, unknown or mistyped field,
-    a non-finite number, and a ValueError from a dataclass's own checks.
+    document's keys), ``float``, ``int``, ``str``, ``np.ndarray`` (float64) or
+    ``npt.NDArray[np.int64]``: each leaf of its nested lists must have a type
+    that the dtype's scalar field takes (a list leaf is a ragged row), and is
+    then converted to the dtype. Raises CorruptModel naming ``where`` and the
+    field path for a missing, unknown or mistyped field, a non-finite number
+    or an integer beyond its dtype, and a ValueError from a dataclass's checks.
     """
     if cls in _SCALARS:  # first, as most values in a document are scalars
         if cls is float and type(doc) in (int, float):
@@ -94,20 +99,15 @@ def from_doc(cls, doc, where, field: str = ""):
         return {key: from_doc(args[1], value, where, f"{field}[{key!r}]") for key, value in doc.items()}
     if np.ndarray in (cls, origin):
         dtype = np.dtype(typing.get_args(args[-1])[0] if args else np.float64)
-        kinds, what = ("i", "integers") if dtype.kind in "iu" else ("iuf", "numbers")
-        try:
-            array = np.array(doc)
-        except ValueError:  # ragged rows
-            array = None
-        if array is not None and array.dtype.kind == "O" and dtype.kind == "f":
-            # an integer beyond the int64 range makes an object array: read each value as a float field
-            array = np.array([from_doc(float, value, where, field) for value in array.flat]).reshape(array.shape)
-        if array is not None and dtype.kind in "iu" and array.dtype.kind in "Ouf" and array.size and all(
-                type(value) is int for value in np.array(doc, dtype=object).flat):  # read as uint64, float64 or objects
-            raise CorruptModel(f"expected integers within the {dtype} range", where, field=field)
-        if array is None or (array.dtype.kind not in kinds and array.size):  # [] reads as float
+        leaf, what, bound = (float, "numbers", "a finite number") if dtype.kind == "f" else (
+            int, "integers", f"integers within the {dtype} range")
+        array = np.array(doc, dtype=object)  # the leaves as they are: a list leaf is a ragged row
+        if not set(map(type, array.flat)) <= {int, leaf}:  # so a JSON true is not a number
             raise CorruptModel(f"expected a rectangular array of {what}", where, field=field)
-        return array.astype(dtype, copy=False)
+        try:
+            return array.astype(dtype)
+        except OverflowError:  # an integer beyond the dtype's range
+            raise CorruptModel(f"expected {bound}", where, field=field) from None
     hints = _field_types(cls)
     prefix = f"{field}." if field else ""
     missing = [name for name in hints if name not in doc]

@@ -129,9 +129,8 @@ class SvmConfig:
 class SupportVectorPool(SparseRows):
     """Distinct support vectors shared by the machines of a model, as CSR rows
     (``SparseRows``) of finite values. What prediction reads of the pool
-    (``columns``, ``sq_norms``) and the dense rows of ``support_vectors`` are
-    built once, on first use, from the CSR fields: a ``dims`` read from a file
-    allocates nothing until it is used."""
+    (``columns``, ``sq_norms``) is built once, on first use, from the CSR
+    fields: a ``dims`` read from a file allocates nothing until it is used."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -151,12 +150,6 @@ class SupportVectorPool(SparseRows):
         ], dtype=np.int64)
         kept = np.unique(index, return_index=True)[1]  # first copy of each, in row order
         return cls.from_dense(rows[kept]), index
-
-    @functools.cached_property
-    def dense(self) -> np.ndarray:
-        """(rows, dims) float64 matrix of the pool, for ``support_vectors``;
-        prediction never builds it."""
-        return self.to_dense()
 
     @functools.cached_property
     def sq_norms(self) -> np.ndarray:
@@ -220,7 +213,7 @@ class BinaryModel:
     @property
     def support_vectors(self) -> np.ndarray:
         """(n_sv, dims) dense support vectors, one row per dual coefficient."""
-        return self._pool.dense[self.sv_index]
+        return self._pool.to_dense()[self.sv_index]
 
 
 def _bind(machine: BinaryModel, pool: SupportVectorPool) -> BinaryModel:

@@ -219,7 +219,7 @@ def _chunk_kernels(model, rows: np.ndarray, chunk_rows: int):
     not zero: the chunk's columns gathered by ``chunk[:, used]`` and the pool's from
     its dense matrix, RBF reading the pool's squared norms summed over its dense rows."""
     pool, cfg = model.pool, model.kernel
-    dense = pool.dense
+    dense = pool.to_dense()
     pool_sq = np.sum(dense * dense, axis=1)
     for start in range(0, len(rows), chunk_rows):
         chunk = rows[start:start + chunk_rows]

@@ -393,6 +393,8 @@ CORRUPTIONS = {
     "a machine too many": (lambda doc: _set("svm", "machines", [*doc["svm"]["machines"], doc["svm"]["machines"][0]])(doc),
                            "svm.machines: "),
     "bias NaN": (_set("svm", "machines", 0, "bias", float("nan")), "svm.machines[0].bias: "),
+    "dual_coef true": (_set("svm", "machines", 0, "dual_coefs", 0, True),
+                       "svm.machines[0].dual_coefs: expected a rectangular array of numbers"),
     "sv_index out of range": (_set("svm", "machines", 0, "sv_index", 0, 10**6),
                               "svm.machines[0].sv_index: "),
     "sv_index beyond int64": (_set("svm", "machines", 0, "sv_index", 0, 2**70),

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -77,6 +78,61 @@ def test_integers_beyond_int64_are_named_as_such(doc):
     objects, uint64 or float64) is refused for its range, naming the field."""
     with pytest.raises(CorruptModel, match=r"^doc: sv_index: expected integers within the int64 range$"):
         from_doc(npt.NDArray[np.int64], doc, "doc", "sv_index")
+
+
+@pytest.mark.parametrize("cls, doc, what", [
+    (np.ndarray, [True, 1.5], "numbers"), (np.ndarray, [[1.0, False]], "numbers"),
+    (npt.NDArray[np.int64], [True, 1], "integers"),
+])
+def test_a_bool_in_a_numeric_array_is_not_a_number(cls, doc, what):
+    """A JSON true or false is never a number, also beside numbers in an array."""
+    with pytest.raises(CorruptModel, match=rf"^doc: coefs: expected a rectangular array of {what}$"):
+        from_doc(cls, doc, "doc", "coefs")
+
+
+def _mapped(doc, read):
+    """Nested lists ``doc`` with ``read`` applied to each leaf."""
+    return [_mapped(item, read) for item in doc] if isinstance(doc, list) else read(doc)
+
+
+def _leaf_reading(cls, leaf):
+    """``leaf`` as the scalar field ``cls`` reads it; a float array keeps a
+    non-finite float for its dataclass's own check."""
+    if cls is float and type(leaf) is float and not math.isfinite(leaf):
+        return leaf
+    return from_doc(cls, leaf, "doc")
+
+
+# numbers drawn twice as often as the rest, so that many lists load
+json_leaves = st.integers() | st.floats() | st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=3)
+nested_lists = st.one_of(
+    st.lists(json_leaves, max_size=4),
+    st.integers(0, 3).flatmap(lambda width: st.lists(st.lists(json_leaves, min_size=width, max_size=width), max_size=3)),
+    st.recursive(json_leaves, lambda inner: st.lists(inner, max_size=3), max_leaves=8).filter(
+        lambda doc: isinstance(doc, list)),
+)
+
+
+@pytest.mark.parametrize("cls, scalar", [(np.ndarray, float), (npt.NDArray[np.int64], int)], ids=["float", "int"])
+def test_an_array_reads_each_leaf_as_its_scalar_field(cls, scalar):
+    """An array field either fails, or holds each leaf as the scalar field of
+    its dtype reads that leaf."""
+    @settings(max_examples=500)
+    @given(nested_lists)
+    @example([True, 1.5])
+    @example([[1], [2**70]])
+    @example([1, 2**1100])
+    def reading(doc):
+        try:
+            array = from_doc(cls, doc, "doc", "coefs")
+        except CorruptModel as exc:
+            assert str(exc).startswith("doc: coefs: expected ")
+            return
+        assert array.dtype == np.dtype(np.float64 if scalar is float else np.int64)
+        # the same rows, and each value to the bit (repr tells -0.0 from 0.0 and matches nan)
+        assert _mapped(array.tolist(), repr) == _mapped(doc, lambda leaf: repr(_leaf_reading(scalar, leaf)))
+
+    reading()
 
 
 DELETE = object()

@@ -156,7 +156,7 @@ class TestTask2:
         batch = task2_rows(records, [r.relevance for r in records], trained.task2.vocabulary, trained.lexicons)
         assert not batch.values[:128].any(axis=0).all()  # the first rows leave columns unstored
         pool = model.pool
-        full = _gram(model.kernel, batch.values, pool.dense)
+        full = _gram(model.kernel, batch.values, pool.to_dense())
         expected = np.column_stack([full[:, m.sv_index] @ m.dual_coefs + m.bias for m in model.machines])
         values, labels = decision_values(model, batch), predict_batch(model, batch)
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-9)

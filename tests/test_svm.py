@@ -440,7 +440,7 @@ def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
     x = np.vstack([x, x[copies]])
     labels += [labels[i] for i in copies[:3]] + [f"l{rng.integers(n_labels)}" for _ in copies[3:]]
     model = train_multiclass(x, labels, SvmConfig(c=10.0, kernel=KERNELS[kind]))
-    assert len(np.unique(model.pool.dense, axis=0)) == model.pool.rows
+    assert len(np.unique(model.pool.to_dense(), axis=0)) == model.pool.rows
     probes = np.vstack([rng.random((8, 3)), x[copies]])
     values = decision_values(model, probes)
     for row, label, row_values in zip(probes, predict_batch(model, probes), values):
@@ -527,13 +527,13 @@ def test_weights_form_matches_the_pool_path(seed, kind_degree, gamma, coef0, wid
     assert isinstance(weights, WeightsModel) and weights.weights.shape == (len(machines), terms)
 
     rows = rng.random((n_rows, width)) * (rng.random((n_rows, width)) < 0.7)
-    dots = rows @ pool.dense.T
+    dots = rows @ pool.to_dense().T
     factors, coefs = _monomials(kernel, width)
     assert len(coefs) == terms
     mapped = _mapped(SparseRows.from_dense(rows), 0, n_rows, factors) @ (_mapped(pool, 0, n_pool, factors) * coefs).T
     offset, power = (0.0, 1) if kind == "linear" else (abs(coef0), degree)
     sizes = ((1.0 if kind == "linear" else gamma) * dots + offset) ** power
-    assert np.all(np.abs(mapped - _gram(kernel, rows, pool.dense)) <= 1e-12 * (1 + sizes))
+    assert np.all(np.abs(mapped - _gram(kernel, rows, pool.to_dense())) <= 1e-12 * (1 + sizes))
 
     scale = np.column_stack([sizes[:, m.sv_index] @ np.abs(m.dual_coefs) + abs(m.bias) for m in model.machines])
     tolerance = 1e-12 * (1 + scale)
@@ -880,7 +880,7 @@ def test_multiclass_machines_match_binary_training(seed, n_labels, kind):
         assert machine.bias == alone.bias
         for row in alone.support_vectors:
             pool_rows.setdefault(row.tobytes(), row)
-    assert model.pool.dense.tobytes(order="C") == np.array(list(pool_rows.values())).tobytes()
+    assert model.pool.to_dense().tobytes(order="C") == np.array(list(pool_rows.values())).tobytes()
 
 
 _INTAKE_CFG = SvmConfig(c=10.0, kernel=KernelConfig("rbf", gamma=0.5))
