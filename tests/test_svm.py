@@ -430,16 +430,20 @@ KERNELS = {
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_labels=st.integers(2, 4), kind=st.sampled_from(KERNEL_KINDS))
+@example(seed=172528, n_labels=3, kind="linear")  # machine 'l2' vs 'l1' needs 1,706 pair updates; 100 passes cap it at 1,200
 def test_predict_batch_matches_per_row_reference(seed, n_labels, kind):
     """Labels equal and decision values within 1e-9 of the loop oracle,
-    on models whose training rows repeat, under one label or another."""
+    on models whose training rows repeat, under one label or another. The
+    model trains with a cap of 1,000 passes: the test asks about prediction,
+    not about the solver's cap, and some draws, such as the example, need
+    more than the default 100 passes to converge."""
     rng = np.random.default_rng(seed)
     x = rng.random((16, 3))
     labels = [f"l{i % n_labels}" for i in rng.permutation(16)]
     copies = rng.choice(16, 6, replace=False)
     x = np.vstack([x, x[copies]])
     labels += [labels[i] for i in copies[:3]] + [f"l{rng.integers(n_labels)}" for _ in copies[3:]]
-    model = train_multiclass(x, labels, SvmConfig(c=10.0, kernel=KERNELS[kind]))
+    model = train_multiclass(x, labels, SvmConfig(c=10.0, kernel=KERNELS[kind], max_passes=1000))
     assert len(np.unique(model.pool.to_dense(), axis=0)) == model.pool.rows
     probes = np.vstack([rng.random((8, 3)), x[copies]])
     values = decision_values(model, probes)
