@@ -79,7 +79,7 @@ for s, tokens in zip(SENTENCES, sentences):
 # all five at once, in the order the relevance classifier consumes them: the
 # sentences' word table and a (query tokens, vocabulary) pair per sentence give
 # one matrix, a row per sentence
-batch = task1_features([(query, vocab)] * len(sentences), WordTable.of(sentences), gloss, nouns)
-print(f"\nfeature batch of shape {batch.values.shape} [exact, stemmed, noun, neighborhood, cosine]")
-for s, row in zip(SENTENCES, batch.values):
+batch = task1_features([(query, vocab)] * len(sentences), WordTable.of(sentences), gloss, nouns).to_dense()
+print(f"\nfeature batch of shape {batch.shape} [exact, stemmed, noun, neighborhood, cosine]")
+for s, row in zip(SENTENCES, batch):
     print("  [" + ", ".join(f"{v:.3f}" for v in row) + f"]  {s}")

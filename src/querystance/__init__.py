@@ -14,7 +14,6 @@ from .corpus import (
     split_train_dev,
 )
 from .features import (
-    FeatureBatch,
     VocabularyModel,
     WordTable,
     feature_cosine,

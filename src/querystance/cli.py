@@ -43,6 +43,7 @@ from .errors import (
     ConflictingQueryText,
     EmptyInput,
     LengthMismatch,
+    NonFinite,
     QueryStanceError,
     SingleClassInput,
 )
@@ -188,7 +189,7 @@ def _naming(data_path: str):
     """Re-raise an error the pipeline finds in the rows of ``data_path`` naming that file."""
     try:
         yield
-    except (SingleClassInput, ConflictingQueryText) as exc:
+    except (SingleClassInput, ConflictingQueryText, NonFinite) as exc:
         raise type(exc)(str(exc), data_path) from exc
 
 
@@ -356,7 +357,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         batch = task2_rows(records, relevance, vocab, lexicons)
 
     # the comment line is a row of one field that holds nothing to quote
-    rows = ([r.query_id, str(i), *map(repr, row)] for i, (r, row) in enumerate(zip(records, batch.values.tolist())))
+    rows = ([r.query_id, str(i), *map(repr, row)] for i, (r, row) in enumerate(zip(records, batch.to_dense().tolist())))
     write_csv_rows(out_path, chain([[header_comment], ["query_id", "row"] + names], rows))
     _write_manifest(args, {"task": task}, 0)
     print(f"wrote {out_path} ({len(records)} rows)")

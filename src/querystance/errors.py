@@ -99,7 +99,8 @@ class SingleClassInput(QueryStanceError):
 
 
 class NonFinite(QueryStanceError):
-    """Rows given to the SVM, to train on or to predict, contain NaN or infinity."""
+    """Rows given to the SVM, to train on or to predict, contain NaN or infinity,
+    or a kernel overflows on the training rows."""
 
 
 class CorruptModel(QueryStanceError):

@@ -1,6 +1,6 @@
 """Similarity features for query-sentence pairs.
 
-Two feature schemas:
+Two feature schemas, each named by the header line of a ``features`` dump:
 
 * ``task1-v1``: five similarity scores in [0, 1] used for relevance
   classification (exact, stemmed, noun, gloss-neighborhood, cosine).
@@ -29,9 +29,11 @@ into ``task1_features``.
 
 A batch's rows are ``SparseRows``, CSR rows that store only nonzero
 values: the rows the SVM reads and the form of its support-vector pool.
-A task-2 row is built sparse from the table's entries and holds a few
-dozen values of a few thousand columns; ``FeatureBatch.values`` builds the
-dense matrix only when it is read.
+As in LIBSVM's sparse rows, they carry no tag of their schema: a model
+knows its task's rows by their width. A task-2 row is built sparse from
+the table's entries and holds a few dozen values of a few thousand
+columns; ``SparseRows.to_dense`` builds the dense matrix for a reader
+that needs it.
 
 Every float sum that feeds a feature adds left to right in a fixed order,
 through ``np.bincount``, which adds its weights one by one in input order,
@@ -60,6 +62,7 @@ from .errors import EmptyCorpus, VocabNotFitted
 from .lexicons import GlossDictionary, Polarity, SentimentLexicon, gloss_first_k_sentences, memoise_glosses
 from .textproc import stem_tokens
 
+# the header text of a ``features`` dump of each task's rows
 SCHEMA_TASK1 = "task1-v1"
 SCHEMA_TASK2 = "task2-v1"
 
@@ -126,23 +129,6 @@ class SparseRows:
         matrix = np.zeros((self.rows, self.dims))
         matrix[self.row_of_entries(), self.indices] = self.values
         return matrix
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureBatch:
-    """A batch's feature rows and their schema; ``values`` is the dense float64
-    matrix of the rows, built on first access."""
-
-    rows: SparseRows
-    schema_id: str
-
-    @property
-    def dims(self) -> int:
-        return self.rows.dims
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        return self.rows.to_dense()
 
 
 @dataclass(frozen=True)
@@ -271,7 +257,7 @@ _NO_VOCABULARY, _NO_GLOSSES = VocabularyModel((), (), 1), GlossDictionary()
 
 def _one_row(query, sentence, vocab=_NO_VOCABULARY, gloss_dict=_NO_GLOSSES, nouns=frozenset()):
     """The five task-1 features of one pair of token lists, from a batch of one row."""
-    return task1_features([(query, vocab)], WordTable.of([sentence]), gloss_dict, nouns).values[0]
+    return task1_features([(query, vocab)], WordTable.of([sentence]), gloss_dict, nouns).to_dense()[0]
 
 
 def feature_exact(query: Sequence[str], sentence: Sequence[str]) -> float:
@@ -328,7 +314,7 @@ def task1_features(
     gloss_dict: GlossDictionary,
     nouns: frozenset[str],
     fitted: dict[str, VocabularyModel] | None = None,
-) -> FeatureBatch:
+) -> SparseRows:
     """The five relevance features, ordered as TASK1_FEATURE_NAMES, of each
     sentence of ``table`` and its query: row i pairs text i of the table with
     ``queries[i]``, its (query tokens, vocabulary) pair.
@@ -440,7 +426,7 @@ def task1_features(
         np.minimum(group_values[:, 3], 1.0, out=group_values[:, 3])  # one word may match several query words
         group_values[:, 4] = dots / np.where(norms == 0.0, 1.0, norms)  # a zero norm comes with a zero dot
         values[rows] = group_values
-    return FeatureBatch(SparseRows.from_dense(values), SCHEMA_TASK1)
+    return SparseRows.from_dense(values)
 
 
 def task2_features(
@@ -449,7 +435,7 @@ def task2_features(
     relevance_flags: Sequence[bool],
     vocab_global: VocabularyModel,
     sent_lex: SentimentLexicon,
-) -> FeatureBatch:
+) -> SparseRows:
     """TF-IDF block plus sentiment counts and the relevance flag, one row
     per text id in ``texts``: row i is text ``texts[i]`` of ``table``.
 
@@ -484,7 +470,7 @@ def task2_features(
     order = (row * (size + slots) + col).argsort()  # the keys are distinct: row after row, each in column order
     indices, values = col[order], np.concatenate((weight[known], tail[filled]))[order]
     indptr = row[order].searchsorted(np.arange(n + 1))
-    return FeatureBatch(SparseRows(size + slots, indptr, indices, values), SCHEMA_TASK2)
+    return SparseRows(size + slots, indptr, indices, values)
 
 
 # a count in a task-2 model file lies in [1, _COUNT_LIMIT): sums of three stay exact in float64

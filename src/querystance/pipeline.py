@@ -20,11 +20,9 @@ from .codec import FieldError, from_doc, read_json, to_doc, write_json
 from .corpus import RELEVANCE_LABELS, STANCE_LABELS, SentenceRecord, group_by_query, required_labels
 from .errors import AlignmentError, CorruptModel, EmptyInput, LengthMismatch, VersionMismatch
 from .features import (
-    SCHEMA_TASK1,
-    SCHEMA_TASK2,
     TASK1_FEATURE_NAMES,
     TASK2_TAIL_NAMES,
-    FeatureBatch,
+    SparseRows,
     VocabularyModel,
     WordTable,
     fit_vocabulary,
@@ -114,7 +112,6 @@ class TaskModel:
     subclass stores it in another form."""
 
     task: ClassVar[int]  # the task number, also the ``task`` key of the file header
-    SCHEMA: ClassVar[str]
     LABELS: ClassVar[tuple[str, ...]]  # the task's labels; its SVM holds two or more of them
     CONFIG_FIELDS: ClassVar[tuple[str, ...]]  # the config fields the task's prediction reads
 
@@ -124,8 +121,6 @@ class TaskModel:
 
     def __post_init__(self):
         svm = self.svm
-        if svm.schema_id != self.SCHEMA:
-            raise FieldError("svm.schema_id", f"expected {self.SCHEMA!r}, got {svm.schema_id!r}")
         dims, where = (svm.dims, "svm.dims") if isinstance(svm, WeightsModel) else (svm.pool.dims, "svm.pool.dims")
         if dims != self.width:
             raise FieldError(where, f"expected width {self.width}, got {dims}")
@@ -151,7 +146,6 @@ class Task1Model(TaskModel):
     pool as ``pooled``, so a trained model and its reloaded file predict alike."""
 
     task = 1
-    SCHEMA = SCHEMA_TASK1
     LABELS = RELEVANCE_LABELS
     CONFIG_FIELDS = ("task1", "gloss_path", "noun_path")
     width = len(TASK1_FEATURE_NAMES)
@@ -190,7 +184,6 @@ class Task2Model(TaskModel):
     ``task2_values`` rebuilds from them, bit for bit those ``task2_features`` gives."""
 
     task = 2
-    SCHEMA = SCHEMA_TASK2
     LABELS = STANCE_LABELS
     CONFIG_FIELDS = ("task2", "stance_classes", "sentiment_path")
 
@@ -308,8 +301,8 @@ def task1_rows(
     lexicons: LexiconSet,
     *,
     fitted: dict[str, VocabularyModel] | None = None,
-) -> FeatureBatch:
-    """Task-1 feature batch of ``records``, the rows the task-1 SVM reads.
+) -> SparseRows:
+    """Task-1 feature rows of ``records``, the rows the task-1 SVM reads.
 
     A query without an entry in ``vocabularies`` reads the vocabulary of its
     sentences in ``records``, its IDF counted in the batch's word table;
@@ -324,7 +317,7 @@ def task1_rows(
 
 
 def _task2_batch(table: WordTable, texts: Sequence[int], relevance: Sequence[str], vocabulary: VocabularyModel,
-                 lexicons: LexiconSet) -> FeatureBatch:
+                 lexicons: LexiconSet) -> SparseRows:
     return task2_features(table, texts, [label == RELEVANT for label in relevance], vocabulary, lexicons.sentiment)
 
 
@@ -333,8 +326,8 @@ def task2_rows(
     relevance: Sequence[str],
     vocabulary: VocabularyModel,
     lexicons: LexiconSet,
-) -> FeatureBatch:
-    """Task-2 feature batch of ``records``, the rows the task-2 SVM reads, each row's
+) -> SparseRows:
+    """Task-2 feature rows of ``records``, the rows the task-2 SVM reads, each row's
     relevance flag set where its label in ``relevance`` is relevant. The sentences
     are read from the word table of the batch's analysis (``_analysis``).
     """
@@ -489,7 +482,7 @@ def evaluate(
 
 # --- persistence ------------------------------------------------------------
 
-FORMAT, FORMAT_VERSION = "querystance-pipeline", 6  # with ``task``, the header of every model file
+FORMAT, FORMAT_VERSION = "querystance-pipeline", 7  # with ``task``, the header of every model file
 
 
 def save_task_model(pipeline: TrainedPipeline, task: int, path: str | Path) -> None:

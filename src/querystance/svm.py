@@ -18,7 +18,7 @@ machine stores no labels. Each machine holds
 the pool rows of its support vectors, so prediction computes one kernel
 matrix against the pool for a batch of rows and every machine reads its
 columns. Every row enters through one intake as ``SparseRows`` (CSR rows
-of nonzero values, LIBSVM's sparse rows): a FeatureBatch as it is built,
+of nonzero values, LIBSVM's sparse rows): SparseRows as they are built,
 an array-like as its nonzero entries. Training turns them into a dense
 matrix once. Prediction reads them in chunks and splits the dot products
 of K(chunk, pool) by the pool's columns, a split made once per pool. A
@@ -60,7 +60,7 @@ import numpy as np
 
 from .codec import FieldError
 from .errors import DimensionMismatch, NonFinite, SingleClassInput
-from .features import FeatureBatch, IndexArray, SparseRows
+from .features import IndexArray, SparseRows
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
 
@@ -246,7 +246,6 @@ class MulticlassModel:
     machines: tuple[BinaryModel, ...]
     kernel: KernelConfig
     pool: SupportVectorPool
-    schema_id: str | None = None
 
     def __post_init__(self):
         _check_labels(self.labels)
@@ -321,7 +320,6 @@ class WeightsModel:
     dims: int
     weights: np.ndarray  # (machines, terms)
     biases: np.ndarray  # (machines,)
-    schema_id: str | None = None
 
     def __post_init__(self):
         _check_labels(self.labels)
@@ -365,7 +363,7 @@ def weights_form(model: MulticlassModel) -> WeightsModel | None:
         for m in model.machines
     ]).reshape(-1, terms)
     biases = np.array([m.bias for m in model.machines])
-    return WeightsModel(model.labels, kernel, pool.dims, weights, biases, model.schema_id)
+    return WeightsModel(model.labels, kernel, pool.dims, weights, biases)
 
 
 def _kernel(cfg: KernelConfig, dots: np.ndarray, a_sq: np.ndarray | None = None,
@@ -377,7 +375,9 @@ def _kernel(cfg: KernelConfig, dots: np.ndarray, a_sq: np.ndarray | None = None,
     if cfg.kind == "poly":
         return (cfg.gamma * dots + cfg.coef0) ** cfg.degree
     sq = a_sq[:, None] + b_sq[None, :] - 2.0 * dots
-    return np.exp(-cfg.gamma * np.maximum(sq, 0.0))
+    with np.errstate(over="ignore"):  # an exponent beyond the float range is -inf, whose exp is exactly 0
+        exponent = -cfg.gamma * np.maximum(sq, 0.0)
+    return np.exp(exponent)
 
 
 def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -480,18 +480,17 @@ def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, f
     return alpha, bias, m - big_m, step
 
 
-def _rows(x, dims: int | None = None, schema_id: str | None = None) -> tuple[SparseRows, str | None]:
-    """The rows of ``x``, a FeatureBatch or a 2-D array-like, as SparseRows,
-    and the schema of a FeatureBatch: the one intake of every row the SVM
-    trains on or predicts. An array-like is stored as its nonzero entries.
-    Given a model's ``dims`` and ``schema_id``, an empty list is no rows and
-    another schema or width is a DimensionMismatch; NaN or infinity is
+def _rows(x, dims: int | None = None) -> SparseRows:
+    """The rows of ``x``, SparseRows or a 2-D array-like, as SparseRows: the
+    one intake of every row the SVM trains on or predicts. An array-like is
+    stored as its nonzero entries. Given a model's ``dims``, an empty list is
+    no rows and another width is a DimensionMismatch; NaN or infinity is
     NonFinite, found among the stored values before any kernel is computed."""
-    if isinstance(x, FeatureBatch):
-        rows, schema = x.rows, x.schema_id
+    if isinstance(x, SparseRows):
+        rows = x
     else:
         try:
-            matrix, schema = np.asarray(x, dtype=np.float64), None
+            matrix = np.asarray(x, dtype=np.float64)
         except ValueError as exc:  # rows of different lengths
             raise DimensionMismatch(f"rows must share one width: {exc}") from exc
         if dims is not None and matrix.shape == (0,):
@@ -499,13 +498,11 @@ def _rows(x, dims: int | None = None, schema_id: str | None = None) -> tuple[Spa
         if matrix.ndim != 2:
             raise DimensionMismatch(f"rows must form a 2-D matrix, got shape {matrix.shape}")
         rows = SparseRows.from_dense(matrix)
-    if schema_id and schema and schema != schema_id:
-        raise DimensionMismatch(f"model expects schema {schema_id!r}, got {schema!r}")
     if dims is not None and rows.dims != dims:
         raise DimensionMismatch(f"model expects {dims} dims, got rows of shape {(rows.dims,)}")
     if not np.isfinite(rows.values).all():
         raise NonFinite("rows contain NaN or infinity")
-    return rows, schema
+    return rows
 
 
 def _fit(
@@ -513,14 +510,21 @@ def _fit(
 ) -> tuple[IndexArray, np.ndarray, float]:
     """Solve one machine on the rows of ``matrix`` and their +/-1 ``labels``:
     the rows of nonzero alpha, kept as support vectors, their alpha*y
-    coefficients and the bias. The checks and the cap warning of ``train_binary``, naming ``pair`` (positive first)."""
+    coefficients and the bias. The checks and the cap warning of ``train_binary``, naming ``pair`` (positive first);
+    a kernel that overflows on the rows is NonFinite, naming its settings."""
     if len(matrix) != len(labels):
         raise DimensionMismatch(f"{len(matrix)} vectors but {len(labels)} labels")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("binary labels must be +1 or -1")
     if np.unique(labels).size < 2:
         raise SingleClassInput("training data holds a single class")
-    alpha, bias, gap, _ = _smo(_gram(cfg.kernel, matrix, matrix), labels, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        gram = _gram(cfg.kernel, matrix, matrix)
+    if not np.isfinite(gram).all():
+        k = cfg.kernel
+        raise NonFinite(f"the {k.kind} kernel (gamma {k.gamma:g}, degree {k.degree}, coef0 {k.coef0:g}) "
+                        "overflows on the training rows")
+    alpha, bias, gap, _ = _smo(gram, labels, cfg)
     if gap > cfg.tol:
         warnings.warn(
             f"machine {pair[0]!r} vs {pair[1]!r}: KKT gap {gap:.3g} > tol {cfg.tol:g} at the cap of "
@@ -540,7 +544,7 @@ def train_binary(x, y: Sequence[int], cfg: SvmConfig) -> BinaryModel:
     as in LIBSVM. Warns (RuntimeWarning) when the iteration cap stops the
     solver before the KKT gap reaches cfg.tol.
     """
-    matrix = _rows(x)[0].to_dense()
+    matrix = _rows(x).to_dense()
     keep, coefs, bias = _fit(matrix, np.asarray(y, dtype=np.float64), cfg, ("+1", "-1"))
     pool, index = SupportVectorPool.of(matrix[keep])
     return _bind(BinaryModel(index, coefs, bias), pool)
@@ -601,7 +605,7 @@ def _machine_values(kernel: np.ndarray, machine: BinaryModel) -> np.ndarray:
 def decision_value(model: BinaryModel, x, cfg: KernelConfig) -> float:
     """sum_i dual_coef_i * K(sv_i, x) + bias for one row ``x``."""
     pool = model._pool
-    kernel = _pool_kernel(cfg, _rows([x], pool.dims)[0], 0, 1, pool)
+    kernel = _pool_kernel(cfg, _rows([x], pool.dims), 0, 1, pool)
     return float(_machine_values(kernel, model)[0])
 
 
@@ -617,7 +621,7 @@ def dual_objective(model: BinaryModel, cfg: KernelConfig) -> float:
 
 def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
     """One-vs-one training over lexicographically sorted labels, on the rows
-    of ``x``, a FeatureBatch (whose schema the model keeps) or a 2-D array-like.
+    of ``x``, SparseRows or a 2-D array-like.
 
     Each machine is solved as by ``train_binary``; the model keeps one pool,
     built once from the support-vector rows of all machines. The labels are
@@ -626,8 +630,7 @@ def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassInput(f"need at least 2 distinct labels, got {labels}")
-    rows, schema_id = _rows(x)  # once, before the rows are split by pair
-    matrix = rows.to_dense()
+    matrix = _rows(x).to_dense()  # once, before the rows are split by pair
     y = np.asarray(y, dtype=object)  # compared as Python values, not as fixed-width strings
     if len(matrix) != len(y):
         raise DimensionMismatch(f"{len(matrix)} vectors but {len(y)} labels")
@@ -645,13 +648,12 @@ def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
         machines=tuple(BinaryModel(i, *fit) for i, fit in zip(np.split(index, ends), solved)),
         kernel=cfg.kernel,
         pool=pool,
-        schema_id=schema_id,
     )
 
 
 def decision_values(model: MulticlassModel | WeightsModel, x) -> np.ndarray:
     """(rows, machines) decision values of every machine on every row of ``x``,
-    a FeatureBatch or a 2-D array-like.
+    SparseRows or a 2-D array-like.
 
     A ``WeightsModel`` reads chunks of PREDICT_CHUNK_ROWS rows as
     phi(chunk) @ weights.T + biases. A ``MulticlassModel`` reads the rows in
@@ -661,7 +663,7 @@ def decision_values(model: MulticlassModel | WeightsModel, x) -> np.ndarray:
     (``_pool_kernel``), and no matrix of the chunk over the full width is made.
     """
     if isinstance(model, WeightsModel):
-        rows, _ = _rows(x, model.dims, model.schema_id)
+        rows = _rows(x, model.dims)
         factors = _monomials(model.kernel, model.dims)[0]
         values = np.empty((rows.rows, len(model.biases)))
         for start in range(0, rows.rows, PREDICT_CHUNK_ROWS):
@@ -669,7 +671,7 @@ def decision_values(model: MulticlassModel | WeightsModel, x) -> np.ndarray:
             values[start:stop] = _mapped(rows, start, stop, factors) @ model.weights.T + model.biases
         return values
     pool = model.pool
-    rows, _ = _rows(x, pool.dims, model.schema_id)
+    rows = _rows(x, pool.dims)
     values = np.empty((rows.rows, len(model.machines)))
     for start, stop in _chunks(rows, pool):
         kernel = _pool_kernel(model.kernel, rows, start, stop, pool)
@@ -680,7 +682,7 @@ def decision_values(model: MulticlassModel | WeightsModel, x) -> np.ndarray:
 
 def predict_batch(model: MulticlassModel | WeightsModel, x) -> list[str]:
     """Majority vote over pairwise machines, for every row of ``x``, a
-    FeatureBatch or a 2-D array-like.
+    SparseRows or a 2-D array-like.
 
     Vote ties break on the larger sum of |decision| over the machines
     each tied label won; remaining ties take the lexicographically

@@ -119,7 +119,7 @@ def test_criterion_6_tfidf_cosine():
     vocab = fit_vocabulary([["sun", "causes", "cancer"], ["sun", "is", "bright"], ["cancer", "research"]])
     # sun appears in 2 of 3 docs; a term in every doc weighs exactly 0
     everywhere = fit_vocabulary([["a", "b"], ["a", "c"]])
-    row = task2_features(WordTable.of([["a"]]), [0], [False], everywhere, SentimentLexicon()).values[0]
+    row = task2_features(WordTable.of([["a"]]), [0], [False], everywhere, SentimentLexicon()).to_dense()[0]
     assert row[everywhere.terms.index("a")] == 0.0
     assert feature_cosine(tokenize("sun cancer"), tokenize("sun cancer"), vocab) == pytest.approx(1.0, abs=1e-12)
     import math

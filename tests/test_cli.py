@@ -158,6 +158,30 @@ class TestTrain:
         problem = {"tol": "tol must be in (0, 2)", "C": "c must be positive and finite"}[key]
         assert capsys.readouterr().err == f"error: {config}: line 2: {key}: {problem}, got {float(value)}\n"
 
+    def test_kernel_overflowing_on_the_training_rows_exits_1_naming_it(self, workspace, tmp_path, capsys):
+        """(gamma x.z)^60 with gamma 1e6 lies beyond the float range on the training
+        rows: it is refused naming the data file and the kernel's settings, without a
+        numpy warning, and no model is written."""
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(train_args(workspace, 1, out, "--kernel", "poly", "--gamma", "1e6", "--degree", "60")) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {workspace['train']}: the poly kernel (gamma 1e+06, degree 60, coef0 0) "
+            "overflows on the training rows")
+
+    def test_rbf_exponent_beyond_the_float_range_trains_and_predicts(self, workspace, tmp_path):
+        """An RBF exponent of -gamma |x - z|^2 that overflows is -inf, whose exp is exactly 0,
+        so gamma 1e308 trains and predicts without a numpy warning."""
+        out, pred = tmp_path / "m.json", tmp_path / "pred.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(train_args(workspace, 1, out, "--kernel", "rbf", "--gamma", "1e308")) == 0
+            assert main(["predict", "--model", str(out), "--data", str(workspace["unlabeled"]), "--out", str(pred),
+                         "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"])]) == 0
+        assert len(list(read_csv_rows(pred))) == 1 + len(load_dataset(workspace["unlabeled"], labeled=False))
+
     def test_tiny_c_trains(self, workspace, tmp_path):
         """Any positive C trains: the support vectors are the nonzero alphas, however small."""
         out = tmp_path / "m.json"
@@ -412,7 +436,7 @@ CORRUPTIONS = {
                                     "svm.kernel: differs from config.task2.kernel"),
     "pool dims raised by 7": (lambda doc: _set("svm", "pool", "dims", doc["svm"]["pool"]["dims"] + 7)(doc),
                               "svm.pool.dims: "),
-    "schema of task 1": (_set("svm", "schema_id", "task1-v1"), "svm.schema_id: "),
+    "schema of task 1": (_set("svm", "schema_id", "task1-v1"), "svm: unknown field 'schema_id'"),
     "labels reversed": (lambda doc: _set("svm", "labels", doc["svm"]["labels"][::-1])(doc), "svm.labels: "),
     "top level is a list": (lambda doc: [], "expected a JSON object"),
     "indptr not a flat list": (_set("svm", "pool", "indptr", [[0]]), "svm.pool.indptr: must be a flat list"),
@@ -566,7 +590,8 @@ def _predict_refuses(workspace, old, tmp_path, capsys, version):
         "--out", str(tmp_path / "pred.csv"), "--sentiment", str(workspace["sentiment"]),
     ])
     assert code == 1
-    assert f"error: {old}: unsupported format_version {version}, expected 6" in capsys.readouterr().err
+    expected = f"unsupported format_version {version}, expected {pipeline_module.FORMAT_VERSION}"
+    assert f"error: {old}: {expected}" in capsys.readouterr().err
     assert not (tmp_path / "pred.csv").exists()
 
 
@@ -630,6 +655,18 @@ class TestVersion5ModelFile:
         old = tmp_path / "v5.json"
         old.write_text(json.dumps(doc), encoding="utf-8")
         _predict_refuses(workspace, old, tmp_path, capsys, 5)
+
+
+class TestVersion6ModelFile:
+    @pytest.mark.parametrize("name", ["m1", "m2"])
+    def test_v6_file_fails_predict(self, workspace, trained_models, tmp_path, capsys, name):
+        """A file as version 6 wrote it, whose svm block named its task's feature schema, is refused."""
+        doc = json.loads(trained_models[name].read_text())
+        doc["format_version"] = 6
+        doc["svm"]["schema_id"] = f"task{doc['task']}-v1"
+        old = tmp_path / "v6.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        _predict_refuses(workspace, old, tmp_path, capsys, 6)
 
 
 @pytest.fixture(scope="module")
@@ -1150,7 +1187,7 @@ class TestFeaturesDump:
         lexicons = LexiconSet.load(gloss_path=workspace["gloss"], noun_path=workspace["nouns"])
         model = load_task_model(trained_models["m1"], lexicons)
         batch = task1_rows(load_dataset(part), model.task1.vocabularies, lexicons)
-        assert dumps["model"] == batch.values.tolist()
+        assert dumps["model"] == batch.to_dense().tolist()
         cosine = TASK1_FEATURE_NAMES.index("cosine")
         assert [row[cosine] for row in dumps["model"]] != [row[cosine] for row in dumps["none"]]
 
@@ -1164,7 +1201,7 @@ class TestFeaturesDump:
         chunks = []
 
         def recorded(model, batch):
-            chunks.append(batch.values)
+            chunks.append(batch.to_dense())
             return predict_batch(model, batch)
 
         monkeypatch.setattr(pipeline_module, "predict_batch", recorded)

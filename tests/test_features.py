@@ -14,8 +14,6 @@ from querystance.corpus import SentenceRecord
 from querystance.errors import EmptyCorpus, VocabNotFitted
 from querystance import features as features_module
 from querystance.features import (
-    SCHEMA_TASK1,
-    SCHEMA_TASK2,
     SparseRows,
     TASK2_TAIL_NAMES,
     VocabularyModel,
@@ -75,7 +73,7 @@ def task2_of(sentences, flags, vocab, sent_lex):
 
 def tfidf(vocab, tokens) -> dict[str, float]:
     """The TF-IDF block of a token list's task-2 row, by term."""
-    row = task2_of([tokens], [False], vocab, SentimentLexicon()).values[0]
+    row = task2_of([tokens], [False], vocab, SentimentLexicon()).to_dense()[0]
     return dict(zip(vocab.terms, row[:vocab.size].tolist()))
 
 
@@ -268,8 +266,8 @@ class TestVocabulary:
         assert idf.tobytes() == np.array(idf_reference(sentences, types)).tobytes()
         fitted = {}
         n = len(sentences)
-        named = task1_features([(query, "q")] * n, table, GlossDictionary(), frozenset(), fitted).values
-        given_vocabulary = task1_features([(query, vocab)] * n, table, GlossDictionary(), frozenset()).values
+        named = task1_features([(query, "q")] * n, table, GlossDictionary(), frozenset(), fitted).to_dense()
+        given_vocabulary = task1_features([(query, vocab)] * n, table, GlossDictionary(), frozenset()).to_dense()
         assert named.tobytes() == given_vocabulary.tobytes()
         assert (fitted["q"].terms, fitted["q"].df, fitted["q"].n_docs) == (vocab.terms, vocab.df, vocab.n_docs)
 
@@ -373,16 +371,15 @@ class TestTask1Vector:
 
     def _row(self, query, sentence, vocab):
         batch = task1_features([(tokenize(query), vocab)], WordTable.of([tokenize(sentence)]), self.GLOSS, self.LEX)
-        assert batch.values.shape == (1, 5)
-        return batch.values[0]
+        assert (batch.rows, batch.dims) == (1, 5)
+        return batch.to_dense()[0]
 
     def test_self_pair(self):
         vocab = fit_vocabulary([["sun", "cancer", "risk"], ["bright", "day"]])
         tokens = tokenize("sun cancer risk")
         batch = task1_features([(tokens, vocab)], WordTable.of([tokens]), self.GLOSS, self.LEX)
-        assert batch.schema_id == SCHEMA_TASK1
         assert batch.dims == 5
-        np.testing.assert_allclose(batch.values, [[1.0, 1.0, 1.0, 1.0, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(batch.to_dense(), [[1.0, 1.0, 1.0, 1.0, 1.0]], atol=1e-12)
 
     def test_self_pair_without_nouns(self):
         vocab = fit_vocabulary([["nothing", "here"], ["sun", "up"]])
@@ -402,12 +399,12 @@ class TestTask1Vector:
              vocab)
             for _ in range(1000)
         ]
-        batch = task1_of(triples, synthetic_lexicons.gloss, synthetic_lexicons.nouns)
-        assert batch.values.shape == (1000, 5)
-        assert np.all(batch.values >= 0.0) and np.all(batch.values <= 1.0)
+        values = task1_of(triples, synthetic_lexicons.gloss, synthetic_lexicons.nouns).to_dense()
+        assert values.shape == (1000, 5)
+        assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
     def test_empty_batch(self):
-        assert task1_features([], WordTable.of([]), self.GLOSS, self.LEX).values.shape == (0, 5)
+        assert task1_features([], WordTable.of([]), self.GLOSS, self.LEX).to_dense().shape == (0, 5)
 
     def test_cosine_column_is_each_rows_cosine(self):
         vocabs = [fit_vocabulary([["sun", "cancer"], ["skin", "risk"]]), fit_vocabulary([["sun", "risk"]])]
@@ -415,7 +412,7 @@ class TestTask1Vector:
         sentences = [tokenize(text) for text in ("sun cancer risk", "skin", "the sun", "risk risk cancer")]
         triples = [(q, s, v) for v in vocabs for q in queries for s in sentences]
         batch = task1_of(triples, self.GLOSS, self.LEX)
-        assert np.array_equal(batch.values[:, 4], [feature_cosine(q, s, v) for q, s, v in triples])
+        assert np.array_equal(batch.to_dense()[:, 4], [feature_cosine(q, s, v) for q, s, v in triples])
 
     def test_text_instead_of_tokens_rejected(self):
         with pytest.raises(TypeError):
@@ -440,23 +437,22 @@ class TestTask2Vector:
     def test_sentiment_counts(self):
         vocab = fit_vocabulary([["good", "day"], ["bad", "day"]])
         batch = task2_of([tokenize("good good bad")], [True], vocab, self.LEX)
-        assert batch.schema_id == SCHEMA_TASK2
         assert batch.dims == vocab.size + 4
-        assert tuple(batch.values[0, -4:]) == (2.0, 1.0, 0.0, 1.0)
+        assert tuple(batch.to_dense()[0, -4:]) == (2.0, 1.0, 0.0, 1.0)
 
     def test_empty_sentence(self):
         vocab = fit_vocabulary([["good"]])
         batch = task2_of([[]], [False], vocab, self.LEX)
-        assert batch.values.shape == (1, vocab.size + 4) and not batch.values.any()
-        assert task2_of([], [], vocab, self.LEX).values.shape == (0, vocab.size + 4)
+        assert (batch.rows, batch.dims) == (1, vocab.size + 4) and not batch.values.any()
+        assert task2_of([], [], vocab, self.LEX).to_dense().shape == (0, vocab.size + 4)
 
     def test_sparse_rows_count_their_nonzeros(self):
         vocab = fit_vocabulary([["good", "day"], ["bad", "day"]])  # "day" is in both: its IDF is 0
         batch = task2_of([tokenize("good day zebra"), [], tokenize("bad bad")], [True, False, False], vocab, self.LEX)
         assert batch.dims == vocab.size + 4
         # good's weight, positive 1, neutral 2 and the flag; nothing; bad's weight and negative 2
-        assert np.count_nonzero(batch.values) == len(batch.rows.values) == 6
-        assert batch.rows.indptr.tolist() == [0, 4, 4, 6]
+        assert np.count_nonzero(batch.to_dense()) == len(batch.values) == 6
+        assert batch.indptr.tolist() == [0, 4, 4, 6]
 
     # words of the vocabulary, one of them ("day") in every sentence it is fitted on,
     # and words outside it
@@ -478,13 +474,14 @@ class TestTask2Vector:
         table = WordTable.of([["zebra", "sun"], *sentences, ["bad"]])
         for given, texts in ((WordTable.of(sentences), range(len(rows))), (table, range(1, len(rows) + 1))):
             batch = task2_features(given, texts, flags, vocab, self.LEX)
-            assert batch.values.shape == (len(rows), vocab.size + 4)
-            assert batch.values.tobytes() == expected.tobytes()
-            assert np.all(batch.rows.values != 0.0) and len(batch.rows.values) == np.count_nonzero(expected)
+            dense = batch.to_dense()
+            assert dense.shape == (len(rows), vocab.size + 4)
+            assert dense.tobytes() == expected.tobytes()
+            assert np.all(batch.values != 0.0) and len(batch.values) == np.count_nonzero(expected)
             # each row's columns strictly increase, as those of the dense matrix's nonzero entries
-            reference = SparseRows.from_dense(batch.values)
+            reference = SparseRows.from_dense(dense)
             for name in ("indptr", "indices", "values"):
-                a, b = getattr(batch.rows, name), getattr(reference, name)
+                a, b = getattr(batch, name), getattr(reference, name)
                 assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
     # a batch of sentences, and text ids of it (a subset, reordered, repeated or none), each with a flag
@@ -507,14 +504,14 @@ class TestTask2Vector:
         got = task2_features(WordTable.of(sentences), texts, flags, vocab, self.LEX)
         alone = task2_of([sentences[t] for t in texts], flags, vocab, self.LEX)
         for name in ("indptr", "indices", "values"):
-            a, b = getattr(got.rows, name), getattr(alone.rows, name)
+            a, b = getattr(got, name), getattr(alone, name)
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
         expected = [task2_tokens_reference(sentences[t], flag, vocab, self.LEX) for t, flag in asked]
-        assert got.values.tobytes() == np.array(expected).reshape(len(asked), vocab.size + 4).tobytes()
+        assert got.to_dense().tobytes() == np.array(expected).reshape(len(asked), vocab.size + 4).tobytes()
 
     def test_relevance_flag(self):
         vocab = fit_vocabulary([["good"]])
-        assert list(task2_of([["x"], ["x"]], [True, False], vocab, self.LEX).values[:, -1]) == [1.0, 0.0]
+        assert list(task2_of([["x"], ["x"]], [True, False], vocab, self.LEX).to_dense()[:, -1]) == [1.0, 0.0]
 
     def test_unfitted_vocab(self):
         with pytest.raises(VocabNotFitted):
@@ -528,7 +525,7 @@ class TestTask2Vector:
     def test_counts_partition_tokens(self, words):
         vocab = fit_vocabulary([["good", "bad", "day"]])
         sentence = " ".join(words)
-        row = task2_of([tokenize(sentence)], [True], vocab, self.LEX).values[0]
+        row = task2_of([tokenize(sentence)], [True], vocab, self.LEX).to_dense()[0]
         assert row[-4] + row[-3] + row[-2] == len(words)
 
     def test_dimension_constant_across_sentences(self, synthetic_records, synthetic_lexicons):
@@ -537,13 +534,13 @@ class TestTask2Vector:
         batch = task2_of(
             [tokenize(r.sentence_text) for r in records], [True] * len(records), vocab, synthetic_lexicons.sentiment
         )
-        assert batch.values.shape == (20, vocab.size + 4)
+        assert batch.to_dense().shape == (20, vocab.size + 4)
 
 
 def _task2_rows(rows):
     """The ``SparseRows`` that ``task2_features`` builds of (tokens, flag) rows."""
     vocab = fit_vocabulary([["good", "day", "sun"], ["bad", "day"], ["day"]])
-    return task2_of([tokens for tokens, _ in rows], [flag for _, flag in rows], vocab, TestTask2Vector.LEX).rows
+    return task2_of([tokens for tokens, _ in rows], [flag for _, flag in rows], vocab, TestTask2Vector.LEX)
 
 
 class TestSparseRows:
@@ -631,7 +628,7 @@ class TestAnalysedPathEqualsStringOracles:
         lex = synthetic_lexicons
         vocabularies = {}
         batch = pipeline.task1_rows(records, {}, lex, fitted=vocabularies)
-        got = batch.values
+        got = batch.to_dense()
         expected = np.array([
             task1_features_reference(
                 r.query_text, r.sentence_text, vocabularies[r.query_id], lex.gloss, lex.nouns
@@ -645,7 +642,7 @@ class TestAnalysedPathEqualsStringOracles:
         vocab = fit_vocabulary([tokenize(r.sentence_text) for r in records])
         sentiment = synthetic_lexicons.sentiment
         flags = [i % 2 == 0 for i in range(len(records))]
-        got = task2_of([tokenize(r.sentence_text) for r in records], flags, vocab, sentiment).values
+        got = task2_of([tokenize(r.sentence_text) for r in records], flags, vocab, sentiment).to_dense()
         expected = [task2_features_reference(r.sentence_text, flag, vocab, sentiment) for r, flag in zip(records, flags)]
         assert np.array_equal(got, np.array(expected))
 
@@ -675,7 +672,7 @@ class TestCountPathEqualsStringOracles:
         vocabs = [fit_vocabulary([tokenize(t) for t in corpus]) for corpus in (corpus_a, corpus_b)]
         tokens = {q: tokenize(q) for q in queries}  # one token list per query, fresh ones per sentence
         keys = [(q, s, v) for v in vocabs for q in queries for s in sentences]
-        got = task1_of([(tokens[q], tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).values
+        got = task1_of([(tokens[q], tokenize(s), v) for q, s, v in keys], self.GLOSS, self.NOUNS).to_dense()
         expected = [task1_features_reference(q, s, v, self.GLOSS, self.NOUNS) for q, s, v in keys]
         assert np.array_equal(got, np.array(expected).reshape(len(keys), 5))
 
@@ -686,7 +683,7 @@ class TestCountPathEqualsStringOracles:
         flags = [i % 3 == 0 for i in range(len(sentences))]
         for corpus in (corpus_a, corpus_b):
             vocab = fit_vocabulary([tokenize(t) for t in corpus])
-            got = task2_of([tokenize(s) for s in sentences], flags, vocab, self.SENTIMENT).values
+            got = task2_of([tokenize(s) for s in sentences], flags, vocab, self.SENTIMENT).to_dense()
             expected = [task2_features_reference(s, f, vocab, self.SENTIMENT) for s, f in zip(sentences, flags)]
             assert np.array_equal(got, np.array(expected).reshape(len(sentences), vocab.size + 4))
 
@@ -723,7 +720,7 @@ class TestBatchPathEqualsStringOracles:
         vocabularies = {**self.MODEL, **fitted}
         expected = [task1_features_reference(r.query_text, r.sentence_text, vocabularies[r.query_id],
                                              self.GLOSS, self.NOUNS) for r in records]
-        assert np.array_equal(batch.values, np.array(expected).reshape(len(records), 5))
+        assert np.array_equal(batch.to_dense(), np.array(expected).reshape(len(records), 5))
 
     def test_predict_task2_chunks_equal_one_batch(self, synthetic_lexicons, monkeypatch):
         """``predict_task2`` asks the model once, with the rows of all 300 records (the
@@ -732,13 +729,13 @@ class TestBatchPathEqualsStringOracles:
         relevance = [r.relevance for r in records]
         trained = pipeline.train_task2(records[:100], relevance[:100], synthetic_lexicons, pipeline.PipelineConfig())
         calls = []
-        monkeypatch.setattr(pipeline, "predict_batch", lambda model, batch: calls.append(batch.values) or
+        monkeypatch.setattr(pipeline, "predict_batch", lambda model, batch: calls.append(batch.to_dense()) or
                             predict_batch(model, batch))
         pipeline.predict_task2(trained, records, relevance)
         whole = task2_of([tokenize(r.sentence_text) for r in records], [flag == "relevant" for flag in relevance],
                          trained.task2.vocabulary, synthetic_lexicons.sentiment)
         assert len(calls) == 1
-        assert np.array_equal(calls[0], whole.values)
+        assert np.array_equal(calls[0], whole.to_dense())
 
 
 class TestPerBatchMemos:
@@ -787,14 +784,14 @@ class TestPerBatchMemos:
         table = WordTable.of([tokenize(s) for _, s, _ in keys])
         types, index = list(table.types), dict(table.index)
         assert not {"of", "the"} & set(types)  # query words that no sentence holds
-        expected = task1_features([(shared[q], v) for q, _, v in keys], table, self.GLOSS, self.NOUNS).values
+        expected = task1_features([(shared[q], v) for q, _, v in keys], table, self.GLOSS, self.NOUNS).to_dense()
         tables = []
         of = features.WordTable.of
         monkeypatch.setattr(features.WordTable, "of", lambda texts: tables.append(texts) or of(texts))
-        got = task1_features([(tokenize(q), v) for q, _, v in keys], table, self.GLOSS, self.NOUNS).values
+        got = task1_features([(tokenize(q), v) for q, _, v in keys], table, self.GLOSS, self.NOUNS).to_dense()
         assert np.array_equal(got, expected)
         assert np.array_equal(got, task1_of([(shared[q], tokenize(s), v) for q, s, v in keys], self.GLOSS,
-                                            self.NOUNS).values)
+                                            self.NOUNS).to_dense())
         assert len(tables) == 1  # task1_of's own table
         assert (table.types, table.index) == (types, index)
 
@@ -809,8 +806,8 @@ class TestPerBatchMemos:
         first = task2_of(sentences, [True] * 4, vocab, sentiment)
         second = task2_of(sentences, [True] * 4, vocab, sentiment)
         assert len(calls) == len(self.SENTIMENT.entries)  # and never per call
-        assert np.array_equal(first.values, second.values)
-        assert first.values[:, -4:-1].tolist() == [[2, 1, 0], [1, 1, 1], [0, 0, 0], [0, 1, 2]]
+        assert np.array_equal(first.to_dense(), second.to_dense())
+        assert first.to_dense()[:, -4:-1].tolist() == [[2, 1, 0], [1, 1, 1], [0, 0, 0], [0, 1, 2]]
 
     # lexicon lines: terms that repeat (one line per sense) and differ in case, scores that tie
     lines = st.lists(st.tuples(st.sampled_from(["good", "Good", "bad", "meh", "sun", "SUN", "risk"]),
@@ -829,6 +826,6 @@ class TestPerBatchMemos:
         assert sentiment._place == columns
         words = [*sentiment.entries, "zebra", *(term.upper() for term in sentiment.entries), "Zebra"]
         tails = task2_of([[w] for w in words], [False] * len(words), fit_vocabulary([["zebra"]]),
-                         sentiment).values[:, -4:-1]
+                         sentiment).to_dense()[:, -4:-1]
         expected = [TASK2_TAIL_NAMES.index(f"{polarity_reference(sentiment, w).value}_count") for w in words]
         assert tails.tolist() == [[float(j == column) for j in range(3)] for column in expected]

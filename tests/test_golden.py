@@ -23,7 +23,9 @@ What is compared:
 
 A change that moves an output on purpose rewrites the record with
 ``PYTHONPATH=src python tests/test_golden.py``, and lists every entry that
-changed, and why, in CHANGES.md.
+changed, and why, in CHANGES.md. The writer keeps each recorded entry that
+its test still accepts, so BLAS noise within the tolerances moves nothing,
+and prints the keys it replaced.
 """
 
 from __future__ import annotations
@@ -142,6 +144,18 @@ def _close(expected, actual, where: str = "") -> list[str]:
     return []
 
 
+def _refusals(key: str, expected, actual) -> list[str]:
+    """Why the test of ``key`` refuses the output ``actual`` against the record
+    ``expected``, empty if it accepts it: decision values must keep their shape
+    and lie within 1e-9 absolute, everything else passes ``_close``."""
+    if "/decision_values." not in key:
+        return _close(expected, actual, key)
+    if len(actual) != len(expected) or any(len(a) != len(e) for a, e in zip(actual, expected)):
+        return [f"{key}: the shape changed"]
+    worst = max(abs(a - e) for a_row, e_row in zip(actual, expected) for a, e in zip(a_row, e_row))
+    return [] if worst <= 1e-9 else [f"{key}: a decision value moved by {worst:.3g}"]
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -163,17 +177,14 @@ def test_file_digests(outputs, golden):
 def test_model_documents(outputs, golden, file):
     name, got = outputs
     key = f"{name}/{file}"
-    assert _close(golden[key], got[key], key) == []
+    assert _refusals(key, golden[key], got[key]) == []
 
 
 @pytest.mark.parametrize("task", ("task1", "task2"))
 def test_decision_values(outputs, golden, task):
     name, got = outputs
     key = f"{name}/decision_values.{task}"
-    expected, actual = golden[key], got[key]
-    assert len(actual) == len(expected) and all(len(a) == len(e) for a, e in zip(actual, expected))
-    worst = max(abs(a - e) for a_row, e_row in zip(actual, expected) for a, e in zip(a_row, e_row))
-    assert worst <= 1e-9, f"{key}: a decision value moved by {worst:.3g}"
+    assert _refusals(key, golden[key], got[key]) == []
 
 
 def test_task2_file_round_trip(tmp_path, monkeypatch):
@@ -196,13 +207,20 @@ def test_task2_file_round_trip(tmp_path, monkeypatch):
     assert decision_values(loaded.task2_model, batch).tobytes() == expected.tobytes()
 
 def write_golden() -> None:
-    """Record every corpus's outputs, one entry per line."""
+    """Record every corpus's outputs, one entry per line. An entry whose test
+    accepts the output keeps its recorded value; the keys replaced are printed."""
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     record = {}
     with tempfile.TemporaryDirectory() as root:
         for name in CORPORA:
             directory = Path(root) / name
             directory.mkdir()
             record.update(run_corpus(name, directory))
+    for key, value in record.items():
+        if key in old and not _refusals(key, old[key], value):
+            record[key] = old[key]
+        else:
+            print(f"replaced {key}")
     lines = [f"{json.dumps(key)}: {json.dumps(record[key], sort_keys=True)}" for key in sorted(record)]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 

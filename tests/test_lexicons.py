@@ -21,7 +21,7 @@ MELANOMA_GLOSS = (
 
 def polarity(lexicon: SentimentLexicon, word: str) -> Polarity:
     """The polarity whose count a one-word task-2 row raises, read from the row's tail columns."""
-    counts = task2_features(WordTable.of([[word]]), [0], [False], fit_vocabulary([[word]]), lexicon).values[0, -4:-1]
+    counts = task2_features(WordTable.of([[word]]), [0], [False], fit_vocabulary([[word]]), lexicon).to_dense()[0, -4:-1]
     assert sorted(counts.tolist()) == [0.0, 0.0, 1.0]
     return Polarity(TASK2_TAIL_NAMES[int(counts.argmax())].removesuffix("_count"))
 

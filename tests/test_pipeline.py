@@ -154,13 +154,13 @@ class TestTask2:
         records = make_records(seed=3, per_query=60)
         model = trained.task2_model
         batch = task2_rows(records, [r.relevance for r in records], trained.task2.vocabulary, trained.lexicons)
-        assert not batch.values[:128].any(axis=0).all()  # the first rows leave columns unstored
+        assert not batch.to_dense()[:128].any(axis=0).all()  # the first rows leave columns unstored
         pool = model.pool
-        full = _gram(model.kernel, batch.values, pool.to_dense())
+        full = _gram(model.kernel, batch.to_dense(), pool.to_dense())
         expected = np.column_stack([full[:, m.sv_index] @ m.dual_coefs + m.bias for m in model.machines])
         values, labels = decision_values(model, batch), predict_batch(model, batch)
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-9)
-        for row, row_values in zip(batch.values, values):
+        for row, row_values in zip(batch.to_dense(), values):
             single = [decision_value(m, row, model.kernel) for m in model.machines]
             np.testing.assert_allclose(single, row_values, rtol=0, atol=1e-9)
         monkeypatch.setattr(svm_module, "decision_values", lambda model, x: expected)
@@ -288,7 +288,7 @@ class TestPredictChain:
     @staticmethod
     def _recorded(calls):
         def recorded(model, batch):
-            calls.append((model, batch.values))
+            calls.append((model, batch.to_dense()))
             return predict_batch(model, batch)
         return recorded
 
@@ -402,9 +402,9 @@ class TestBatchAnalysis:
             assert predict_task1(pipeline, []) == []
             assert predict_task2(pipeline, [], []) == []
             assert predict_chain(pipeline, []) == ([], [])
-        assert pipeline_module.task1_rows([], trained.task1.vocabularies, trained.lexicons).values.shape == (0, 5)
+        assert pipeline_module.task1_rows([], trained.task1.vocabularies, trained.lexicons).to_dense().shape == (0, 5)
         vocabulary = trained.task2.vocabulary
-        assert task2_rows([], [], vocabulary, trained.lexicons).values.shape == (0, vocabulary.size + 4)
+        assert task2_rows([], [], vocabulary, trained.lexicons).to_dense().shape == (0, vocabulary.size + 4)
 
     def test_asking_the_model_nothing_analyses_nothing(self, trained_two_class, monkeypatch):
         before, calls = pipeline_module._last_analysis, []
@@ -592,7 +592,7 @@ class TestPersistence:
         save_task_model(trained, 1, tmp_path / "m1.json")
         loaded = load_task_model(tmp_path / "m1.json", lexicons)
         doc = json.loads((tmp_path / "m1.json").read_text())["svm"]
-        assert sorted(doc) == ["biases", "dims", "kernel", "labels", "schema_id", "weights"]
+        assert sorted(doc) == ["biases", "dims", "kernel", "labels", "weights"]
         assert np.shape(doc["weights"]) == (1, 35)
         for pipeline in (trained, loaded):
             assert isinstance(pipeline.task1.svm, WeightsModel)

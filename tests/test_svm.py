@@ -15,7 +15,7 @@ from querystance.errors import (
     SingleClassInput,
 )
 from querystance import svm as svm_module
-from querystance.features import FeatureBatch, SparseRows
+from querystance.features import SparseRows
 from querystance.pipeline import PipelineConfig, train_task2
 from querystance.svm import (
     KERNEL_KINDS,
@@ -391,13 +391,9 @@ class TestMulticlass:
 
     def test_schema_mismatch_rejected(self):
         cfg = SvmConfig(c=10.0, kernel=KernelConfig("linear"))
-        batch = FeatureBatch(SparseRows.from_dense(np.array([[0.0], [1.0]])), "task1-v1")
-        model = train_multiclass(batch, ["no", "yes"], cfg)
-        assert model.schema_id == "task1-v1"
-        with pytest.raises(DimensionMismatch, match="schema"):
-            predict_batch(model, FeatureBatch(SparseRows.from_dense(np.array([[1.0]])), "task2-v1"))
+        model = train_multiclass(SparseRows.from_dense(np.array([[0.0], [1.0]])), ["no", "yes"], cfg)
         with pytest.raises(DimensionMismatch, match="expects 1 dims"):
-            predict_batch(model, FeatureBatch(SparseRows.from_dense(np.array([[1.0, 2.0]])), "task1-v1"))
+            predict_batch(model, SparseRows.from_dense(np.array([[1.0, 2.0]])))
         with pytest.raises(DimensionMismatch, match="expects 1 dims"):
             predict_batch(model, np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
@@ -470,10 +466,10 @@ def test_sparse_rows_give_the_dense_decision_values(seed, kind, n_rows, n_pool):
     pool, _ = SupportVectorPool.of(sparse(n_pool, 0.3))
     model = _three_label_model(rng, pool, KERNELS[kind])
     rows = sparse(n_rows, 0.3) * ~unused
-    batch = FeatureBatch(SparseRows.from_dense(rows), "task2-v1")
-    assert batch.values.tobytes() == rows.tobytes()
+    batch = SparseRows.from_dense(rows)
+    assert batch.to_dense().tobytes() == rows.tobytes()
     got = decision_values(model, batch)
-    assert got.tobytes() == decision_values(model, batch.values).tobytes()
+    assert got.tobytes() == decision_values(model, batch.to_dense()).tobytes()
     reference = decision_values_reference(model, rows, PREDICT_CHUNK_ROWS)
     assert np.all(np.abs(got - reference) <= decision_tolerance(model, rows))
 
@@ -595,7 +591,7 @@ def test_split_kernel_matches_the_dense_reference(seed, kernel, n_pool, n_rows):
     """Over a pool whose columns are stored by none, one, just under, exactly and just
     over PREDICT_DENSE_SHARE of its rows, or all of them, and rows that store only
     block columns, only list columns, both or nothing: the columns at the share are
-    the block's; a FeatureBatch and its dense matrix give the same bits; the values
+    the block's; SparseRows and their dense matrix give the same bits; the values
     lie within ``decision_tolerance`` of the dense reference; the labels are the
     loop oracle's wherever no value lies within that bound of 0; and the same rows
     with two entries of a row swapped out of column order are refused when they
@@ -616,7 +612,7 @@ def test_split_kernel_matches_the_dense_reference(seed, kernel, n_pool, n_rows):
     kinds = rng.integers(0, 4, n_rows)  # block columns, list columns, both, nothing
     may_store = np.array([block, ~block, np.ones(dims, bool), np.zeros(dims, bool)])[kinds]
     rows = np.where(may_store & (rng.random((n_rows, dims)) < 0.5), rng.normal(size=(n_rows, dims)), 0.0)
-    batch = FeatureBatch(SparseRows.from_dense(rows), "task2-v1")
+    batch = SparseRows.from_dense(rows)
     got = decision_values(model, batch)
     assert got.shape == (n_rows, 3)
     assert got.tobytes() == decision_values(model, rows).tobytes()
@@ -627,13 +623,13 @@ def test_split_kernel_matches_the_dense_reference(seed, kernel, n_pool, n_rows):
     for row, label, clear in zip(rows, labels, np.all(np.abs(got) > tolerance, axis=1)):
         if clear:
             assert label == ovo_reference(model, row)[0]
-    stored = np.diff(batch.rows.indptr)
+    stored = np.diff(batch.indptr)
     if (stored >= 2).any():
-        first = batch.rows.indptr[np.argmax(stored >= 2)]  # the first entry of the first row of two or more
-        order = np.arange(len(batch.rows.indices))
+        first = batch.indptr[np.argmax(stored >= 2)]  # the first entry of the first row of two or more
+        order = np.arange(len(batch.indices))
         order[[first, first + 1]] = first + 1, first
         with pytest.raises(FieldError, match="^indices: columns must strictly increase within a row$"):
-            replace(batch.rows, indices=batch.rows.indices[order], values=batch.rows.values[order])
+            replace(batch, indices=batch.indices[order], values=batch.values[order])
 
 
 @pytest.mark.parametrize("n_pool, n_listed, most", [(40, 600, 4), (16, 2500, 1)])
@@ -904,7 +900,7 @@ _ROW_ENTRY_POINTS = {
 _BATCH_FORMS = {
     "list": lambda rows: rows.tolist(),
     "array": lambda rows: rows,
-    "FeatureBatch": lambda rows: FeatureBatch(SparseRows.from_dense(rows), "task1-v1"),
+    "FeatureBatch": SparseRows.from_dense,  # a batch as the feature functions build it
 }
 
 
@@ -915,8 +911,8 @@ class TestIntake:
 
     @pytest.fixture(scope="class")
     def model(self):
-        batch = FeatureBatch(SparseRows.from_dense(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])), "task1-v1")
-        return train_multiclass(batch, ["a", "b", "c"], _INTAKE_CFG)
+        rows = SparseRows.from_dense(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
+        return train_multiclass(rows, ["a", "b", "c"], _INTAKE_CFG)
 
     @pytest.fixture
     def no_kernel(self, model, monkeypatch):  # takes model so that it is trained before the patch
