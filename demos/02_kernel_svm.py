@@ -10,7 +10,6 @@ from querystance import (
     KernelConfig,
     SvmConfig,
     decision_value,
-    dual_objective,
     predict_batch,
     train_binary,
     train_multiclass,
@@ -23,7 +22,9 @@ model = train_binary([[-1.0], [1.0]], [-1, 1], cfg)
 print(f"  alphas*y = {model.dual_coefs}, bias = {model.bias:.6f}")
 print(f"  decision(+1) = {decision_value(model, [1.0], cfg.kernel):+.6f}")
 print(f"  decision(-1) = {decision_value(model, [-1.0], cfg.kernel):+.6f}")
-print(f"  dual objective = {dual_objective(model, cfg.kernel):.6f} (analytic: 0.5)")
+# the dual, sum(alpha) - 1/2 coef' K coef over the support vectors, K linear
+sv, coef = model.support_vectors, model.dual_coefs
+print(f"  dual objective = {np.abs(coef).sum() - 0.5 * coef @ (sv @ sv.T) @ coef:.6f} (analytic: 0.5)")
 
 # --- 2. XOR: linearly inseparable, trivial for an RBF kernel
 print("\nXOR with an RBF kernel")

@@ -58,7 +58,6 @@ from .svm import (
     WeightsModel,
     decision_value,
     decision_values,
-    dual_objective,
     predict,
     predict_batch,
     train_binary,

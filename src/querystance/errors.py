@@ -100,7 +100,7 @@ class SingleClassInput(QueryStanceError):
 
 class NonFinite(QueryStanceError):
     """Rows given to the SVM, to train on or to predict, contain NaN or infinity,
-    or a kernel overflows on the training rows."""
+    or a kernel overflows on them."""
 
 
 class CorruptModel(QueryStanceError):

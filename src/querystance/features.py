@@ -124,6 +124,13 @@ class SparseRows:
         """The row of each stored entry."""
         return np.arange(self.rows).repeat(self.indptr[1:] - self.indptr[:-1])
 
+    def take(self, rows: IndexArray) -> SparseRows:
+        """The rows of the indices ``rows``, in that order, each with its entries as stored."""
+        starts, sizes = self.indptr[rows], self.indptr[rows + 1] - self.indptr[rows]
+        indptr = np.concatenate(([0], sizes.cumsum()))
+        entries = np.arange(indptr[-1]) + (starts - indptr[:-1]).repeat(sizes)
+        return SparseRows(self.dims, indptr, self.indices[entries], self.values[entries])
+
     def to_dense(self) -> np.ndarray:
         """The (rows, dims) float64 matrix of the rows."""
         matrix = np.zeros((self.rows, self.dims))

@@ -9,6 +9,7 @@ time, so the two stages chain.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -256,36 +257,23 @@ def _join(pipeline: TrainedPipeline | None, model: TaskModel, lexicons: LexiconS
     return pipeline
 
 
-def _all_texts(records: Sequence[SentenceRecord]) -> Iterable[str]:
-    return (text for r in records for text in (r.query_text, r.sentence_text))
-
-
-# the last batch analysed: its texts in order, each distinct text's tokens and its sentences' word table
-_last_analysis: tuple[tuple[str, ...], dict[str, list[str]], WordTable] = ((), {}, WordTable.of([]))
-
-
 def _analysis(records: Sequence[SentenceRecord]) -> tuple[dict[str, list[str]], WordTable]:
     """Each distinct text of ``records`` -> its tokens, and the word table of the
-    records' sentences, text i being record i's sentence.
+    records' sentences, text i being record i's sentence (``_analysed``)."""
+    return _analysed(tuple(text for r in records for text in (r.query_text, r.sentence_text)))
 
-    Only the last batch's analysis is kept, keyed by its query and sentence
-    texts in order, so tasks called one after the other on a batch tokenize
-    each distinct text once, all in one ``tokenize_batch`` call, and count
-    its sentences once. It holds tokens and the table only, never features
-    or labels, so it gives what a fresh analysis gives whatever pipeline or
-    lexicons read it. The entry is one
-    tuple, read whole and replaced by one assignment, and nothing changes
-    its tokens or table, so threads that share it each read a whole entry
-    of their own batch's texts or analyse afresh.
-    """
-    global _last_analysis
-    key = tuple(_all_texts(records))
-    last = _last_analysis
-    if last[0] != key:
-        distinct = list(dict.fromkeys(key))
-        tokens = dict(zip(distinct, tokenize_batch(distinct)))
-        last = _last_analysis = key, tokens, WordTable.of([tokens[r.sentence_text] for r in records])
-    return last[1], last[2]
+
+@functools.lru_cache(maxsize=1)
+def _analysed(texts: tuple[str, ...]) -> tuple[dict[str, list[str]], WordTable]:
+    """The analysis of a batch whose records' query and sentence texts are
+    ``texts``, in order. Only the last batch's analysis is kept, so tasks
+    called one after the other on a batch tokenize each distinct text once,
+    all in one ``tokenize_batch`` call, and count its sentences once. It
+    holds tokens and the table only, never features or labels, so it gives
+    what a fresh analysis gives whatever pipeline or lexicons read it."""
+    distinct = list(dict.fromkeys(texts))
+    tokens = dict(zip(distinct, tokenize_batch(distinct)))
+    return tokens, WordTable.of([tokens[text] for text in texts[1::2]])
 
 
 def _model(pipeline: TrainedPipeline, task: int) -> TaskModel:

@@ -19,9 +19,10 @@ the pool rows of its support vectors, so prediction computes one kernel
 matrix against the pool for a batch of rows and every machine reads its
 columns. Every row enters through one intake as ``SparseRows`` (CSR rows
 of nonzero values, LIBSVM's sparse rows): SparseRows as they are built,
-an array-like as its nonzero entries. Training turns them into a dense
-matrix once. Prediction reads them in chunks and splits the dot products
-of K(chunk, pool) by the pool's columns, a split made once per pool. A
+an array-like as its nonzero entries. Training and prediction read them
+through one kernel, in chunks: prediction K(chunk, pool), and training each
+machine's Gram with its own rows as the pool. The dot products of
+K(chunk, pool) are split by the pool's columns, a split made once per pool. A
 column that at least PREDICT_DENSE_SHARE of the pool's rows store is
 read through one BLAS product with a small dense block of the pool over
 those columns; every other column through its list of pool rows and
@@ -64,14 +65,15 @@ from .features import IndexArray, SparseRows
 
 KERNEL_KINDS = ("linear", "poly", "rbf")
 
-# rows per kernel product at prediction: bounds the kernel matrix (and its
-# temporaries) held at once
+# rows per kernel product, at prediction and in a training Gram: bounds the
+# kernel matrix (and its temporaries) held at once
 PREDICT_CHUNK_ROWS = 128
 
-# share of a pool's rows that must store a column for prediction to read it
-# through the pool's dense block and BLAS rather than through the column's list;
-# on task-2 batches of 260 to 1,542 rows, 1/8 to 1/32 ran within 8 % of each
-# other, 1/4 slower, lists alone or a block of every column far slower (README)
+# share of a pool's rows (in a training Gram, of its rows) that must store a
+# column for the kernel to read it through the pool's dense block and BLAS
+# rather than through the column's list; on task-2 batches of 260 to 1,542
+# rows, 1/8 to 1/32 ran within 8 % of each other, 1/4 slower, lists alone or a
+# block of every column far slower (README)
 PREDICT_DENSE_SHARE = 1 / 8
 
 # bytes of the rows one SMO solve keeps beside the Gram (the curvature rows of
@@ -138,18 +140,17 @@ class SupportVectorPool(SparseRows):
             raise FieldError("values", "must be finite")
 
     @classmethod
-    def of(cls, rows: np.ndarray) -> tuple[SupportVectorPool, np.ndarray]:
+    def of(cls, rows: SparseRows) -> tuple[SupportVectorPool, np.ndarray]:
         """The pool of the distinct ``rows``, in order of first appearance,
-        and the pool row of each of them."""
-        sparse = SparseRows.from_dense(rows)
-        # equal rows have equal columns and values, so equal bytes (-0.0 is not stored)
+        and the pool row of each of them. Rows are equal when they store the
+        same columns and values: equal bytes."""
         first: dict[bytes, int] = {}
         index = np.array([
-            first.setdefault(sparse.indices[a:b].tobytes() + sparse.values[a:b].tobytes(), len(first))
-            for a, b in zip(sparse.indptr[:-1], sparse.indptr[1:])
+            first.setdefault(rows.indices[a:b].tobytes() + rows.values[a:b].tobytes(), len(first))
+            for a, b in zip(rows.indptr[:-1], rows.indptr[1:])
         ], dtype=np.int64)
-        kept = np.unique(index, return_index=True)[1]  # first copy of each, in row order
-        return cls.from_dense(rows[kept]), index
+        kept = rows.take(np.unique(index, return_index=True)[1])  # first copy of each, in row order
+        return cls(kept.dims, kept.indptr, kept.indices, kept.values), index
 
     @functools.cached_property
     def sq_norms(self) -> np.ndarray:
@@ -366,28 +367,6 @@ def weights_form(model: MulticlassModel) -> WeightsModel | None:
     return WeightsModel(model.labels, kernel, pool.dims, weights, biases)
 
 
-def _kernel(cfg: KernelConfig, dots: np.ndarray, a_sq: np.ndarray | None = None,
-            b_sq: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix from the dot products of a's rows with b's and, for RBF, the
-    squared norms of those rows."""
-    if cfg.kind == "linear":
-        return dots
-    if cfg.kind == "poly":
-        return (cfg.gamma * dots + cfg.coef0) ** cfg.degree
-    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * dots
-    with np.errstate(over="ignore"):  # an exponent beyond the float range is -inf, whose exp is exactly 0
-        exponent = -cfg.gamma * np.maximum(sq, 0.0)
-    return np.exp(exponent)
-
-
-def _gram(cfg: KernelConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(a[i], b[j]) of dense rows."""
-    if cfg.kind != "rbf":
-        return _kernel(cfg, a @ b.T)
-    b_sq = np.sum(b * b, axis=1)
-    return _kernel(cfg, a @ b.T, b_sq if a is b else np.sum(a * a, axis=1), b_sq)
-
-
 def _smo(gram: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> tuple[np.ndarray, float, float, int]:
     """Minimise 1/2 a'Qa - e'a, Q = yy'K, over 0 <= a <= C and y'a = 0.
 
@@ -505,25 +484,42 @@ def _rows(x, dims: int | None = None) -> SparseRows:
     return rows
 
 
-def _fit(
-    matrix: np.ndarray, labels: np.ndarray, cfg: SvmConfig, pair: tuple[str, str]
-) -> tuple[IndexArray, np.ndarray, float]:
-    """Solve one machine on the rows of ``matrix`` and their +/-1 ``labels``:
+def _finite(values: np.ndarray, k: KernelConfig, rows: str) -> np.ndarray:
+    """``values``, computed with overflow ignored; NonFinite naming the kernel's
+    settings when one of them is not finite, the kernel having overflowed on ``rows``."""
+    if not np.isfinite(values).all():
+        raise NonFinite(f"the {k.kind} kernel (gamma {k.gamma:g}, degree {k.degree}, coef0 {k.coef0:g}) "
+                        f"overflows on {rows}")
+    return values
+
+
+def _training_matrix(cfg: KernelConfig, rows: SparseRows) -> np.ndarray:
+    """K(rows, rows), the Gram matrix SMO solves on, by the kernel prediction reads
+    (``_pool_kernel`` over ``_chunks``) with the rows as their own pool. The upper
+    triangle is copied onto the lower one, so the matrix is exactly symmetric."""
+    pool = SupportVectorPool(rows.dims, rows.indptr, rows.indices, rows.values)
+    gram = np.empty((rows.rows, rows.rows))
+    for start, stop in _chunks(rows, pool):
+        gram[start:stop] = _pool_kernel(cfg, rows, start, stop, pool)
+    for i in range(1, rows.rows):  # row by row: one np.copyto would copy the whole matrix first
+        gram[i, :i] = gram[:i, i]
+    return gram
+
+
+def _fit(rows: SparseRows, labels: np.ndarray, cfg: SvmConfig,
+         pair: tuple[str, str]) -> tuple[IndexArray, np.ndarray, float]:
+    """Solve one machine on ``rows`` and their +/-1 ``labels``:
     the rows of nonzero alpha, kept as support vectors, their alpha*y
     coefficients and the bias. The checks and the cap warning of ``train_binary``, naming ``pair`` (positive first);
     a kernel that overflows on the rows is NonFinite, naming its settings."""
-    if len(matrix) != len(labels):
-        raise DimensionMismatch(f"{len(matrix)} vectors but {len(labels)} labels")
+    if rows.rows != len(labels):
+        raise DimensionMismatch(f"{rows.rows} vectors but {len(labels)} labels")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("binary labels must be +1 or -1")
     if np.unique(labels).size < 2:
         raise SingleClassInput("training data holds a single class")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
-        gram = _gram(cfg.kernel, matrix, matrix)
-    if not np.isfinite(gram).all():
-        k = cfg.kernel
-        raise NonFinite(f"the {k.kind} kernel (gamma {k.gamma:g}, degree {k.degree}, coef0 {k.coef0:g}) "
-                        "overflows on the training rows")
+        gram = _finite(_training_matrix(cfg.kernel, rows), cfg.kernel, "the training rows")
     alpha, bias, gap, _ = _smo(gram, labels, cfg)
     if gap > cfg.tol:
         warnings.warn(
@@ -544,9 +540,9 @@ def train_binary(x, y: Sequence[int], cfg: SvmConfig) -> BinaryModel:
     as in LIBSVM. Warns (RuntimeWarning) when the iteration cap stops the
     solver before the KKT gap reaches cfg.tol.
     """
-    matrix = _rows(x).to_dense()
-    keep, coefs, bias = _fit(matrix, np.asarray(y, dtype=np.float64), cfg, ("+1", "-1"))
-    pool, index = SupportVectorPool.of(matrix[keep])
+    rows = _rows(x)
+    keep, coefs, bias = _fit(rows, np.asarray(y, dtype=np.float64), cfg, ("+1", "-1"))
+    pool, index = SupportVectorPool.of(rows.take(keep))
     return _bind(BinaryModel(index, coefs, bias), pool)
 
 
@@ -575,9 +571,14 @@ def _pool_kernel(cfg: KernelConfig, rows: SparseRows, start: int, stop: int, poo
         cells = (row * pool.rows).repeat(sizes) + split.list_rows[take]
         products = values.repeat(sizes) * split.list_values[take]
         dots += np.bincount(cells, products, minlength=n * pool.rows).reshape(n, pool.rows)
-    if cfg.kind != "rbf":
-        return _kernel(cfg, dots)
-    return _kernel(cfg, dots, np.bincount(row, values * values, minlength=n), pool.sq_norms)
+    if cfg.kind == "linear":
+        return dots
+    if cfg.kind == "poly":
+        return (cfg.gamma * dots + cfg.coef0) ** cfg.degree
+    sq = np.bincount(row, values * values, minlength=n)[:, None] + pool.sq_norms[None, :] - 2.0 * dots
+    with np.errstate(over="ignore"):  # an exponent beyond the float range is -inf, whose exp is exactly 0
+        exponent = -cfg.gamma * np.maximum(sq, 0.0)
+    return np.exp(exponent)
 
 
 def _chunks(rows: SparseRows, pool: SupportVectorPool) -> list[tuple[int, int]]:
@@ -603,20 +604,12 @@ def _machine_values(kernel: np.ndarray, machine: BinaryModel) -> np.ndarray:
 
 
 def decision_value(model: BinaryModel, x, cfg: KernelConfig) -> float:
-    """sum_i dual_coef_i * K(sv_i, x) + bias for one row ``x``."""
+    """sum_i dual_coef_i * K(sv_i, x) + bias for one row ``x``; NonFinite, naming
+    the kernel, when the kernel overflows on it."""
     pool = model._pool
-    kernel = _pool_kernel(cfg, _rows([x], pool.dims), 0, 1, pool)
-    return float(_machine_values(kernel, model)[0])
-
-
-def dual_objective(model: BinaryModel, cfg: KernelConfig) -> float:
-    """Value of the trained dual: sum(alpha) - 1/2 * coef' K coef.
-
-    Computed over the support vectors; every other alpha is 0.
-    """
-    coef = model.dual_coefs
-    gram = _gram(cfg, model.support_vectors, model.support_vectors)
-    return float(np.sum(np.abs(coef)) - 0.5 * coef @ gram @ coef)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        value = _machine_values(_pool_kernel(cfg, _rows([x], pool.dims), 0, 1, pool), model)
+    return float(_finite(value, cfg, "the row to predict")[0])
 
 
 def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
@@ -630,19 +623,19 @@ def train_multiclass(x, y: Sequence[str], cfg: SvmConfig) -> MulticlassModel:
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassInput(f"need at least 2 distinct labels, got {labels}")
-    matrix = _rows(x).to_dense()  # once, before the rows are split by pair
+    rows = _rows(x)  # once, before the rows are split by pair
     y = np.asarray(y, dtype=object)  # compared as Python values, not as fixed-width strings
-    if len(matrix) != len(y):
-        raise DimensionMismatch(f"{len(matrix)} vectors but {len(y)} labels")
-    # each machine's support vectors as indices into matrix; the pool copies them once
+    if rows.rows != len(y):
+        raise DimensionMismatch(f"{rows.rows} vectors but {len(y)} labels")
+    # each machine's support vectors as indices into rows; the pool copies them once
     solved, sv_rows = [], []
     for neg, pos in _pairs(labels):
         idx = np.flatnonzero((y == neg) | (y == pos))
-        keep, coefs, bias = _fit(matrix[idx], np.where(y[idx] == pos, 1.0, -1.0), cfg, (pos, neg))
+        keep, coefs, bias = _fit(rows.take(idx), np.where(y[idx] == pos, 1.0, -1.0), cfg, (pos, neg))
         sv_rows.append(idx[keep])
         solved.append((coefs, bias))
-    pool, index = SupportVectorPool.of(matrix[np.concatenate(sv_rows)])
-    ends = np.cumsum([len(rows) for rows in sv_rows])[:-1]
+    pool, index = SupportVectorPool.of(rows.take(np.concatenate(sv_rows)))
+    ends = np.cumsum([len(sv) for sv in sv_rows])[:-1]
     return MulticlassModel(
         labels=tuple(labels),
         machines=tuple(BinaryModel(i, *fit) for i, fit in zip(np.split(index, ends), solved)),
@@ -661,23 +654,26 @@ def decision_values(model: MulticlassModel | WeightsModel, x) -> np.ndarray:
     machines: machine k reads its columns, K[:, sv_index_k] @ dual_coefs_k +
     bias_k. K is computed from the stored entries of the chunk and of the pool
     (``_pool_kernel``), and no matrix of the chunk over the full width is made.
+    A kernel that overflows on the rows, so that a value is not finite, is
+    NonFinite, naming its settings, in either form.
     """
-    if isinstance(model, WeightsModel):
-        rows = _rows(x, model.dims)
-        factors = _monomials(model.kernel, model.dims)[0]
-        values = np.empty((rows.rows, len(model.biases)))
-        for start in range(0, rows.rows, PREDICT_CHUNK_ROWS):
-            stop = min(start + PREDICT_CHUNK_ROWS, rows.rows)
-            values[start:stop] = _mapped(rows, start, stop, factors) @ model.weights.T + model.biases
-        return values
-    pool = model.pool
-    rows = _rows(x, pool.dims)
-    values = np.empty((rows.rows, len(model.machines)))
-    for start, stop in _chunks(rows, pool):
-        kernel = _pool_kernel(model.kernel, rows, start, stop, pool)
-        for k, machine in enumerate(model.machines):
-            values[start:stop, k] = _machine_values(kernel, machine)
-    return values
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        if isinstance(model, WeightsModel):
+            rows = _rows(x, model.dims)
+            factors = _monomials(model.kernel, model.dims)[0]
+            values = np.empty((rows.rows, len(model.biases)))
+            for start in range(0, rows.rows, PREDICT_CHUNK_ROWS):
+                stop = min(start + PREDICT_CHUNK_ROWS, rows.rows)
+                values[start:stop] = _mapped(rows, start, stop, factors) @ model.weights.T + model.biases
+        else:
+            pool = model.pool
+            rows = _rows(x, pool.dims)
+            values = np.empty((rows.rows, len(model.machines)))
+            for start, stop in _chunks(rows, pool):
+                kernel = _pool_kernel(model.kernel, rows, start, stop, pool)
+                for k, machine in enumerate(model.machines):
+                    values[start:stop, k] = _machine_values(kernel, machine)
+    return _finite(values, model.kernel, "the rows to predict")
 
 
 def predict_batch(model: MulticlassModel | WeightsModel, x) -> list[str]:

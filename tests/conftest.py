@@ -31,11 +31,11 @@ def paper_corpus(tmp_path_factory):
 
 
 @pytest.fixture
-def fresh_analysis(monkeypatch):
+def fresh_analysis():
     """An empty batch-analysis memo, for a test that counts the text analysis its calls do."""
     from querystance import pipeline
 
-    monkeypatch.setattr(pipeline, "_last_analysis", ((), {}, pipeline.WordTable.of([])))
+    pipeline._analysed.cache_clear()
 
 
 @pytest.fixture(scope="session")

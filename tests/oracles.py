@@ -4,7 +4,8 @@ Each of these recomputes an expected value through a different route
 than the implementation under test: explicit pairing loops for the
 similarity features, exact active-set enumeration for the SVM dual, an
 SMO loop that recomputes its whole state every iteration, a one-pair
-kernel for the SVM's kernel matrices, the decision values of dense rows
+kernel and a dense Gram by the kernel formulas for the SVM's kernel
+matrices, the dual objective over that Gram, the decision values of dense rows
 computed chunk by chunk over a dense gather, a ``Counter`` per text for a
 batch's word table, and string-taking feature functions that re-tokenize
 their inputs for every feature. Each feature
@@ -213,6 +214,32 @@ def word_table_reference(texts) -> tuple[list[str], dict[str, int], np.ndarray, 
             np.fromiter(map(len, texts), np.intp, len(texts)), np.fromiter(map(len, counts), np.intp, len(counts)))
 
 
+def _kernel_formula(cfg, dots: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """The kernel matrix of rows a_i and b_j from their dot products and squared
+    norms: a.b, (gamma a.b + coef0)^degree, or exp(-gamma |a - b|^2) with
+    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b clamped at 0."""
+    if cfg.kind == "linear":
+        return dots
+    if cfg.kind == "poly":
+        return (cfg.gamma * dots + cfg.coef0) ** cfg.degree
+    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * dots
+    with np.errstate(over="ignore"):  # an exponent beyond the float range is -inf, whose exp is exactly 0
+        return np.exp(-cfg.gamma * np.maximum(sq, 0.0))
+
+
+def dense_gram(cfg, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The kernel matrix K[i, j] = k(a[i], b[j]) of dense rows, by the kernel
+    formulas over the matrix product a @ b.T."""
+    return _kernel_formula(cfg, a @ b.T, np.sum(a * a, axis=1), np.sum(b * b, axis=1))
+
+
+def dual_objective(model, cfg) -> float:
+    """Value of a trained machine's dual, sum(alpha) - 1/2 * coef' K coef, over
+    its support vectors (every other alpha is 0), K their ``dense_gram``."""
+    coef, sv = model.dual_coefs, model.support_vectors
+    return float(np.sum(np.abs(coef)) - 0.5 * coef @ dense_gram(cfg, sv, sv) @ coef)
+
+
 def _chunk_kernels(model, rows: np.ndarray, chunk_rows: int):
     """Each chunk of ``chunk_rows`` dense ``rows``, its start and its kernel matrix
     against the pool, computed over the columns in which some row of the chunk is
@@ -225,15 +252,7 @@ def _chunk_kernels(model, rows: np.ndarray, chunk_rows: int):
         chunk = rows[start:start + chunk_rows]
         used = np.flatnonzero(chunk.any(axis=0))
         a, b = chunk[:, used], dense[:, used]
-        dots = a @ b.T
-        if cfg.kind == "linear":
-            kernel = dots
-        elif cfg.kind == "poly":
-            kernel = (cfg.gamma * dots + cfg.coef0) ** cfg.degree
-        else:
-            sq = np.sum(a * a, axis=1)[:, None] + pool_sq[None, :] - 2.0 * dots
-            kernel = np.exp(-cfg.gamma * np.maximum(sq, 0.0))
-        yield start, kernel
+        yield start, _kernel_formula(cfg, a @ b.T, np.sum(a * a, axis=1), pool_sq)
 
 
 def decision_values_reference(model, rows: np.ndarray, chunk_rows: int) -> np.ndarray:

@@ -32,10 +32,10 @@ from querystance.pipeline import (
     train_task2,
 )
 from querystance.porter import porter_stem
-from querystance.svm import _gram, dual_objective, train_binary
+from querystance.svm import train_binary
 from querystance.textproc import tokenize
 
-from oracles import dice_bruteforce, noun_bruteforce, solve_dual_bruteforce
+from oracles import dense_gram as _gram, dice_bruteforce, dual_objective, noun_bruteforce, solve_dual_bruteforce
 from svm_fixtures import fixture_instances, kkt_satisfied
 from synth import lexicon_objects, make_census_records, make_records, write_dataset_csv, write_lexicon_files
 

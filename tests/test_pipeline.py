@@ -41,14 +41,13 @@ from querystance.svm import (
     MulticlassModel,
     SvmConfig,
     WeightsModel,
-    _gram,
     decision_value,
     decision_values,
     predict_batch,
 )
 from querystance.textproc import tokenize, tokenize_batch
 
-from oracles import ovo_reference, task2_features_reference
+from oracles import dense_gram, ovo_reference, task2_features_reference
 from synth import make_records
 
 TABLE1_ROW = [48.86363636, 89.65517241, 93.05555556, 71.875, 63.51351351]
@@ -156,7 +155,7 @@ class TestTask2:
         batch = task2_rows(records, [r.relevance for r in records], trained.task2.vocabulary, trained.lexicons)
         assert not batch.to_dense()[:128].any(axis=0).all()  # the first rows leave columns unstored
         pool = model.pool
-        full = _gram(model.kernel, batch.to_dense(), pool.to_dense())
+        full = dense_gram(model.kernel, batch.to_dense(), pool.to_dense())
         expected = np.column_stack([full[:, m.sv_index] @ m.dual_coefs + m.bias for m in model.machines])
         values, labels = decision_values(model, batch), predict_batch(model, batch)
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-9)
@@ -332,20 +331,19 @@ class TestBatchAnalysis:
 
     POOL = TestPredictChain.POOL
     SENTENCES = sorted({r.sentence_text for r in POOL})
-    NONE = ((), {}, features_module.WordTable.of([]))  # the entry of a memo that holds no batch
 
     @staticmethod
     def _two_calls(pipeline, records):
         relevance = predict_task1(pipeline, records)
         return relevance, predict_task2(pipeline, records, relevance)
 
-    @classmethod
-    def _fresh(cls, pipeline, records):
-        """The labels of the two calls, each analysing the batch afresh; the memo is left as it was."""
+    @staticmethod
+    def _fresh(pipeline, records):
+        """The labels of the two calls, each analysing the batch afresh through the
+        memo's own function, uncached; the memo is left as it was."""
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline_module, "_last_analysis", cls.NONE)
+            patch.setattr(pipeline_module, "_analysed", pipeline_module._analysed.__wrapped__)
             relevance = predict_task1(pipeline, records)
-            patch.setattr(pipeline_module, "_last_analysis", cls.NONE)
             return relevance, predict_task2(pipeline, records, relevance)
 
     def test_two_calls_analyse_the_batch_once(self, trained, monkeypatch, fresh_analysis):
@@ -407,11 +405,11 @@ class TestBatchAnalysis:
         assert task2_rows([], [], vocabulary, trained.lexicons).to_dense().shape == (0, vocabulary.size + 4)
 
     def test_asking_the_model_nothing_analyses_nothing(self, trained_two_class, monkeypatch):
-        before, calls = pipeline_module._last_analysis, []
+        before, calls = pipeline_module._analysed.cache_info(), []
         monkeypatch.setattr(pipeline_module, "tokenize_batch", lambda texts: calls.extend(texts) or tokenize_batch(texts))
         records = self.POOL[:10]
         assert predict_task2(trained_two_class, records, ["irrelevant"] * len(records)) == ["neutral"] * len(records)
-        assert not calls and pipeline_module._last_analysis is before
+        assert not calls and pipeline_module._analysed.cache_info() == before
 
 
 class TestEvaluate:

@@ -27,13 +27,12 @@ from querystance.svm import (
     SupportVectorPool,
     SvmConfig,
     WeightsModel,
-    _gram,
     _mapped,
     _monomials,
     _smo,
+    _training_matrix,
     decision_value,
     decision_values,
-    dual_objective,
     predict,
     predict_batch,
     train_binary,
@@ -44,6 +43,8 @@ from querystance.svm import (
 from oracles import (
     decision_tolerance,
     decision_values_reference,
+    dense_gram,
+    dual_objective,
     kernel_eval,
     ovo_reference,
     smo_reference,
@@ -60,9 +61,15 @@ def _load(path):
     return from_doc(MulticlassModel, read_json(path), path)
 
 
+def _kernel_matrix(cfg, a, b) -> np.ndarray:
+    """K(a, b) of dense rows through the package's kernel, b's rows as the pool."""
+    rows = SparseRows.from_dense(np.asarray(a, dtype=np.float64))
+    return svm_module._pool_kernel(cfg, rows, 0, rows.rows, _pool_of(np.asarray(b, dtype=np.float64)))
+
+
 def _one_pair(cfg, u, v) -> float:
-    """The kernel value of u and v, through the kernel-matrix code."""
-    gram = _gram(cfg, np.array([u], dtype=np.float64), np.array([v], dtype=np.float64))
+    """The kernel value of u and v, through the package's kernel."""
+    gram = _kernel_matrix(cfg, [u], [v])
     assert gram.shape == (1, 1)
     return float(gram[0, 0])
 
@@ -101,7 +108,7 @@ class TestKernelEval:
         dims = data.draw(st.integers(1, 5))
         rows = st.lists(st.lists(_QUARTERS, min_size=dims, max_size=dims), min_size=1, max_size=4)
         a, b = np.array(data.draw(rows)), np.array(data.draw(rows))
-        gram = _gram(cfg, a, b)
+        gram = _kernel_matrix(cfg, a, b)
         expected = np.array([[kernel_eval(cfg, u, v) for v in b] for u in a])
         np.testing.assert_allclose(gram, expected, rtol=1e-12, atol=0.0)
 
@@ -113,10 +120,35 @@ class TestKernelEval:
             KernelConfig("poly", gamma=0.5, degree=3, coef0=1.0),
             KernelConfig("rbf", gamma=0.8),
         ):
-            gram = _gram(cfg, pts, pts)
+            gram = _training_matrix(cfg, SparseRows.from_dense(pts))
             assert np.array_equal(gram, gram.T)
-        rbf = _gram(KernelConfig("rbf", gamma=0.8), pts, pts)
+        rbf = _training_matrix(KernelConfig("rbf", gamma=0.8), SparseRows.from_dense(pts))
         np.testing.assert_allclose(np.diag(rbf), 1.0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_KERNELS, data=st.data(), chunk_rows=st.sampled_from([1, 3, PREDICT_CHUNK_ROWS]),
+           share=st.sampled_from([PREDICT_DENSE_SHARE, 0.0, 2.0]))
+    def test_training_gram_is_symmetric_and_the_dense_gram(self, cfg, data, chunk_rows, share):
+        """The Gram that SMO trains on, read through the prediction kernel in chunks
+        of 1, 3 or PREDICT_CHUNK_ROWS rows, with every stored column in the block,
+        some or none, is exactly symmetric and equals the dense reference within
+        1e-12. Its rows store 0.0 and -0.0 among their entries; the last row stores
+        nothing, and the last column is stored by no row."""
+        dims = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(1, 12))
+        stored = np.array(data.draw(st.lists(st.booleans(), min_size=n * dims, max_size=n * dims))).reshape(n, dims)
+        stored = np.vstack([stored, np.zeros((1, dims), bool)])
+        entries = int(stored.sum())
+        values = data.draw(st.lists(_QUARTERS | st.just(-0.0), min_size=entries, max_size=entries))
+        rows = SparseRows(dims + 1, np.concatenate(([0], stored.sum(axis=1).cumsum())), np.nonzero(stored)[1],
+                          np.array(values, dtype=np.float64))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svm_module, "PREDICT_CHUNK_ROWS", chunk_rows)
+            patch.setattr(svm_module, "PREDICT_DENSE_SHARE", share)
+            gram = _training_matrix(cfg, rows)
+        assert np.array_equal(gram, gram.T)
+        dense = rows.to_dense()
+        np.testing.assert_allclose(gram, dense_gram(cfg, dense, dense), rtol=1e-12, atol=0.0)
 
     def test_bad_config_rejected(self):
         # each error names its field; a count must be an int, not a float or a bool
@@ -215,7 +247,7 @@ class TestAgainstDualOracle:
     def test_objective_matches_enumeration(self, name, x, y, cfg):
         model = train_binary(x, y, cfg)
         achieved = dual_objective(model, cfg.kernel)
-        expected, _ = solve_dual_bruteforce(_gram(cfg.kernel, x, x), y, cfg.c)
+        expected, _ = solve_dual_bruteforce(dense_gram(cfg.kernel, x, x), y, cfg.c)
         assert achieved == pytest.approx(expected, rel=1e-4, abs=1e-8), name
 
     @pytest.mark.parametrize("name,x,y,cfg", fixture_instances())
@@ -265,7 +297,7 @@ class TestOverlappingScale:
         line that called them, not inside svm.py."""
         x, y = overlapping_rows()
         cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=5.0), max_passes=1)
-        gap = _smo(_gram(cfg.kernel, x, x), y, cfg)[2]
+        gap = _smo(_training_matrix(cfg.kernel, SparseRows.from_dense(x)), y, cfg)[2]
         tail = f"KKT gap {gap:.3g} > tol 0.001 at the cap of 300 pair updates (max_passes 1)"
         for train, machine in [
             (lambda: train_binary(x, y, cfg), "'+1' vs '-1'"),
@@ -298,7 +330,7 @@ class TestOverlappingScale:
         copies = rng.choice(120, 30, replace=False)
         x, y = np.vstack([x, x[copies]]), np.concatenate([y, -y[copies]])
         cfg = SvmConfig(c=1e7, kernel=KernelConfig("rbf", gamma=0.5))
-        gram = _gram(cfg.kernel, x, x)
+        gram = _training_matrix(cfg.kernel, SparseRows.from_dense(x))
         *_, gap, updates = _smo(gram, y, cfg)
         assert gap > cfg.tol
         assert updates == cfg.max_passes * len(y) == 15000
@@ -365,7 +397,7 @@ class TestMulticlass:
     @staticmethod
     def _bias_only(biases):
         """Machines b/a, c/a, c/b with no support vectors: each value is its bias."""
-        pool, _ = SupportVectorPool.of(np.zeros((0, 1)))
+        pool, _ = SupportVectorPool.of(SparseRows.from_dense(np.zeros((0, 1))))
         none = np.zeros(0, dtype=np.int64)
         machines = tuple(BinaryModel(none, np.zeros(0), bias) for bias in biases)
         return MulticlassModel(labels=("a", "b", "c"), machines=machines, kernel=KernelConfig("linear"), pool=pool)
@@ -384,7 +416,7 @@ class TestMulticlass:
         assert predict_batch(model, [[0.0], [1.0]]) == ["c", "c"]
 
     def test_one_label_model_votes_its_label(self):
-        pool, _ = SupportVectorPool.of(np.zeros((0, 1)))
+        pool, _ = SupportVectorPool.of(SparseRows.from_dense(np.zeros((0, 1))))
         model = MulticlassModel(labels=("a",), machines=(), kernel=KernelConfig("linear"), pool=pool)
         assert predict_batch(model, np.zeros((3, 1))) == ["a"] * 3
         assert predict_batch(model, []) == []
@@ -463,7 +495,7 @@ def test_sparse_rows_give_the_dense_decision_values(seed, kind, n_rows, n_pool):
     def sparse(n, density):
         return rng.random((n, dims)) * (rng.random((n, dims)) < density)
 
-    pool, _ = SupportVectorPool.of(sparse(n_pool, 0.3))
+    pool, _ = SupportVectorPool.of(SparseRows.from_dense(sparse(n_pool, 0.3)))
     model = _three_label_model(rng, pool, KERNELS[kind])
     rows = sparse(n_rows, 0.3) * ~unused
     batch = SparseRows.from_dense(rows)
@@ -533,7 +565,7 @@ def test_weights_form_matches_the_pool_path(seed, kind_degree, gamma, coef0, wid
     mapped = _mapped(SparseRows.from_dense(rows), 0, n_rows, factors) @ (_mapped(pool, 0, n_pool, factors) * coefs).T
     offset, power = (0.0, 1) if kind == "linear" else (abs(coef0), degree)
     sizes = ((1.0 if kind == "linear" else gamma) * dots + offset) ** power
-    assert np.all(np.abs(mapped - _gram(kernel, rows, pool.to_dense())) <= 1e-12 * (1 + sizes))
+    assert np.all(np.abs(mapped - dense_gram(kernel, rows, pool.to_dense())) <= 1e-12 * (1 + sizes))
 
     scale = np.column_stack([sizes[:, m.sv_index] @ np.abs(m.dual_coefs) + abs(m.bias) for m in model.machines])
     tolerance = 1e-12 * (1 + scale)
@@ -678,7 +710,7 @@ def tied_vote_models(draw):
     {-2, ..., 2}: every decision value is a small integer, so votes tie and tied
     labels win by equal margins, 0 included, often."""
     n_labels = draw(st.integers(1, 5))
-    pool, _ = SupportVectorPool.of(np.ones((1, 1)))
+    pool, _ = SupportVectorPool.of(SparseRows.from_dense(np.ones((1, 1))))
     unit = st.sampled_from([-1.0, 0.0, 1.0])
     machines = tuple(
         BinaryModel(np.zeros(1, dtype=np.int64), np.array([draw(unit)]), draw(unit))
@@ -756,7 +788,7 @@ def test_smo_matches_the_recomputing_reference(seed, n, kind, c, max_passes):
     copied = rng.choice(len(y), copies)
     x, y = np.vstack([x, x[copied]]), np.concatenate([y, -y[copied]])
     cfg = SvmConfig(c=c, kernel=KERNELS[kind], max_passes=max_passes)
-    gram = _gram(cfg.kernel, x, x)
+    gram = dense_gram(cfg.kernel, x, x)
     alpha, bias, gap, updates = _smo(gram, y, cfg)
     expected_alpha, expected_bias, expected_gap, expected_updates = smo_reference(gram, y, cfg)
     assert np.array_equal(alpha, expected_alpha)
@@ -785,7 +817,7 @@ def test_smo_matches_the_reference_when_the_curvature_rows_spill(seed, n, kind, 
     x = rng.normal(0.5 * y[:, None], 1.0, (n, 2))
     x[n // 2:] = x[: n - n // 2]  # copies, some under the other label
     cfg = SvmConfig(c=c, kernel=KERNELS[kind], max_passes=max_passes)
-    gram = _gram(cfg.kernel, x, x)
+    gram = dense_gram(cfg.kernel, x, x)
     expected = smo_reference(gram, y, cfg)
     for budget in (0, 8 * n):
         with pytest.MonkeyPatch.context() as patch:
@@ -883,6 +915,48 @@ def test_multiclass_machines_match_binary_training(seed, n_labels, kind):
     assert model.pool.to_dense().tobytes(order="C") == np.array(list(pool_rows.values())).tobytes()
 
 
+def test_training_never_makes_its_rows_dense(monkeypatch):
+    """Both trainers read SparseRows as they are: no dense matrix of the rows is made."""
+    rows = SparseRows.from_dense(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 0.0]]))
+    cfg = SvmConfig(c=10.0, kernel=KernelConfig("rbf", gamma=0.5))
+    monkeypatch.setattr(SparseRows, "to_dense", lambda self: pytest.fail("the rows were made dense"))
+    binary = train_binary(rows, [-1, 1, 1, -1], cfg)
+    model = train_multiclass(rows, ["a", "b", "c", "a"], cfg)
+    monkeypatch.undo()
+    assert len(binary.dual_coefs) and len(model.machines) == 3
+    assert predict_batch(model, rows) == predict_batch(train_multiclass(rows.to_dense(), ["a", "b", "c", "a"], cfg), rows)
+
+
+class TestPredictionOverflow:
+    """A kernel that overflows on the rows to predict is refused by name, in the
+    pool form and in the weights form, and no numpy warning leaks."""
+
+    @staticmethod
+    def _refused(call, kernel):
+        message = (f"^the poly kernel \\(gamma {kernel.gamma:g}, degree {kernel.degree}, coef0 0\\) "
+                   "overflows on the rows? to predict$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=message):
+                call()
+
+    def test_pool_form(self):
+        cfg = SvmConfig(kernel=KernelConfig("poly", gamma=1.0, degree=60))
+        model = train_multiclass([[0.0, 0.5], [0.5, 0.0], [0.5, 0.5], [0.25, 0.0]], ["a", "b", "a", "b"], cfg)
+        assert weights_form(model) is None
+        for call in (lambda: decision_values(model, [[1e10, 1e10]]), lambda: predict_batch(model, [[1e10, 1e10]]),
+                     lambda: decision_value(model.machines[0], [1e10, 1e10], model.kernel)):
+            self._refused(call, cfg.kernel)
+
+    def test_weights_form(self):
+        kernel = KernelConfig("poly", 0.5, 2, 0.0)
+        machine = BinaryModel(np.arange(4), np.ones(4), 0.0)
+        weights = weights_form(MulticlassModel(("a", "b"), (machine,), kernel, _pool_of(np.full((4, 6), 0.5))))
+        assert isinstance(weights, WeightsModel)
+        for call in (lambda: decision_values(weights, [[1e200] * 6]), lambda: predict_batch(weights, [[1e200] * 6])):
+            self._refused(call, kernel)
+
+
 _INTAKE_CFG = SvmConfig(c=10.0, kernel=KernelConfig("rbf", gamma=0.5))
 
 # each entry point that reads a batch of rows, called on ``rows`` with ``model`` at hand
@@ -916,7 +990,7 @@ class TestIntake:
 
     @pytest.fixture
     def no_kernel(self, model, monkeypatch):  # takes model so that it is trained before the patch
-        monkeypatch.setattr(svm_module, "_gram", lambda *args: pytest.fail("a kernel was computed"))
+        monkeypatch.setattr(svm_module, "_pool_kernel", lambda *args: pytest.fail("a kernel was computed"))
 
     @staticmethod
     def _raises_non_finite(call):
