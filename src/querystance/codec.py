@@ -9,6 +9,11 @@ fields and nothing else; a model file's header is written and checked
 by ``pipeline.save_task_model`` and ``load_task_model``. A field declared
 with ``init=False`` is derived: the dataclass computes it in
 ``__post_init__`` from the others, and the document leaves it out.
+A field declared ``Annotated[T, Form]`` is stored in the form ``Form``, a
+dataclass of its own stored fields: ``Form.of(value)`` gives the stored
+form of a ``T``, and a stored form's ``value`` is the ``T`` it stores,
+checked as it is rebuilt. ``to_doc`` writes ``Form.of(value)``, and
+``from_doc`` reads the form and returns its ``value``.
 A number takes its type from the declared field: a float field takes a
 JSON integer or float, an integer field an integer, and ``true`` or
 ``false`` is never a number, also as a leaf of an array field.
@@ -44,12 +49,13 @@ class FieldError(ValueError):
 def to_doc(obj):
     """Plain JSON value of a dataclass, tuple, dict, array or scalar."""
     if dataclasses.is_dataclass(obj):
-        return {f.name: to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.init}
+        return {name: to_doc(getattr(obj, name) if form is None else form.of(getattr(obj, name)))
+                for name, form in _forms(type(obj)).items()}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (tuple, list)):
         if all(type(value) in _SCALARS for value in obj):
-            return list(obj)  # vocabulary terms and df: skip a call per item
+            return list(obj)  # word lists, term ids and df: skip a call per item
         return [to_doc(value) for value in obj]
     if isinstance(obj, dict):
         return {key: to_doc(value) for key, value in obj.items()}
@@ -59,14 +65,16 @@ def to_doc(obj):
 def from_doc(cls, doc, where, field: str = ""):
     """Rebuild a ``cls`` value from ``to_doc`` output.
 
-    ``cls`` is a dataclass, ``tuple[X, ...]``, ``dict[str, X]``, ``X | None``,
-    a union of dataclasses (read as the one whose fields name the most of the
+    ``cls`` is a dataclass, ``Annotated[X, Form]`` (read as the form's
+    ``value``), ``tuple[X, ...]``, ``dict[str, X]``, ``X | None``, a union of
+    dataclasses (read as the one whose fields name the most of the
     document's keys), ``float``, ``int``, ``str``, ``np.ndarray`` (float64) or
     ``npt.NDArray[np.int64]``: each leaf of its nested lists must have a type
     that the dtype's scalar field takes (a list leaf is a ragged row), and is
     then converted to the dtype. Raises CorruptModel naming ``where`` and the
     field path for a missing, unknown or mistyped field, a non-finite number
-    or an integer beyond its dtype, and a ValueError from a dataclass's checks.
+    or an integer beyond its dtype, and a ValueError from a dataclass's or a
+    form's checks.
     """
     if cls in _SCALARS:  # first, as most values in a document are scalars
         if cls is float and type(doc) in (int, float):
@@ -79,6 +87,9 @@ def from_doc(cls, doc, where, field: str = ""):
             return doc
         raise CorruptModel(f"expected {_SCALARS[cls]}, got {doc!r:.40}", where, field=field)
     origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin is typing.Annotated:  # a value stored in a form of its own
+        stored = from_doc(args[1], doc, where, field)
+        return _built(lambda: stored.value, where, field)
     if origin in (typing.Union, types.UnionType):  # X | None, or dataclasses X | Y
         if doc is None and type(None) in args:
             return None
@@ -93,7 +104,7 @@ def from_doc(cls, doc, where, field: str = ""):
         raise CorruptModel(f"expected {kind}, got {doc!r:.40}", where, field=field)
     if origin is tuple:
         if args[0] in (int, str) and all(type(value) is args[0] for value in doc):
-            return tuple(doc)  # vocabulary terms and df: skip a call per item
+            return tuple(doc)  # word lists, term ids and df: skip a call per item
         return tuple(from_doc(args[0], value, where, f"{field}[{i}]") for i, value in enumerate(doc))
     if origin is dict:
         return {key: from_doc(args[1], value, where, f"{field}[{key!r}]") for key, value in doc.items()}
@@ -117,10 +128,16 @@ def from_doc(cls, doc, where, field: str = ""):
     if unknown:
         raise CorruptModel(f"unknown field {unknown[0]!r}", where, field=field)
     values = {name: from_doc(hint, doc[name], where, prefix + name) for name, hint in hints.items()}
+    return _built(lambda: cls(**values), where, field)
+
+
+def _built(make, where, field: str):
+    """``make()``, its FieldError or ValueError raised as CorruptModel naming the
+    field path: ``field``, and below it the FieldError's own field."""
     try:
-        return cls(**values)
+        return make()
     except FieldError as exc:
-        raise CorruptModel(exc.problem, where, field=prefix + exc.field) from exc
+        raise CorruptModel(exc.problem, where, field=f"{field}.{exc.field}" if field else exc.field) from exc
     except ValueError as exc:
         raise CorruptModel(str(exc), where, field=field) from exc
 
@@ -128,9 +145,17 @@ def from_doc(cls, doc, where, field: str = ""):
 @functools.cache
 def _field_types(cls) -> dict:
     """Field name -> type of each stored (not derived) field of a dataclass,
-    evaluated once (it is slow)."""
-    hints = typing.get_type_hints(cls)
+    ``Annotated`` forms kept, evaluated once (it is slow)."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
+@functools.cache
+def _forms(cls) -> dict:
+    """Field name -> the form of each stored field of a dataclass declared
+    ``Annotated[T, Form]``, None for every other stored field."""
+    return {name: typing.get_args(hint)[1] if typing.get_origin(hint) is typing.Annotated else None
+            for name, hint in _field_types(cls).items()}
 
 
 def write_json(path: str | Path, doc) -> None:

@@ -11,6 +11,9 @@ Two feature schemas, each named by the header line of a ``features`` dump:
   a task-2 model file stores its support vectors.
 
 Both schemas weigh a word by ``tfidf_weights``, the one TF-IDF rule.
+A model file stores a vocabulary's terms front-coded (``FrontCoded``),
+and a task-1 file its vocabularies as ids into one word list
+(``SharedWords``).
 
 Every function here reads each text as its tokens (``textproc.tokenize``
 output), never as a raw string, and each rule is computed in one batch
@@ -52,7 +55,8 @@ import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
+from typing import Annotated
 
 import numpy as np
 import numpy.typing as npt
@@ -139,22 +143,70 @@ class SparseRows:
 
 
 @dataclass(frozen=True)
+class FrontCoded:
+    """A word list as a model file stores it, front-coded (Witten, Moffat & Bell
+    1999, *Managing Gigabytes*, §4): word i is the first ``prefix[i]`` characters
+    of word i - 1, then ``suffix[i]``. ``of`` gives each word the longest prefix
+    it shares with the word before it. ``value`` rebuilds the words: it takes
+    any prefix from 0 to the length of the word before (0 for the first word),
+    and requires the words to strictly increase."""
+
+    prefix: tuple[int, ...]
+    suffix: tuple[str, ...]
+
+    @classmethod
+    def of(cls, words: Sequence[str]) -> FrontCoded:
+        prefix, suffix, before = [], [], ""
+        for word in words:
+            shared = 0
+            for a, b in zip(before, word):
+                if a != b:
+                    break
+                shared += 1
+            prefix.append(shared)
+            suffix.append(word[shared:])
+            before = word
+        return cls(tuple(prefix), tuple(suffix))
+
+    @functools.cached_property
+    def value(self) -> tuple[str, ...]:
+        prefix = self.prefix
+        if len(self.suffix) != len(prefix):
+            raise FieldError("suffix", f"{len(self.suffix)} suffixes for {len(prefix)} prefixes")
+        words, word = [], ""
+        for shared, rest in zip(prefix, self.suffix):
+            word = word[:shared] + rest
+            words.append(word)
+        bounds = [0, *map(len, words[:-1])]  # a word shares at most the whole word before it
+        if min(prefix, default=0) < 0 or any(map(operator.gt, prefix, bounds)):
+            i = next(i for i, (shared, bound) in enumerate(zip(prefix, bounds)) if not 0 <= shared <= bound)
+            raise FieldError(f"prefix[{i}]", f"{prefix[i]} lies outside [0, {bounds[i]}]: a word shares at most "
+                                             "the whole word before it, and the first word nothing")
+        if not all(map(operator.lt, words, words[1:])):
+            raise ValueError("must be strictly increasing: sorted, with no word twice")
+        return tuple(words)
+
+
+@dataclass(frozen=True)
 class VocabularyModel:
     """Sorted term list with per-term document frequencies.
 
     A "document" is one sentence; df(t) counts sentences containing t
-    at least once. Term order is fixed at fit time and travels with
-    serialized models; the terms must be strictly increasing, so each
-    term has one column. Each term's IDF, ln(n_docs/df), is computed
-    once per distinct df, into an array with a trailing 0.0 that column
-    -1 (a word outside the vocabulary) reads.
+    at least once, and ``n_docs`` the sentences, at most 2**63 - 1. Term
+    order is fixed at fit time and travels with serialized models (its
+    terms front-coded, ``FrontCoded``); the terms must be strictly
+    increasing, so each term has one column. Each term's IDF,
+    ln(n_docs/df), is computed once per distinct df, into an array with a
+    trailing 0.0 that column -1 (a word outside the vocabulary) reads.
     """
 
-    terms: tuple[str, ...]
+    terms: Annotated[tuple[str, ...], FrontCoded]
     df: tuple[int, ...]
     n_docs: int
 
     def __post_init__(self):
+        if not 1 <= self.n_docs < 2**63:  # so ln(n_docs / df) is a float
+            raise FieldError("n_docs", f"must lie in [1, 2**63 - 1], got {self.n_docs!r:.40}")
         if len(self.df) != len(self.terms):
             raise ValueError(f"{len(self.terms)} terms but {len(self.df)} df values")
         distinct = set(self.df)
@@ -169,6 +221,58 @@ class VocabularyModel:
     @property
     def size(self) -> int:
         return len(self.terms)
+
+
+@dataclass(frozen=True)
+class TermIds:
+    """A vocabulary as a task-1 model file stores it: its terms as ids into the
+    file's word list, gap-coded (the first id as it is, each later one as its
+    difference from the one before), and its ``df`` and ``n_docs``."""
+
+    ids: tuple[int, ...]
+    df: tuple[int, ...]
+    n_docs: int
+
+
+@dataclass(frozen=True)
+class SharedWords:
+    """Vocabularies by query id as a task-1 model file stores them: every term
+    once, in one sorted word list, and each vocabulary as its ``TermIds``.
+    ``value`` rebuilds the vocabularies, each id gap after the first at least 1,
+    so each vocabulary's terms strictly increase, and each id within the list."""
+
+    words: Annotated[tuple[str, ...], FrontCoded]
+    queries: dict[str, TermIds]
+
+    @classmethod
+    def of(cls, vocabularies: dict[str, VocabularyModel]) -> SharedWords:
+        words = sorted(set().union(*(vocab.terms for vocab in vocabularies.values())))
+        index = dict(zip(words, range(len(words))))
+        queries = {}
+        for query, vocab in vocabularies.items():
+            ids = list(map(index.__getitem__, vocab.terms))
+            queries[query] = TermIds((*ids[:1], *map(operator.sub, ids[1:], ids)), vocab.df, vocab.n_docs)
+        return cls(tuple(words), queries)
+
+    @functools.cached_property
+    def value(self) -> dict[str, VocabularyModel]:
+        vocabularies = {}
+        for query, stored in self.queries.items():
+            where = f"queries[{query!r}]"
+            if min(stored.ids[:1], default=0) < 0 or min(stored.ids[1:], default=1) < 1:
+                raise FieldError(f"{where}.ids", "must be strictly increasing: the first id at least 0, "
+                                                 "each later gap at least 1")
+            ids = list(accumulate(stored.ids))
+            if ids and ids[-1] >= len(self.words):
+                raise FieldError(f"{where}.ids", f"an id lies beyond the {len(self.words)} words")
+            try:
+                vocabularies[query] = VocabularyModel(tuple(map(self.words.__getitem__, ids)), stored.df,
+                                                      stored.n_docs)
+            except FieldError as exc:
+                raise FieldError(f"{where}.{exc.field}", exc.problem) from exc
+            except ValueError as exc:
+                raise FieldError(where, str(exc)) from exc
+        return vocabularies
 
 
 def _idf(df: np.ndarray, n_docs: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import ClassVar, Iterable, Sequence
+from typing import Annotated, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import AlignmentError, CorruptModel, EmptyInput, LengthMismatch, Ve
 from .features import (
     TASK1_FEATURE_NAMES,
     TASK2_TAIL_NAMES,
+    SharedWords,
     SparseRows,
     VocabularyModel,
     WordTable,
@@ -152,7 +153,7 @@ class Task1Model(TaskModel):
     width = len(TASK1_FEATURE_NAMES)
 
     svm: MulticlassModel | WeightsModel
-    vocabularies: dict[str, VocabularyModel]
+    vocabularies: Annotated[dict[str, VocabularyModel], SharedWords]
     # the support-vector model given, None when given weights
     pooled: MulticlassModel | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -470,7 +471,7 @@ def evaluate(
 
 # --- persistence ------------------------------------------------------------
 
-FORMAT, FORMAT_VERSION = "querystance-pipeline", 7  # with ``task``, the header of every model file
+FORMAT, FORMAT_VERSION = "querystance-pipeline", 8  # with ``task``, the header of every model file
 
 
 def save_task_model(pipeline: TrainedPipeline, task: int, path: str | Path) -> None:

@@ -55,7 +55,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement
-from typing import NamedTuple, Sequence
+from typing import Annotated, NamedTuple, Sequence
 
 import numpy as np
 
@@ -175,6 +175,42 @@ class SupportVectorPool(SparseRows):
         return PoolColumns(place, block, np.cumsum(sizes), sizes, row[listed][by_column], values[listed][by_column])
 
 
+@dataclass(frozen=True, eq=False)
+class PoolGaps:
+    """A support-vector pool as a model file stores it: the fields of its
+    ``SparseRows``, each row's columns (``indices``) gap-coded as posting
+    lists are (Witten, Moffat & Bell 1999, §3): the first as it is, each
+    later one as its difference from the one before, so every gap after a
+    row's first is positive. ``value`` rebuilds the columns, and
+    ``SupportVectorPool`` checks them unchanged: a gap of 0 or less gives a
+    column out of order, and a sum that wraps past the int64 range a column
+    outside [0, dims)."""
+
+    dims: int
+    indptr: IndexArray
+    indices: IndexArray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, pool: SupportVectorPool) -> PoolGaps:
+        first = np.zeros(len(pool.indices) + 1, dtype=bool)
+        first[pool.indptr] = True
+        gaps = np.diff(pool.indices, prepend=0)
+        gaps[first[:-1]] = pool.indices[first[:-1]]
+        return cls(pool.dims, pool.indptr, gaps, pool.values)
+
+    @functools.cached_property
+    def value(self) -> SupportVectorPool:
+        indptr, columns = self.indptr, self.indices
+        sizes = np.diff(indptr)
+        # rows that SparseRows would refuse keep their gaps, and it names the field
+        if columns.ndim == indptr.ndim == 1 and len(indptr) and indptr[0] == 0 and indptr[-1] == len(columns) \
+                and (sizes >= 0).all():
+            total = np.concatenate(([0], columns.cumsum()))  # each row's columns: its gaps summed from its start
+            columns = total[1:] - total[indptr[:-1]].repeat(sizes)
+        return SupportVectorPool(self.dims, indptr, columns, self.values)
+
+
 class PoolColumns(NamedTuple):
     """A pool's columns, split for prediction. The columns that at least
     PREDICT_DENSE_SHARE of its rows store form a dense block; every other
@@ -246,7 +282,7 @@ class MulticlassModel:
     labels: tuple[str, ...]
     machines: tuple[BinaryModel, ...]
     kernel: KernelConfig
-    pool: SupportVectorPool
+    pool: Annotated[SupportVectorPool, PoolGaps]
 
     def __post_init__(self):
         _check_labels(self.labels)

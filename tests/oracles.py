@@ -7,8 +7,10 @@ SMO loop that recomputes its whole state every iteration, a one-pair
 kernel and a dense Gram by the kernel formulas for the SVM's kernel
 matrices, the dual objective over that Gram, the decision values of dense rows
 computed chunk by chunk over a dense gather, a ``Counter`` per text for a
-batch's word table, and string-taking feature functions that re-tokenize
-their inputs for every feature. Each feature
+batch's word table, string-taking feature functions that re-tokenize
+their inputs for every feature, and the model file's compact forms (a
+front-coded word list, gap-coded pool columns) worked out one item at a
+time over a file's plain JSON lists. Each feature
 rule is worked out here from its definition and the raw resource fields
 (a vocabulary's ``terms``, ``df`` and ``n_docs``, a sentiment lexicon's
 (pos, neg) scores, a noun lexicon's words), never through the
@@ -462,3 +464,42 @@ def ovo_reference(model, x) -> tuple[str, list[float]]:
     tied = [label for label in sorted(model.labels) if votes[label] == max(votes.values())]
     best = max(margins[label] for label in tied)
     return next(label for label in tied if margins[label] == best), values
+
+
+def words_of_front_coded(coded: dict) -> list[str]:
+    """The words of a front-coded list as a model file stores it: word i is the
+    first ``prefix[i]`` characters of word i - 1, then ``suffix[i]``."""
+    words, word = [], ""
+    for shared, rest in zip(coded["prefix"], coded["suffix"]):
+        word = word[:shared] + rest
+        words.append(word)
+    return words
+
+
+def front_coded_reference(words: list[str]) -> dict:
+    """``words`` front-coded, each with the longest prefix it shares with the word before it."""
+    prefix, before = [], ""
+    for word in words:
+        shared = 0
+        while shared < min(len(word), len(before)) and word[shared] == before[shared]:
+            shared += 1
+        prefix.append(shared)
+        before = word
+    return {"prefix": prefix, "suffix": [word[shared:] for word, shared in zip(words, prefix)]}
+
+
+def columns_of_gaps(pool: dict) -> list[int]:
+    """The columns of a pool document whose ``indices`` are gaps within each row."""
+    columns = []
+    for start, end in zip(pool["indptr"], pool["indptr"][1:]):
+        columns += itertools.accumulate(pool["indices"][start:end])
+    return columns
+
+
+def gaps_of_columns(pool: dict, columns: list[int]) -> list[int]:
+    """``columns`` of a pool document as gaps within each row of its ``indptr``."""
+    gaps = []
+    for start, end in zip(pool["indptr"], pool["indptr"][1:]):
+        row = columns[start:end]
+        gaps += [column - before for column, before in zip(row, [0] + row[:-1])]
+    return gaps

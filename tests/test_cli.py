@@ -16,6 +16,7 @@ from querystance.features import TASK1_FEATURE_NAMES, TASK2_TAIL_NAMES
 from querystance.pipeline import LexiconSet, PipelineConfig, load_task_model, task1_rows
 from querystance.svm import predict_batch
 
+from oracles import columns_of_gaps, front_coded_reference, gaps_of_columns, words_of_front_coded
 from synth import make_records, write_dataset_csv, write_lexicon_files
 
 
@@ -365,7 +366,7 @@ class TestInputFileErrorsNameTheFile:
 
 
 def _set(*path_and_value):
-    """Mutation that sets one field of a task-2 document, by key/index path."""
+    """Mutation that sets one field of a model document, by key/index path."""
     *path, key, value = path_and_value
 
     def mutate(doc):
@@ -396,12 +397,47 @@ def _pop(*path):
 
 
 def _swap_first_columns(doc):
-    """Mutation that swaps the first two entries of the pool's first row, which stores more than one."""
+    """Mutation that swaps the first two entries of the pool's first row, which stores more
+    than one: its columns are rebuilt from the file's gaps, swapped and stored as gaps again."""
     pool = doc["svm"]["pool"]
     assert pool["indptr"][1] >= 2
-    for name in ("indices", "values"):
-        pool[name][0], pool[name][1] = pool[name][1], pool[name][0]
+    columns = columns_of_gaps(pool)
+    columns[0], columns[1] = columns[1], columns[0]
+    pool["values"][0], pool["values"][1] = pool["values"][1], pool["values"][0]
+    pool["indices"] = gaps_of_columns(pool, columns)
     return doc
+
+
+def _words_changed(change, *path):
+    """Mutation that rebuilds the front-coded word list at ``path``, lets ``change(words)``
+    edit its words and front-codes them again."""
+    def mutate(doc):
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        words = words_of_front_coded(node[path[-1]])
+        change(words)
+        node[path[-1]] = front_coded_reference(words)
+        return doc
+
+    return mutate
+
+
+def _repeat_first_word(words):
+    words[1] = words[0]
+
+
+def _longer_than_the_word_before(*path):
+    """Mutation that gives word 1 of the front-coded list at ``path`` a prefix one
+    character longer than word 0."""
+    def mutate(doc):
+        node = doc
+        for step in path:
+            node = node[step]
+        node["prefix"][1] = len(node["suffix"][0]) + 1  # word 0 is its suffix, as its prefix is 0
+        return doc
+
+    return mutate
 
 
 ORDER_ERROR = "svm.pool.indices: columns must strictly increase within a row"
@@ -411,8 +447,15 @@ CORRUPTIONS = {
     "dual_coefs truncated": (_pop("svm", "machines", 0, "dual_coefs"), "svm.machines[0]: "),
     "df zero": (_set("vocabulary", "df", 0, 0), "vocabulary: "),
     "df shorter than terms": (_pop("vocabulary", "df"), "vocabulary: "),
-    "term repeated": (lambda doc: _set("vocabulary", "terms", 1, doc["vocabulary"]["terms"][0])(doc),
+    "term repeated": (_words_changed(_repeat_first_word, "vocabulary", "terms"),
                       "vocabulary.terms: must be strictly increasing"),
+    "a first prefix that is not 0": (_set("vocabulary", "terms", "prefix", 0, 1),
+                                     "vocabulary.terms.prefix[0]: 1 lies outside [0, 0]"),
+    "a prefix longer than the word before it": (_longer_than_the_word_before("vocabulary", "terms"),
+                                                "vocabulary.terms.prefix[1]: "),
+    "a suffix missing": (_pop("vocabulary", "terms", "suffix"), "vocabulary.terms.suffix: "),
+    "n_docs beyond the float range": (_set("vocabulary", "n_docs", 10**400),
+                                      "vocabulary.n_docs: must lie in [1, 2**63 - 1]"),
     "a machine missing": (_pop("svm", "machines"), "svm.machines: "),
     "a machine too many": (lambda doc: _set("svm", "machines", [*doc["svm"]["machines"], doc["svm"]["machines"][0]])(doc),
                            "svm.machines: "),
@@ -425,8 +468,10 @@ CORRUPTIONS = {
                               "svm.machines[0].sv_index: expected integers within the int64 range"),
     "column not below dims": (_set("svm", "pool", "indices", 0, 10**6), "svm.pool.indices: "),
     "pool columns out of order in a row": (_swap_first_columns, ORDER_ERROR),
-    "a pool column twice in a row": (lambda doc: _set("svm", "pool", "indices", 1,
-                                                      doc["svm"]["pool"]["indices"][0])(doc), ORDER_ERROR),
+    # a gap of 0: the second column of the first row is its first again
+    "a pool column twice in a row": (_set("svm", "pool", "indices", 1, 0), ORDER_ERROR),
+    "a pool gap of 2**63 - 1": (_set("svm", "pool", "indices", 1, 2**63 - 1),
+                                "svm.pool.indices: a column lies outside"),
     "indptr decreasing": (_set("svm", "pool", "indptr", 1, -1), "svm.pool.indptr: "),
     "values shorter than indices": (_pop("svm", "pool", "values"), "svm.pool.values: "),
     "config gamma not a number": (_set("config", "task2", "kernel", "gamma", "abc"),
@@ -458,6 +503,38 @@ WEIGHTS_CORRUPTIONS = {
     "bias beyond the float range": (_set("svm", "biases", 0, 10**400), "svm.biases: expected a finite number"),
     "a bias of 1e308": (_set("svm", "biases", 0, 1e308), "svm.biases: a value beyond ±8.988e+307 could overflow"),
     "dims of 6": (_set("svm", "dims", 6), "svm.weights: must have shape (1, 56)"),
+}
+
+
+def _first_query(change):
+    """Mutation that ``change``s the stored vocabulary of a task-1 document's first query."""
+    def mutate(doc):
+        shared = doc["vocabularies"]
+        change(next(iter(shared["queries"].values())), len(shared["words"]["prefix"]))
+        return doc
+
+    return mutate
+
+
+def _id_beyond_the_words(stored, words):
+    stored["ids"][-1] += words
+
+
+def _n_docs_beyond_the_float_range(stored, words):
+    stored["n_docs"] = 10**400
+
+
+# each mutation of a task-1 file's vocabularies, and the field its error must name,
+# ``{query}`` standing for the file's first query id
+VOCABULARIES_CORRUPTIONS = {
+    "an id beyond the word list": (_first_query(_id_beyond_the_words),
+                                   "vocabularies.queries[{query}].ids: an id lies beyond the "),
+    "n_docs beyond the float range": (_first_query(_n_docs_beyond_the_float_range),
+                                      "vocabularies.queries[{query}].n_docs: must lie in [1, 2**63 - 1]"),
+    "a repeated word": (_words_changed(_repeat_first_word, "vocabularies", "words"),
+                        "vocabularies.words: must be strictly increasing"),
+    "a first prefix that is not 0": (_set("vocabularies", "words", "prefix", 0, 2),
+                                     "vocabularies.words.prefix[0]: 2 lies outside [0, 0]"),
 }
 
 
@@ -538,10 +615,31 @@ class TestCorruptModelRejectedAtLoad:
         assert f"error: {bad}: svm.pool.values: must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "pred.csv").exists()
 
-    def test_task1_vocabulary_repeating_a_term(self, workspace, trained_models, tmp_path, capsys):
+    @pytest.mark.parametrize("case", sorted(VOCABULARIES_CORRUPTIONS))
+    def test_task1_vocabularies_exit_1_naming_the_field(self, workspace, trained_models, tmp_path, capsys, case):
+        """A task-1 file's word list and the ids, df and n_docs of each query's
+        vocabulary are checked at load, each refusal naming its field."""
+        mutate, field = VOCABULARIES_CORRUPTIONS[case]
         doc = json.loads(trained_models["m1"].read_text())
-        query_id, vocabulary = next(iter(doc["vocabularies"].items()))
-        vocabulary["terms"][2] = vocabulary["terms"][1]
+        query_id = next(iter(doc["vocabularies"]["queries"]))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(doc)), encoding="utf-8")
+        code = main([
+            "predict", "--model", str(bad), "--data", str(workspace["unlabeled"]),
+            "--out", str(tmp_path / "pred.csv"),
+            "--nouns", str(workspace["nouns"]), "--gloss", str(workspace["gloss"]),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {bad}: {field.format(query=repr(query_id))}" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_task1_vocabulary_repeating_a_term(self, workspace, trained_models, tmp_path, capsys):
+        """A term twice in a query's vocabulary is an id gap of 0 in the file."""
+        doc = json.loads(trained_models["m1"].read_text())
+        query_id, vocabulary = next(iter(doc["vocabularies"]["queries"].items()))
+        vocabulary["ids"][2] = 0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         code = main([
@@ -555,7 +653,8 @@ class TestCorruptModelRejectedAtLoad:
             "--sentiment", str(workspace["sentiment"]),
         ])
         assert code == 1
-        assert f"error: {bad}: vocabularies[{query_id!r}].terms: must be strictly increasing" in capsys.readouterr().err
+        expected = f"error: {bad}: vocabularies.queries[{query_id!r}].ids: must be strictly increasing"
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "pred.csv").exists()
 
 
@@ -573,8 +672,9 @@ def _as_v1(doc):
     svm = doc["svm"]
     pool = svm.pop("pool")
     dense = [[0.0] * pool["dims"] for _ in pool["indptr"][1:]]
+    columns = columns_of_gaps(pool)
     for row, (start, end) in enumerate(zip(pool["indptr"], pool["indptr"][1:])):
-        for column, value in zip(pool["indices"][start:end], pool["values"][start:end]):
+        for column, value in zip(columns[start:end], pool["values"][start:end]):
             dense[row][column] = value
     for machine in svm["machines"]:
         machine["support_vectors"] = [dense[row] for row in machine.pop("sv_index")]
@@ -667,6 +767,27 @@ class TestVersion6ModelFile:
         old = tmp_path / "v6.json"
         old.write_text(json.dumps(doc), encoding="utf-8")
         _predict_refuses(workspace, old, tmp_path, capsys, 6)
+
+
+class TestVersion7ModelFile:
+    @pytest.mark.parametrize("name", ["m1", "m2"])
+    def test_v7_file_fails_predict(self, workspace, trained_models, tmp_path, capsys, name):
+        """A file as version 7 wrote it, each vocabulary spelling out its terms and each
+        pool storing its columns as they are, is refused."""
+        doc = json.loads(trained_models[name].read_text())
+        doc["format_version"] = 7
+        if "vocabularies" in doc:
+            shared = doc["vocabularies"]
+            words = words_of_front_coded(shared["words"])
+            doc["vocabularies"] = {query: {"terms": [words[i] for i in itertools.accumulate(stored.pop("ids"))],
+                                           **stored} for query, stored in shared["queries"].items()}
+        else:
+            doc["vocabulary"]["terms"] = words_of_front_coded(doc["vocabulary"]["terms"])
+        if "pool" in doc["svm"]:
+            doc["svm"]["pool"]["indices"] = columns_of_gaps(doc["svm"]["pool"])
+        old = tmp_path / "v7.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        _predict_refuses(workspace, old, tmp_path, capsys, 7)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import typing
 import warnings
 from dataclasses import replace
 
@@ -25,8 +26,18 @@ from querystance.pipeline import (
     train_task1,
     train_task2,
 )
-from querystance.svm import KERNEL_KINDS, KernelConfig, MulticlassModel, SvmConfig, WeightsModel
+from querystance.features import SharedWords, VocabularyModel
+from querystance.svm import (
+    KERNEL_KINDS,
+    KernelConfig,
+    MulticlassModel,
+    PoolGaps,
+    SupportVectorPool,
+    SvmConfig,
+    WeightsModel,
+)
 
+from oracles import columns_of_gaps, front_coded_reference, gaps_of_columns
 from synth import lexicon_objects, make_records
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -133,6 +144,65 @@ def test_an_array_reads_each_leaf_as_its_scalar_field(cls, scalar):
         assert _mapped(array.tolist(), repr) == _mapped(doc, lambda leaf: repr(_leaf_reading(scalar, leaf)))
 
     reading()
+
+
+# words of digits, ASCII and non-ASCII letters (the empty word included), so lists
+# hold one-character words and words that are a prefix of the next
+any_word = st.text(st.sampled_from("019azAéü中"), max_size=4) | st.text(max_size=3)
+word_lists = st.lists(any_word, unique=True, max_size=40).map(sorted)
+
+
+@settings(max_examples=300)
+@given(word_lists)
+@example([])
+@example(["a"])
+@example(["1", "10", "109", "2", "a", "ab", "abc", "abd", "é", "éa", "中"])
+def test_a_sorted_word_list_survives_the_file_form(words):
+    """Any strictly increasing word list is stored front-coded, each word with the
+    longest prefix it shares with the word before it, and read back as it was."""
+    vocab = VocabularyModel(tuple(words), (1,) * len(words), 1)
+    doc = json.loads(json.dumps(to_doc(vocab)))
+    assert doc["terms"] == front_coded_reference(words)
+    assert from_doc(VocabularyModel, doc, "doc") == vocab
+
+
+@settings(max_examples=200)
+@given(word_lists.flatmap(lambda words: st.dictionaries(
+    st.text(max_size=3), st.lists(st.sampled_from(words), unique=True).map(sorted) if words else st.just([]),
+    max_size=4)))
+def test_vocabularies_survive_the_shared_word_list(terms_of):
+    """Any vocabularies by query are stored as one word list and gap-coded ids into
+    it, and read back as they were."""
+    vocabularies = {query: VocabularyModel(tuple(terms), (1,) * len(terms), 2) for query, terms in terms_of.items()}
+    doc = json.loads(json.dumps(to_doc(SharedWords.of(vocabularies))))
+    assert from_doc(SharedWords, doc, "doc").value == vocabularies
+
+
+@st.composite
+def pools(draw):
+    """A valid pool: rows of strictly increasing columns (empty and one-entry rows
+    among them) below a ``dims`` up to 2**63 - 1, and finite values."""
+    dims = draw(st.integers(1, 12) | st.sampled_from([2**31, 2**62 + 1, 2**63 - 1]))
+    columns = st.integers(0, dims - 1) | st.sampled_from([0, dims - 1])
+    rows = draw(st.lists(st.lists(columns, unique=True, max_size=5).map(sorted), max_size=6))
+    indices = np.array([column for row in rows for column in row], dtype=np.int64)
+    values = draw(st.lists(finite, min_size=len(indices), max_size=len(indices)))
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return SupportVectorPool(dims, indptr, indices, np.array(values, dtype=np.float64))
+
+
+@settings(max_examples=300)
+@given(pools())
+def test_a_pool_survives_gap_coding_bit_for_bit(pool):
+    """Any valid pool is stored with its columns as gaps within each row, and read
+    back through the model's declared pool field bit for bit."""
+    doc = json.loads(json.dumps(to_doc(PoolGaps.of(pool))))
+    assert doc["indices"] == gaps_of_columns(doc, pool.indices.tolist())
+    again = from_doc(typing.get_type_hints(MulticlassModel, include_extras=True)["pool"], doc, "doc")
+    assert type(again) is SupportVectorPool and again.dims == pool.dims
+    for name in ("indptr", "indices", "values"):
+        assert getattr(again, name).dtype == getattr(pool, name).dtype
+        assert getattr(again, name).tobytes() == getattr(pool, name).tobytes()
 
 
 DELETE = object()
@@ -263,15 +333,18 @@ def test_single_value_mutation_of_a_pool_form_task1_file_loads_or_raises_corrupt
 
 def _count_mutation(change):
     """Mutation of a task-2 document that ``change``s the first pool row holding both
-    term and sentiment counts: ``change(pool, term, sentiment)`` gets the pool and
-    the row's term and sentiment entries."""
+    term and sentiment counts: ``change(pool, term, sentiment)`` gets the pool, its
+    columns rebuilt from the file's gaps, and the row's term and sentiment entries.
+    The columns are stored as gaps again after the change."""
     def mutate(doc):
-        pool, size = doc["svm"]["pool"], len(doc["vocabulary"]["terms"])
+        pool, size = doc["svm"]["pool"], len(doc["vocabulary"]["terms"]["prefix"])
+        pool["indices"] = columns_of_gaps(pool)
         for start, end in zip(pool["indptr"], pool["indptr"][1:]):
             term = [e for e in range(start, end) if pool["indices"][e] < size]
             sentiment = [e for e in range(start, end) if size <= pool["indices"][e] < size + 3]
             if term and sentiment:
                 change(pool, term, sentiment)
+                pool["indices"] = gaps_of_columns(pool, pool["indices"])
                 return doc
         raise AssertionError("no pool row holds both term and sentiment counts")
 

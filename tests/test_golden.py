@@ -51,6 +51,7 @@ from querystance.pipeline import (
     save_task_model,
     task1_rows,
     task2_rows,
+    train_task1,
     train_task2,
 )
 from querystance.svm import decision_values
@@ -205,6 +206,26 @@ def test_task2_file_round_trip(tmp_path, monkeypatch):
     batch = task2_rows(test, [r.relevance for r in test], trained.task2.vocabulary, lexicons)
     expected = decision_values(trained.task2_model, batch)
     assert decision_values(loaded.task2_model, batch).tobytes() == expected.tobytes()
+
+
+def test_task1_file_round_trip(tmp_path, monkeypatch):
+    """A task-1 file saved again after loading has the same bytes, and the loaded
+    model's vocabularies are the trained ones and its decision values on the
+    paper_cli seed-1 test rows those of the trained model's stored form, bit for bit."""
+    monkeypatch.chdir(tmp_path)
+    corpus_gen.write_files(corpus_gen.generate("paper_cli", 1), Path("."))
+    lexicons = LexiconSet.load(gloss_path="gloss.tsv", noun_path="nouns.txt")
+    trained = train_task1(load_dataset("train.csv", labeled=True), lexicons,
+                          PipelineConfig(gloss_path="gloss.tsv", noun_path="nouns.txt"))
+    save_task_model(trained, 1, "saved.json")
+    loaded = load_task_model("saved.json", lexicons)
+    save_task_model(loaded, 1, "saved_again.json")
+    assert Path("saved_again.json").read_bytes() == Path("saved.json").read_bytes()
+    assert loaded.task1.vocabularies == trained.task1.vocabularies
+    batch = task1_rows(load_dataset("test.csv", labeled=True), trained.task1.vocabularies, lexicons)
+    expected = decision_values(trained.task1.classifier, batch)
+    assert decision_values(loaded.task1.classifier, batch).tobytes() == expected.tobytes()
+
 
 def write_golden() -> None:
     """Record every corpus's outputs, one entry per line. An entry whose test
